@@ -19,8 +19,8 @@ Families
 
 Scalar arguments accept the grammar "a", "a/b", "a.b", and complex
 combinations "x+yi" / "x-yi" / "yi" with rational or decimal parts;
-such values stay exact.  Plain float syntax (including exponents) is
-accepted too and is treated as inexact.
+such values stay exact.  Exponent notation ("1e-3", "1.5e-3+2i") is
+accepted too and is read as a big float rounded to --precision-bits.
 
 Exit codes: 0 success, 2 argument parse error, 3 numerical
 non-convergence, 4 invalid parameters.
@@ -32,6 +32,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -111,27 +112,45 @@ class RunConfig:
         return RunConfig(**data)
 
 
-def parse_cli_scalar(text: str):
-    """Exact Gaussian-rational parse first, then big-float syntax."""
+_FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# "x+yi", "x-yi", "yi", "-i": the imaginary part needs its own sign when
+# a real part precedes it
+_COMPLEX_RE = re.compile(
+    rf"^(?:(?P<re>[+-]?{_FLOAT})(?P<im>[+-](?:{_FLOAT})?)"
+    rf"|(?P<im_only>[+-]?(?:{_FLOAT})?))[ijIJ]$"
+)
+
+
+def parse_cli_scalar(text: str, precision_bits: int = 256):
+    """Exact Gaussian-rational parse first, then big-float syntax.
+
+    Inexact input (exponent notation, possibly inside "x+yi") is read
+    correctly rounded to precision_bits.
+    """
     try:
         return parse_gaussian_rational(text)
     except ValueError:
         pass
-    try:
-        return mp.mpf(text)
-    except Exception:
-        pass
-    try:
-        return mp.mpc(text.replace("i", "j"))
-    except Exception:
-        raise InvalidSpecError(f"cannot parse scalar {text!r}") from None
+    s = text.strip().replace(" ", "")
+    with working_precision(precision_bits):
+        try:
+            return mp.mpf(s)
+        except ValueError:
+            pass
+        match = _COMPLEX_RE.match(s)
+        if match is None:
+            raise InvalidSpecError(f"cannot parse scalar {text!r}")
+        im = match["im"] if match["im"] is not None else match["im_only"]
+        im = im + "1" if im in ("", "+", "-") else im
+        return mp.mpc(mp.mpf(match["re"] or 0), mp.mpf(im))
 
 
 def build_spec(cfg: RunConfig):
     """(spec, B_or_None) from the family selector and parameters."""
-    p = {k: parse_cli_scalar(v) for k, v in cfg.params.items()}
+    bits = cfg.precision_bits
+    p = {k: parse_cli_scalar(v, bits) for k, v in cfg.params.items()}
     fam = cfg.family
-    B = parse_cli_scalar(cfg.B) if cfg.B is not None else None
+    B = parse_cli_scalar(cfg.B, bits) if cfg.B is not None else None
 
     def need(*names):
         missing = [n for n in names if n not in p]
@@ -504,17 +523,21 @@ def _suite_perturbation(specs):
     return checks
 
 
-def _suite_rootfind(specs):
-    from .rootfind import find_all_roots
+def _max_gap(za, zb):
+    """Largest distance between two zero sets, each sorted by value."""
+    def ordered(zs):
+        return sorted(zs.zeros, key=lambda z: (z.real, z.imag))
 
+    return max(abs(a - b) for a, b in zip(ordered(za), ordered(zb)))
+
+
+def _suite_rootfind(specs):
     checks = []
     for spec in specs:
-        fam = build_family(spec, 8)
         zs_est = solve_zeros(spec, 8, seed_policy="estimates")
         zs_cir = solve_zeros(spec, 8, seed_policy="circles")
-        pairs = zip(sorted(zs_est.zeros, key=lambda z: (z.real, z.imag)),
-                    sorted(zs_cir.zeros, key=lambda z: (z.real, z.imag)))
-        agree = max(abs(a - b) for a, b in pairs)
+        zs_eig = solve_zeros(spec, 8, seed_policy="auto")
+        agree = max(_max_gap(zs_est, zs_cir), _max_gap(zs_eig, zs_est))
         checks.append((
             f"seeding strategies agree on c_8 zeros [{spec.kind.value}]",
             agree < mp.mpf(2) ** -80 and all(zs_est.converged),
@@ -636,12 +659,16 @@ def _add_common(p: argparse.ArgumentParser, family_required: bool = True):
     p.add_argument("--tol", default=None,
                    help="root tolerance (default 2^(-precision/2))")
     p.add_argument("--order", type=int, default=2, choices=[0, 1, 2],
-                   help="perturbative order used for seeding")
+                   help="order of the perturbative estimates that label "
+                        "the zeros (and seed them under --seed-policy "
+                        "estimates)")
     p.add_argument("--digits", type=int, default=10)
     p.add_argument("--format", dest="fmt", default="text",
                    choices=["text", "json", "csv"])
     p.add_argument("--seed-policy", default="auto",
-                   choices=["auto", "estimates", "circles"])
+                   choices=["auto", "estimates", "circles"],
+                   help="zero-solver start: Jacobi-matrix eigenvalues "
+                        "(auto), perturbative estimates, or circles")
     p.add_argument("--output", default=None, help="write result to a file")
 
 

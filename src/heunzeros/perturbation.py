@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
+import mpmath as mp
 
 from .families import (
     FamilyKind,
@@ -50,16 +53,34 @@ def _check(spec: RecurrenceSpec, k: int, m: int):
         raise InvalidSpecError(f"index k={k} outside 0..m={m}")
 
 
+def recurrence_row(spec: RecurrenceSpec, j: int) -> tuple:
+    """(D_j, E_j, G_j) with G_j = j(j-1+gamma) F_j, the weight that
+    accompanies every F_j in the perturbation formulas and the
+    off-diagonal of the Jacobi matrix.  Cached per (spec, j)."""
+    # Specs compare equal across fields (QQi(1/2) == mpf(0.5)), and
+    # inexact ones compute at the ambient precision, so the cache key
+    # also carries the parameter types and that precision.
+    signature = (tuple(type(getattr(spec, name)) for name in
+                       ("gamma", "delta", "s", "alpha", "beta")),
+                 mp.mp.prec)
+    return _cached_row(spec, j, signature)
+
+
+@lru_cache(maxsize=4096)
+def _cached_row(spec: RecurrenceSpec, j: int, signature) -> tuple:
+    D, E, F = recurrence_coeffs(spec, j)
+    return D, E, j * (j - 1 + spec.gamma) * F
+
+
 def _def(spec):
     def D(j):
-        return recurrence_coeffs(spec, j)[0]
+        return recurrence_row(spec, j)[0]
 
     def E(j):
-        return recurrence_coeffs(spec, j)[1]
+        return recurrence_row(spec, j)[1]
 
     def G(j):
-        # j(j-1+gamma) F_j, the weight that accompanies every F_j here
-        return j * (j - 1 + spec.gamma) * recurrence_coeffs(spec, j)[2]
+        return recurrence_row(spec, j)[2]
 
     return D, E, G
 
@@ -136,7 +157,7 @@ def zero_expansion(spec: RecurrenceSpec, k: int, m: int,
     if order not in (0, 1, 2):
         raise InvalidSpecError(f"order must be 0, 1 or 2, got {order}")
     _check(spec, k, m)
-    c0 = -recurrence_coeffs(spec, k)[0]
+    c0 = -_def(spec)[0](k)
     c1 = -first_order_coeff(spec, k, m) if order >= 1 else None
     c2 = -second_order_coeff(spec, k, m) if order >= 2 else None
     return PerturbativeExpansion(k=k, order=order, c0=c0, c1=c1, c2=c2, m=m)

@@ -2,7 +2,8 @@
 
 Aberth-Ehrlich iteration over all roots at once, followed by a Newton
 polish of each root.  Everything is deterministic: starting points come
-either from caller-supplied seeds (perturbative zero estimates) or from
+either from caller-supplied seeds (eigenvalues of a tridiagonal matrix
+from `tridiagonal_eigenvalues`, or perturbative zero estimates) or from
 Newton-polygon scaled circles computed from the coefficient magnitudes,
 never from a random generator.
 
@@ -12,6 +13,7 @@ estimates the absolute distance to the true root.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -120,6 +122,82 @@ def newton_polygon_seeds(coeffs, count: int | None = None) -> list:
     return seeds
 
 
+_EPS = 2.0 ** -52
+_QL_MAX_STEPS = 50    # QL steps allowed per eigenvalue
+
+
+def tridiagonal_eigenvalues(diag, offdiag):
+    """Eigenvalues of a complex-symmetric tridiagonal matrix, or None.
+
+    diag holds the n diagonal entries, offdiag the n-1 entries coupling
+    rows j and j+1.  Implicit QL with Wilkinson shifts in complex
+    doubles (the tqli scheme): the plane rotations have c^2 + s^2 = 1
+    and act by transposes, not conjugate transposes, so every step keeps
+    the matrix complex-symmetric.  Such a rotation breaks down when its
+    pivot pair (f, g) has f^2 + g^2 = 0, and nothing bounds how fast a
+    non-normal matrix converges; either way, or when an entry overflows,
+    the result is None and the caller must seed some other way.  At most
+    _QL_MAX_STEPS QL steps are spent on each eigenvalue.  The
+    eigenvalues come back in no particular order; they are accurate to
+    about machine epsilon times the matrix norm only when the matrix is
+    close to normal.
+    """
+    d = [complex(x) for x in diag]
+    e = [complex(x) for x in offdiag] + [0j]
+    if len(e) != len(d):
+        raise ValueError("offdiag needs one entry fewer than diag")
+    try:
+        converged = _implicit_ql(d, e)
+    except (OverflowError, ZeroDivisionError):
+        # abs() of a complex with finite parts raises once the modulus
+        # exceeds the double range
+        return None
+    if not converged or not all(cmath.isfinite(x) for x in d):
+        return None
+    return d
+
+
+def _implicit_ql(d, e) -> bool:
+    """Run QL on d (diagonal) and e (off-diagonal, padded with a
+    trailing zero) in place; False on rotation breakdown or when an
+    eigenvalue needs more than _QL_MAX_STEPS steps."""
+    n = len(d)
+    for l in range(n):
+        for it in range(_QL_MAX_STEPS + 1):
+            m = l
+            while m < n - 1 and \
+                    abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if it == _QL_MAX_STEPS:
+                return False
+            # Wilkinson shift from the leading 2x2 block
+            g = (d[l + 1] - d[l]) / (2 * e[l])
+            r = cmath.sqrt(g * g + 1)
+            g = d[m] - d[l] + e[l] / (g + r if abs(g + r) >= abs(g - r)
+                                      else g - r)
+            s = c = 1 + 0j
+            p = 0j
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = cmath.sqrt(f * f + g * g)
+                e[i + 1] = r
+                if r == 0:
+                    return False
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            d[l] -= p
+            e[l] = g
+            e[m] = 0j
+    return True
+
+
 def _break_axis_symmetry(points, coeffs, scale):
     """Real coefficients map an all-real Aberth configuration to an
     all-real one, so a fully real start can never reach a complex
@@ -155,8 +233,14 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
     poly: DensePolynomial or ascending coefficient list (any scalar
     type convertible to mpc).  seeds, when given, feed the first
     len(seeds) starting points; the rest come from the Newton-polygon
-    circles.  With strict=True a root that fails its convergence check
-    raises NonConvergenceError instead of being flagged.
+    circles.  Seeds near the roots, such as the eigenvalues of a Jacobi
+    matrix whose characteristic polynomial is poly, cut the number of
+    Aberth sweeps; the sweeps and the Newton polish are the same
+    whatever the seeds.  With strict=True a root that fails its
+    convergence check raises NonConvergenceError instead of being
+    flagged, and so does a tol below 2^-(precision_bits + 24), before
+    any sweep: the sweeps and the polish run at precision_bits + 24
+    bits, which cannot resolve a smaller step.
     """
     coeffs = _as_mpc_coeffs(poly, precision_bits)
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -164,8 +248,16 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
     n = len(coeffs) - 1
     if n < 1:
         raise InvalidSpecError("need degree >= 1 to find roots")
-    with working_precision(precision_bits + 24):
+    work_bits = precision_bits + 24
+    with working_precision(work_bits):
         tol = mp.mpf(tol) if tol is not None else default_tol(precision_bits)
+        if strict and tol < mp.mpf(2) ** -work_bits:
+            raise NonConvergenceError(
+                f"tolerance {mp.nstr(tol, 3)} is below 2^-{work_bits}, the "
+                f"resolution of the {work_bits}-bit working precision "
+                f"({precision_bits} bits plus 24 guard bits); raise "
+                "the precision or loosen the tolerance"
+            )
         z = [to_mpc(s) for s in (seeds or [])]
         if len(z) > n:
             raise InvalidSpecError(

@@ -22,6 +22,7 @@ raw tail and the plain |a_K - a_{K-1}| indicator stay available.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import warnings
@@ -30,9 +31,14 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .families import FamilyKind, InvalidSpecError, RecurrenceSpec, recurrence_coeffs
-from .perturbation import perturbative_seeds, zero_estimate
+from .perturbation import perturbative_seeds, recurrence_row, zero_estimate
 from .recurrence import build_family, eval_sequence
-from .rootfind import NonConvergenceError, ZeroSet, find_all_roots
+from .rootfind import (
+    NonConvergenceError,
+    ZeroSet,
+    find_all_roots,
+    tridiagonal_eigenvalues,
+)
 from .scalars import to_mpc, working_precision
 
 
@@ -43,10 +49,14 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
                 max_iter: int = 2000) -> ZeroSet:
     """Zeros of c_m(B), labelled by grid index where estimates exist.
 
-    seed_policy: 'estimates' starts the solver at the perturbative
-    zero estimates, 'circles' at Newton-polygon circles, 'auto' picks
-    estimates whenever they are defined and |s| <= 2 (they degrade as
-    |s| grows).
+    seed_policy picks where the Aberth iteration starts: 'auto' at the
+    eigenvalues of the Jacobi matrix of the recurrence (`jacobi_matrix`),
+    falling back to Newton-polygon circles when the eigenvalue routine
+    fails; 'estimates' at the perturbative zero estimates; 'circles' at
+    Newton-polygon circles.  The last two are kept as cross-checks.
+    Labels come from the perturbative estimates: under 'estimates'
+    always, under 'auto' whenever they are defined and |s| <= 2 (they
+    degrade as |s| grows), under 'circles' never.
     """
     if m < 1:
         raise InvalidSpecError("need m >= 1 for a nontrivial polynomial")
@@ -62,12 +72,33 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
         raw = perturbative_seeds(spec, m - 1, order)
         with working_precision(precision_bits):
             estimates = [to_mpc(e) for e in raw]
-    zs = find_all_roots(fam[m], seeds=estimates,
+    if seed_policy == "auto":
+        with working_precision(precision_bits):
+            seeds = tridiagonal_eigenvalues(*jacobi_matrix(spec, m))
+    else:
+        seeds = estimates   # None under 'circles'
+    zs = find_all_roots(fam[m], seeds=seeds,
                         precision_bits=precision_bits, tol=tol,
                         max_iter=max_iter)
     if estimates is not None:
         zs = zs.with_labels(_labels_by_proximity(zs.zeros, estimates))
     return zs
+
+
+def jacobi_matrix(spec: RecurrenceSpec, m: int) -> tuple:
+    """(diagonal, off-diagonal) in complex doubles of the m x m
+    complex-symmetric tridiagonal matrix whose eigenvalues are the zeros
+    of c_m: diagonal -(D_j + s E_j) for j = 0..m-1, off-diagonal
+    sqrt(s G_j) for j = 1..m-1 with G_j = j (j-1+gamma) F_j
+    (docs/math_notes.md, section 8).  Inexact parameters are combined at
+    the caller's working precision before rounding."""
+    diag, off = [], []
+    for j in range(m):
+        D, E, G = recurrence_row(spec, j)
+        diag.append(-complex(to_mpc(D + spec.s * E)))
+        if j:
+            off.append(cmath.sqrt(complex(to_mpc(spec.s * G))))
+    return diag, off
 
 
 def _labels_by_proximity(zeros, estimates) -> list:

@@ -1,10 +1,25 @@
 """End-to-end checks of the command-line front end via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import pytest
 
-from heunzeros.cli import RunConfig, config_from_args, main, make_parser
+from heunzeros.cli import (
+    RunConfig,
+    build_spec,
+    config_from_args,
+    main,
+    make_parser,
+    parse_cli_scalar,
+)
+from heunzeros.scalars import QQi
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -162,6 +177,54 @@ class TestExitCodes:
                            "--m", "4")
         assert code == 4
         assert "error" in json.loads(err)
+
+
+class TestScalarParsing:
+    def test_exponent_input_uses_requested_precision(self):
+        x = parse_cli_scalar("1e-1", 256)
+        with mp.workprec(256):
+            assert x == mp.mpf(1) / 10
+        assert parse_cli_scalar("1e-1", 64) != x
+        with mp.workprec(64):
+            assert parse_cli_scalar("1e-1", 64) == mp.mpf(1) / 10
+
+    def test_precision_flag_reaches_the_spec(self):
+        args = make_parser().parse_args(
+            ["zeros", "--family", "mathieu", "--q", "1e-1", "--m", "4",
+             "--precision-bits", "200"])
+        spec, _ = build_spec(config_from_args(args))
+        with mp.workprec(200):
+            assert spec.s == mp.mpf(1) / 10
+
+    def test_complex_exponent_input(self):
+        z = parse_cli_scalar("1.5e-3+2i", 256)
+        with mp.workprec(256):
+            assert z == mp.mpc(mp.mpf(15) / 10000, 2)
+        assert parse_cli_scalar("2e1-i") == mp.mpc(20, -1)
+        assert parse_cli_scalar("-2.5e1i") == mp.mpc(0, -25)
+
+    def test_decimals_stay_exact_and_exponents_do_not(self):
+        assert parse_cli_scalar("0.3") == QQi("3/10")
+        assert isinstance(parse_cli_scalar("0.3"), QQi)
+        half = parse_cli_scalar("5e-1")
+        assert isinstance(half, mp.mpf) and half == mp.mpf("0.5")
+
+    def test_garbage_is_invalid(self, capsys):
+        code, _, err = run(capsys, "zeros", "--family", "mathieu", "--q",
+                           "1e-3+", "--m", "4")
+        assert code == 4
+        assert "cannot parse scalar" in json.loads(err)["error"]
+
+
+def test_cli_import_loads_no_numpy_or_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import sys, heunzeros.cli; "
+             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestOutputAndConfig:

@@ -17,6 +17,7 @@ from heunzeros.rootfind import (
     newton_polygon_seeds,
     real_zero_count,
     refine_root,
+    tridiagonal_eigenvalues,
 )
 from heunzeros.scalars import EXACT_FIELD, QQi, working_precision
 
@@ -110,6 +111,55 @@ class TestSeeding:
             find_all_roots(poly, seeds=[mp.mpc(0)] * 5, precision_bits=64)
 
 
+class TestTridiagonalEigenvalues:
+    def test_complex_symmetric_two_by_two(self):
+        # [[1, 2i], [2i, 3]] has eigenvalues 2 +- i sqrt(3)
+        eig = tridiagonal_eigenvalues([1, 3], [2j])
+        want = [complex(2, 3 ** 0.5), complex(2, -(3 ** 0.5))]
+        for w in want:
+            assert min(abs(e - w) for e in eig) < 1e-14
+
+    def test_eigenvalues_are_characteristic_roots(self):
+        diag = [1 + 1j, -2, 0.5j, 3]
+        off = [1j, 2 - 1j, 0.25]
+        # det(B - J) by the three-term recurrence, ascending powers of B
+        p_prev, p = [mp.mpc(1)], [mp.mpc(-diag[0]), mp.mpc(1)]
+        for a, b in zip(diag[1:], off):
+            nxt = [mp.mpc(0)] + p
+            for i, c in enumerate(p):
+                nxt[i] -= a * c
+            for i, c in enumerate(p_prev):
+                nxt[i] -= b * b * c
+            p_prev, p = p, nxt
+        roots = find_all_roots(p, precision_bits=128).zeros
+        eig = tridiagonal_eigenvalues(diag, off)
+        assert len(eig) == 4
+        for z in roots:
+            assert min(abs(complex(z) - e) for e in eig) < 1e-12
+
+    def test_rotation_breakdown_reports_failure(self):
+        # [[1, i], [i, -1]] is a nonzero nilpotent matrix; its first
+        # rotation pivot (f, g) = (i, -1) has f^2 + g^2 = 0
+        assert tridiagonal_eigenvalues([1, -1], [1j]) is None
+
+    def test_iteration_bound_reports_failure(self, monkeypatch):
+        import heunzeros.rootfind as rootfind
+
+        monkeypatch.setattr(rootfind, "_QL_MAX_STEPS", 0)
+        assert tridiagonal_eigenvalues([1, 3], [2j]) is None
+        assert tridiagonal_eigenvalues([1, 3], [0j]) == [1, 3]
+
+    def test_overflow_reports_failure(self):
+        # finite parts, but the modulus is beyond the double range
+        huge = complex(1.5e308, 1.5e308)
+        assert tridiagonal_eigenvalues([1, 2], [huge]) is None
+        assert tridiagonal_eigenvalues([huge, -huge], [1]) is None
+
+    def test_offdiag_length_checked(self):
+        with pytest.raises(ValueError):
+            tridiagonal_eigenvalues([1, 2], [1, 1])
+
+
 class TestRefinement:
     def test_refine_recovers_perturbed_root(self):
         poly = poly_from_roots([QQi(-3), QQi(5), QQi(F(1, 3))])
@@ -119,11 +169,53 @@ class TestRefinement:
             assert res < default_tol(192)
 
     def test_strict_nonconvergence_raises(self):
+        # a tolerance the working precision resolves, but one sweep from
+        # the circles cannot meet
         spec, _ = from_lame(LameParams(n=2, s="1/2"))
         fam = build_family(spec, 10)
-        with pytest.raises(NonConvergenceError):
-            find_all_roots(fam[10], precision_bits=64, tol=mp.mpf(2) ** -200,
-                           max_iter=4)
+        with pytest.raises(NonConvergenceError,
+                           match="did not settle within 1 iterations"):
+            find_all_roots(fam[10], precision_bits=64, tol=mp.mpf(2) ** -60,
+                           max_iter=1)
+
+    def test_strict_polish_failure_raises(self, monkeypatch):
+        import heunzeros.rootfind as rootfind
+
+        spec, _ = from_lame(LameParams(n=2, s="1/2"))
+        fam = build_family(spec, 10)
+        polish = rootfind._newton_polish
+        calls = []
+
+        def first_root_fails(coeffs, z, tol):
+            calls.append(z)
+            r, res, ok = polish(coeffs, z, tol)
+            return r, res, ok and len(calls) > 1
+
+        monkeypatch.setattr(rootfind, "_newton_polish", first_root_fails)
+        with pytest.raises(NonConvergenceError,
+                           match=r"1 of 10 roots failed the tolerance check"):
+            find_all_roots(fam[10], precision_bits=64)
+
+    def test_unreachable_tolerance_fails_before_any_sweep(self, monkeypatch):
+        import heunzeros.rootfind as rootfind
+
+        spec, _ = from_lame(LameParams(n=2, s="1/2"))
+        fam = build_family(spec, 8)
+
+        def no_sweeps(coeffs, z):
+            raise AssertionError("evaluated the polynomial")
+
+        monkeypatch.setattr(rootfind, "_horner_pair", no_sweeps)
+        with pytest.raises(NonConvergenceError,
+                           match=r"tolerance 1\.0e-70 .*2\^-88.*88-bit"):
+            find_all_roots(fam[8], precision_bits=64, tol=1e-70)
+
+    def test_tolerance_within_guard_bits_is_accepted(self):
+        # below 2^-64 but above 2^-88, the resolution the sweeps run at
+        spec, _ = from_lame(LameParams(n=2, s="1/2"))
+        fam = build_family(spec, 8)
+        zs = find_all_roots(fam[8], precision_bits=64, tol=1e-20)
+        assert all(zs.converged) and zs.degree == 8
 
     def test_non_strict_reports_converged_flags(self):
         spec, _ = from_lame(LameParams(n=2, s="1/2"))

@@ -13,18 +13,34 @@ from heunzeros.families import (
     RecurrenceSpec,
     from_lame,
     from_mathieu,
+    recurrence_coeffs,
 )
-from heunzeros.rootfind import real_zero_count
+from heunzeros.rootfind import real_zero_count, tridiagonal_eigenvalues
 from heunzeros.tracking import (
     convergence_report,
     d2_closed_form_s0,
     d2_sequence,
     d2_zero_search,
+    jacobi_matrix,
     match_zeros,
     min_grid_gap,
     solve_zeros,
     stabilized_digits,
 )
+
+
+THREE_FAMILIES = (
+    from_lame(LameParams(n=2, s="1/100"))[0],
+    from_mathieu(MathieuParams(q=2))[0],
+    RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2", delta="1/2",
+                   s="-1/100", alpha=5),
+)
+WHILL_STRONG = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
+                              delta="1/2", s=-20, alpha=5)
+
+
+def sorted_zeros(zs):
+    return sorted(zs.zeros, key=lambda z: (z.real, z.imag))
 
 
 @pytest.fixture(scope="module")
@@ -49,18 +65,73 @@ class TestSolveZeros:
         want = mp.mpc("-18.045277094", "4.120210441")
         assert min(abs(z - want) for z in zs.zeros) < mp.mpf("1e-8")
 
-    def test_circle_seeding_matches_estimate_seeding(self, lame_small):
-        est = solve_zeros(lame_small, 8, seed_policy="estimates")
-        cir = solve_zeros(lame_small, 8, seed_policy="circles")
-        assert all(l is None for l in cir.labels)
-        worst = max(abs(x - y) for x, y in zip(est.zeros, cir.zeros))
-        assert worst < mp.mpf(2) ** -80
+    def test_circle_seeding_matches_estimate_seeding(self):
+        # 'auto' seeds from the Jacobi-matrix eigenvalues
+        for spec in THREE_FAMILIES:
+            est = solve_zeros(spec, 8, seed_policy="estimates")
+            cir = solve_zeros(spec, 8, seed_policy="circles")
+            eig = solve_zeros(spec, 8, seed_policy="auto")
+            assert all(l is None for l in cir.labels)
+            assert eig.labels == est.labels
+            for other in (cir, eig):
+                worst = max(abs(x - y) for x, y in zip(sorted_zeros(est),
+                                                       sorted_zeros(other)))
+                assert worst < mp.mpf(2) ** -80, spec.kind.value
 
     def test_rejects_bad_inputs(self, lame_small):
         with pytest.raises(InvalidSpecError):
             solve_zeros(lame_small, 0)
         with pytest.raises(InvalidSpecError):
             solve_zeros(lame_small, 4, seed_policy="guess")
+
+
+class TestJacobiSeeds:
+    def test_s0_eigenvalues_are_the_grid(self):
+        spec = THREE_FAMILIES[0].with_s(0)
+        eig = tridiagonal_eigenvalues(*jacobi_matrix(spec, 12))
+        grid = [-complex(recurrence_coeffs(spec, k)[0]) for k in range(12)]
+        assert sorted(eig, key=abs) == sorted(grid, key=abs)
+
+    @pytest.mark.parametrize("spec", THREE_FAMILIES,
+                             ids=lambda spec: spec.kind.value)
+    def test_eigenvalues_are_close_to_the_zeros(self, spec):
+        zs = solve_zeros(spec, 12)
+        eig = sorted(tridiagonal_eigenvalues(*jacobi_matrix(spec, 12)),
+                     key=lambda z: (z.real, z.imag))
+        for z, e in zip(sorted_zeros(zs), eig):
+            assert abs(complex(z) - e) < 1e-10 * (1 + abs(e))
+
+    def test_failed_eigenvalue_solve_falls_back_to_circles(self, monkeypatch):
+        import heunzeros.rootfind as rootfind
+        import heunzeros.tracking as tracking
+
+        spec = THREE_FAMILIES[1]
+        eig = solve_zeros(spec, 10)
+        circle_calls = []
+        polygon = rootfind.newton_polygon_seeds
+
+        def counting_polygon(coeffs, count=None):
+            circle_calls.append(count)
+            return polygon(coeffs, count)
+
+        monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
+                            lambda diag, offdiag: None)
+        monkeypatch.setattr(rootfind, "newton_polygon_seeds",
+                            counting_polygon)
+        fallback = solve_zeros(spec, 10)
+        assert circle_calls == [10]
+        assert fallback.labels == eig.labels
+        worst = max(abs(x - y) for x, y in zip(sorted_zeros(eig),
+                                               sorted_zeros(fallback)))
+        assert worst < mp.mpf(2) ** -80
+
+    def test_strong_coupling_solve_is_bit_identical(self):
+        a = solve_zeros(WHILL_STRONG, 50)
+        b = solve_zeros(WHILL_STRONG, 50)
+        assert [(z.real._mpf_, z.imag._mpf_) for z in a.zeros] == \
+            [(z.real._mpf_, z.imag._mpf_) for z in b.zeros]
+        assert all(a.converged)
+        assert real_zero_count(a) == 0
 
 
 class TestMatching:
