@@ -15,8 +15,7 @@ import argparse
 import sys
 import time
 
-import mpmath as mp
-
+from heunzeros.cli import table_text
 from heunzeros.families import (
     FamilyKind,
     LameParams,
@@ -25,9 +24,8 @@ from heunzeros.families import (
     from_lame,
     from_mathieu,
 )
-from heunzeros.rootfind import real_zero_count
 from heunzeros.scalars import format_scalar, working_precision
-from heunzeros.tracking import convergence_report, solve_zeros
+from heunzeros.tracking import convergence_report, solve_zeros, zero_table
 
 TABLES = {
     "lame-1/100": (lambda: from_lame(LameParams(n=2, s="1/100"))[0],
@@ -53,7 +51,8 @@ def print_table(name, precision_bits, digits):
     elapsed = time.monotonic() - t0
     top = m_list[-1]
     print(f"== {name}  [{spec.kind.value}]  degrees {m_list} ==")
-    print(report.to_table(k_max=k_max, digits=digits))
+    rows = zero_table(spec, report.zero_sets, k_max)
+    print(table_text(report.m_list, rows, digits))
     with working_precision(precision_bits):
         tail = report.zero_sets[top].zeros[-1]
         print(f"tail zero of c_{top}: {format_scalar(tail, digits)}")
@@ -71,9 +70,7 @@ def print_real_zero_survey(precision_bits, digits):
     print("== whill--20: real zeros by degree ==")
     for m in (16, 19, 50, 89, 100):
         zs = solve_zeros(spec, m, precision_bits=precision_bits)
-        reals = sorted((z.real for z in zs.zeros
-                        if abs(z.imag) < 1e-6 * (1 + abs(z.real))),
-                       reverse=True)
+        reals = sorted((z.real for z in zs.real_zeros()), reverse=True)
         head = ", ".join(format_scalar(r, digits) for r in reals[:4])
         more = ", ..." if len(reals) > 4 else ""
         print(f"c_{m:<3}  {len(reals):2d} real zero(s)"

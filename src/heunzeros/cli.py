@@ -34,7 +34,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field
 
 import mpmath as mp
 
@@ -49,7 +48,6 @@ from .families import (
     from_mathieu,
     from_whittaker_hill,
 )
-from .perturbation import zero_estimate
 from .recurrence import build_family
 from .rootfind import NonConvergenceError
 from .scalars import (
@@ -65,51 +63,12 @@ from .tracking import (
     d2_sequence,
     d2_zero_search,
     solve_zeros,
+    zero_table,
 )
 
 EXIT_OK = 0
 EXIT_NONCONVERGENCE = 3
 EXIT_INVALID = 4
-
-
-# -- configuration ---------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    """Everything one subcommand invocation needs, pre-parsed.
-
-    Family parameters stay as the user's strings so exact inputs stay
-    exact; they are interpreted once by `build_spec`.
-    """
-
-    command: str
-    family: str = ""
-    params: dict = field(default_factory=dict)
-    m: int | None = None
-    m_list: tuple = ()
-    m_max: int | None = None
-    k_max: int = 6
-    B: str | None = None
-    K: int = 500
-    precision_bits: int = 256
-    tol: str | None = None
-    order: int = 2
-    digits: int = 10
-    fmt: str = "text"
-    seed_policy: str = "auto"
-    output: str | None = None
-    search: bool = False
-    midpoint: bool = False
-    suite: str = "all"
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(data: dict) -> "RunConfig":
-        data = dict(data)
-        data["m_list"] = tuple(data.get("m_list", ()))
-        return RunConfig(**data)
 
 
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -145,12 +104,14 @@ def parse_cli_scalar(text: str, precision_bits: int = 256):
         return mp.mpc(mp.mpf(match["re"] or 0), mp.mpf(im))
 
 
-def build_spec(cfg: RunConfig):
+def build_spec(args: argparse.Namespace):
     """(spec, B_or_None) from the family selector and parameters."""
-    bits = cfg.precision_bits
-    p = {k: parse_cli_scalar(v, bits) for k, v in cfg.params.items()}
-    fam = cfg.family
-    B = parse_cli_scalar(cfg.B, bits) if cfg.B is not None else None
+    bits = args.precision_bits
+    p = {flag: parse_cli_scalar(getattr(args, flag), bits)
+         for flag in _PARAM_FLAGS if getattr(args, flag) is not None}
+    fam = args.family
+    B = getattr(args, "B", None)
+    B = parse_cli_scalar(B, bits) if B is not None else None
 
     def need(*names):
         missing = [n for n in names if n not in p]
@@ -217,9 +178,9 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _emit(payload: str, cfg: RunConfig):
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+def _emit(payload: str, args: argparse.Namespace):
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(payload if payload.endswith("\n") else payload + "\n")
     else:
         sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
@@ -227,13 +188,13 @@ def _emit(payload: str, cfg: RunConfig):
 
 # -- subcommands -------------------------------------------------------------------
 
-def cmd_poly(cfg: RunConfig) -> str:
-    spec, _ = build_spec(cfg)
-    m_max = cfg.m_max if cfg.m_max is not None else (cfg.m or 4)
+def cmd_poly(args: argparse.Namespace) -> str:
+    spec, _ = build_spec(args)
+    m_max = args.m_max if args.m_max is not None else (args.m or 4)
     fam = build_family(spec, m_max)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         return json.dumps(fam.to_json(), indent=2)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = [("m", "k", "coefficient")]
         for m in range(m_max + 1):
             for k, c in enumerate(fam[m].coeffs):
@@ -246,20 +207,18 @@ def cmd_poly(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def cmd_zeros(cfg: RunConfig) -> str:
-    spec, _ = build_spec(cfg)
-    if cfg.m is None:
-        raise InvalidSpecError("zeros needs --m")
-    tol = float(cfg.tol) if cfg.tol is not None else None
-    zs = solve_zeros(spec, cfg.m, precision_bits=cfg.precision_bits,
-                     tol=tol, seed_policy=cfg.seed_policy, order=cfg.order)
-    d = cfg.digits
-    if cfg.fmt == "json":
+def cmd_zeros(args: argparse.Namespace) -> str:
+    spec, _ = build_spec(args)
+    tol = float(args.tol) if args.tol is not None else None
+    zs = solve_zeros(spec, args.m, precision_bits=args.precision_bits,
+                     tol=tol, seed_policy=args.seed_policy, order=args.order)
+    d = args.digits
+    if args.fmt == "json":
         return json.dumps({
             "schema": "heunzeros-zeros/1",
             "spec": spec.to_json(),
-            "m": cfg.m,
-            "precision_bits": cfg.precision_bits,
+            "m": args.m,
+            "precision_bits": args.precision_bits,
             "tol": mp.nstr(zs.tol, 5),
             "converged": all(zs.converged),
             "zeros": [
@@ -272,53 +231,55 @@ def cmd_zeros(cfg: RunConfig) -> str:
                 for z, r, lab in zip(zs.zeros, zs.residuals, zs.labels)
             ],
         }, indent=2)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = [("re", "im", "residual", "label_k")]
         for z, r, lab in zip(zs.zeros, zs.residuals, zs.labels):
             rows.append((mp.nstr(z.real, d + 5), mp.nstr(z.imag, d + 5),
                          mp.nstr(r, 5), "" if lab is None else lab))
         return _csv_text(rows)
-    lines = [f"zeros of c_{cfg.m}(B)  [{spec.kind.value}]"]
+    lines = [f"zeros of c_{args.m}(B)  [{spec.kind.value}]"]
     for z, r, lab in zip(zs.zeros, zs.residuals, zs.labels):
         k = "-" if lab is None else str(lab)
         lines.append(f"  k={k:>3}  {_fmt(z, d):<36}  residual {mp.nstr(r, 3)}")
     return "\n".join(lines)
 
 
-def _table_rows(spec, cfg: RunConfig):
-    ms = cfg.m_list or ((cfg.m,) if cfg.m else ())
-    if not ms:
+def _table_cells(ms, rows, digits: int) -> list:
+    header = ["k", "0th approx.", "1st approx.", "2nd approx."] + [
+        f"zero of c_{m}" for m in ms
+    ]
+    table = [header]
+    for r in rows:
+        cells = [str(r["k"])] + [_fmt(e, digits) for e in r["orders"]]
+        cells += [_fmt(r["zeros"][m], digits) for m in ms]
+        table.append(cells)
+    return table
+
+
+def table_text(ms, rows, digits: int) -> str:
+    """The text output of `table` for `tracking.zero_table` rows at
+    the degrees ms."""
+    table = _table_cells(ms, rows, digits)
+    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
+    return "\n".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+        for row in table
+    )
+
+
+def cmd_table(args: argparse.Namespace) -> str:
+    spec, _ = build_spec(args)
+    if not args.m:
         raise InvalidSpecError("table needs --m (one or more degrees)")
-    ms = tuple(sorted(set(ms)))
-    cols = {}
-    for m in ms:
-        zs = solve_zeros(spec, m, precision_bits=cfg.precision_bits,
-                         seed_policy=cfg.seed_policy, order=cfg.order)
-        cols[m] = {
-            lab: z for z, lab in zip(zs.zeros, zs.labels) if lab is not None
-        }
-    top = max(ms)
-    rows = []
-    for k in range(min(cfg.k_max, top - 1) + 1):
-        ests = []
-        for order in (0, 1, 2):
-            try:
-                ests.append(zero_estimate(spec, k, top - 1, order))
-            except Exception:
-                ests.append(None)
-        rows.append({
-            "k": k,
-            "orders": ests,
-            "zeros": {m: cols[m].get(k) for m in ms},
-        })
-    return ms, rows
-
-
-def cmd_table(cfg: RunConfig) -> str:
-    spec, _ = build_spec(cfg)
-    ms, rows = _table_rows(spec, cfg)
-    d = cfg.digits
-    if cfg.fmt == "json":
+    ms = tuple(sorted(set(args.m)))
+    zero_sets = {
+        m: solve_zeros(spec, m, precision_bits=args.precision_bits,
+                       seed_policy=args.seed_policy, order=args.order)
+        for m in ms
+    }
+    rows = zero_table(spec, zero_sets, args.k_max)
+    d = args.digits
+    if args.fmt == "json":
         return json.dumps({
             "schema": "heunzeros-table/1",
             "spec": spec.to_json(),
@@ -335,33 +296,20 @@ def cmd_table(cfg: RunConfig) -> str:
                 for r in rows
             ],
         }, indent=2)
-    header = ["k", "0th approx.", "1st approx.", "2nd approx."] + [
-        f"zero of c_{m}" for m in ms
-    ]
-    table = [header]
-    for r in rows:
-        cells = [str(r["k"])] + [_fmt(e, d) for e in r["orders"]]
-        cells += [_fmt(r["zeros"][m], d) for m in ms]
-        table.append(cells)
-    if cfg.fmt == "csv":
-        return _csv_text(table)
-    widths = [max(len(row[c]) for row in table) for c in range(len(header))]
-    return "\n".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        for row in table
-    )
+    if args.fmt == "csv":
+        return _csv_text(_table_cells(ms, rows, d))
+    return table_text(ms, rows, d)
 
 
-def cmd_track(cfg: RunConfig) -> str:
-    spec, _ = build_spec(cfg)
-    ms = cfg.m_list or (30, 40)
-    rep = convergence_report(spec, m_list=ms, digits=cfg.digits,
-                             precision_bits=cfg.precision_bits,
-                             seed_policy=cfg.seed_policy)
-    if cfg.fmt == "json":
+def cmd_track(args: argparse.Namespace) -> str:
+    spec, _ = build_spec(args)
+    rep = convergence_report(spec, m_list=args.m, digits=args.digits,
+                             precision_bits=args.precision_bits,
+                             seed_policy=args.seed_policy)
+    if args.fmt == "json":
         return json.dumps(rep.to_json(), indent=2)
     m1, m2 = rep.m_list[-2], rep.m_list[-1]
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = [("label_k", "re", "im", "stabilized_digits")]
         for t in rep.tracks:
             z = t.value_at(m2)
@@ -369,13 +317,13 @@ def cmd_track(cfg: RunConfig) -> str:
                 continue
             rows.append((
                 "" if t.label_k is None else t.label_k,
-                mp.nstr(mp.mpc(z).real, cfg.digits + 5),
-                mp.nstr(mp.mpc(z).imag, cfg.digits + 5),
+                mp.nstr(mp.mpc(z).real, args.digits + 5),
+                mp.nstr(mp.mpc(z).imag, args.digits + 5),
                 t.stabilized.get((m1, m2), ""),
             ))
         return _csv_text(rows)
     lines = [
-        f"degrees {rep.m_list}: n_stable({cfg.digits}) = "
+        f"degrees {rep.m_list}: n_stable({args.digits}) = "
         f"{rep.n_stable()} of {len(rep.zero_sets[m2].zeros)}"
     ]
     for t in rep.tracks:
@@ -385,56 +333,56 @@ def cmd_track(cfg: RunConfig) -> str:
         sd = t.stabilized.get((m1, m2))
         k = "-" if t.label_k is None else str(t.label_k)
         lines.append(
-            f"  k={k:>3}  {_fmt(z, cfg.digits):<36}  "
+            f"  k={k:>3}  {_fmt(z, args.digits):<36}  "
             f"digits {'-' if sd is None else sd}"
         )
     return "\n".join(lines)
 
 
-def cmd_d2(cfg: RunConfig) -> str:
-    spec, B = build_spec(cfg)
+def cmd_d2(args: argparse.Namespace) -> str:
+    spec, B = build_spec(args)
     if B is None:
         raise InvalidSpecError("d2 needs --B (or a family mapping giving one)")
-    est = d2_sequence(spec, B, K=cfg.K, precision_bits=cfg.precision_bits)
-    d = cfg.digits
+    est = d2_sequence(spec, B, K=args.K, precision_bits=args.precision_bits)
+    d = args.digits
     out = {
         "schema": "heunzeros-d2/1",
         "spec": spec.to_json(),
         "B": _fmt(B, d + 5),
-        "K": cfg.K,
+        "K": args.K,
         "estimate": _fmt(est.estimate, d),
         "tail": _fmt(est.tail, d),
         "error_indicator": mp.nstr(est.error_indicator, 5),
     }
-    with working_precision(cfg.precision_bits):
+    with working_precision(args.precision_bits):
         s_is_zero = to_mpc(spec.s) == 0
     if s_is_zero:
         out["closed_form"] = _fmt(
-            d2_closed_form_s0(spec, B, cfg.precision_bits), d
+            d2_closed_form_s0(spec, B, args.precision_bits), d
         )
-    if cfg.midpoint:
+    if args.midpoint:
         from .oracle import d2_by_midpoint_matching
 
         mm = d2_by_midpoint_matching(spec, B,
-                                     precision_bits=cfg.precision_bits)
+                                     precision_bits=args.precision_bits)
         out["midpoint"] = _fmt(mm.d2, d)
-    if cfg.search:
-        tol = float(cfg.tol) if cfg.tol is not None else 1e-10
-        res = d2_zero_search(spec, B, tol=tol, K=cfg.K,
-                             precision_bits=cfg.precision_bits)
+    if args.search:
+        tol = float(args.tol) if args.tol is not None else 1e-10
+        res = d2_zero_search(spec, B, tol=tol, K=args.K,
+                             precision_bits=args.precision_bits)
         out["zero_search"] = {
             "B": _fmt(res.B, d),
             "d2": _fmt(res.d2, d),
             "iterations": res.iterations,
             "K_used": res.K_used,
         }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         return json.dumps(out, indent=2)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         keys = [k for k in out if k not in ("schema", "spec", "zero_search")]
         rows = [tuple(keys), tuple(str(out[k]) for k in keys)]
         return _csv_text(rows)
-    lines = [f"d2 estimate  = {out['estimate']}   (K = {cfg.K})",
+    lines = [f"d2 estimate  = {out['estimate']}   (K = {args.K})",
              f"raw tail     = {out['tail']}",
              f"indicator    = {out['error_indicator']}"]
     if "closed_form" in out:
@@ -617,18 +565,15 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.family:
-        spec, _ = build_spec(cfg)
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    if args.family:
+        spec, _ = build_spec(args)
         specs = [spec]
     else:
         specs = _default_specs()
-    names = list(_SUITES) if cfg.suite == "all" else [cfg.suite]
-    unknown = [n for n in names if n not in _SUITES]
-    if unknown:
-        raise InvalidSpecError(f"unknown suite {unknown[0]!r}")
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     lines, failures = [], 0
-    with working_precision(cfg.precision_bits):
+    with working_precision(args.precision_bits):
         for name in names:
             for label, ok, detail in _SUITES[name](specs):
                 mark = "PASS" if ok else "FAIL"
@@ -679,6 +624,16 @@ def _m_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad degree list {text!r}")
 
 
+_COMMANDS = {
+    "poly": cmd_poly,
+    "zeros": cmd_zeros,
+    "table": cmd_table,
+    "track": cmd_track,
+    "d2": cmd_d2,
+    "verify": cmd_verify,
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="heunzeros",
@@ -724,56 +679,13 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {
-        flag: getattr(args, flag)
-        for flag in _PARAM_FLAGS
-        if getattr(args, flag, None) is not None
-    }
-    m_attr = getattr(args, "m", None)
-    cfg = RunConfig(
-        command=args.command,
-        family=args.family or "",
-        params=params,
-        m=m_attr if isinstance(m_attr, int) else None,
-        m_list=m_attr if isinstance(m_attr, tuple) else (),
-        m_max=getattr(args, "m_max", None),
-        k_max=getattr(args, "k_max", 6),
-        B=getattr(args, "B", None),
-        K=getattr(args, "K", 500),
-        precision_bits=args.precision_bits,
-        tol=args.tol,
-        order=args.order,
-        digits=args.digits,
-        fmt=args.fmt,
-        seed_policy=args.seed_policy,
-        output=args.output,
-        search=getattr(args, "search", False),
-        midpoint=getattr(args, "midpoint", False),
-        suite=getattr(args, "suite", "all"),
-    )
-    return cfg
-
-
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        if cfg.command == "poly":
-            _emit(cmd_poly(cfg), cfg)
-        elif cfg.command == "zeros":
-            _emit(cmd_zeros(cfg), cfg)
-        elif cfg.command == "table":
-            _emit(cmd_table(cfg), cfg)
-        elif cfg.command == "track":
-            _emit(cmd_track(cfg), cfg)
-        elif cfg.command == "d2":
-            _emit(cmd_d2(cfg), cfg)
-        elif cfg.command == "verify":
-            text, code = cmd_verify(cfg)
-            _emit(text, cfg)
-            return code
-        return EXIT_OK
+        out = _COMMANDS[args.command](args)
+        text, code = out if isinstance(out, tuple) else (out, EXIT_OK)
+        _emit(text, args)
+        return code
     except NonConvergenceError as exc:
         print(json.dumps({"error": str(exc), "code": EXIT_NONCONVERGENCE}),
               file=sys.stderr)

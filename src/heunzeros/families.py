@@ -187,17 +187,10 @@ class EtaBMap:
 
     s: object
 
-    def _check(self):
+    def b_from_eta(self, eta):
         if not self.s:
             raise InvalidSpecError("eta <-> B map is singular at s = 0")
-
-    def b_from_eta(self, eta):
-        self._check()
         return -(_normalize(eta) * self.s) / 4
-
-    def eta_from_b(self, b):
-        self._check()
-        return -(4 * _normalize(b)) / self.s
 
 
 def from_lame(p: LameParams) -> tuple[RecurrenceSpec, EtaBMap]:
@@ -264,18 +257,3 @@ def from_whittaker_hill(p: WhittakerHillParams):
     )
     b = -(2 * a0 + 2 * a1 + 4 * h + h * h) / 8
     return spec, b
-
-
-def whittaker_hill_from_confluent(alpha, s, b=None):
-    """Inverse reduction: recover (A0, A1, h) from a confluent spec with
-    gamma = delta = 1/2.  A0 needs b; it is None otherwise."""
-    s = _normalize(s)
-    if not s:
-        raise InvalidSpecError("inverse Whittaker-Hill map needs s != 0")
-    alpha = _normalize(alpha)
-    h = -s / 2
-    a1 = 4 * h * (alpha - HALF)
-    a0 = None
-    if b is not None:
-        a0 = -4 * _normalize(b) - a1 - 2 * h - h * h / 2
-    return WhittakerHillParams(A0=a0, A1=a1, h=h)

@@ -228,11 +228,6 @@ def reduced_confluent_expansion(gamma, delta, k: int) -> PerturbativeExpansion:
                                  c2=QQi(c2), m=None)
 
 
-def lame_zero_estimate(n, k: int, s):
-    """Convenience: lame_expansion evaluated at s."""
-    return lame_expansion(n, k)(s)
-
-
 def perturbative_seeds(spec: RecurrenceSpec, m: int, order: int = 2) -> list:
     """Zero estimates for all m+1 zeros of c_{m+1}, for seeding a solver.
 

@@ -72,28 +72,9 @@ class DensePolynomial:
     def leading_coefficient(self):
         return self.coeffs[-1]
 
-    def trimmed(self) -> "DensePolynomial":
-        cs = list(self.coeffs)
-        while len(cs) > 1 and not cs[-1]:
-            cs.pop()
-        return DensePolynomial(tuple(cs), self.field)
-
     def to_mpc_coeffs(self, precision_bits: int = 256) -> list:
         with working_precision(precision_bits):
             return [to_mpc(c) for c in self.coeffs]
-
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "coeffs": [scalar_to_json(c, self.field) for c in self.coeffs],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "DensePolynomial":
-        field = FieldTag.from_json(obj["field"])
-        return DensePolynomial(
-            tuple(scalar_from_json(p, field) for p in obj["coeffs"]), field
-        )
 
 
 def _zero_like(field: FieldTag):

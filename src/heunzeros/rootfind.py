@@ -55,8 +55,12 @@ class ZeroSet:
                        tuple(labels))
 
     def real_zeros(self, imag_tol: float = 1e-6) -> list:
-        return [z for z in self.zeros
-                if abs(z.imag) < imag_tol * (1 + abs(z.real))]
+        """Zeros with |Im z| < imag_tol * (1 + |Re z|)."""
+        return [z for z in self.zeros if _is_real(z, imag_tol)]
+
+
+def _is_real(z, imag_tol) -> bool:
+    return abs(z.imag) < imag_tol * (1 + abs(z.real))
 
 
 def default_tol(precision_bits: int) -> mp.mpf:
@@ -356,30 +360,9 @@ def _newton_polish(coeffs, z, tol, max_steps: int = 40):
     return z, res, res < tol * (1 + abs(z))
 
 
-def refine_root(poly, z0, precision_bits: int = 256, tol=None):
-    """Polish a single root estimate by Newton; (root, residual).
-
-    Raises NonConvergenceError when the correction keeps growing
-    (three consecutive increases) or the tolerance is never met.
-    """
-    coeffs = _as_mpc_coeffs(poly, precision_bits)
-    with working_precision(precision_bits + 24):
-        tol = mp.mpf(tol) if tol is not None else default_tol(precision_bits)
-        z, res, ok = _newton_polish(coeffs, to_mpc(z0), tol)
-    if not ok:
-        raise NonConvergenceError(
-            f"Newton refinement from {mp.nstr(to_mpc(z0), 8)} stalled "
-            f"(residual {mp.nstr(res, 3)})"
-        )
-    return z, res
-
-
 def real_zero_count(zeros, imag_tol: float = 1e-6) -> int:
-    """How many zeros are real up to the relative imaginary tolerance.
-
-    A zero counts as real when |Im z| < imag_tol * (1 + |Re z|).
-    """
+    """How many zeros are real up to the relative imaginary tolerance,
+    by the test of `ZeroSet.real_zeros`."""
     if isinstance(zeros, ZeroSet):
         zeros = zeros.zeros
-    return sum(1 for z in zeros
-               if abs(mp.mpc(z).imag) < imag_tol * (1 + abs(mp.mpc(z).real)))
+    return sum(1 for z in zeros if _is_real(mp.mpc(z), imag_tol))

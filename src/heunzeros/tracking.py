@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .families import FamilyKind, InvalidSpecError, RecurrenceSpec, recurrence_coeffs
-from .perturbation import perturbative_seeds, recurrence_row, zero_estimate
+from .perturbation import (
+    BoundaryOrderError,
+    DegenerateGridError,
+    perturbative_seeds,
+    recurrence_row,
+    zero_estimate,
+)
 from .recurrence import build_family, eval_sequence
 from .rootfind import (
     NonConvergenceError,
@@ -266,39 +272,6 @@ class ConvergenceReport:
     def dumps(self, **kw) -> str:
         return json.dumps(self.to_json(), **kw)
 
-    def to_table(self, k_max: int | None = None, digits: int = 10) -> str:
-        """Text table: k, the three approximation orders, and the
-        tracked zero at each degree in m_list."""
-        from .scalars import format_scalar
-
-        top = self.m_list[-1]
-        if k_max is None:
-            k_max = min(5, top - 2)
-        header = ["k", "0th", "1st", "2nd"] + [
-            f"zero of c_{m}" for m in self.m_list
-        ]
-        rows = [header]
-        for k in range(k_max + 1):
-            row = [str(k)]
-            for order in (0, 1, 2):
-                try:
-                    est = zero_estimate(self.spec, k, top - 1, order)
-                    with working_precision(self.precision_bits):
-                        row.append(format_scalar(to_mpc(est), digits))
-                except Exception:
-                    row.append("-")
-            track = next((t for t in self.tracks if t.label_k == k), None)
-            for m in self.m_list:
-                z = track.value_at(m) if track else None
-                row.append(format_scalar(z, digits) if z is not None else "-")
-            rows.append(row)
-        widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-        lines = [
-            "  ".join(cell.rjust(w) for cell, w in zip(r, widths))
-            for r in rows
-        ]
-        return "\n".join(lines)
-
 
 def convergence_report(spec: RecurrenceSpec, s=None, m_list=(30, 40),
                        digits: int = 10, precision_bits: int = 256,
@@ -350,6 +323,35 @@ def convergence_report(spec: RecurrenceSpec, s=None, m_list=(30, 40),
     return ConvergenceReport(spec=spec, m_list=m_list, digits=digits,
                              tracks=tracks, zero_sets=zero_sets,
                              precision_bits=precision_bits)
+
+
+def zero_table(spec: RecurrenceSpec, zero_sets: dict, k_max: int) -> list:
+    """Rows of the approximation-vs-zero table for {m: ZeroSet}.
+
+    Row k (k <= min(k_max, top - 1), top the highest degree) holds the
+    0th/1st/2nd-order estimates of the zero of c_top near -D_k and the
+    zero each degree's own labels tie to k.  A missing estimate or
+    label is None.
+    """
+    top = max(zero_sets)
+    columns = {
+        m: {lab: z for z, lab in zip(zs.zeros, zs.labels) if lab is not None}
+        for m, zs in sorted(zero_sets.items())
+    }
+    rows = []
+    for k in range(min(k_max, top - 1) + 1):
+        orders = []
+        for order in (0, 1, 2):
+            try:
+                orders.append(zero_estimate(spec, k, top - 1, order))
+            except (BoundaryOrderError, DegenerateGridError):
+                orders.append(None)
+        rows.append({
+            "k": k,
+            "orders": orders,
+            "zeros": {m: col.get(k) for m, col in columns.items()},
+        })
+    return rows
 
 
 # -- the d2 limit --------------------------------------------------------------

@@ -9,14 +9,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from heunzeros.cli import (
-    RunConfig,
-    build_spec,
-    config_from_args,
-    main,
-    make_parser,
-    parse_cli_scalar,
-)
+from heunzeros.cli import build_spec, main, make_parser, parse_cli_scalar
 from heunzeros.scalars import QQi
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -94,6 +87,19 @@ class TestTable:
         assert k3 == ["3", "-9", "-7.125000000", "-6.939508929",
                       "-6.869999689"]
 
+    def test_second_order_missing_only_at_the_edge(self, capsys):
+        # at top degree 4 the estimates are for c_4, which has no
+        # second-order formula at its edge indices k = 2, 3
+        code, out, _ = run(capsys, "table", "--family", "lame", "--n", "2",
+                           "--s", "1/2", "--m", "4", "--k-max", "3",
+                           "--format", "json")
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            cells = [row["order0"], row["order1"], row["order2"],
+                     row["zeros"]["4"]]
+            missing = [i for i, cell in enumerate(cells) if cell == "-"]
+            assert missing == ([2] if row["k"] >= 2 else [])
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "lame", "--n", "2",
                            "--s", "1/100", "--m", "8,12", "--k-max", "2",
@@ -151,6 +157,15 @@ class TestVerify:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    # recurrence runs in test_single_suite_passes
+    @pytest.mark.parametrize("suite", ["perturbation", "rootfind", "tracking",
+                                       "oracle"])
+    def test_other_suites_pass(self, capsys, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert "all checks passed" in out
+        assert "FAIL" not in out
+
 
 class TestExitCodes:
     def test_argparse_error_is_2(self, capsys):
@@ -192,7 +207,7 @@ class TestScalarParsing:
         args = make_parser().parse_args(
             ["zeros", "--family", "mathieu", "--q", "1e-1", "--m", "4",
              "--precision-bits", "200"])
-        spec, _ = build_spec(config_from_args(args))
+        spec, _ = build_spec(args)
         with mp.workprec(200):
             assert spec.s == mp.mpf(1) / 10
 
@@ -237,12 +252,3 @@ class TestOutputAndConfig:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["schema"] == "heunzeros-zeros/1"
-
-    def test_runconfig_round_trip(self):
-        args = make_parser().parse_args(
-            ["zeros", "--family", "lame", "--n", "2", "--s", "1/2", "--m",
-             "8", "--format", "csv"]
-        )
-        cfg = config_from_args(args)
-        assert RunConfig.from_json(cfg.to_json()) == cfg
-        assert cfg.params == {"s": "1/2", "n": "2"}

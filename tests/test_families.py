@@ -19,7 +19,6 @@ from heunzeros.families import (
     from_mathieu,
     from_whittaker_hill,
     recurrence_coeffs,
-    whittaker_hill_from_confluent,
 )
 from heunzeros.scalars import QQi
 
@@ -100,13 +99,10 @@ class TestLame:
         _, emap = from_lame(LameParams(n=3, s="1/2"))
         b = emap.b_from_eta(QQi(8))
         assert b == QQi(-1)                          # -eta*s/4 = -8/8
-        assert emap.eta_from_b(b) == QQi(8)
 
     def test_eta_map_rejects_s_zero(self):
         with pytest.raises(InvalidSpecError):
             EtaBMap(s=QQi(0)).b_from_eta(QQi(1))
-        with pytest.raises(InvalidSpecError):
-            EtaBMap(s=QQi(0)).eta_from_b(QQi(1))
 
 
 class TestMathieu:
@@ -131,12 +127,6 @@ class TestWhittakerHill:
         assert spec.s == QQi(Fraction(-1, 100))      # s = -2h
         assert spec.alpha == QQi(5)                  # 1/2 + A1/(4h)
         assert params.a2 == Fraction(1, 80000)       # h^2/2
-
-    def test_inverse_map(self):
-        params = whittaker_hill_from_confluent(alpha=5, s=-20, b=None)
-        assert params.h == QQi(10)
-        assert params.A1 == QQi(180)
-        assert params.a2 == QQi(50)
 
     def test_h_zero_rejected(self):
         with pytest.raises(InvalidSpecError):

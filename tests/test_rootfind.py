@@ -16,7 +16,6 @@ from heunzeros.rootfind import (
     find_all_roots,
     newton_polygon_seeds,
     real_zero_count,
-    refine_root,
     tridiagonal_eigenvalues,
 )
 from heunzeros.scalars import EXACT_FIELD, QQi, working_precision
@@ -161,13 +160,6 @@ class TestTridiagonalEigenvalues:
 
 
 class TestRefinement:
-    def test_refine_recovers_perturbed_root(self):
-        poly = poly_from_roots([QQi(-3), QQi(5), QQi(F(1, 3))])
-        with working_precision(192):
-            z, res = refine_root(poly, mp.mpc("0.3335"), precision_bits=192)
-            assert abs(z - mp.mpf(1) / 3) < mp.mpf(2) ** -90
-            assert res < default_tol(192)
-
     def test_strict_nonconvergence_raises(self):
         # a tolerance the working precision resolves, but one sweep from
         # the circles cannot meet

@@ -5,6 +5,7 @@ import json
 import mpmath as mp
 import pytest
 
+from heunzeros.cli import table_text
 from heunzeros.families import (
     FamilyKind,
     InvalidSpecError,
@@ -26,6 +27,7 @@ from heunzeros.tracking import (
     min_grid_gap,
     solve_zeros,
     stabilized_digits,
+    zero_table,
 )
 
 
@@ -195,7 +197,8 @@ class TestConvergenceReport:
         assert js["m_list"] == [16, 20]
         assert js["n_stable"] == rep.n_stable()
         assert sorted(js["tracks"][0]["entries"]) == ["16", "20"]
-        table = rep.to_table(k_max=3)
+        table = table_text(rep.m_list,
+                           zero_table(lame_small, rep.zero_sets, k_max=3), 10)
         assert "zero of c_20" in table.splitlines()[0]
         assert len(table.splitlines()) == 5
 
