@@ -93,9 +93,14 @@ def parse_cli_scalar(text: str, precision_bits: int = 256):
     s = text.strip().replace(" ", "")
     with working_precision(precision_bits):
         try:
-            return mp.mpf(s)
+            x = mp.mpf(s)
         except ValueError:
             pass
+        else:
+            if not mp.isfinite(x):
+                raise InvalidSpecError(f"cannot parse scalar {text!r}: "
+                                       "not a finite number")
+            return x
         match = _COMPLEX_RE.match(s)
         if match is None:
             raise InvalidSpecError(f"cannot parse scalar {text!r}")
@@ -107,9 +112,16 @@ def parse_cli_scalar(text: str, precision_bits: int = 256):
 def build_spec(args: argparse.Namespace):
     """(spec, B_or_None) from the family selector and parameters."""
     bits = args.precision_bits
-    p = {flag: parse_cli_scalar(getattr(args, flag), bits)
-         for flag in _PARAM_FLAGS if getattr(args, flag) is not None}
     fam = args.family
+    if fam not in _FAMILY_PARAMS:
+        raise InvalidSpecError(f"unknown family {fam!r}")
+    given = [flag for flag in _PARAM_FLAGS if getattr(args, flag) is not None]
+    unread = [flag for flag in given if flag not in _FAMILY_PARAMS[fam]]
+    if unread:
+        raise InvalidSpecError(
+            f"family {fam!r} does not read --{' --'.join(unread)}"
+        )
+    p = {flag: parse_cli_scalar(getattr(args, flag), bits) for flag in given}
     B = getattr(args, "B", None)
     B = parse_cli_scalar(B, bits) if B is not None else None
 
@@ -147,11 +159,9 @@ def build_spec(args: argparse.Namespace):
         return RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma=p["gamma"],
                               delta=p["delta"], s=p["s"],
                               alpha=p["alpha"]), B
-    if fam == "rcheun":
-        need("gamma", "delta", "s")
-        return RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=p["gamma"],
-                              delta=p["delta"], s=p["s"]), B
-    raise InvalidSpecError(f"unknown family {fam!r}")
+    need("gamma", "delta", "s")
+    return RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=p["gamma"],
+                          delta=p["delta"], s=p["s"]), B
 
 
 # -- formatting helpers ------------------------------------------------------------
@@ -190,18 +200,17 @@ def _emit(payload: str, args: argparse.Namespace):
 
 def cmd_poly(args: argparse.Namespace) -> str:
     spec, _ = build_spec(args)
-    m_max = args.m_max if args.m_max is not None else (args.m or 4)
-    fam = build_family(spec, m_max)
+    fam = build_family(spec, args.m, args.precision_bits)
     if args.fmt == "json":
         return json.dumps(fam.to_json(), indent=2)
     if args.fmt == "csv":
         rows = [("m", "k", "coefficient")]
-        for m in range(m_max + 1):
+        for m in range(args.m + 1):
             for k, c in enumerate(fam[m].coeffs):
                 rows.append((m, k, str(c)))
         return _csv_text(rows)
     lines = []
-    for m in range(m_max + 1):
+    for m in range(args.m + 1):
         body = ", ".join(str(c) for c in fam[m].coeffs)
         lines.append(f"c_{m}(B): [{body}]")
     return "\n".join(lines)
@@ -211,7 +220,7 @@ def cmd_zeros(args: argparse.Namespace) -> str:
     spec, _ = build_spec(args)
     tol = float(args.tol) if args.tol is not None else None
     zs = solve_zeros(spec, args.m, precision_bits=args.precision_bits,
-                     tol=tol, seed_policy=args.seed_policy, order=args.order)
+                     tol=tol, order=args.order)
     d = args.digits
     if args.fmt == "json":
         return json.dumps({
@@ -274,7 +283,7 @@ def cmd_table(args: argparse.Namespace) -> str:
     ms = tuple(sorted(set(args.m)))
     zero_sets = {
         m: solve_zeros(spec, m, precision_bits=args.precision_bits,
-                       seed_policy=args.seed_policy, order=args.order)
+                       order=args.order)
         for m in ms
     }
     rows = zero_table(spec, zero_sets, args.k_max)
@@ -304,8 +313,7 @@ def cmd_table(args: argparse.Namespace) -> str:
 def cmd_track(args: argparse.Namespace) -> str:
     spec, _ = build_spec(args)
     rep = convergence_report(spec, m_list=args.m, digits=args.digits,
-                             precision_bits=args.precision_bits,
-                             seed_policy=args.seed_policy)
+                             precision_bits=args.precision_bits)
     if args.fmt == "json":
         return json.dumps(rep.to_json(), indent=2)
     m1, m2 = rep.m_list[-2], rep.m_list[-1]
@@ -313,8 +321,6 @@ def cmd_track(args: argparse.Namespace) -> str:
         rows = [("label_k", "re", "im", "stabilized_digits")]
         for t in rep.tracks:
             z = t.value_at(m2)
-            if z is None:
-                continue
             rows.append((
                 "" if t.label_k is None else t.label_k,
                 mp.nstr(mp.mpc(z).real, args.digits + 5),
@@ -328,8 +334,6 @@ def cmd_track(args: argparse.Namespace) -> str:
     ]
     for t in rep.tracks:
         z = t.value_at(m2)
-        if z is None:
-            continue
         sd = t.stabilized.get((m1, m2))
         k = "-" if t.label_k is None else str(t.label_k)
         lines.append(
@@ -480,11 +484,15 @@ def _max_gap(za, zb):
 
 
 def _suite_rootfind(specs):
+    from .perturbation import perturbative_seeds
+    from .rootfind import find_all_roots
+
     checks = []
     for spec in specs:
-        zs_est = solve_zeros(spec, 8, seed_policy="estimates")
-        zs_cir = solve_zeros(spec, 8, seed_policy="circles")
-        zs_eig = solve_zeros(spec, 8, seed_policy="auto")
+        c8 = build_family(spec, 8)[8]
+        zs_est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7))
+        zs_cir = find_all_roots(c8)
+        zs_eig = solve_zeros(spec, 8)
         agree = max(_max_gap(zs_est, zs_cir), _max_gap(zs_eig, zs_est))
         checks.append((
             f"seeding strategies agree on c_8 zeros [{spec.kind.value}]",
@@ -569,6 +577,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.family:
         spec, _ = build_spec(args)
         specs = [spec]
+    elif any(getattr(args, flag) is not None for flag in _PARAM_FLAGS):
+        raise InvalidSpecError("family parameters need --family")
     else:
         specs = _default_specs()
     names = list(_SUITES) if args.suite == "all" else [args.suite]
@@ -590,30 +600,42 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 _PARAM_FLAGS = ("gamma", "delta", "alpha", "beta", "s", "n", "q", "a",
                 "A0", "A1", "h", "eta")
+# the parameter flags each family reads
+_FAMILY_PARAMS = {
+    "lame": ("n", "s", "eta"),
+    "mathieu": ("q", "a"),
+    "whill": ("A0", "A1", "h"),
+    "heun": ("gamma", "delta", "alpha", "beta", "s"),
+    "cheun": ("gamma", "delta", "alpha", "s"),
+    "rcheun": ("gamma", "delta", "s"),
+}
+# options that only some subcommands read
+_SHARED = {
+    "tol": dict(default=None,
+                help="zeros: root tolerance (default 2^(-precision/2)); "
+                     "d2 --search: secant stop (default 1e-10)"),
+    "order": dict(type=int, default=2, choices=[0, 1, 2],
+                  help="order of the perturbative estimates that label "
+                       "the zeros"),
+    "digits": dict(type=int, default=10),
+    "format": dict(dest="fmt", default="text",
+                   choices=["text", "json", "csv"]),
+}
 
 
-def _add_common(p: argparse.ArgumentParser, family_required: bool = True):
+def _add_common(p: argparse.ArgumentParser, *shared: str,
+                family_required: bool = True):
+    """--family, its parameters, --precision-bits and --output, plus
+    the named options of _SHARED."""
     p.add_argument("--family", required=family_required,
-                   choices=["lame", "mathieu", "whill", "heun", "cheun",
-                            "rcheun"])
+                   choices=list(_FAMILY_PARAMS))
     for flag in _PARAM_FLAGS:
         p.add_argument(f"--{flag}", default=None,
                        help=argparse.SUPPRESS if flag in ("eta",)
                        else f"family parameter {flag}")
     p.add_argument("--precision-bits", type=int, default=256)
-    p.add_argument("--tol", default=None,
-                   help="root tolerance (default 2^(-precision/2))")
-    p.add_argument("--order", type=int, default=2, choices=[0, 1, 2],
-                   help="order of the perturbative estimates that label "
-                        "the zeros (and seed them under --seed-policy "
-                        "estimates)")
-    p.add_argument("--digits", type=int, default=10)
-    p.add_argument("--format", dest="fmt", default="text",
-                   choices=["text", "json", "csv"])
-    p.add_argument("--seed-policy", default="auto",
-                   choices=["auto", "estimates", "circles"],
-                   help="zero-solver start: Jacobi-matrix eigenvalues "
-                        "(auto), perturbative estimates, or circles")
+    for name in shared:
+        p.add_argument(f"--{name}", **_SHARED[name])
     p.add_argument("--output", default=None, help="write result to a file")
 
 
@@ -643,27 +665,26 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="build and print c_0..c_m")
-    _add_common(p)
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    _add_common(p, "format")
+    p.add_argument("--m", type=int, default=4)
 
     p = sub.add_parser("zeros", help="zeros of c_m")
-    _add_common(p)
+    _add_common(p, "tol", "order", "digits", "format")
     p.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("table", help="approximation-vs-zero table")
-    _add_common(p)
+    _add_common(p, "order", "digits", "format")
     p.add_argument("--m", type=_m_list, required=True,
                    help="degree or comma list, e.g. 30,40")
     p.add_argument("--k-max", type=int, default=6)
 
     p = sub.add_parser("track", help="stabilization across degrees")
-    _add_common(p)
+    _add_common(p, "digits", "format")
     p.add_argument("--m", type=_m_list, default=(30, 40),
                    help="comma list of degrees, e.g. 30,40")
 
     p = sub.add_parser("d2", help="connection-coefficient estimate")
-    _add_common(p)
+    _add_common(p, "tol", "digits", "format")
     p.add_argument("--B", default=None, help="accessory parameter value")
     p.add_argument("--K", type=int, default=500)
     p.add_argument("--search", action="store_true",

@@ -24,14 +24,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .families import (
-    FamilyKind,
-    InvalidSpecError,
-    LameParams,
-    RecurrenceSpec,
-    from_lame,
-    recurrence_coeffs,
-)
+from .families import InvalidSpecError, RecurrenceSpec, recurrence_coeffs
 from .scalars import QQi, as_exact
 
 

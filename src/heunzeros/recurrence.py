@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
-from .families import FamilyKind, InvalidSpecError, RecurrenceSpec, recurrence_coeffs
+from .families import InvalidSpecError, RecurrenceSpec, recurrence_coeffs
 from .scalars import (
     EXACT_FIELD,
     FieldTag,
@@ -132,21 +131,17 @@ class PolynomialFamily:
 
 
 def build_family(spec: RecurrenceSpec, m_max: int,
-                 field: FieldTag | None = None) -> PolynomialFamily:
-    """Run the recurrence in polynomial space up to c_{m_max}.
-
-    field defaults to exact when the spec allows it, else 256-bit floats.
-    """
+                 precision_bits: int = 256) -> PolynomialFamily:
+    """Run the recurrence in polynomial space up to c_{m_max}: exactly
+    when the spec is exact, else in big floats at precision_bits."""
     if m_max < 0:
         raise InvalidSpecError("m_max must be nonnegative")
-    if field is None:
-        field = EXACT_FIELD if spec.is_exact else bigfloat_field(256)
-    if field.kind == "exact":
-        if not spec.is_exact:
-            raise InvalidSpecError("exact build needs Gaussian-rational spec")
+    if spec.is_exact:
+        field = EXACT_FIELD
         rows = _build_rows(spec, m_max, exact=True)
     else:
-        with working_precision(field.precision_bits):
+        field = bigfloat_field(precision_bits)
+        with working_precision(precision_bits):
             rows = _build_rows(spec, m_max, exact=False)
     polys = tuple(DensePolynomial(tuple(r), field) for r in rows)
     return PolynomialFamily(spec=spec, m_max=m_max, polys=polys, field=field)

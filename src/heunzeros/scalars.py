@@ -30,7 +30,6 @@ class ExactnessError(TypeError):
 
 
 _ZERO = Fraction(0)
-_RAT = Fraction | int
 
 
 class QQi:
@@ -185,9 +184,6 @@ class QQi:
 
 
 _INEXACT_TYPES = (float, complex, mp.mpf, mp.mpc)
-
-QQI_ZERO = QQi(0)
-QQI_ONE = QQi(1)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -387,11 +383,12 @@ def format_scalar(x, digits: int = 10, pad: bool = False) -> str:
         with mp.workprec(4 * digits + 16):
             z = to_mpc(x)
         return format_scalar(z, digits, pad)
-    z = mp.mpc(x)
+    # mp.mpc(x) would round a big float to the ambient precision
+    z = x if isinstance(x, (mp.mpf, mp.mpc)) else mp.mpc(x)
     if z.imag == 0:
         return mp.nstr(z.real, digits, strip_zeros=strip)
     re_s = mp.nstr(z.real, digits, strip_zeros=strip)
-    im_s = mp.nstr(abs(z.imag), digits, strip_zeros=strip)
+    im_s = mp.nstr(z.imag, digits, strip_zeros=strip).lstrip("-")
     sign = "-" if z.imag < 0 else "+"
     if z.real == 0:
         return f"{'-' if z.imag < 0 else ''}{im_s}i"

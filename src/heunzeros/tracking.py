@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -51,42 +50,28 @@ from .scalars import to_mpc, working_precision
 # -- solving one degree with labelled zeros -----------------------------------
 
 def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
-                tol=None, seed_policy: str = "auto", order: int = 2,
-                max_iter: int = 2000) -> ZeroSet:
+                tol=None, order: int = 2) -> ZeroSet:
     """Zeros of c_m(B), labelled by grid index where estimates exist.
 
-    seed_policy picks where the Aberth iteration starts: 'auto' at the
-    eigenvalues of the Jacobi matrix of the recurrence (`jacobi_matrix`),
-    falling back to Newton-polygon circles when the eigenvalue routine
-    fails; 'estimates' at the perturbative zero estimates; 'circles' at
-    Newton-polygon circles.  The last two are kept as cross-checks.
-    Labels come from the perturbative estimates: under 'estimates'
-    always, under 'auto' whenever they are defined and |s| <= 2 (they
-    degrade as |s| grows), under 'circles' never.
+    The Aberth iteration starts at the eigenvalues of the Jacobi matrix
+    of the recurrence (`jacobi_matrix`); when the eigenvalue routine
+    fails, `find_all_roots` starts from Newton-polygon circles instead.
+    Labels come from the order-`order` perturbative estimates whenever
+    they are defined and |s| <= 2 (they degrade as |s| grows); otherwise
+    every label is None.
     """
     if m < 1:
         raise InvalidSpecError("need m >= 1 for a nontrivial polynomial")
-    if seed_policy not in ("auto", "estimates", "circles"):
-        raise InvalidSpecError(f"unknown seed policy {seed_policy!r}")
-    fam = build_family(spec, m)
-    estimates = None
-    use_est = seed_policy == "estimates"
-    if seed_policy == "auto" and not spec.is_d_degenerate:
-        with working_precision(precision_bits):
-            use_est = abs(to_mpc(spec.s)) <= 2
-    if use_est:
+    fam = build_family(spec, m, precision_bits)
+    with working_precision(precision_bits):
+        labelled = not spec.is_d_degenerate and abs(to_mpc(spec.s)) <= 2
+        seeds = tridiagonal_eigenvalues(*jacobi_matrix(spec, m))
+    zs = find_all_roots(fam[m], seeds=seeds, precision_bits=precision_bits,
+                        tol=tol, max_iter=2000)
+    if labelled:
         raw = perturbative_seeds(spec, m - 1, order)
         with working_precision(precision_bits):
             estimates = [to_mpc(e) for e in raw]
-    if seed_policy == "auto":
-        with working_precision(precision_bits):
-            seeds = tridiagonal_eigenvalues(*jacobi_matrix(spec, m))
-    else:
-        seeds = estimates   # None under 'circles'
-    zs = find_all_roots(fam[m], seeds=seeds,
-                        precision_bits=precision_bits, tol=tol,
-                        max_iter=max_iter)
-    if estimates is not None:
         zs = zs.with_labels(_labels_by_proximity(zs.zeros, estimates))
     return zs
 
@@ -273,50 +258,41 @@ class ConvergenceReport:
         return json.dumps(self.to_json(), **kw)
 
 
-def convergence_report(spec: RecurrenceSpec, s=None, m_list=(30, 40),
-                       digits: int = 10, precision_bits: int = 256,
-                       seed_policy: str = "auto") -> ConvergenceReport:
+def convergence_report(spec: RecurrenceSpec, m_list=(30, 40),
+                       digits: int = 10,
+                       precision_bits: int = 256) -> ConvergenceReport:
     """Solve each degree in m_list, chain-match the zero sets, and
-    count stabilized digits along every track."""
-    if s is not None:
-        spec = spec.with_s(s)
+    count stabilized digits along every track.  Each track carries the
+    label its top-degree zero has in that degree's own ZeroSet."""
     m_list = tuple(sorted(set(int(m) for m in m_list)))
     if len(m_list) < 2:
         raise InvalidSpecError("m_list needs at least two degrees")
-    zero_sets = {
-        m: solve_zeros(spec, m, precision_bits=precision_bits,
-                       seed_policy=seed_policy)
-        for m in m_list
-    }
+    zero_sets = {m: solve_zeros(spec, m, precision_bits=precision_bits)
+                 for m in m_list}
     threshold = min_grid_gap(spec, m_list[0], precision_bits) / 2
 
     m0 = m_list[0]
-    zs0 = zero_sets[m0]
-    tracks = []
-    index_of_track = {}   # (m, zero_index) -> track
-    for i, z in enumerate(zs0.zeros):
-        t = ZeroTrack(label_k=zs0.labels[i], entries={m0: z})
-        tracks.append(t)
-        index_of_track[(m0, i)] = t
-
+    tracks = [ZeroTrack(label_k=None, entries={m0: z})
+              for z in zero_sets[m0].zeros]
+    chain = list(tracks)   # chain[i]: the track through zero i of degree ma
     for ma, mb in zip(m_list, m_list[1:]):
         za, zb = zero_sets[ma], zero_sets[mb]
         res = match_zeros(za, zb, threshold=threshold)
+        nxt = [None] * len(zb.zeros)
         for ia, ib, _ in res.pairs:
-            t = index_of_track.get((ma, ia))
-            if t is None:
-                continue
-            zb_val = zb.zeros[ib]
-            t.entries[mb] = zb_val
-            t.stabilized[(ma, mb)] = stabilized_digits(
-                za.zeros[ia], zb_val
-            )
-            index_of_track[(mb, ib)] = t
+            t = chain[ia]
+            t.entries[mb] = zb.zeros[ib]
+            t.stabilized[(ma, mb)] = stabilized_digits(za.zeros[ia],
+                                                       zb.zeros[ib])
+            nxt[ib] = t
         for ib in res.new_in_b:
-            t = ZeroTrack(label_k=zb.labels[ib],
-                          entries={mb: zb.zeros[ib]})
-            tracks.append(t)
-            index_of_track[(mb, ib)] = t
+            nxt[ib] = ZeroTrack(label_k=None, entries={mb: zb.zeros[ib]})
+            tracks.append(nxt[ib])
+        chain = nxt
+    # match_zeros pairs every zero of the smaller set, so every track
+    # reaches the top degree
+    for t, lab in zip(chain, zero_sets[m_list[-1]].labels):
+        t.label_k = lab
 
     tracks.sort(key=lambda t: (t.label_k is None,
                                t.label_k if t.label_k is not None else 0))
@@ -339,18 +315,19 @@ def zero_table(spec: RecurrenceSpec, zero_sets: dict, k_max: int) -> list:
         for m, zs in sorted(zero_sets.items())
     }
     rows = []
-    for k in range(min(k_max, top - 1) + 1):
-        orders = []
-        for order in (0, 1, 2):
-            try:
-                orders.append(zero_estimate(spec, k, top - 1, order))
-            except (BoundaryOrderError, DegenerateGridError):
-                orders.append(None)
-        rows.append({
-            "k": k,
-            "orders": orders,
-            "zeros": {m: col.get(k) for m, col in columns.items()},
-        })
+    with working_precision(zero_sets[top].precision_bits):
+        for k in range(min(k_max, top - 1) + 1):
+            orders = []
+            for order in (0, 1, 2):
+                try:
+                    orders.append(zero_estimate(spec, k, top - 1, order))
+                except (BoundaryOrderError, DegenerateGridError):
+                    orders.append(None)
+            rows.append({
+                "k": k,
+                "orders": orders,
+                "zeros": {m: col.get(k) for m, col in columns.items()},
+            })
     return rows
 
 

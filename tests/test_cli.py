@@ -109,6 +109,20 @@ class TestTable:
         assert [row["k"] for row in doc["rows"]] == [0, 1, 2]
         assert set(doc["rows"][0]["zeros"]) == {"8", "12"}
 
+    def test_inexact_input_keeps_its_digits(self, capsys):
+        # 5e-1 is a 256-bit float, 1/2 stays exact; 30 digits of the
+        # estimate and of the zero must agree
+        tables = []
+        for s in ("5e-1", "1/2"):
+            code, out, _ = run(capsys, "table", "--family", "lame", "--n",
+                               "2", "--s", s, "--m", "8", "--k-max", "2",
+                               "--digits", "30")
+            assert code == 0
+            tables.append(out.splitlines()[3].split())
+        assert tables[0] == tables[1]
+        assert tables[0][3] == "-3.30937500000000000000000000000"
+        assert tables[0][4] == "-3.40417995499327825798568889025"
+
 
 class TestTrack:
     def test_text_summary_line(self, capsys):
@@ -187,6 +201,32 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["code"] == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["zeros", "--family", "mathieu", "--q", "2", "--m", "4",
+         "--seed-policy", "circles"],
+        ["poly", "--family", "mathieu", "--q", "2", "--tol", "1e-5"],
+        ["track", "--family", "mathieu", "--q", "2", "--order", "1"],
+        ["verify", "--format", "json"],
+    ], ids=["deleted-seeding-option", "poly-tol", "track-order",
+            "verify-format"])
+    def test_unread_option_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_parameter_the_family_does_not_read_is_4(self, capsys):
+        code, out, err = run(capsys, "zeros", "--family", "lame", "--n", "2",
+                             "--s", "1/2", "--q", "3", "--m", "4")
+        assert code == 4
+        assert out == ""
+        assert "--q" in json.loads(err)["error"]
+        # verify without --family runs its own specs and reads no parameter
+        code, out, err = run(capsys, "verify", "--suite", "recurrence",
+                             "--q", "3")
+        assert code == 4
+        assert out == ""
+        assert "--family" in json.loads(err)["error"]
+
     def test_missing_family_parameter_is_4(self, capsys):
         code, _, err = run(capsys, "zeros", "--family", "lame", "--n", "2",
                            "--m", "4")
@@ -223,6 +263,17 @@ class TestScalarParsing:
         assert isinstance(parse_cli_scalar("0.3"), QQi)
         half = parse_cli_scalar("5e-1")
         assert isinstance(half, mp.mpf) and half == mp.mpf("0.5")
+
+    @pytest.mark.parametrize("argv", [
+        ["zeros", "--family", "mathieu", "--q", "nan", "--m", "4"],
+        ["d2", "--family", "mathieu", "--q", "2", "--B", "nan"],
+        ["zeros", "--family", "mathieu", "--q=-inf", "--m", "4"],
+    ], ids=["q-nan", "B-nan", "q-inf"])
+    def test_non_finite_is_invalid(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert "not a finite number" in json.loads(err)["error"]
 
     def test_garbage_is_invalid(self, capsys):
         code, _, err = run(capsys, "zeros", "--family", "mathieu", "--q",

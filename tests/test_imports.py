@@ -1,0 +1,41 @@
+"""Every name a library module or script imports is used there."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+# the package __init__ imports names only to re-export them
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "heunzeros").glob("*.py")
+     if p.name != "__init__.py"]
+    + list((ROOT / "scripts").glob("*.py"))
+)
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_scan_finds_an_unused_import():
+    assert unused_imports("import math\nimport json\njson.dumps(1)\n") \
+        == [(1, "math")]
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

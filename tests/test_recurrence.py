@@ -14,7 +14,7 @@ import sympy as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heunzeros.families import FamilyKind, RecurrenceSpec, recurrence_coeffs
+from heunzeros.families import FamilyKind, recurrence_coeffs
 from heunzeros.recurrence import (
     DensePolynomial,
     PolynomialFamily,

@@ -11,7 +11,6 @@ from heunzeros.families import LameParams, from_lame
 from heunzeros.recurrence import DensePolynomial, build_family
 from heunzeros.rootfind import (
     NonConvergenceError,
-    ZeroSet,
     default_tol,
     find_all_roots,
     newton_polygon_seeds,

@@ -12,6 +12,7 @@ from heunzeros.scalars import (
     QQi,
     as_exact,
     bigfloat_field,
+    format_scalar,
     is_exact_scalar,
     mpf_from_hex,
     mpf_to_hex,
@@ -142,6 +143,16 @@ class TestConversion:
             x = to_mpc(QQi(Fraction(1, 3)))
             err = abs(x.real - mp.mpf(1) / 3)
         assert err < mp.mpf(2) ** -295
+
+    def test_display_keeps_the_value_precision(self):
+        # printed at the ambient 53 bits, 30 digits of a third would end
+        # in ...314829616256247
+        third = "0." + "3" * 30
+        with working_precision(256):
+            x = mp.mpf(1) / 3
+            z = mp.mpc(-x, -x)
+        assert format_scalar(x, 30) == third
+        assert format_scalar(z, 30) == f"-{third} - {third}i"
 
     @given(gaussians)
     def test_complex_protocol(self, a):

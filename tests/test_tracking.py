@@ -16,7 +16,14 @@ from heunzeros.families import (
     from_mathieu,
     recurrence_coeffs,
 )
-from heunzeros.rootfind import real_zero_count, tridiagonal_eigenvalues
+from heunzeros.perturbation import perturbative_seeds
+from heunzeros.recurrence import build_family
+from heunzeros.rootfind import (
+    find_all_roots,
+    real_zero_count,
+    tridiagonal_eigenvalues,
+)
+from heunzeros.scalars import working_precision
 from heunzeros.tracking import (
     convergence_report,
     d2_closed_form_s0,
@@ -68,13 +75,13 @@ class TestSolveZeros:
         assert min(abs(z - want) for z in zs.zeros) < mp.mpf("1e-8")
 
     def test_circle_seeding_matches_estimate_seeding(self):
-        # 'auto' seeds from the Jacobi-matrix eigenvalues
+        # solve_zeros seeds from the Jacobi-matrix eigenvalues
         for spec in THREE_FAMILIES:
-            est = solve_zeros(spec, 8, seed_policy="estimates")
-            cir = solve_zeros(spec, 8, seed_policy="circles")
-            eig = solve_zeros(spec, 8, seed_policy="auto")
-            assert all(l is None for l in cir.labels)
-            assert eig.labels == est.labels
+            c8 = build_family(spec, 8)[8]
+            est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7))
+            cir = find_all_roots(c8)
+            eig = solve_zeros(spec, 8)
+            assert sorted(eig.labels) == list(range(8))
             for other in (cir, eig):
                 worst = max(abs(x - y) for x, y in zip(sorted_zeros(est),
                                                        sorted_zeros(other)))
@@ -83,8 +90,19 @@ class TestSolveZeros:
     def test_rejects_bad_inputs(self, lame_small):
         with pytest.raises(InvalidSpecError):
             solve_zeros(lame_small, 0)
-        with pytest.raises(InvalidSpecError):
-            solve_zeros(lame_small, 4, seed_policy="guess")
+
+    def test_inexact_parameters_solve_at_the_requested_precision(self):
+        # q = 2 read as a 512-bit float: a 256-bit build left the zeros
+        # 1e-74 away from the exact-build ones, above the 2^-256 tolerance
+        exact = solve_zeros(from_mathieu(MathieuParams(q=2))[0], 8,
+                            precision_bits=512)
+        with working_precision(512):
+            spec = from_mathieu(MathieuParams(q=mp.mpf(2)))[0]
+        assert not spec.is_exact
+        inexact = solve_zeros(spec, 8, precision_bits=512)
+        worst = max(abs(x - y) for x, y in zip(sorted_zeros(exact),
+                                               sorted_zeros(inexact)))
+        assert worst < exact.tol
 
 
 class TestJacobiSeeds:
@@ -201,6 +219,28 @@ class TestConvergenceReport:
                            zero_table(lame_small, rep.zero_sets, k_max=3), 10)
         assert "zero of c_20" in table.splitlines()[0]
         assert len(table.splitlines()) == 5
+
+    def test_table_estimates_at_the_solve_precision(self):
+        # s = 1/2 read as a float: the estimates must not drop to the
+        # ambient 53 bits
+        with working_precision(256):
+            spec, _ = from_lame(LameParams(n=2, s=mp.mpf("0.5")))
+        row = zero_table(spec, {8: solve_zeros(spec, 8)}, k_max=2)[2]
+        with working_precision(256):
+            assert abs(row["orders"][2] - mp.mpf(-1059) / 320) \
+                < mp.mpf(2) ** -250
+
+    def test_tracks_carry_their_top_degree_labels(self):
+        # chained from degree 4, two tracks used to share k = 3 and k = 4
+        spec, _ = from_lame(LameParams(n=2, s="1/2"))
+        rep = convergence_report(spec, m_list=(4, 8, 30, 40))
+        labels = [t.label_k for t in rep.tracks]
+        assert sorted(labels) == list(range(40))
+        top = dict(zip(rep.zero_sets[40].labels, rep.zero_sets[40].zeros))
+        for t in rep.tracks:
+            assert t.value_at(40) == top[t.label_k]
+        assert abs(top[3] - mp.mpf("-6.869999689")) < mp.mpf("1e-9")
+        assert abs(top[5] - mp.mpf("-18.35252588")) < mp.mpf("1e-8")
 
     def test_needs_two_degrees(self, lame_small):
         with pytest.raises(InvalidSpecError):
