@@ -109,6 +109,21 @@ def parse_cli_scalar(text: str, precision_bits: int = 256):
         return mp.mpc(mp.mpf(match["re"] or 0), mp.mpf(im))
 
 
+def _parse_tol(args: argparse.Namespace, default):
+    """--tol read at --precision-bits: a positive, finite real number, or
+    `default` when the option was not given."""
+    if args.tol is None:
+        return default
+    x = parse_cli_scalar(args.tol, args.precision_bits)
+    with working_precision(args.precision_bits):
+        x = to_mpc(x)
+    if x.imag != 0 or not x.real > 0:
+        raise InvalidSpecError(
+            f"--tol must be a positive real number, got {args.tol!r}"
+        )
+    return x.real
+
+
 def build_spec(args: argparse.Namespace):
     """(spec, B_or_None) from the family selector and parameters."""
     bits = args.precision_bits
@@ -218,9 +233,8 @@ def cmd_poly(args: argparse.Namespace) -> str:
 
 def cmd_zeros(args: argparse.Namespace) -> str:
     spec, _ = build_spec(args)
-    tol = float(args.tol) if args.tol is not None else None
     zs = solve_zeros(spec, args.m, precision_bits=args.precision_bits,
-                     tol=tol, order=args.order)
+                     tol=_parse_tol(args, None), order=args.order)
     d = args.digits
     if args.fmt == "json":
         return json.dumps({
@@ -371,8 +385,7 @@ def cmd_d2(args: argparse.Namespace) -> str:
                                      precision_bits=args.precision_bits)
         out["midpoint"] = _fmt(mm.d2, d)
     if args.search:
-        tol = float(args.tol) if args.tol is not None else 1e-10
-        res = d2_zero_search(spec, B, tol=tol, K=args.K,
+        res = d2_zero_search(spec, B, tol=_parse_tol(args, 1e-10), K=args.K,
                              precision_bits=args.precision_bits)
         out["zero_search"] = {
             "B": _fmt(res.B, d),
@@ -612,7 +625,8 @@ _FAMILY_PARAMS = {
 # options that only some subcommands read
 _SHARED = {
     "tol": dict(default=None,
-                help="zeros: root tolerance (default 2^(-precision/2)); "
+                help="a positive real, read at --precision-bits; "
+                     "zeros: root tolerance (default 2^(-precision/2)); "
                      "d2 --search: secant stop (default 1e-10)"),
     "order": dict(type=int, default=2, choices=[0, 1, 2],
                   help="order of the perturbative estimates that label "

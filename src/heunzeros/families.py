@@ -103,6 +103,14 @@ class RecurrenceSpec:
         )
 
     @property
+    def param_types(self) -> tuple:
+        """Types of gamma, delta, s, alpha and beta.  Specs compare equal
+        across fields (QQi(1/2) == mpf(0.5)), so a cache keyed on a spec
+        also keys on these."""
+        return tuple(type(getattr(self, name)) for name in
+                     ("gamma", "delta", "s", "alpha", "beta"))
+
+    @property
     def epsilon(self):
         """Derived third local exponent parameter (full family only)."""
         if self.kind != FamilyKind.HEUN:

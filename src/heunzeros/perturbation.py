@@ -50,13 +50,9 @@ def recurrence_row(spec: RecurrenceSpec, j: int) -> tuple:
     """(D_j, E_j, G_j) with G_j = j(j-1+gamma) F_j, the weight that
     accompanies every F_j in the perturbation formulas and the
     off-diagonal of the Jacobi matrix.  Cached per (spec, j)."""
-    # Specs compare equal across fields (QQi(1/2) == mpf(0.5)), and
-    # inexact ones compute at the ambient precision, so the cache key
-    # also carries the parameter types and that precision.
-    signature = (tuple(type(getattr(spec, name)) for name in
-                       ("gamma", "delta", "s", "alpha", "beta")),
-                 mp.mp.prec)
-    return _cached_row(spec, j, signature)
+    # Inexact specs compute at the ambient precision, so the cache key
+    # also carries that precision.
+    return _cached_row(spec, j, (spec.param_types, mp.mp.prec))
 
 
 @lru_cache(maxsize=4096)

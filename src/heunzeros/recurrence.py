@@ -148,23 +148,13 @@ def build_family(spec: RecurrenceSpec, m_max: int,
 
 
 def _build_rows(spec: RecurrenceSpec, m_max: int, exact: bool) -> list[list]:
-    if exact:
-        one = QQi(1)
-        gamma = spec.gamma
-        s = spec.s
-        conv = lambda x: x
-    else:
-        one = mp.mpc(1)
-        gamma = to_mpc(spec.gamma)
-        s = to_mpc(spec.s)
-        conv = to_mpc
-    rows = [[one]]
+    gamma, steps = _step_table(spec, m_max, exact)
+    rows = [[QQi(1) if exact else mp.mpc(1)]]
     prev = None          # c_{m-1}
     cur = rows[0]        # c_m
     for m in range(m_max):
-        D, E, F = recurrence_coeffs(spec, m)
-        a = conv(D) + s * conv(E)          # constant part of (B + D + sE)
-        sF = s * conv(F)
+        D, sE, sF = steps[m]
+        a = D + sE                         # constant part of (B + D + sE)
         nxt = [a * c for c in cur] + [cur[-1]]
         for i in range(1, len(cur)):
             nxt[i] = nxt[i] + cur[i - 1]
@@ -178,13 +168,47 @@ def _build_rows(spec: RecurrenceSpec, m_max: int, exact: bool) -> list[list]:
     return rows
 
 
+# (key, gamma, steps): the B-independent part of each recurrence step,
+# steps[m] = (D_m, s E_m, s F_m), for the most recent spec, parameter
+# types and precision (None when exact).  A d2 secant search evaluates
+# many B at one spec, K and precision.  The key carries the parameter
+# types because specs compare equal across fields (QQi(1/2) == mpf(0.5)),
+# and the precision because big-float steps are rounded to it.  The whole
+# tuple is replaced at once, so a caller keeps a consistent snapshot.
+_steps = (None, None, ())
+
+
+def _step_table(spec: RecurrenceSpec, K: int, exact: bool) -> tuple:
+    """(gamma, steps) with steps[m] = (D_m, s E_m, s F_m) for at least
+    m < K, exactly or as mpc at the current precision."""
+    global _steps
+    key = (spec, spec.param_types, None if exact else mp.mp.prec)
+    cached, gamma, steps = _steps
+    conv = (lambda x: x) if exact else to_mpc
+    if cached != key:
+        gamma, steps = conv(spec.gamma), ()
+    if len(steps) < K:
+        s = conv(spec.s)
+        new = []
+        for m in range(len(steps), K):
+            D, E, F = recurrence_coeffs(spec, m)
+            new.append((conv(D), s * conv(E), s * conv(F)))
+        steps = steps + tuple(new)
+    _steps = (key, gamma, steps)
+    return gamma, steps
+
+
 def eval_sequence(spec: RecurrenceSpec, B, K: int,
                   precision_bits: int | None = None) -> list:
     """c_0(B) ... c_K(B) by the scalar recurrence, O(K) work.
 
     Runs exactly when both spec and B are exact and no precision was
     forced; otherwise in mpc under precision_bits (or the caller's
-    current mpmath context when omitted).
+    current mpmath context when omitted).  The B-independent step data
+    (D_m, s E_m, s F_m) comes from a table kept for the most recent spec,
+    parameter types and precision, and grown to the largest K asked for,
+    so repeated calls at one spec only pay the B-dependent arithmetic.
+    `build_family` reads the same table.
     """
     if K < 0:
         raise InvalidSpecError("K must be nonnegative")
@@ -199,17 +223,15 @@ def eval_sequence(spec: RecurrenceSpec, B, K: int,
 
 
 def _eval_seq(spec, B, K, exact: bool) -> list:
-    conv = (lambda x: x) if exact else to_mpc
-    gamma = conv(spec.gamma)
-    s = conv(spec.s)
+    gamma, steps = _step_table(spec, K, exact)
     out = [B * 0 + 1]
     prev = None
     cur = out[0]
     for m in range(K):
-        D, E, F = recurrence_coeffs(spec, m)
-        val = (B + conv(D) + s * conv(E)) * cur
+        D, sE, sF = steps[m]
+        val = (B + D + sE) * cur
         if prev is not None:
-            val = val - s * conv(F) * prev
+            val = val - sF * prev
         val = val / ((m + 1) * (m + gamma))
         out.append(val)
         prev, cur = cur, val

@@ -371,13 +371,13 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
                 RuntimeWarning,
                 stacklevel=2,
             )
-        cs = eval_sequence(spec, to_mpc(B), K)
+        seq = eval_sequence(spec, to_mpc(B), K)
         delta = to_mpc(spec.delta)
-        seq = []
         factor = mp.mpc(1)
         for k in range(1, K + 1):
             factor = factor * k / (delta + (k - 2))
-            seq.append(factor * cs[k])
+            seq[k] = factor * seq[k]
+        del seq[0]                     # a_k for k = 1..K
         estimate = _extrapolate_tail(seq)
         indicator = abs(seq[-1] - seq[-2])
     return D2Estimate(B=B, K=K, sequence=tuple(seq), estimate=estimate,
@@ -429,38 +429,56 @@ def d2_zero_search(spec: RecurrenceSpec, B0, tol=1e-10, K: int = 400,
 
     K doubles whenever the plain tail indicator is not at least an
     order of magnitude below max(|estimate|, tol), so accuracy
-    escalates exactly where the zero is being pinned down.
+    escalates exactly where the zero is being pinned down.  Both points
+    of a secant step are evaluated at the same K: when K doubles, the
+    older point is evaluated again at the new K, and convergence is
+    declared only on a step taken at the K of the point it produced.
+    Otherwise the search could stop on a zero of the coarser estimate.
     """
     with working_precision(precision_bits):
         tol = mp.mpf(tol)
         K_cur = K
 
         def f(b):
+            """(estimate, indicator, K) at b, doubling K_cur until the
+            indicator is good or K_max is reached."""
             nonlocal K_cur
             while True:
                 est = d2_sequence(spec, b, K_cur, precision_bits)
-                good = est.error_indicator < max(abs(est.estimate), tol) / 10
-                if good or K_cur >= K_max:
-                    return est
+                value, indicator = est.estimate, est.error_indicator
+                del est                # free the sequence before a longer one
+                if indicator < max(abs(value), tol) / 10 or K_cur >= K_max:
+                    return value, indicator, K_cur
                 K_cur = min(2 * K_cur, K_max)
+
+        def at_current_k(b_a, f_a, b_b, f_b):
+            """Re-evaluate either point until both are at K_cur."""
+            while f_a[2] != K_cur or f_b[2] != K_cur:
+                if f_a[2] != K_cur:
+                    f_a = f(b_a)
+                else:
+                    f_b = f(b_b)
+            return f_a, f_b
 
         b_prev = to_mpc(B0)
         f_prev = f(b_prev)
         step0 = mp.mpf("1e-3") * (1 + abs(b_prev))
         b_cur = b_prev + step0
-        f_cur = f(b_cur)
+        f_prev, f_cur = at_current_k(b_prev, f_prev, b_cur, f(b_cur))
         for it in range(1, max_iter + 1):
-            den = f_cur.estimate - f_prev.estimate
+            den = f_cur[0] - f_prev[0]
             if den == 0:
                 raise NonConvergenceError("flat d2 sequence in secant step")
-            b_next = b_cur - f_cur.estimate * (b_cur - b_prev) / den
+            b_next = b_cur - f_cur[0] * (b_cur - b_prev) / den
+            K_step = K_cur
             b_prev, f_prev = b_cur, f_cur
             b_cur = b_next
             f_cur = f(b_cur)
-            if abs(b_cur - b_prev) < tol * (1 + abs(b_cur)):
-                return D2ZeroResult(B=b_cur, d2=f_cur.estimate,
-                                    iterations=it, K_used=K_cur,
-                                    error_indicator=f_cur.error_indicator)
+            if K_cur != K_step:
+                f_prev, f_cur = at_current_k(b_prev, f_prev, b_cur, f_cur)
+            elif abs(b_cur - b_prev) < tol * (1 + abs(b_cur)):
+                return D2ZeroResult(B=b_cur, d2=f_cur[0], iterations=it,
+                                    K_used=K_cur, error_indicator=f_cur[1])
     raise NonConvergenceError(
         f"d2-zero secant did not settle in {max_iter} iterations from "
         f"B0 = {mp.nstr(to_mpc(B0), 8)}"

@@ -201,6 +201,40 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["code"] == 3
 
+    def test_tol_below_the_double_range_is_read_at_the_precision(self,
+                                                                 capsys):
+        # 1e-400 underflows a double; 2048 bits resolve it
+        code, out, err = run(capsys, "zeros", "--family", "mathieu", "--q",
+                             "2", "--m", "4", "--precision-bits", "2048",
+                             "--tol", "1e-400", "--format", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["converged"]
+        assert doc["tol"] == "1.0e-400"
+
+    def test_exact_tol_is_accepted(self, capsys):
+        code, out, err = run(capsys, "zeros", "--family", "mathieu", "--q",
+                             "2", "--m", "4", "--tol", "1/1000",
+                             "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["tol"] == "0.001"
+        code, out, err = run(capsys, "d2", "--family", "mathieu", "--q", "2",
+                             "--B", "1.4", "--K", "400", "--search",
+                             "--tol", "1/10000000000")
+        assert code == 0, err
+        assert "B = 1.378489221" in out
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-5", "1+2i"])
+    @pytest.mark.parametrize("command", ["zeros", "d2"])
+    def test_tol_must_be_positive_and_real(self, capsys, command, tol):
+        extra = (["--m", "4"] if command == "zeros"
+                 else ["--B", "1.4", "--search"])
+        code, out, err = run(capsys, command, "--family", "mathieu", "--q",
+                             "2", *extra, f"--tol={tol}")
+        assert code == 4
+        assert out == ""
+        assert "--tol" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("argv", [
         ["zeros", "--family", "mathieu", "--q", "2", "--m", "4",
          "--seed-policy", "circles"],

@@ -1,4 +1,5 @@
-"""Every name a library module or script imports is used there."""
+"""Every name a library module, script or test module imports is used
+there."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ MODULES = sorted(
     [p for p in (ROOT / "src" / "heunzeros").glob("*.py")
      if p.name != "__init__.py"]
     + list((ROOT / "scripts").glob("*.py"))
+    + list((ROOT / "tests").glob("*.py"))
 )
 
 

@@ -14,7 +14,13 @@ import sympy as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heunzeros.families import FamilyKind, recurrence_coeffs
+from heunzeros.families import (
+    FamilyKind,
+    LameParams,
+    RecurrenceSpec,
+    from_lame,
+    recurrence_coeffs,
+)
 from heunzeros.recurrence import (
     DensePolynomial,
     PolynomialFamily,
@@ -24,7 +30,7 @@ from heunzeros.recurrence import (
     family_in_s,
     leading_coefficient_law,
 )
-from heunzeros.scalars import EXACT_FIELD, QQi, working_precision
+from heunzeros.scalars import EXACT_FIELD, QQi, to_mpc, working_precision
 
 
 def _sym(q):
@@ -154,6 +160,124 @@ class TestEvalSequence:
                           / exact[m].re.denominator) if exact[m].is_real \
                     else abs(approx[m] - complex(exact[m]))
                 assert err < mp.mpf(2) ** -200 * (1 + abs(approx[m]))
+
+
+def reference_sequence(spec, B, K, exact):
+    """c_0(B)..c_K(B) by the plain loop that fetches (D_m, E_m, F_m) at
+    every step."""
+    conv = (lambda x: x) if exact else to_mpc
+    gamma, s = conv(spec.gamma), conv(spec.s)
+    out = [B * 0 + 1]
+    prev, cur = None, out[0]
+    for m in range(K):
+        D, E, F = recurrence_coeffs(spec, m)
+        val = (B + conv(D) + s * conv(E)) * cur
+        if prev is not None:
+            val = val - s * conv(F) * prev
+        val = val / ((m + 1) * (m + gamma))
+        out.append(val)
+        prev, cur = cur, val
+    return out
+
+
+def reference_rows(spec, m_max, exact):
+    """Coefficient lists of c_0..c_{m_max} by the same plain loop."""
+    conv = (lambda x: x) if exact else to_mpc
+    gamma, s = conv(spec.gamma), conv(spec.s)
+    rows = [[QQi(1) if exact else mp.mpc(1)]]
+    prev, cur = None, rows[0]
+    for m in range(m_max):
+        D, E, F = recurrence_coeffs(spec, m)
+        a = conv(D) + s * conv(E)
+        nxt = [a * c for c in cur] + [cur[-1]]
+        for i in range(1, len(cur)):
+            nxt[i] = nxt[i] + cur[i - 1]
+        if prev is not None:
+            for i, c in enumerate(prev):
+                nxt[i] = nxt[i] - s * conv(F) * c
+        q = (m + 1) * (m + gamma)
+        nxt = [c / q for c in nxt]
+        rows.append(nxt)
+        prev, cur = cur, nxt
+    return rows
+
+
+def _bits(x):
+    """A scalar as its type and exact content: fractions for QQi, the
+    mantissa/exponent tuples for mpc."""
+    if isinstance(x, QQi):
+        return "QQi", x.re, x.im
+    return type(x).__name__, x.real._mpf_, x.imag._mpf_
+
+
+class TestStepTable:
+    """eval_sequence and build_family read the B-independent step data
+    from a table kept for the most recent spec, parameter types and
+    precision; each must equal the plain loop exactly, bit for bit."""
+
+    LAME = from_lame(LameParams(n=2, s="1/2"))[0]
+    CHEUN = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
+                           delta="3/2", alpha="5/2", s="-3/2")
+    RCHEUN = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
+                            delta="1/2", s=2)
+    # equal to RCHEUN (QQi(1/2) == mpf(0.5)), but a big-float spec
+    RCHEUN_MPF = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=mp.mpf(0.5),
+                                delta=mp.mpf(0.5), s=mp.mpf(2))
+    # gamma = delta = 1/2 + 3 * 2^-64, exact and as a 256-bit float: equal
+    # specs whose 64-bit steps differ, since the float spec rounds after
+    # every operation and the exact one once
+    FINE = RecurrenceSpec(kind=FamilyKind.REDUCED,
+                          gamma=QQi(Fraction(2**63 + 3, 2**64)),
+                          delta=QQi(Fraction(2**63 + 3, 2**64)), s=2)
+    with working_precision(256):
+        FINE_MPF = RecurrenceSpec(kind=FamilyKind.REDUCED,
+                                  gamma=mp.mpf(2**63 + 3) / 2**64,
+                                  delta=mp.mpf(2**63 + 3) / 2**64,
+                                  s=mp.mpf(2))
+    # inexact at every precision: its steps depend on the precision
+    LAME_DECIMAL = RecurrenceSpec(kind=FamilyKind.HEUN, gamma=mp.mpf(0.5),
+                                  delta=mp.mpf(0.5), alpha=mp.mpf(1.5),
+                                  beta=mp.mpf(-1), s=mp.mpf("0.3"))
+
+    # (spec, precision or None for exact, K): the order switches specs,
+    # fields and precisions, grows and reuses one table, and puts equal
+    # exact and big-float specs next to each other
+    CASES = [
+        (RCHEUN, None, 20), (RCHEUN_MPF, 64, 20), (RCHEUN, 64, 30),
+        (RCHEUN_MPF, 256, 30), (RCHEUN, None, 40), (RCHEUN, None, 10),
+        (LAME, None, 25), (LAME, 256, 25), (LAME, 64, 40), (LAME, 256, 12),
+        (LAME_DECIMAL, 64, 30), (LAME_DECIMAL, 256, 30),
+        (LAME_DECIMAL, 64, 35), (CHEUN, 64, 20), (CHEUN, None, 30),
+        (RCHEUN_MPF, 64, 45), (RCHEUN, 256, 15), (CHEUN, 256, 30),
+        (FINE, 64, 40), (FINE_MPF, 64, 40), (FINE, 64, 40),
+    ]
+
+    def test_eval_sequence_matches_the_plain_loop(self):
+        B = QQi(Fraction(-7, 5), Fraction(1, 3))
+        for spec, bits, K in self.CASES:
+            if bits is None:
+                got = eval_sequence(spec, B, K)
+                want = reference_sequence(spec, B, K, exact=True)
+            else:
+                got = eval_sequence(spec, B, K, precision_bits=bits)
+                with working_precision(bits):
+                    want = reference_sequence(spec, to_mpc(B), K, exact=False)
+            assert [_bits(x) for x in got] == [_bits(x) for x in want], \
+                (spec, bits, K)
+
+    def test_build_family_matches_the_plain_loop(self):
+        for spec, bits, m_max in self.CASES:
+            if (bits is None) != spec.is_exact:
+                continue
+            fam = build_family(spec, m_max, precision_bits=bits or 256)
+            if bits is None:
+                want = reference_rows(spec, m_max, exact=True)
+            else:
+                with working_precision(bits):
+                    want = reference_rows(spec, m_max, exact=False)
+            got = [[_bits(c) for c in p.coeffs] for p in fam.polys]
+            assert got == [[_bits(c) for c in r] for r in want], \
+                (spec, bits, m_max)
 
 
 class TestSPolynomials:

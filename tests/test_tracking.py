@@ -16,14 +16,15 @@ from heunzeros.families import (
     from_mathieu,
     recurrence_coeffs,
 )
-from heunzeros.perturbation import perturbative_seeds
+from heunzeros import recurrence
+from heunzeros.perturbation import perturbative_seeds, zero_estimate
 from heunzeros.recurrence import build_family
 from heunzeros.rootfind import (
     find_all_roots,
     real_zero_count,
     tridiagonal_eigenvalues,
 )
-from heunzeros.scalars import working_precision
+from heunzeros.scalars import to_mpc, working_precision
 from heunzeros.tracking import (
     convergence_report,
     d2_closed_form_s0,
@@ -306,3 +307,31 @@ class TestD2ZeroSearch:
         res = d2_zero_search(spec, mp.mpf("1.4"))
         assert abs(res.B - mp.mpf("1.3784892213")) < mp.mpf("1e-8")
         assert abs(res.d2) < mp.mpf("1e-9")
+
+    @pytest.mark.parametrize("direction", [-1, 0, 1])
+    def test_doubling_k_does_not_stop_on_the_coarser_zero(self, direction):
+        # near the edge of the disk the search doubles K from 400 to 800;
+        # a secant step across the two K used to stop at -2.37862728652,
+        # where |d2| at K = 6400 is 1.2e-6
+        spec = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2",
+                              delta="1/2", alpha="3/2", beta="-1", s="9/10")
+        with working_precision(256):
+            b0 = to_mpc(zero_estimate(spec, 2, 39, 2))
+            b0 += direction * mp.mpf("1e-3") * (1 + abs(b0.real))
+        res = d2_zero_search(spec, b0)
+        assert res.K_used > 400
+        assert abs(res.B - mp.mpf("-2.37862735853")) < mp.mpf("1e-10")
+
+    def test_search_builds_each_step_row_once(self, monkeypatch):
+        # seven d2 evaluations at K = 400 share one table of step rows
+        calls = []
+
+        def counting(spec, m):
+            calls.append(m)
+            return recurrence_coeffs(spec, m)
+
+        monkeypatch.setattr(recurrence, "recurrence_coeffs", counting)
+        spec, _ = from_mathieu(MathieuParams(q=2))
+        res = d2_zero_search(spec, mp.mpf("1.4"), K=400)
+        assert res.K_used == 400
+        assert len(calls) <= 400
