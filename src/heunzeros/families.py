@@ -27,6 +27,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath as mp
+
 from .scalars import QQi, as_exact, is_exact_scalar, to_mpc
 
 HALF = Fraction(1, 2)
@@ -43,14 +45,18 @@ class FamilyKind(enum.Enum):
 
 
 def _normalize(x):
-    """Exact inputs become QQi; inexact ones become complex."""
+    """Exact inputs become QQi.  A Python float or complex becomes an
+    mpf or mpc holding its exact binary value, so that everything formed
+    from it runs at the working precision rather than in doubles; mpmath
+    scalars pass through untouched."""
     if x is None:
         return None
     if is_exact_scalar(x) or isinstance(x, str):
         return as_exact(x)
-    if isinstance(x, (float, complex)):
-        return complex(x)
-    # mpmath scalars pass through untouched
+    if isinstance(x, float):
+        return mp.mpf(x)
+    if isinstance(x, complex):
+        return mp.mpc(x)
     return x
 
 

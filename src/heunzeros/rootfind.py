@@ -54,13 +54,13 @@ class ZeroSet:
                        self.degree, self.precision_bits, self.tol,
                        tuple(labels))
 
-    def real_zeros(self, imag_tol: float = 1e-6) -> list:
-        """Zeros with |Im z| < imag_tol * (1 + |Re z|)."""
-        return [z for z in self.zeros if _is_real(z, imag_tol)]
+    def real_zeros(self) -> list:
+        """Zeros with |Im z| < 1e-6 * (1 + |Re z|)."""
+        return [z for z in self.zeros if _is_real(z)]
 
 
-def _is_real(z, imag_tol) -> bool:
-    return abs(z.imag) < imag_tol * (1 + abs(z.real))
+def _is_real(z) -> bool:
+    return abs(z.imag) < 1e-6 * (1 + abs(z.real))
 
 
 def default_tol(precision_bits: int) -> mp.mpf:
@@ -128,6 +128,8 @@ def newton_polygon_seeds(coeffs, count: int | None = None) -> list:
 
 _EPS = 2.0 ** -52
 _QL_MAX_STEPS = 50    # QL steps allowed per eigenvalue
+_MAX_SWEEPS = 2000    # Aberth sweeps allowed per polynomial
+_POLISH_STEPS = 40    # Newton steps allowed per root
 
 
 def tridiagonal_eigenvalues(diag, offdiag):
@@ -230,8 +232,7 @@ def _spread_duplicates(points, scale):
 
 
 def find_all_roots(poly, seeds=None, precision_bits: int = 256,
-                   tol=None, max_iter: int = 400,
-                   strict: bool = True) -> ZeroSet:
+                   tol=None) -> ZeroSet:
     """All roots of the polynomial, simultaneously.
 
     poly: DensePolynomial or ascending coefficient list (any scalar
@@ -240,11 +241,13 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
     circles.  Seeds near the roots, such as the eigenvalues of a Jacobi
     matrix whose characteristic polynomial is poly, cut the number of
     Aberth sweeps; the sweeps and the Newton polish are the same
-    whatever the seeds.  With strict=True a root that fails its
-    convergence check raises NonConvergenceError instead of being
-    flagged, and so does a tol below 2^-(precision_bits + 24), before
-    any sweep: the sweeps and the polish run at precision_bits + 24
-    bits, which cannot resolve a smaller step.
+    whatever the seeds.  A root that fails its check always raises
+    NonConvergenceError: so do Aberth sweeps that have not settled
+    after _MAX_SWEEPS, a root whose polished residual misses tol, and a
+    tol below 2^-(precision_bits + 24), before any sweep, since the
+    sweeps and the polish run at precision_bits + 24 bits, which cannot
+    resolve a smaller step.  Every zero of the result has therefore
+    converged.
     """
     coeffs = _as_mpc_coeffs(poly, precision_bits)
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -255,7 +258,7 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
     work_bits = precision_bits + 24
     with working_precision(work_bits):
         tol = mp.mpf(tol) if tol is not None else default_tol(precision_bits)
-        if strict and tol < mp.mpf(2) ** -work_bits:
+        if tol < mp.mpf(2) ** -work_bits:
             raise NonConvergenceError(
                 f"tolerance {mp.nstr(tol, 3)} is below 2^-{work_bits}, the "
                 f"resolution of the {work_bits}-bit working precision "
@@ -273,7 +276,7 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
         z = _break_axis_symmetry(z, coeffs, mp.mpf(2) ** -16)
 
         step_goal = tol / 4
-        for _ in range(max_iter):
+        for _ in range(_MAX_SWEEPS):
             worst = mp.mpf(0)
             for j in range(n):
                 p, dp = _horner_pair(coeffs, z[j])
@@ -297,11 +300,10 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
             if worst < step_goal:
                 break
         else:
-            if strict:
-                raise NonConvergenceError(
-                    f"Aberth sweep at degree {n} did not settle within "
-                    f"{max_iter} iterations (last step {mp.nstr(worst, 3)})"
-                )
+            raise NonConvergenceError(
+                f"Aberth sweep at degree {n} did not settle within "
+                f"{_MAX_SWEEPS} iterations (last step {mp.nstr(worst, 3)})"
+            )
 
         real_coeffs = all(c.imag == 0 for c in coeffs)
         dust = mp.mpf(2) ** (-2 * precision_bits)
@@ -318,7 +320,7 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
             flags.append(ok)
 
     bad = [j for j, ok in enumerate(flags) if not ok]
-    if bad and strict:
+    if bad:
         raise NonConvergenceError(
             f"{len(bad)} of {n} roots failed the tolerance check "
             f"(indices {bad[:8]}{'...' if len(bad) > 8 else ''})"
@@ -334,11 +336,11 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
     )
 
 
-def _newton_polish(coeffs, z, tol, max_steps: int = 40):
+def _newton_polish(coeffs, z, tol):
     """Newton iteration; returns (root, |p/p'| residual, converged)."""
     last = mp.inf
     grew = 0
-    for _ in range(max_steps):
+    for _ in range(_POLISH_STEPS):
         p, dp = _horner_pair(coeffs, z)
         if p == 0:
             return z, mp.mpf(0), True
@@ -360,9 +362,9 @@ def _newton_polish(coeffs, z, tol, max_steps: int = 40):
     return z, res, res < tol * (1 + abs(z))
 
 
-def real_zero_count(zeros, imag_tol: float = 1e-6) -> int:
+def real_zero_count(zeros) -> int:
     """How many zeros are real up to the relative imaginary tolerance,
     by the test of `ZeroSet.real_zeros`."""
     if isinstance(zeros, ZeroSet):
         zeros = zeros.zeros
-    return sum(1 for z in zeros if _is_real(mp.mpc(z), imag_tol))
+    return sum(1 for z in zeros if _is_real(mp.mpc(z)))

@@ -67,7 +67,7 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
         labelled = not spec.is_d_degenerate and abs(to_mpc(spec.s)) <= 2
         seeds = tridiagonal_eigenvalues(*jacobi_matrix(spec, m))
     zs = find_all_roots(fam[m], seeds=seeds, precision_bits=precision_bits,
-                        tol=tol, max_iter=2000)
+                        tol=tol)
     if labelled:
         raw = perturbative_seeds(spec, m - 1, order)
         with working_precision(precision_bits):
@@ -232,7 +232,7 @@ class ConvergenceReport:
 
     def to_json(self) -> dict:
         def cpx(z):
-            return [mp.nstr(mp.mpc(z).real, 17), mp.nstr(mp.mpc(z).imag, 17)]
+            return [mp.nstr(z.real, 17), mp.nstr(z.imag, 17)]
 
         return {
             "schema": "heunzeros-report/1",
@@ -340,7 +340,6 @@ class D2Estimate:
 
     B: object
     K: int
-    sequence: tuple
     estimate: object           # Neville-extrapolated limit
     tail: object               # raw a_K
     error_indicator: object    # |a_K - a_{K-1}|
@@ -357,9 +356,10 @@ def _check_d2_spec(spec: RecurrenceSpec):
 
 def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
                 precision_bits: int = 256) -> D2Estimate:
-    """a_1..a_K with a_k = c_k(B) k!/(delta-1)_k, and the extrapolated
-    limit.  Heun members only converge for |s| < 1; outside that disk a
-    warning is emitted and the numbers are returned as-is."""
+    """The limit of a_k = c_k(B) k!/(delta-1)_k extrapolated from
+    a_1..a_K, with the raw tail a_K and |a_K - a_{K-1}|.  Heun members
+    only converge for |s| < 1; outside that disk a warning is emitted
+    and the numbers are returned as-is."""
     _check_d2_spec(spec)
     if K < 2:
         raise InvalidSpecError("K >= 2 required")
@@ -380,17 +380,20 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
         del seq[0]                     # a_k for k = 1..K
         estimate = _extrapolate_tail(seq)
         indicator = abs(seq[-1] - seq[-2])
-    return D2Estimate(B=B, K=K, sequence=tuple(seq), estimate=estimate,
-                      tail=seq[-1], error_indicator=indicator)
+    return D2Estimate(B=B, K=K, estimate=estimate, tail=seq[-1],
+                      error_indicator=indicator)
 
 
-def _extrapolate_tail(seq, nodes: int = 8):
+_TAIL_NODES = 8       # Neville nodes of the tail extrapolation
+
+
+def _extrapolate_tail(seq):
     """Neville extrapolation of a_k against h = 1/k to h = 0."""
     K = len(seq)
-    if K < 5 * nodes:
+    if K < 5 * _TAIL_NODES:
         return seq[-1]
     step = max(1, K // 16)
-    ks = [K - i * step for i in range(nodes)]
+    ks = [K - i * step for i in range(_TAIL_NODES)]
     xs = [mp.mpf(1) / k for k in ks]
     t = [seq[k - 1] for k in ks]
     n = len(t)
@@ -419,42 +422,46 @@ class D2ZeroResult:
     d2: object
     iterations: int
     K_used: int
-    error_indicator: object
+
+
+_D2_K_MAX = 12800     # largest K the search doubles to
+_D2_MAX_STEPS = 40    # secant steps allowed per search
 
 
 def d2_zero_search(spec: RecurrenceSpec, B0, tol=1e-10, K: int = 400,
-                   K_max: int = 12800, precision_bits: int = 256,
-                   max_iter: int = 40) -> D2ZeroResult:
+                   precision_bits: int = 256) -> D2ZeroResult:
     """Secant iteration on B -> d2(B) from the scaled-tail estimate.
 
-    K doubles whenever the plain tail indicator is not at least an
-    order of magnitude below max(|estimate|, tol), so accuracy
-    escalates exactly where the zero is being pinned down.  Both points
-    of a secant step are evaluated at the same K: when K doubles, the
-    older point is evaluated again at the new K, and convergence is
-    declared only on a step taken at the K of the point it produced.
+    K doubles, up to _D2_K_MAX, whenever the plain tail indicator is not
+    at least an order of magnitude below max(|estimate|, tol), so
+    accuracy escalates exactly where the zero is being pinned down.
+    Both points of a secant step are evaluated at the same K: when K
+    doubles, the older point is evaluated again at the new K, and
+    convergence is declared only on a step taken at the K of the point
+    it produced.
     Otherwise the search could stop on a zero of the coarser estimate.
+    A search that has not settled after _D2_MAX_STEPS secant steps
+    raises NonConvergenceError.
     """
     with working_precision(precision_bits):
         tol = mp.mpf(tol)
         K_cur = K
 
         def f(b):
-            """(estimate, indicator, K) at b, doubling K_cur until the
-            indicator is good or K_max is reached."""
+            """(estimate, K) at b, doubling K_cur until the indicator is
+            good or _D2_K_MAX is reached."""
             nonlocal K_cur
             while True:
                 est = d2_sequence(spec, b, K_cur, precision_bits)
-                value, indicator = est.estimate, est.error_indicator
-                del est                # free the sequence before a longer one
-                if indicator < max(abs(value), tol) / 10 or K_cur >= K_max:
-                    return value, indicator, K_cur
-                K_cur = min(2 * K_cur, K_max)
+                if (est.error_indicator < max(abs(est.estimate), tol) / 10
+                        or K_cur >= _D2_K_MAX):
+                    return est.estimate, K_cur
+                K_cur = min(2 * K_cur, _D2_K_MAX)
 
         def at_current_k(b_a, f_a, b_b, f_b):
             """Re-evaluate either point until both are at K_cur."""
-            while f_a[2] != K_cur or f_b[2] != K_cur:
-                if f_a[2] != K_cur:
+            while f_a[1] != K_cur or f_b[1] != K_cur:
+                if f_a[1] != K_cur:
                     f_a = f(b_a)
                 else:
                     f_b = f(b_b)
@@ -465,7 +472,7 @@ def d2_zero_search(spec: RecurrenceSpec, B0, tol=1e-10, K: int = 400,
         step0 = mp.mpf("1e-3") * (1 + abs(b_prev))
         b_cur = b_prev + step0
         f_prev, f_cur = at_current_k(b_prev, f_prev, b_cur, f(b_cur))
-        for it in range(1, max_iter + 1):
+        for it in range(1, _D2_MAX_STEPS + 1):
             den = f_cur[0] - f_prev[0]
             if den == 0:
                 raise NonConvergenceError("flat d2 sequence in secant step")
@@ -478,8 +485,8 @@ def d2_zero_search(spec: RecurrenceSpec, B0, tol=1e-10, K: int = 400,
                 f_prev, f_cur = at_current_k(b_prev, f_prev, b_cur, f_cur)
             elif abs(b_cur - b_prev) < tol * (1 + abs(b_cur)):
                 return D2ZeroResult(B=b_cur, d2=f_cur[0], iterations=it,
-                                    K_used=K_cur, error_indicator=f_cur[1])
+                                    K_used=K_cur)
     raise NonConvergenceError(
-        f"d2-zero secant did not settle in {max_iter} iterations from "
+        f"d2-zero secant did not settle in {_D2_MAX_STEPS} iterations from "
         f"B0 = {mp.nstr(to_mpc(B0), 8)}"
     )

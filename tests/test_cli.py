@@ -139,6 +139,26 @@ class TestTrack:
         assert doc["m_list"] == [16, 20]
         assert doc["n_stable"] >= 8
 
+    @pytest.mark.parametrize("fmt,digits", [("csv", "30"), ("json", "12")])
+    def test_zeros_print_as_zeros_prints_them(self, capsys, fmt, digits):
+        # track's JSON gives 17 digits, as zeros does at --digits 12;
+        # its CSV gives digits + 5, as zeros does
+        family = ("--family", "mathieu", "--q", "2")
+        _, track, _ = run(capsys, "track", *family, "--m", "8,12",
+                          "--digits", digits, "--format", fmt)
+        _, zeros, _ = run(capsys, "zeros", *family, "--m", "12",
+                          "--digits", digits, "--format", fmt)
+        if fmt == "csv":
+            got = {tuple(line.split(",")[1:3])
+                   for line in track.splitlines()[1:]}
+            want = {tuple(line.split(",")[:2])
+                    for line in zeros.splitlines()[1:]}
+        else:
+            got = {tuple(t["entries"]["12"])
+                   for t in json.loads(track)["tracks"]}
+            want = {(z["re"], z["im"]) for z in json.loads(zeros)["zeros"]}
+        assert got == want
+
 
 class TestD2:
     def test_s0_closed_form_is_consistent(self, capsys):
@@ -154,6 +174,19 @@ class TestD2:
         doc = json.loads(out)
         assert doc["schema"] == "heunzeros-d2/1"
         assert doc["zero_search"]["B"] == "1.378489221"
+
+    def test_search_result_in_csv(self, capsys):
+        argv = ("d2", "--family", "mathieu", "--q", "2", "--B", "1.4",
+                "--search")
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        header, row = out.strip().splitlines()
+        assert header == ("B,K,estimate,tail,error_indicator,search_B,"
+                          "search_d2,search_iterations,search_K_used")
+        cells = dict(zip(header.split(","), row.split(",")))
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        for key, value in json.loads(out)["zero_search"].items():
+            assert cells[f"search_{key}"] == str(value)
+        assert cells["search_B"] == "1.378489221"
 
     def test_midpoint_route_included(self, capsys):
         code, out, _ = run(capsys, "d2", "--family", "mathieu", "--q", "1/2",
@@ -200,6 +233,17 @@ class TestExitCodes:
                            "--tol", "1e-70")
         assert code == 3
         assert json.loads(err)["code"] == 3
+
+    def test_secant_iteration_cap_is_3(self, capsys, monkeypatch):
+        from heunzeros import tracking
+
+        monkeypatch.setattr(tracking, "_D2_MAX_STEPS", 1)
+        code, out, err = run(capsys, "d2", "--family", "mathieu", "--q", "2",
+                             "--B", "1.4", "--search")
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == 3
+        assert "did not settle in 1 iterations from B0 = " in doc["error"]
 
     def test_tol_below_the_double_range_is_read_at_the_precision(self,
                                                                  capsys):
@@ -284,6 +328,24 @@ class TestScalarParsing:
         spec, _ = build_spec(args)
         with mp.workprec(200):
             assert spec.s == mp.mpf(1) / 10
+
+    @pytest.mark.parametrize("argv,names", [
+        (["--family", "lame", "--n", "3e-1", "--s", "1/2"], ("alpha", "beta")),
+        (["--family", "whill", "--A0", "1", "--A1", "3e-1", "--h", "1/10"],
+         ("B",)),
+        (["--family", "mathieu", "--q", "2", "--a", "3e-1"], ("B",)),
+    ])
+    @pytest.mark.parametrize("bits", [256, 512])
+    def test_derived_parameters_keep_the_requested_precision(self, argv,
+                                                             names, bits):
+        # each value the family map derives from an inexact input has a
+        # mantissa as wide as the input's, not a double's 53 bits
+        spec, B = build_spec(make_parser().parse_args(
+            ["d2", *argv, "--precision-bits", str(bits)]))
+        for name in names:
+            x = B if name == "B" else getattr(spec, name)
+            mantissa = x.real._mpf_[1]
+            assert mantissa.bit_length() > bits - 8, name
 
     def test_complex_exponent_input(self):
         z = parse_cli_scalar("1.5e-3+2i", 256)

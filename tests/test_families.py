@@ -20,7 +20,8 @@ from heunzeros.families import (
     from_whittaker_hill,
     recurrence_coeffs,
 )
-from heunzeros.scalars import QQi
+from heunzeros.recurrence import build_family
+from heunzeros.scalars import QQi, to_mpc
 
 
 class TestValidation:
@@ -150,6 +151,21 @@ class TestSpecPlumbing:
         again = RecurrenceSpec.from_json(spec.to_json())
         assert again.kind == spec.kind
         assert mp.mpc(again.s) == mp.mpc(spec.s)
+
+    def test_float_parameters_build_at_the_working_precision(self):
+        # a Python float stands for its exact binary value; the family
+        # built from it must agree with the exact build of those values
+        # to the working precision, not to double rounding
+        floats = dict(gamma=0.5, delta=0.5, alpha=0.1, beta=-1.0, s=0.3)
+        inexact = RecurrenceSpec(kind=FamilyKind.HEUN, **floats)
+        exact = RecurrenceSpec(kind=FamilyKind.HEUN, **{
+            name: Fraction(x) for name, x in floats.items()})
+        got = build_family(inexact, 30, 256)[30].coeffs
+        want = build_family(exact, 30)[30].coeffs
+        with mp.workprec(256):
+            worst = max(abs(to_mpc(g) - to_mpc(w)) / abs(to_mpc(w))
+                        for g, w in zip(got, want))
+        assert worst < mp.mpf(2) ** -240
 
     def test_is_exact(self, reduced_spec):
         assert reduced_spec.is_exact

@@ -16,10 +16,11 @@ from heunzeros.families import (
     from_mathieu,
     recurrence_coeffs,
 )
-from heunzeros import recurrence
+from heunzeros import recurrence, tracking
 from heunzeros.perturbation import perturbative_seeds, zero_estimate
-from heunzeros.recurrence import build_family
+from heunzeros.recurrence import build_family, eval_sequence
 from heunzeros.rootfind import (
+    NonConvergenceError,
     find_all_roots,
     real_zero_count,
     tridiagonal_eigenvalues,
@@ -262,8 +263,15 @@ class TestD2Sequence:
         # exactly: a_k == 1 for every k
         spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
                               delta="1/2", s=0)
-        est = d2_sequence(spec, mp.mpf(-1) / 4, K=200)
-        assert max(abs(a - 1) for a in est.sequence) < mp.mpf("1e-70")
+        b = mp.mpf(-1) / 4
+        with working_precision(256):
+            c = eval_sequence(spec, b, 200)
+            factor, worst = mp.mpf(1), mp.mpf(0)
+            for k in range(1, 201):
+                factor = factor * k / (mp.mpf(1) / 2 + (k - 2))
+                worst = max(worst, abs(factor * c[k] - 1))
+        assert worst < mp.mpf("1e-70")
+        est = d2_sequence(spec, b, K=200)
         assert abs(est.estimate - 1) < mp.mpf("1e-70")
 
     def test_extrapolation_agrees_with_closed_form_at_s0(self):
@@ -321,6 +329,14 @@ class TestD2ZeroSearch:
         res = d2_zero_search(spec, b0)
         assert res.K_used > 400
         assert abs(res.B - mp.mpf("-2.37862735853")) < mp.mpf("1e-10")
+
+    def test_secant_iteration_cap_names_the_start(self, monkeypatch):
+        monkeypatch.setattr(tracking, "_D2_MAX_STEPS", 1)
+        spec, _ = from_mathieu(MathieuParams(q=2))
+        with pytest.raises(NonConvergenceError,
+                           match=r"did not settle in 1 iterations from "
+                                 r"B0 = \(?1\.4\b"):
+            d2_zero_search(spec, mp.mpf("1.4"))
 
     def test_search_builds_each_step_row_once(self, monkeypatch):
         # seven d2 evaluations at K = 400 share one table of step rows
