@@ -21,6 +21,7 @@ import time
 import mpmath as mp
 
 from heunzeros.families import LameParams, MathieuParams, from_lame, from_mathieu
+from heunzeros.rootfind import NonConvergenceError
 from heunzeros.scalars import format_scalar, working_precision
 from heunzeros.tracking import convergence_report, d2_sequence, d2_zero_search
 
@@ -34,7 +35,7 @@ def main(argv=None):
     ap.add_argument("--m", default="30,40",
                     help="degrees for the stabilization report")
     ap.add_argument("--digits", type=int, default=10,
-                    help="stability threshold in significant digits")
+                    help="shared digits that make a zero stable")
     ap.add_argument("--tol", default="1e-12", help="secant stop tolerance")
     ap.add_argument("--K", type=int, default=400,
                     help="initial tail length for the d2 estimate")
@@ -66,7 +67,7 @@ def main(argv=None):
             try:
                 res = d2_zero_search(spec, b0, tol=tol, K=args.K,
                                      precision_bits=args.precision_bits)
-            except Exception as exc:
+            except NonConvergenceError as exc:
                 print(f"{track.label_k:>4}  {format_scalar(b0, 12):>24}  "
                       f"search failed: {exc}")
                 continue

@@ -47,10 +47,31 @@ from .families import (
     from_lame,
     from_mathieu,
     from_whittaker_hill,
+    recurrence_coeffs,
 )
-from .recurrence import build_family
-from .rootfind import NonConvergenceError
+from .oracle import (
+    d2_by_midpoint_matching,
+    family_ode_polys,
+    local_solutions_at_1,
+    ode_residual,
+    series_solution,
+    z1_swapped_spec,
+)
+from .perturbation import (
+    first_order_coeff,
+    perturbative_seeds,
+    second_order_coeff,
+    zero_expansion,
+)
+from .recurrence import (
+    build_family,
+    eval_s_polynomial,
+    eval_sequence,
+    leading_coefficient_law,
+)
+from .rootfind import NonConvergenceError, find_all_roots
 from .scalars import (
+    as_exact,
     format_scalar,
     is_exact_scalar,
     parse_gaussian_rational,
@@ -62,7 +83,9 @@ from .tracking import (
     d2_closed_form_s0,
     d2_sequence,
     d2_zero_search,
+    match_zeros,
     solve_zeros,
+    stabilized_digits,
     zero_table,
 )
 
@@ -195,8 +218,6 @@ def _fmt(x, digits: int) -> str:
     if x is None:
         return "-"
     if is_exact_scalar(x) and not isinstance(x, str):
-        from .scalars import as_exact
-
         q = as_exact(x)
         if q.is_real and q.re.denominator == 1:
             return str(q.re.numerator)
@@ -387,8 +408,6 @@ def cmd_d2(args: argparse.Namespace) -> str:
             d2_closed_form_s0(spec, B, args.precision_bits), d
         )
     if args.midpoint:
-        from .oracle import d2_by_midpoint_matching
-
         mm = d2_by_midpoint_matching(spec, B,
                                      precision_bits=args.precision_bits)
         out["midpoint"] = _fmt(mm.d2, d)
@@ -435,146 +454,82 @@ def _default_specs():
     return [lame, math, whc]
 
 
-def _suite_recurrence(specs):
-    from .oracle import family_ode_polys, series_solution
-    from .recurrence import eval_sequence, leading_coefficient_law
-
-    checks = []
+def _suite_recurrence(spec):
     B = "-7/3"
-    for spec in specs:
-        sol = series_solution(*family_ode_polys(spec, B), 0, 16)
-        prod = eval_sequence(spec, B, 16)
-        ok = all(sol.coeffs[k] == prod[k] for k in range(17))
-        checks.append((f"series matches the defining equation "
-                       f"[{spec.kind.value}]", ok, ""))
-    for spec in specs:
-        fam = build_family(spec.with_s(0), 6)
-        from .families import recurrence_coeffs
-
-        ok = all(
-            fam[m + 1](-(recurrence_coeffs(spec, k)[0])) == 0
-            for m in range(6) for k in range(m + 1)
-        )
-        checks.append((f"s=0 zeros sit on the -D_k grid "
-                       f"[{spec.kind.value}]", ok, ""))
-        fam2 = build_family(spec, 8)
-        ok2 = all(
-            fam2[m].leading_coefficient == leading_coefficient_law(spec, m)
-            for m in range(1, 9)
-        )
-        checks.append((f"leading coefficient law [{spec.kind.value}]",
-                       ok2, ""))
-    return checks
+    sol = series_solution(*family_ode_polys(spec, B), 0, 16)
+    prod = eval_sequence(spec, B, 16)
+    yield ("series matches the defining equation",
+           all(sol.coeffs[k] == prod[k] for k in range(17)), "")
+    fam = build_family(spec.with_s(0), 6)
+    yield ("s=0 zeros sit on the -D_k grid",
+           all(fam[m + 1](-(recurrence_coeffs(spec, k)[0])) == 0
+               for m in range(6) for k in range(m + 1)), "")
+    fam = build_family(spec, 8)
+    yield ("leading coefficient law",
+           all(fam[m].leading_coefficient == leading_coefficient_law(spec, m)
+               for m in range(1, 9)), "")
 
 
-def _suite_perturbation(specs):
-    from .perturbation import first_order_coeff, second_order_coeff
-    from .recurrence import eval_s_polynomial
-    from .perturbation import zero_expansion
-
-    checks = []
-    for spec in specs:
-        stable = True
-        for k in range(5):
-            f_ref = first_order_coeff(spec, k, k + 1)
-            s_ref = second_order_coeff(spec, k, k + 2)
-            for m in range(k + 2, 9):
-                if first_order_coeff(spec, k, m) != f_ref:
-                    stable = False
-                if second_order_coeff(spec, k, m) != s_ref:
-                    stable = False
-        checks.append((f"expansion coefficients settle for m >= k+order "
-                       f"[{spec.kind.value}]", stable, ""))
-    for spec in specs:
-        k, m = 2, 5
-        exp1 = zero_expansion(spec, k, m, order=1)
-        poly1 = eval_s_polynomial(spec, list(exp1.coefficients()), m)
-        ok1 = all(c == 0 for c in poly1.coeffs[:2])
-        exp2 = zero_expansion(spec, k, m, order=2)
-        poly2 = eval_s_polynomial(spec, list(exp2.coefficients()), m)
-        ok2 = all(c == 0 for c in poly2.coeffs[:3])
-        checks.append((f"substituted expansions vanish to their order "
-                       f"[{spec.kind.value}]", ok1 and ok2, ""))
-    return checks
+def _suite_perturbation(spec):
+    refs = {k: (first_order_coeff(spec, k, k + 1),
+                second_order_coeff(spec, k, k + 2)) for k in range(5)}
+    stable = all(
+        (first_order_coeff(spec, k, m), second_order_coeff(spec, k, m))
+        == refs[k]
+        for k in range(5) for m in range(k + 2, 9)
+    )
+    yield ("expansion coefficients settle for m >= k+order", stable, "")
+    k, m = 2, 5
+    vanish = True
+    for order in (1, 2):
+        exp = zero_expansion(spec, k, m, order)
+        poly = eval_s_polynomial(spec, list(exp.coefficients()), m)
+        vanish = vanish and all(c == 0 for c in poly.coeffs[:order + 1])
+    yield ("substituted expansions vanish to their order", vanish, "")
 
 
-def _max_gap(za, zb):
-    """Largest distance between two zero sets, each sorted by value."""
-    def ordered(zs):
-        return sorted(zs.zeros, key=lambda z: (z.real, z.imag))
-
-    return max(abs(a - b) for a, b in zip(ordered(za), ordered(zb)))
-
-
-def _suite_rootfind(specs):
-    from .perturbation import perturbative_seeds
-    from .rootfind import find_all_roots
-
-    checks = []
-    for spec in specs:
-        c8 = build_family(spec, 8)[8]
-        zs_est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7))
-        zs_cir = find_all_roots(c8)
-        zs_eig = solve_zeros(spec, 8)
-        agree = max(_max_gap(zs_est, zs_cir), _max_gap(zs_eig, zs_est))
-        checks.append((
-            f"seeding strategies agree on c_8 zeros [{spec.kind.value}]",
-            agree < mp.mpf(2) ** -80,
-            f"max gap {mp.nstr(agree, 3)}",
-        ))
-        res = max(zs_est.residuals)
-        checks.append((f"zero residuals below tolerance "
-                       f"[{spec.kind.value}]", res < zs_est.tol, ""))
-    return checks
+def _suite_rootfind(spec):
+    c8 = build_family(spec, 8)[8]
+    zs_est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7))
+    zs_cir = find_all_roots(c8)
+    zs_eig = solve_zeros(spec, 8)
+    gap = max(d for za, zb in ((zs_est, zs_cir), (zs_eig, zs_est))
+              for _, _, d in match_zeros(za, zb).pairs)
+    yield ("seeding strategies agree on c_8 zeros", gap < mp.mpf(2) ** -80,
+           f"max gap {mp.nstr(gap, 3)}")
+    yield ("zero residuals below tolerance",
+           max(zs_est.residuals) < zs_est.tol, "")
 
 
-def _suite_tracking(specs):
-    from .tracking import match_zeros, min_grid_gap, stabilized_digits
+def _suite_tracking(spec):
+    za = solve_zeros(spec, 12)
+    zb = solve_zeros(spec, 16)
+    yield ("cross-degree matching preserves labels",
+           all(za.labels[ia] == zb.labels[ib]
+               for ia, ib, _ in match_zeros(za, zb).pairs), "")
+    n = convergence_report(spec, m_list=(16, 20), digits=6).n_stable(6)
+    yield ("low zeros stabilize quickly", n >= 8, f"n_stable(6) = {n}")
 
-    checks = []
-    for spec in specs:
-        za = solve_zeros(spec, 12)
-        zb = solve_zeros(spec, 16)
-        thr = min_grid_gap(spec, 12) / 2
-        res = match_zeros(za, zb, threshold=thr)
-        ident = all(za.labels[ia] == zb.labels[ib]
-                    for ia, ib, _ in res.pairs)
-        checks.append((f"cross-degree matching preserves labels "
-                       f"[{spec.kind.value}]", ident, ""))
-        rep = convergence_report(spec, m_list=(16, 20), digits=6)
-        checks.append((f"low zeros stabilize quickly "
-                       f"[{spec.kind.value}]", rep.n_stable(6) >= 8,
-                       f"n_stable(6) = {rep.n_stable(6)}"))
+
+def _check_digit_counter():
     ok = (stabilized_digits(mp.mpf("1.0000001"), mp.mpf(1)) == 6
           and stabilized_digits(mp.mpf(1), mp.mpf(1)) >= 50)
-    checks.append(("stabilized-digit counter calibrated", ok, ""))
-    return checks
+    return "stabilized-digit counter calibrated", ok, ""
 
 
-def _suite_oracle(specs):
-    from .oracle import (
-        d2_by_midpoint_matching,
-        family_ode_polys,
-        local_solutions_at_1,
-        ode_residual,
-        z1_swapped_spec,
-    )
-    from .recurrence import eval_sequence
+def _suite_oracle(spec):
+    # truncation tail at |z| = 0.35 with 60 terms sits near 1e-25,
+    # far below the pass line yet far above honest coefficient bugs
+    res = ode_residual(spec, mp.mpf("-2.0"), N=60)
+    yield ("production series satisfies the equation",
+           res < mp.mpf("1e-20"), f"residual {mp.nstr(res, 3)}")
+    u0, _ = local_solutions_at_1(spec, "-7/3", 12)
+    prod = eval_sequence(*z1_swapped_spec(spec, "-7/3"), 12)
+    yield ("point-exchange parameter map exact",
+           all(u0.coeffs[k] == prod[k] for k in range(13)), "")
 
-    checks = []
-    for spec in specs:
-        # truncation tail at |z| = 0.35 with 60 terms sits near 1e-25,
-        # far below the pass line yet far above honest coefficient bugs
-        res = ode_residual(spec, mp.mpf("-2.0"), N=60)
-        checks.append((f"production series satisfies the equation "
-                       f"[{spec.kind.value}]", res < mp.mpf("1e-20"),
-                       f"residual {mp.nstr(res, 3)}"))
-        u0, _ = local_solutions_at_1(spec, "-7/3", 12)
-        sw, bw = z1_swapped_spec(spec, "-7/3")
-        prod = eval_sequence(sw, bw, 12)
-        ok = all(u0.coeffs[k] == prod[k] for k in range(13))
-        checks.append((f"point-exchange parameter map exact "
-                       f"[{spec.kind.value}]", ok, ""))
+
+def _check_d2_routes():
     s0 = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2", delta="1/2",
                         s=0)
     b = mp.mpf("-0.35")
@@ -582,17 +537,17 @@ def _suite_oracle(specs):
     cf = d2_closed_form_s0(s0, b)
     mid = d2_by_midpoint_matching(s0, b).d2
     tri = max(abs(seq - cf), abs(cf - mid), abs(mid - seq))
-    checks.append(("three d2 routes agree at s = 0", tri < mp.mpf("1e-10"),
-                   f"max gap {mp.nstr(tri, 3)}"))
-    return checks
+    return ("three d2 routes agree at s = 0", tri < mp.mpf("1e-10"),
+            f"max gap {mp.nstr(tri, 3)}")
 
 
+# suite name -> (checks yielded for each spec, spec-free checks)
 _SUITES = {
-    "recurrence": _suite_recurrence,
-    "perturbation": _suite_perturbation,
-    "rootfind": _suite_rootfind,
-    "tracking": _suite_tracking,
-    "oracle": _suite_oracle,
+    "recurrence": (_suite_recurrence, ()),
+    "perturbation": (_suite_perturbation, ()),
+    "rootfind": (_suite_rootfind, ()),
+    "tracking": (_suite_tracking, (_check_digit_counter,)),
+    "oracle": (_suite_oracle, (_check_d2_routes,)),
 }
 
 
@@ -608,7 +563,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     lines, failures = [], 0
     with working_precision(args.precision_bits):
         for name in names:
-            for label, ok, detail in _SUITES[name](specs):
+            per_spec, spec_free = _SUITES[name]
+            checks = [(f"{label} [{spec.kind.value}]", ok, detail)
+                      for spec in specs
+                      for label, ok, detail in per_spec(spec)]
+            checks += [check() for check in spec_free]
+            for label, ok, detail in checks:
                 mark = "PASS" if ok else "FAIL"
                 failures += 0 if ok else 1
                 suffix = f"  ({detail})" if detail and not ok else ""

@@ -29,7 +29,14 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .scalars import QQi, as_exact, is_exact_scalar, to_mpc
+from .scalars import (
+    QQi,
+    as_exact,
+    is_exact_scalar,
+    scalar_from_json,
+    scalar_to_json,
+    to_mpc,
+)
 
 HALF = Fraction(1, 2)
 
@@ -139,22 +146,18 @@ class RecurrenceSpec:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        from .scalars import EXACT_FIELD, bigfloat_field, scalar_to_json
-        out = {"kind": self.kind.value}
-        field = EXACT_FIELD if self.is_exact else bigfloat_field(256)
-        out["field"] = field.kind
+        out = {"kind": self.kind.value,
+               "field": "exact" if self.is_exact else "bigfloat"}
         for name in ("gamma", "delta", "s", "alpha", "beta"):
             v = getattr(self, name)
             if v is not None:
-                out[name] = scalar_to_json(v, field)
+                out[name] = scalar_to_json(v)
         return out
 
     @staticmethod
     def from_json(obj: dict) -> "RecurrenceSpec":
-        from .scalars import EXACT_FIELD, bigfloat_field, scalar_from_json
-        field = EXACT_FIELD if obj["field"] == "exact" else bigfloat_field(256)
         vals = {
-            name: scalar_from_json(obj[name], field)
+            name: scalar_from_json(obj[name])
             for name in ("gamma", "delta", "s", "alpha", "beta")
             if name in obj
         }
@@ -209,7 +212,8 @@ class EtaBMap:
 
 def from_lame(p: LameParams) -> tuple[RecurrenceSpec, EtaBMap]:
     """Lame -> full family: gamma = delta = 1/2, alpha = (n+1)/2,
-    beta = -n/2 (whence epsilon = 1/2)."""
+    beta = -n/2 (whence epsilon = 1/2).  Inexact inputs are combined at
+    the caller's working precision (see `scalars.working_precision`)."""
     n = _normalize(p.n)
     s = _normalize(p.s)
     if p.eta is not None and not s:
@@ -234,7 +238,9 @@ class MathieuParams:
 
 def from_mathieu(p: MathieuParams):
     """Mathieu -> reduced confluent family: gamma = delta = 1/2, s = q,
-    accessory parameter B = q/2 - a/4 (None when a is not given)."""
+    accessory parameter B = q/2 - a/4 (None when a is not given).
+    Inexact inputs are combined at the caller's working precision (see
+    `scalars.working_precision`)."""
     q = _normalize(p.q)
     spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=HALF, delta=HALF, s=q)
     b = None if p.a is None else q / 2 - _normalize(p.a) / 4
@@ -258,7 +264,9 @@ class WhittakerHillParams:
 
 def from_whittaker_hill(p: WhittakerHillParams):
     """Whittaker-Hill -> confluent family: gamma = delta = 1/2,
-    s = -2h, alpha = 1/2 + A1/(4h), B = -(2 A0 + 2 A1 + 4h + h^2)/8."""
+    s = -2h, alpha = 1/2 + A1/(4h), B = -(2 A0 + 2 A1 + 4h + h^2)/8.
+    Inexact inputs are combined at the caller's working precision (see
+    `scalars.working_precision`)."""
     h = _normalize(p.h)
     if not h:
         raise InvalidSpecError("Whittaker-Hill reduction needs h != 0")

@@ -152,11 +152,9 @@ def zero_expansion(spec: RecurrenceSpec, k: int, m: int,
     return PerturbativeExpansion(k=k, order=order, c0=c0, c1=c1, c2=c2, m=m)
 
 
-def zero_estimate(spec: RecurrenceSpec, k: int, m: int, order: int = 2,
-                  s=None):
-    """The expansion evaluated at s (defaults to the spec's own s)."""
-    exp = zero_expansion(spec, k, m, order)
-    return exp(spec.s if s is None else s)
+def zero_estimate(spec: RecurrenceSpec, k: int, m: int, order: int = 2):
+    """The expansion evaluated at the spec's own s."""
+    return zero_expansion(spec, k, m, order)(spec.s)
 
 
 # -- specialized closed forms -------------------------------------------------

@@ -102,7 +102,7 @@ class PolynomialFamily:
             "field": self.field.to_json(),
             "m_max": self.m_max,
             "coeffs": [
-                [scalar_to_json(c, self.field) for c in p.coeffs]
+                [scalar_to_json(c) for c in p.coeffs]
                 for p in self.polys
             ],
         }
@@ -118,7 +118,7 @@ class PolynomialFamily:
         field = FieldTag.from_json(obj["field"])
         polys = tuple(
             DensePolynomial(
-                tuple(scalar_from_json(p, field) for p in row), field
+                tuple(scalar_from_json(p) for p in row), field
             )
             for row in obj["coeffs"]
         )

@@ -335,22 +335,21 @@ def mpf_from_hex(text: str) -> mp.mpf:
     return val
 
 
-def scalar_to_json(x, field: FieldTag) -> list[str]:
-    """A complex scalar as a ``[re, im]`` pair of strings."""
-    if field.kind == "exact":
-        q = as_exact(x)
-        return [str(q.re), str(q.im)]
+def scalar_to_json(x) -> list[str]:
+    """A complex scalar as a ``[re, im]`` pair of strings: fraction
+    strings for exact values, hex significands for big floats."""
     if isinstance(x, mp.mpc):
         return [mpf_to_hex(x.real), mpf_to_hex(x.imag)]
     if isinstance(x, mp.mpf):
         return [mpf_to_hex(x), "0x0p+0"]
-    with mp.workprec((field.precision_bits or 256) + 8):
-        z = to_mpc(x)
-    return [mpf_to_hex(z.real), mpf_to_hex(z.imag)]
+    q = as_exact(x)
+    return [str(q.re), str(q.im)]
 
 
-def scalar_from_json(pair, field: FieldTag):
-    if field.kind == "exact":
+def scalar_from_json(pair):
+    """Inverse of scalar_to_json: a hex pair becomes an mpc holding its
+    exact bits, a fraction pair a QQi."""
+    if not pair[0].lstrip("-").startswith("0x"):
         return QQi(Fraction(pair[0]), Fraction(pair[1]))
     re, im = mpf_from_hex(pair[0]), mpf_from_hex(pair[1])
     # assemble without rounding at the ambient precision

@@ -1,10 +1,10 @@
 """Tracking zeros across polynomial degrees and estimating d2(B).
 
 Two jobs live here.  First, bookkeeping: solve several c_m for their
-zeros, match zero sets between consecutive degrees by proximity, count
-how many digits each matched pair shares, and report how many zeros
-have stabilized.  Second, the connection-coefficient limit: the scaled
-coefficient sequence
+zeros, match zero sets between consecutive degrees by optimal
+assignment, count how many digits each matched pair shares, and report
+how many zeros have stabilized.  Second, the connection-coefficient
+limit: the scaled coefficient sequence
 
     a_k = [k! / ((delta-1) delta ... (delta+k-2))] * c_k(B)
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .families import FamilyKind, InvalidSpecError, RecurrenceSpec, recurrence_coeffs
+from .families import FamilyKind, InvalidSpecError, RecurrenceSpec
 from .perturbation import (
     BoundaryOrderError,
     DegenerateGridError,
@@ -123,72 +123,47 @@ class MatchResult:
     new_in_b: tuple
 
 
-def min_grid_gap(spec: RecurrenceSpec, m: int, precision_bits: int = 256):
-    """min_k |D_{k+1} - D_k| over the first m grid points."""
-    with working_precision(precision_bits):
-        gaps = [
-            abs(to_mpc(recurrence_coeffs(spec, k + 1)[0])
-                - to_mpc(recurrence_coeffs(spec, k)[0]))
-            for k in range(max(m, 1))
-        ]
-    return min(gaps)
-
-
-def match_zeros(za, zb, threshold=None) -> MatchResult:
-    """Greedy minimal-distance matching of za against zb.
+def match_zeros(za, zb) -> MatchResult:
+    """Optimal assignment of za into zb: the injective pairing that
+    minimizes the summed distance (Kuhn's Hungarian method, via scipy).
 
     If every za zero also appears in zb the pairing is the identity on
-    values.  When a threshold is given and some greedy-matched distance
-    exceeds it, the matching is redone as an optimal assignment
-    (Hungarian) to recover from greedy mistakes in crowded regions.
+    values.
     """
     a = list(za.zeros) if isinstance(za, ZeroSet) else [to_mpc(z) for z in za]
     b = list(zb.zeros) if isinstance(zb, ZeroSet) else [to_mpc(z) for z in zb]
     if len(a) > len(b):
         raise InvalidSpecError("match_zeros expects len(a) <= len(b)")
-    cand = sorted(
-        ((abs(a[i] - b[j]), i, j) for i in range(len(a))
-         for j in range(len(b))),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
-    used_a, used_b, pairs = set(), set(), []
-    for d, i, j in cand:
-        if i in used_a or j in used_b:
-            continue
-        used_a.add(i)
-        used_b.add(j)
-        pairs.append((i, j, d))
-        if len(used_a) == len(a):
-            break
-    if threshold is not None and any(d > threshold for _, _, d in pairs):
-        pairs = _optimal_pairs(a, b)
-    pairs.sort(key=lambda t: t[0])
+    pairs = ()
+    if a:
+        # scipy rejects an empty cost matrix
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(
+            [[float(abs(x - y)) for y in b] for x in a])
+        pairs = tuple((int(i), int(j), abs(a[i] - b[j]))
+                      for i, j in zip(rows, cols))
     matched_b = {j for _, j, _ in pairs}
     new_b = tuple(j for j in range(len(b)) if j not in matched_b)
-    return MatchResult(pairs=tuple(pairs), new_in_b=new_b)
+    return MatchResult(pairs=pairs, new_in_b=new_b)
 
 
-def _optimal_pairs(a, b) -> list:
-    from scipy.optimize import linear_sum_assignment
-
-    cost = [[float(abs(x - y)) for y in b] for x in a]
-    rows, cols = linear_sum_assignment(cost)
-    return [(int(i), int(j), abs(a[i] - b[j])) for i, j in zip(rows, cols)]
+_DIGIT_CAP = 60       # digits reported for identical values
 
 
-def stabilized_digits(za, zb, cap: int = 60) -> int:
+def stabilized_digits(za, zb) -> int:
     """Shared significant digits: the largest d with
-    |za-zb| < 0.5 * 10^-d * max(|za|, |zb|)."""
+    |za-zb| < 0.5 * 10^-d * max(|za|, |zb|), at most _DIGIT_CAP."""
     za, zb = to_mpc(za), to_mpc(zb)
     scale = max(abs(za), abs(zb))
     if scale == 0:
-        return cap
+        return _DIGIT_CAP
     diff = abs(za - zb)
     if diff == 0:
-        return cap
+        return _DIGIT_CAP
     rel = diff / scale
     d = int(mp.floor(-mp.log10(2 * rel)))
-    return max(min(d, cap), 0)
+    return max(min(d, _DIGIT_CAP), 0)
 
 
 # -- convergence report --------------------------------------------------------
@@ -269,15 +244,13 @@ def convergence_report(spec: RecurrenceSpec, m_list=(30, 40),
         raise InvalidSpecError("m_list needs at least two degrees")
     zero_sets = {m: solve_zeros(spec, m, precision_bits=precision_bits)
                  for m in m_list}
-    threshold = min_grid_gap(spec, m_list[0], precision_bits) / 2
-
     m0 = m_list[0]
     tracks = [ZeroTrack(label_k=None, entries={m0: z})
               for z in zero_sets[m0].zeros]
     chain = list(tracks)   # chain[i]: the track through zero i of degree ma
     for ma, mb in zip(m_list, m_list[1:]):
         za, zb = zero_sets[ma], zero_sets[mb]
-        res = match_zeros(za, zb, threshold=threshold)
+        res = match_zeros(za, zb)
         nxt = [None] * len(zb.zeros)
         for ia, ib, _ in res.pairs:
             t = chain[ia]

@@ -1,10 +1,13 @@
-"""The README's library example and the table script run as documented."""
+"""The README's examples and the scripts run as documented."""
 
 import re
 import runpy
 from pathlib import Path
 
+import pytest
+
 from heunzeros.cli import main
+from heunzeros.rootfind import NonConvergenceError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -15,6 +18,26 @@ def test_readme_python_block_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert "stable zeros" in capsys.readouterr().out
+
+
+README_COMMANDS = re.findall(r"```\n\$ heunzeros (.*?)\n(.*?)```",
+                             (ROOT / "README.md").read_text(), re.S)
+
+
+def test_readme_has_every_command_example():
+    assert [cmd.split()[0] for cmd, _ in README_COMMANDS] == [
+        "poly", "zeros", "table", "track", "d2", "verify"]
+
+
+@pytest.mark.parametrize("command,shown", README_COMMANDS,
+                         ids=[cmd.split()[0] for cmd, _ in README_COMMANDS])
+def test_readme_command_prints_what_is_shown(capsys, command, shown):
+    # a "..." line elides the rest of the output
+    shown = shown.splitlines()
+    cut = next((i for i, line in enumerate(shown) if line.strip() == "..."),
+               None)
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out.splitlines()[:cut] == shown[:cut]
 
 
 def test_zero_tables_script_matches_cli_table(capsys):
@@ -30,3 +53,28 @@ def test_zero_tables_script_matches_cli_table(capsys):
     assert main(["table", "--family", "lame", "--n", "2", "--s", "1/2",
                  "--m", "4,8,30,40", "--k-max", "3"]) == 0
     assert capsys.readouterr().out.splitlines() == table
+
+
+@pytest.mark.parametrize("error,reported", [
+    (NonConvergenceError("flat d2 sequence"), True),
+    (RuntimeError("a bug in the search"), False),
+])
+def test_d2_zero_hunt_reports_only_nonconvergence(capsys, monkeypatch,
+                                                  error, reported):
+    script = runpy.run_path(str(ROOT / "scripts" / "d2_zero_hunt.py"))
+
+    def failing_search(*args, **kwargs):
+        raise error
+
+    monkeypatch.setitem(script["main"].__globals__, "d2_zero_search",
+                        failing_search)
+    argv = ["--m", "8,12", "--digits", "6"]
+    if reported:
+        assert script["main"](argv) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert rows
+        assert all(row.endswith("search failed: flat d2 sequence")
+                   for row in rows)
+    else:
+        with pytest.raises(RuntimeError, match="a bug in the search"):
+            script["main"](argv)

@@ -21,7 +21,7 @@ from heunzeros.families import (
     recurrence_coeffs,
 )
 from heunzeros.recurrence import build_family
-from heunzeros.scalars import QQi, to_mpc
+from heunzeros.scalars import QQi, to_mpc, working_precision
 
 
 class TestValidation:
@@ -151,6 +151,19 @@ class TestSpecPlumbing:
         again = RecurrenceSpec.from_json(spec.to_json())
         assert again.kind == spec.kind
         assert mp.mpc(again.s) == mp.mpc(spec.s)
+
+    def test_json_round_trip_keeps_exact_parameters_of_a_mixed_spec(self):
+        # exact gamma beside a 512-bit s: gamma must come back exact, not
+        # rounded to a fixed float width
+        with working_precision(512):
+            s = mp.mpf(1) / 3
+        spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/3",
+                              delta="1/2", s=s)
+        again = RecurrenceSpec.from_json(spec.to_json())
+        assert isinstance(again.gamma, QQi)
+        assert again.gamma == QQi(Fraction(1, 3))
+        assert again.delta == QQi(Fraction(1, 2))
+        assert again.s.real._mpf_ == s._mpf_
 
     def test_float_parameters_build_at_the_working_precision(self):
         # a Python float stands for its exact binary value; the family

@@ -1,5 +1,5 @@
 """Every name a library module, script or test module imports is used
-there."""
+there, and library modules import each other at module level."""
 
 import ast
 from pathlib import Path
@@ -32,6 +32,25 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def local_package_imports(source: str) -> list:
+    """Lines of imports of a heunzeros module inside a function body."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                # a relative import can only reach the package itself
+                modules = ["heunzeros" if node.level else node.module]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[0] == "heunzeros" for m in modules):
+                found.append(node.lineno)
+    return sorted(set(found))
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import math\nimport json\njson.dumps(1)\n") \
         == [(1, "math")]
@@ -41,3 +60,23 @@ def test_scan_finds_an_unused_import():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_a_function_local_package_import():
+    source = ("import json\n"
+              "def f():\n"
+              "    from scipy.optimize import linear_sum_assignment\n"
+              "    from .oracle import series_solution\n"
+              "    import heunzeros.tracking\n")
+    assert local_package_imports(source) == [4, 5]
+
+
+# oracle.py is the one module kept out of the one-route clean-up: it
+# must stay independent of the production recurrence
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (ROOT / "src" / "heunzeros").glob("*.py")
+           if p.name != "oracle.py"),
+    ids=lambda p: p.name)
+def test_no_function_local_package_imports(path):
+    assert local_package_imports(path.read_text()) == []

@@ -177,5 +177,4 @@ class TestEvaluation:
 
     def test_zero_estimate_uses_spec_s_by_default(self):
         spec, _ = from_mathieu(MathieuParams(q="1/4"))
-        est = zero_estimate(spec, 2, 6)
-        assert est == zero_estimate(spec, 2, 6, s=QQi(F(1, 4)))
+        assert zero_estimate(spec, 2, 6) == zero_expansion(spec, 2, 6)(spec.s)

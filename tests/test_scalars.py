@@ -8,10 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heunzeros.scalars import (
-    EXACT_FIELD,
     QQi,
     as_exact,
-    bigfloat_field,
     format_scalar,
     is_exact_scalar,
     mpf_from_hex,
@@ -113,16 +111,15 @@ class TestSerialization:
     @given(rationals, rationals)
     def test_exact_json_round_trip(self, re_, im_):
         v = QQi(re_, im_)
-        blob = scalar_to_json(v, EXACT_FIELD)
-        assert scalar_from_json(blob, EXACT_FIELD) == v
+        blob = scalar_to_json(v)
+        assert scalar_from_json(blob) == v
 
     def test_bigfloat_round_trip_is_bit_exact(self):
-        field = bigfloat_field(237)
         with working_precision(237):
             x = mp.mpf(2) ** mp.mpf("0.123456789")
             z = mp.mpc(x, -x / 3)
-        blob = scalar_to_json(z, field)
-        back = scalar_from_json(blob, field)
+        blob = scalar_to_json(z)
+        back = scalar_from_json(blob)
         assert back._mpc_ == z._mpc_
 
     def test_hex_handles_specials(self):

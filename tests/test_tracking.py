@@ -33,7 +33,6 @@ from heunzeros.tracking import (
     d2_zero_search,
     jacobi_matrix,
     match_zeros,
-    min_grid_gap,
     solve_zeros,
     stabilized_digits,
     zero_table,
@@ -166,15 +165,18 @@ class TestMatching:
         assert res.new_in_b == (2,)
 
     def test_threshold_recovers_from_greedy_mistake(self):
-        # nearest-first pairing grabs (1 -> 0.6) and strands a[0] at
+        # nearest-first pairing would grab (1 -> 0.6) and strand a[0] at
         # distance 1.61; the optimal assignment keeps both under 0.7
         a = [mp.mpc(0), mp.mpc(1)]
         b = [mp.mpc("0.6"), mp.mpc("1.61")]
-        greedy = match_zeros(a, b)
-        assert [(i, j) for i, j, _ in greedy.pairs] == [(0, 1), (1, 0)]
-        fixed = match_zeros(a, b, threshold=1.0)
+        fixed = match_zeros(a, b)
         assert [(i, j) for i, j, _ in fixed.pairs] == [(0, 0), (1, 1)]
         assert max(d for _, _, d in fixed.pairs) < mp.mpf("0.7")
+
+    def test_empty_first_set_leaves_every_b_new(self):
+        res = match_zeros([], [mp.mpc(1), mp.mpc(2)])
+        assert res.pairs == ()
+        assert res.new_in_b == (0, 1)
 
     def test_larger_first_set_rejected(self):
         with pytest.raises(InvalidSpecError):
@@ -191,9 +193,6 @@ class TestStabilizedDigits:
     def test_identical_values_hit_cap(self):
         assert stabilized_digits(mp.mpf(2), mp.mpf(2)) == 60
         assert stabilized_digits(0, 0) == 60
-
-    def test_cap_override(self):
-        assert stabilized_digits(1, 1 + mp.mpf("1e-30"), cap=20) == 20
 
 
 class TestConvergenceReport:
@@ -247,13 +246,6 @@ class TestConvergenceReport:
     def test_needs_two_degrees(self, lame_small):
         with pytest.raises(InvalidSpecError):
             convergence_report(lame_small, m_list=(12,))
-
-
-class TestMinGridGap:
-    def test_half_half_grid(self, lame_small):
-        # gamma = delta = 1/2 puts the grid at D_k = k^2, so the
-        # tightest gap over k < m is D_1 - D_0 = 1
-        assert min_grid_gap(lame_small, 8) == 1
 
 
 class TestD2Sequence:
