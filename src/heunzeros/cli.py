@@ -9,13 +9,14 @@ Subcommands
     d2       connection-coefficient estimate at a given B
     verify   self-contained property checks (independent of pytest)
 
-Families
-    lame     --n --s [--eta]            (gamma = delta = 1/2 member)
-    mathieu  --q [--a]                  (reduced family, s = q)
-    whill    --A0 --A1 --h              (confluent member, s = -2h)
+Families, with the parameters that fix the spec and, for the named
+equations, the one that fixes B (d2 only, and not together with --B)
     heun     --gamma --delta --alpha --beta --s
     cheun    --gamma --delta --alpha --s
     rcheun   --gamma --delta --s
+    lame     --n --s        [--eta]     (gamma = delta = 1/2 member)
+    mathieu  --q            [--a]       (reduced family, s = q)
+    whill    --A1 --h       [--A0]      (confluent member, s = -2h)
 
 Scalar arguments accept the grammar "a", "a/b", "a.b", and complex
 combinations "x+yi" / "x-yi" / "yi" with rational or decimal parts;
@@ -147,67 +148,56 @@ def _parse_tol(args: argparse.Namespace, default):
     return x.real
 
 
+def _generic(kind: FamilyKind):
+    """The map of a generic family: its spec, and no B of its own."""
+    return lambda p: (RecurrenceSpec(kind=kind, **p), None)
+
+
+# family -> (the parameters that fix its spec, the parameter that fixes B
+# or None, the map from those parsed parameters to (spec, B or None))
+_FAMILIES = {
+    "heun": (("gamma", "delta", "alpha", "beta", "s"), None,
+             _generic(FamilyKind.HEUN)),
+    "cheun": (("gamma", "delta", "alpha", "s"), None,
+              _generic(FamilyKind.CONFLUENT)),
+    "rcheun": (("gamma", "delta", "s"), None, _generic(FamilyKind.REDUCED)),
+    "lame": (("n", "s"), "eta", lambda p: from_lame(LameParams(**p))),
+    "mathieu": (("q",), "a", lambda p: from_mathieu(MathieuParams(**p))),
+    "whill": (("A1", "h"), "A0",
+              lambda p: from_whittaker_hill(WhittakerHillParams(**p))),
+}
+# every subcommand takes the spec parameters; only d2 takes the B ones
+_SPEC_PARAMS = tuple(dict.fromkeys(
+    name for params, _, _ in _FAMILIES.values() for name in params))
+_B_PARAMS = tuple(b for _, b, _ in _FAMILIES.values() if b)
+
+
 def build_spec(args: argparse.Namespace):
-    """(spec, B_or_None) from the family selector and parameters.
-    Inexact parameters are parsed, and mapped into the family's own, at
-    --precision-bits."""
+    """(spec, B_or_None) from --family, its parameters and, on d2, --B or
+    the family's own B parameter.  Inexact parameters are parsed, and
+    mapped into the family's own, at --precision-bits."""
     bits = args.precision_bits
     fam = args.family
-    if fam not in _FAMILY_PARAMS:
-        raise InvalidSpecError(f"unknown family {fam!r}")
-    given = [flag for flag in _PARAM_FLAGS if getattr(args, flag) is not None]
-    unread = [flag for flag in given if flag not in _FAMILY_PARAMS[fam]]
+    params, b_param, to_spec = _FAMILIES[fam]
+    given = [name for name in _SPEC_PARAMS + _B_PARAMS
+             if getattr(args, name, None) is not None]
+    unread = [name for name in given if name not in params + (b_param,)]
     if unread:
         raise InvalidSpecError(
             f"family {fam!r} does not read --{' --'.join(unread)}"
         )
-    p = {flag: parse_cli_scalar(getattr(args, flag), bits) for flag in given}
+    p = {name: parse_cli_scalar(getattr(args, name), bits) for name in given}
     B = getattr(args, "B", None)
     B = parse_cli_scalar(B, bits) if B is not None else None
+    missing = [name for name in params if name not in p]
+    if missing:
+        raise InvalidSpecError(f"family {fam!r} needs --{' --'.join(missing)}")
+    if B is not None and b_param in p:
+        raise InvalidSpecError(f"give --B or --{b_param}, not both")
 
     with working_precision(bits):
-        return _family_spec(fam, p, B)
-
-
-def _family_spec(fam: str, p: dict, B):
-    """(spec, B_or_None) of family fam from its parsed parameters p."""
-    def need(*names):
-        missing = [n for n in names if n not in p]
-        if missing:
-            raise InvalidSpecError(
-                f"family {fam!r} needs --{' --'.join(missing)}"
-            )
-
-    if fam == "lame":
-        need("n", "s")
-        spec, emap = from_lame(LameParams(n=p["n"], s=p["s"],
-                                          eta=p.get("eta")))
-        if "eta" in p and B is None:
-            B = emap.b_from_eta(p["eta"])
-        return spec, B
-    if fam == "mathieu":
-        need("q")
-        spec, b_from_a = from_mathieu(MathieuParams(q=p["q"], a=p.get("a")))
-        return spec, b_from_a if b_from_a is not None else B
-    if fam == "whill":
-        need("A0", "A1", "h")
-        spec, b = from_whittaker_hill(
-            WhittakerHillParams(A0=p["A0"], A1=p["A1"], h=p["h"])
-        )
-        return spec, b if B is None else B
-    if fam == "heun":
-        need("gamma", "delta", "alpha", "beta", "s")
-        return RecurrenceSpec(kind=FamilyKind.HEUN, gamma=p["gamma"],
-                              delta=p["delta"], s=p["s"], alpha=p["alpha"],
-                              beta=p["beta"]), B
-    if fam == "cheun":
-        need("gamma", "delta", "alpha", "s")
-        return RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma=p["gamma"],
-                              delta=p["delta"], s=p["s"],
-                              alpha=p["alpha"]), B
-    need("gamma", "delta", "s")
-    return RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=p["gamma"],
-                          delta=p["delta"], s=p["s"]), B
+        spec, b = to_spec(p)
+    return spec, b if B is None else B
 
 
 # -- formatting helpers ------------------------------------------------------------
@@ -454,23 +444,24 @@ def _default_specs():
     return [lame, math, whc]
 
 
-def _suite_recurrence(spec):
+def _suite_recurrence(spec, bits):
     B = "-7/3"
     sol = series_solution(*family_ode_polys(spec, B), 0, 16)
     prod = eval_sequence(spec, B, 16)
     yield ("series matches the defining equation",
            all(sol.coeffs[k] == prod[k] for k in range(17)), "")
-    fam = build_family(spec.with_s(0), 6)
+    fam = build_family(spec.with_s(0), 6, bits)
     yield ("s=0 zeros sit on the -D_k grid",
            all(fam[m + 1](-(recurrence_coeffs(spec, k)[0])) == 0
                for m in range(6) for k in range(m + 1)), "")
-    fam = build_family(spec, 8)
+    fam = build_family(spec, 8, bits)
     yield ("leading coefficient law",
            all(fam[m].leading_coefficient == leading_coefficient_law(spec, m)
                for m in range(1, 9)), "")
 
 
-def _suite_perturbation(spec):
+def _suite_perturbation(spec, bits):
+    # exact expansion coefficients: nothing here depends on bits
     refs = {k: (first_order_coeff(spec, k, k + 1),
                 second_order_coeff(spec, k, k + 2)) for k in range(5)}
     stable = all(
@@ -488,60 +479,68 @@ def _suite_perturbation(spec):
     yield ("substituted expansions vanish to their order", vanish, "")
 
 
-def _suite_rootfind(spec):
-    c8 = build_family(spec, 8)[8]
-    zs_est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7))
-    zs_cir = find_all_roots(c8)
-    zs_eig = solve_zeros(spec, 8)
+def _suite_rootfind(spec, bits):
+    c8 = build_family(spec, 8, bits)[8]
+    zs_est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7),
+                            precision_bits=bits)
+    zs_cir = find_all_roots(c8, precision_bits=bits)
+    zs_eig = solve_zeros(spec, 8, precision_bits=bits)
     gap = max(d for za, zb in ((zs_est, zs_cir), (zs_eig, zs_est))
               for _, _, d in match_zeros(za, zb).pairs)
-    yield ("seeding strategies agree on c_8 zeros", gap < mp.mpf(2) ** -80,
+    # each solve meets its default tol 2^-(bits/2); the pass line keeps
+    # 3/16 of the bits as slack and is 2^-80 at 256 bits
+    yield ("seeding strategies agree on c_8 zeros",
+           gap < mp.mpf(2) ** -(5 * bits // 16),
            f"max gap {mp.nstr(gap, 3)}")
     yield ("zero residuals below tolerance",
            max(zs_est.residuals) < zs_est.tol, "")
 
 
-def _suite_tracking(spec):
-    za = solve_zeros(spec, 12)
-    zb = solve_zeros(spec, 16)
+def _suite_tracking(spec, bits):
+    za = solve_zeros(spec, 12, precision_bits=bits)
+    zb = solve_zeros(spec, 16, precision_bits=bits)
     yield ("cross-degree matching preserves labels",
            all(za.labels[ia] == zb.labels[ib]
                for ia, ib, _ in match_zeros(za, zb).pairs), "")
-    n = convergence_report(spec, m_list=(16, 20), digits=6).n_stable(6)
+    n = convergence_report(spec, m_list=(16, 20), digits=6,
+                           precision_bits=bits).n_stable(6)
     yield ("low zeros stabilize quickly", n >= 8, f"n_stable(6) = {n}")
 
 
-def _check_digit_counter():
+def _check_digit_counter(bits):
     ok = (stabilized_digits(mp.mpf("1.0000001"), mp.mpf(1)) == 6
           and stabilized_digits(mp.mpf(1), mp.mpf(1)) >= 50)
     return "stabilized-digit counter calibrated", ok, ""
 
 
-def _suite_oracle(spec):
+def _suite_oracle(spec, bits):
     # truncation tail at |z| = 0.35 with 60 terms sits near 1e-25,
-    # far below the pass line yet far above honest coefficient bugs
-    res = ode_residual(spec, mp.mpf("-2.0"), N=60)
+    # far below the pass line yet far above honest coefficient bugs;
+    # below 80 bits the line sits 2^16 rounding units (2^-bits) up
+    res = ode_residual(spec, mp.mpf("-2.0"), N=60, precision_bits=bits)
     yield ("production series satisfies the equation",
-           res < mp.mpf("1e-20"), f"residual {mp.nstr(res, 3)}")
+           res < max(mp.mpf("1e-20"), mp.mpf(2) ** (16 - bits)),
+           f"residual {mp.nstr(res, 3)}")
     u0, _ = local_solutions_at_1(spec, "-7/3", 12)
     prod = eval_sequence(*z1_swapped_spec(spec, "-7/3"), 12)
     yield ("point-exchange parameter map exact",
            all(u0.coeffs[k] == prod[k] for k in range(13)), "")
 
 
-def _check_d2_routes():
+def _check_d2_routes(bits):
     s0 = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2", delta="1/2",
                         s=0)
     b = mp.mpf("-0.35")
-    seq = d2_sequence(s0, b, K=400).estimate
-    cf = d2_closed_form_s0(s0, b)
-    mid = d2_by_midpoint_matching(s0, b).d2
+    seq = d2_sequence(s0, b, K=400, precision_bits=bits).estimate
+    cf = d2_closed_form_s0(s0, b, bits)
+    mid = d2_by_midpoint_matching(s0, b, precision_bits=bits).d2
     tri = max(abs(seq - cf), abs(cf - mid), abs(mid - seq))
     return ("three d2 routes agree at s = 0", tri < mp.mpf("1e-10"),
             f"max gap {mp.nstr(tri, 3)}")
 
 
-# suite name -> (checks yielded for each spec, spec-free checks)
+# suite name -> (checks yielded for each spec, spec-free checks), all
+# called with --precision-bits last
 _SUITES = {
     "recurrence": (_suite_recurrence, ()),
     "perturbation": (_suite_perturbation, ()),
@@ -555,19 +554,20 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.family:
         spec, _ = build_spec(args)
         specs = [spec]
-    elif any(getattr(args, flag) is not None for flag in _PARAM_FLAGS):
+    elif any(getattr(args, name) is not None for name in _SPEC_PARAMS):
         raise InvalidSpecError("family parameters need --family")
     else:
         specs = _default_specs()
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    bits = args.precision_bits
     lines, failures = [], 0
-    with working_precision(args.precision_bits):
+    with working_precision(bits):
         for name in names:
             per_spec, spec_free = _SUITES[name]
             checks = [(f"{label} [{spec.kind.value}]", ok, detail)
                       for spec in specs
-                      for label, ok, detail in per_spec(spec)]
-            checks += [check() for check in spec_free]
+                      for label, ok, detail in per_spec(spec, bits)]
+            checks += [check(bits) for check in spec_free]
             for label, ok, detail in checks:
                 mark = "PASS" if ok else "FAIL"
                 failures += 0 if ok else 1
@@ -581,17 +581,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 # -- argument wiring -----------------------------------------------------------------
 
-_PARAM_FLAGS = ("gamma", "delta", "alpha", "beta", "s", "n", "q", "a",
-                "A0", "A1", "h", "eta")
-# the parameter flags each family reads
-_FAMILY_PARAMS = {
-    "lame": ("n", "s", "eta"),
-    "mathieu": ("q", "a"),
-    "whill": ("A0", "A1", "h"),
-    "heun": ("gamma", "delta", "alpha", "beta", "s"),
-    "cheun": ("gamma", "delta", "alpha", "s"),
-    "rcheun": ("gamma", "delta", "s"),
-}
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 # options that only some subcommands read
 _SHARED = {
     "tol": dict(default=None,
@@ -601,7 +597,7 @@ _SHARED = {
     "order": dict(type=int, default=2, choices=[0, 1, 2],
                   help="order of the perturbative estimates that label "
                        "the zeros"),
-    "digits": dict(type=int, default=10),
+    "digits": dict(type=_positive_int, default=10),
     "format": dict(dest="fmt", default="text",
                    choices=["text", "json", "csv"]),
 }
@@ -609,15 +605,14 @@ _SHARED = {
 
 def _add_common(p: argparse.ArgumentParser, *shared: str,
                 family_required: bool = True):
-    """--family, its parameters, --precision-bits and --output, plus
-    the named options of _SHARED."""
+    """--family, its spec parameters, --precision-bits and --output,
+    plus the named options of _SHARED."""
     p.add_argument("--family", required=family_required,
-                   choices=list(_FAMILY_PARAMS))
-    for flag in _PARAM_FLAGS:
-        p.add_argument(f"--{flag}", default=None,
-                       help=argparse.SUPPRESS if flag in ("eta",)
-                       else f"family parameter {flag}")
-    p.add_argument("--precision-bits", type=int, default=256)
+                   choices=list(_FAMILIES))
+    for name in _SPEC_PARAMS:
+        p.add_argument(f"--{name}", default=None,
+                       help=f"family parameter {name}")
+    p.add_argument("--precision-bits", type=_positive_int, default=256)
     for name in shared:
         p.add_argument(f"--{name}", **_SHARED[name])
     p.add_argument("--output", default=None, help="write result to a file")
@@ -643,40 +638,49 @@ _COMMANDS = {
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="heunzeros",
+        allow_abbrev=False,
         description="coefficient polynomials of Heun-class equations: "
                     "exact builds, zero tracking, and connection estimates",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("poly", help="build and print c_0..c_m")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    p = command("poly", "build and print c_0..c_m")
     _add_common(p, "format")
     p.add_argument("--m", type=int, default=4)
 
-    p = sub.add_parser("zeros", help="zeros of c_m")
+    p = command("zeros", "zeros of c_m")
     _add_common(p, "tol", "order", "digits", "format")
     p.add_argument("--m", type=int, required=True)
 
-    p = sub.add_parser("table", help="approximation-vs-zero table")
+    p = command("table", "approximation-vs-zero table")
     _add_common(p, "order", "digits", "format")
     p.add_argument("--m", type=_m_list, required=True,
                    help="degree or comma list, e.g. 30,40")
     p.add_argument("--k-max", type=int, default=6)
 
-    p = sub.add_parser("track", help="stabilization across degrees")
+    p = command("track", "stabilization across degrees")
     _add_common(p, "digits", "format")
     p.add_argument("--m", type=_m_list, default=(30, 40),
                    help="comma list of degrees, e.g. 30,40")
 
-    p = sub.add_parser("d2", help="connection-coefficient estimate")
+    p = command("d2", "connection-coefficient estimate")
     _add_common(p, "tol", "digits", "format")
     p.add_argument("--B", default=None, help="accessory parameter value")
+    for fam, (_, b_param, _) in _FAMILIES.items():
+        if b_param:
+            p.add_argument(f"--{b_param}", default=None,
+                           help=f"{fam}: B in the family's own terms "
+                                "(not with --B)")
     p.add_argument("--K", type=int, default=500)
     p.add_argument("--search", action="store_true",
                    help="secant search for the nearest d2 zero from --B")
     p.add_argument("--midpoint", action="store_true",
                    help="also run the interior-matching cross-check")
 
-    p = sub.add_parser("verify", help="self-contained property checks")
+    p = command("verify", "self-contained property checks")
     _add_common(p, family_required=False)
     p.add_argument("--suite", default="all",
                    choices=["all"] + sorted(_SUITES))

@@ -18,7 +18,9 @@ distinguish the families:
 epsilon is never free: alpha + beta + 1 = gamma + delta + epsilon.
 
 The classical named equations (Lame, Mathieu, Whittaker-Hill) are carried
-as parameter dataclasses plus conversion maps into the generic specs.
+as parameter dataclasses plus conversion maps into the generic specs; each
+map returns (spec, B or None), B given by the equation's optional classical
+accessory constant (Lame eta, Mathieu a, Whittaker-Hill A0).
 """
 
 from __future__ import annotations
@@ -198,22 +200,12 @@ class LameParams:
     eta: object = None
 
 
-@dataclass(frozen=True)
-class EtaBMap:
-    """Affine change of accessory parameter for the Lame reduction."""
-
-    s: object
-
-    def b_from_eta(self, eta):
-        if not self.s:
-            raise InvalidSpecError("eta <-> B map is singular at s = 0")
-        return -(_normalize(eta) * self.s) / 4
-
-
-def from_lame(p: LameParams) -> tuple[RecurrenceSpec, EtaBMap]:
+def from_lame(p: LameParams):
     """Lame -> full family: gamma = delta = 1/2, alpha = (n+1)/2,
-    beta = -n/2 (whence epsilon = 1/2).  Inexact inputs are combined at
-    the caller's working precision (see `scalars.working_precision`)."""
+    beta = -n/2 (whence epsilon = 1/2), accessory parameter
+    B = -eta*s/4 (None when eta is not given).  Inexact inputs are
+    combined at the caller's working precision (see
+    `scalars.working_precision`)."""
     n = _normalize(p.n)
     s = _normalize(p.s)
     if p.eta is not None and not s:
@@ -224,7 +216,8 @@ def from_lame(p: LameParams) -> tuple[RecurrenceSpec, EtaBMap]:
         alpha=(n + 1) / 2, beta=-n / 2,
         s=s,
     )
-    return spec, EtaBMap(s=s)
+    b = None if p.eta is None else -(_normalize(p.eta) * s) / 4
+    return spec, b
 
 
 @dataclass(frozen=True)
@@ -247,12 +240,13 @@ def from_mathieu(p: MathieuParams):
     return spec, b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class WhittakerHillParams:
     """Whittaker-Hill equation with potential A0 + A1 cos 2x + A2 cos 4x,
-    where the reduction forces A2 = h^2/2."""
+    where the reduction forces A2 = h^2/2.  A0 fixes only the accessory
+    parameter, so it may be left out; the fields are keyword-only."""
 
-    A0: object
+    A0: object = None
     A1: object
     h: object
 
@@ -264,18 +258,20 @@ class WhittakerHillParams:
 
 def from_whittaker_hill(p: WhittakerHillParams):
     """Whittaker-Hill -> confluent family: gamma = delta = 1/2,
-    s = -2h, alpha = 1/2 + A1/(4h), B = -(2 A0 + 2 A1 + 4h + h^2)/8.
+    s = -2h, alpha = 1/2 + A1/(4h), accessory parameter
+    B = -(2 A0 + 2 A1 + 4h + h^2)/8 (None when A0 is not given).
     Inexact inputs are combined at the caller's working precision (see
     `scalars.working_precision`)."""
     h = _normalize(p.h)
     if not h:
         raise InvalidSpecError("Whittaker-Hill reduction needs h != 0")
-    a0, a1 = _normalize(p.A0), _normalize(p.A1)
+    a1 = _normalize(p.A1)
     spec = RecurrenceSpec(
         kind=FamilyKind.CONFLUENT,
         gamma=HALF, delta=HALF,
         alpha=a1 / (4 * h) + HALF,
         s=-2 * h,
     )
-    b = -(2 * a0 + 2 * a1 + 4 * h + h * h) / 8
+    b = None if p.A0 is None else \
+        -(2 * _normalize(p.A0) + 2 * a1 + 4 * h + h * h) / 8
     return spec, b

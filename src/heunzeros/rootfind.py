@@ -37,7 +37,6 @@ class ZeroSet:
 
     zeros: tuple
     residuals: tuple
-    converged: tuple
     degree: int
     precision_bits: int
     tol: object
@@ -47,12 +46,17 @@ class ZeroSet:
         if self.labels is None:
             object.__setattr__(self, "labels", (None,) * len(self.zeros))
 
+    @property
+    def converged(self) -> tuple:
+        """One True per zero: `find_all_roots` raises on any root that
+        misses its check, so every zero of a ZeroSet has converged."""
+        return (True,) * len(self.zeros)
+
     def with_labels(self, labels) -> "ZeroSet":
         if len(labels) != len(self.zeros):
             raise ValueError("one label per zero required")
-        return ZeroSet(self.zeros, self.residuals, self.converged,
-                       self.degree, self.precision_bits, self.tol,
-                       tuple(labels))
+        return ZeroSet(self.zeros, self.residuals, self.degree,
+                       self.precision_bits, self.tol, tuple(labels))
 
     def real_zeros(self) -> list:
         """Zeros with |Im z| < 1e-6 * (1 + |Re z|)."""
@@ -98,8 +102,8 @@ def _upper_hull(points):
     return hull
 
 
-def newton_polygon_seeds(coeffs, count: int | None = None) -> list:
-    """Deterministic starting points on scaled circles.
+def newton_polygon_seeds(coeffs) -> list:
+    """Deterministic starting points on scaled circles, one per root.
 
     Radii follow the Newton polygon of coefficient magnitudes (the
     upper convex hull of (k, log2|a_k|)), which groups the start points
@@ -121,8 +125,6 @@ def newton_polygon_seeds(coeffs, count: int | None = None) -> list:
         for j in range(span):
             theta = 2 * mp.pi * (j + mp.mpf("0.26") * (e + 1)) / span
             seeds.append(radius * mp.mpc(mp.cos(theta), mp.sin(theta)))
-    if count is not None:
-        seeds = seeds[:count]
     return seeds
 
 
@@ -236,10 +238,11 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
     """All roots of the polynomial, simultaneously.
 
     poly: DensePolynomial or ascending coefficient list (any scalar
-    type convertible to mpc).  seeds, when given, feed the first
-    len(seeds) starting points; the rest come from the Newton-polygon
-    circles.  Seeds near the roots, such as the eigenvalues of a Jacobi
-    matrix whose characteristic polynomial is poly, cut the number of
+    type convertible to mpc).  seeds, when given, are the starting
+    points, one per root (any other count raises InvalidSpecError);
+    else the Newton-polygon circles are.  Seeds near the roots, such as
+    the eigenvalues of a Jacobi matrix whose characteristic polynomial
+    is poly, cut the number of
     Aberth sweeps; the sweeps and the Newton polish are the same
     whatever the seeds.  A root that fails its check always raises
     NonConvergenceError: so do Aberth sweeps that have not settled
@@ -265,13 +268,11 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
                 f"({precision_bits} bits plus 24 guard bits); raise "
                 "the precision or loosen the tolerance"
             )
-        z = [to_mpc(s) for s in (seeds or [])]
-        if len(z) > n:
+        z = newton_polygon_seeds(coeffs) if seeds is None else \
+            [to_mpc(s) for s in seeds]
+        if len(z) != n:
             raise InvalidSpecError(
-                f"{len(z)} seeds for a degree-{n} polynomial"
-            )
-        if len(z) < n:
-            z += newton_polygon_seeds(coeffs, n - len(z))
+                f"{len(z)} seeds for a degree-{n} polynomial")
         z = _spread_duplicates(z, mp.mpf(2) ** -20)
         z = _break_axis_symmetry(z, coeffs, mp.mpf(2) ** -16)
 
@@ -329,7 +330,6 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
     return ZeroSet(
         zeros=tuple(roots[j] for j in order),
         residuals=tuple(residuals[j] for j in order),
-        converged=tuple(flags[j] for j in order),
         degree=n,
         precision_bits=precision_bits,
         tol=tol,

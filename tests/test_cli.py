@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line front end via main(argv)."""
 
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+from heunzeros import cli
 from heunzeros.cli import build_spec, main, make_parser, parse_cli_scalar
 from heunzeros.scalars import QQi
 
@@ -66,6 +69,13 @@ class TestZeros:
         assert lines[0] == "re,im,residual,label_k"
         assert len(lines) == 5
         assert lines[1].startswith("-0.316987298")
+
+    def test_whittaker_hill_needs_no_a0(self, capsys):
+        # A0 fixes only B, which zeros solves for
+        code, out, err = run(capsys, "zeros", "--family", "whill", "--A1",
+                             "9/100", "--h", "1/200", "--m", "4")
+        assert code == 0, err
+        assert "[ConfluentHeun]" in out
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "zeros", "--family", "lame", "--n", "2",
@@ -213,6 +223,30 @@ class TestVerify:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("bits", [64, 128, 512])
+    def test_precision_flag_reaches_every_solve(self, capsys, monkeypatch,
+                                                bits):
+        seen = {}
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                bound = inspect.signature(real).bind(*args, **kwargs)
+                bound.apply_defaults()
+                seen.setdefault(name, set()).add(
+                    bound.arguments["precision_bits"])
+                return real(*args, **kwargs)
+            return call
+
+        names = ("solve_zeros", "convergence_report", "find_all_roots",
+                 "ode_residual", "d2_sequence", "d2_closed_form_s0",
+                 "d2_by_midpoint_matching")
+        for name in names:
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        code, out, _ = run(capsys, "verify", "--precision-bits", str(bits))
+        assert code == 0, out
+        assert "FAIL" not in out
+        assert seen == {name: {bits} for name in names}
+
 
 class TestExitCodes:
     def test_argparse_error_is_2(self, capsys):
@@ -285,12 +319,39 @@ class TestExitCodes:
         ["poly", "--family", "mathieu", "--q", "2", "--tol", "1e-5"],
         ["track", "--family", "mathieu", "--q", "2", "--order", "1"],
         ["verify", "--format", "json"],
+        ["zeros", "--family", "mathieu", "--q", "2", "--m", "4", "--a", "3"],
+        ["verify", "--family", "whill", "--A0", "1", "--A1", "1", "--h", "1"],
+        ["zeros", "--family", "mathieu", "--q", "2", "--m", "4", "--prec",
+         "64"],
     ], ids=["deleted-seeding-option", "poly-tol", "track-order",
-            "verify-format"])
+            "verify-format", "zeros-a", "verify-A0", "abbreviated-option"])
     def test_unread_option_is_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option", [
+        ["--digits", "0"], ["--digits=-3"], ["--precision-bits=-5"],
+        ["--precision-bits", "0"], ["--digits", "2.5"],
+    ], ids=["digits-0", "digits-negative", "bits-negative", "bits-0",
+            "digits-fraction"])
+    def test_counts_must_be_positive_integers(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeros", "--family", "mathieu", "--q", "2", "--m", "2",
+                  *option])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", [
+        ["--family", "lame", "--n", "2", "--s", "1/2", "--eta", "8"],
+        ["--family", "mathieu", "--q", "2", "--a", "1"],
+        ["--family", "whill", "--A0", "1", "--A1", "1", "--h", "1"],
+    ], ids=["lame-eta", "mathieu-a", "whill-A0"])
+    def test_b_given_twice_is_4(self, capsys, family):
+        code, out, err = run(capsys, "d2", *family, "--B", "1")
+        assert code == 4
+        assert out == ""
+        assert "not both" in json.loads(err)["error"]
 
     def test_parameter_the_family_does_not_read_is_4(self, capsys):
         code, out, err = run(capsys, "zeros", "--family", "lame", "--n", "2",
@@ -376,6 +437,26 @@ class TestScalarParsing:
                            "1e-3+", "--m", "4")
         assert code == 4
         assert "cannot parse scalar" in json.loads(err)["error"]
+
+
+def test_option_surface():
+    parser = make_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert not parser.allow_abbrev
+    assert all(not parser.allow_abbrev for parser in commands.values())
+    flags = {name: {flag for action in parser._actions
+                    for flag in action.option_strings}
+             for name, parser in commands.items()}
+    for flag in ("--B", "--eta", "--a", "--A0"):
+        assert [name for name in commands if flag in flags[name]] == ["d2"]
+    spec_flags = {f"--{param}" for params, _, _ in cli._FAMILIES.values()
+                  for param in params}
+    for name in commands:
+        assert "--family" in flags[name]
+        assert spec_flags <= flags[name], name
+    settable = sum(len(names - {"-h", "--help"}) for names in flags.values())
+    assert settable == 98
 
 
 def test_cli_import_loads_no_numpy_or_scipy():

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heunzeros.families import (
-    EtaBMap,
     FamilyKind,
     InvalidSpecError,
     LameParams,
@@ -88,7 +87,8 @@ class TestRecurrenceCoefficients:
 
 class TestLame:
     def test_map_to_heun(self):
-        spec, emap = from_lame(LameParams(n=2, s="1/100"))
+        spec, b = from_lame(LameParams(n=2, s="1/100"))
+        assert b is None
         assert spec.kind == FamilyKind.HEUN
         assert spec.gamma == QQi(Fraction(1, 2))
         assert spec.delta == QQi(Fraction(1, 2))
@@ -97,13 +97,12 @@ class TestLame:
         assert spec.beta == QQi(-1)
 
     def test_eta_b_round_trip(self):
-        _, emap = from_lame(LameParams(n=3, s="1/2"))
-        b = emap.b_from_eta(QQi(8))
+        _, b = from_lame(LameParams(n=3, s="1/2", eta=QQi(8)))
         assert b == QQi(-1)                          # -eta*s/4 = -8/8
 
     def test_eta_map_rejects_s_zero(self):
         with pytest.raises(InvalidSpecError):
-            EtaBMap(s=QQi(0)).b_from_eta(QQi(1))
+            from_lame(LameParams(n=3, s=QQi(0), eta=QQi(1)))
 
 
 class TestMathieu:
@@ -132,6 +131,18 @@ class TestWhittakerHill:
     def test_h_zero_rejected(self):
         with pytest.raises(InvalidSpecError):
             from_whittaker_hill(WhittakerHillParams(A0=0, A1=1, h=0))
+
+    def test_a0_fixes_only_b(self):
+        with_a0 = from_whittaker_hill(WhittakerHillParams(A0=1, A1=2, h=4))
+        without = from_whittaker_hill(WhittakerHillParams(A1=2, h=4))
+        assert with_a0[0] == without[0]
+        assert with_a0[1] == QQi(Fraction(-19, 4))   # -(2+4+16+16)/8
+        assert without[1] is None
+
+    def test_positional_fields_are_refused(self):
+        # a positional A0 must not shift into A1 now that A0 is optional
+        with pytest.raises(TypeError):
+            WhittakerHillParams(1, 2, 4)
 
 
 class TestSpecPlumbing:

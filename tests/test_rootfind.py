@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heunzeros.families import LameParams, from_lame
+from heunzeros.families import InvalidSpecError, LameParams, from_lame
 from heunzeros.recurrence import DensePolynomial, build_family
 from heunzeros.rootfind import (
     NonConvergenceError,
@@ -98,15 +98,19 @@ class TestSeeding:
         fam = build_family(spec, 12)
         with working_precision(256):
             coeffs = fam[12].to_mpc_coeffs()
-            a = newton_polygon_seeds(coeffs, 12)
-            b = newton_polygon_seeds(coeffs, 12)
+            a = newton_polygon_seeds(coeffs)
+            b = newton_polygon_seeds(coeffs)
         assert len(a) == 12
         assert all(x == y for x, y in zip(a, b))
 
     def test_explicit_seeds_must_not_exceed_degree(self):
+        # a seed list, when given, has exactly one seed per root: too
+        # many and too few are both refused
         poly = poly_from_roots([QQi(1), QQi(2)])
-        with pytest.raises(Exception):
-            find_all_roots(poly, seeds=[mp.mpc(0)] * 5, precision_bits=64)
+        for count in (5, 1, 0):
+            with pytest.raises(InvalidSpecError, match=f"{count} seeds"):
+                find_all_roots(poly, seeds=[mp.mpc(0)] * count,
+                               precision_bits=64)
 
 
 class TestTridiagonalEigenvalues:

@@ -131,9 +131,9 @@ class TestJacobiSeeds:
         circle_calls = []
         polygon = rootfind.newton_polygon_seeds
 
-        def counting_polygon(coeffs, count=None):
-            circle_calls.append(count)
-            return polygon(coeffs, count)
+        def counting_polygon(coeffs):
+            circle_calls.append(len(coeffs) - 1)
+            return polygon(coeffs)
 
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
                             lambda diag, offdiag: None)
