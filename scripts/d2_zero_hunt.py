@@ -20,6 +20,7 @@ import time
 
 import mpmath as mp
 
+from heunzeros.cli import positive_int
 from heunzeros.families import LameParams, MathieuParams, from_lame, from_mathieu
 from heunzeros.rootfind import NonConvergenceError
 from heunzeros.scalars import format_scalar, working_precision
@@ -27,19 +28,20 @@ from heunzeros.tracking import convergence_report, d2_sequence, d2_zero_search
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                 allow_abbrev=False)
     ap.add_argument("--family", choices=["lame", "mathieu"], default="lame")
     ap.add_argument("--n", default="2", help="Lame degree parameter")
     ap.add_argument("--s", default="1/100", help="Lame coupling")
     ap.add_argument("--q", default="2", help="Mathieu coupling")
     ap.add_argument("--m", default="30,40",
                     help="degrees for the stabilization report")
-    ap.add_argument("--digits", type=int, default=10,
+    ap.add_argument("--digits", type=positive_int, default=10,
                     help="shared digits that make a zero stable")
     ap.add_argument("--tol", default="1e-12", help="secant stop tolerance")
     ap.add_argument("--K", type=int, default=400,
                     help="initial tail length for the d2 estimate")
-    ap.add_argument("--precision-bits", type=int, default=256)
+    ap.add_argument("--precision-bits", type=positive_int, default=256)
     args = ap.parse_args(argv)
 
     if args.family == "lame":

@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 
-from heunzeros.cli import table_text
+from heunzeros.cli import positive_int, table_text
 from heunzeros.families import (
     FamilyKind,
     LameParams,
@@ -80,12 +80,13 @@ def print_real_zero_survey(precision_bits, digits):
 
 def main(argv=None):
     known = list(TABLES) + ["whill--20"]
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                 allow_abbrev=False)
     ap.add_argument("tables", nargs="*", metavar="TABLE",
                     help="subset to regenerate (default: all); one of "
                          + ", ".join(known))
-    ap.add_argument("--precision-bits", type=int, default=256)
-    ap.add_argument("--digits", type=int, default=10)
+    ap.add_argument("--precision-bits", type=positive_int, default=256)
+    ap.add_argument("--digits", type=positive_int, default=10)
     args = ap.parse_args(argv)
     for name in args.tables:
         if name not in known:

@@ -35,6 +35,7 @@ import io
 import json
 import re
 import sys
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -200,7 +201,7 @@ def build_spec(args: argparse.Namespace):
     return spec, b if B is None else B
 
 
-# -- formatting helpers ------------------------------------------------------------
+# -- output ------------------------------------------------------------------------
 
 def _fmt(x, digits: int) -> str:
     """Table cell: exact integers bare, everything else padded to the
@@ -214,102 +215,98 @@ def _fmt(x, digits: int) -> str:
     return format_scalar(x, digits, pad=True)
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
+class Result(NamedTuple):
+    """A subcommand's JSON record, CSV rows (dicts keyed by the header),
+    text lines and exit code."""
+
+    record: dict | None
+    rows: list | None
+    lines: list
+    code: int = EXIT_OK
 
 
-def _emit(payload: str, args: argparse.Namespace):
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload if payload.endswith("\n") else payload + "\n")
-    else:
-        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
+def render(result: Result, fmt: str) -> str:
+    """The output of a subcommand in the format fmt (text, json, csv),
+    ending in a newline."""
+    if fmt == "json":
+        return json.dumps(result.record, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(result.rows[0])
+        w.writerows(row.values() for row in result.rows)
+        return buf.getvalue()
+    return "\n".join(result.lines) + "\n"
 
 
 # -- subcommands -------------------------------------------------------------------
 
-def cmd_poly(args: argparse.Namespace) -> str:
+def cmd_poly(args: argparse.Namespace) -> Result:
     spec, _ = build_spec(args)
     fam = build_family(spec, args.m, args.precision_bits)
-    if args.fmt == "json":
-        return json.dumps(fam.to_json(), indent=2)
-    if args.fmt == "csv":
-        rows = [("m", "k", "coefficient")]
-        for m in range(args.m + 1):
-            for k, c in enumerate(fam[m].coeffs):
-                rows.append((m, k, str(c)))
-        return _csv_text(rows)
-    lines = []
-    for m in range(args.m + 1):
-        body = ", ".join(str(c) for c in fam[m].coeffs)
-        lines.append(f"c_{m}(B): [{body}]")
-    return "\n".join(lines)
+    coeffs = [[str(c) for c in fam[m].coeffs] for m in range(args.m + 1)]
+    return Result(
+        fam.to_json(),
+        [{"m": m, "k": k, "coefficient": c}
+         for m, cs in enumerate(coeffs) for k, c in enumerate(cs)],
+        [f"c_{m}(B): [{', '.join(cs)}]" for m, cs in enumerate(coeffs)],
+    )
 
 
-def cmd_zeros(args: argparse.Namespace) -> str:
+def cmd_zeros(args: argparse.Namespace) -> Result:
     spec, _ = build_spec(args)
     zs = solve_zeros(spec, args.m, precision_bits=args.precision_bits,
                      tol=_parse_tol(args, None), order=args.order)
     d = args.digits
-    if args.fmt == "json":
-        return json.dumps({
-            "schema": "heunzeros-zeros/1",
-            "spec": spec.to_json(),
-            "m": args.m,
-            "precision_bits": args.precision_bits,
-            "tol": mp.nstr(zs.tol, 5),
-            "converged": all(zs.converged),
-            "zeros": [
-                {
-                    "re": mp.nstr(z.real, d + 5),
-                    "im": mp.nstr(z.imag, d + 5),
-                    "residual": mp.nstr(r, 5),
-                    "label_k": lab,
-                }
-                for z, r, lab in zip(zs.zeros, zs.residuals, zs.labels)
-            ],
-        }, indent=2)
-    if args.fmt == "csv":
-        rows = [("re", "im", "residual", "label_k")]
-        for z, r, lab in zip(zs.zeros, zs.residuals, zs.labels):
-            rows.append((mp.nstr(z.real, d + 5), mp.nstr(z.imag, d + 5),
-                         mp.nstr(r, 5), "" if lab is None else lab))
-        return _csv_text(rows)
-    lines = [f"zeros of c_{args.m}(B)  [{spec.kind.value}]"]
+    zeros, lines = [], [f"zeros of c_{args.m}(B)  [{spec.kind.value}]"]
     for z, r, lab in zip(zs.zeros, zs.residuals, zs.labels):
+        zeros.append({
+            "re": mp.nstr(z.real, d + 5),
+            "im": mp.nstr(z.imag, d + 5),
+            "residual": mp.nstr(r, 5),
+            "label_k": lab,
+        })
         k = "-" if lab is None else str(lab)
         lines.append(f"  k={k:>3}  {_fmt(z, d):<36}  residual {mp.nstr(r, 3)}")
-    return "\n".join(lines)
+    return Result({
+        "schema": "heunzeros-zeros/1",
+        "spec": spec.to_json(),
+        "m": args.m,
+        "precision_bits": args.precision_bits,
+        "tol": mp.nstr(zs.tol, 5),
+        "converged": all(zs.converged),
+        "zeros": zeros,
+    }, zeros, lines)
 
 
-def _table_cells(ms, rows, digits: int) -> list:
-    header = ["k", "0th approx.", "1st approx.", "2nd approx."] + [
-        f"zero of c_{m}" for m in ms
+def _table_rows(ms, rows, digits: int) -> list:
+    """The cells of `table`: one dict per `tracking.zero_table` row,
+    keyed by the column header."""
+    return [
+        {"k": str(r["k"]),
+         "0th approx.": _fmt(r["orders"][0], digits),
+         "1st approx.": _fmt(r["orders"][1], digits),
+         "2nd approx.": _fmt(r["orders"][2], digits),
+         **{f"zero of c_{m}": _fmt(r["zeros"][m], digits) for m in ms}}
+        for r in rows
     ]
-    table = [header]
-    for r in rows:
-        cells = [str(r["k"])] + [_fmt(e, digits) for e in r["orders"]]
-        cells += [_fmt(r["zeros"][m], digits) for m in ms]
-        table.append(cells)
-    return table
+
+
+def _aligned(table_rows) -> list:
+    """Header and rows as right-aligned text lines."""
+    table = [list(table_rows[0])] + [list(r.values()) for r in table_rows]
+    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
+    return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+            for row in table]
 
 
 def table_text(ms, rows, digits: int) -> str:
     """The text output of `table` for `tracking.zero_table` rows at
     the degrees ms."""
-    table = _table_cells(ms, rows, digits)
-    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
-    return "\n".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        for row in table
-    )
+    return "\n".join(_aligned(_table_rows(ms, rows, digits)))
 
 
-def cmd_table(args: argparse.Namespace) -> str:
+def cmd_table(args: argparse.Namespace) -> Result:
     spec, _ = build_spec(args)
     if not args.m:
         raise InvalidSpecError("table needs --m (one or more degrees)")
@@ -320,66 +317,73 @@ def cmd_table(args: argparse.Namespace) -> str:
         for m in ms
     }
     rows = zero_table(spec, zero_sets, args.k_max)
-    d = args.digits
-    if args.fmt == "json":
-        return json.dumps({
-            "schema": "heunzeros-table/1",
-            "spec": spec.to_json(),
-            "m_list": list(ms),
-            "rows": [
-                {
-                    "k": r["k"],
-                    "order0": _fmt(r["orders"][0], d),
-                    "order1": _fmt(r["orders"][1], d),
-                    "order2": _fmt(r["orders"][2], d),
-                    "zeros": {str(m): _fmt(z, d)
-                              for m, z in r["zeros"].items()},
-                }
-                for r in rows
-            ],
-        }, indent=2)
-    if args.fmt == "csv":
-        return _csv_text(_table_cells(ms, rows, d))
-    return table_text(ms, rows, d)
+    cells = _table_rows(ms, rows, args.digits)
+    return Result({
+        "schema": "heunzeros-table/1",
+        "spec": spec.to_json(),
+        "m_list": list(ms),
+        "rows": [
+            {
+                "k": r["k"],
+                "order0": c["0th approx."],
+                "order1": c["1st approx."],
+                "order2": c["2nd approx."],
+                "zeros": {str(m): c[f"zero of c_{m}"] for m in ms},
+            }
+            for r, c in zip(rows, cells)
+        ],
+    }, cells, _aligned(cells))
 
 
-def cmd_track(args: argparse.Namespace) -> str:
+def cmd_track(args: argparse.Namespace) -> Result:
     spec, _ = build_spec(args)
     rep = convergence_report(spec, m_list=args.m, digits=args.digits,
                              precision_bits=args.precision_bits)
-    if args.fmt == "json":
-        return json.dumps(rep.to_json(), indent=2)
     m1, m2 = rep.m_list[-2], rep.m_list[-1]
-    if args.fmt == "csv":
-        rows = [("label_k", "re", "im", "stabilized_digits")]
-        for t in rep.tracks:
-            z = t.value_at(m2)
-            rows.append((
-                "" if t.label_k is None else t.label_k,
-                mp.nstr(z.real, args.digits + 5),
-                mp.nstr(z.imag, args.digits + 5),
-                t.stabilized.get((m1, m2), ""),
-            ))
-        return _csv_text(rows)
+    n_stable = rep.n_stable()
+    tracks, rows = [], []
     lines = [
         f"degrees {rep.m_list}: n_stable({args.digits}) = "
-        f"{rep.n_stable()} of {len(rep.zero_sets[m2].zeros)}"
+        f"{n_stable} of {len(rep.zero_sets[m2].zeros)}"
     ]
     for t in rep.tracks:
         z = t.value_at(m2)
         sd = t.stabilized.get((m1, m2))
+        tracks.append({
+            "label_k": t.label_k,
+            "entries": {str(m): [mp.nstr(v.real, 17), mp.nstr(v.imag, 17)]
+                        for m, v in t.entries.items()},
+            "stabilized": {f"{ma},{mb}": n
+                           for (ma, mb), n in t.stabilized.items()},
+        })
+        rows.append({
+            "label_k": t.label_k,
+            "re": mp.nstr(z.real, args.digits + 5),
+            "im": mp.nstr(z.imag, args.digits + 5),
+            "stabilized_digits": sd,
+        })
         k = "-" if t.label_k is None else str(t.label_k)
         lines.append(
             f"  k={k:>3}  {_fmt(z, args.digits):<36}  "
             f"digits {'-' if sd is None else sd}"
         )
-    return "\n".join(lines)
+    return Result({
+        "schema": "heunzeros-report/1",
+        "spec": spec.to_json(),
+        "m_list": list(rep.m_list),
+        "digits": rep.digits,
+        "precision_bits": rep.precision_bits,
+        "n_stable": n_stable,
+        "tracks": tracks,
+    }, rows, lines)
 
 
-def cmd_d2(args: argparse.Namespace) -> str:
+def cmd_d2(args: argparse.Namespace) -> Result:
     spec, B = build_spec(args)
     if B is None:
-        raise InvalidSpecError("d2 needs --B (or a family mapping giving one)")
+        b_param = _FAMILIES[args.family][1]
+        raise InvalidSpecError(
+            "d2 needs --B" + (f" or --{b_param}" if b_param else ""))
     est = d2_sequence(spec, B, K=args.K, precision_bits=args.precision_bits)
     d = args.digits
     out = {
@@ -391,47 +395,35 @@ def cmd_d2(args: argparse.Namespace) -> str:
         "tail": _fmt(est.tail, d),
         "error_indicator": mp.nstr(est.error_indicator, 5),
     }
+    lines = [f"d2 estimate  = {out['estimate']}   (K = {args.K})",
+             f"raw tail     = {out['tail']}",
+             f"indicator    = {out['error_indicator']}"]
     with working_precision(args.precision_bits):
         s_is_zero = to_mpc(spec.s) == 0
     if s_is_zero:
         out["closed_form"] = _fmt(
             d2_closed_form_s0(spec, B, args.precision_bits), d
         )
+        lines.append(f"closed form  = {out['closed_form']}   (s = 0)")
     if args.midpoint:
         mm = d2_by_midpoint_matching(spec, B,
                                      precision_bits=args.precision_bits)
         out["midpoint"] = _fmt(mm.d2, d)
+        lines.append(f"midpoint     = {out['midpoint']}")
+    row = {k: v for k, v in out.items() if k not in ("schema", "spec")}
     if args.search:
         res = d2_zero_search(spec, B, tol=_parse_tol(args, 1e-10), K=args.K,
                              precision_bits=args.precision_bits)
-        out["zero_search"] = {
+        search = out["zero_search"] = {
             "B": _fmt(res.B, d),
             "d2": _fmt(res.d2, d),
             "iterations": res.iterations,
             "K_used": res.K_used,
         }
-    if args.fmt == "json":
-        return json.dumps(out, indent=2)
-    if args.fmt == "csv":
-        row = {k: v for k, v in out.items()
-               if k not in ("schema", "spec", "zero_search")}
-        row.update((f"search_{k}", v)
-                   for k, v in out.get("zero_search", {}).items())
-        return _csv_text([tuple(row), tuple(str(v) for v in row.values())])
-    lines = [f"d2 estimate  = {out['estimate']}   (K = {args.K})",
-             f"raw tail     = {out['tail']}",
-             f"indicator    = {out['error_indicator']}"]
-    if "closed_form" in out:
-        lines.append(f"closed form  = {out['closed_form']}   (s = 0)")
-    if "midpoint" in out:
-        lines.append(f"midpoint     = {out['midpoint']}")
-    if "zero_search" in out:
-        zs = out["zero_search"]
-        lines.append(
-            f"zero search  : B = {zs['B']}  d2 = {zs['d2']}  "
-            f"({zs['iterations']} iterations, K = {zs['K_used']})"
-        )
-    return "\n".join(lines)
+        row.update((f"search_{k}", v) for k, v in search.items())
+        lines.append(f"zero search  : B = {search['B']}  d2 = {search['d2']}  "
+                     f"({res.iterations} iterations, K = {res.K_used})")
+    return Result(out, [row], lines)
 
 
 # -- verify ------------------------------------------------------------------------
@@ -550,7 +542,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_verify(args: argparse.Namespace) -> Result:
     if args.family:
         spec, _ = build_spec(args)
         specs = [spec]
@@ -573,18 +565,26 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
                 failures += 0 if ok else 1
                 suffix = f"  ({detail})" if detail and not ok else ""
                 lines.append(f"{mark}  [{name}] {label}{suffix}")
-    lines.append(
-        f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}"
-    )
-    return "\n".join(lines), (0 if failures == 0 else 1)
+    lines.append("all checks passed" if failures == 0
+                 else f"{failures} check(s) failed")
+    return Result(None, None, lines, 0 if failures == 0 else 1)
 
 
 # -- argument wiring -----------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
+    """argparse type of the counts --digits and --precision-bits, here
+    and in the scripts."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -597,7 +597,7 @@ _SHARED = {
     "order": dict(type=int, default=2, choices=[0, 1, 2],
                   help="order of the perturbative estimates that label "
                        "the zeros"),
-    "digits": dict(type=_positive_int, default=10),
+    "digits": dict(type=positive_int, default=10),
     "format": dict(dest="fmt", default="text",
                    choices=["text", "json", "csv"]),
 }
@@ -612,7 +612,7 @@ def _add_common(p: argparse.ArgumentParser, *shared: str,
     for name in _SPEC_PARAMS:
         p.add_argument(f"--{name}", default=None,
                        help=f"family parameter {name}")
-    p.add_argument("--precision-bits", type=_positive_int, default=256)
+    p.add_argument("--precision-bits", type=positive_int, default=256)
     for name in shared:
         p.add_argument(f"--{name}", **_SHARED[name])
     p.add_argument("--output", default=None, help="write result to a file")
@@ -659,7 +659,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p, "order", "digits", "format")
     p.add_argument("--m", type=_m_list, required=True,
                    help="degree or comma list, e.g. 30,40")
-    p.add_argument("--k-max", type=int, default=6)
+    p.add_argument("--k-max", type=_non_negative_int, default=6)
 
     p = command("track", "stabilization across degrees")
     _add_common(p, "digits", "format")
@@ -682,6 +682,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "self-contained property checks")
     _add_common(p, family_required=False)
+    p.set_defaults(fmt="text")
     p.add_argument("--suite", default="all",
                    choices=["all"] + sorted(_SUITES))
 
@@ -691,18 +692,19 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        out = _COMMANDS[args.command](args)
-        text, code = out if isinstance(out, tuple) else (out, EXIT_OK)
-        _emit(text, args)
+        result = _COMMANDS[args.command](args)
+        out = render(result, args.fmt)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(out)
+        else:
+            sys.stdout.write(out)
+        return result.code
+    except (NonConvergenceError, ValueError) as exc:
+        code = (EXIT_NONCONVERGENCE if isinstance(exc, NonConvergenceError)
+                else EXIT_INVALID)
+        print(json.dumps({"error": str(exc), "code": code}), file=sys.stderr)
         return code
-    except NonConvergenceError as exc:
-        print(json.dumps({"error": str(exc), "code": EXIT_NONCONVERGENCE}),
-              file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except (InvalidSpecError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "code": EXIT_INVALID}),
-              file=sys.stderr)
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ raw tail and the plain |a_K - a_{K-1}| indicator stay available.
 from __future__ import annotations
 
 import cmath
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -190,47 +189,16 @@ class ConvergenceReport:
     precision_bits: int
 
     def n_stable(self, digits: int | None = None) -> int:
-        """Tracks whose values at the last two degrees agree to at
-        least `digits` significant digits."""
-        digits = self.digits if digits is None else digits
-        m1, m2 = self.m_list[-2], self.m_list[-1]
-        return sum(
-            1 for t in self.tracks
-            if t.stabilized.get((m1, m2), -1) >= digits
-        )
+        """The number of stable_tracks(digits)."""
+        return len(self.stable_tracks(digits))
 
     def stable_tracks(self, digits: int | None = None) -> list:
+        """Tracks whose values at the last two degrees agree to at
+        least `digits` significant digits (default: the report's)."""
         digits = self.digits if digits is None else digits
         m1, m2 = self.m_list[-2], self.m_list[-1]
         return [t for t in self.tracks
                 if t.stabilized.get((m1, m2), -1) >= digits]
-
-    def to_json(self) -> dict:
-        def cpx(z):
-            return [mp.nstr(z.real, 17), mp.nstr(z.imag, 17)]
-
-        return {
-            "schema": "heunzeros-report/1",
-            "spec": self.spec.to_json(),
-            "m_list": list(self.m_list),
-            "digits": self.digits,
-            "precision_bits": self.precision_bits,
-            "n_stable": self.n_stable(),
-            "tracks": [
-                {
-                    "label_k": t.label_k,
-                    "entries": {str(m): cpx(z) for m, z in t.entries.items()},
-                    "stabilized": {
-                        f"{m1},{m2}": d
-                        for (m1, m2), d in t.stabilized.items()
-                    },
-                }
-                for t in self.tracks
-            ],
-        }
-
-    def dumps(self, **kw) -> str:
-        return json.dumps(self.to_json(), **kw)
 
 
 def convergence_report(spec: RecurrenceSpec, m_list=(30, 40),

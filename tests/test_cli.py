@@ -342,6 +342,19 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k_max", ["-1", "1.5"])
+    def test_k_max_must_be_a_non_negative_integer(self, capsys, k_max):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--family", "mathieu", "--q", "2", "--m", "4",
+                  f"--k-max={k_max}"])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+        # k-max 0 is the table's first row alone
+        code, out, _ = run(capsys, "table", "--family", "mathieu", "--q",
+                           "2", "--m", "4", "--k-max", "0")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == ["k", "0"]
+
     @pytest.mark.parametrize("family", [
         ["--family", "lame", "--n", "2", "--s", "1/2", "--eta", "8"],
         ["--family", "mathieu", "--q", "2", "--a", "1"],
@@ -352,6 +365,18 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert "not both" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("family,message", [
+        (["--family", "mathieu", "--q", "2"], "d2 needs --B or --a"),
+        (["--family", "rcheun", "--gamma", "1/2", "--delta", "1/2",
+          "--s", "2"], "d2 needs --B"),
+    ], ids=["mathieu", "rcheun"])
+    def test_d2_without_b_names_the_flags_that_give_it(self, capsys, family,
+                                                       message):
+        code, out, err = run(capsys, "d2", *family)
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"] == message
 
     def test_parameter_the_family_does_not_read_is_4(self, capsys):
         code, out, err = run(capsys, "zeros", "--family", "lame", "--n", "2",
@@ -471,12 +496,17 @@ def test_cli_import_loads_no_numpy_or_scipy():
 
 
 class TestOutputAndConfig:
-    def test_output_file(self, capsys, tmp_path):
-        target = tmp_path / "zeros.json"
-        code, out, _ = run(capsys, "zeros", "--family", "lame", "--n", "2",
-                           "--s", "1/2", "--m", "4", "--format", "json",
-                           "--output", str(target))
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_output_file(self, capsys, tmp_path, fmt):
+        # --output writes exactly what stdout would have shown
+        argv = ("zeros", "--family", "lame", "--n", "2", "--s", "1/2",
+                "--m", "4", "--format", fmt)
+        _, shown, _ = run(capsys, *argv)
+        target = tmp_path / f"zeros.{fmt}"
+        code, out, _ = run(capsys, *argv, "--output", str(target))
         assert code == 0
         assert out == ""
-        doc = json.loads(target.read_text())
-        assert doc["schema"] == "heunzeros-zeros/1"
+        assert target.read_text() == shown
+        if fmt == "json":
+            doc = json.loads(target.read_text())
+            assert doc["schema"] == "heunzeros-zeros/1"

@@ -78,3 +78,22 @@ def test_d2_zero_hunt_reports_only_nonconvergence(capsys, monkeypatch,
     else:
         with pytest.raises(RuntimeError, match="a bug in the search"):
             script["main"](argv)
+
+
+@pytest.mark.parametrize("script,argv", [
+    ("d2_zero_hunt.py", ["--fam", "mathieu", "--m", "4,8"]),
+    ("d2_zero_hunt.py", ["--m", "4,8", "--dig", "3"]),
+    ("d2_zero_hunt.py", ["--digits=-2"]),
+    ("d2_zero_hunt.py", ["--precision-bits", "0"]),
+    ("zero_tables.py", ["mathieu-2", "--digits", "0"]),
+    ("zero_tables.py", ["mathieu-2", "--prec", "64"]),
+    ("zero_tables.py", ["mathieu-2", "--precision-bits=-5"]),
+], ids=["hunt-abbreviated-family", "hunt-abbreviated-digits",
+        "hunt-digits-negative", "hunt-bits-0", "tables-digits-0",
+        "tables-abbreviated-bits", "tables-bits-negative"])
+def test_scripts_parse_options_as_the_cli_does(capsys, script, argv):
+    main_ = runpy.run_path(str(ROOT / "scripts" / script))["main"]
+    with pytest.raises(SystemExit) as exc:
+        main_(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

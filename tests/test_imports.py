@@ -1,5 +1,6 @@
 """Every name a library module, script or test module imports is used
-there, and library modules import each other at module level."""
+there, library modules import each other at module level, and the CLI
+decides output formats in one place."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,42 @@ def test_scan_finds_a_function_local_package_import():
     ids=lambda p: p.name)
 def test_no_function_local_package_imports(path):
     assert local_package_imports(path.read_text()) == []
+
+
+def _is_json_dumps(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "dumps"
+            and isinstance(node.value, ast.Name) and node.value.id == "json")
+
+
+def test_output_formats_are_decided_in_render():
+    tree = ast.parse((ROOT / "src" / "heunzeros" / "cli.py").read_text())
+    functions = {fn.name: fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)}
+    for name, fn in functions.items():
+        if not name.startswith("cmd_"):
+            continue
+        names = {node.id for node in ast.walk(fn)
+                 if isinstance(node, ast.Name)}
+        attrs = {node.attr for node in ast.walk(fn)
+                 if isinstance(node, ast.Attribute)}
+        assert not {"fmt", "csv"} & (names | attrs), name
+    dumps = {name: [node for node in ast.walk(fn) if _is_json_dumps(node)]
+             for name, fn in functions.items()}
+    assert {name for name, found in dumps.items() if found} \
+        == {"render", "main"}
+    # main serializes only its error objects
+    in_handlers = [node for handler in ast.walk(functions["main"])
+                   if isinstance(handler, ast.ExceptHandler)
+                   for node in ast.walk(handler) if _is_json_dumps(node)]
+    assert len(in_handlers) == len(dumps["main"])
+    # nothing at module level serializes either
+    assert not [node for stmt in tree.body
+                if not isinstance(stmt, ast.FunctionDef)
+                for node in ast.walk(stmt) if _is_json_dumps(node)]
+
+
+def test_tracking_builds_no_output_records():
+    tree = ast.parse((ROOT / "src" / "heunzeros" / "tracking.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    assert "json" not in imported

@@ -5,7 +5,7 @@ import json
 import mpmath as mp
 import pytest
 
-from heunzeros.cli import table_text
+from heunzeros.cli import main, table_text
 from heunzeros.families import (
     FamilyKind,
     InvalidSpecError,
@@ -209,9 +209,12 @@ class TestConvergenceReport:
         # the k = 0 zero is tiny and negative at this coupling
         assert -1 < first.value_at(20).real < 0
 
-    def test_json_and_table(self, lame_small):
+    def test_json_and_table(self, lame_small, capsys):
         rep = convergence_report(lame_small, m_list=(16, 20), digits=10)
-        js = json.loads(rep.dumps())
+        # the report's JSON record is the track subcommand's
+        assert main(["track", "--family", "lame", "--n", "2", "--s", "1/100",
+                     "--m", "16,20", "--format", "json"]) == 0
+        js = json.loads(capsys.readouterr().out)
         assert js["schema"] == "heunzeros-report/1"
         assert js["m_list"] == [16, 20]
         assert js["n_stable"] == rep.n_stable()
