@@ -649,7 +649,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = command("poly", "build and print c_0..c_m")
     _add_common(p, "format")
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=_non_negative_int, default=4)
 
     p = command("zeros", "zeros of c_m")
     _add_common(p, "tol", "order", "digits", "format")

@@ -1,11 +1,13 @@
 """Simultaneous polynomial root finding at configurable precision.
 
-Aberth-Ehrlich iteration over all roots at once, followed by a Newton
-polish of each root.  Everything is deterministic: starting points come
-either from caller-supplied seeds (eigenvalues of a tridiagonal matrix
-from `tridiagonal_eigenvalues`, or perturbative zero estimates) or from
-Newton-polygon scaled circles computed from the coefficient magnitudes,
-never from a random generator.
+From caller-supplied seeds (eigenvalues of a tridiagonal matrix from
+`tridiagonal_eigenvalues`, or perturbative zero estimates) each root is
+first polished alone by Newton's method, and the result stands when
+disks around the polished points, each holding a root, are pairwise
+disjoint.  Otherwise, and always from Newton-polygon scaled circles
+computed from the coefficient magnitudes, an Aberth-Ehrlich iteration
+moves all roots at once before the same Newton polish.  Everything is
+deterministic: no starting point comes from a random generator.
 
 Residuals are reported as |p(z)/p'(z)|, the Newton-step length, which
 estimates the absolute distance to the true root.
@@ -14,7 +16,7 @@ estimates the absolute distance to the true root.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 
@@ -32,7 +34,10 @@ class ZeroSet:
 
     Display order is descending real part, ties by ascending imaginary
     part.  labels[i] is the grid index k matched to zeros[i] (None when
-    no labelling was requested).
+    no labelling was requested).  seed_bits is the precision of the
+    eigenvalue seeds (53 or more; None for circles or other seeds) and
+    sweeps the number of Aberth sweeps run (0 when the Newton polish of
+    the seeds stood on its own).
     """
 
     zeros: tuple
@@ -41,6 +46,8 @@ class ZeroSet:
     precision_bits: int
     tol: object
     labels: tuple = None
+    seed_bits: int | None = None
+    sweeps: int = 0
 
     def __post_init__(self):
         if self.labels is None:
@@ -55,8 +62,7 @@ class ZeroSet:
     def with_labels(self, labels) -> "ZeroSet":
         if len(labels) != len(self.zeros):
             raise ValueError("one label per zero required")
-        return ZeroSet(self.zeros, self.residuals, self.degree,
-                       self.precision_bits, self.tol, tuple(labels))
+        return replace(self, labels=tuple(labels))
 
     def real_zeros(self) -> list:
         """Zeros with |Im z| < 1e-6 * (1 + |Re z|)."""
@@ -128,34 +134,41 @@ def newton_polygon_seeds(coeffs) -> list:
     return seeds
 
 
-_EPS = 2.0 ** -52
 _QL_MAX_STEPS = 50    # QL steps allowed per eigenvalue
 _MAX_SWEEPS = 2000    # Aberth sweeps allowed per polynomial
 _POLISH_STEPS = 40    # Newton steps allowed per root
 
 
-def tridiagonal_eigenvalues(diag, offdiag):
+def tridiagonal_eigenvalues(diag, offdiag, precision_bits: int = 53):
     """Eigenvalues of a complex-symmetric tridiagonal matrix, or None.
 
     diag holds the n diagonal entries, offdiag the n-1 entries coupling
-    rows j and j+1.  Implicit QL with Wilkinson shifts in complex
-    doubles (the tqli scheme): the plane rotations have c^2 + s^2 = 1
-    and act by transposes, not conjugate transposes, so every step keeps
-    the matrix complex-symmetric.  Such a rotation breaks down when its
+    rows j and j+1.  Implicit QL with Wilkinson shifts (the tqli
+    scheme), in complex doubles at precision_bits <= 53 and in mpc at
+    precision_bits otherwise: the plane rotations have c^2 + s^2 = 1 and
+    act by transposes, not conjugate transposes, so every step keeps the
+    matrix complex-symmetric.  Such a rotation breaks down when its
     pivot pair (f, g) has f^2 + g^2 = 0, and nothing bounds how fast a
-    non-normal matrix converges; either way, or when an entry overflows,
-    the result is None and the caller must seed some other way.  At most
-    _QL_MAX_STEPS QL steps are spent on each eigenvalue.  The
-    eigenvalues come back in no particular order; they are accurate to
-    about machine epsilon times the matrix norm only when the matrix is
-    close to normal.
+    non-normal matrix converges; either way, or when a double entry
+    overflows, the result is None and the caller must seed some other
+    way.  At most _QL_MAX_STEPS QL steps per 53 bits of precision are
+    spent on each eigenvalue.  The eigenvalues come back in no
+    particular order; they are accurate to about the unit roundoff
+    times the matrix norm only when the matrix is close to normal, and
+    far less when it is not, which is why `tracking.jacobi_seeds`
+    compares them with those of the reversed matrix.
     """
+    if len(offdiag) + 1 != len(diag):
+        raise ValueError("offdiag needs one entry fewer than diag")
+    if precision_bits > 53:
+        with working_precision(precision_bits):
+            d = [to_mpc(x) for x in diag]
+            e = [to_mpc(x) for x in offdiag] + [mp.mpc(0)]
+            return d if _implicit_ql(d, e, precision_bits) else None
     d = [complex(x) for x in diag]
     e = [complex(x) for x in offdiag] + [0j]
-    if len(e) != len(d):
-        raise ValueError("offdiag needs one entry fewer than diag")
     try:
-        converged = _implicit_ql(d, e)
+        converged = _implicit_ql(d, e, 53)
     except (OverflowError, ZeroDivisionError):
         # abs() of a complex with finite parts raises once the modulus
         # exceeds the double range
@@ -165,32 +178,40 @@ def tridiagonal_eigenvalues(diag, offdiag):
     return d
 
 
-def _implicit_ql(d, e) -> bool:
+def _implicit_ql(d, e, bits: int) -> bool:
     """Run QL on d (diagonal) and e (off-diagonal, padded with a
-    trailing zero) in place; False on rotation breakdown or when an
-    eigenvalue needs more than _QL_MAX_STEPS steps."""
+    trailing zero) in place, in complex doubles when bits is 53 and in
+    mpc at the ambient precision otherwise; False on rotation breakdown
+    or when an eigenvalue needs more than _QL_MAX_STEPS * bits // 53
+    steps."""
+    if bits == 53:
+        sqrt, eps, one = cmath.sqrt, 2.0 ** -52, 1 + 0j
+    else:
+        sqrt, eps, one = mp.sqrt, mp.mpf(2) ** (1 - bits), mp.mpc(1)
+    zero = 0 * one
+    max_steps = _QL_MAX_STEPS * bits // 53
     n = len(d)
     for l in range(n):
-        for it in range(_QL_MAX_STEPS + 1):
+        for it in range(max_steps + 1):
             m = l
             while m < n - 1 and \
-                    abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
+                    abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
                 m += 1
             if m == l:
                 break
-            if it == _QL_MAX_STEPS:
+            if it == max_steps:
                 return False
             # Wilkinson shift from the leading 2x2 block
             g = (d[l + 1] - d[l]) / (2 * e[l])
-            r = cmath.sqrt(g * g + 1)
+            r = sqrt(g * g + 1)
             g = d[m] - d[l] + e[l] / (g + r if abs(g + r) >= abs(g - r)
                                       else g - r)
-            s = c = 1 + 0j
-            p = 0j
+            s = c = one
+            p = zero
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
-                r = cmath.sqrt(f * f + g * g)
+                r = sqrt(f * f + g * g)
                 e[i + 1] = r
                 if r == 0:
                     return False
@@ -202,7 +223,7 @@ def _implicit_ql(d, e) -> bool:
                 g = c * r - b
             d[l] -= p
             e[l] = g
-            e[m] = 0j
+            e[m] = zero
     return True
 
 
@@ -235,22 +256,28 @@ def _spread_duplicates(points, scale):
 
 def find_all_roots(poly, seeds=None, precision_bits: int = 256,
                    tol=None) -> ZeroSet:
-    """All roots of the polynomial, simultaneously.
+    """All roots of the polynomial.
 
     poly: DensePolynomial or ascending coefficient list (any scalar
     type convertible to mpc).  seeds, when given, are the starting
-    points, one per root (any other count raises InvalidSpecError);
-    else the Newton-polygon circles are.  Seeds near the roots, such as
+    points, one per root (any other count raises InvalidSpecError).
+    Each seed is first polished alone by `_newton_polish`; the result
+    stands when every root converged and the disks
+    D(z_i, max(n |p/p'|(z_i), tol (1 + |z_i|))) are pairwise disjoint
+    (`_separated`), which leaves one root in each; for a real
+    polynomial the disks also show which roots are real and which are
+    conjugate pairs, and `_mirrored` makes the result exactly symmetric
+    about the real axis.  Otherwise the Aberth sweeps run from the
+    seeds, and without seeds they always run from the Newton-polygon
+    circles; the polish follows them.  Seeds near the roots, such as
     the eigenvalues of a Jacobi matrix whose characteristic polynomial
-    is poly, cut the number of
-    Aberth sweeps; the sweeps and the Newton polish are the same
-    whatever the seeds.  A root that fails its check always raises
-    NonConvergenceError: so do Aberth sweeps that have not settled
-    after _MAX_SWEEPS, a root whose polished residual misses tol, and a
-    tol below 2^-(precision_bits + 24), before any sweep, since the
-    sweeps and the polish run at precision_bits + 24 bits, which cannot
-    resolve a smaller step.  Every zero of the result has therefore
-    converged.
+    is poly, make the sweeps unnecessary.  A root that fails its check
+    always raises NonConvergenceError: so do Aberth sweeps that have
+    not settled after _MAX_SWEEPS, a root whose polished residual
+    misses tol, and a tol below 2^-(precision_bits + 24), before any
+    evaluation, since the iterations run at precision_bits + 24 bits,
+    which cannot resolve a smaller step.  Every zero of the result has
+    therefore converged.
     """
     coeffs = _as_mpc_coeffs(poly, precision_bits)
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -273,44 +300,21 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
         if len(z) != n:
             raise InvalidSpecError(
                 f"{len(z)} seeds for a degree-{n} polynomial")
-        z = _spread_duplicates(z, mp.mpf(2) ** -20)
-        z = _break_axis_symmetry(z, coeffs, mp.mpf(2) ** -16)
-
-        step_goal = tol / 4
-        for _ in range(_MAX_SWEEPS):
-            worst = mp.mpf(0)
-            for j in range(n):
-                p, dp = _horner_pair(coeffs, z[j])
-                if p == 0:
-                    continue
-                if dp == 0:
-                    z[j] = z[j] + (1 + abs(z[j])) * mp.mpf(2) ** -12
-                    worst = mp.mpf(1)
-                    continue
-                w = p / dp
-                acc = mp.mpc(0)
-                for i in range(n):
-                    if i != j:
-                        acc += 1 / (z[j] - z[i])
-                denom = 1 - w * acc
-                delta = w if denom == 0 else w / denom
-                z[j] = z[j] - delta
-                rel = abs(delta) / (1 + abs(z[j]))
-                if rel > worst:
-                    worst = rel
-            if worst < step_goal:
-                break
-        else:
-            raise NonConvergenceError(
-                f"Aberth sweep at degree {n} did not settle within "
-                f"{_MAX_SWEEPS} iterations (last step {mp.nstr(worst, 3)})"
-            )
-
         real_coeffs = all(c.imag == 0 for c in coeffs)
+        polished = None if seeds is None else \
+            [_newton_polish(coeffs, zj, tol) for zj in z]
+        sweeps = 0
+        if polished is None or not _separated(polished, n, tol):
+            z = _spread_duplicates(z, mp.mpf(2) ** -20)
+            z = _break_axis_symmetry(z, coeffs, mp.mpf(2) ** -16)
+            sweeps = _aberth(coeffs, z, tol)
+            polished = [_newton_polish(coeffs, zj, tol) for zj in z]
+        elif real_coeffs:
+            polished = _mirrored(polished, n, tol)
+
         dust = mp.mpf(2) ** (-2 * precision_bits)
-        roots, residuals, flags = [], [], []
-        for j in range(n):
-            r, res, ok = _newton_polish(coeffs, z[j], tol)
+        roots, residuals = [], []
+        for r, res, _ in polished:
             if real_coeffs and r.imag != 0 and \
                     abs(r.imag) < dust * (1 + abs(r.real)):
                 # arithmetic dust orders of magnitude below the working
@@ -318,9 +322,8 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
                 r = mp.mpc(r.real, 0)
             roots.append(r)
             residuals.append(res)
-            flags.append(ok)
 
-    bad = [j for j, ok in enumerate(flags) if not ok]
+    bad = [j for j, (_, _, ok) in enumerate(polished) if not ok]
     if bad:
         raise NonConvergenceError(
             f"{len(bad)} of {n} roots failed the tolerance check "
@@ -333,6 +336,85 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
         degree=n,
         precision_bits=precision_bits,
         tol=tol,
+        sweeps=sweeps,
+    )
+
+
+def _disks(polished, n, tol) -> tuple:
+    """(centres, radii) of the disks D(z_i, max(n res_i, tol (1 + |z_i|)))
+    around (root, residual, converged) triples.  res = |p/p'|(z) and
+    p'/p = sum_k 1/(z - r_k) give min_k |z - r_k| <= n res, so each
+    disk holds a root."""
+    z = [r for r, _, _ in polished]
+    return z, [max(n * res, tol * (1 + abs(r))) for r, res, _ in polished]
+
+
+def _separated(polished, n, tol) -> bool:
+    """Whether every triple converged and the `_disks` are pairwise
+    disjoint: n disjoint disks, each holding a root, hold one each."""
+    if not all(ok for _, _, ok in polished):
+        return False
+    z, rad = _disks(polished, n, tol)
+    return all(abs(z[i] - z[j]) > rad[i] + rad[j]
+               for i in range(n) for j in range(i))
+
+
+def _mirrored(polished, n, tol) -> list:
+    """Separated triples of a real polynomial, made symmetric about the
+    real axis as its zeros are.  Each disjoint disk D_i holds one zero
+    x_i, and conj(x_i) is a zero too, held by a disk that the mirror
+    image of D_i meets.  When that is D_i alone, x_i is real, and z_i
+    moves onto the axis, which brings it no further from x_i.  When it
+    is one other disk D_j, the zero there is conj(x_i), and of z_i and
+    z_j the one with the larger residual becomes the mirror image of
+    the other, whose residual |p/p'| it shares."""
+    z, rad = _disks(polished, n, tol)
+    out = list(polished)
+    for i, (r, res, ok) in enumerate(polished):
+        if r.imag == 0:
+            continue
+        w = r.conjugate()
+        meets = [j for j in range(n) if abs(w - z[j]) <= rad[i] + rad[j]]
+        if meets == [i]:
+            out[i] = (mp.mpc(r.real, 0), res, ok)
+        elif len(meets) == 1:
+            j = meets[0]
+            if (res, i) < (polished[j][1], j):
+                out[j] = (w, res, ok)
+    return out
+
+
+def _aberth(coeffs, z, tol) -> int:
+    """Aberth-Ehrlich sweeps on z in place until no root moves by
+    tol/4 relative to 1 + |z|; the number of sweeps run."""
+    n = len(z)
+    step_goal = tol / 4
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        worst = mp.mpf(0)
+        for j in range(n):
+            p, dp = _horner_pair(coeffs, z[j])
+            if p == 0:
+                continue
+            if dp == 0:
+                z[j] = z[j] + (1 + abs(z[j])) * mp.mpf(2) ** -12
+                worst = mp.mpf(1)
+                continue
+            w = p / dp
+            acc = mp.mpc(0)
+            for i in range(n):
+                if i != j:
+                    acc += 1 / (z[j] - z[i])
+            denom = 1 - w * acc
+            delta = w if denom == 0 else w / denom
+            z[j] = z[j] - delta
+            rel = abs(delta) / (1 + abs(z[j]))
+            if rel > worst:
+                worst = rel
+        if worst < step_goal:
+            return sweep
+    raise NonConvergenceError(
+        f"Aberth sweep at degree {n} did not settle within "
+        f"{_MAX_SWEEPS} iterations (last step {mp.nstr(worst, 3)})"
     )
 
 

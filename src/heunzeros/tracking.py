@@ -22,9 +22,8 @@ raw tail and the plain |a_K - a_{K-1}| indicator stay available.
 
 from __future__ import annotations
 
-import cmath
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import mpmath as mp
 
@@ -52,21 +51,29 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
                 tol=None, order: int = 2) -> ZeroSet:
     """Zeros of c_m(B), labelled by grid index where estimates exist.
 
-    The Aberth iteration starts at the eigenvalues of the Jacobi matrix
-    of the recurrence (`jacobi_matrix`); when the eigenvalue routine
-    fails, `find_all_roots` starts from Newton-polygon circles instead.
-    Labels come from the order-`order` perturbative estimates whenever
-    they are defined and |s| <= 2 (they degrade as |s| grows); otherwise
-    every label is None.
+    The seeds are the eigenvalues of the Jacobi matrix of the recurrence
+    (`jacobi_matrix`), found by `jacobi_seeds`: in doubles where the QL
+    of the matrix and of its reversal agree, else once more at
+    min(106, precision_bits) bits.  `find_all_roots` polishes each seed
+    by Newton's method and keeps the results when disks around them,
+    each holding a zero, are disjoint, else runs Aberth sweeps from the
+    seeds; when the double eigenvalue solve fails, it sweeps from
+    Newton-polygon circles.  The ZeroSet records the seed precision
+    (`seed_bits`, None for circles) and the number of sweeps.  Labels
+    come from the order-`order` perturbative estimates whenever they are
+    defined and |s| <= 2 (they degrade as |s| grows); otherwise every
+    label is None.
     """
     if m < 1:
         raise InvalidSpecError("need m >= 1 for a nontrivial polynomial")
     fam = build_family(spec, m, precision_bits)
     with working_precision(precision_bits):
         labelled = not spec.is_d_degenerate and abs(to_mpc(spec.s)) <= 2
-        seeds = tridiagonal_eigenvalues(*jacobi_matrix(spec, m))
+        seeds, seed_bits = jacobi_seeds(*jacobi_matrix(spec, m),
+                                        precision_bits)
     zs = find_all_roots(fam[m], seeds=seeds, precision_bits=precision_bits,
                         tol=tol)
+    zs = replace(zs, seed_bits=seed_bits)
     if labelled:
         raw = perturbative_seeds(spec, m - 1, order)
         with working_precision(precision_bits):
@@ -76,19 +83,55 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
 
 
 def jacobi_matrix(spec: RecurrenceSpec, m: int) -> tuple:
-    """(diagonal, off-diagonal) in complex doubles of the m x m
-    complex-symmetric tridiagonal matrix whose eigenvalues are the zeros
-    of c_m: diagonal -(D_j + s E_j) for j = 0..m-1, off-diagonal
+    """(diagonal, off-diagonal) as mpc at the working precision of the
+    m x m complex-symmetric tridiagonal matrix whose eigenvalues are the
+    zeros of c_m: diagonal -(D_j + s E_j) for j = 0..m-1, off-diagonal
     sqrt(s G_j) for j = 1..m-1 with G_j = j (j-1+gamma) F_j
-    (docs/math_notes.md, section 8).  Inexact parameters are combined at
-    the caller's working precision before rounding."""
+    (docs/math_notes.md, section 8)."""
     diag, off = [], []
     for j in range(m):
         D, E, G = recurrence_row(spec, j)
-        diag.append(-complex(to_mpc(D + spec.s * E)))
+        diag.append(-to_mpc(D + spec.s * E))
         if j:
-            off.append(cmath.sqrt(complex(to_mpc(spec.s * G))))
+            off.append(mp.sqrt(to_mpc(spec.s * G)))
     return diag, off
+
+
+_SEED_AGREEMENT = 2.0 ** -20   # forward/reversed QL gap that trusts doubles
+_SEED_BITS = 106               # the one escalated QL precision
+
+
+def jacobi_seeds(diag, off, precision_bits: int) -> tuple:
+    """(eigenvalues, bits) of the Jacobi matrix, or (None, None).
+
+    The double QL runs on the matrix and on its reversal (the same
+    eigenvalues, reached along another rounding path).  When every
+    eigenvalue of either run lies within 2^-20 (1 + |lambda|) of one of
+    the other, the forward doubles are the seeds.  Otherwise, including
+    a failed reversed run, the same QL runs once at
+    min(106, precision_bits) bits; if that run fails, the forward
+    doubles stand, as they do when precision_bits is 53 or less.  A
+    failed forward double run gives no seeds.
+    """
+    fwd = tridiagonal_eigenvalues(diag, off)
+    if fwd is None:
+        return None, None
+    bits = min(_SEED_BITS, precision_bits)
+    if bits > 53:
+        rev = tridiagonal_eigenvalues(diag[::-1], off[::-1])
+        if rev is None or _nearest_gap(fwd, rev) > _SEED_AGREEMENT:
+            high = tridiagonal_eigenvalues(diag, off, bits)
+            if high is not None:
+                return high, bits
+    return fwd, 53
+
+
+def _nearest_gap(xs, ys) -> float:
+    """Largest distance, relative to 1 + |x|, from a point of either
+    list to the nearest point of the other."""
+    def one_way(a, b):
+        return max(min(abs(x - y) for y in b) / (1 + abs(x)) for x in a)
+    return max(one_way(xs, ys), one_way(ys, xs))
 
 
 def _labels_by_proximity(zeros, estimates) -> list:

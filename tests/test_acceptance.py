@@ -292,10 +292,11 @@ def test_5_whittaker_hill():
     large = _table_spec("whill", "-20")
     for degree, shown in WHILL_LARGE_S_PARTIAL.items():
         assert_zeros_shown(solve_zeros(large, degree).zeros, shown)
-    counts = {m: real_zero_count(solve_zeros(large, m)) for m in (50, 89, 100)}
+    solved = {m: solve_zeros(large, m) for m in (50, 89, 100)}
+    counts = {m: real_zero_count(zs) for m, zs in solved.items()}
     assert counts == {50: 0, 89: 17, 100: 26}
     for m in (89, 100):
-        zs = solve_zeros(large, m)
+        zs = solved[m]
         reals = sorted((z.real for z in zs.zeros
                         if abs(z.imag) < 1e-6 * (1 + abs(z.real))),
                        reverse=True)

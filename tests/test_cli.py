@@ -355,6 +355,18 @@ class TestExitCodes:
         assert code == 0
         assert [line.split()[0] for line in out.splitlines()] == ["k", "0"]
 
+    @pytest.mark.parametrize("m", ["-1", "1.5"])
+    def test_poly_degree_must_be_a_non_negative_integer(self, capsys, m):
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "--family", "mathieu", "--q", "2", f"--m={m}"])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+        # degree 0 is c_0 = 1 alone
+        code, out, _ = run(capsys, "poly", "--family", "mathieu", "--q",
+                           "2", "--m", "0")
+        assert code == 0
+        assert out.splitlines() == ["c_0(B): [1]"]
+
     @pytest.mark.parametrize("family", [
         ["--family", "lame", "--n", "2", "--s", "1/2", "--eta", "8"],
         ["--family", "mathieu", "--q", "2", "--a", "1"],
@@ -484,15 +496,31 @@ def test_option_surface():
     assert settable == 98
 
 
-def test_cli_import_loads_no_numpy_or_scipy():
+def _numpy_and_scipy_loaded_by(probe: str) -> str:
+    """The sorted list of numpy and scipy among the modules a fresh
+    interpreter has loaded after running probe, as printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    probe = ("import sys, heunzeros.cli; "
-             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    probe += "; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_no_numpy_or_scipy():
+    assert _numpy_and_scipy_loaded_by("import sys, heunzeros.cli") == "[]"
+
+
+def test_one_solve_loads_no_numpy_or_scipy():
+    # the solve path keeps the memory of a bare solve_zeros caller low;
+    # only match_zeros reaches for scipy
+    probe = ("import sys, heunzeros.cli; "
+             "from heunzeros.families import FamilyKind, RecurrenceSpec; "
+             "from heunzeros.tracking import solve_zeros; "
+             "solve_zeros(RecurrenceSpec(kind=FamilyKind.CONFLUENT, "
+             "gamma='1/2', delta='1/2', s=-20, alpha=5), 16)")
+    assert _numpy_and_scipy_loaded_by(probe) == "[]"
 
 
 class TestOutputAndConfig:

@@ -161,6 +161,60 @@ class TestTridiagonalEigenvalues:
         with pytest.raises(ValueError):
             tridiagonal_eigenvalues([1, 2], [1, 1])
 
+    def test_extended_precision_two_by_two(self):
+        eig = tridiagonal_eigenvalues([1, 3], [2j], precision_bits=106)
+        with working_precision(106):
+            for w in (mp.mpc(2, mp.sqrt(3)), mp.mpc(2, -mp.sqrt(3))):
+                assert min(abs(e - w) for e in eig) < mp.mpf(2) ** -100
+        assert tridiagonal_eigenvalues([1, -1], [1j],
+                                       precision_bits=106) is None
+
+    def test_step_limit_grows_with_precision(self, monkeypatch):
+        # one eigenvalue of this block takes three QL steps in doubles
+        # and more than two at 106 bits: two steps per 53 bits are too
+        # few for the doubles, and the four they allow at 106 bits do
+        import heunzeros.rootfind as rootfind
+
+        monkeypatch.setattr(rootfind, "_QL_MAX_STEPS", 2)
+        diag, off = [1, 2, 4], [1, 1]
+        assert tridiagonal_eigenvalues(diag, off) is None
+        assert len(tridiagonal_eigenvalues(diag, off,
+                                           precision_bits=106)) == 3
+
+
+class TestNewtonFirst:
+    def test_good_seeds_need_no_sweep(self):
+        poly = poly_from_roots([QQi(1), QQi(2), QQi(-3)])
+        zs = find_all_roots(poly, seeds=["1.01", "1.98", "-3.02"],
+                            precision_bits=128)
+        assert zs.sweeps == 0 and zs.seed_bits is None
+        assert [mp.nstr(z.real, 10) for z in zs.zeros] == \
+            ["2.0", "1.0", "-3.0"]
+
+    def test_two_seeds_at_one_root_fall_back_to_aberth(self):
+        # Newton keeps both seeds at the root 1; their disks overlap
+        poly = poly_from_roots([QQi(1), QQi(2), QQi(-3)])
+        zs = find_all_roots(poly, seeds=[1, 1, -3], precision_bits=128)
+        assert zs.sweeps > 0
+        for w in (2, 1, -3):
+            assert sum(abs(z - w) < mp.mpf(2) ** -60 for z in zs.zeros) == 1
+
+    def test_zeros_proved_real_lie_on_the_axis(self):
+        # Newton from seeds off the axis leaves the real zeros of a real
+        # polynomial an imaginary part far above the rounding level
+        poly = poly_from_roots([QQi(1), QQi(2), QQi(0, 1), QQi(0, -1)])
+        seeds = [mp.mpc(2, 1e-3), mp.mpc(1, -1e-3), mp.mpc(1e-3, 1.001),
+                 mp.mpc(-1e-3, -0.999)]
+        zs = find_all_roots(poly, seeds=seeds, precision_bits=128)
+        assert zs.sweeps == 0
+        assert [z.imag for z in zs.zeros[:2]] == [0, 0]
+        assert [mp.nstr(z.imag, 10) for z in zs.zeros[2:]] == ["-1.0", "1.0"]
+
+    def test_circles_always_sweep(self):
+        zs = find_all_roots(poly_from_roots([QQi(1), QQi(2)]),
+                            precision_bits=128)
+        assert zs.sweeps > 0 and zs.seed_bits is None
+
 
 class TestRefinement:
     def test_strict_nonconvergence_raises(self, monkeypatch):

@@ -32,6 +32,7 @@ from heunzeros.tracking import (
     d2_sequence,
     d2_zero_search,
     jacobi_matrix,
+    jacobi_seeds,
     match_zeros,
     solve_zeros,
     stabilized_digits,
@@ -145,6 +146,71 @@ class TestJacobiSeeds:
         worst = max(abs(x - y) for x, y in zip(sorted_zeros(eig),
                                                sorted_zeros(fallback)))
         assert worst < mp.mpf(2) ** -80
+
+    def test_extended_ql_agrees_with_doubles(self):
+        spec = THREE_FAMILIES[1]
+        with working_precision(256):
+            diag, off = jacobi_matrix(spec, 12)
+        low = tridiagonal_eigenvalues(diag, off)
+        high = tridiagonal_eigenvalues(diag, off, precision_bits=106)
+        assert len(high) == 12
+        for h in high:
+            assert min(abs(h - e) for e in low) < 1e-13 * (1 + abs(h))
+
+    def test_non_normal_matrix_escalates_to_106_bits(self):
+        # the double seeds are about 0.4 off at m = 89
+        with working_precision(256):
+            seeds, bits = jacobi_seeds(*jacobi_matrix(WHILL_STRONG, 89), 256)
+        assert bits == 106
+        zs = find_all_roots(build_family(WHILL_STRONG, 89)[89], seeds=seeds)
+        assert zs.sweeps == 0
+        for e in seeds:
+            assert min(abs(z - e) for z in zs.zeros) < 1e-10 * (1 + abs(e))
+
+    def test_seed_rungs(self, monkeypatch):
+        # forward doubles, reversed doubles, 106 bits: what each outcome
+        # of the three runs seeds with
+        low, off_by_one = [1j, 2j], [1j, 3j]
+        cases = [
+            ([low, [2j, 1j]], (low, 53)),
+            ([low, off_by_one, ["hi"]], (["hi"], 106)),
+            ([low, None, ["hi"]], (["hi"], 106)),
+            ([low, off_by_one, None], (low, 53)),
+            ([None], (None, None)),
+        ]
+        for runs, want in cases:
+            calls = iter(runs)
+            monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
+                                lambda *args: next(calls))
+            assert jacobi_seeds([0, 0], [0], 256) == want
+        calls = iter([low, off_by_one])
+        assert jacobi_seeds([0, 0], [0], 53) == (low, 53)
+
+    @pytest.mark.parametrize("spec,m", [
+        (from_mathieu(MathieuParams(q=2))[0], 40),
+        (from_lame(LameParams(n=2, s="1/2"))[0], 40),
+        (from_mathieu(MathieuParams(q="2i"))[0], 30),
+    ], ids=["mathieu-2", "lame-1/2", "mathieu-2i"])
+    def test_newton_first_matches_the_aberth_path(self, monkeypatch, spec, m):
+        import heunzeros.rootfind as rootfind
+
+        newton = solve_zeros(spec, m)
+        assert newton.sweeps == 0 and newton.seed_bits == 53
+        monkeypatch.setattr(rootfind, "_separated", lambda *args: False)
+        aberth = solve_zeros(spec, m)
+        assert aberth.sweeps > 0
+        assert aberth.labels == newton.labels
+        for x, y in zip(newton.zeros, aberth.zeros):
+            assert abs(x - y) < newton.tol * (1 + abs(x))
+
+    def test_strong_coupling_degree_100_is_bit_identical(self):
+        a = solve_zeros(WHILL_STRONG, 100)
+        b = solve_zeros(WHILL_STRONG, 100)
+        assert (a.seed_bits, a.sweeps) == (106, 0)
+        assert [(z.real._mpf_, z.imag._mpf_) for z in a.zeros] == \
+            [(z.real._mpf_, z.imag._mpf_) for z in b.zeros]
+        assert real_zero_count(a) == 26
+        assert sum(z.imag == 0 for z in a.zeros) == 26
 
     def test_strong_coupling_solve_is_bit_identical(self):
         a = solve_zeros(WHILL_STRONG, 50)
