@@ -574,7 +574,8 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 def positive_int(text: str) -> int:
     """argparse type of the counts --digits and --precision-bits, here
-    and in the scripts."""
+    and in the scripts, and of each degree --m that zeros, table and
+    track solve."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
@@ -619,10 +620,8 @@ def _add_common(p: argparse.ArgumentParser, *shared: str,
 
 
 def _m_list(text: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad degree list {text!r}")
+    return tuple(positive_int(tok.strip()) for tok in text.split(",")
+                 if tok.strip())
 
 
 _COMMANDS = {
@@ -653,7 +652,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = command("zeros", "zeros of c_m")
     _add_common(p, "tol", "order", "digits", "format")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=positive_int, required=True)
 
     p = command("table", "approximation-vs-zero table")
     _add_common(p, "order", "digits", "format")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
+from math import isqrt
 
 import mpmath as mp
 
@@ -144,31 +145,34 @@ def tridiagonal_eigenvalues(diag, offdiag, precision_bits: int = 53):
 
     diag holds the n diagonal entries, offdiag the n-1 entries coupling
     rows j and j+1.  Implicit QL with Wilkinson shifts (the tqli
-    scheme), in complex doubles at precision_bits <= 53 and in mpc at
-    precision_bits otherwise: the plane rotations have c^2 + s^2 = 1 and
-    act by transposes, not conjugate transposes, so every step keeps the
-    matrix complex-symmetric.  Such a rotation breaks down when its
-    pivot pair (f, g) has f^2 + g^2 = 0, and nothing bounds how fast a
-    non-normal matrix converges; either way, or when a double entry
-    overflows, the result is None and the caller must seed some other
-    way.  At most _QL_MAX_STEPS QL steps per 53 bits of precision are
-    spent on each eigenvalue.  The eigenvalues come back in no
-    particular order; they are accurate to about the unit roundoff
-    times the matrix norm only when the matrix is close to normal, and
-    far less when it is not, which is why `tracking.jacobi_seeds`
-    compares them with those of the reversed matrix.
+    scheme), in complex doubles at precision_bits <= 53 (`_implicit_ql`)
+    and otherwise in fixed point with F = precision_bits fraction bits
+    (`_fixed_point_ql`): each entry is a Gaussian integer x + iy
+    standing for (x + iy) / 2^F, each operation is exact integer
+    arithmetic followed by at most one floor rounding, and so the
+    eigenvalues are the same bits on every machine and every run.  The
+    plane rotations have c^2 + s^2 = 1 and act by transposes, not
+    conjugate transposes, so every step keeps the matrix
+    complex-symmetric.  Such a rotation breaks down when its pivot pair
+    (f, g) has f^2 + g^2 = 0, and nothing bounds how fast a non-normal
+    matrix converges; either way, or when a double entry overflows, the
+    result is None and the caller must seed some other way.  At most
+    _QL_MAX_STEPS QL steps per 53 bits of precision are spent on each
+    eigenvalue.  The eigenvalues come back in no particular order, as
+    mpc at precision_bits when that exceeds 53; they are accurate to
+    about the unit roundoff times the matrix norm only when the matrix
+    is close to normal, and far less when it is not, which is why
+    `tracking.jacobi_seeds` compares them with those of the reversed
+    matrix.
     """
     if len(offdiag) + 1 != len(diag):
         raise ValueError("offdiag needs one entry fewer than diag")
     if precision_bits > 53:
-        with working_precision(precision_bits):
-            d = [to_mpc(x) for x in diag]
-            e = [to_mpc(x) for x in offdiag] + [mp.mpc(0)]
-            return d if _implicit_ql(d, e, precision_bits) else None
+        return _fixed_point_eigenvalues(diag, offdiag, precision_bits)
     d = [complex(x) for x in diag]
     e = [complex(x) for x in offdiag] + [0j]
     try:
-        converged = _implicit_ql(d, e, 53)
+        converged = _implicit_ql(d, e)
     except (OverflowError, ZeroDivisionError):
         # abs() of a complex with finite parts raises once the modulus
         # exceeds the double range
@@ -178,40 +182,34 @@ def tridiagonal_eigenvalues(diag, offdiag, precision_bits: int = 53):
     return d
 
 
-def _implicit_ql(d, e, bits: int) -> bool:
+def _implicit_ql(d, e) -> bool:
     """Run QL on d (diagonal) and e (off-diagonal, padded with a
-    trailing zero) in place, in complex doubles when bits is 53 and in
-    mpc at the ambient precision otherwise; False on rotation breakdown
-    or when an eigenvalue needs more than _QL_MAX_STEPS * bits // 53
+    trailing zero) in place, in complex doubles; False on rotation
+    breakdown or when an eigenvalue needs more than _QL_MAX_STEPS
     steps."""
-    if bits == 53:
-        sqrt, eps, one = cmath.sqrt, 2.0 ** -52, 1 + 0j
-    else:
-        sqrt, eps, one = mp.sqrt, mp.mpf(2) ** (1 - bits), mp.mpc(1)
-    zero = 0 * one
-    max_steps = _QL_MAX_STEPS * bits // 53
+    eps = 2.0 ** -52
     n = len(d)
     for l in range(n):
-        for it in range(max_steps + 1):
+        for it in range(_QL_MAX_STEPS + 1):
             m = l
             while m < n - 1 and \
                     abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
                 m += 1
             if m == l:
                 break
-            if it == max_steps:
+            if it == _QL_MAX_STEPS:
                 return False
             # Wilkinson shift from the leading 2x2 block
             g = (d[l + 1] - d[l]) / (2 * e[l])
-            r = sqrt(g * g + 1)
+            r = cmath.sqrt(g * g + 1)
             g = d[m] - d[l] + e[l] / (g + r if abs(g + r) >= abs(g - r)
                                       else g - r)
-            s = c = one
-            p = zero
+            s = c = 1 + 0j
+            p = 0j
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
-                r = sqrt(f * f + g * g)
+                r = cmath.sqrt(f * f + g * g)
                 e[i + 1] = r
                 if r == 0:
                     return False
@@ -223,7 +221,121 @@ def _implicit_ql(d, e, bits: int) -> bool:
                 g = c * r - b
             d[l] -= p
             e[l] = g
-            e[m] = zero
+            e[m] = 0j
+    return True
+
+
+def _fixed_point_eigenvalues(diag, offdiag, bits: int):
+    """`tridiagonal_eigenvalues` at bits > 53: the entries, rounded to
+    bits and truncated to F = bits fraction bits, go through
+    `_fixed_point_ql`, and the eigenvalues come back as mpc at bits."""
+    with working_precision(bits):
+        d = [to_mpc(x) for x in diag]
+        e = [to_mpc(x) for x in offdiag] + [mp.mpc(0)]
+
+    def fixed(xs):
+        return [int(mp.ldexp(x.real, bits)) for x in xs], \
+            [int(mp.ldexp(x.imag, bits)) for x in xs]
+
+    dr, di = fixed(d)
+    if not _fixed_point_ql(dr, di, *fixed(e), bits):
+        return None
+    with working_precision(bits):
+        return [mp.mpc(mp.ldexp(x, -bits), mp.ldexp(y, -bits))
+                for x, y in zip(dr, di)]
+
+
+def _fixed_sqrt(x, y):
+    """Principal square root of the Gaussian integer x + iy read with
+    2F fraction bits, as a pair (re, im) with F fraction bits.  Taking
+    the root of an unshifted product of two F-bit values keeps the
+    relative precision of a small result."""
+    a = isqrt(x * x + y * y)       # >= |x|, so both radicands are >= 0
+    if x >= 0:
+        re = isqrt((a + x) >> 1)
+        return (re, y // (2 * re)) if re else (0, 0)
+    im = isqrt((a - x) >> 1)       # >= 1, as a - x >= 2|x|
+    if y < 0:
+        im = -im
+    return y // (2 * im), im
+
+
+def _fixed_div(ar, ai, br, bi, F):
+    """(ar + i ai) / (br + i bi) with F fraction bits, b nonzero."""
+    n2 = br * br + bi * bi
+    return ((ar * br + ai * bi) << F) // n2, ((ai * br - ar * bi) << F) // n2
+
+
+def _fixed_point_ql(dr, di, er, ei, F: int) -> bool:
+    """The steps of `_implicit_ql` on Gaussian integers with F fraction
+    bits: d = dr + i di and e = er + i ei (padded with a trailing zero)
+    change in place.  A product of two values is shifted back by F bits
+    (rounding to the floor), a quotient is shifted up by F bits before
+    the integer division, and the pivots sqrt(g^2 + 1) and
+    sqrt(f^2 + g^2) come from `_fixed_sqrt` of the unshifted products.
+    Moduli are |x| + |y|.  Besides the relative test
+    |e_m| <= 2^(1-F) (|d_m| + |d_m+1|), e_m deflates below the floor
+    2^(6-F) max_j ||row_j||_1: rounding leaves an absolute error of a
+    few units of 2^-F times the matrix scale in every entry, so near a
+    small eigenvalue of a non-normal matrix the relative test alone may
+    never pass.  False on rotation breakdown or when an eigenvalue
+    needs more than _QL_MAX_STEPS * F // 53 steps."""
+    n = len(dr)
+    max_steps = _QL_MAX_STEPS * F // 53
+    floor = max(abs(dr[j]) + abs(di[j]) + abs(er[j]) + abs(ei[j])
+                + abs(er[j - 1]) + abs(ei[j - 1]) for j in range(n)) \
+        >> (F - 6)                 # er[-1] is the zero padding
+    one = 1 << F
+    for l in range(n):
+        for it in range(max_steps + 1):
+            m = l
+            while m < n - 1:
+                size = abs(er[m]) + abs(ei[m])
+                if size <= floor or size << (F - 1) <= \
+                        abs(dr[m]) + abs(di[m]) + abs(dr[m + 1]) + \
+                        abs(di[m + 1]):
+                    break
+                m += 1
+            if m == l:
+                break
+            if it == max_steps:
+                return False
+            # Wilkinson shift from the leading 2x2 block
+            gr, gi = _fixed_div(dr[l + 1] - dr[l], di[l + 1] - di[l],
+                                2 * er[l], 2 * ei[l], F)
+            rr, ri = _fixed_sqrt(gr * gr - gi * gi + one * one,
+                                 2 * gr * gi)
+            ur, ui = gr + rr, gi + ri
+            vr, vi = gr - rr, gi - ri
+            if ur * ur + ui * ui < vr * vr + vi * vi:
+                ur, ui = vr, vi
+            ur, ui = _fixed_div(er[l], ei[l], ur, ui, F)
+            gr, gi = dr[m] - dr[l] + ur, di[m] - di[l] + ui
+            sr, si, cr, ci = one, 0, one, 0
+            pr = pi = 0
+            for i in range(m - 1, l - 1, -1):
+                xr, xi = er[i], ei[i]
+                fr, fi = (sr * xr - si * xi) >> F, (sr * xi + si * xr) >> F
+                br, bi = (cr * xr - ci * xi) >> F, (cr * xi + ci * xr) >> F
+                rr, ri = _fixed_sqrt(fr * fr - fi * fi + gr * gr - gi * gi,
+                                     2 * (fr * fi + gr * gi))
+                er[i + 1], ei[i + 1] = rr, ri
+                if not (rr or ri):
+                    return False
+                sr, si = _fixed_div(fr, fi, rr, ri, F)
+                cr, ci = _fixed_div(gr, gi, rr, ri, F)
+                gr, gi = dr[i + 1] - pr, di[i + 1] - pi
+                ur, ui = dr[i] - gr, di[i] - gi
+                rr = (ur * sr - ui * si + 2 * (cr * br - ci * bi)) >> F
+                ri = (ur * si + ui * sr + 2 * (cr * bi + ci * br)) >> F
+                pr, pi = (sr * rr - si * ri) >> F, (sr * ri + si * rr) >> F
+                dr[i + 1], di[i + 1] = gr + pr, gi + pi
+                gr = ((cr * rr - ci * ri) >> F) - br
+                gi = ((cr * ri + ci * rr) >> F) - bi
+            dr[l] -= pr
+            di[l] -= pi
+            er[l], ei[l] = gr, gi
+            er[m] = ei[m] = 0
     return True
 
 

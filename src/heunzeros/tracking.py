@@ -108,7 +108,7 @@ def jacobi_seeds(diag, off, precision_bits: int) -> tuple:
     eigenvalues, reached along another rounding path).  When every
     eigenvalue of either run lies within 2^-20 (1 + |lambda|) of one of
     the other, the forward doubles are the seeds.  Otherwise, including
-    a failed reversed run, the same QL runs once at
+    a failed reversed run, the same QL runs once in fixed point at
     min(106, precision_bits) bits; if that run fails, the forward
     doubles stand, as they do when precision_bits is 53 or less.  A
     failed forward double run gives no seeds.

@@ -367,6 +367,17 @@ class TestExitCodes:
         assert code == 0
         assert out.splitlines() == ["c_0(B): [1]"]
 
+    @pytest.mark.parametrize("command,m", [
+        ("zeros", "0"), ("zeros", "-1"), ("table", "8,-3"),
+        ("track", "0,4"),
+    ])
+    def test_solved_degrees_must_be_positive_integers(self, capsys,
+                                                      command, m):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "mathieu", "--q", "2", f"--m={m}"])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family", [
         ["--family", "lame", "--n", "2", "--s", "1/2", "--eta", "8"],
         ["--family", "mathieu", "--q", "2", "--a", "1"],

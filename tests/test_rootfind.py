@@ -148,8 +148,9 @@ class TestTridiagonalEigenvalues:
         import heunzeros.rootfind as rootfind
 
         monkeypatch.setattr(rootfind, "_QL_MAX_STEPS", 0)
-        assert tridiagonal_eigenvalues([1, 3], [2j]) is None
-        assert tridiagonal_eigenvalues([1, 3], [0j]) == [1, 3]
+        for bits in (53, 106):
+            assert tridiagonal_eigenvalues([1, 3], [2j], bits) is None
+            assert tridiagonal_eigenvalues([1, 3], [0j], bits) == [1, 3]
 
     def test_overflow_reports_failure(self):
         # finite parts, but the modulus is beyond the double range

@@ -157,15 +157,43 @@ class TestJacobiSeeds:
         for h in high:
             assert min(abs(h - e) for e in low) < 1e-13 * (1 + abs(h))
 
-    def test_non_normal_matrix_escalates_to_106_bits(self):
-        # the double seeds are about 0.4 off at m = 89
+    @pytest.mark.parametrize("m", [89, 100])
+    def test_non_normal_matrix_escalates_to_106_bits(self, m):
+        # the double seeds are about 0.4 off at m = 89 and 100
         with working_precision(256):
-            seeds, bits = jacobi_seeds(*jacobi_matrix(WHILL_STRONG, 89), 256)
+            seeds, bits = jacobi_seeds(*jacobi_matrix(WHILL_STRONG, m), 256)
         assert bits == 106
-        zs = find_all_roots(build_family(WHILL_STRONG, 89)[89], seeds=seeds)
+        zs = find_all_roots(build_family(WHILL_STRONG, m)[m], seeds=seeds)
         assert zs.sweeps == 0
         for e in seeds:
             assert min(abs(z - e) for z in zs.zeros) < 1e-10 * (1 + abs(e))
+
+    def test_deflation_floor_lets_higher_precision_converge(self):
+        # near a small eigenvalue of this non-normal matrix the relative
+        # deflation test alone never passes; the floor tied to the
+        # matrix scale ends the QL, and more bits give better seeds
+        with working_precision(256):
+            diag, off = jacobi_matrix(WHILL_STRONG, 89)
+        zeros = solve_zeros(WHILL_STRONG, 89).zeros
+
+        def error(bits):
+            eig = tridiagonal_eigenvalues(diag, off, precision_bits=bits)
+            with working_precision(256):
+                return max(min(abs(z - e) for e in eig) / abs(z)
+                           for z in zeros)
+
+        assert error(160) < min(1e-25, error(106))
+
+    def test_escalated_eigenvalues_are_bit_identical(self):
+        # integer arithmetic: the same bits on every call, whatever the
+        # caller's working precision
+        with working_precision(256):
+            diag, off = jacobi_matrix(WHILL_STRONG, 89)
+        a = tridiagonal_eigenvalues(diag, off, precision_bits=106)
+        with working_precision(512):
+            b = tridiagonal_eigenvalues(diag, off, precision_bits=106)
+        assert [(x.real._mpf_, x.imag._mpf_) for x in a] == \
+            [(x.real._mpf_, x.imag._mpf_) for x in b]
 
     def test_seed_rungs(self, monkeypatch):
         # forward doubles, reversed doubles, 106 bits: what each outcome
