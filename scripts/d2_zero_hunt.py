@@ -20,7 +20,7 @@ import time
 
 import mpmath as mp
 
-from heunzeros.cli import positive_int
+from heunzeros.cli import _m_list, _tail_length, positive_int
 from heunzeros.families import LameParams, MathieuParams, from_lame, from_mathieu
 from heunzeros.rootfind import NonConvergenceError
 from heunzeros.scalars import format_scalar, working_precision
@@ -34,12 +34,12 @@ def main(argv=None):
     ap.add_argument("--n", default="2", help="Lame degree parameter")
     ap.add_argument("--s", default="1/100", help="Lame coupling")
     ap.add_argument("--q", default="2", help="Mathieu coupling")
-    ap.add_argument("--m", default="30,40",
+    ap.add_argument("--m", type=_m_list, default=(30, 40),
                     help="degrees for the stabilization report")
     ap.add_argument("--digits", type=positive_int, default=10,
                     help="shared digits that make a zero stable")
     ap.add_argument("--tol", default="1e-12", help="secant stop tolerance")
-    ap.add_argument("--K", type=int, default=400,
+    ap.add_argument("--K", type=_tail_length, default=400,
                     help="initial tail length for the d2 estimate")
     ap.add_argument("--precision-bits", type=positive_int, default=256)
     args = ap.parse_args(argv)
@@ -50,7 +50,7 @@ def main(argv=None):
     else:
         spec, _ = from_mathieu(MathieuParams(q=args.q))
         label = f"mathieu q={args.q}"
-    m_list = tuple(int(tok) for tok in args.m.split(","))
+    m_list = args.m
 
     t0 = time.monotonic()
     report = convergence_report(spec, m_list=m_list, digits=args.digits,

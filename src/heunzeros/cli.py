@@ -619,6 +619,15 @@ def _add_common(p: argparse.ArgumentParser, *shared: str,
     p.add_argument("--output", default=None, help="write result to a file")
 
 
+def _tail_length(text: str) -> int:
+    """argparse type of d2 --K, here and in scripts/d2_zero_hunt.py: the
+    d2 tail needs at least two terms."""
+    if not text.isdigit() or int(text) < 2:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer K >= 2, got {text!r}")
+    return int(text)
+
+
 def _m_list(text: str) -> tuple:
     return tuple(positive_int(tok.strip()) for tok in text.split(",")
                  if tok.strip())
@@ -673,7 +682,7 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{b_param}", default=None,
                            help=f"{fam}: B in the family's own terms "
                                 "(not with --B)")
-    p.add_argument("--K", type=int, default=500)
+    p.add_argument("--K", type=_tail_length, default=500)
     p.add_argument("--search", action="store_true",
                    help="secant search for the nearest d2 zero from --B")
     p.add_argument("--midpoint", action="store_true",

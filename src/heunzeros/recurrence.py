@@ -198,6 +198,43 @@ def _step_table(spec: RecurrenceSpec, K: int, exact: bool) -> tuple:
     return gamma, steps
 
 
+# (key, rows): the B-independent part of each step of the scaled
+# recurrence that `tracking.d2_sequence` runs, rows[k] = (A_k, G_k, H_k),
+# as mpc for the most recent spec, parameter types and precision, keyed
+# as _steps is and replaced as a whole in the same way.
+_scaled_steps = (None, ())
+
+
+def _scaled_step_table(spec: RecurrenceSpec, K: int) -> tuple:
+    """rows[k] = (D_k + s E_k, k s F_k/(delta+k-2), 1/((k+gamma)(k+delta-1)))
+    for at least k < K, as mpc at the current precision: the steps of
+
+        a_{k+1} = ((B + A_k) a_k - G_k a_{k-1}) H_k,   a_0 = 1,
+
+    which a_k = c_k k!/(delta-1)_k satisfies (docs/math_notes.md,
+    section 6).  The rows come from `recurrence_coeffs` on an mpc copy of
+    the spec, so every operation rounds at the current precision."""
+    global _scaled_steps
+    key = (spec, spec.param_types, mp.mp.prec)
+    cached, rows = _scaled_steps
+    if cached != key:
+        # drop the old rows first, so two tables are never held at once
+        _scaled_steps, rows = (None, ()), ()
+    if len(rows) < K:
+        big = RecurrenceSpec(spec.kind, *(
+            None if v is None else to_mpc(v)
+            for v in (spec.gamma, spec.delta, spec.s, spec.alpha, spec.beta)))
+        gamma, delta, s = big.gamma, big.delta, big.s
+        new = []
+        for k in range(len(rows), K):
+            D, E, F = recurrence_coeffs(big, k)
+            new.append((D + s * E, k * s * F / (delta + (k - 2)),
+                        1 / ((k + gamma) * (delta + (k - 1)))))
+        rows = rows + tuple(new)
+    _scaled_steps = (key, rows)
+    return rows
+
+
 def eval_sequence(spec: RecurrenceSpec, B, K: int,
                   precision_bits: int | None = None) -> list:
     """c_0(B) ... c_K(B) by the scalar recurrence, O(K) work.
@@ -208,7 +245,8 @@ def eval_sequence(spec: RecurrenceSpec, B, K: int,
     (D_m, s E_m, s F_m) comes from a table kept for the most recent spec,
     parameter types and precision, and grown to the largest K asked for,
     so repeated calls at one spec only pay the B-dependent arithmetic.
-    `build_family` reads the same table.
+    `build_family` reads the same table; `tracking.d2_sequence` runs its
+    own scaled recurrence instead (`_scaled_step_table`).
     """
     if K < 0:
         raise InvalidSpecError("K must be nonnegative")

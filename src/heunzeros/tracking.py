@@ -35,7 +35,7 @@ from .perturbation import (
     recurrence_row,
     zero_estimate,
 )
-from .recurrence import build_family, eval_sequence
+from .recurrence import _scaled_step_table, build_family
 from .rootfind import (
     NonConvergenceError,
     ZeroSet,
@@ -320,7 +320,8 @@ def zero_table(spec: RecurrenceSpec, zero_sets: dict, k_max: int) -> list:
 @dataclass(frozen=True)
 class D2Estimate:
     """Estimate of the connection coefficient d2(B) from the scaled
-    coefficient tail a_k = c_k(B) k!/(delta-1)_k."""
+    coefficient tail a_k = c_k(B) k!/(delta-1)_k, which `d2_sequence`
+    computes by the scaled recurrence without forming c_k."""
 
     B: object
     K: int
@@ -340,10 +341,17 @@ def _check_d2_spec(spec: RecurrenceSpec):
 
 def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
                 precision_bits: int = 256) -> D2Estimate:
-    """The limit of a_k = c_k(B) k!/(delta-1)_k extrapolated from
-    a_1..a_K, with the raw tail a_K and |a_K - a_{K-1}|.  Heun members
-    only converge for |s| < 1; outside that disk a warning is emitted
-    and the numbers are returned as-is."""
+    """The limit of a_k = c_k(B) k!/(delta-1)_k extrapolated from the
+    tail of a_1..a_K, with the raw tail a_K and |a_K - a_{K-1}|.
+
+    a_k is run directly, in mpc at precision_bits, by the recurrence
+    a_{k+1} = ((B + A_k) a_k - G_k a_{k-1}) H_k, a_0 = 1, whose
+    B-independent rows (A_k, G_k, H_k) come from a table kept for the
+    most recent spec, parameter types and precision
+    (`recurrence._scaled_step_table`).  Only the extrapolation nodes and
+    the last two terms are kept.  Heun members only converge for
+    |s| < 1; outside that disk a warning is emitted and the numbers are
+    returned as-is."""
     _check_d2_spec(spec)
     if K < 2:
         raise InvalidSpecError("K >= 2 required")
@@ -355,31 +363,40 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
                 RuntimeWarning,
                 stacklevel=2,
             )
-        seq = eval_sequence(spec, to_mpc(B), K)
-        delta = to_mpc(spec.delta)
-        factor = mp.mpc(1)
-        for k in range(1, K + 1):
-            factor = factor * k / (delta + (k - 2))
-            seq[k] = factor * seq[k]
-        del seq[0]                     # a_k for k = 1..K
-        estimate = _extrapolate_tail(seq)
-        indicator = abs(seq[-1] - seq[-2])
-    return D2Estimate(B=B, K=K, estimate=estimate, tail=seq[-1],
+        b = to_mpc(B)
+        rows = _scaled_step_table(spec, K)
+        nodes = _tail_nodes(K)
+        at_nodes = {}
+        prev, cur = mp.mpc(0), mp.mpc(1)   # a_{-1} (G_0 = 0), a_0
+        for k in range(K):
+            A, G, H = rows[k]
+            prev, cur = cur, ((b + A) * cur - G * prev) * H
+            if k + 1 in nodes:
+                at_nodes[k + 1] = cur
+        estimate = (_extrapolate_tail(nodes, [at_nodes[k] for k in nodes])
+                    if nodes else cur)
+        indicator = abs(cur - prev)
+    return D2Estimate(B=B, K=K, estimate=estimate, tail=cur,
                       error_indicator=indicator)
 
 
 _TAIL_NODES = 8       # Neville nodes of the tail extrapolation
 
 
-def _extrapolate_tail(seq):
-    """Neville extrapolation of a_k against h = 1/k to h = 0."""
-    K = len(seq)
+def _tail_nodes(K: int) -> tuple:
+    """The k, largest first, whose a_k the extrapolation reads: none
+    below 5 * _TAIL_NODES terms, where the raw tail a_K stands."""
     if K < 5 * _TAIL_NODES:
-        return seq[-1]
-    step = max(1, K // 16)
-    ks = [K - i * step for i in range(_TAIL_NODES)]
+        return ()
+    step = K // 16
+    return tuple(K - i * step for i in range(_TAIL_NODES))
+
+
+def _extrapolate_tail(ks, values):
+    """Neville extrapolation of the a_k at the nodes ks against h = 1/k
+    to h = 0."""
     xs = [mp.mpf(1) / k for k in ks]
-    t = [seq[k - 1] for k in ks]
+    t = list(values)
     n = len(t)
     for j in range(1, n):
         for i in range(n - j):

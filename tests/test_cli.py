@@ -378,6 +378,19 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("K", ["1", "-3", "0", "2.5"])
+    def test_d2_tail_length_must_be_at_least_2(self, capsys, K):
+        with pytest.raises(SystemExit) as exc:
+            main(["d2", "--family", "mathieu", "--q", "2", "--B", "1.4",
+                  f"--K={K}"])
+        assert exc.value.code == 2
+        assert "K >= 2" in capsys.readouterr().err
+        # K = 2 is the shortest tail
+        code, out, err = run(capsys, "d2", "--family", "mathieu", "--q",
+                             "2", "--B", "1.4", "--K", "2")
+        assert code == 0, err
+        assert "(K = 2)" in out
+
     @pytest.mark.parametrize("family", [
         ["--family", "lame", "--n", "2", "--s", "1/2", "--eta", "8"],
         ["--family", "mathieu", "--q", "2", "--a", "1"],

@@ -85,11 +85,15 @@ def test_d2_zero_hunt_reports_only_nonconvergence(capsys, monkeypatch,
     ("d2_zero_hunt.py", ["--m", "4,8", "--dig", "3"]),
     ("d2_zero_hunt.py", ["--digits=-2"]),
     ("d2_zero_hunt.py", ["--precision-bits", "0"]),
+    ("d2_zero_hunt.py", ["--family", "mathieu", "--q", "2", "--m", "0,4"]),
+    ("d2_zero_hunt.py", ["--m", "x"]),
+    ("d2_zero_hunt.py", ["--K", "1"]),
     ("zero_tables.py", ["mathieu-2", "--digits", "0"]),
     ("zero_tables.py", ["mathieu-2", "--prec", "64"]),
     ("zero_tables.py", ["mathieu-2", "--precision-bits=-5"]),
 ], ids=["hunt-abbreviated-family", "hunt-abbreviated-digits",
-        "hunt-digits-negative", "hunt-bits-0", "tables-digits-0",
+        "hunt-digits-negative", "hunt-bits-0", "hunt-degree-0",
+        "hunt-degree-not-integer", "hunt-K-1", "tables-digits-0",
         "tables-abbreviated-bits", "tables-bits-negative"])
 def test_scripts_parse_options_as_the_cli_does(capsys, script, argv):
     main_ = runpy.run_path(str(ROOT / "scripts" / script))["main"]

@@ -1,6 +1,7 @@
 """Zero tracking across degrees and the d2 connection-coefficient limit."""
 
 import json
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -25,7 +26,7 @@ from heunzeros.rootfind import (
     real_zero_count,
     tridiagonal_eigenvalues,
 )
-from heunzeros.scalars import to_mpc, working_precision
+from heunzeros.scalars import QQi, to_mpc, working_precision
 from heunzeros.tracking import (
     convergence_report,
     d2_closed_form_s0,
@@ -390,6 +391,116 @@ class TestD2Sequence:
                               delta="1/2", s=0)
         with pytest.raises(InvalidSpecError):
             d2_sequence(spec, mp.mpf(1), K=1)
+
+
+def reference_d2(spec, B, K):
+    """(estimate, tail, indicator) by the plain route: c_0..c_K from
+    eval_sequence, each c_k scaled by k!/(delta-1)_k, and the 8-node
+    Neville extrapolation against 1/k read from the whole list."""
+    c = eval_sequence(spec, B, K)
+    delta = to_mpc(spec.delta)
+    factor, seq = mp.mpc(1), []
+    for k in range(1, K + 1):
+        factor = factor * k / (delta + (k - 2))
+        seq.append(factor * c[k])
+    estimate = seq[-1]
+    if K >= 40:
+        step = K // 16
+        ks = [K - i * step for i in range(8)]
+        xs = [mp.mpf(1) / k for k in ks]
+        t = [seq[k - 1] for k in ks]
+        for j in range(1, 8):
+            for i in range(8 - j):
+                t[i] = ((xs[i + j] * t[i] - xs[i] * t[i + 1])
+                        / (xs[i + j] - xs[i]))
+        estimate = t[0]
+    return estimate, seq[-1], abs(seq[-1] - seq[-2])
+
+
+def _bits(x):
+    """An mpf or mpc as its type and mantissa/exponent tuples."""
+    return type(x).__name__, x._mpc_ if isinstance(x, mp.mpc) else x._mpf_
+
+
+class TestScaledTail:
+    """d2_sequence runs a_k = c_k k!/(delta-1)_k by its own recurrence
+    from a table of scaled step rows; it must agree with the plain route
+    and not depend on what the table held before."""
+
+    HEUN_EDGE = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2",
+                               delta="1/2", alpha="3/2", beta="-1",
+                               s="9/10")
+    LAME_MPF = RecurrenceSpec(kind=FamilyKind.HEUN, gamma=mp.mpf(0.5),
+                              delta=mp.mpf(0.5), alpha=mp.mpf(1.5),
+                              beta=mp.mpf(-1), s=mp.mpf("0.3"))
+
+    @pytest.mark.parametrize("spec,B", [
+        (THREE_FAMILIES[0], "-31/10"),
+        (THREE_FAMILIES[1], "13/10"),
+        (from_mathieu(MathieuParams(q="2i"))[0], "1/2"),
+        (RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2", delta="1/2",
+                        s=0), "-11/5"),
+        (HEUN_EDGE, "-23/10"),
+        (LAME_MPF, "-31/10"),
+        (THREE_FAMILIES[0], "-31/10+2/5i"),
+    ], ids=["lame", "mathieu-2", "mathieu-2i", "reduced-s0", "heun-edge",
+            "mpf-spec", "complex-B"])
+    def test_agrees_with_the_plain_route(self, spec, B):
+        with working_precision(256):
+            b = to_mpc(B)
+            for K in (2, 3, 39, 40, 400, 1600):
+                est = d2_sequence(spec, b, K)
+                got = (est.estimate, est.tail, est.error_indicator)
+                for x, y in zip(got, reference_d2(spec, b, K)):
+                    assert abs(x - y) <= mp.mpf("1e-60") * abs(y), (K, x, y)
+
+    # gamma = delta = 1/2 + 3 * 2^-64, exact and as a 256-bit float
+    FINE = RecurrenceSpec(kind=FamilyKind.REDUCED,
+                          gamma=QQi(Fraction(2**63 + 3, 2**64)),
+                          delta=QQi(Fraction(2**63 + 3, 2**64)), s=2)
+    with working_precision(256):
+        FINE_MPF = RecurrenceSpec(kind=FamilyKind.REDUCED,
+                                  gamma=mp.mpf(2**63 + 3) / 2**64,
+                                  delta=mp.mpf(2**63 + 3) / 2**64,
+                                  s=mp.mpf(2))
+    LAME_EQUAL_MPF = RecurrenceSpec(kind=FamilyKind.HEUN, gamma=mp.mpf(0.5),
+                                    delta=mp.mpf(0.5), alpha=mp.mpf(1.5),
+                                    beta=mp.mpf(-1),
+                                    s=mp.mpf(1) / 64)
+    LAME_64 = from_lame(LameParams(n=2, s="1/64"))[0]
+
+    # (spec, precision, K): switches specs, fields and precisions, grows
+    # and reuses one table, and puts equal exact and big-float specs next
+    # to each other
+    CASES = [
+        (LAME_64, 256, 40), (LAME_EQUAL_MPF, 256, 40), (LAME_64, 64, 80),
+        (LAME_EQUAL_MPF, 64, 80), (LAME_EQUAL_MPF, 64, 20),
+        (LAME_64, 256, 120), (THREE_FAMILIES[0], 256, 60), (FINE, 64, 50),
+        (FINE_MPF, 64, 50), (FINE_MPF, 256, 50), (FINE, 256, 100),
+        (FINE, 64, 30), (LAME_MPF, 64, 45), (LAME_MPF, 256, 45),
+    ]
+
+    def test_table_reuse_is_bit_identical(self, monkeypatch):
+        B = mp.mpc("-3.1", "0.25")
+        cold = []
+        for spec, bits, K in self.CASES:
+            monkeypatch.setattr(recurrence, "_scaled_steps", (None, ()))
+            cold.append(d2_sequence(spec, B, K, bits))
+        for (spec, bits, K), want in zip(self.CASES, cold):
+            got = d2_sequence(spec, B, K, bits)
+            assert [_bits(x) for x in (got.estimate, got.tail,
+                                       got.error_indicator)] == \
+                [_bits(x) for x in (want.estimate, want.tail,
+                                    want.error_indicator)], (spec, bits, K)
+
+    def test_never_evaluates_the_plain_sequence(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("d2_sequence called eval_sequence")
+
+        monkeypatch.setattr(recurrence, "eval_sequence", refuse)
+        monkeypatch.setattr(tracking, "eval_sequence", refuse, raising=False)
+        est = d2_sequence(THREE_FAMILIES[1], mp.mpf("1.3"), K=400)
+        assert abs(est.estimate) > 0
 
 
 class TestD2ZeroSearch:
