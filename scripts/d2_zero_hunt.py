@@ -15,12 +15,13 @@ Examples
 """
 
 import argparse
+import json
 import sys
 import time
 
 import mpmath as mp
 
-from heunzeros.cli import _m_list, _tail_length, positive_int
+from heunzeros.cli import EXIT_INVALID, _m_list, _tail_length, positive_int
 from heunzeros.families import LameParams, MathieuParams, from_lame, from_mathieu
 from heunzeros.rootfind import NonConvergenceError
 from heunzeros.scalars import format_scalar, working_precision
@@ -44,17 +45,21 @@ def main(argv=None):
     ap.add_argument("--precision-bits", type=positive_int, default=256)
     args = ap.parse_args(argv)
 
-    if args.family == "lame":
-        spec, _ = from_lame(LameParams(n=args.n, s=args.s))
-        label = f"lame n={args.n} s={args.s}"
-    else:
-        spec, _ = from_mathieu(MathieuParams(q=args.q))
-        label = f"mathieu q={args.q}"
     m_list = args.m
-
     t0 = time.monotonic()
-    report = convergence_report(spec, m_list=m_list, digits=args.digits,
-                                precision_bits=args.precision_bits)
+    try:
+        if args.family == "lame":
+            spec, _ = from_lame(LameParams(n=args.n, s=args.s))
+            label = f"lame n={args.n} s={args.s}"
+        else:
+            spec, _ = from_mathieu(MathieuParams(q=args.q))
+            label = f"mathieu q={args.q}"
+        report = convergence_report(spec, m_list=m_list, digits=args.digits,
+                                    precision_bits=args.precision_bits)
+    except ValueError as exc:      # InvalidSpecError among them, as in the CLI
+        print(json.dumps({"error": str(exc), "code": EXIT_INVALID}),
+              file=sys.stderr)
+        return EXIT_INVALID
     stable = report.stable_tracks()
     print(f"{label}: {len(stable)} zero(s) stable to {args.digits} digits "
           f"between c_{m_list[-2]} and c_{m_list[-1]} "

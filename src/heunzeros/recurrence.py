@@ -6,7 +6,9 @@ at z = 0, as a degree-m polynomial in the accessory parameter B:
     (m+1)(m+gamma) c_{m+1}(B) = (B + D_m + s E_m) c_m(B) - s F_m c_{m-1}(B)
 
 with c_{-1} = 0 and c_0 = 1.  Everything here runs either in the exact
-Gaussian-rational field or in mpc big-floats, chosen by the field tag.
+Gaussian-rational field or in mpc big-floats, chosen by the field tag,
+except the step rows of the d2 tail (`_scaled_step_table`), which are
+fixed-point Gaussian integers.
 
 Useful consequences kept as helpers and exploited by the test-suite:
 the leading coefficient of c_m is 1/(m! (gamma)_m), and at s = 0 the
@@ -26,6 +28,8 @@ from .scalars import (
     EXACT_FIELD,
     FieldTag,
     QQi,
+    _fixed_div,
+    _to_fixed,
     as_exact,
     bigfloat_field,
     is_exact_scalar,
@@ -199,40 +203,86 @@ def _step_table(spec: RecurrenceSpec, K: int, exact: bool) -> tuple:
 
 
 # (key, rows): the B-independent part of each step of the scaled
-# recurrence that `tracking.d2_sequence` runs, rows[k] = (A_k, G_k, H_k),
-# as mpc for the most recent spec, parameter types and precision, keyed
-# as _steps is and replaced as a whole in the same way.
+# recurrence that `tracking.d2_sequence` runs, rows[k] = the real and
+# imaginary parts of A_k, G_k and H_k as ints with F fraction bits, for
+# the most recent spec, parameter types and F, keyed as _steps is and
+# replaced as a whole in the same way.
 _scaled_steps = (None, ())
 
+_ROW_GUARD = 32   # extra fraction bits of the row build
 
-def _scaled_step_table(spec: RecurrenceSpec, K: int) -> tuple:
-    """rows[k] = (D_k + s E_k, k s F_k/(delta+k-2), 1/((k+gamma)(k+delta-1)))
-    for at least k < K, as mpc at the current precision: the steps of
 
-        a_{k+1} = ((B + A_k) a_k - G_k a_{k-1}) H_k,   a_0 = 1,
+def _scaled_step_table(spec: RecurrenceSpec, K: int, F: int) -> tuple:
+    """rows[k] = (Re A_k, Im A_k, Re G_k, Im G_k, Re H_k, Im H_k) for at
+    least k < K, each an int standing for its value times 2^F, with
 
+        A_k = D_k + s E_k,  G_k = N_k/(delta+k-2),  N_k = k s F_k,
+        H_k = 1/((k+gamma)(k+delta-1)),
+
+    the steps of a_{k+1} = ((B + A_k) a_k - G_k a_{k-1}) H_k, a_0 = 1,
     which a_k = c_k k!/(delta-1)_k satisfies (docs/math_notes.md,
-    section 6).  The rows come from `recurrence_coeffs` on an mpc copy of
-    the spec, so every operation rounds at the current precision."""
+    section 6).  In every family A_k has degree at most 2 in k and N_k
+    at most 3, so `recurrence_coeffs` runs only at k = 0..3, on an mpc
+    copy of the spec at F + _ROW_GUARD bits.  Their values, truncated to
+    W = F + _ROW_GUARD fraction bits, give exact forward differences, and
+    each row evaluates the Newton form with the integer binomials
+    C(k, 2) and C(k, 3) exactly.  A_k is then shifted down to F bits;
+    G_k and H_k each take one rounded division (`scalars._fixed_div`)."""
     global _scaled_steps
-    key = (spec, spec.param_types, mp.mp.prec)
+    key = (spec, spec.param_types, F)
     cached, rows = _scaled_steps
     if cached != key:
         # drop the old rows first, so two tables are never held at once
         _scaled_steps, rows = (None, ()), ()
     if len(rows) < K:
+        rows = rows + _scaled_rows(spec, len(rows), K, F)
+    _scaled_steps = (key, rows)
+    return rows
+
+
+def _forward_differences(values: list) -> list:
+    """[v_0, (Delta v)_0, (Delta^2 v)_0, ...] of the ints values."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
+def _scaled_rows(spec: RecurrenceSpec, k0: int, K: int, F: int) -> tuple:
+    """Rows k0 <= k < K of `_scaled_step_table`."""
+    W = F + _ROW_GUARD
+    with working_precision(W):
         big = RecurrenceSpec(spec.kind, *(
             None if v is None else to_mpc(v)
             for v in (spec.gamma, spec.delta, spec.s, spec.alpha, spec.beta)))
-        gamma, delta, s = big.gamma, big.delta, big.s
-        new = []
-        for k in range(len(rows), K):
-            D, E, F = recurrence_coeffs(big, k)
-            new.append((D + s * E, k * s * F / (delta + (k - 2)),
-                        1 / ((k + gamma) * (delta + (k - 1)))))
-        rows = rows + tuple(new)
-    _scaled_steps = (key, rows)
-    return rows
+        a_vals, n_vals = [], []
+        for k in range(4):
+            D, E, Fk = recurrence_coeffs(big, k)
+            a_vals.append(_to_fixed(D + big.s * E, W))
+            n_vals.append(_to_fixed(k * big.s * Fk, W))
+        gr, gi = _to_fixed(big.gamma, W)
+        dr, di = _to_fixed(big.delta, W)
+    a0r, a1r, a2r, _ = _forward_differences([x for x, _ in a_vals])
+    a0i, a1i, a2i, _ = _forward_differences([y for _, y in a_vals])
+    n0r, n1r, n2r, n3r = _forward_differences([x for x, _ in n_vals])
+    n0i, n1i, n2i, n3i = _forward_differences([y for _, y in n_vals])
+    one = 1 << W
+    num = 1 << (2 * W)           # 1 with 2W fraction bits
+    rows = []
+    for k in range(k0, K):
+        c2 = k * (k - 1) // 2
+        c3 = c2 * (k - 2) // 3
+        Ar = (a0r + k * a1r + c2 * a2r) >> _ROW_GUARD
+        Ai = (a0i + k * a1i + c2 * a2i) >> _ROW_GUARD
+        Nr = n0r + k * n1r + c2 * n2r + c3 * n3r
+        Ni = n0i + k * n1i + c2 * n2i + c3 * n3i
+        Gr, Gi = _fixed_div(Nr, Ni, dr + (k - 2) * one, di, F)
+        pr, pi = gr + k * one, gi                  # k + gamma
+        qr, qi = dr + (k - 1) * one, di            # k + delta - 1
+        Hr, Hi = _fixed_div(num, 0, pr * qr - pi * qi, pr * qi + pi * qr, F)
+        rows.append((Ar, Ai, Gr, Gi, Hr, Hi))
+    return tuple(rows)
 
 
 def eval_sequence(spec: RecurrenceSpec, B, K: int,

@@ -22,7 +22,13 @@ from math import isqrt
 import mpmath as mp
 
 from .families import InvalidSpecError
-from .scalars import to_mpc, working_precision
+from .scalars import (
+    _fixed_div,
+    _from_fixed,
+    _to_fixed,
+    to_mpc,
+    working_precision,
+)
 
 
 class NonConvergenceError(RuntimeError):
@@ -234,15 +240,14 @@ def _fixed_point_eigenvalues(diag, offdiag, bits: int):
         e = [to_mpc(x) for x in offdiag] + [mp.mpc(0)]
 
     def fixed(xs):
-        return [int(mp.ldexp(x.real, bits)) for x in xs], \
-            [int(mp.ldexp(x.imag, bits)) for x in xs]
+        re, im = zip(*(_to_fixed(x, bits) for x in xs))
+        return list(re), list(im)
 
     dr, di = fixed(d)
     if not _fixed_point_ql(dr, di, *fixed(e), bits):
         return None
     with working_precision(bits):
-        return [mp.mpc(mp.ldexp(x, -bits), mp.ldexp(y, -bits))
-                for x, y in zip(dr, di)]
+        return [_from_fixed(x, y, bits) for x, y in zip(dr, di)]
 
 
 def _fixed_sqrt(x, y):
@@ -258,12 +263,6 @@ def _fixed_sqrt(x, y):
     if y < 0:
         im = -im
     return y // (2 * im), im
-
-
-def _fixed_div(ar, ai, br, bi, F):
-    """(ar + i ai) / (br + i bi) with F fraction bits, b nonzero."""
-    n2 = br * br + bi * bi
-    return ((ar * br + ai * bi) << F) // n2, ((ai * br - ar * bi) << F) // n2
 
 
 def _fixed_point_ql(dr, di, er, ei, F: int) -> bool:

@@ -269,6 +269,30 @@ def working_precision(bits: int):
     return mp.workprec(bits)
 
 
+# -- fixed point ------------------------------------------------------------
+#
+# A Gaussian integer pair (x, y) with F fraction bits stands for
+# (x + iy) / 2^F.  The fixed-point kernels (the escalated QL in
+# `rootfind`, the d2 tail in `tracking`) run on such pairs and use only
+# these conversions and this division.
+
+def _to_fixed(z, F: int) -> tuple:
+    """The mpc or mpf z truncated toward zero to F fraction bits."""
+    return int(mp.ldexp(z.real, F)), int(mp.ldexp(z.imag, F))
+
+
+def _from_fixed(x: int, y: int, F: int) -> mp.mpc:
+    """(x + iy) / 2^F as mpc, rounded to the current precision."""
+    return mp.mpc(mp.ldexp(x, -F), mp.ldexp(y, -F))
+
+
+def _fixed_div(ar, ai, br, bi, F):
+    """(ar + i ai) / (br + i bi), b nonzero, rounded to the floor: with
+    Fa fraction bits in a and Fb in b, the quotient has Fa - Fb + F."""
+    n2 = br * br + bi * bi
+    return ((ar * br + ai * bi) << F) // n2, ((ai * br - ar * bi) << F) // n2
+
+
 # -- field tags -------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .rootfind import (
     find_all_roots,
     tridiagonal_eigenvalues,
 )
-from .scalars import to_mpc, working_precision
+from .scalars import _from_fixed, _to_fixed, to_mpc, working_precision
 
 
 # -- solving one degree with labelled zeros -----------------------------------
@@ -330,13 +330,19 @@ class D2Estimate:
     error_indicator: object    # |a_K - a_{K-1}|
 
 
-def _check_d2_spec(spec: RecurrenceSpec):
-    for name in ("gamma", "delta"):
-        v = to_mpc(getattr(spec, name))
-        if v.imag == 0 and v.real == mp.floor(v.real):
-            raise InvalidSpecError(
-                f"d2 limit needs non-integer gamma and delta; {name} = {v}"
-            )
+def _check_d2_spec(spec: RecurrenceSpec, precision_bits: int):
+    """Refuse gamma or delta that is an integer at precision_bits."""
+    with working_precision(precision_bits):
+        for name in ("gamma", "delta"):
+            v = to_mpc(getattr(spec, name))
+            if v.imag == 0 and v.real == mp.floor(v.real):
+                raise InvalidSpecError(
+                    f"d2 limit needs non-integer gamma and delta; "
+                    f"{name} = {v}"
+                )
+
+
+_D2_GUARD = 32        # fraction bits of the d2 kernel beyond precision_bits
 
 
 def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
@@ -344,17 +350,25 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
     """The limit of a_k = c_k(B) k!/(delta-1)_k extrapolated from the
     tail of a_1..a_K, with the raw tail a_K and |a_K - a_{K-1}|.
 
-    a_k is run directly, in mpc at precision_bits, by the recurrence
-    a_{k+1} = ((B + A_k) a_k - G_k a_{k-1}) H_k, a_0 = 1, whose
-    B-independent rows (A_k, G_k, H_k) come from a table kept for the
-    most recent spec, parameter types and precision
-    (`recurrence._scaled_step_table`).  Only the extrapolation nodes and
-    the last two terms are kept.  Heun members only converge for
-    |s| < 1; outside that disk a warning is emitted and the numbers are
-    returned as-is."""
-    _check_d2_spec(spec)
+    a_k is run directly by the recurrence
+    a_{k+1} = ((B + A_k) a_k - G_k a_{k-1}) H_k, a_0 = 1, in fixed
+    point: every value is a Gaussian integer pair standing for its value
+    times 2^F, F = precision_bits + _D2_GUARD, and a step is twelve
+    integer multiplications and four shifts, each shift rounding to the
+    floor.  The B-independent rows (A_k, G_k, H_k) come from a table
+    kept for the most recent spec, parameter types and F
+    (`recurrence._scaled_step_table`).  Since a_0 = 1 and the errors
+    reach the limit through the dominant solution, an absolute rounding
+    error of 2^-F per step costs no more than mpc's relative one
+    (docs/math_notes.md, section 6).  Only the extrapolation nodes and
+    the last two terms are kept, and they return to mpc at
+    precision_bits.  Heun members only converge for |s| < 1; outside
+    that disk a warning is emitted and the numbers are returned
+    as-is."""
+    _check_d2_spec(spec, precision_bits)
     if K < 2:
         raise InvalidSpecError("K >= 2 required")
+    F = precision_bits + _D2_GUARD
     with working_precision(precision_bits):
         if spec.kind == FamilyKind.HEUN and abs(to_mpc(spec.s)) >= 1:
             warnings.warn(
@@ -363,18 +377,26 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
                 RuntimeWarning,
                 stacklevel=2,
             )
-        b = to_mpc(B)
-        rows = _scaled_step_table(spec, K)
-        nodes = _tail_nodes(K)
-        at_nodes = {}
-        prev, cur = mp.mpc(0), mp.mpc(1)   # a_{-1} (G_0 = 0), a_0
-        for k in range(K):
-            A, G, H = rows[k]
-            prev, cur = cur, ((b + A) * cur - G * prev) * H
-            if k + 1 in nodes:
-                at_nodes[k + 1] = cur
-        estimate = (_extrapolate_tail(nodes, [at_nodes[k] for k in nodes])
-                    if nodes else cur)
+        br, bi = _to_fixed(to_mpc(B), F)
+    rows = _scaled_step_table(spec, K, F)
+    nodes = _tail_nodes(K)
+    at_nodes = {}
+    pr = pi = 0                    # a_{-1} (G_0 = 0)
+    cr, ci = 1 << F, 0             # a_0
+    for k in range(K):
+        Ar, Ai, Gr, Gi, Hr, Hi = rows[k]
+        ur, ui = br + Ar, bi + Ai
+        tr = (ur * cr - ui * ci - Gr * pr + Gi * pi) >> F
+        ti = (ur * ci + ui * cr - Gr * pi - Gi * pr) >> F
+        pr, pi = cr, ci
+        cr, ci = (tr * Hr - ti * Hi) >> F, (tr * Hi + ti * Hr) >> F
+        if k + 1 in nodes:
+            at_nodes[k + 1] = (cr, ci)
+    with working_precision(precision_bits):
+        cur, prev = _from_fixed(cr, ci, F), _from_fixed(pr, pi, F)
+        estimate = (_extrapolate_tail(
+            nodes, [_from_fixed(*at_nodes[k], F) for k in nodes])
+            if nodes else cur)
         indicator = abs(cur - prev)
     return D2Estimate(B=B, K=K, estimate=estimate, tail=cur,
                       error_indicator=indicator)
@@ -408,7 +430,7 @@ def d2_closed_form_s0(spec: RecurrenceSpec, B, precision_bits: int = 256):
     """d2 at s = 0 via the classical two-point connection formula:
     Gamma(gamma) Gamma(delta-1) / (Gamma(l1) Gamma(l2)) with l1, l2 the
     roots of l^2 - (gamma+delta-1) l + B = 0."""
-    _check_d2_spec(spec)
+    _check_d2_spec(spec, precision_bits)
     with working_precision(precision_bits):
         g, d, b = to_mpc(spec.gamma), to_mpc(spec.delta), to_mpc(B)
         tr = g + d - 1

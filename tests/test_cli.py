@@ -261,6 +261,22 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["code"] == 4
 
+    # delta - 1 = 2^-60: delta is an integer at 53 bits, but not at 256
+    @pytest.mark.parametrize("extra,want", [
+        ([], 0), (["--precision-bits", "53"], 4),
+    ], ids=["default-bits", "53-bits"])
+    def test_d2_checks_delta_at_the_precision(self, capsys, extra, want):
+        code, out, err = run(capsys, "d2", "--family", "rcheun", "--gamma",
+                             "1/2", "--delta",
+                             "1152921504606846977/1152921504606846976",
+                             "--s", "1/10", "--B", "1", "--K", "100", *extra)
+        assert code == want, err
+        if want:
+            assert out == ""
+            assert "non-integer gamma and delta" in json.loads(err)["error"]
+        else:
+            assert "(K = 100)" in out
+
     def test_nonconvergence_is_3(self, capsys):
         code, _, err = run(capsys, "zeros", "--family", "lame", "--n", "2",
                            "--s", "1/2", "--m", "8", "--precision-bits", "64",

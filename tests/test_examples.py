@@ -1,5 +1,6 @@
 """The README's examples and the scripts run as documented."""
 
+import json
 import re
 import runpy
 from pathlib import Path
@@ -80,24 +81,31 @@ def test_d2_zero_hunt_reports_only_nonconvergence(capsys, monkeypatch,
             script["main"](argv)
 
 
-@pytest.mark.parametrize("script,argv", [
-    ("d2_zero_hunt.py", ["--fam", "mathieu", "--m", "4,8"]),
-    ("d2_zero_hunt.py", ["--m", "4,8", "--dig", "3"]),
-    ("d2_zero_hunt.py", ["--digits=-2"]),
-    ("d2_zero_hunt.py", ["--precision-bits", "0"]),
-    ("d2_zero_hunt.py", ["--family", "mathieu", "--q", "2", "--m", "0,4"]),
-    ("d2_zero_hunt.py", ["--m", "x"]),
-    ("d2_zero_hunt.py", ["--K", "1"]),
-    ("zero_tables.py", ["mathieu-2", "--digits", "0"]),
-    ("zero_tables.py", ["mathieu-2", "--prec", "64"]),
-    ("zero_tables.py", ["mathieu-2", "--precision-bits=-5"]),
+@pytest.mark.parametrize("script,argv,code", [
+    ("d2_zero_hunt.py", ["--fam", "mathieu", "--m", "4,8"], 2),
+    ("d2_zero_hunt.py", ["--m", "4,8", "--dig", "3"], 2),
+    ("d2_zero_hunt.py", ["--digits=-2"], 2),
+    ("d2_zero_hunt.py", ["--precision-bits", "0"], 2),
+    ("d2_zero_hunt.py", ["--family", "mathieu", "--q", "2", "--m", "0,4"], 2),
+    ("d2_zero_hunt.py", ["--m", "x"], 2),
+    ("d2_zero_hunt.py", ["--K", "1"], 2),
+    ("d2_zero_hunt.py", ["--family", "mathieu", "--q", "2", "--m", "4"], 4),
+    ("zero_tables.py", ["mathieu-2", "--digits", "0"], 2),
+    ("zero_tables.py", ["mathieu-2", "--prec", "64"], 2),
+    ("zero_tables.py", ["mathieu-2", "--precision-bits=-5"], 2),
 ], ids=["hunt-abbreviated-family", "hunt-abbreviated-digits",
         "hunt-digits-negative", "hunt-bits-0", "hunt-degree-0",
-        "hunt-degree-not-integer", "hunt-K-1", "tables-digits-0",
-        "tables-abbreviated-bits", "tables-bits-negative"])
-def test_scripts_parse_options_as_the_cli_does(capsys, script, argv):
+        "hunt-degree-not-integer", "hunt-K-1", "hunt-one-degree",
+        "tables-digits-0", "tables-abbreviated-bits", "tables-bits-negative"])
+def test_scripts_parse_options_as_the_cli_does(capsys, script, argv, code):
+    # exit 2 for what argparse refuses, 4 for what the library refuses
     main_ = runpy.run_path(str(ROOT / "scripts" / script))["main"]
-    with pytest.raises(SystemExit) as exc:
-        main_(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    try:
+        got = main_(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    if code == 4:
+        assert json.loads(err)["code"] == 4

@@ -21,6 +21,7 @@ from heunzeros.families import (
     from_lame,
     recurrence_coeffs,
 )
+from heunzeros import recurrence
 from heunzeros.recurrence import (
     DensePolynomial,
     PolynomialFamily,
@@ -278,6 +279,81 @@ class TestStepTable:
             got = [[_bits(c) for c in p.coeffs] for p in fam.polys]
             assert got == [[_bits(c) for c in r] for r in want], \
                 (spec, bits, m_max)
+
+
+class TestScaledStepTable:
+    """The d2 kernel's rows come from forward differences of A_k and
+    N_k = k s F_k at k = 0..3, which is exact only while the coefficient
+    laws keep their degrees in k."""
+
+    GENERIC = {
+        FamilyKind.HEUN: RecurrenceSpec(
+            kind=FamilyKind.HEUN, gamma="1/3+1/7i", delta="2/5-1/2i",
+            alpha="7/4+1/3i", beta="-5/6", s="3/11-2/9i"),
+        FamilyKind.CONFLUENT: RecurrenceSpec(
+            kind=FamilyKind.CONFLUENT, gamma="1/3+1/7i", delta="2/5-1/2i",
+            alpha="7/4+1/3i", s="3/11-2/9i"),
+        FamilyKind.REDUCED: RecurrenceSpec(
+            kind=FamilyKind.REDUCED, gamma="1/3+1/7i", delta="2/5-1/2i",
+            s="3/11-2/9i"),
+    }
+
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+    def test_coefficient_laws_keep_their_degrees_in_k(self, kind):
+        spec = self.GENERIC[kind]
+        A, N = [], []
+        for k in range(7):
+            D, E, F = recurrence_coeffs(spec, k)
+            A.append(D + spec.s * E)
+            N.append(k * spec.s * F)
+
+        def difference(v, order):
+            for _ in range(order):
+                v = [b - a for a, b in zip(v, v[1:])]
+            return v
+
+        assert all(isinstance(x, QQi) and x == 0 for x in difference(A, 3))
+        assert all(isinstance(x, QQi) and x == 0 for x in difference(N, 4))
+
+    with working_precision(256):
+        LAME_MPF = RecurrenceSpec(kind=FamilyKind.HEUN, gamma=mp.mpf(0.5),
+                                  delta=mp.mpf(0.5), alpha=mp.mpf(1.5),
+                                  beta=mp.mpf(-1), s=mp.mpf(1) / 3)
+
+    @pytest.mark.parametrize("spec", [
+        RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2", delta="1/2",
+                       alpha="3/2", beta="-1", s="9/10"),
+        from_lame(LameParams(n=2, s="1/100"))[0],
+        RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2", delta="1/2",
+                       s="2i"),
+        RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2", delta="1/2",
+                       s=0),
+        RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/3",
+                       delta="2/3+1/5i", alpha="5/2", s="-1/2"),
+        LAME_MPF,
+    ], ids=["heun", "lame", "mathieu-2i", "reduced-s0", "cheun-complex-delta",
+            "mpf-spec"])
+    @pytest.mark.parametrize("F", [96, 288])
+    def test_rows_match_a_per_k_build(self, spec, F):
+        K = 12800
+        rows = recurrence._scaled_step_table(spec, K, F)
+        assert len(rows) == K
+        ks = list(range(40)) + list(range(40, K, 797)) + list(range(K - 5, K))
+        with working_precision(F + 64):
+            big = RecurrenceSpec(spec.kind, *(
+                None if v is None else to_mpc(v) for v in
+                (spec.gamma, spec.delta, spec.s, spec.alpha, spec.beta)))
+            gamma, delta, s = big.gamma, big.delta, big.s
+            tol = mp.mpf(2) ** (8 - F)
+            for k in ks:
+                D, E, Fk = recurrence_coeffs(big, k)
+                want = (D + s * E, k * s * Fk / (delta + k - 2),
+                        1 / ((k + gamma) * (delta + k - 1)))
+                row = rows[k]
+                for j, w in enumerate(want):
+                    got = mp.mpc(mp.ldexp(row[2 * j], -F),
+                                 mp.ldexp(row[2 * j + 1], -F))
+                    assert abs(got - w) <= tol * max(1, abs(w)), (k, j)
 
 
 class TestSPolynomials:

@@ -503,6 +503,36 @@ class TestScaledTail:
         assert abs(est.estimate) > 0
 
 
+class TestFixedPointTail:
+    """d2_sequence runs in fixed point with _D2_GUARD bits beyond the
+    requested precision; its results must hold that precision."""
+
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    def test_agrees_with_a_run_at_96_more_bits(self, bits):
+        cases = [
+            (THREE_FAMILIES[0], "-31/10"),
+            (THREE_FAMILIES[1], "13/10"),
+            (THREE_FAMILIES[2], "-1+1/3i"),
+            (from_mathieu(MathieuParams(q="2i"))[0], "1/2"),
+            (RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
+                            delta="1/2", s=0), "-11/5"),
+            (TestScaledTail.HEUN_EDGE, "-23/10"),
+            (RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/3",
+                            delta="2/3+1/5i", alpha="5/2", s="-1/2"),
+             "-1+1/2i"),
+        ]
+        tol = mp.mpf(2) ** (40 - bits)
+        for spec, B in cases:
+            for K in (40, 400):
+                got = d2_sequence(spec, B, K, bits)
+                ref = d2_sequence(spec, B, K, bits + 96)
+                with working_precision(bits + 96):
+                    for x, y in ((got.estimate, ref.estimate),
+                                 (got.tail, ref.tail)):
+                        assert abs(x - y) <= tol * max(1, abs(y)), \
+                            (spec, B, K)
+
+
 class TestD2ZeroSearch:
     def test_finds_zero_near_stabilized_lame_zero(self, lame_small):
         # agrees with where the k = 2 zero of c_30 and c_40 stabilizes
