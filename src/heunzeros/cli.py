@@ -473,19 +473,23 @@ def _suite_perturbation(spec, bits):
 
 def _suite_rootfind(spec, bits):
     c8 = build_family(spec, 8, bits)[8]
-    zs_est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7),
-                            precision_bits=bits)
-    zs_cir = find_all_roots(c8, precision_bits=bits)
     zs_eig = solve_zeros(spec, 8, precision_bits=bits)
-    gap = max(d for za, zb in ((zs_est, zs_cir), (zs_eig, zs_est))
-              for _, _, d in match_zeros(za, zb).pairs)
-    # each solve meets its default tol 2^-(bits/2); the pass line keeps
-    # 3/16 of the bits as slack and is 2^-80 at 256 bits
-    yield ("seeding strategies agree on c_8 zeros",
-           gap < mp.mpf(2) ** -(5 * bits // 16),
-           f"max gap {mp.nstr(gap, 3)}")
+    try:
+        zs_est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7),
+                                precision_bits=bits)
+    except NonConvergenceError as exc:
+        # estimates far from the zeros (large |s|) polish to one zero twice
+        yield ("seeding strategies agree on c_8 zeros", False,
+               f"estimate seeds: {exc}")
+    else:
+        gap = max(d for _, _, d in match_zeros(zs_eig, zs_est).pairs)
+        # each solve meets its default tol 2^-(bits/2); the pass line
+        # keeps 3/16 of the bits as slack and is 2^-80 at 256 bits
+        yield ("seeding strategies agree on c_8 zeros",
+               gap < mp.mpf(2) ** -(5 * bits // 16),
+               f"max gap {mp.nstr(gap, 3)}")
     yield ("zero residuals below tolerance",
-           max(zs_est.residuals) < zs_est.tol, "")
+           max(zs_eig.residuals) < zs_eig.tol, "")
 
 
 def _suite_tracking(spec, bits):

@@ -1,13 +1,15 @@
-"""Simultaneous polynomial root finding at configurable precision.
+"""Polynomial root polishing at configurable precision, and the QL
+eigenvalue solver that supplies its seeds.
 
-From caller-supplied seeds (eigenvalues of a tridiagonal matrix from
-`tridiagonal_eigenvalues`, or perturbative zero estimates) each root is
-first polished alone by Newton's method, and the result stands when
-disks around the polished points, each holding a root, are pairwise
-disjoint.  Otherwise, and always from Newton-polygon scaled circles
-computed from the coefficient magnitudes, an Aberth-Ehrlich iteration
-moves all roots at once before the same Newton polish.  Everything is
-deterministic: no starting point comes from a random generator.
+`find_all_roots` takes caller-supplied seeds, one per root (the
+eigenvalues of a tridiagonal matrix from `tridiagonal_eigenvalues`, or
+perturbative zero estimates), and polishes each alone by Newton's
+method.  The result stands when disks around the polished points, each
+holding a root, are pairwise disjoint and every residual meets the
+tolerance; otherwise it raises, and the caller may bring better seeds
+(`tracking.solve_zeros` climbs a ladder of QL precisions).  Nothing
+iterates beyond a fixed number of Newton steps per seed, and everything
+is deterministic: no starting point comes from a random generator.
 
 Residuals are reported as |p(z)/p'(z)|, the Newton-step length, which
 estimates the absolute distance to the true root.
@@ -32,7 +34,14 @@ from .scalars import (
 
 
 class NonConvergenceError(RuntimeError):
-    """The iteration did not reach the requested tolerance."""
+    """The iteration did not reach the requested tolerance.
+
+    overlapping lists the roots of a `find_all_roots` call whose disks
+    met another one's, and is empty for every other failure."""
+
+    def __init__(self, message, overlapping=()):
+        super().__init__(message)
+        self.overlapping = tuple(overlapping)
 
 
 @dataclass(frozen=True)
@@ -41,10 +50,10 @@ class ZeroSet:
 
     Display order is descending real part, ties by ascending imaginary
     part.  labels[i] is the grid index k matched to zeros[i] (None when
-    no labelling was requested).  seed_bits is the precision of the
-    eigenvalue seeds (53 or more; None for circles or other seeds) and
-    sweeps the number of Aberth sweeps run (0 when the Newton polish of
-    the seeds stood on its own).
+    no labelling was requested).  seed_bits is the rung of the
+    `tracking.solve_zeros` precision ladder whose Jacobi eigenvalues
+    seeded the zeros that stood (53 or more; None for seeds given to
+    `find_all_roots` directly).
     """
 
     zeros: tuple
@@ -54,7 +63,6 @@ class ZeroSet:
     tol: object
     labels: tuple = None
     seed_bits: int | None = None
-    sweeps: int = 0
 
     def __post_init__(self):
         if self.labels is None:
@@ -124,7 +132,8 @@ def newton_polygon_seeds(coeffs) -> list:
     horizontal span w contributes w equally spaced angles.  A block of
     zero low-order coefficients (a_0 = ... = a_{v-1} = 0) means the
     origin is a root of multiplicity v, so it contributes v seeds at 0
-    and the hull covers only the remaining n - v roots.
+    and the hull covers only the remaining n - v roots.  No solve in
+    this package starts from these circles.
     """
     n = len(coeffs) - 1
     pts = [(k, mp.mag(c)) for k, c in enumerate(coeffs) if c != 0]
@@ -142,7 +151,6 @@ def newton_polygon_seeds(coeffs) -> list:
 
 
 _QL_MAX_STEPS = 50    # QL steps allowed per eigenvalue
-_MAX_SWEEPS = 2000    # Aberth sweeps allowed per polynomial
 _POLISH_STEPS = 40    # Newton steps allowed per root
 
 
@@ -162,9 +170,9 @@ def tridiagonal_eigenvalues(diag, offdiag, precision_bits: int = 53):
     complex-symmetric.  Such a rotation breaks down when its pivot pair
     (f, g) has f^2 + g^2 = 0, and nothing bounds how fast a non-normal
     matrix converges; either way, or when a double entry overflows, the
-    result is None and the caller must seed some other way.  At most
-    _QL_MAX_STEPS QL steps per 53 bits of precision are spent on each
-    eigenvalue.  The eigenvalues come back in no particular order, as
+    result is None (`tracking.solve_zeros` then tries its next rung of
+    precision).  At most _QL_MAX_STEPS QL steps per 53 bits of
+    precision are spent on each eigenvalue.  The eigenvalues come back in no particular order, as
     mpc at precision_bits when that exceeds 53; they are accurate to
     about the unit roundoff times the matrix norm only when the matrix
     is close to normal, and far less when it is not, which is why
@@ -277,13 +285,18 @@ def _fixed_point_ql(dr, di, er, ei, F: int) -> bool:
     2^(6-F) max_j ||row_j||_1: rounding leaves an absolute error of a
     few units of 2^-F times the matrix scale in every entry, so near a
     small eigenvalue of a non-normal matrix the relative test alone may
-    never pass.  False on rotation breakdown or when an eigenvalue
-    needs more than _QL_MAX_STEPS * F // 53 steps."""
+    never pass.  And e_l deflates after a step whose last rotation had
+    f = s e_l floor to zero, if it is below 2^(-F/2) max_j ||row_j||_1:
+    that rotation has s = 0, so the step could not shrink e_l, and
+    without this the block stalls until the step limit (the Lame s = 1/2
+    matrix at m = 40 and 106 bits does).  False on rotation breakdown or
+    when an eigenvalue needs more than _QL_MAX_STEPS * F // 53 steps."""
     n = len(dr)
     max_steps = _QL_MAX_STEPS * F // 53
-    floor = max(abs(dr[j]) + abs(di[j]) + abs(er[j]) + abs(ei[j])
-                + abs(er[j - 1]) + abs(ei[j - 1]) for j in range(n)) \
-        >> (F - 6)                 # er[-1] is the zero padding
+    scale = max(abs(dr[j]) + abs(di[j]) + abs(er[j]) + abs(ei[j])
+                + abs(er[j - 1]) + abs(ei[j - 1]) for j in range(n))
+    floor = scale >> (F - 6)       # er[-1] is the zero padding
+    stalled = scale >> (F // 2)
     one = 1 << F
     for l in range(n):
         for it in range(max_steps + 1):
@@ -334,61 +347,34 @@ def _fixed_point_ql(dr, di, er, ei, F: int) -> bool:
             dr[l] -= pr
             di[l] -= pi
             er[l], ei[l] = gr, gi
+            if not (fr or fi) and abs(gr) + abs(gi) <= stalled:
+                er[l] = ei[l] = 0
             er[m] = ei[m] = 0
     return True
 
 
-def _break_axis_symmetry(points, coeffs, scale):
-    """Real coefficients map an all-real Aberth configuration to an
-    all-real one, so a fully real start can never reach a complex
-    conjugate root pair.  Alternating imaginary offsets remove that
-    invariant; they are tiny enough not to disturb real roots."""
-    if any(c.imag != 0 for c in coeffs) or any(z.imag != 0 for z in points):
-        return points
-    return [
-        z + mp.mpc(0, scale * (1 + abs(z)) * (1 if j % 2 == 0 else -1))
-        for j, z in enumerate(points)
-    ]
-
-
-def _spread_duplicates(points, scale):
-    """Nudge exact duplicates apart so the Aberth sum stays finite."""
-    seen = {}
-    out = []
-    for j, z in enumerate(points):
-        key = (str(z.real), str(z.imag))
-        bump = seen.get(key, 0)
-        if bump:
-            z = z + mp.mpc(1, 1) * scale * bump
-        seen[key] = bump + 1
-        out.append(z)
-    return out
-
-
-def find_all_roots(poly, seeds=None, precision_bits: int = 256,
+def find_all_roots(poly, seeds, precision_bits: int = 256,
                    tol=None) -> ZeroSet:
-    """All roots of the polynomial.
+    """All roots of the polynomial, polished from one seed each.
 
     poly: DensePolynomial or ascending coefficient list (any scalar
-    type convertible to mpc).  seeds, when given, are the starting
-    points, one per root (any other count raises InvalidSpecError).
-    Each seed is first polished alone by `_newton_polish`; the result
-    stands when every root converged and the disks
-    D(z_i, max(n |p/p'|(z_i), tol (1 + |z_i|))) are pairwise disjoint
-    (`_separated`), which leaves one root in each; for a real
-    polynomial the disks also show which roots are real and which are
-    conjugate pairs, and `_mirrored` makes the result exactly symmetric
-    about the real axis.  Otherwise the Aberth sweeps run from the
-    seeds, and without seeds they always run from the Newton-polygon
-    circles; the polish follows them.  Seeds near the roots, such as
-    the eigenvalues of a Jacobi matrix whose characteristic polynomial
-    is poly, make the sweeps unnecessary.  A root that fails its check
-    always raises NonConvergenceError: so do Aberth sweeps that have
-    not settled after _MAX_SWEEPS, a root whose polished residual
-    misses tol, and a tol below 2^-(precision_bits + 24), before any
-    evaluation, since the iterations run at precision_bits + 24 bits,
-    which cannot resolve a smaller step.  Every zero of the result has
-    therefore converged.
+    type convertible to mpc).  seeds: the starting points, one per root
+    (any other count raises InvalidSpecError), such as the eigenvalues
+    of a Jacobi matrix whose characteristic polynomial is poly.  Each
+    seed is polished alone by `_newton_polish` at precision_bits + 24
+    bits.  The result stands when the disks
+    D(z_i, max(n |p/p'|(z_i), tol (1 + |z_i|))) are pairwise disjoint,
+    which leaves one root in each, and every residual |p/p'|(z_i) is
+    below tol (1 + |z_i|).  For a real polynomial the disks also show
+    which roots are real and which are conjugate pairs, and `_mirrored`
+    makes the result exactly symmetric about the real axis.  Otherwise
+    NonConvergenceError is raised, with `overlapping` naming the roots
+    whose disks meet another one: those seeds were not near distinct
+    roots.  When it is empty, the disks are disjoint and the residuals
+    that missed tol are what the arithmetic resolves, so no other seeds
+    can help.  A tol below 2^-(precision_bits + 24), which the working
+    precision cannot resolve, raises the same way before any
+    evaluation.  Every zero of the result has therefore converged.
     """
     coeffs = _as_mpc_coeffs(poly, precision_bits)
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -406,49 +392,42 @@ def find_all_roots(poly, seeds=None, precision_bits: int = 256,
                 f"({precision_bits} bits plus 24 guard bits); raise "
                 "the precision or loosen the tolerance"
             )
-        z = newton_polygon_seeds(coeffs) if seeds is None else \
-            [to_mpc(s) for s in seeds]
-        if len(z) != n:
+        if len(seeds) != n:
             raise InvalidSpecError(
-                f"{len(z)} seeds for a degree-{n} polynomial")
-        real_coeffs = all(c.imag == 0 for c in coeffs)
-        polished = None if seeds is None else \
-            [_newton_polish(coeffs, zj, tol) for zj in z]
-        sweeps = 0
-        if polished is None or not _separated(polished, n, tol):
-            z = _spread_duplicates(z, mp.mpf(2) ** -20)
-            z = _break_axis_symmetry(z, coeffs, mp.mpf(2) ** -16)
-            sweeps = _aberth(coeffs, z, tol)
-            polished = [_newton_polish(coeffs, zj, tol) for zj in z]
-        elif real_coeffs:
+                f"{len(seeds)} seeds for a degree-{n} polynomial")
+        polished = [_newton_polish(coeffs, to_mpc(s), tol) for s in seeds]
+        overlap = _overlapping(polished, n, tol)
+        if overlap:
+            raise NonConvergenceError(
+                f"the disks of {len(overlap)} of {n} polished seeds "
+                f"overlap (indices {_head(overlap)})", overlapping=overlap)
+        bad = [j for j, (_, _, ok) in enumerate(polished) if not ok]
+        if bad:
+            worst = max(polished[j][1] / (1 + abs(polished[j][0]))
+                        for j in bad)
+            raise NonConvergenceError(
+                f"{len(bad)} of {n} roots failed the tolerance check "
+                f"(indices {_head(bad)}; relative residuals up to "
+                f"{mp.nstr(worst, 3)} against tol {mp.nstr(tol, 3)}) "
+                "though their disks are disjoint, so no seeds can lower "
+                "them")
+        if all(c.imag == 0 for c in coeffs):
             polished = _mirrored(polished, n, tol)
 
-        dust = mp.mpf(2) ** (-2 * precision_bits)
-        roots, residuals = [], []
-        for r, res, _ in polished:
-            if real_coeffs and r.imag != 0 and \
-                    abs(r.imag) < dust * (1 + abs(r.real)):
-                # arithmetic dust orders of magnitude below the working
-                # precision, not a resolvable conjugate pair
-                r = mp.mpc(r.real, 0)
-            roots.append(r)
-            residuals.append(res)
-
-    bad = [j for j, (_, _, ok) in enumerate(polished) if not ok]
-    if bad:
-        raise NonConvergenceError(
-            f"{len(bad)} of {n} roots failed the tolerance check "
-            f"(indices {bad[:8]}{'...' if len(bad) > 8 else ''})"
-        )
-    order = sorted(range(n), key=lambda j: (-roots[j].real, roots[j].imag))
+    order = sorted(range(n), key=lambda j: (-polished[j][0].real,
+                                            polished[j][0].imag))
     return ZeroSet(
-        zeros=tuple(roots[j] for j in order),
-        residuals=tuple(residuals[j] for j in order),
+        zeros=tuple(polished[j][0] for j in order),
+        residuals=tuple(polished[j][1] for j in order),
         degree=n,
         precision_bits=precision_bits,
         tol=tol,
-        sweeps=sweeps,
     )
+
+
+def _head(indices) -> str:
+    """The first 8 indices, and an ellipsis for any more."""
+    return f"{indices[:8]}{'...' if len(indices) > 8 else ''}"
 
 
 def _disks(polished, n, tol) -> tuple:
@@ -460,14 +439,17 @@ def _disks(polished, n, tol) -> tuple:
     return z, [max(n * res, tol * (1 + abs(r))) for r, res, _ in polished]
 
 
-def _separated(polished, n, tol) -> bool:
-    """Whether every triple converged and the `_disks` are pairwise
-    disjoint: n disjoint disks, each holding a root, hold one each."""
-    if not all(ok for _, _, ok in polished):
-        return False
+def _overlapping(polished, n, tol) -> list:
+    """Indices, ascending, of the `_disks` that meet another disk.
+    When there are none, n disjoint disks, each holding a root, hold
+    one each."""
     z, rad = _disks(polished, n, tol)
-    return all(abs(z[i] - z[j]) > rad[i] + rad[j]
-               for i in range(n) for j in range(i))
+    met = set()
+    for i in range(n):
+        for j in range(i):
+            if abs(z[i] - z[j]) <= rad[i] + rad[j]:
+                met.update((i, j))
+    return sorted(met)
 
 
 def _mirrored(polished, n, tol) -> list:
@@ -493,40 +475,6 @@ def _mirrored(polished, n, tol) -> list:
             if (res, i) < (polished[j][1], j):
                 out[j] = (w, res, ok)
     return out
-
-
-def _aberth(coeffs, z, tol) -> int:
-    """Aberth-Ehrlich sweeps on z in place until no root moves by
-    tol/4 relative to 1 + |z|; the number of sweeps run."""
-    n = len(z)
-    step_goal = tol / 4
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        worst = mp.mpf(0)
-        for j in range(n):
-            p, dp = _horner_pair(coeffs, z[j])
-            if p == 0:
-                continue
-            if dp == 0:
-                z[j] = z[j] + (1 + abs(z[j])) * mp.mpf(2) ** -12
-                worst = mp.mpf(1)
-                continue
-            w = p / dp
-            acc = mp.mpc(0)
-            for i in range(n):
-                if i != j:
-                    acc += 1 / (z[j] - z[i])
-            denom = 1 - w * acc
-            delta = w if denom == 0 else w / denom
-            z[j] = z[j] - delta
-            rel = abs(delta) / (1 + abs(z[j]))
-            if rel > worst:
-                worst = rel
-        if worst < step_goal:
-            return sweep
-    raise NonConvergenceError(
-        f"Aberth sweep at degree {n} did not settle within "
-        f"{_MAX_SWEEPS} iterations (last step {mp.nstr(worst, 3)})"
-    )
 
 
 def _newton_polish(coeffs, z, tol):

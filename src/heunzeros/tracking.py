@@ -52,34 +52,62 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
     """Zeros of c_m(B), labelled by grid index where estimates exist.
 
     The seeds are the eigenvalues of the Jacobi matrix of the recurrence
-    (`jacobi_matrix`), found by `jacobi_seeds`: in doubles where the QL
-    of the matrix and of its reversal agree, else once more at
-    min(106, precision_bits) bits.  `find_all_roots` polishes each seed
-    by Newton's method and keeps the results when disks around them,
-    each holding a zero, are disjoint, else runs Aberth sweeps from the
-    seeds; when the double eigenvalue solve fails, it sweeps from
-    Newton-polygon circles.  The ZeroSet records the seed precision
-    (`seed_bits`, None for circles) and the number of sweeps.  Labels
-    come from the order-`order` perturbative estimates whenever they are
-    defined and |s| <= 2 (they degrade as |s| grows); otherwise every
-    label is None.
+    (`jacobi_matrix`), taken from a ladder of QL precisions that double
+    from 53 bits and stop at precision_bits: 53, 106, 212, ...,
+    precision_bits.  A rung that gives seeds (`jacobi_seeds`) hands them
+    to `find_all_roots`, which polishes each by Newton's method and
+    keeps the results when disks around them, each holding a zero, are
+    disjoint and every residual meets tol; the ZeroSet records that
+    rung as `seed_bits`.  A rung without seeds, or whose polished disks
+    overlap, gives way to the next one.  NonConvergenceError names the
+    degree and every rung tried, and how each failed, when the top rung
+    fails too, or at once when a rung's disks are disjoint but residuals
+    miss tol: no seeds can lower those, so precision_bits is too low.
+    Labels come from the order-`order` perturbative estimates whenever
+    they are defined and |s| <= 2 (they degrade as |s| grows);
+    otherwise every label is None.
     """
     if m < 1:
         raise InvalidSpecError("need m >= 1 for a nontrivial polynomial")
     fam = build_family(spec, m, precision_bits)
     with working_precision(precision_bits):
         labelled = not spec.is_d_degenerate and abs(to_mpc(spec.s)) <= 2
-        seeds, seed_bits = jacobi_seeds(*jacobi_matrix(spec, m),
-                                        precision_bits)
-    zs = find_all_roots(fam[m], seeds=seeds, precision_bits=precision_bits,
-                        tol=tol)
-    zs = replace(zs, seed_bits=seed_bits)
+        diag, off = jacobi_matrix(spec, m)
+    zs = _climb(fam[m], diag, off, precision_bits, tol)
     if labelled:
         raw = perturbative_seeds(spec, m - 1, order)
         with working_precision(precision_bits):
             estimates = [to_mpc(e) for e in raw]
         zs = zs.with_labels(_labels_by_proximity(zs.zeros, estimates))
     return zs
+
+
+def _climb(poly, diag, off, precision_bits: int, tol) -> ZeroSet:
+    """The `solve_zeros` precision ladder on poly, whose zeros are the
+    eigenvalues of the Jacobi matrix (diag, off): the zeros from the
+    first rung whose seeds stand, or NonConvergenceError."""
+    rungs = [53]
+    while rungs[-1] < precision_bits:
+        rungs.append(min(2 * rungs[-1], precision_bits))
+    tried = []
+    for bits in rungs:
+        seeds, why = jacobi_seeds(diag, off, bits, precision_bits)
+        if seeds is None:
+            tried.append(f"{bits} bits: {why}")
+            continue
+        try:
+            zs = find_all_roots(poly, seeds, precision_bits, tol)
+        except NonConvergenceError as exc:
+            tried.append(f"{bits} bits: {exc}")
+            if not exc.overlapping:
+                # disjoint disks: higher-rung seeds polish to the same points
+                break
+            continue
+        return replace(zs, seed_bits=bits)
+    raise NonConvergenceError(
+        f"no rung of the seed ladder gave the zeros of the degree-"
+        f"{len(diag)} polynomial: {'; '.join(tried)}. precision_bits = "
+        f"{precision_bits} is too low; raise it")
 
 
 def jacobi_matrix(spec: RecurrenceSpec, m: int) -> tuple:
@@ -98,32 +126,31 @@ def jacobi_matrix(spec: RecurrenceSpec, m: int) -> tuple:
 
 
 _SEED_AGREEMENT = 2.0 ** -20   # forward/reversed QL gap that trusts doubles
-_SEED_BITS = 106               # the one escalated QL precision
 
 
-def jacobi_seeds(diag, off, precision_bits: int) -> tuple:
-    """(eigenvalues, bits) of the Jacobi matrix, or (None, None).
+def jacobi_seeds(diag, off, bits: int, precision_bits: int) -> tuple:
+    """(eigenvalues, None) of the Jacobi matrix at one rung of the
+    `solve_zeros` ladder, or (None, why there are none).
 
-    The double QL runs on the matrix and on its reversal (the same
-    eigenvalues, reached along another rounding path).  When every
-    eigenvalue of either run lies within 2^-20 (1 + |lambda|) of one of
-    the other, the forward doubles are the seeds.  Otherwise, including
-    a failed reversed run, the same QL runs once in fixed point at
-    min(106, precision_bits) bits; if that run fails, the forward
-    doubles stand, as they do when precision_bits is 53 or less.  A
-    failed forward double run gives no seeds.
+    Above 53 bits the QL runs in fixed point at bits.  Rung 53 is the
+    double QL; below a higher rung (bits < precision_bits) it also runs
+    on the reversed matrix (the same eigenvalues, reached along another
+    rounding path), and the doubles stand only when every eigenvalue of
+    either run lies within 2^-20 (1 + |lambda|) of one of the other.  A
+    failed QL run, forward or reversed, gives no seeds.
     """
-    fwd = tridiagonal_eigenvalues(diag, off)
-    if fwd is None:
-        return None, None
-    bits = min(_SEED_BITS, precision_bits)
-    if bits > 53:
-        rev = tridiagonal_eigenvalues(diag[::-1], off[::-1])
-        if rev is None or _nearest_gap(fwd, rev) > _SEED_AGREEMENT:
-            high = tridiagonal_eigenvalues(diag, off, bits)
-            if high is not None:
-                return high, bits
-    return fwd, 53
+    eig = tridiagonal_eigenvalues(diag, off, bits)
+    if eig is None:
+        return None, "the QL failed"
+    if bits == 53 < precision_bits:
+        rev = tridiagonal_eigenvalues(diag[::-1], off[::-1], bits)
+        if rev is None:
+            return None, "the QL of the reversed matrix failed"
+        gap = _nearest_gap(eig, rev)
+        if gap > _SEED_AGREEMENT:
+            return None, (f"the QL of the matrix and of its reversal "
+                          f"differ by {gap:.2g}")
+    return eig, None
 
 
 def _nearest_gap(xs, ys) -> float:

@@ -223,6 +223,20 @@ class TestVerify:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    def test_estimate_seeds_that_meet_fail_the_check(self, capsys):
+        # at s = 1/2 two perturbative estimates polish to one zero of c_8:
+        # the seeding check fails with the reason, and the suite goes on
+        code, out, _ = run(capsys, "verify", "--suite", "rootfind",
+                           "--family", "lame", "--n", "2", "--s", "1/2")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL  [rootfind] seeding strategies agree on c_8 zeros [Heun]  "
+            "(estimate seeds: the disks of 2 of 8 polished seeds overlap "
+            "(indices [3, 4]))",
+            "PASS  [rootfind] zero residuals below tolerance [Heun]",
+            "1 check(s) failed",
+        ]
+
     @pytest.mark.parametrize("bits", [64, 128, 512])
     def test_precision_flag_reaches_every_solve(self, capsys, monkeypatch,
                                                 bits):
@@ -283,6 +297,33 @@ class TestExitCodes:
                            "--tol", "1e-70")
         assert code == 3
         assert json.loads(err)["code"] == 3
+
+    def test_unresolvable_zeros_fail_fast_with_3(self, capsys, monkeypatch):
+        # at 80 bits the dense c_89 cannot resolve its zeros: both rungs
+        # of the seed ladder fail and are named, after a bounded number
+        # of polynomial evaluations
+        from heunzeros import rootfind
+
+        calls = []
+        horner = rootfind._horner_pair
+
+        def counting(coeffs, z):
+            calls.append(z)
+            return horner(coeffs, z)
+
+        monkeypatch.setattr(rootfind, "_horner_pair", counting)
+        code, out, err = run(capsys, "zeros", "--family", "cheun", "--gamma",
+                             "1/2", "--delta", "1/2", "--alpha", "5",
+                             "--s=-20", "--m", "89", "--precision-bits", "80")
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == 3
+        assert "degree-89 polynomial: 53 bits: " in doc["error"]
+        assert "; 80 bits: " in doc["error"]
+        assert doc["error"].endswith("precision_bits = 80 is too low; "
+                                     "raise it")
+        rungs = 2
+        assert len(calls) <= rungs * 89 * (rootfind._POLISH_STEPS + 2)
 
     def test_secant_iteration_cap_is_3(self, capsys, monkeypatch):
         from heunzeros import tracking

@@ -18,8 +18,15 @@ from heunzeros.rootfind import (
     tridiagonal_eigenvalues,
 )
 from heunzeros.scalars import EXACT_FIELD, QQi, working_precision
+from heunzeros.tracking import jacobi_matrix
 
 F = Fraction
+
+
+def jacobi_eigenvalues(spec, m):
+    """The double QL eigenvalues of the Jacobi matrix of c_m."""
+    with working_precision(256):
+        return tridiagonal_eigenvalues(*jacobi_matrix(spec, m))
 
 
 def poly_from_roots(roots):
@@ -37,20 +44,22 @@ def poly_from_roots(roots):
 class TestKnownRoots:
     def test_quadratic(self):
         poly = poly_from_roots([QQi(-1), QQi(-2)])
-        zs = find_all_roots(poly, precision_bits=128)
+        zs = find_all_roots(poly, ["-0.9", "-2.1"], precision_bits=128)
         assert [mp.nstr(z.real, 10) for z in zs.zeros] == ["-1.0", "-2.0"]
         assert all(zs.converged)
 
     def test_conjugate_pair_display_order(self):
         poly = poly_from_roots([QQi(0, 1), QQi(0, -1)])
-        zs = find_all_roots(poly, precision_bits=128)
+        zs = find_all_roots(poly, [mp.mpc("0.1", "1.1"), mp.mpc("-0.1", "-0.9")],
+                            precision_bits=128)
         # most negative imaginary part first once real parts tie
         assert zs.zeros[0].imag < 0 < zs.zeros[1].imag
 
     def test_clustered_roots_resolved(self):
         roots = [QQi(F(1, 1)), QQi(F(1001, 1000)), QQi(F(-3, 2))]
         poly = poly_from_roots(roots)
-        zs = find_all_roots(poly, precision_bits=192)
+        zs = find_all_roots(poly, ["0.99999", "1.00101", "-1.4"],
+                            precision_bits=192)
         with working_precision(192):
             got = sorted(z.real for z in zs.zeros)
             want = sorted(F(r.re) for r in roots)
@@ -58,21 +67,22 @@ class TestKnownRoots:
                 assert abs(g - mp.mpf(w.numerator) / w.denominator) \
                     < mp.mpf(2) ** -80
 
-    def test_real_seeds_reach_complex_conjugate_pair(self):
-        # (B - 2)(B + 3)(B^2 - 2B + 5); an all-real start must still
-        # find the pair 1 +- 2i despite the real coefficients
+    def test_real_seeds_cannot_reach_a_conjugate_pair(self):
+        # (B - 2)(B + 3)(B^2 - 2B + 5) has real coefficients, so Newton
+        # keeps real seeds real and never reaches the pair 1 +- 2i: the
+        # seeds are at fault, and the error says so by naming overlaps
         poly = [QQi(-30), QQi(17), QQi(-3), QQi(-1), QQi(1)]
-        zs = find_all_roots(poly, seeds=[3, 0, -1, -4], precision_bits=128)
-        for w in (mp.mpc(2), mp.mpc(-3), mp.mpc(1, 2), mp.mpc(1, -2)):
-            assert min(abs(z - w) for z in zs.zeros) < mp.mpf(2) ** -60
-        assert all(zs.converged)
+        with pytest.raises(NonConvergenceError, match="overlap") as exc:
+            find_all_roots(poly, seeds=[3, 0, -1, -4], precision_bits=128)
+        assert exc.value.overlapping
 
     @given(st.sets(st.integers(min_value=-12, max_value=12), min_size=2,
                    max_size=7))
     def test_integer_grids(self, root_set):
         roots = [QQi(r) for r in sorted(root_set)]
         poly = poly_from_roots(roots)
-        zs = find_all_roots(poly, precision_bits=160)
+        zs = find_all_roots(poly, [r + F(1, 10) for r in sorted(root_set)],
+                            precision_bits=160)
         got = sorted(z.real for z in zs.zeros)
         for g, r in zip(got, sorted(root_set)):
             assert abs(g - r) < mp.mpf(2) ** -70
@@ -83,7 +93,8 @@ class TestResiduals:
     def test_residuals_below_tolerance(self):
         spec, _ = from_lame(LameParams(n=2, s="1/100"))
         fam = build_family(spec, 8)
-        zs = find_all_roots(fam[8], precision_bits=256)
+        zs = find_all_roots(fam[8], jacobi_eigenvalues(spec, 8),
+                            precision_bits=256)
         assert max(zs.residuals) < zs.tol
         assert zs.degree == 8
 
@@ -133,8 +144,8 @@ class TestTridiagonalEigenvalues:
             for i, c in enumerate(p_prev):
                 nxt[i] -= b * b * c
             p_prev, p = p, nxt
-        roots = find_all_roots(p, precision_bits=128).zeros
         eig = tridiagonal_eigenvalues(diag, off)
+        roots = find_all_roots(p, eig, precision_bits=128).zeros
         assert len(eig) == 4
         for z in roots:
             assert min(abs(complex(z) - e) for e in eig) < 1e-12
@@ -188,17 +199,19 @@ class TestNewtonFirst:
         poly = poly_from_roots([QQi(1), QQi(2), QQi(-3)])
         zs = find_all_roots(poly, seeds=["1.01", "1.98", "-3.02"],
                             precision_bits=128)
-        assert zs.sweeps == 0 and zs.seed_bits is None
+        assert zs.seed_bits is None
         assert [mp.nstr(z.real, 10) for z in zs.zeros] == \
             ["2.0", "1.0", "-3.0"]
 
-    def test_two_seeds_at_one_root_fall_back_to_aberth(self):
-        # Newton keeps both seeds at the root 1; their disks overlap
+    def test_two_seeds_at_one_root_overlap(self):
+        # Newton keeps both seeds at the root 1; their disks overlap,
+        # and the error names the two seeds
         poly = poly_from_roots([QQi(1), QQi(2), QQi(-3)])
-        zs = find_all_roots(poly, seeds=[1, 1, -3], precision_bits=128)
-        assert zs.sweeps > 0
-        for w in (2, 1, -3):
-            assert sum(abs(z - w) < mp.mpf(2) ** -60 for z in zs.zeros) == 1
+        with pytest.raises(NonConvergenceError,
+                           match=r"disks of 2 of 3 polished seeds overlap "
+                                 r"\(indices \[0, 1\]\)") as exc:
+            find_all_roots(poly, seeds=[1, 1, -3], precision_bits=128)
+        assert exc.value.overlapping == (0, 1)
 
     def test_zeros_proved_real_lie_on_the_axis(self):
         # Newton from seeds off the axis leaves the real zeros of a real
@@ -207,29 +220,34 @@ class TestNewtonFirst:
         seeds = [mp.mpc(2, 1e-3), mp.mpc(1, -1e-3), mp.mpc(1e-3, 1.001),
                  mp.mpc(-1e-3, -0.999)]
         zs = find_all_roots(poly, seeds=seeds, precision_bits=128)
-        assert zs.sweeps == 0
         assert [z.imag for z in zs.zeros[:2]] == [0, 0]
         assert [mp.nstr(z.imag, 10) for z in zs.zeros[2:]] == ["-1.0", "1.0"]
 
-    def test_circles_always_sweep(self):
-        zs = find_all_roots(poly_from_roots([QQi(1), QQi(2)]),
-                            precision_bits=128)
-        assert zs.sweeps > 0 and zs.seed_bits is None
+    def test_one_polish_per_seed_bounds_the_work(self, monkeypatch):
+        # no iteration beyond the Newton polish: at most
+        # _POLISH_STEPS + 1 evaluations per seed, whether the seeds
+        # stand or not
+        import heunzeros.rootfind as rootfind
+
+        calls = []
+        horner = rootfind._horner_pair
+
+        def counting(coeffs, z):
+            calls.append(z)
+            return horner(coeffs, z)
+
+        monkeypatch.setattr(rootfind, "_horner_pair", counting)
+        poly = poly_from_roots([QQi(1), QQi(2), QQi(-3)])
+        for seeds in (["1.01", "1.98", "-3.02"], [1, 1, -3], [0, 0, 0]):
+            calls.clear()
+            try:
+                find_all_roots(poly, seeds, precision_bits=128)
+            except NonConvergenceError:
+                pass
+            assert 0 < len(calls) <= 3 * (rootfind._POLISH_STEPS + 1)
 
 
 class TestRefinement:
-    def test_strict_nonconvergence_raises(self, monkeypatch):
-        # a tolerance the working precision resolves, but one sweep from
-        # the circles cannot meet
-        import heunzeros.rootfind as rootfind
-
-        monkeypatch.setattr(rootfind, "_MAX_SWEEPS", 1)
-        spec, _ = from_lame(LameParams(n=2, s="1/2"))
-        fam = build_family(spec, 10)
-        with pytest.raises(NonConvergenceError,
-                           match="did not settle within 1 iterations"):
-            find_all_roots(fam[10], precision_bits=64, tol=mp.mpf(2) ** -60)
-
     def test_strict_polish_failure_raises(self, monkeypatch):
         import heunzeros.rootfind as rootfind
 
@@ -245,8 +263,13 @@ class TestRefinement:
 
         monkeypatch.setattr(rootfind, "_newton_polish", first_root_fails)
         with pytest.raises(NonConvergenceError,
-                           match=r"1 of 10 roots failed the tolerance check"):
-            find_all_roots(fam[10], precision_bits=64)
+                           match=r"1 of 10 roots failed the tolerance check"
+                                 r" \(indices \[0\]; relative residuals "
+                                 r"up to ") as exc:
+            find_all_roots(fam[10], jacobi_eigenvalues(spec, 10),
+                           precision_bits=64)
+        # the disks are disjoint: no other seeds could help
+        assert exc.value.overlapping == ()
 
     def test_unreachable_tolerance_fails_before_any_sweep(self, monkeypatch):
         import heunzeros.rootfind as rootfind
@@ -260,25 +283,27 @@ class TestRefinement:
         monkeypatch.setattr(rootfind, "_horner_pair", no_sweeps)
         with pytest.raises(NonConvergenceError,
                            match=r"tolerance 1\.0e-70 .*2\^-88.*88-bit"):
-            find_all_roots(fam[8], precision_bits=64, tol=1e-70)
+            find_all_roots(fam[8], [0] * 8, precision_bits=64, tol=1e-70)
 
     def test_tolerance_within_guard_bits_is_accepted(self):
         # below 2^-64 but above 2^-88, the resolution the sweeps run at
         spec, _ = from_lame(LameParams(n=2, s="1/2"))
         fam = build_family(spec, 8)
-        zs = find_all_roots(fam[8], precision_bits=64, tol=1e-20)
+        zs = find_all_roots(fam[8], jacobi_eigenvalues(spec, 8),
+                            precision_bits=64, tol=1e-20)
         assert all(zs.converged) and zs.degree == 8
 
 
 class TestZeroSet:
     def test_real_zero_count(self):
         poly = poly_from_roots([QQi(1), QQi(2), QQi(0, 3), QQi(0, -3)])
-        zs = find_all_roots(poly, precision_bits=128)
+        zs = find_all_roots(poly, ["1.1", "2.1", "0.1+3.1j", "-0.1-2.9j"],
+                            precision_bits=128)
         assert real_zero_count(zs) == 2
 
     def test_labels_round_trip(self):
         poly = poly_from_roots([QQi(1), QQi(2)])
-        zs = find_all_roots(poly, precision_bits=128)
+        zs = find_all_roots(poly, ["1.1", "2.1"], precision_bits=128)
         labelled = zs.with_labels([1, 0])
         assert labelled.labels == (1, 0)
         with pytest.raises(Exception):

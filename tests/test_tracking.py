@@ -51,6 +51,17 @@ WHILL_STRONG = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
                               delta="1/2", s=-20, alpha=5)
 
 
+def failing_below(bits):
+    """tridiagonal_eigenvalues, but None below the given precision."""
+    real = tracking.tridiagonal_eigenvalues
+
+    def ql(diag, off, precision_bits=53):
+        if precision_bits < bits:
+            return None
+        return real(diag, off, precision_bits)
+    return ql
+
+
 def sorted_zeros(zs):
     return sorted(zs.zeros, key=lambda z: (z.real, z.imag))
 
@@ -77,18 +88,16 @@ class TestSolveZeros:
         want = mp.mpc("-18.045277094", "4.120210441")
         assert min(abs(z - want) for z in zs.zeros) < mp.mpf("1e-8")
 
-    def test_circle_seeding_matches_estimate_seeding(self):
+    def test_ladder_matches_estimate_seeding(self):
         # solve_zeros seeds from the Jacobi-matrix eigenvalues
         for spec in THREE_FAMILIES:
             c8 = build_family(spec, 8)[8]
             est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7))
-            cir = find_all_roots(c8)
             eig = solve_zeros(spec, 8)
             assert sorted(eig.labels) == list(range(8))
-            for other in (cir, eig):
-                worst = max(abs(x - y) for x, y in zip(sorted_zeros(est),
-                                                       sorted_zeros(other)))
-                assert worst < mp.mpf(2) ** -80, spec.kind.value
+            worst = max(abs(x - y) for x, y in zip(sorted_zeros(est),
+                                                   sorted_zeros(eig)))
+            assert worst < mp.mpf(2) ** -80, spec.kind.value
 
     def test_rejects_bad_inputs(self, lame_small):
         with pytest.raises(InvalidSpecError):
@@ -124,28 +133,18 @@ class TestJacobiSeeds:
         for z, e in zip(sorted_zeros(zs), eig):
             assert abs(complex(z) - e) < 1e-10 * (1 + abs(e))
 
-    def test_failed_eigenvalue_solve_falls_back_to_circles(self, monkeypatch):
-        import heunzeros.rootfind as rootfind
-        import heunzeros.tracking as tracking
-
+    def test_failed_double_eigenvalue_solve_climbs_a_rung(self,
+                                                         monkeypatch):
         spec = THREE_FAMILIES[1]
         eig = solve_zeros(spec, 10)
-        circle_calls = []
-        polygon = rootfind.newton_polygon_seeds
-
-        def counting_polygon(coeffs):
-            circle_calls.append(len(coeffs) - 1)
-            return polygon(coeffs)
-
+        assert eig.seed_bits == 53
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
-                            lambda diag, offdiag: None)
-        monkeypatch.setattr(rootfind, "newton_polygon_seeds",
-                            counting_polygon)
-        fallback = solve_zeros(spec, 10)
-        assert circle_calls == [10]
-        assert fallback.labels == eig.labels
+                            failing_below(106))
+        climbed = solve_zeros(spec, 10)
+        assert climbed.seed_bits == 106
+        assert climbed.labels == eig.labels
         worst = max(abs(x - y) for x, y in zip(sorted_zeros(eig),
-                                               sorted_zeros(fallback)))
+                                               sorted_zeros(climbed)))
         assert worst < mp.mpf(2) ** -80
 
     def test_extended_ql_agrees_with_doubles(self):
@@ -162,10 +161,12 @@ class TestJacobiSeeds:
     def test_non_normal_matrix_escalates_to_106_bits(self, m):
         # the double seeds are about 0.4 off at m = 89 and 100
         with working_precision(256):
-            seeds, bits = jacobi_seeds(*jacobi_matrix(WHILL_STRONG, m), 256)
-        assert bits == 106
+            diag, off = jacobi_matrix(WHILL_STRONG, m)
+        seeds, why = jacobi_seeds(diag, off, 53, 256)
+        assert seeds is None and "reversal differ by 0.4" in why
+        seeds, why = jacobi_seeds(diag, off, 106, 256)
+        assert why is None
         zs = find_all_roots(build_family(WHILL_STRONG, m)[m], seeds=seeds)
-        assert zs.sweeps == 0
         for e in seeds:
             assert min(abs(z - e) for z in zs.zeros) < 1e-10 * (1 + abs(e))
 
@@ -185,6 +186,23 @@ class TestJacobiSeeds:
 
         assert error(160) < min(1e-25, error(106))
 
+    def test_stalled_top_entry_deflates(self):
+        # in the Lame s = 1/2 matrix at m = 40 the top off-diagonal entry
+        # of a block stops shrinking once s e_l floors to zero; without
+        # deflating it the 106-bit QL ran into its step limit
+        spec = from_lame(LameParams(n=2, s="1/2"))[0]
+        with working_precision(256):
+            diag, off = jacobi_matrix(spec, 40)
+        zeros = solve_zeros(spec, 40).zeros
+
+        def error(bits):
+            eig = tridiagonal_eigenvalues(diag, off, precision_bits=bits)
+            with working_precision(256):
+                return max(min(abs(z - e) for e in eig) / abs(z)
+                           for z in zeros)
+
+        assert error(106) < min(1e-20, error(53))
+
     def test_escalated_eigenvalues_are_bit_identical(self):
         # integer arithmetic: the same bits on every call, whatever the
         # caller's working precision
@@ -197,45 +215,134 @@ class TestJacobiSeeds:
             [(x.real._mpf_, x.imag._mpf_) for x in b]
 
     def test_seed_rungs(self, monkeypatch):
-        # forward doubles, reversed doubles, 106 bits: what each outcome
-        # of the three runs seeds with
-        low, off_by_one = [1j, 2j], [1j, 3j]
-        cases = [
-            ([low, [2j, 1j]], (low, 53)),
-            ([low, off_by_one, ["hi"]], (["hi"], 106)),
-            ([low, None, ["hi"]], (["hi"], 106)),
-            ([low, off_by_one, None], (low, 53)),
-            ([None], (None, None)),
-        ]
-        for runs, want in cases:
-            calls = iter(runs)
-            monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
-                                lambda *args: next(calls))
-            assert jacobi_seeds([0, 0], [0], 256) == want
-        calls = iter([low, off_by_one])
-        assert jacobi_seeds([0, 0], [0], 53) == (low, 53)
+        # every rung gives seeds that Newton takes to one zero, so the
+        # ladder climbs to the top; the patched QL records each run
+        spec = THREE_FAMILIES[1]
+        runs = []
+
+        def one_seed(diag, off, bits=53):
+            runs.append(bits)
+            return [mp.mpc(0)] * len(diag)
+
+        monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", one_seed)
+        for bits, want in [(256, [53, 53, 106, 212, 256]), (80, [53, 53, 80]),
+                           (53, [53])]:
+            runs.clear()
+            with pytest.raises(NonConvergenceError) as exc:
+                solve_zeros(spec, 4, precision_bits=bits)
+            assert runs == want
+            msg = str(exc.value)
+            assert "degree-4 polynomial" in msg
+            assert f"precision_bits = {bits} is too low" in msg
+            for rung in sorted(set(want)):
+                assert f"{rung} bits: the disks of 4 of 4 polished seeds " \
+                    "overlap (indices [0, 1, 2, 3])" in msg
+
+    def test_failed_ql_skips_its_rung(self, monkeypatch):
+        spec = THREE_FAMILIES[1]
+        real = tracking.tridiagonal_eigenvalues
+        runs = []
+
+        def none_at_106(diag, off, bits=53):
+            runs.append(bits)
+            if bits == 53:
+                return [mp.mpc(0)] * len(diag)
+            return None if bits == 106 else real(diag, off, bits)
+
+        monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", none_at_106)
+        zs = solve_zeros(spec, 4)
+        assert (runs, zs.seed_bits) == ([53, 53, 106, 212], 212)
+        monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
+                            lambda diag, off, bits=53: None)
+        with pytest.raises(NonConvergenceError,
+                           match=r"53 bits: the QL failed; 106 bits: the QL "
+                                 r"failed; 212 bits: the QL failed; 256 "
+                                 r"bits: the QL failed\. precision_bits"):
+            solve_zeros(spec, 4)
+
+    def test_reversed_disagreement_skips_rung_53(self, monkeypatch):
+        # the doubles are not polished at all: the first polish is at 106
+        spec = THREE_FAMILIES[1]
+        real = tracking.tridiagonal_eigenvalues
+        reversed_run = []
+
+        def disagreeing(diag, off, bits=53):
+            eig = real(diag, off, bits)
+            if bits == 53 and diag[0] != spec_diag[0]:
+                reversed_run.append(bits)
+                eig = [e + 1e-3 for e in eig]
+            return eig
+
+        with working_precision(256):
+            spec_diag, _ = jacobi_matrix(spec, 6)
+        polished = []
+        solve = tracking.find_all_roots
+
+        def counting(poly, seeds, precision_bits, tol):
+            polished.append(len(seeds))
+            return solve(poly, seeds, precision_bits, tol)
+
+        monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", disagreeing)
+        monkeypatch.setattr(tracking, "find_all_roots", counting)
+        zs = solve_zeros(spec, 6)
+        assert (reversed_run, polished, zs.seed_bits) == ([53], [6], 106)
+        # with no higher rung the reversed run is skipped, and so is
+        # the agreement test
+        reversed_run.clear()
+        assert solve_zeros(spec, 6, precision_bits=53).seed_bits == 53
+        assert reversed_run == []
+
+    def test_residual_failure_stops_the_ladder(self, monkeypatch):
+        # disjoint disks whose residuals miss tol: seeds from a higher
+        # rung would be polished to the same points, so none is tried
+        import heunzeros.rootfind as rootfind
+
+        spec = THREE_FAMILIES[1]
+        runs = []
+        real = tracking.tridiagonal_eigenvalues
+
+        def recording(diag, off, bits=53):
+            runs.append(bits)
+            return real(diag, off, bits)
+
+        polish = rootfind._newton_polish
+
+        def never_converged(coeffs, z, tol):
+            r, res, _ = polish(coeffs, z, tol)
+            return r, res, False
+
+        monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", recording)
+        monkeypatch.setattr(rootfind, "_newton_polish", never_converged)
+        with pytest.raises(NonConvergenceError,
+                           match=r"53 bits: 6 of 6 roots failed the "
+                                 r"tolerance check .* though their disks "
+                                 r"are disjoint.*\. precision_bits = 256 "
+                                 r"is too low; raise it$"):
+            solve_zeros(spec, 6)
+        assert runs == [53, 53]
 
     @pytest.mark.parametrize("spec,m", [
         (from_mathieu(MathieuParams(q=2))[0], 40),
         (from_lame(LameParams(n=2, s="1/2"))[0], 40),
         (from_mathieu(MathieuParams(q="2i"))[0], 30),
     ], ids=["mathieu-2", "lame-1/2", "mathieu-2i"])
-    def test_newton_first_matches_the_aberth_path(self, monkeypatch, spec, m):
-        import heunzeros.rootfind as rootfind
-
-        newton = solve_zeros(spec, m)
-        assert newton.sweeps == 0 and newton.seed_bits == 53
-        monkeypatch.setattr(rootfind, "_separated", lambda *args: False)
-        aberth = solve_zeros(spec, m)
-        assert aberth.sweeps > 0
-        assert aberth.labels == newton.labels
-        for x, y in zip(newton.zeros, aberth.zeros):
-            assert abs(x - y) < newton.tol * (1 + abs(x))
+    def test_every_rung_gives_the_same_zeros(self, monkeypatch, spec, m):
+        # the double seeds stand; without them the next rung's seeds
+        # reach the same zeros to the solver tolerance
+        low = solve_zeros(spec, m)
+        assert low.seed_bits == 53
+        monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
+                            failing_below(106))
+        high = solve_zeros(spec, m)
+        assert high.seed_bits == 106
+        assert high.labels == low.labels
+        for x, y in zip(low.zeros, high.zeros):
+            assert abs(x - y) < low.tol * (1 + abs(x))
 
     def test_strong_coupling_degree_100_is_bit_identical(self):
         a = solve_zeros(WHILL_STRONG, 100)
         b = solve_zeros(WHILL_STRONG, 100)
-        assert (a.seed_bits, a.sweeps) == (106, 0)
+        assert a.seed_bits == 106
         assert [(z.real._mpf_, z.imag._mpf_) for z in a.zeros] == \
             [(z.real._mpf_, z.imag._mpf_) for z in b.zeros]
         assert real_zero_count(a) == 26
