@@ -81,6 +81,7 @@ from .scalars import (
     working_precision,
 )
 from .tracking import (
+    continuant,
     convergence_report,
     d2_closed_form_s0,
     d2_sequence,
@@ -472,7 +473,8 @@ def _suite_perturbation(spec, bits):
 
 
 def _suite_rootfind(spec, bits):
-    c8 = build_family(spec, 8, bits)[8]
+    with working_precision(bits):
+        c8 = continuant(spec, 8)
     zs_eig = solve_zeros(spec, 8, precision_bits=bits)
     try:
         zs_est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7),

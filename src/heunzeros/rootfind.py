@@ -11,8 +11,19 @@ tolerance; otherwise it raises, and the caller may bring better seeds
 iterates beyond a fixed number of Newton steps per seed, and everything
 is deterministic: no starting point comes from a random generator.
 
+The polynomial comes in one of two forms, and the form fixes how
+(p(z), p'(z)) is evaluated.  A `Continuant`, the rows of a three-term
+recurrence, runs that recurrence and its derivative in fixed-point
+Gaussian integers (`_continuant_pair`); this is how every zero of c_m
+is polished, and the dense coefficients of c_m are never formed.  A
+coefficient list or `DensePolynomial` is evaluated by Horner's rule in
+mpc (`_horner_pair`).
+
 Residuals are reported as |p(z)/p'(z)|, the Newton-step length, which
-estimates the absolute distance to the true root.
+estimates the absolute distance to the true root.  On a `Continuant`
+they come from the same evaluation as the Newton steps, on the
+recurrence's own rows, so they describe the zeros of the polynomial the
+recurrence defines and not those of a rounded copy of it.
 """
 
 from __future__ import annotations
@@ -49,8 +60,12 @@ class ZeroSet:
     """All zeros of one polynomial, display-sorted.
 
     Display order is descending real part, ties by ascending imaginary
-    part.  labels[i] is the grid index k matched to zeros[i] (None when
-    no labelling was requested).  seed_bits is the rung of the
+    part.  residuals[i] is the Newton step |p/p'| at zeros[i], from the
+    evaluation `find_all_roots` used: the three-term recurrence in
+    fixed point for the zeros of c_m (`solve_zeros`), never rounded
+    dense coefficients, and Horner's rule only where the caller gave
+    coefficients.  labels[i] is the grid index k matched to zeros[i]
+    (None when no labelling was requested).  seed_bits is the rung of the
     `tracking.solve_zeros` precision ladder whose Jacobi eigenvalues
     seeded the zeros that stood (53 or more; None for seeds given to
     `find_all_roots` directly).
@@ -107,6 +122,84 @@ def _horner_pair(coeffs, z):
         dp = dp * z + p
         p = p * z + c
     return p, dp
+
+
+@dataclass(frozen=True)
+class Continuant:
+    """The monic degree-m polynomial p_m of the three-term recurrence
+
+        p_{k+1}(z) = (z + A_k) p_k(z) - N_k p_{k-1}(z),  p_0 = 1,
+
+    given by its rows A = (A_0, ..., A_{m-1}) and N = (N_0, ..., N_{m-1}),
+    exact scalars or mpc (N_0 multiplies p_{-1} = 0 and is never read).
+    Its zeros are the eigenvalues of the complex-symmetric tridiagonal
+    matrix with diagonal -A_k and off-diagonal sqrt(N_k), k >= 1
+    (`jacobi_matrix`; docs/math_notes.md, section 8)."""
+
+    A: tuple
+    N: tuple
+
+    @property
+    def degree(self) -> int:
+        return len(self.A)
+
+    def is_real(self) -> bool:
+        """Whether every row is real, and so p_m has real coefficients."""
+        return all(to_mpc(x).imag == 0 for x in self.A + self.N[1:])
+
+    def jacobi_matrix(self) -> tuple:
+        """(diagonal, off-diagonal) as mpc at the working precision."""
+        return ([-to_mpc(a) for a in self.A],
+                [mp.sqrt(to_mpc(x)) for x in self.N[1:]])
+
+    def fixed_rows(self, F: int) -> tuple:
+        """(Re A_k, Im A_k, Re N_k, Im N_k) per row, with F fraction
+        bits (`scalars._to_fixed`), for `_continuant_pair`."""
+        return tuple(_to_fixed(a, F) + _to_fixed(x, F)
+                     for a, x in zip(self.A, self.N))
+
+
+_KERNEL_GUARD = 32    # fraction bits of `_continuant_pair` beyond the
+                      # working precision of `find_all_roots`
+_KERNEL_SPAN = 32     # width, in bits, of the window that holds the
+                      # kernel's state, and its floor above 2^F
+
+
+def _continuant_pair(rows, F: int, z):
+    """(p_m(z), p_m'(z)), both times one power of two, for the
+    `Continuant` whose `fixed_rows(F)` are rows.
+
+    Runs p_{k+1} = (z + A_k) p_k - N_k p_{k-1} and its derivative
+    p'_{k+1} = (z + A_k) p'_k + p_k - N_k p'_{k-1} on Gaussian integers
+    with F fraction bits, z truncated to F bits once.  A product is
+    shifted back by F bits, rounding to the floor.  The eight state ints
+    (p_k, p_{k-1}, p'_k, p'_{k-1}) share one exponent, for p_m can reach
+    2^1300 at m = 100: when the larger of the new p_k and p'_k leaves
+    [2^(F+S), 2^(F+2S)), S = _KERNEL_SPAN, all eight are shifted together
+    back to 2^(F+S).  The two values come back as mpc at the working
+    precision without that exponent, which cancels in the Newton step
+    p/p' (docs/math_notes.md, section 8)."""
+    zr, zi = _to_fixed(z, F)
+    pr, pi, qr, qi = 1 << F, 0, 0, 0     # p_k, p_{k-1}
+    dr = di = er = ei = 0                # p'_k, p'_{k-1}
+    for Ar, Ai, Nr, Ni in rows:
+        ur, ui = zr + Ar, zi + Ai
+        tr = (ur * pr - ui * pi - Nr * qr + Ni * qi) >> F
+        ti = (ur * pi + ui * pr - Nr * qi - Ni * qr) >> F
+        sr = ((ur * dr - ui * di - Nr * er + Ni * ei) >> F) + pr
+        si = ((ur * di + ui * dr - Nr * ei - Ni * er) >> F) + pi
+        qr, qi, pr, pi = pr, pi, tr, ti
+        er, ei, dr, di = dr, di, sr, si
+        top = (abs(pr) | abs(pi) | abs(dr) | abs(di)).bit_length() - F - 1
+        if top >= 2 * _KERNEL_SPAN:
+            top -= _KERNEL_SPAN
+            pr, pi, qr, qi = pr >> top, pi >> top, qr >> top, qi >> top
+            dr, di, er, ei = dr >> top, di >> top, er >> top, ei >> top
+        elif top < _KERNEL_SPAN:
+            top = _KERNEL_SPAN - top
+            pr, pi, qr, qi = pr << top, pi << top, qr << top, qi << top
+            dr, di, er, ei = dr << top, di << top, er << top, ei << top
+    return _from_fixed(pr, pi, F), _from_fixed(dr, di, F)
 
 
 def _upper_hull(points):
@@ -357,15 +450,20 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
                    tol=None) -> ZeroSet:
     """All roots of the polynomial, polished from one seed each.
 
-    poly: DensePolynomial or ascending coefficient list (any scalar
-    type convertible to mpc).  seeds: the starting points, one per root
-    (any other count raises InvalidSpecError), such as the eigenvalues
-    of a Jacobi matrix whose characteristic polynomial is poly.  Each
-    seed is polished alone by `_newton_polish` at precision_bits + 24
-    bits.  The result stands when the disks
-    D(z_i, max(n |p/p'|(z_i), tol (1 + |z_i|))) are pairwise disjoint,
-    which leaves one root in each, and every residual |p/p'|(z_i) is
-    below tol (1 + |z_i|).  For a real polynomial the disks also show
+    poly: a `Continuant` (the rows of a three-term recurrence, as
+    `tracking.solve_zeros` passes them), or a DensePolynomial or
+    ascending coefficient list (any scalar type convertible to mpc).
+    seeds: the starting points, one per root (any other count raises
+    InvalidSpecError), such as the eigenvalues of a Jacobi matrix whose
+    characteristic polynomial is poly.  Each seed is polished alone by
+    `_newton_polish` at precision_bits + 24 bits, on (p(z), p'(z)) from
+    the recurrence in fixed point with precision_bits + 24 +
+    _KERNEL_GUARD fraction bits (`_continuant_pair`) for a Continuant,
+    and from Horner's rule in mpc on coefficients otherwise.  The result
+    stands when the disks D(z_i, max(n |p/p'|(z_i), tol (1 + |z_i|)))
+    are pairwise disjoint, which leaves one root in each, and every
+    residual |p/p'|(z_i) is below tol (1 + |z_i|).  For a real
+    polynomial (real coefficients, or real rows) the disks also show
     which roots are real and which are conjugate pairs, and `_mirrored`
     makes the result exactly symmetric about the real axis.  Otherwise
     NonConvergenceError is raised, with `overlapping` naming the roots
@@ -376,13 +474,10 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
     precision cannot resolve, raises the same way before any
     evaluation.  Every zero of the result has therefore converged.
     """
-    coeffs = _as_mpc_coeffs(poly, precision_bits)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    n = len(coeffs) - 1
+    work_bits = precision_bits + 24
+    n, real, evaluate = _evaluator(poly, precision_bits)
     if n < 1:
         raise InvalidSpecError("need degree >= 1 to find roots")
-    work_bits = precision_bits + 24
     with working_precision(work_bits):
         tol = mp.mpf(tol) if tol is not None else default_tol(precision_bits)
         if tol < mp.mpf(2) ** -work_bits:
@@ -395,7 +490,7 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
         if len(seeds) != n:
             raise InvalidSpecError(
                 f"{len(seeds)} seeds for a degree-{n} polynomial")
-        polished = [_newton_polish(coeffs, to_mpc(s), tol) for s in seeds]
+        polished = [_newton_polish(evaluate, to_mpc(s), tol) for s in seeds]
         overlap = _overlapping(polished, n, tol)
         if overlap:
             raise NonConvergenceError(
@@ -411,7 +506,7 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
                 f"{mp.nstr(worst, 3)} against tol {mp.nstr(tol, 3)}) "
                 "though their disks are disjoint, so no seeds can lower "
                 "them")
-        if all(c.imag == 0 for c in coeffs):
+        if real:
             polished = _mirrored(polished, n, tol)
 
     order = sorted(range(n), key=lambda j: (-polished[j][0].real,
@@ -423,6 +518,21 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
         precision_bits=precision_bits,
         tol=tol,
     )
+
+
+def _evaluator(poly, precision_bits: int) -> tuple:
+    """(degree, whether poly is real, z -> (p(z), p'(z))) for the two
+    forms `find_all_roots` takes."""
+    if isinstance(poly, Continuant):
+        F = precision_bits + 24 + _KERNEL_GUARD
+        rows = poly.fixed_rows(F)
+        return (poly.degree, poly.is_real(),
+                lambda z: _continuant_pair(rows, F, z))
+    coeffs = _as_mpc_coeffs(poly, precision_bits)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return (len(coeffs) - 1, all(c.imag == 0 for c in coeffs),
+            lambda z: _horner_pair(coeffs, z))
 
 
 def _head(indices) -> str:
@@ -439,16 +549,32 @@ def _disks(polished, n, tol) -> tuple:
     return z, [max(n * res, tol * (1 + abs(r))) for r, res, _ in polished]
 
 
+def _real_extent_pairs(z, rad) -> list:
+    """Pairs (j, i) of disks whose real extents, widened to
+    [Re z - 2r, Re z + 2r], meet: a superset of the pairs whose disks
+    meet, since |z_i - z_j| <= r_i + r_j bounds |Re z_i - Re z_j|, and
+    the doubled radius keeps the rounding of the edges from dropping a
+    pair.  A sweep over the disks sorted by left edge compares each only
+    with the disks still open there."""
+    lo = [x.real - 2 * r for x, r in zip(z, rad)]
+    hi = [x.real + 2 * r for x, r in zip(z, rad)]
+    pairs, open_ = [], []
+    for i in sorted(range(len(z)), key=lo.__getitem__):
+        open_ = [j for j in open_ if hi[j] >= lo[i]]
+        pairs.extend((j, i) for j in open_)
+        open_.append(i)
+    return pairs
+
+
 def _overlapping(polished, n, tol) -> list:
     """Indices, ascending, of the `_disks` that meet another disk.
     When there are none, n disjoint disks, each holding a root, hold
     one each."""
     z, rad = _disks(polished, n, tol)
     met = set()
-    for i in range(n):
-        for j in range(i):
-            if abs(z[i] - z[j]) <= rad[i] + rad[j]:
-                met.update((i, j))
+    for i, j in _real_extent_pairs(z, rad):
+        if abs(z[i] - z[j]) <= rad[i] + rad[j]:
+            met.update((i, j))
     return sorted(met)
 
 
@@ -460,14 +586,21 @@ def _mirrored(polished, n, tol) -> list:
     moves onto the axis, which brings it no further from x_i.  When it
     is one other disk D_j, the zero there is conj(x_i), and of z_i and
     z_j the one with the larger residual becomes the mirror image of
-    the other, whose residual |p/p'| it shares."""
+    the other, whose residual |p/p'| it shares.  The mirror image has
+    the real extent of D_i, so only D_i and the disks that
+    `_real_extent_pairs` pairs with it can meet it."""
     z, rad = _disks(polished, n, tol)
+    near = [[i] for i in range(n)]
+    for i, j in _real_extent_pairs(z, rad):
+        near[i].append(j)
+        near[j].append(i)
     out = list(polished)
     for i, (r, res, ok) in enumerate(polished):
         if r.imag == 0:
             continue
         w = r.conjugate()
-        meets = [j for j in range(n) if abs(w - z[j]) <= rad[i] + rad[j]]
+        meets = sorted(j for j in near[i]
+                       if abs(w - z[j]) <= rad[i] + rad[j])
         if meets == [i]:
             out[i] = (mp.mpc(r.real, 0), res, ok)
         elif len(meets) == 1:
@@ -477,12 +610,13 @@ def _mirrored(polished, n, tol) -> list:
     return out
 
 
-def _newton_polish(coeffs, z, tol):
-    """Newton iteration; returns (root, |p/p'| residual, converged)."""
+def _newton_polish(evaluate, z, tol):
+    """Newton iteration on evaluate: z -> (p(z), p'(z)); returns
+    (root, |p/p'| residual, converged)."""
     last = mp.inf
     grew = 0
     for _ in range(_POLISH_STEPS):
-        p, dp = _horner_pair(coeffs, z)
+        p, dp = evaluate(z)
         if p == 0:
             return z, mp.mpf(0), True
         if dp == 0:
@@ -491,14 +625,14 @@ def _newton_polish(coeffs, z, tol):
         step = abs(w)
         z = z - w
         if step < tol * (1 + abs(z)) / 8:
-            p2, dp2 = _horner_pair(coeffs, z)
+            p2, dp2 = evaluate(z)
             res = abs(p2 / dp2) if dp2 != 0 else abs(p2)
             return z, res, res < tol * (1 + abs(z))
         grew = grew + 1 if step > last else 0
         if grew >= 3:
             break
         last = step
-    p, dp = _horner_pair(coeffs, z)
+    p, dp = evaluate(z)
     res = abs(p / dp) if dp != 0 else abs(p)
     return z, res, res < tol * (1 + abs(z))
 

@@ -272,13 +272,18 @@ def working_precision(bits: int):
 # -- fixed point ------------------------------------------------------------
 #
 # A Gaussian integer pair (x, y) with F fraction bits stands for
-# (x + iy) / 2^F.  The fixed-point kernels (the escalated QL in
-# `rootfind`, the d2 tail in `tracking`) run on such pairs and use only
-# these conversions and this division.
+# (x + iy) / 2^F.  The fixed-point kernels (the escalated QL and the
+# continuant evaluation in `rootfind`, the d2 tail in `tracking`) run on
+# such pairs and use only these conversions and this division.
 
 def _to_fixed(z, F: int) -> tuple:
-    """The mpc or mpf z truncated toward zero to F fraction bits."""
-    return int(mp.ldexp(z.real, F)), int(mp.ldexp(z.imag, F))
+    """The mpc or mpf z truncated toward zero to F fraction bits; an
+    exact scalar (QQi, Fraction or int) rounded to the floor."""
+    if isinstance(z, (mp.mpc, mp.mpf)):
+        return int(mp.ldexp(z.real, F)), int(mp.ldexp(z.imag, F))
+    z = QQi.coerce(z)
+    return ((z.re.numerator << F) // z.re.denominator,
+            (z.im.numerator << F) // z.im.denominator)
 
 
 def _from_fixed(x: int, y: int, F: int) -> mp.mpc:

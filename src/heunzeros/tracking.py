@@ -35,8 +35,9 @@ from .perturbation import (
     recurrence_row,
     zero_estimate,
 )
-from .recurrence import _scaled_step_table, build_family
+from .recurrence import _scaled_step_table
 from .rootfind import (
+    Continuant,
     NonConvergenceError,
     ZeroSet,
     find_all_roots,
@@ -55,25 +56,28 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
     (`jacobi_matrix`), taken from a ladder of QL precisions that double
     from 53 bits and stop at precision_bits: 53, 106, 212, ...,
     precision_bits.  A rung that gives seeds (`jacobi_seeds`) hands them
-    to `find_all_roots`, which polishes each by Newton's method and
-    keeps the results when disks around them, each holding a zero, are
-    disjoint and every residual meets tol; the ZeroSet records that
-    rung as `seed_bits`.  A rung without seeds, or whose polished disks
-    overlap, gives way to the next one.  NonConvergenceError names the
-    degree and every rung tried, and how each failed, when the top rung
-    fails too, or at once when a rung's disks are disjoint but residuals
-    miss tol: no seeds can lower those, so precision_bits is too low.
+    to `find_all_roots`, which polishes each by Newton's method on the
+    recurrence itself (the `continuant` rows, evaluated in fixed point;
+    the dense coefficients of c_m are never built) and keeps the results
+    when disks around them, each holding a zero, are disjoint and every
+    residual meets tol; the ZeroSet records that rung as `seed_bits`.
+    The Jacobi matrix and the Newton kernel read one row table.  A rung
+    without seeds, or whose polished disks overlap, gives way to the
+    next one.  NonConvergenceError names the degree and every rung
+    tried, and how each failed, when the top rung fails too, or at once
+    when a rung's disks are disjoint but residuals miss tol: no seeds
+    can lower those, so precision_bits is too low.
     Labels come from the order-`order` perturbative estimates whenever
     they are defined and |s| <= 2 (they degrade as |s| grows);
     otherwise every label is None.
     """
     if m < 1:
         raise InvalidSpecError("need m >= 1 for a nontrivial polynomial")
-    fam = build_family(spec, m, precision_bits)
     with working_precision(precision_bits):
         labelled = not spec.is_d_degenerate and abs(to_mpc(spec.s)) <= 2
-        diag, off = jacobi_matrix(spec, m)
-    zs = _climb(fam[m], diag, off, precision_bits, tol)
+        rows = continuant(spec, m)
+        diag, off = rows.jacobi_matrix()
+    zs = _climb(rows, diag, off, precision_bits, tol)
     if labelled:
         raw = perturbative_seeds(spec, m - 1, order)
         with working_precision(precision_bits):
@@ -110,19 +114,24 @@ def _climb(poly, diag, off, precision_bits: int, tol) -> ZeroSet:
         f"{precision_bits} is too low; raise it")
 
 
+def continuant(spec: RecurrenceSpec, m: int) -> Continuant:
+    """The rows of p_m = m! (gamma)_m c_m, the monic polynomial with the
+    zeros of c_m: p_{k+1} = (B + A_k) p_k - N_k p_{k-1} with
+    A_k = D_k + s E_k and N_k = s G_k, G_k = k (k-1+gamma) F_k, for
+    k = 0..m-1 (docs/math_notes.md, section 8).  Exact for an exact
+    spec, else mpc at the working precision."""
+    rows = [recurrence_row(spec, k) for k in range(m)]
+    return Continuant(A=tuple(D + spec.s * E for D, E, _ in rows),
+                      N=tuple(spec.s * G for _, _, G in rows))
+
+
 def jacobi_matrix(spec: RecurrenceSpec, m: int) -> tuple:
     """(diagonal, off-diagonal) as mpc at the working precision of the
     m x m complex-symmetric tridiagonal matrix whose eigenvalues are the
     zeros of c_m: diagonal -(D_j + s E_j) for j = 0..m-1, off-diagonal
     sqrt(s G_j) for j = 1..m-1 with G_j = j (j-1+gamma) F_j
-    (docs/math_notes.md, section 8)."""
-    diag, off = [], []
-    for j in range(m):
-        D, E, G = recurrence_row(spec, j)
-        diag.append(-to_mpc(D + spec.s * E))
-        if j:
-            off.append(mp.sqrt(to_mpc(spec.s * G)))
-    return diag, off
+    (docs/math_notes.md, section 8), read from `continuant`."""
+    return continuant(spec, m).jacobi_matrix()
 
 
 _SEED_AGREEMENT = 2.0 ** -20   # forward/reversed QL gap that trusts doubles

@@ -299,28 +299,28 @@ class TestExitCodes:
         assert json.loads(err)["code"] == 3
 
     def test_unresolvable_zeros_fail_fast_with_3(self, capsys, monkeypatch):
-        # at 80 bits the dense c_89 cannot resolve its zeros: both rungs
-        # of the seed ladder fail and are named, after a bounded number
-        # of polynomial evaluations
+        # at 64 bits the 89 zeros cannot be resolved to the default
+        # tolerance: both rungs of the seed ladder fail and are named,
+        # after a bounded number of polynomial evaluations
         from heunzeros import rootfind
 
         calls = []
-        horner = rootfind._horner_pair
+        kernel = rootfind._continuant_pair
 
-        def counting(coeffs, z):
+        def counting(rows, F, z):
             calls.append(z)
-            return horner(coeffs, z)
+            return kernel(rows, F, z)
 
-        monkeypatch.setattr(rootfind, "_horner_pair", counting)
+        monkeypatch.setattr(rootfind, "_continuant_pair", counting)
         code, out, err = run(capsys, "zeros", "--family", "cheun", "--gamma",
                              "1/2", "--delta", "1/2", "--alpha", "5",
-                             "--s=-20", "--m", "89", "--precision-bits", "80")
+                             "--s=-20", "--m", "89", "--precision-bits", "64")
         assert code == 3 and out == ""
         doc = json.loads(err)
         assert doc["code"] == 3
         assert "degree-89 polynomial: 53 bits: " in doc["error"]
-        assert "; 80 bits: " in doc["error"]
-        assert doc["error"].endswith("precision_bits = 80 is too low; "
+        assert "; 64 bits: " in doc["error"]
+        assert doc["error"].endswith("precision_bits = 64 is too low; "
                                      "raise it")
         rungs = 2
         assert len(calls) <= rungs * 89 * (rootfind._POLISH_STEPS + 2)

@@ -1,5 +1,6 @@
 """Simultaneous root finding at controlled precision."""
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,8 +8,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heunzeros.families import InvalidSpecError, LameParams, from_lame
-from heunzeros.recurrence import DensePolynomial, build_family
+from heunzeros.families import (
+    FamilyKind,
+    InvalidSpecError,
+    LameParams,
+    MathieuParams,
+    RecurrenceSpec,
+    from_lame,
+    from_mathieu,
+)
+from heunzeros import rootfind
+from heunzeros.recurrence import (
+    DensePolynomial,
+    build_family,
+    leading_coefficient_law,
+)
 from heunzeros.rootfind import (
     NonConvergenceError,
     default_tol,
@@ -17,8 +31,8 @@ from heunzeros.rootfind import (
     real_zero_count,
     tridiagonal_eigenvalues,
 )
-from heunzeros.scalars import EXACT_FIELD, QQi, working_precision
-from heunzeros.tracking import jacobi_matrix
+from heunzeros.scalars import EXACT_FIELD, QQi, to_mpc, working_precision
+from heunzeros.tracking import continuant, jacobi_matrix
 
 F = Fraction
 
@@ -308,3 +322,107 @@ class TestZeroSet:
         assert labelled.labels == (1, 0)
         with pytest.raises(Exception):
             zs.with_labels([0])
+
+
+class TestContinuantKernel:
+    """The fixed-point (p_m, p_m') against m! (gamma)_m times the exact
+    c_m and c_m' at rational points."""
+
+    @pytest.mark.parametrize("spec,m,z", [
+        (from_lame(LameParams(n=2, s="1/2"))[0], 12, QQi(F(-7, 3), F(1, 5))),
+        (from_mathieu(MathieuParams(q="2i"))[0], 20, QQi(F(5, 2), F(-1, 3))),
+        (RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2", delta="3/2",
+                        s="3+2i", alpha=2, beta="-3/2"), 15,
+         QQi(F(-11, 4), F(2, 7))),
+        # values pass 2^1000
+        (RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
+                        delta="1/2", s=-20, alpha=5), 100, QQi(1000)),
+        (RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
+                        delta="1/2", s=-20, alpha=5), 100, QQi(0, 1000)),
+    ], ids=["lame-1/2", "mathieu-2i", "heun-complex-s", "whill-m100-real",
+            "whill-m100-imag"])
+    def test_matches_exact_coefficients(self, spec, m, z):
+        c = build_family(spec, m)[m]
+        scale = 1 / leading_coefficient_law(spec, m)
+        p, dp = c(z) * scale, c.derivative()(z) * scale
+        bits = 256
+        Fb = bits + 24 + rootfind._KERNEL_GUARD
+        rows = continuant(spec, m).fixed_rows(Fb)
+        with working_precision(Fb + 64):
+            got_p, got_dp = rootfind._continuant_pair(rows, Fb, to_mpc(z))
+            want_p, want_dp = to_mpc(p), to_mpc(dp)
+            # both values carry one power of two
+            two_e = mp.mpf(2) ** mp.nint(mp.log(abs(want_p / got_p), 2))
+            assert abs(want_p) > 1 and abs(want_dp) > 1
+            for got, want in ((got_p, want_p), (got_dp, want_dp)):
+                assert abs(got * two_e - want) <= \
+                    mp.mpf(2) ** (8 - Fb) * abs(want)
+
+
+def brute_overlapping(polished, n, tol):
+    z, rad = rootfind._disks(polished, n, tol)
+    return sorted({k for i in range(n) for j in range(i)
+                   if abs(z[i] - z[j]) <= rad[i] + rad[j] for k in (i, j)})
+
+
+def brute_mirrored(polished, n, tol):
+    z, rad = rootfind._disks(polished, n, tol)
+    out = list(polished)
+    for i, (r, res, ok) in enumerate(polished):
+        if r.imag == 0:
+            continue
+        w = r.conjugate()
+        meets = [j for j in range(n) if abs(w - z[j]) <= rad[i] + rad[j]]
+        if meets == [i]:
+            out[i] = (mp.mpc(r.real, 0), res, ok)
+        elif len(meets) == 1:
+            j = meets[0]
+            if (res, i) < (polished[j][1], j):
+                out[j] = (w, res, ok)
+    return out
+
+
+def seeded_disks(seed, n=32):
+    """n (centre, residual, True) triples on a dyadic grid, so that
+    many disks touch exactly, with conjugate pairs among them; the grid
+    widens with the seed, so fewer disks meet."""
+    rng = random.Random(seed)
+    width = 8 << (seed % 3)
+    grid = [mp.mpf(k) / 4 for k in range(-width, width + 1)]
+    out = []
+    while len(out) < n:
+        z = mp.mpc(rng.choice(grid), rng.choice(grid))
+        res = mp.mpf(rng.choice((1, 2, 4))) / 8 / n    # radius 1/8 .. 1/2
+        out.append((z, res, True))
+        if z.imag and len(out) < n and rng.random() < 0.5:
+            out.append((z.conjugate(), res, True))
+    return out
+
+
+class TestDiskSweep:
+    """`_overlapping` and `_mirrored` compare only disks whose real
+    extents meet; they must agree with the all-pairs tests."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_all_pairs(self, seed):
+        n = 32
+        tol = mp.mpf(2) ** -100
+        with working_precision(128):
+            polished = seeded_disks(seed, n)
+            assert rootfind._overlapping(polished, n, tol) == \
+                brute_overlapping(polished, n, tol)
+            assert rootfind._mirrored(polished, n, tol) == \
+                brute_mirrored(polished, n, tol)
+
+    def test_touching_disks_meet(self):
+        tol = mp.mpf(2) ** -100
+        with working_precision(128):
+            # radii 1/2: centres 1 apart touch, as do a conjugate pair
+            # at +-i/2, whose mirror images are each other
+            half = mp.mpf(1) / 8
+            polished = [(mp.mpc(0), half, True), (mp.mpc(1), half, True),
+                        (mp.mpc(3, "0.5"), half, True),
+                        (mp.mpc(3, "-0.5"), half, True)]
+            assert rootfind._overlapping(polished, 4, tol) == [0, 1, 2, 3]
+            assert rootfind._mirrored(polished, 4, tol) == \
+                brute_mirrored(polished, 4, tol)

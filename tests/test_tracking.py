@@ -357,6 +357,28 @@ class TestJacobiSeeds:
         assert real_zero_count(a) == 0
 
 
+    def test_recurrence_resolves_degree_89_at_80_bits(self):
+        # the dense c_89 rounded to 80 bits could not resolve these
+        # zeros; the recurrence evaluates p_89 without it
+        zs = solve_zeros(WHILL_STRONG, 89, precision_bits=80)
+        ref = solve_zeros(WHILL_STRONG, 89, precision_bits=512)
+        assert real_zero_count(zs) == 17
+        for x, y in zip(zs.zeros, ref.zeros):
+            assert abs(x - y) < zs.tol * (1 + abs(y))
+
+    def test_solve_builds_no_dense_coefficients(self, monkeypatch):
+        from heunzeros import rootfind
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense coefficients on the solve path")
+
+        monkeypatch.setattr(recurrence, "build_family", forbidden)
+        monkeypatch.setattr(rootfind, "_horner_pair", forbidden)
+        for spec in THREE_FAMILIES:
+            assert solve_zeros(spec, 12).degree == 12
+        assert solve_zeros(WHILL_STRONG, 50).degree == 50
+
+
 class TestMatching:
     def test_identity_on_shared_values(self):
         a = [mp.mpc(-3), mp.mpc("0.5")]
