@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath as mp
 
@@ -61,55 +61,54 @@ def _cached_row(spec: RecurrenceSpec, j: int, signature) -> tuple:
     return D, E, j * (j - 1 + spec.gamma) * F
 
 
-def _def(spec):
-    def D(j):
-        return recurrence_row(spec, j)[0]
-
-    def E(j):
-        return recurrence_row(spec, j)[1]
-
-    def G(j):
-        return recurrence_row(spec, j)[2]
-
-    return D, E, G
-
-
 def first_order_coeff(spec: RecurrenceSpec, k: int, m: int):
     """D1_k for the zero of c_{m+1} near -D_k; valid for 0 <= k <= m."""
     _check(spec, k, m)
-    D, E, G = _def(spec)
-    t = E(k)
-    if k >= 1:
-        t = t + G(k) / (D(k) - D(k - 1))
-    if k <= m - 1:
-        t = t + G(k + 1) / (D(k) - D(k + 1))
-    return t
+    return _first_order(partial(recurrence_row, spec), k, m)
 
 
 def second_order_coeff(spec: RecurrenceSpec, k: int, m: int):
     """D2_k for the zero of c_{m+1} near -D_k; valid for 0 <= k <= m-2."""
     _check(spec, k, m)
+    return _second_order(partial(recurrence_row, spec), k, m)
+
+
+def _first_order(row, k: int, m: int):
+    """D1_k from row(j) = (D_j, E_j, G_j)."""
+    dk, t, gk = row(k)            # t starts at E_k
+    if k >= 1:
+        t = t + gk / (dk - row(k - 1)[0])
+    if k <= m - 1:
+        dn, _, gn = row(k + 1)
+        t = t + gn / (dk - dn)
+    return t
+
+
+def _second_order(row, k: int, m: int):
+    """D2_k from row(j) = (D_j, E_j, G_j)."""
     if k > m - 2:
         raise BoundaryOrderError(
             f"no second-order formula at k={k} for c_{m + 1} "
             "(edge indices k=m-1 and k=m stabilize only at larger m)"
         )
-    D, E, G = _def(spec)
-    dk = D(k)
-    v1 = G(k + 1) / (dk - D(k + 1))
-    v2 = G(k + 1) / (dk - D(k + 1)) ** 2
+    dk, ek, gk = row(k)
+    dn, en, gn = row(k + 1)
+    v1 = gn / (dk - dn)
+    v2 = gn / (dk - dn) ** 2
     if k >= 1:
-        u1 = G(k) / (dk - D(k - 1))
-        u2 = G(k) / (dk - D(k - 1)) ** 2
+        dp, ep, gp = row(k - 1)
+        u1 = gk / (dk - dp)
+        u2 = gk / (dk - dp) ** 2
     else:
         u1 = u2 = 0
-    total = -(u2 + v2) * (E(k) + u1 + v1)
+    total = -(u2 + v2) * (ek + u1 + v1)
     if k >= 1:
-        inner = E(k - 1)
+        inner = ep
         if k >= 2:
-            inner = inner + G(k - 1) / (dk - D(k - 2))
+            inner = inner + gp / (dk - row(k - 2)[0])
         total = total + u2 * inner
-    total = total + v2 * (E(k + 1) + G(k + 2) / (dk - D(k + 2)))
+    dnn, _, gnn = row(k + 2)
+    total = total + v2 * (en + gnn / (dk - dnn))
     return total
 
 
@@ -143,12 +142,18 @@ class PerturbativeExpansion:
 def zero_expansion(spec: RecurrenceSpec, k: int, m: int,
                    order: int = 2) -> PerturbativeExpansion:
     """Expansion of the zero of c_{m+1}(B) labelled by grid index k."""
+    return _zero_expansion(spec, partial(recurrence_row, spec), k, m, order)
+
+
+def _zero_expansion(spec: RecurrenceSpec, row, k: int, m: int,
+                    order: int) -> PerturbativeExpansion:
+    """`zero_expansion` from row(j) = (D_j, E_j, G_j)."""
     if order not in (0, 1, 2):
         raise InvalidSpecError(f"order must be 0, 1 or 2, got {order}")
     _check(spec, k, m)
-    c0 = -_def(spec)[0](k)
-    c1 = -first_order_coeff(spec, k, m) if order >= 1 else None
-    c2 = -second_order_coeff(spec, k, m) if order >= 2 else None
+    c0 = -row(k)[0]
+    c1 = -_first_order(row, k, m) if order >= 1 else None
+    c2 = -_second_order(row, k, m) if order >= 2 else None
     return PerturbativeExpansion(k=k, order=order, c0=c0, c1=c1, c2=c2, m=m)
 
 
@@ -219,10 +224,12 @@ def perturbative_seeds(spec: RecurrenceSpec, m: int, order: int = 2) -> list:
     """Zero estimates for all m+1 zeros of c_{m+1}, for seeding a solver.
 
     Interior indices get the requested order; the two edge indices fall
-    back to first order (second order does not exist there).
+    back to first order (second order does not exist there).  Rows
+    0..m are looked up once, not once per formula term.
     """
+    row = [recurrence_row(spec, j) for j in range(m + 1)].__getitem__
     seeds = []
     for k in range(m + 1):
         o = order if (order <= 1 or k <= m - 2) else 1
-        seeds.append(zero_estimate(spec, k, m, o))
+        seeds.append(_zero_expansion(spec, row, k, m, o)(spec.s))
     return seeds

@@ -203,7 +203,12 @@ class MatchResult:
 
 def match_zeros(za, zb) -> MatchResult:
     """Optimal assignment of za into zb: the injective pairing that
-    minimizes the summed distance (Kuhn's Hungarian method, via scipy).
+    minimizes the summed distance, each distance rounded to a double.
+
+    The assignment is Crouse's shortest augmenting path method, run
+    step for step as SciPy's `linear_sum_assignment` runs it, so among
+    tied optimal assignments this one picks the same pairing as
+    SciPy does (`_assignment`).
 
     If every za zero also appears in zb the pairing is the identity on
     values.
@@ -212,18 +217,73 @@ def match_zeros(za, zb) -> MatchResult:
     b = list(zb.zeros) if isinstance(zb, ZeroSet) else [to_mpc(z) for z in zb]
     if len(a) > len(b):
         raise InvalidSpecError("match_zeros expects len(a) <= len(b)")
-    pairs = ()
-    if a:
-        # scipy rejects an empty cost matrix
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(
-            [[float(abs(x - y)) for y in b] for x in a])
-        pairs = tuple((int(i), int(j), abs(a[i] - b[j]))
-                      for i, j in zip(rows, cols))
-    matched_b = {j for _, j, _ in pairs}
+    cols = _assignment([[float(abs(x - y)) for y in b] for x in a])
+    pairs = tuple((i, j, abs(a[i] - b[j])) for i, j in enumerate(cols))
+    matched_b = set(cols)
     new_b = tuple(j for j in range(len(b)) if j not in matched_b)
     return MatchResult(pairs=pairs, new_in_b=new_b)
+
+
+def _assignment(cost) -> list:
+    """The column of each row in a least-sum assignment of the rows of
+    cost (a list of rows of finite floats, no longer than each row) to
+    distinct columns.
+
+    A port of SciPy's rectangular_lsap: the shortest augmenting path
+    method of Crouse (IEEE Trans. Aerosp. Electron. Syst. 52(4), 2016),
+    a variant of Jonker and Volgenant's.  Rows join one at a time; each
+    grows a shortest-path tree over the reduced costs
+    min_val + cost[i][j] - u[i] - v[j] until it reaches a free column,
+    then the duals u, v move and the path flips.  The column scan keeps
+    SciPy's order (columns left in reverse, removed by swapping in the
+    last) and its tie rule (an equal reduced cost moves the choice to a
+    free column), which makes ties resolve as they do in SciPy.
+    """
+    nr = len(cost)
+    nc = len(cost[0]) if nr else 0
+    u, v = [0.0] * nr, [0.0] * nc
+    path = [-1] * nc
+    col4row, row4col = [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        shortest = [float("inf")] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        tree_rows, tree_cols = [], []
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            index, lowest = -1, float("inf")
+            tree_rows.append(i)
+            ci, ui = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if (shortest[j] < lowest
+                        or shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            tree_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in tree_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in tree_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 _DIGIT_CAP = 60       # digits reported for identical values

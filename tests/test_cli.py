@@ -594,13 +594,25 @@ def test_cli_import_loads_no_numpy_or_scipy():
 
 
 def test_one_solve_loads_no_numpy_or_scipy():
-    # the solve path keeps the memory of a bare solve_zeros caller low;
-    # only match_zeros reaches for scipy
+    # the solve path keeps the memory of a bare solve_zeros caller low
     probe = ("import sys, heunzeros.cli; "
              "from heunzeros.families import FamilyKind, RecurrenceSpec; "
              "from heunzeros.tracking import solve_zeros; "
              "solve_zeros(RecurrenceSpec(kind=FamilyKind.CONFLUENT, "
              "gamma='1/2', delta='1/2', s=-20, alpha=5), 16)")
+    assert _numpy_and_scipy_loaded_by(probe) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["track", "--family", "mathieu", "--q", "2", "--m", "30,40"],
+    ["verify"],
+], ids=["track", "verify"])
+def test_matching_commands_load_no_numpy_or_scipy(argv):
+    # both commands match zero sets (match_zeros)
+    probe = ("import sys, contextlib, io, heunzeros.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = heunzeros.cli.main({argv!r})\n"
+             "assert code == 0, code")
     assert _numpy_and_scipy_loaded_by(probe) == "[]"
 
 

@@ -1,8 +1,11 @@
 """Every name a library module, script or test module imports is used
-there, library modules import each other at module level, and the CLI
-decides output formats in one place."""
+there, library modules import each other at module level, the package
+imports no third-party module it does not declare, and the CLI decides
+output formats in one place."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,10 +69,42 @@ def test_no_unused_imports(path):
 def test_scan_finds_a_function_local_package_import():
     source = ("import json\n"
               "def f():\n"
-              "    from scipy.optimize import linear_sum_assignment\n"
+              "    from itertools import permutations\n"
               "    from .oracle import series_solution\n"
               "    import heunzeros.tracking\n")
     assert local_package_imports(source) == [4, 5]
+
+
+def third_party_imports(source: str) -> set:
+    """Top-level names of the absolute imports in source that are not
+    in the standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "heunzeros"}
+
+
+def test_scan_finds_third_party_imports():
+    source = ("import json, mpmath\n"
+              "from . import scalars\n"
+              "import heunzeros.tracking\n"
+              "def f():\n"
+              "    from scipy.optimize import linear_sum_assignment\n")
+    assert third_party_imports(source) == {"mpmath", "scipy"}
+
+
+def test_package_imports_exactly_its_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in project["dependencies"]}
+    imported = set().union(*(third_party_imports(p.read_text()) for p in
+                             (ROOT / "src" / "heunzeros").glob("*.py")))
+    assert "mpmath" in imported
+    assert imported == declared
 
 
 # oracle.py is the one module kept out of the one-route clean-up: it

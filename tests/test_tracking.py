@@ -1,10 +1,14 @@
 """Zero tracking across degrees and the d2 connection-coefficient limit."""
 
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heunzeros.cli import main, table_text
 from heunzeros.families import (
@@ -405,6 +409,55 @@ class TestMatching:
     def test_larger_first_set_rejected(self):
         with pytest.raises(InvalidSpecError):
             match_zeros([mp.mpc(0), mp.mpc(1)], [mp.mpc(0)])
+
+
+    def test_conjugate_pair_tie_takes_the_first_free_column(self):
+        # -1 sits at distance 1/2 from both -1 +- i/2; scipy's
+        # linear_sum_assignment gives it the lower-indexed one
+        a = [mp.mpc(-1), mp.mpc(2, 1), mp.mpc(2, -1)]
+        b = [mp.mpc(-1, "0.5"), mp.mpc(-1, "-0.5"), mp.mpc(2, "1.1"),
+             mp.mpc(2, "-1.1")]
+        res = match_zeros(a, b)
+        assert [(i, j) for i, j, _ in res.pairs] == [(0, 0), (1, 2), (2, 3)]
+        assert res.new_in_b == (1,)
+        swapped = match_zeros(a[:1], b[1::-1])
+        assert [(i, j) for i, j, _ in swapped.pairs] == [(0, 0)]
+
+    @given(st.data())
+    def test_summed_distance_is_the_brute_force_minimum(self, data):
+        lattice = data.draw(st.booleans())
+        point = (st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+                 if lattice else
+                 st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)))
+        n = data.draw(st.integers(1, 6))
+        a = data.draw(st.lists(point, min_size=n, max_size=n))
+        b = data.draw(st.lists(point, min_size=n, max_size=8))
+        res = match_zeros(a, b)
+        assert sorted(i for i, _, _ in res.pairs) == list(range(n))
+        assert len({j for _, j, _ in res.pairs}) == n
+        dist = [[abs(x - y) for y in b] for x in a]
+        best = min(sum(dist[i][j] for i, j in enumerate(cols))
+                   for cols in itertools.permutations(range(len(b)), n))
+        total = sum(d for _, _, d in res.pairs)
+        assert abs(total - best) <= 1e-12 * (1 + best)
+
+    def test_same_columns_as_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(2016)
+        for case in range(1500):
+            n = rng.randint(1, 12)
+            m = rng.randint(n, 15)
+            if case % 3 == 0:
+                cost = [[rng.random() for _ in range(m)] for _ in range(n)]
+            elif case % 3 == 1:
+                cost = [[float(rng.randint(0, 3)) for _ in range(m)]
+                        for _ in range(n)]
+            else:
+                a, b = ([complex(rng.randint(-2, 2), rng.randint(-2, 2))
+                         for _ in range(size)] for size in (n, m))
+                cost = [[abs(x - y) for y in b] for x in a]
+            _, cols = optimize.linear_sum_assignment(cost)
+            assert tracking._assignment(cost) == cols.tolist(), cost
 
 
 class TestStabilizedDigits:
