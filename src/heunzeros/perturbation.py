@@ -50,9 +50,10 @@ def recurrence_row(spec: RecurrenceSpec, j: int) -> tuple:
     """(D_j, E_j, G_j) with G_j = j(j-1+gamma) F_j, the weight that
     accompanies every F_j in the perturbation formulas and the
     off-diagonal of the Jacobi matrix.  Cached per (spec, j)."""
-    # Inexact specs compute at the ambient precision, so the cache key
-    # also carries that precision.
-    return _cached_row(spec, j, (spec.param_types, mp.mp.prec))
+    # Inexact specs compute at the ambient precision, so their cache key
+    # also carries that precision; exact rows do not depend on it.
+    prec = None if spec.is_exact else mp.mp.prec
+    return _cached_row(spec, j, (spec.param_types, prec))
 
 
 @lru_cache(maxsize=4096)

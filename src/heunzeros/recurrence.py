@@ -5,10 +5,12 @@ at z = 0, as a degree-m polynomial in the accessory parameter B:
 
     (m+1)(m+gamma) c_{m+1}(B) = (B + D_m + s E_m) c_m(B) - s F_m c_{m-1}(B)
 
-with c_{-1} = 0 and c_0 = 1.  Everything here runs either in the exact
-Gaussian-rational field or in mpc big-floats, chosen by the field tag,
-except the step rows of the d2 tail (`_scaled_step_table`), which are
-fixed-point Gaussian integers.
+with c_{-1} = 0 and c_0 = 1.  One routine (`_recurrence`) runs it on
+coefficient lists in one variable: B for `build_family`, none (a fixed
+B) for `eval_sequence`, and s for `family_in_s`.  Everything here runs
+either in the exact Gaussian-rational field or in mpc big-floats, chosen
+by the exactness of spec and B, except the step rows of the d2 tail
+(`_scaled_step_table`), which are fixed-point Gaussian integers.
 
 Useful consequences kept as helpers and exploited by the test-suite:
 the leading coefficient of c_m is 1/(m! (gamma)_m), and at s = 0 the
@@ -140,73 +142,68 @@ def build_family(spec: RecurrenceSpec, m_max: int,
     when the spec is exact, else in big floats at precision_bits."""
     if m_max < 0:
         raise InvalidSpecError("m_max must be nonnegative")
-    if spec.is_exact:
-        field = EXACT_FIELD
-        rows = _build_rows(spec, m_max, exact=True)
-    else:
-        field = bigfloat_field(precision_bits)
-        with working_precision(precision_bits):
-            rows = _build_rows(spec, m_max, exact=False)
+    conv = as_exact if spec.is_exact else to_mpc
+    with working_precision(precision_bits):
+        s = conv(spec.s)
+        rows = _recurrence(spec, m_max, conv,
+                           lambda D, E, F: ([D + s * E, 1], [s * F]))
+    field = EXACT_FIELD if spec.is_exact else bigfloat_field(precision_bits)
     polys = tuple(DensePolynomial(tuple(r), field) for r in rows)
     return PolynomialFamily(spec=spec, m_max=m_max, polys=polys, field=field)
 
 
-def _build_rows(spec: RecurrenceSpec, m_max: int, exact: bool) -> list[list]:
-    gamma, steps = _step_table(spec, m_max, exact)
-    rows = [[QQi(1) if exact else mp.mpc(1)]]
-    prev = None          # c_{m-1}
-    cur = rows[0]        # c_m
+def _recurrence(spec: RecurrenceSpec, m_max: int, conv, step) -> list:
+    """Coefficient lists, in one variable X, of c_0 ... c_{m_max} by
+
+        (m+1)(m+gamma) c_{m+1} = L_m c_m - M_m c_{m-1},  c_0 = 1,
+
+    where (L_m, M_m) = step(D_m, E_m, F_m) are coefficient lists in X
+    built from the step data after conv (`as_exact`, or `to_mpc` at the
+    working precision)."""
+    gamma = conv(spec.gamma)
+    rows = [[conv(1)]]
+    prev = None
     for m in range(m_max):
-        D, sE, sF = steps[m]
-        a = D + sE                         # constant part of (B + D + sE)
-        nxt = [a * c for c in cur] + [cur[-1]]
-        for i in range(1, len(cur)):
-            nxt[i] = nxt[i] + cur[i - 1]
+        L, M = step(*map(conv, recurrence_coeffs(spec, m)))
+        cur = rows[-1]
+        val = _sp_mul(L, cur)
         if prev is not None:
-            for i, c in enumerate(prev):
-                nxt[i] = nxt[i] - sF * c
+            val = _sp_add(val, [-c for c in _sp_mul(M, prev)])
         q = (m + 1) * (m + gamma)
-        nxt = [c / q for c in nxt]
-        rows.append(nxt)
-        prev, cur = cur, nxt
+        rows.append(_sp_trim([c / q for c in val]))
+        prev = cur
     return rows
 
 
-# (key, gamma, steps): the B-independent part of each recurrence step,
-# steps[m] = (D_m, s E_m, s F_m), for the most recent spec, parameter
-# types and precision (None when exact).  A d2 secant search evaluates
-# many B at one spec, K and precision.  The key carries the parameter
-# types because specs compare equal across fields (QQi(1/2) == mpf(0.5)),
-# and the precision because big-float steps are rounded to it.  The whole
-# tuple is replaced at once, so a caller keeps a consistent snapshot.
-_steps = (None, None, ())
+def _sp_trim(p: list) -> list:
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    return p
 
 
-def _step_table(spec: RecurrenceSpec, K: int, exact: bool) -> tuple:
-    """(gamma, steps) with steps[m] = (D_m, s E_m, s F_m) for at least
-    m < K, exactly or as mpc at the current precision."""
-    global _steps
-    key = (spec, spec.param_types, None if exact else mp.mp.prec)
-    cached, gamma, steps = _steps
-    conv = (lambda x: x) if exact else to_mpc
-    if cached != key:
-        gamma, steps = conv(spec.gamma), ()
-    if len(steps) < K:
-        s = conv(spec.s)
-        new = []
-        for m in range(len(steps), K):
-            D, E, F = recurrence_coeffs(spec, m)
-            new.append((conv(D), s * conv(E), s * conv(F)))
-        steps = steps + tuple(new)
-    _steps = (key, gamma, steps)
-    return gamma, steps
+def _sp_add(a: list, b: list) -> list:
+    n = min(len(a), len(b))
+    return [x + y for x, y in zip(a, b)] + a[n:] + b[n:]
+
+
+def _sp_mul(a: list, b: list) -> list:
+    # the zero of b's own field: QQi stays QQi and mpc stays mpc
+    out = [b[0] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
 # (key, rows): the B-independent part of each step of the scaled
 # recurrence that `tracking.d2_sequence` runs, rows[k] = the real and
 # imaginary parts of A_k, G_k and H_k as ints with F fraction bits, for
-# the most recent spec, parameter types and F, keyed as _steps is and
-# replaced as a whole in the same way.
+# the most recent spec, parameter types and F.  The key carries the
+# parameter types because specs compare equal across fields
+# (QQi(1/2) == mpf(0.5)).  The whole tuple is replaced at once, so a
+# caller keeps a consistent snapshot.
 _scaled_steps = (None, ())
 
 _ROW_GUARD = 32   # extra fraction bits of the row build
@@ -291,39 +288,21 @@ def eval_sequence(spec: RecurrenceSpec, B, K: int,
 
     Runs exactly when both spec and B are exact and no precision was
     forced; otherwise in mpc under precision_bits (or the caller's
-    current mpmath context when omitted).  The B-independent step data
-    (D_m, s E_m, s F_m) comes from a table kept for the most recent spec,
-    parameter types and precision, and grown to the largest K asked for,
-    so repeated calls at one spec only pay the B-dependent arithmetic.
-    `build_family` reads the same table; `tracking.d2_sequence` runs its
-    own scaled recurrence instead (`_scaled_step_table`).
+    current mpmath context when omitted).  Each step is the polynomial
+    step of `build_family` with B fixed, so its degree-0 lists round
+    exactly as the scalar loop does; `tracking.d2_sequence` runs its own
+    scaled recurrence instead (`_scaled_step_table`).
     """
     if K < 0:
         raise InvalidSpecError("K must be nonnegative")
     exact = (spec.is_exact and precision_bits is None
              and (is_exact_scalar(B) or isinstance(B, str)))
-    if exact:
-        return _eval_seq(spec, as_exact(B), K, exact=True)
-    if precision_bits is not None:
-        with working_precision(precision_bits):
-            return _eval_seq(spec, to_mpc(B), K, exact=False)
-    return _eval_seq(spec, to_mpc(B), K, exact=False)
-
-
-def _eval_seq(spec, B, K, exact: bool) -> list:
-    gamma, steps = _step_table(spec, K, exact)
-    out = [B * 0 + 1]
-    prev = None
-    cur = out[0]
-    for m in range(K):
-        D, sE, sF = steps[m]
-        val = (B + D + sE) * cur
-        if prev is not None:
-            val = val - sF * prev
-        val = val / ((m + 1) * (m + gamma))
-        out.append(val)
-        prev, cur = cur, val
-    return out
+    conv = as_exact if exact else to_mpc
+    with working_precision(precision_bits or mp.mp.prec):
+        B, s = conv(B), conv(spec.s)
+        rows = _recurrence(spec, K, conv,
+                           lambda D, E, F: ([B + D + s * E], [s * F]))
+    return [r[0] for r in rows]
 
 
 def leading_coefficient_law(spec: RecurrenceSpec, m: int):
@@ -336,30 +315,6 @@ def leading_coefficient_law(spec: RecurrenceSpec, m: int):
 
 # -- s as indeterminate -------------------------------------------------------
 
-def _sp_trim(p: list) -> list:
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
-
-def _sp_add(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else QQi(0)) + (b[i] if i < len(b) else QQi(0))
-        for i in range(n)
-    ]
-
-
-def _sp_mul(a: list, b: list) -> list:
-    out = [QQi(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
 def family_in_s(spec: RecurrenceSpec, b_of_s, m_max: int) -> list[list[list]]:
     """Run the recurrence with s symbolic and B = b_of_s(s) substituted.
 
@@ -370,21 +325,9 @@ def family_in_s(spec: RecurrenceSpec, b_of_s, m_max: int) -> list[list[list]]:
     if not spec.is_exact:
         raise InvalidSpecError("s-indeterminate evaluation is exact-only")
     bpoly = [as_exact(c) for c in b_of_s]
-    rows = [[QQi(1)]]
-    prev, cur = None, rows[0]
-    for m in range(m_max):
-        D, E, F = recurrence_coeffs(spec, m)
-        # (B(s) + D_m + s E_m) as a polynomial in s
-        lin = _sp_add(bpoly, [D, E])
-        val = _sp_mul(lin, cur)
-        if prev is not None:
-            lag = [QQi(0)] + [F * c for c in prev]     # s * F_m * c_{m-1}
-            val = _sp_add(val, [-c for c in lag])
-        q = (m + 1) * (m + spec.gamma)
-        val = _sp_trim([c / q for c in val])
-        rows.append(val)
-        prev, cur = cur, val
-    return rows
+    # L_m = B(s) + D_m + s E_m and M_m = s F_m as polynomials in s
+    return _recurrence(spec, m_max, as_exact,
+                       lambda D, E, F: (_sp_add(bpoly, [D, E]), [0, F]))
 
 
 def eval_s_polynomial(spec: RecurrenceSpec, B, m: int) -> DensePolynomial:

@@ -639,7 +639,8 @@ def _newton_polish(evaluate, z, tol):
 
 def real_zero_count(zeros) -> int:
     """How many zeros are real up to the relative imaginary tolerance,
-    by the test of `ZeroSet.real_zeros`."""
+    by the test of `ZeroSet.real_zeros`.  The zeros may be a ZeroSet or
+    any scalars `to_mpc` reads, exact ones included."""
     if isinstance(zeros, ZeroSet):
         zeros = zeros.zeros
-    return sum(1 for z in zeros if _is_real(mp.mpc(z)))
+    return sum(1 for z in zeros if _is_real(to_mpc(z)))

@@ -53,9 +53,9 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
     """Zeros of c_m(B), labelled by grid index where estimates exist.
 
     The seeds are the eigenvalues of the Jacobi matrix of the recurrence
-    (`jacobi_matrix`), taken from a ladder of QL precisions that double
-    from 53 bits and stop at precision_bits: 53, 106, 212, ...,
-    precision_bits.  A rung that gives seeds (`jacobi_seeds`) hands them
+    (`Continuant.jacobi_matrix`), taken from a ladder of QL precisions
+    that double from 53 bits and stop at precision_bits: 53, 106, 212,
+    ..., precision_bits.  A rung that gives seeds (`jacobi_seeds`) hands them
     to `find_all_roots`, which polishes each by Newton's method on the
     recurrence itself (the `continuant` rows, evaluated in fixed point;
     the dense coefficients of c_m are never built) and keeps the results
@@ -123,15 +123,6 @@ def continuant(spec: RecurrenceSpec, m: int) -> Continuant:
     rows = [recurrence_row(spec, k) for k in range(m)]
     return Continuant(A=tuple(D + spec.s * E for D, E, _ in rows),
                       N=tuple(spec.s * G for _, _, G in rows))
-
-
-def jacobi_matrix(spec: RecurrenceSpec, m: int) -> tuple:
-    """(diagonal, off-diagonal) as mpc at the working precision of the
-    m x m complex-symmetric tridiagonal matrix whose eigenvalues are the
-    zeros of c_m: diagonal -(D_j + s E_j) for j = 0..m-1, off-diagonal
-    sqrt(s G_j) for j = 1..m-1 with G_j = j (j-1+gamma) F_j
-    (docs/math_notes.md, section 8), read from `continuant`."""
-    return continuant(spec, m).jacobi_matrix()
 
 
 _SEED_AGREEMENT = 2.0 ** -20   # forward/reversed QL gap that trusts doubles

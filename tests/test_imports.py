@@ -1,5 +1,6 @@
 """Every name a library module, script or test module imports is used
-there, library modules import each other at module level, the package
+there, every private helper of the package is used by the package or a
+script, library modules import each other at module level, the package
 imports no third-party module it does not declare, and the CLI decides
 output formats in one place."""
 
@@ -34,6 +35,47 @@ def unused_imports(source: str) -> list:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
+
+
+def dead_helpers(sources: list) -> list:
+    """The module-level private functions defined in sources that no
+    source names (as a name, an attribute or an imported name) outside
+    their own def."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {fn.name for tree in trees for fn in tree.body
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and fn.name.startswith("_") and not fn.name.endswith("__")}
+    named = set()
+    for stmt in (stmt for tree in trees for stmt in tree.body):
+        here = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                here.add(node.attr)
+            elif isinstance(node, ast.alias):
+                here.add(node.name.split(".")[-1])
+        here.discard(getattr(stmt, "name", None))
+        named |= here
+    return sorted(defined - named)
+
+
+def test_scan_finds_a_dead_helper():
+    first = ("from .second import _imported\n"
+             "def _called():\n    return _imported()\n"
+             "def _recursive(n):\n    return _recursive(n - 1)\n"
+             "def public():\n    return _called\n")
+    second = ("import first\n"
+              "def _imported():\n    return first._by_attribute\n"
+              "def _by_attribute():\n    pass\n"
+              "def _dead():\n    return _dead\n")
+    assert dead_helpers([first, second]) == ["_dead", "_recursive"]
+
+
+def test_no_dead_helpers():
+    paths = (sorted((ROOT / "src" / "heunzeros").glob("*.py"))
+             + sorted((ROOT / "scripts").glob("*.py")))
+    assert dead_helpers([p.read_text() for p in paths]) == []
 
 
 def local_package_imports(source: str) -> list:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,19 +15,21 @@ from heunzeros.families import (
     from_mathieu,
     MathieuParams,
 )
+from heunzeros import perturbation
 from heunzeros.perturbation import (
     BoundaryOrderError,
     DegenerateGridError,
     first_order_coeff,
     lame_expansion,
     perturbative_seeds,
+    recurrence_row,
     reduced_confluent_expansion,
     second_order_coeff,
     zero_estimate,
     zero_expansion,
 )
 from heunzeros.recurrence import eval_s_polynomial
-from heunzeros.scalars import QQi
+from heunzeros.scalars import QQi, working_precision
 
 F = Fraction
 
@@ -178,3 +181,27 @@ class TestEvaluation:
     def test_zero_estimate_uses_spec_s_by_default(self):
         spec, _ = from_mathieu(MathieuParams(q="1/4"))
         assert zero_estimate(spec, 2, 6) == zero_expansion(spec, 2, 6)(spec.s)
+
+
+class TestRowCache:
+    def test_exact_rows_ignore_the_working_precision(self):
+        # gamma = 29/31 keeps this spec out of every other test's rows
+        spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="29/31",
+                              delta="1/2", s="1/3")
+        before = perturbation._cached_row.cache_info().misses
+        with working_precision(53):
+            low = recurrence_row(spec, 5)
+        with working_precision(300):
+            high = recurrence_row(spec, 5)
+        assert perturbation._cached_row.cache_info().misses == before + 1
+        assert high is low
+
+    def test_inexact_rows_are_kept_per_precision(self):
+        spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=mp.mpf(0.25),
+                              delta=mp.mpf(0.5), s=mp.mpf(3))
+        before = perturbation._cached_row.cache_info().misses
+        with working_precision(53):
+            recurrence_row(spec, 5)
+        with working_precision(300):
+            recurrence_row(spec, 5)
+        assert perturbation._cached_row.cache_info().misses == before + 2

@@ -41,11 +41,19 @@ def _sym(q):
     return re + sp.I * im
 
 
-def sympy_series_polys(spec, m_max):
+def sympy_series_polys(spec, m_max, b_of_s=None):
     """c_0..c_{m_max} as sympy polynomials in B, straight from the
-    factored differential equation by undetermined coefficients."""
+    factored differential equation by undetermined coefficients; given
+    the coefficients b_of_s of B as a polynomial in s, as polynomials in
+    a symbolic s with B = b_of_s(s) substituted instead.  Returns the
+    polynomials and their variable."""
     z, B = sp.symbols("z B")
-    g, d, s = _sym(spec.gamma), _sym(spec.delta), _sym(spec.s)
+    g, d = _sym(spec.gamma), _sym(spec.delta)
+    if b_of_s is None:
+        s, var = _sym(spec.s), B
+    else:
+        s = var = sp.Symbol("s")
+        B = sum(_sym(c) * s ** k for k, c in enumerate(b_of_s))
     if spec.kind == FamilyKind.HEUN:
         a, bt = _sym(spec.alpha), _sym(spec.beta)
         e = a + bt + 1 - g - d
@@ -74,7 +82,7 @@ def sympy_series_polys(spec, m_max):
         assert len(sol) == 1
         solved[unknowns[j]] = sp.expand(sol[0])
         cs[j + 1] = sp.expand(solved[unknowns[j]])
-    return cs, B
+    return cs, var
 
 
 def _qqi_to_sym(c):
@@ -212,9 +220,10 @@ def _bits(x):
 
 
 class TestStepTable:
-    """eval_sequence and build_family read the B-independent step data
-    from a table kept for the most recent spec, parameter types and
-    precision; each must equal the plain loop exactly, bit for bit."""
+    """eval_sequence and build_family run the shared list recurrence,
+    with a fixed B as a degree-0 list or with B as the variable; each
+    must equal its plain loop exactly, bit for bit, across specs,
+    fields and precisions."""
 
     LAME = from_lame(LameParams(n=2, s="1/2"))[0]
     CHEUN = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
@@ -241,8 +250,8 @@ class TestStepTable:
                                   beta=mp.mpf(-1), s=mp.mpf("0.3"))
 
     # (spec, precision or None for exact, K): the order switches specs,
-    # fields and precisions, grows and reuses one table, and puts equal
-    # exact and big-float specs next to each other
+    # fields, precisions and lengths, and puts equal exact and big-float
+    # specs next to each other, so no state may leak between calls
     CASES = [
         (RCHEUN, None, 20), (RCHEUN_MPF, 64, 20), (RCHEUN, 64, 30),
         (RCHEUN_MPF, 256, 30), (RCHEUN, None, 40), (RCHEUN, None, 10),
@@ -365,6 +374,23 @@ class TestSPolynomials:
             for s0 in (QQi(0), QQi(Fraction(1, 3)), QQi(-2, 1)):
                 fixed = build_family(spec.with_s(s0), m + 1)
                 assert pol(s0) == fixed[m + 1](b)
+
+    def test_family_in_s_matches_undetermined_coefficients(
+            self, heun_spec, confluent_spec, reduced_spec, generic_specs):
+        b_of_s = [QQi(Fraction(-3, 2)), QQi(Fraction(2, 5), 1),
+                  QQi(Fraction(-1, 7))]
+        for spec in [heun_spec, confluent_spec, reduced_spec,
+                     generic_specs[0]]:
+            m_max = 4
+            rows = family_in_s(spec, b_of_s, m_max)
+            sym_cs, s = sympy_series_polys(spec, m_max, b_of_s)
+            for m in range(m_max + 1):
+                theirs = sp.Poly(sym_cs[m], s)
+                assert len(rows[m]) == theirs.degree() + 1, (spec.kind, m)
+                for k, coeff in enumerate(rows[m]):
+                    assert sp.simplify(
+                        theirs.coeff_monomial(s ** k) - _sym(coeff)
+                    ) == 0, (spec.kind, m, k)
 
     def test_family_in_s_consistency(self, reduced_spec):
         b_of_s = [QQi(Fraction(-1, 2)), QQi(Fraction(2, 5))]   # B(s) line

@@ -32,7 +32,7 @@ from heunzeros.rootfind import (
     tridiagonal_eigenvalues,
 )
 from heunzeros.scalars import EXACT_FIELD, QQi, to_mpc, working_precision
-from heunzeros.tracking import continuant, jacobi_matrix
+from heunzeros.tracking import continuant
 
 F = Fraction
 
@@ -40,7 +40,7 @@ F = Fraction
 def jacobi_eigenvalues(spec, m):
     """The double QL eigenvalues of the Jacobi matrix of c_m."""
     with working_precision(256):
-        return tridiagonal_eigenvalues(*jacobi_matrix(spec, m))
+        return tridiagonal_eigenvalues(*continuant(spec, m).jacobi_matrix())
 
 
 def poly_from_roots(roots):
@@ -314,6 +314,11 @@ class TestZeroSet:
         zs = find_all_roots(poly, ["1.1", "2.1", "0.1+3.1j", "-0.1-2.9j"],
                             precision_bits=128)
         assert real_zero_count(zs) == 2
+
+    def test_real_zero_count_reads_exact_scalars(self):
+        zeros = [QQi(1), QQi(Fraction(1, 3), Fraction(1, 2)), Fraction(-2, 7),
+                 "5/3", "1/4+2i", 3]
+        assert real_zero_count(zeros) == 4
 
     def test_labels_round_trip(self):
         poly = poly_from_roots([QQi(1), QQi(2)])

@@ -32,11 +32,11 @@ from heunzeros.rootfind import (
 )
 from heunzeros.scalars import QQi, to_mpc, working_precision
 from heunzeros.tracking import (
+    continuant,
     convergence_report,
     d2_closed_form_s0,
     d2_sequence,
     d2_zero_search,
-    jacobi_matrix,
     jacobi_seeds,
     match_zeros,
     solve_zeros,
@@ -124,7 +124,7 @@ class TestSolveZeros:
 class TestJacobiSeeds:
     def test_s0_eigenvalues_are_the_grid(self):
         spec = THREE_FAMILIES[0].with_s(0)
-        eig = tridiagonal_eigenvalues(*jacobi_matrix(spec, 12))
+        eig = tridiagonal_eigenvalues(*continuant(spec, 12).jacobi_matrix())
         grid = [-complex(recurrence_coeffs(spec, k)[0]) for k in range(12)]
         assert sorted(eig, key=abs) == sorted(grid, key=abs)
 
@@ -132,7 +132,8 @@ class TestJacobiSeeds:
                              ids=lambda spec: spec.kind.value)
     def test_eigenvalues_are_close_to_the_zeros(self, spec):
         zs = solve_zeros(spec, 12)
-        eig = sorted(tridiagonal_eigenvalues(*jacobi_matrix(spec, 12)),
+        diag, off = continuant(spec, 12).jacobi_matrix()
+        eig = sorted(tridiagonal_eigenvalues(diag, off),
                      key=lambda z: (z.real, z.imag))
         for z, e in zip(sorted_zeros(zs), eig):
             assert abs(complex(z) - e) < 1e-10 * (1 + abs(e))
@@ -154,7 +155,7 @@ class TestJacobiSeeds:
     def test_extended_ql_agrees_with_doubles(self):
         spec = THREE_FAMILIES[1]
         with working_precision(256):
-            diag, off = jacobi_matrix(spec, 12)
+            diag, off = continuant(spec, 12).jacobi_matrix()
         low = tridiagonal_eigenvalues(diag, off)
         high = tridiagonal_eigenvalues(diag, off, precision_bits=106)
         assert len(high) == 12
@@ -165,7 +166,7 @@ class TestJacobiSeeds:
     def test_non_normal_matrix_escalates_to_106_bits(self, m):
         # the double seeds are about 0.4 off at m = 89 and 100
         with working_precision(256):
-            diag, off = jacobi_matrix(WHILL_STRONG, m)
+            diag, off = continuant(WHILL_STRONG, m).jacobi_matrix()
         seeds, why = jacobi_seeds(diag, off, 53, 256)
         assert seeds is None and "reversal differ by 0.4" in why
         seeds, why = jacobi_seeds(diag, off, 106, 256)
@@ -179,7 +180,7 @@ class TestJacobiSeeds:
         # deflation test alone never passes; the floor tied to the
         # matrix scale ends the QL, and more bits give better seeds
         with working_precision(256):
-            diag, off = jacobi_matrix(WHILL_STRONG, 89)
+            diag, off = continuant(WHILL_STRONG, 89).jacobi_matrix()
         zeros = solve_zeros(WHILL_STRONG, 89).zeros
 
         def error(bits):
@@ -196,7 +197,7 @@ class TestJacobiSeeds:
         # deflating it the 106-bit QL ran into its step limit
         spec = from_lame(LameParams(n=2, s="1/2"))[0]
         with working_precision(256):
-            diag, off = jacobi_matrix(spec, 40)
+            diag, off = continuant(spec, 40).jacobi_matrix()
         zeros = solve_zeros(spec, 40).zeros
 
         def error(bits):
@@ -211,7 +212,7 @@ class TestJacobiSeeds:
         # integer arithmetic: the same bits on every call, whatever the
         # caller's working precision
         with working_precision(256):
-            diag, off = jacobi_matrix(WHILL_STRONG, 89)
+            diag, off = continuant(WHILL_STRONG, 89).jacobi_matrix()
         a = tridiagonal_eigenvalues(diag, off, precision_bits=106)
         with working_precision(512):
             b = tridiagonal_eigenvalues(diag, off, precision_bits=106)
@@ -278,7 +279,7 @@ class TestJacobiSeeds:
             return eig
 
         with working_precision(256):
-            spec_diag, _ = jacobi_matrix(spec, 6)
+            spec_diag, _ = continuant(spec, 6).jacobi_matrix()
         polished = []
         solve = tracking.find_all_roots
 
