@@ -17,7 +17,16 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .families import FamilyKind, InvalidSpecError, RecurrenceSpec
-from .scalars import as_exact, is_exact_scalar, to_mpc, working_precision
+from .scalars import (
+    QQi,
+    _fixed_div,
+    _from_fixed,
+    _to_fixed,
+    as_exact,
+    is_exact_scalar,
+    to_mpc,
+    working_precision,
+)
 
 
 class ResonantExponentError(InvalidSpecError):
@@ -85,7 +94,9 @@ class SeriesSolution:
 def series_solution(p, q, r, exponent=0, N: int = 40) -> SeriesSolution:
     """Power-series solution of p y'' + q y' + r y = 0 about the regular
     singular point z = 0, by direct convolution of the coefficient
-    polynomials.  Needs p(0) = 0.  Exact inputs give exact coefficients.
+    polynomials.  Needs p(0) = 0.  Exact inputs give exact coefficients;
+    inexact ones run the fixed-point stepper `_fixed_steps` with
+    _GUARD bits beyond the working precision and come back as mpc.
     """
     flat = list(p) + list(q) + list(r) + [exponent]
     exact = all(is_exact_scalar(v) for v in flat)
@@ -98,6 +109,11 @@ def series_solution(p, q, r, exponent=0, N: int = 40) -> SeriesSolution:
         raise InvalidSpecError("z = 0 must be a singular point: p(0) = 0")
     if len(P) < 2:
         raise InvalidSpecError("p must have degree >= 1")
+    if not exact:
+        F = mp.mp.prec + _GUARD
+        a, _ = _fixed_steps(_fixed_polys(P, Q, R, F), rho, N, F)
+        return SeriesSolution(exponent=rho,
+                              coeffs=tuple(_from_fixed(x, y, F) for x, y in a))
     p1 = P[1]
     q0 = Q[0] if Q else p1 * 0
     one = p1 * 0 + 1
@@ -105,10 +121,7 @@ def series_solution(p, q, r, exponent=0, N: int = 40) -> SeriesSolution:
     for m in range(1, N + 1):
         den = (m + rho) * ((m + rho - 1) * p1 + q0)
         if den == 0:
-            raise ResonantExponentError(
-                f"indicial denominator vanishes at step {m}; exponents "
-                "differ by an integer"
-            )
+            raise _resonance(m)
         acc = one * 0
         for i in range(2, min(len(P), m + 2)):
             n = m + 1 - i
@@ -120,6 +133,65 @@ def series_solution(p, q, r, exponent=0, N: int = 40) -> SeriesSolution:
             acc = acc + R[i] * a[m - 1 - i]
         a.append(-acc / den)
     return SeriesSolution(exponent=rho, coeffs=tuple(a))
+
+
+def _resonance(m: int) -> ResonantExponentError:
+    return ResonantExponentError(
+        f"indicial denominator vanishes at step {m}; exponents differ by "
+        "an integer")
+
+
+_GUARD = 32    # fraction bits of the fixed-point stepper beyond the precision
+
+
+def _fixed_polys(p, q, r, F: int) -> tuple:
+    """The coefficient lists p, q, r through `scalars._to_fixed`."""
+    return tuple([_to_fixed(x, F) for x in xs] for xs in (p, q, r))
+
+
+def _fixed_steps(polys, rho, N: int, F: int) -> tuple:
+    """(a, b): a_n and a_n (n + rho), n = 0..N, of the `series_solution`
+    recurrence, on Gaussian-integer pairs with F fraction bits.
+
+    polys is (P, Q, R) from `_fixed_polys`; rho enters through
+    `scalars._to_fixed`.  Beside each
+    a_n the stepper keeps its weights a_n (n + rho) and
+    a_n (n + rho)(n + rho - 1), so step m is a sum of integer products
+    at 2F fraction bits, one floor division by the indicial denominator
+    (`scalars._fixed_div`) and two products for the new weights.  Every
+    rounding is an absolute 2^-F in units of a_0 = 1
+    (docs/math_notes.md, section 6).
+    """
+    P, Q, R = polys
+    rr, ri = _to_fixed(rho, F)
+    one = 1 << F
+    p1r, p1i = P[1]
+    q0r, q0i = Q[0] if Q else (0, 0)
+    P2, Q1 = P[2:], Q[1:]
+    a = [(one, 0)]
+    b = [(rr, ri)]
+    c = [((rr * (rr - one) - ri * ri) >> F, (ri * (2 * rr - one)) >> F)]
+    for m in range(1, N + 1):
+        sr = si = 0
+        # a[m - 1 - i] beside R_i, b[m - i] beside Q_i, c[m + 1 - i]
+        # beside P_i: each list read from its newest entry down
+        for terms, past in ((R, a), (Q1, b), (P2, c)):
+            for (xr, xi), (yr, yi) in zip(terms, reversed(past)):
+                sr += xr * yr - xi * yi
+                si += xr * yi + xi * yr
+        ur = (m << F) + rr                       # m + rho
+        vr = ur - one                            # m + rho - 1
+        tr = ((vr * p1r - ri * p1i) >> F) + q0r
+        ti = ((vr * p1i + ri * p1r) >> F) + q0i
+        dr, di = (ur * tr - ri * ti) >> F, (ur * ti + ri * tr) >> F
+        if not (dr or di):
+            raise _resonance(m)
+        xr, xi = _fixed_div(-sr, -si, dr, di, 0)
+        wr, wi = (xr * ur - xi * ri) >> F, (xr * ri + xi * ur) >> F
+        a.append((xr, xi))
+        b.append((wr, wi))
+        c.append(((wr * vr - wi * ri) >> F, (wr * ri + wi * vr) >> F))
+    return a, b
 
 
 # -- residual check of the production series ------------------------------------
@@ -226,10 +298,15 @@ def local_solutions_at_1(spec: RecurrenceSpec, B, N: int = 40):
     """(analytic, singular) local solutions at z = 1, as series in
     w = 1 - z.  The singular one carries exponent 1 - delta."""
     ph, qh, rh = ode_polys_at_1(spec, B)
-    rho2 = 1 - qh[0] / ph[1]
     u0 = series_solution(ph, qh, rh, 0, N)
-    u1 = series_solution(ph, qh, rh, rho2, N)
+    u1 = series_solution(ph, qh, rh, _singular_exponent(ph, qh), N)
     return u0, u1
+
+
+def _singular_exponent(ph, qh):
+    """The nonzero indicial exponent at w = 0 of the equation from
+    `ode_polys_at_1`, 1 - delta."""
+    return 1 - qh[0] / ph[1]
 
 
 def z1_swapped_spec(spec: RecurrenceSpec, B):
@@ -276,25 +353,66 @@ def d2_by_midpoint_matching(spec: RecurrenceSpec, B, N: int = 80,
                             precision_bits: int = 256) -> MidpointMatch:
     """Expand the holomorphic solution at z = 0 and both local
     solutions at z = 1, evaluate value and slope at z = 1/2, and solve
-    for the two connection weights.  Entirely oracle-side arithmetic.
+    for the two connection weights.  Entirely oracle-side arithmetic:
+    the three series run in `_fixed_steps` at precision_bits + _GUARD
+    fraction bits and are summed at 1/2 exactly (`_at_half`); only the
+    (1/2)^rho factors and the 2x2 solve are mpc.  InvalidSpecError when
+    z = 1/2 lies outside the disk of either series.
     """
+    F = precision_bits + _GUARD
     with working_precision(precision_bits):
-        p, q, r = family_ode_polys(spec, to_mpc(B))
-        y0 = series_solution(p, q, r, 0, N)
-        u0, u1 = local_solutions_at_1(spec, to_mpc(B), N)
-        zs = mp.mpf(1) / 2
-        ws = 1 - zs
+        _check_midpoint_disks(spec)
+        b = to_mpc(B)
+        y0, dy0 = _at_half(_fixed_polys(*family_ode_polys(spec, b), F),
+                           0, N, F)
+        ph, qh, rh = ode_polys_at_1(spec, b)
+        at_1 = _fixed_polys(ph, qh, rh, F)
+        u0, du0 = _at_half(at_1, 0, N, F)
+        u1, du1 = _at_half(at_1, _singular_exponent(ph, qh), N, F)
         # d/dz = -d/dw on the w-side series
-        m00, m01 = u0(ws), u1(ws)
-        m10, m11 = -u0.derivative(ws), -u1.derivative(ws)
-        rhs0, rhs1 = y0(zs), y0.derivative(zs)
+        m00, m01, m10, m11 = u0, u1, -du0, -du1
         det = m00 * m11 - m01 * m10
         if det == 0:
             raise InvalidSpecError("local basis at z = 1 is degenerate")
-        d1 = (rhs0 * m11 - m01 * rhs1) / det
-        d2 = (m00 * rhs1 - rhs0 * m10) / det
-        fro = mp.sqrt(abs(m00) ** 2 + abs(m01) ** 2
-                      + abs(m10) ** 2 + abs(m11) ** 2)
-        fro_inv = mp.sqrt(abs(m11) ** 2 + abs(m01) ** 2
-                          + abs(m10) ** 2 + abs(m00) ** 2) / abs(det)
-        return MidpointMatch(d1=d1, d2=d2, condition=fro * fro_inv)
+        d1 = (y0 * m11 - m01 * dy0) / det
+        d2 = (m00 * dy0 - y0 * m10) / det
+        fro2 = abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2
+        return MidpointMatch(d1=d1, d2=d2, condition=fro2 / abs(det))
+
+
+def _at_half(polys, exponent, N: int, F: int) -> tuple:
+    """Value and slope at 1/2 of the `series_solution` solution with
+    N + 1 terms, polys from `_fixed_polys`.  The sums of a_n 2^-n and
+    a_n (n + rho) 2^-n are exact integers at F + N fraction bits; the
+    slope is
+    (1/2)^(rho - 1) sum a_n (n + rho) 2^-n."""
+    a, b = _fixed_steps(polys, exponent, N, F)
+    sums = [_from_fixed(sum(x << (N - n) for n, (x, _) in enumerate(t)),
+                        sum(y << (N - n) for n, (_, y) in enumerate(t)),
+                        F + N) for t in (a, b)]
+    scale = mp.mpf(2) ** -exponent if exponent != 0 else mp.mpf(1)
+    return scale * sums[0], 2 * scale * sums[1]
+
+
+def _check_midpoint_disks(spec: RecurrenceSpec):
+    """Refuse a spec whose z = 0 series (radius min(1, 1/|s|)) or z = 1
+    series (radius min(1, |1 - 1/s|)) cannot reach z = 1/2.  Only the
+    full family has the singular point z = 1/s."""
+    if spec.kind != FamilyKind.HEUN:
+        return
+    s = as_exact(spec.s) if spec.is_exact else to_mpc(spec.s)
+    if s == 0:
+        return
+    if _abs2(s) >= 4:
+        raise InvalidSpecError(
+            "midpoint z = 1/2 lies outside the disk of the z = 0 series "
+            f"(radius 1/|s| = {mp.nstr(1 / abs(to_mpc(s)), 3)})")
+    if 4 * _abs2(s - 1) <= _abs2(s):
+        raise InvalidSpecError(
+            "midpoint z = 1/2 lies outside the disk of the z = 1 series "
+            f"(radius |1 - 1/s| = {mp.nstr(abs(1 - 1 / to_mpc(s)), 3)})")
+
+
+def _abs2(x):
+    """|x|^2, exact for a QQi."""
+    return x.abs2() if isinstance(x, QQi) else abs(x) ** 2

@@ -273,7 +273,8 @@ def working_precision(bits: int):
 #
 # A Gaussian integer pair (x, y) with F fraction bits stands for
 # (x + iy) / 2^F.  The fixed-point kernels (the escalated QL and the
-# continuant evaluation in `rootfind`, the d2 tail in `tracking`) run on
+# continuant evaluation in `rootfind`, the d2 tail in `tracking`, the
+# Frobenius series of the midpoint oracle in `oracle`) run on
 # such pairs and use only these conversions and this division.
 
 def _to_fixed(z, F: int) -> tuple:

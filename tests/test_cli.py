@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -223,6 +224,59 @@ class TestVerify:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    BIG_FLOAT_SPEC = ("--family", "cheun", "--gamma", "1/3", "--delta",
+                      "1e-1", "--alpha", "2", "--s", "1/5")
+
+    def test_every_suite_runs_on_a_big_float_spec(self, capsys):
+        # identities hold to 2^(16 - bits) relative; the s-indeterminate
+        # check is skipped, which is neither a pass nor a failure.  The
+        # label check fails here as it does at the exact delta = 1/10:
+        # match_zeros pairs the top zero of c_12 (label 11) with the
+        # label-12 zero of c_16, the nearer one
+        code, out, _ = run(capsys, "verify", *self.BIG_FLOAT_SPEC)
+        assert code == 1, out
+        lines = out.splitlines()
+        assert [line for line in lines if not line.startswith("PASS")] == [
+            "SKIP  [perturbation] substituted expansions vanish to their "
+            "order [ConfluentHeun]  (s-indeterminate evaluation is "
+            "exact-only)",
+            "FAIL  [tracking] cross-degree matching preserves labels "
+            "[ConfluentHeun]",
+            "1 check(s) failed, 1 skipped",
+        ]
+        assert len(lines) == 14
+
+    def test_big_float_tolerance_still_catches_a_bad_coefficient(
+            self, capsys, monkeypatch):
+        real = cli.eval_sequence
+
+        def nudged(*args, **kwargs):
+            seq = real(*args, **kwargs)
+            seq[5] *= 1 + mp.mpf(2) ** -200
+            return seq
+        monkeypatch.setattr(cli, "eval_sequence", nudged)
+        code, out, _ = run(capsys, "verify", *self.BIG_FLOAT_SPEC,
+                           "--suite", "recurrence")
+        assert code == 1
+        assert ("FAIL  [recurrence] series matches the defining equation "
+                "[ConfluentHeun]") in out.splitlines()
+
+    def test_label_check_catches_a_swapped_pair(self, capsys, monkeypatch):
+        real = cli.match_zeros
+
+        def swapped(za, zb):
+            pairs = real(za, zb).pairs
+            (a0, b0, d0), (a1, b1, d1) = pairs[:2]
+            return SimpleNamespace(pairs=[(a0, b1, d0), (a1, b0, d1)]
+                                   + list(pairs[2:]))
+        monkeypatch.setattr(cli, "match_zeros", swapped)
+        code, out, _ = run(capsys, "verify", "--suite", "tracking",
+                           "--family", "mathieu", "--q", "2")
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "FAIL  [tracking] cross-degree matching preserves labels "
+            "[ReducedConfluentHeun]")
+
     def test_estimate_seeds_that_meet_fail_the_check(self, capsys):
         # at s = 1/2 two perturbative estimates polish to one zero of c_8:
         # the seeding check fails with the reason, and the suite goes on
@@ -290,6 +344,23 @@ class TestExitCodes:
             assert "non-integer gamma and delta" in json.loads(err)["error"]
         else:
             assert "(K = 100)" in out
+
+    # at s = 9/10 the z = 1 series has radius |1 - 1/s| = 1/9; at
+    # s = 2/3 exactly 1/2, so it cannot be trusted at w = 1/2 either
+    @pytest.mark.parametrize("s,K,radius", [
+        ("9/10", "1600", "|1 - 1/s| = 0.111"),
+        ("2/3", "100", "|1 - 1/s| = 0.5"),
+    ], ids=["s-9/10", "s-2/3"])
+    def test_midpoint_outside_a_series_disk_is_4(self, capsys, s, K, radius):
+        code, out, err = run(capsys, "d2", "--family", "heun", "--gamma",
+                             "1/2", "--delta", "1/2", "--alpha", "3/2",
+                             "--beta=-1", "--s", s, "--B=-2.3786", "--K", K,
+                             "--midpoint")
+        assert code == 4
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert "outside the disk of the z = 1 series" in error
+        assert radius in error
 
     def test_nonconvergence_is_3(self, capsys):
         code, _, err = run(capsys, "zeros", "--family", "lame", "--n", "2",

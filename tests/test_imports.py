@@ -78,23 +78,40 @@ def test_no_dead_helpers():
     assert dead_helpers([p.read_text() for p in paths]) == []
 
 
+def package_imports(source: str) -> set:
+    """(function, module, name, line) for each name source imports from
+    a heunzeros module, with function None at module level and module
+    the last part of the module's dotted name (`from . import x`
+    imports module x)."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.ImportFrom):
+                if not child.level and child.module.split(".")[0] \
+                        != "heunzeros":
+                    continue
+                for alias in child.names:
+                    module = (child.module or alias.name).split(".")[-1]
+                    found.add((where, module, alias.name, child.lineno))
+            elif isinstance(child, ast.Import):
+                found.update((where, alias.name.split(".")[-1], None,
+                              child.lineno)
+                             for alias in child.names
+                             if alias.name.split(".")[0] == "heunzeros")
+            else:
+                visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def local_package_imports(source: str) -> list:
     """Lines of imports of a heunzeros module inside a function body."""
-    found = []
-    for fn in ast.walk(ast.parse(source)):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(fn):
-            if isinstance(node, ast.ImportFrom):
-                # a relative import can only reach the package itself
-                modules = ["heunzeros" if node.level else node.module]
-            elif isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            else:
-                continue
-            if any(m.split(".")[0] == "heunzeros" for m in modules):
-                found.append(node.lineno)
-    return sorted(set(found))
+    return sorted({line for where, _, _, line in package_imports(source)
+                   if where is not None})
 
 
 def test_scan_finds_an_unused_import():
@@ -149,8 +166,34 @@ def test_package_imports_exactly_its_runtime_dependencies():
     assert imported == declared
 
 
+def test_scan_finds_package_imports():
+    source = ("import json\n"
+              "from .families import RecurrenceSpec\n"
+              "from . import tracking\n"
+              "import heunzeros.rootfind\n"
+              "def f():\n"
+              "    if True:\n"
+              "        from .recurrence import eval_sequence\n")
+    assert package_imports(source) == {
+        (None, "families", "RecurrenceSpec", 2),
+        (None, "tracking", "tracking", 3), (None, "rootfind", None, 4),
+        ("f", "recurrence", "eval_sequence", 7)}
+
+
 # oracle.py is the one module kept out of the one-route clean-up: it
-# must stay independent of the production recurrence
+# must stay independent of the production recurrence, so it imports
+# from .families and .scalars at module level and only eval_sequence,
+# for ode_residual, from anywhere else
+def test_oracle_shares_no_stepping_code():
+    found = package_imports(
+        (ROOT / "src" / "heunzeros" / "oracle.py").read_text())
+    assert {module for where, module, _, _ in found if where is None} \
+        <= {"families", "scalars"}
+    assert {entry[:3] for entry in found if entry[0] is not None} \
+        == {("ode_residual", "recurrence", "eval_sequence")}
+
+
+# the one local import of oracle.py is checked above
 @pytest.mark.parametrize(
     "path",
     sorted(p for p in (ROOT / "src" / "heunzeros").glob("*.py")

@@ -5,10 +5,20 @@ which shares no code with the production recurrence; agreement between
 the two is the point of the tests.
 """
 
+from functools import lru_cache
+
 import mpmath as mp
 import pytest
 
-from heunzeros.families import FamilyKind, InvalidSpecError, RecurrenceSpec
+from heunzeros.families import (
+    FamilyKind,
+    InvalidSpecError,
+    LameParams,
+    MathieuParams,
+    RecurrenceSpec,
+    from_lame,
+    from_mathieu,
+)
 from heunzeros.oracle import (
     MidpointMatch,
     ResonantExponentError,
@@ -20,7 +30,7 @@ from heunzeros.oracle import (
     z1_swapped_spec,
 )
 from heunzeros.recurrence import eval_sequence
-from heunzeros.scalars import QQi, working_precision
+from heunzeros.scalars import QQi, to_mpc, working_precision
 from heunzeros.tracking import d2_closed_form_s0, d2_sequence
 
 
@@ -66,6 +76,18 @@ class TestSeriesSolution:
                 z = mp.mpf("0.2")
                 num = mp.diff(sol, z)
                 assert abs(sol.derivative(z) - num) < mp.mpf("1e-30")
+
+    def test_inexact_inputs_give_mpc_coefficients(self, heun_spec):
+        # the fixed-point stepper works at 53 + 32 fraction bits
+        p, q, r = family_ode_polys(heun_spec, QQi("-7/3"))
+        exact = series_solution(p, q, r, 0, N=30)
+        with working_precision(53):
+            sol = series_solution(p, q, r, mp.mpf(0), N=30)
+        assert all(isinstance(c, mp.mpc) for c in sol.coeffs)
+        with working_precision(300):
+            gap = max(abs(c - to_mpc(e)) / abs(to_mpc(e))
+                      for c, e in zip(sol.coeffs, exact.coeffs))
+        assert gap < mp.mpf(2) ** -50
 
     def test_requires_singular_origin(self):
         with pytest.raises(InvalidSpecError):
@@ -169,8 +191,47 @@ class TestMidpointMatching:
         assert mm.condition > 1
         assert mm.condition < 100
 
+    # the z = 0 series reaches 1/2 for |s| < 2, the z = 1 series for
+    # |1 - 1/s| > 1/2; both bounds are refused
+    @pytest.mark.parametrize("s,series", [
+        ("5/2", "z = 0"), ("-2", "z = 0"), ("9/10", "z = 1"),
+        ("2/3", "z = 1"),
+    ])
+    def test_midpoint_outside_a_series_disk_rejected(self, s, series):
+        spec = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2",
+                              delta="1/2", alpha="3/2", beta=-1, s=s)
+        with pytest.raises(InvalidSpecError, match=f"of the {series} series"):
+            d2_by_midpoint_matching(spec, mp.mpf(-2))
+
     def test_coincident_exponents_rejected(self):
         spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2", delta=1,
                               s="1/10")
         with pytest.raises(InvalidSpecError):
             d2_by_midpoint_matching(spec, mp.mpf(1))
+
+
+PRECISION_SPECS = {
+    "lame-1/100": from_lame(LameParams(n=2, s="1/100"))[0],
+    "mathieu-2i": from_mathieu(MathieuParams(q="2i"))[0],
+    "reduced-s0": RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
+                                 delta="1/2", s=0),
+}
+
+
+@lru_cache(maxsize=None)
+def _midpoint_d2_700(name, b):
+    return d2_by_midpoint_matching(PRECISION_SPECS[name], mp.mpf(float(b)),
+                                   precision_bits=700).d2
+
+
+@pytest.mark.parametrize("bits", [53, 64, 256])
+@pytest.mark.parametrize("b", ["-3.1", "-49.3", "-400.7"])
+@pytest.mark.parametrize("name", sorted(PRECISION_SPECS))
+def test_midpoint_holds_its_precision(name, b, bits):
+    # B is the double nearest b, the same number at every precision; the
+    # spec parameters round at bits like any other input
+    d2 = d2_by_midpoint_matching(PRECISION_SPECS[name], mp.mpf(float(b)),
+                                 precision_bits=bits).d2
+    ref = _midpoint_d2_700(name, b)
+    with working_precision(700):
+        assert abs(d2 - ref) < mp.mpf(2) ** (8 - bits) * abs(ref)
