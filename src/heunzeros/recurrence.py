@@ -77,10 +77,6 @@ class DensePolynomial:
     def leading_coefficient(self):
         return self.coeffs[-1]
 
-    def to_mpc_coeffs(self, precision_bits: int = 256) -> list:
-        with working_precision(precision_bits):
-            return [to_mpc(c) for c in self.coeffs]
-
 
 def _zero_like(field: FieldTag):
     return QQi(0) if field.kind == "exact" else mp.mpc(0)
@@ -146,7 +142,7 @@ def build_family(spec: RecurrenceSpec, m_max: int,
     with working_precision(precision_bits):
         s = conv(spec.s)
         rows = _recurrence(spec, m_max, conv,
-                           lambda D, E, F: ([D + s * E, 1], [s * F]))
+                           lambda D, E, F: ([D + s * E, 1], [-(s * F)]))
     field = EXACT_FIELD if spec.is_exact else bigfloat_field(precision_bits)
     polys = tuple(DensePolynomial(tuple(r), field) for r in rows)
     return PolynomialFamily(spec=spec, m_max=m_max, polys=polys, field=field)
@@ -157,18 +153,19 @@ def _recurrence(spec: RecurrenceSpec, m_max: int, conv, step) -> list:
 
         (m+1)(m+gamma) c_{m+1} = L_m c_m - M_m c_{m-1},  c_0 = 1,
 
-    where (L_m, M_m) = step(D_m, E_m, F_m) are coefficient lists in X
+    where (L_m, -M_m) = step(D_m, E_m, F_m) are coefficient lists in X
     built from the step data after conv (`as_exact`, or `to_mpc` at the
-    working precision)."""
+    working precision).  The step negates M_m, one scalar or two, so
+    that no product list is negated term by term."""
     gamma = conv(spec.gamma)
     rows = [[conv(1)]]
     prev = None
     for m in range(m_max):
-        L, M = step(*map(conv, recurrence_coeffs(spec, m)))
+        L, neg_M = step(*map(conv, recurrence_coeffs(spec, m)))
         cur = rows[-1]
         val = _sp_mul(L, cur)
         if prev is not None:
-            val = _sp_add(val, [-c for c in _sp_mul(M, prev)])
+            val = _sp_add(val, _sp_mul(neg_M, prev))
         q = (m + 1) * (m + gamma)
         rows.append(_sp_trim([c / q for c in val]))
         prev = cur
@@ -187,13 +184,12 @@ def _sp_add(a: list, b: list) -> list:
 
 
 def _sp_mul(a: list, b: list) -> list:
-    # the zero of b's own field: QQi stays QQi and mpc stays mpc
-    out = [b[0] * 0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
+    # each entry starts from its first product, not from a zero it is
+    # added to, and a term of a that is 1 adds b unmultiplied
+    out = [a[0] * y for y in b]
+    for i, x in enumerate(a[1:], 1):
+        row = b if x == 1 else [x * y for y in b]
+        out[i:] = [u + v for u, v in zip(out[i:], row)] + row[len(out) - i:]
     return out
 
 
@@ -301,7 +297,7 @@ def eval_sequence(spec: RecurrenceSpec, B, K: int,
     with working_precision(precision_bits or mp.mp.prec):
         B, s = conv(B), conv(spec.s)
         rows = _recurrence(spec, K, conv,
-                           lambda D, E, F: ([B + D + s * E], [s * F]))
+                           lambda D, E, F: ([B + D + s * E], [-(s * F)]))
     return [r[0] for r in rows]
 
 
@@ -327,7 +323,7 @@ def family_in_s(spec: RecurrenceSpec, b_of_s, m_max: int) -> list[list[list]]:
     bpoly = [as_exact(c) for c in b_of_s]
     # L_m = B(s) + D_m + s E_m and M_m = s F_m as polynomials in s
     return _recurrence(spec, m_max, as_exact,
-                       lambda D, E, F: (_sp_add(bpoly, [D, E]), [0, F]))
+                       lambda D, E, F: (_sp_add(bpoly, [D, E]), [0, -F]))
 
 
 def eval_s_polynomial(spec: RecurrenceSpec, B, m: int) -> DensePolynomial:

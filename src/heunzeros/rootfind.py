@@ -11,25 +11,25 @@ tolerance; otherwise it raises, and the caller may bring better seeds
 iterates beyond a fixed number of Newton steps per seed, and everything
 is deterministic: no starting point comes from a random generator.
 
-The polynomial comes in one of two forms, and the form fixes how
-(p(z), p'(z)) is evaluated.  A `Continuant`, the rows of a three-term
-recurrence, runs that recurrence and its derivative in fixed-point
-Gaussian integers (`_continuant_pair`); this is how every zero of c_m
-is polished, and the dense coefficients of c_m are never formed.  A
-coefficient list or `DensePolynomial` is evaluated by Horner's rule in
-mpc (`_horner_pair`).
+The polynomial is a `Continuant`, the rows of a three-term recurrence,
+and (p(z), p'(z)) comes from running that recurrence and its derivative
+in fixed-point Gaussian integers (`_continuant_pair`); the dense
+coefficients of c_m are never formed.
 
 Residuals are reported as |p(z)/p'(z)|, the Newton-step length, which
-estimates the absolute distance to the true root.  On a `Continuant`
-they come from the same evaluation as the Newton steps, on the
-recurrence's own rows, so they describe the zeros of the polynomial the
-recurrence defines and not those of a rounded copy of it.
+estimates the absolute distance to the true root.  They come from the
+same evaluation as the Newton steps, on the recurrence's own rows, so
+they describe the zeros of the polynomial the recurrence defines and
+not those of a rounded copy of it.  For real rows the disks also decide
+which zeros are real: those are placed exactly on the axis, and
+`ZeroSet.real_zeros` counts them.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
+from functools import partial
 from math import isqrt
 
 import mpmath as mp
@@ -62,10 +62,11 @@ class ZeroSet:
     Display order is descending real part, ties by ascending imaginary
     part.  residuals[i] is the Newton step |p/p'| at zeros[i], from the
     evaluation `find_all_roots` used: the three-term recurrence in
-    fixed point for the zeros of c_m (`solve_zeros`), never rounded
-    dense coefficients, and Horner's rule only where the caller gave
-    coefficients.  labels[i] is the grid index k matched to zeros[i]
-    (None when no labelling was requested).  seed_bits is the rung of the
+    fixed point, never rounded dense coefficients.  A zero is real
+    exactly when its imaginary part is 0, which for real rows
+    `find_all_roots` sets on the zeros whose disks show them real.
+    labels[i] is the grid index k matched to zeros[i] (None when no
+    labelling was requested).  seed_bits is the rung of the
     `tracking.solve_zeros` precision ladder whose Jacobi eigenvalues
     seeded the zeros that stood (53 or more; None for seeds given to
     `find_all_roots` directly).
@@ -95,33 +96,12 @@ class ZeroSet:
         return replace(self, labels=tuple(labels))
 
     def real_zeros(self) -> list:
-        """Zeros with |Im z| < 1e-6 * (1 + |Re z|)."""
-        return [z for z in self.zeros if _is_real(z)]
-
-
-def _is_real(z) -> bool:
-    return abs(z.imag) < 1e-6 * (1 + abs(z.real))
+        """The zeros with imaginary part exactly 0."""
+        return [z for z in self.zeros if z.imag == 0]
 
 
 def default_tol(precision_bits: int) -> mp.mpf:
     return mp.mpf(2) ** (-(precision_bits // 2))
-
-
-def _as_mpc_coeffs(poly, precision_bits: int) -> list:
-    if hasattr(poly, "to_mpc_coeffs"):
-        return poly.to_mpc_coeffs(precision_bits)
-    with working_precision(precision_bits):
-        return [to_mpc(c) for c in poly]
-
-
-def _horner_pair(coeffs, z):
-    """(p(z), p'(z)) in one sweep; coeffs ascending."""
-    p = coeffs[-1]
-    dp = mp.mpc(0)
-    for c in reversed(coeffs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
 
 
 @dataclass(frozen=True)
@@ -138,6 +118,12 @@ class Continuant:
 
     A: tuple
     N: tuple
+
+    def __post_init__(self):
+        if len(self.A) != len(self.N):
+            raise InvalidSpecError(
+                f"{len(self.A)} A rows and {len(self.N)} N rows; a "
+                "Continuant needs one of each per step")
 
     @property
     def degree(self) -> int:
@@ -450,34 +436,35 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
                    tol=None) -> ZeroSet:
     """All roots of the polynomial, polished from one seed each.
 
-    poly: a `Continuant` (the rows of a three-term recurrence, as
-    `tracking.solve_zeros` passes them), or a DensePolynomial or
-    ascending coefficient list (any scalar type convertible to mpc).
+    poly: a `Continuant`, the rows of a three-term recurrence, as
+    `tracking.solve_zeros` passes them; anything else raises TypeError.
     seeds: the starting points, one per root (any other count raises
-    InvalidSpecError), such as the eigenvalues of a Jacobi matrix whose
-    characteristic polynomial is poly.  Each seed is polished alone by
-    `_newton_polish` at precision_bits + 24 bits, on (p(z), p'(z)) from
-    the recurrence in fixed point with precision_bits + 24 +
-    _KERNEL_GUARD fraction bits (`_continuant_pair`) for a Continuant,
-    and from Horner's rule in mpc on coefficients otherwise.  The result
-    stands when the disks D(z_i, max(n |p/p'|(z_i), tol (1 + |z_i|)))
-    are pairwise disjoint, which leaves one root in each, and every
-    residual |p/p'|(z_i) is below tol (1 + |z_i|).  For a real
-    polynomial (real coefficients, or real rows) the disks also show
-    which roots are real and which are conjugate pairs, and `_mirrored`
-    makes the result exactly symmetric about the real axis.  Otherwise
-    NonConvergenceError is raised, with `overlapping` naming the roots
-    whose disks meet another one: those seeds were not near distinct
-    roots.  When it is empty, the disks are disjoint and the residuals
-    that missed tol are what the arithmetic resolves, so no other seeds
-    can help.  A tol below 2^-(precision_bits + 24), which the working
-    precision cannot resolve, raises the same way before any
-    evaluation.  Every zero of the result has therefore converged.
+    InvalidSpecError), such as the eigenvalues of its Jacobi matrix.
+    Each seed is polished alone by `_newton_polish` at precision_bits +
+    24 bits, on (p(z), p'(z)) from the recurrence in fixed point with
+    precision_bits + 24 + _KERNEL_GUARD fraction bits
+    (`_continuant_pair`).  The result stands when the disks
+    D(z_i, max(n |p/p'|(z_i), tol (1 + |z_i|))) are pairwise disjoint,
+    which leaves one root in each, and every residual |p/p'|(z_i) is
+    below tol (1 + |z_i|).  For real rows the disks also show which
+    roots are real and which are conjugate pairs, and `_mirrored` makes
+    the result exactly symmetric about the real axis, with the real
+    roots on it.  Otherwise NonConvergenceError is raised, with
+    `overlapping` naming the roots whose disks meet another one: those
+    seeds were not near distinct roots.  When it is empty, the disks are
+    disjoint and the residuals that missed tol are what the arithmetic
+    resolves, so no other seeds can help.  A tol below
+    2^-(precision_bits + 24), which the working precision cannot
+    resolve, raises the same way before any evaluation.  Every zero of
+    the result has therefore converged.
     """
-    work_bits = precision_bits + 24
-    n, real, evaluate = _evaluator(poly, precision_bits)
+    if not isinstance(poly, Continuant):
+        raise TypeError(f"find_all_roots takes a Continuant, not "
+                        f"{type(poly).__name__}")
+    n = poly.degree
     if n < 1:
         raise InvalidSpecError("need degree >= 1 to find roots")
+    work_bits = precision_bits + 24
     with working_precision(work_bits):
         tol = mp.mpf(tol) if tol is not None else default_tol(precision_bits)
         if tol < mp.mpf(2) ** -work_bits:
@@ -490,8 +477,12 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
         if len(seeds) != n:
             raise InvalidSpecError(
                 f"{len(seeds)} seeds for a degree-{n} polynomial")
+        F = work_bits + _KERNEL_GUARD
+        evaluate = partial(_continuant_pair, poly.fixed_rows(F), F)
         polished = [_newton_polish(evaluate, to_mpc(s), tol) for s in seeds]
-        overlap = _overlapping(polished, n, tol)
+        z, rad = _disks(polished, n, tol)
+        pairs = _real_extent_pairs(z, rad)
+        overlap = _overlapping(z, rad, pairs)
         if overlap:
             raise NonConvergenceError(
                 f"the disks of {len(overlap)} of {n} polished seeds "
@@ -506,8 +497,8 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
                 f"{mp.nstr(worst, 3)} against tol {mp.nstr(tol, 3)}) "
                 "though their disks are disjoint, so no seeds can lower "
                 "them")
-        if real:
-            polished = _mirrored(polished, n, tol)
+        if poly.is_real():
+            polished = _mirrored(polished, z, rad, pairs)
 
     order = sorted(range(n), key=lambda j: (-polished[j][0].real,
                                             polished[j][0].imag))
@@ -518,21 +509,6 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
         precision_bits=precision_bits,
         tol=tol,
     )
-
-
-def _evaluator(poly, precision_bits: int) -> tuple:
-    """(degree, whether poly is real, z -> (p(z), p'(z))) for the two
-    forms `find_all_roots` takes."""
-    if isinstance(poly, Continuant):
-        F = precision_bits + 24 + _KERNEL_GUARD
-        rows = poly.fixed_rows(F)
-        return (poly.degree, poly.is_real(),
-                lambda z: _continuant_pair(rows, F, z))
-    coeffs = _as_mpc_coeffs(poly, precision_bits)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return (len(coeffs) - 1, all(c.imag == 0 for c in coeffs),
-            lambda z: _horner_pair(coeffs, z))
 
 
 def _head(indices) -> str:
@@ -566,32 +542,31 @@ def _real_extent_pairs(z, rad) -> list:
     return pairs
 
 
-def _overlapping(polished, n, tol) -> list:
-    """Indices, ascending, of the `_disks` that meet another disk.
-    When there are none, n disjoint disks, each holding a root, hold
-    one each."""
-    z, rad = _disks(polished, n, tol)
+def _overlapping(z, rad, pairs) -> list:
+    """Indices, ascending, of the disks (z, rad) that meet another
+    disk, given their `_real_extent_pairs`.  When there are none, n
+    disjoint disks, each holding a root, hold one each."""
     met = set()
-    for i, j in _real_extent_pairs(z, rad):
+    for i, j in pairs:
         if abs(z[i] - z[j]) <= rad[i] + rad[j]:
             met.update((i, j))
     return sorted(met)
 
 
-def _mirrored(polished, n, tol) -> list:
+def _mirrored(polished, z, rad, pairs) -> list:
     """Separated triples of a real polynomial, made symmetric about the
-    real axis as its zeros are.  Each disjoint disk D_i holds one zero
-    x_i, and conj(x_i) is a zero too, held by a disk that the mirror
-    image of D_i meets.  When that is D_i alone, x_i is real, and z_i
-    moves onto the axis, which brings it no further from x_i.  When it
-    is one other disk D_j, the zero there is conj(x_i), and of z_i and
-    z_j the one with the larger residual becomes the mirror image of
-    the other, whose residual |p/p'| it shares.  The mirror image has
-    the real extent of D_i, so only D_i and the disks that
-    `_real_extent_pairs` pairs with it can meet it."""
-    z, rad = _disks(polished, n, tol)
-    near = [[i] for i in range(n)]
-    for i, j in _real_extent_pairs(z, rad):
+    real axis as its zeros are; (z, rad) are their `_disks` and pairs
+    the `_real_extent_pairs` of those.  Each disjoint disk D_i holds one
+    zero x_i, and conj(x_i) is a zero too, held by a disk that the
+    mirror image of D_i meets.  When that is D_i alone, x_i is real,
+    and z_i moves onto the axis, which brings it no further from x_i.
+    When it is one other disk D_j, the zero there is conj(x_i), and of
+    z_i and z_j the one with the larger residual becomes the mirror
+    image of the other, whose residual |p/p'| it shares.  The mirror
+    image has the real extent of D_i, so only D_i and the disks paired
+    with it in pairs can meet it."""
+    near = [[i] for i in range(len(z))]
+    for i, j in pairs:
         near[i].append(j)
         near[j].append(i)
     out = list(polished)
@@ -638,9 +613,9 @@ def _newton_polish(evaluate, z, tol):
 
 
 def real_zero_count(zeros) -> int:
-    """How many zeros are real up to the relative imaginary tolerance,
-    by the test of `ZeroSet.real_zeros`.  The zeros may be a ZeroSet or
-    any scalars `to_mpc` reads, exact ones included."""
+    """How many zeros have imaginary part exactly 0, as
+    `ZeroSet.real_zeros` counts them.  The zeros may be a ZeroSet or any
+    scalars `to_mpc` reads, exact ones included."""
     if isinstance(zeros, ZeroSet):
         zeros = zeros.zeros
-    return sum(1 for z in zeros if _is_real(to_mpc(z)))
+    return sum(1 for z in zeros if to_mpc(z).imag == 0)

@@ -1,10 +1,12 @@
 """Every name a library module, script or test module imports is used
 there, every private helper of the package is used by the package or a
 script, library modules import each other at module level, the package
-imports no third-party module it does not declare, and the CLI decides
-output formats in one place."""
+imports no third-party module it does not declare, the CLI decides
+output formats in one place, and every package name the benchmark
+tracer wraps or reads still exists."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -240,3 +242,50 @@ def test_tracking_builds_no_output_records():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names}
     assert "json" not in imported
+
+
+def layer_functions(source: str) -> tuple:
+    """The (module, function) pairs of LAYER_FUNCTIONS in source, the
+    text of perfbench/tracer.py, read without importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [
+                t.id for t in node.targets if isinstance(t, ast.Name)] \
+                == ["LAYER_FUNCTIONS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no LAYER_FUNCTIONS assignment")
+
+
+def unresolved(names) -> list:
+    """The (module, dotted attribute) pairs that do not resolve in the
+    heunzeros package."""
+    out = []
+    for module, path in names:
+        try:
+            obj = importlib.import_module(f"heunzeros.{module}")
+            for part in path.split("."):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError):
+            out.append((module, path))
+    return out
+
+
+def test_scan_finds_a_missing_benchmark_name():
+    source = ("X = 1\n"
+              "LAYER_FUNCTIONS = (\n"
+              "    ('rootfind', 'find_all_roots'),\n"
+              "    ('rootfind', 'no_such_function'),\n"
+              ")\n")
+    names = layer_functions(source) + (("no_such_module", "f"),
+                                       ("rootfind", "ZeroSet.converged"),
+                                       ("rootfind", "ZeroSet.no_such"))
+    assert unresolved(names) == [("rootfind", "no_such_function"),
+                                 ("no_such_module", "f"),
+                                 ("rootfind", "ZeroSet.no_such")]
+
+
+# the benchmark wraps these functions and reads ZeroSet.converged from
+# outside the package; deleting one would break its traced passes
+def test_benchmark_tracer_names_resolve():
+    names = layer_functions((ROOT / "perfbench" / "tracer.py").read_text())
+    assert len(names) >= 10
+    assert unresolved(names + (("rootfind", "ZeroSet.converged"),)) == []

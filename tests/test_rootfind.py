@@ -18,12 +18,9 @@ from heunzeros.families import (
     from_mathieu,
 )
 from heunzeros import rootfind
-from heunzeros.recurrence import (
-    DensePolynomial,
-    build_family,
-    leading_coefficient_law,
-)
+from heunzeros.recurrence import build_family, leading_coefficient_law
 from heunzeros.rootfind import (
+    Continuant,
     NonConvergenceError,
     default_tol,
     find_all_roots,
@@ -31,7 +28,7 @@ from heunzeros.rootfind import (
     real_zero_count,
     tridiagonal_eigenvalues,
 )
-from heunzeros.scalars import EXACT_FIELD, QQi, to_mpc, working_precision
+from heunzeros.scalars import QQi, to_mpc, working_precision
 from heunzeros.tracking import continuant
 
 F = Fraction
@@ -44,15 +41,19 @@ def jacobi_eigenvalues(spec, m):
 
 
 def poly_from_roots(roots):
-    """Exact expansion of prod (B - r)."""
-    coeffs = [QQi(1)]
-    for r in roots:
-        nxt = [QQi(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] = nxt[i] - QQi.coerce(r) * c
-            nxt[i + 1] = nxt[i + 1] + c
-        coeffs = nxt
-    return DensePolynomial(coeffs=tuple(coeffs), field=EXACT_FIELD)
+    """The Continuant of prod (B - r), exactly, where a root with a
+    nonzero imaginary part stands for itself and its conjugate: a real
+    root r is one row A = -r, N = 0, and a pair a +- bi is two rows
+    A = -a, -a with N = 0, -b^2."""
+    A, N = [], []
+    for r in map(QQi.coerce, roots):
+        if r.im:
+            A += [QQi(-r.re), QQi(-r.re)]
+            N += [QQi(0), QQi(-r.im * r.im)]
+        else:
+            A.append(QQi(-r.re))
+            N.append(QQi(0))
+    return Continuant(A=tuple(A), N=tuple(N))
 
 
 class TestKnownRoots:
@@ -63,7 +64,7 @@ class TestKnownRoots:
         assert all(zs.converged)
 
     def test_conjugate_pair_display_order(self):
-        poly = poly_from_roots([QQi(0, 1), QQi(0, -1)])
+        poly = poly_from_roots([QQi(0, 1)])
         zs = find_all_roots(poly, [mp.mpc("0.1", "1.1"), mp.mpc("-0.1", "-0.9")],
                             precision_bits=128)
         # most negative imaginary part first once real parts tie
@@ -85,7 +86,7 @@ class TestKnownRoots:
         # (B - 2)(B + 3)(B^2 - 2B + 5) has real coefficients, so Newton
         # keeps real seeds real and never reaches the pair 1 +- 2i: the
         # seeds are at fault, and the error says so by naming overlaps
-        poly = [QQi(-30), QQi(17), QQi(-3), QQi(-1), QQi(1)]
+        poly = poly_from_roots([2, -3, QQi(1, 2)])
         with pytest.raises(NonConvergenceError, match="overlap") as exc:
             find_all_roots(poly, seeds=[3, 0, -1, -4], precision_bits=128)
         assert exc.value.overlapping
@@ -106,8 +107,7 @@ class TestKnownRoots:
 class TestResiduals:
     def test_residuals_below_tolerance(self):
         spec, _ = from_lame(LameParams(n=2, s="1/100"))
-        fam = build_family(spec, 8)
-        zs = find_all_roots(fam[8], jacobi_eigenvalues(spec, 8),
+        zs = find_all_roots(continuant(spec, 8), jacobi_eigenvalues(spec, 8),
                             precision_bits=256)
         assert max(zs.residuals) < zs.tol
         assert zs.degree == 8
@@ -122,7 +122,7 @@ class TestSeeding:
         spec, _ = from_lame(LameParams(n=2, s="1/2"))
         fam = build_family(spec, 12)
         with working_precision(256):
-            coeffs = fam[12].to_mpc_coeffs()
+            coeffs = [to_mpc(c) for c in fam[12].coeffs]
             a = newton_polygon_seeds(coeffs)
             b = newton_polygon_seeds(coeffs)
         assert len(a) == 12
@@ -138,6 +138,19 @@ class TestSeeding:
                                precision_bits=64)
 
 
+class TestInputForm:
+    def test_continuant_needs_one_N_per_A(self):
+        # one row short: the kernel would run one step and report
+        # overlapping disks for a degree-2 polynomial it never formed
+        with pytest.raises(InvalidSpecError, match="2 A rows and 1 N rows"):
+            Continuant(A=(-1, -2), N=(0,))
+
+    def test_coefficient_list_is_refused(self):
+        with pytest.raises(TypeError, match="Continuant, not list"):
+            find_all_roots([QQi(2), QQi(-3), QQi(1)], ["0.9", "2.1"],
+                           precision_bits=64)
+
+
 class TestTridiagonalEigenvalues:
     def test_complex_symmetric_two_by_two(self):
         # [[1, 2i], [2i, 3]] has eigenvalues 2 +- i sqrt(3)
@@ -149,15 +162,9 @@ class TestTridiagonalEigenvalues:
     def test_eigenvalues_are_characteristic_roots(self):
         diag = [1 + 1j, -2, 0.5j, 3]
         off = [1j, 2 - 1j, 0.25]
-        # det(B - J) by the three-term recurrence, ascending powers of B
-        p_prev, p = [mp.mpc(1)], [mp.mpc(-diag[0]), mp.mpc(1)]
-        for a, b in zip(diag[1:], off):
-            nxt = [mp.mpc(0)] + p
-            for i, c in enumerate(p):
-                nxt[i] -= a * c
-            for i, c in enumerate(p_prev):
-                nxt[i] -= b * b * c
-            p_prev, p = p, nxt
+        # det(B - J) as the Continuant with A = -diag, N = (0,) + off^2
+        p = Continuant(A=tuple(-mp.mpc(a) for a in diag),
+                       N=(mp.mpc(0),) + tuple(mp.mpc(b) ** 2 for b in off))
         eig = tridiagonal_eigenvalues(diag, off)
         roots = find_all_roots(p, eig, precision_bits=128).zeros
         assert len(eig) == 4
@@ -230,7 +237,7 @@ class TestNewtonFirst:
     def test_zeros_proved_real_lie_on_the_axis(self):
         # Newton from seeds off the axis leaves the real zeros of a real
         # polynomial an imaginary part far above the rounding level
-        poly = poly_from_roots([QQi(1), QQi(2), QQi(0, 1), QQi(0, -1)])
+        poly = poly_from_roots([QQi(1), QQi(2), QQi(0, 1)])
         seeds = [mp.mpc(2, 1e-3), mp.mpc(1, -1e-3), mp.mpc(1e-3, 1.001),
                  mp.mpc(-1e-3, -0.999)]
         zs = find_all_roots(poly, seeds=seeds, precision_bits=128)
@@ -244,13 +251,13 @@ class TestNewtonFirst:
         import heunzeros.rootfind as rootfind
 
         calls = []
-        horner = rootfind._horner_pair
+        kernel = rootfind._continuant_pair
 
-        def counting(coeffs, z):
+        def counting(rows, F, z):
             calls.append(z)
-            return horner(coeffs, z)
+            return kernel(rows, F, z)
 
-        monkeypatch.setattr(rootfind, "_horner_pair", counting)
+        monkeypatch.setattr(rootfind, "_continuant_pair", counting)
         poly = poly_from_roots([QQi(1), QQi(2), QQi(-3)])
         for seeds in (["1.01", "1.98", "-3.02"], [1, 1, -3], [0, 0, 0]):
             calls.clear()
@@ -266,7 +273,6 @@ class TestRefinement:
         import heunzeros.rootfind as rootfind
 
         spec, _ = from_lame(LameParams(n=2, s="1/2"))
-        fam = build_family(spec, 10)
         polish = rootfind._newton_polish
         calls = []
 
@@ -280,7 +286,7 @@ class TestRefinement:
                            match=r"1 of 10 roots failed the tolerance check"
                                  r" \(indices \[0\]; relative residuals "
                                  r"up to ") as exc:
-            find_all_roots(fam[10], jacobi_eigenvalues(spec, 10),
+            find_all_roots(continuant(spec, 10), jacobi_eigenvalues(spec, 10),
                            precision_bits=64)
         # the disks are disjoint: no other seeds could help
         assert exc.value.overlapping == ()
@@ -289,28 +295,27 @@ class TestRefinement:
         import heunzeros.rootfind as rootfind
 
         spec, _ = from_lame(LameParams(n=2, s="1/2"))
-        fam = build_family(spec, 8)
 
-        def no_sweeps(coeffs, z):
+        def no_sweeps(rows, F, z):
             raise AssertionError("evaluated the polynomial")
 
-        monkeypatch.setattr(rootfind, "_horner_pair", no_sweeps)
+        monkeypatch.setattr(rootfind, "_continuant_pair", no_sweeps)
         with pytest.raises(NonConvergenceError,
                            match=r"tolerance 1\.0e-70 .*2\^-88.*88-bit"):
-            find_all_roots(fam[8], [0] * 8, precision_bits=64, tol=1e-70)
+            find_all_roots(continuant(spec, 8), [0] * 8, precision_bits=64,
+                           tol=1e-70)
 
     def test_tolerance_within_guard_bits_is_accepted(self):
         # below 2^-64 but above 2^-88, the resolution the sweeps run at
         spec, _ = from_lame(LameParams(n=2, s="1/2"))
-        fam = build_family(spec, 8)
-        zs = find_all_roots(fam[8], jacobi_eigenvalues(spec, 8),
+        zs = find_all_roots(continuant(spec, 8), jacobi_eigenvalues(spec, 8),
                             precision_bits=64, tol=1e-20)
         assert all(zs.converged) and zs.degree == 8
 
 
 class TestZeroSet:
     def test_real_zero_count(self):
-        poly = poly_from_roots([QQi(1), QQi(2), QQi(0, 3), QQi(0, -3)])
+        poly = poly_from_roots([QQi(1), QQi(2), QQi(0, 3)])
         zs = find_all_roots(poly, ["1.1", "2.1", "0.1+3.1j", "-0.1-2.9j"],
                             precision_bits=128)
         assert real_zero_count(zs) == 2
@@ -319,6 +324,10 @@ class TestZeroSet:
         zeros = [QQi(1), QQi(Fraction(1, 3), Fraction(1, 2)), Fraction(-2, 7),
                  "5/3", "1/4+2i", 3]
         assert real_zero_count(zeros) == 4
+
+    def test_real_means_an_imaginary_part_of_exactly_zero(self):
+        # a zero off the axis by 1e-30 is not real, however close
+        assert real_zero_count([mp.mpc(1, 1e-30), 2, "1/4+2i"]) == 1
 
     def test_labels_round_trip(self):
         poly = poly_from_roots([QQi(1), QQi(2)])
@@ -404,6 +413,15 @@ def seeded_disks(seed, n=32):
     return out
 
 
+def swept(polished, n, tol):
+    """(`_overlapping`, `_mirrored`) of polished, on one set of disks
+    and real-extent pairs, as `find_all_roots` runs them."""
+    z, rad = rootfind._disks(polished, n, tol)
+    pairs = rootfind._real_extent_pairs(z, rad)
+    return (rootfind._overlapping(z, rad, pairs),
+            rootfind._mirrored(polished, z, rad, pairs))
+
+
 class TestDiskSweep:
     """`_overlapping` and `_mirrored` compare only disks whose real
     extents meet; they must agree with the all-pairs tests."""
@@ -414,10 +432,9 @@ class TestDiskSweep:
         tol = mp.mpf(2) ** -100
         with working_precision(128):
             polished = seeded_disks(seed, n)
-            assert rootfind._overlapping(polished, n, tol) == \
-                brute_overlapping(polished, n, tol)
-            assert rootfind._mirrored(polished, n, tol) == \
-                brute_mirrored(polished, n, tol)
+            assert swept(polished, n, tol) == \
+                (brute_overlapping(polished, n, tol),
+                 brute_mirrored(polished, n, tol))
 
     def test_touching_disks_meet(self):
         tol = mp.mpf(2) ** -100
@@ -428,6 +445,5 @@ class TestDiskSweep:
             polished = [(mp.mpc(0), half, True), (mp.mpc(1), half, True),
                         (mp.mpc(3, "0.5"), half, True),
                         (mp.mpc(3, "-0.5"), half, True)]
-            assert rootfind._overlapping(polished, 4, tol) == [0, 1, 2, 3]
-            assert rootfind._mirrored(polished, 4, tol) == \
-                brute_mirrored(polished, 4, tol)
+            assert swept(polished, 4, tol) == \
+                ([0, 1, 2, 3], brute_mirrored(polished, 4, tol))

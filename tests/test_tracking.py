@@ -93,15 +93,25 @@ class TestSolveZeros:
         assert min(abs(z - want) for z in zs.zeros) < mp.mpf("1e-8")
 
     def test_ladder_matches_estimate_seeding(self):
-        # solve_zeros seeds from the Jacobi-matrix eigenvalues
+        # solve_zeros seeds from the Jacobi-matrix eigenvalues; the
+        # estimate-seeded polish runs the same recurrence kernel, so
+        # mpmath's polyroots on the exact dense c_8 checks both from
+        # outside it
         for spec in THREE_FAMILIES:
-            c8 = build_family(spec, 8)[8]
-            est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7))
+            est = find_all_roots(continuant(spec, 8),
+                                 seeds=perturbative_seeds(spec, 7))
             eig = solve_zeros(spec, 8)
             assert sorted(eig.labels) == list(range(8))
-            worst = max(abs(x - y) for x, y in zip(sorted_zeros(est),
-                                                   sorted_zeros(eig)))
-            assert worst < mp.mpf(2) ** -80, spec.kind.value
+            with working_precision(256):
+                dense = mp.polyroots(
+                    [to_mpc(c) for c in reversed(build_family(spec, 8)[8]
+                                                 .coeffs)],
+                    maxsteps=100, extraprec=256)
+            dense = sorted(dense, key=lambda z: (z.real, z.imag))
+            for zs in (est, eig):
+                worst = max(abs(x - y) for x, y in zip(sorted_zeros(zs),
+                                                       dense))
+                assert worst < mp.mpf(2) ** -80, spec.kind.value
 
     def test_rejects_bad_inputs(self, lame_small):
         with pytest.raises(InvalidSpecError):
@@ -171,7 +181,7 @@ class TestJacobiSeeds:
         assert seeds is None and "reversal differ by 0.4" in why
         seeds, why = jacobi_seeds(diag, off, 106, 256)
         assert why is None
-        zs = find_all_roots(build_family(WHILL_STRONG, m)[m], seeds=seeds)
+        zs = find_all_roots(continuant(WHILL_STRONG, m), seeds=seeds)
         for e in seeds:
             assert min(abs(z - e) for z in zs.zeros) < 1e-10 * (1 + abs(e))
 
@@ -372,13 +382,10 @@ class TestJacobiSeeds:
             assert abs(x - y) < zs.tol * (1 + abs(y))
 
     def test_solve_builds_no_dense_coefficients(self, monkeypatch):
-        from heunzeros import rootfind
-
         def forbidden(*args, **kwargs):
             raise AssertionError("dense coefficients on the solve path")
 
         monkeypatch.setattr(recurrence, "build_family", forbidden)
-        monkeypatch.setattr(rootfind, "_horner_pair", forbidden)
         for spec in THREE_FAMILIES:
             assert solve_zeros(spec, 12).degree == 12
         assert solve_zeros(WHILL_STRONG, 50).degree == 50
