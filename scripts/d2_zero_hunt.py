@@ -21,10 +21,16 @@ import time
 
 import mpmath as mp
 
-from heunzeros.cli import EXIT_INVALID, _m_list, _tail_length, positive_int
-from heunzeros.families import LameParams, MathieuParams, from_lame, from_mathieu
+from heunzeros.cli import (
+    _FAMILIES,
+    EXIT_INVALID,
+    _m_list,
+    _parse_tol,
+    _tail_length,
+    positive_int,
+)
 from heunzeros.rootfind import NonConvergenceError
-from heunzeros.scalars import format_scalar, working_precision
+from heunzeros.scalars import format_scalar, parse_scalar, working_precision
 from heunzeros.tracking import convergence_report, d2_sequence, d2_zero_search
 
 
@@ -46,14 +52,17 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     m_list = args.m
+    bits = args.precision_bits
     t0 = time.monotonic()
+    # values are read, and the family mapped, as the CLI's build_spec does
+    params, _, to_spec = _FAMILIES[args.family]
+    label = " ".join([args.family]
+                     + [f"{name}={getattr(args, name)}" for name in params])
     try:
-        if args.family == "lame":
-            spec, _ = from_lame(LameParams(n=args.n, s=args.s))
-            label = f"lame n={args.n} s={args.s}"
-        else:
-            spec, _ = from_mathieu(MathieuParams(q=args.q))
-            label = f"mathieu q={args.q}"
+        tol = _parse_tol(args, None)
+        with working_precision(bits):
+            spec, _ = to_spec({name: parse_scalar(getattr(args, name), bits)
+                               for name in params})
         report = convergence_report(spec, m_list=m_list, digits=args.digits,
                                     precision_bits=args.precision_bits)
     except ValueError as exc:      # InvalidSpecError among them, as in the CLI
@@ -68,7 +77,6 @@ def main(argv=None):
           f"{'|shift|':>10}  {'|d2| there':>10}  it")
 
     with working_precision(args.precision_bits):
-        tol = mp.mpf(args.tol)
         for track in stable:
             b0 = track.value_at(m_list[-1])
             try:

@@ -18,13 +18,13 @@ equations, the one that fixes B (d2 only, and not together with --B)
     mathieu  --q            [--a]       (reduced family, s = q)
     whill    --A1 --h       [--A0]      (confluent member, s = -2h)
 
-Scalar arguments accept the grammar "a", "a/b", "a.b", and complex
-combinations "x+yi" / "x-yi" / "yi" with rational or decimal parts;
-such values stay exact.  Exponent notation ("1e-3", "1.5e-3+2i") is
-accepted too and is read as a big float rounded to --precision-bits.
+Scalar arguments are read by scalars.parse_scalar: "a", "yi" or
+"x+yi" with integer, "p/q" or decimal parts stay exact; an exponent in
+any part ("1e-3", "1/2+1.5e-3i") makes a big float rounded to
+--precision-bits.
 
 Exit codes: 0 success, 2 argument parse error, 3 numerical
-non-convergence, 4 invalid parameters.
+non-convergence, 4 invalid parameters or an unwritable --output.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 from typing import NamedTuple
 
@@ -76,7 +75,7 @@ from .scalars import (
     as_exact,
     format_scalar,
     is_exact_scalar,
-    parse_gaussian_rational,
+    parse_scalar,
     to_mpc,
     working_precision,
 )
@@ -97,50 +96,12 @@ EXIT_NONCONVERGENCE = 3
 EXIT_INVALID = 4
 
 
-_FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-# "x+yi", "x-yi", "yi", "-i": the imaginary part needs its own sign when
-# a real part precedes it
-_COMPLEX_RE = re.compile(
-    rf"^(?:(?P<re>[+-]?{_FLOAT})(?P<im>[+-](?:{_FLOAT})?)"
-    rf"|(?P<im_only>[+-]?(?:{_FLOAT})?))[ijIJ]$"
-)
-
-
-def parse_cli_scalar(text: str, precision_bits: int = 256):
-    """Exact Gaussian-rational parse first, then big-float syntax.
-
-    Inexact input (exponent notation, possibly inside "x+yi") is read
-    correctly rounded to precision_bits.
-    """
-    try:
-        return parse_gaussian_rational(text)
-    except ValueError:
-        pass
-    s = text.strip().replace(" ", "")
-    with working_precision(precision_bits):
-        try:
-            x = mp.mpf(s)
-        except ValueError:
-            pass
-        else:
-            if not mp.isfinite(x):
-                raise InvalidSpecError(f"cannot parse scalar {text!r}: "
-                                       "not a finite number")
-            return x
-        match = _COMPLEX_RE.match(s)
-        if match is None:
-            raise InvalidSpecError(f"cannot parse scalar {text!r}")
-        im = match["im"] if match["im"] is not None else match["im_only"]
-        im = im + "1" if im in ("", "+", "-") else im
-        return mp.mpc(mp.mpf(match["re"] or 0), mp.mpf(im))
-
-
 def _parse_tol(args: argparse.Namespace, default):
     """--tol read at --precision-bits: a positive, finite real number, or
     `default` when the option was not given."""
     if args.tol is None:
         return default
-    x = parse_cli_scalar(args.tol, args.precision_bits)
+    x = parse_scalar(args.tol, args.precision_bits)
     with working_precision(args.precision_bits):
         x = to_mpc(x)
     if x.imag != 0 or not x.real > 0:
@@ -188,9 +149,9 @@ def build_spec(args: argparse.Namespace):
         raise InvalidSpecError(
             f"family {fam!r} does not read --{' --'.join(unread)}"
         )
-    p = {name: parse_cli_scalar(getattr(args, name), bits) for name in given}
+    p = {name: parse_scalar(getattr(args, name), bits) for name in given}
     B = getattr(args, "B", None)
-    B = parse_cli_scalar(B, bits) if B is not None else None
+    B = parse_scalar(B, bits) if B is not None else None
     missing = [name for name in params if name not in p]
     if missing:
         raise InvalidSpecError(f"family {fam!r} needs --{' --'.join(missing)}")
@@ -610,21 +571,22 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 # -- argument wiring -----------------------------------------------------------------
 
-def positive_int(text: str) -> int:
-    """argparse type of the counts --digits and --precision-bits, here
-    and in the scripts, and of each degree --m that zeros, table and
-    track solve."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int, expected: str):
+    """argparse type of an integer option that is at least low."""
+    def read(text: str) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return int(text)
+    return read
 
 
-def _non_negative_int(text: str) -> int:
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return int(text)
+# the counts --digits and --precision-bits, here and in the scripts, and
+# each degree --m that zeros, table and track solve
+positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+# d2 --K, here and in scripts/d2_zero_hunt.py: the tail needs two terms
+_tail_length = _int_at_least(2, "an integer K >= 2")
 
 
 # options that only some subcommands read
@@ -655,15 +617,6 @@ def _add_common(p: argparse.ArgumentParser, *shared: str,
     for name in shared:
         p.add_argument(f"--{name}", **_SHARED[name])
     p.add_argument("--output", default=None, help="write result to a file")
-
-
-def _tail_length(text: str) -> int:
-    """argparse type of d2 --K, here and in scripts/d2_zero_hunt.py: the
-    d2 tail needs at least two terms."""
-    if not text.isdigit() or int(text) < 2:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer K >= 2, got {text!r}")
-    return int(text)
 
 
 def _m_list(text: str) -> tuple:
@@ -741,8 +694,12 @@ def main(argv=None) -> int:
         result = _COMMANDS[args.command](args)
         out = render(result, args.fmt)
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(out)
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(out)
+            except OSError as exc:
+                raise ValueError(f"cannot write --output {args.output!r}: "
+                                 f"{exc.strerror}") from None
         else:
             sys.stdout.write(out)
         return result.code

@@ -9,8 +9,9 @@ Two coefficient fields are supported:
 * ``bigfloat``: arbitrary-precision binary floats via mpmath, tagged with
   an explicit mantissa size in bits.
 
-The helpers here also own the parsing grammar for complex scalars
-(``"a+bi"`` with integer, fraction or decimal components) and the
+The helpers here also own the one reader of typed scalars,
+``parse_scalar`` (``"a+bi"``: exact when every part is an integer,
+fraction or decimal, a big float when any part has an exponent), and the
 serialization forms used by the JSON interchange format: exact values as
 decimal-free ``"num/den"`` strings, big-floats as hex-significand strings
 that round-trip bit for bit.
@@ -27,9 +28,6 @@ import mpmath as mp
 
 class ExactnessError(TypeError):
     """Raised when an exact-field operation receives inexact input."""
-
-
-_ZERO = Fraction(0)
 
 
 class QQi:
@@ -188,38 +186,47 @@ _INEXACT_TYPES = (float, complex, mp.mpf, mp.mpc)
 
 # -- parsing ---------------------------------------------------------------
 
-_COMP_RE = re.compile(r"^[+-]?(?:\d+/\d+|\d+\.\d*|\.\d+|\d+)$")
+# a part: an integer, p/q with q nonzero, a decimal, or a decimal with an
+# exponent
+_PART = r"\d+/0*[1-9]\d*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# "a", "bi" or "a+bi": an imaginary part after a real one needs its sign
+_SCALAR_RE = re.compile(
+    rf"(?P<re>[+-]?(?:{_PART}))(?:(?P<im>[+-](?:{_PART})?)[ijIJ])?"
+    rf"|(?P<im_only>[+-]?(?:{_PART})?)[ijIJ]"
+)
 
 
-def _component(text: str) -> Fraction:
-    if not _COMP_RE.match(text):
-        raise ValueError(f"bad rational component {text!r}")
-    return Fraction(text)
+def parse_scalar(text: str, precision_bits: int | None = None):
+    """Read ``a``, ``bi`` or ``a+bi``; spaces are ignored, and ``i`` may
+    be ``j``, in either case.  Integer, ``p/q`` and decimal parts give an
+    exact QQi (``0.3`` is 3/10).  An exponent in any part gives a big
+    float, an mpf without an imaginary part and an mpc with one, each
+    part correctly rounded to precision_bits, which it then needs.
+    Anything else, ``nan`` and ``inf`` included, raises ValueError.
+    """
+    s = text.strip().replace(" ", "")
+    match = _SCALAR_RE.fullmatch(s)
+    if match is None:
+        finite = s.lower() not in ("nan", "inf", "+inf", "-inf")
+        raise ValueError(f"cannot parse scalar {text!r}"
+                         + ("" if finite else ": not a finite number"))
+    im = match["im"] if match["im"] is not None else match["im_only"]
+    if im in ("", "+", "-"):
+        im += "1"
+    parts = (match["re"] or "0", im or "0")
+    if "e" not in "".join(parts).lower():
+        return QQi(*map(Fraction, parts))
+    if precision_bits is None:
+        raise ValueError(f"cannot parse scalar {text!r} exactly: exponent "
+                         "notation needs a precision")
+    with mp.workprec(precision_bits):
+        x, y = map(mp.mpf, parts)
+        return x if im is None else mp.mpc(x, y)
 
 
 def parse_gaussian_rational(text: str) -> QQi:
-    """Parse ``a+bi`` with integer / fraction / decimal components.
-
-    Accepts forms like ``5``, ``-1/2``, ``0.25``, ``2i``, ``-i``,
-    ``1/2-3/4i``, ``1.5+2i``.  Decimals are read exactly.
-    """
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar")
-    if s[-1] not in "ijIJ":
-        return QQi(_component(s))
-    body = s[:-1]
-    # split the imaginary coefficient off at the last interior sign
-    cut = max(body.rfind("+", 1), body.rfind("-", 1))
-    re_str, im_str = (body[:cut], body[cut:]) if cut > 0 else ("", body)
-    if im_str in ("", "+"):
-        im_part = Fraction(1)
-    elif im_str == "-":
-        im_part = Fraction(-1)
-    else:
-        im_part = _component(im_str)
-    re_part = _component(re_str) if re_str else _ZERO
-    return QQi(re_part, im_part)
+    """parse_scalar without a precision: exact forms only."""
+    return parse_scalar(text)
 
 
 def as_exact(x) -> QQi:

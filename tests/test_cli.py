@@ -13,8 +13,8 @@ import mpmath as mp
 import pytest
 
 from heunzeros import cli
-from heunzeros.cli import build_spec, main, make_parser, parse_cli_scalar
-from heunzeros.scalars import QQi
+from heunzeros.cli import build_spec, main, make_parser
+from heunzeros.scalars import QQi, parse_scalar, scalar_to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -564,12 +564,12 @@ class TestExitCodes:
 
 class TestScalarParsing:
     def test_exponent_input_uses_requested_precision(self):
-        x = parse_cli_scalar("1e-1", 256)
+        x = parse_scalar("1e-1", 256)
         with mp.workprec(256):
             assert x == mp.mpf(1) / 10
-        assert parse_cli_scalar("1e-1", 64) != x
+        assert parse_scalar("1e-1", 64) != x
         with mp.workprec(64):
-            assert parse_cli_scalar("1e-1", 64) == mp.mpf(1) / 10
+            assert parse_scalar("1e-1", 64) == mp.mpf(1) / 10
 
     def test_precision_flag_reaches_the_spec(self):
         args = make_parser().parse_args(
@@ -598,16 +598,16 @@ class TestScalarParsing:
             assert mantissa.bit_length() > bits - 8, name
 
     def test_complex_exponent_input(self):
-        z = parse_cli_scalar("1.5e-3+2i", 256)
+        z = parse_scalar("1.5e-3+2i", 256)
         with mp.workprec(256):
             assert z == mp.mpc(mp.mpf(15) / 10000, 2)
-        assert parse_cli_scalar("2e1-i") == mp.mpc(20, -1)
-        assert parse_cli_scalar("-2.5e1i") == mp.mpc(0, -25)
+        assert parse_scalar("2e1-i", 256) == mp.mpc(20, -1)
+        assert parse_scalar("-2.5e1i", 256) == mp.mpc(0, -25)
 
     def test_decimals_stay_exact_and_exponents_do_not(self):
-        assert parse_cli_scalar("0.3") == QQi("3/10")
-        assert isinstance(parse_cli_scalar("0.3"), QQi)
-        half = parse_cli_scalar("5e-1")
+        assert parse_scalar("0.3") == QQi("3/10")
+        assert isinstance(parse_scalar("0.3"), QQi)
+        half = parse_scalar("5e-1", 256)
         assert isinstance(half, mp.mpf) and half == mp.mpf("0.5")
 
     @pytest.mark.parametrize("argv", [
@@ -626,6 +626,24 @@ class TestScalarParsing:
                            "1e-3+", "--m", "4")
         assert code == 4
         assert "cannot parse scalar" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("q", ["1_0", "1e3_0", "1_0+2i", "1/0"])
+    def test_underscores_and_zero_denominators_are_invalid(self, capsys, q):
+        code, out, err = run(capsys, "poly", "--family", "mathieu",
+                             f"--q={q}", "--m", "1")
+        assert code == 4
+        assert out == ""
+        assert "cannot parse scalar" in json.loads(err)["error"]
+
+    def test_an_exponent_in_any_part_makes_a_big_float(self, capsys):
+        code, out, _ = run(capsys, "poly", "--family", "mathieu", "--q",
+                           "1/2+1e-3i", "--m", "1", "--format", "json",
+                           "--precision-bits", "64")
+        assert code == 0
+        spec = json.loads(out)["spec"]
+        assert spec["field"] == "bigfloat"
+        with mp.workprec(64):
+            assert spec["s"] == scalar_to_json(mp.mpc(0.5, mp.mpf(1) / 1000))
 
 
 def test_option_surface():
@@ -702,3 +720,14 @@ class TestOutputAndConfig:
         if fmt == "json":
             doc = json.loads(target.read_text())
             assert doc["schema"] == "heunzeros-zeros/1"
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_output_is_4(self, capsys, tmp_path, where):
+        target = tmp_path if where == "directory" else tmp_path / "no" / "x"
+        code, out, err = run(capsys, "poly", "--family", "mathieu", "--q",
+                             "2", "--m", "1", "--output", str(target))
+        assert code == 4
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["code"] == 4
+        assert repr(str(target)) in doc["error"]

@@ -90,15 +90,19 @@ def test_d2_zero_hunt_reports_only_nonconvergence(capsys, monkeypatch,
     ("d2_zero_hunt.py", ["--m", "x"], 2),
     ("d2_zero_hunt.py", ["--K", "1"], 2),
     ("d2_zero_hunt.py", ["--family", "mathieu", "--q", "2", "--m", "4"], 4),
+    ("d2_zero_hunt.py", ["--tol", "abc", "--m", "4,8"], 4),
+    ("d2_zero_hunt.py", ["--s", "1e-2", "--m", "4,8"], 0),
     ("zero_tables.py", ["mathieu-2", "--digits", "0"], 2),
     ("zero_tables.py", ["mathieu-2", "--prec", "64"], 2),
     ("zero_tables.py", ["mathieu-2", "--precision-bits=-5"], 2),
 ], ids=["hunt-abbreviated-family", "hunt-abbreviated-digits",
         "hunt-digits-negative", "hunt-bits-0", "hunt-degree-0",
         "hunt-degree-not-integer", "hunt-K-1", "hunt-one-degree",
+        "hunt-tol-not-a-number", "hunt-s-exponent",
         "tables-digits-0", "tables-abbreviated-bits", "tables-bits-negative"])
 def test_scripts_parse_options_as_the_cli_does(capsys, script, argv, code):
-    # exit 2 for what argparse refuses, 4 for what the library refuses
+    # exit 2 for what argparse refuses, 4 for what the library refuses;
+    # a refused run prints nothing to stdout
     main_ = runpy.run_path(str(ROOT / "scripts" / script))["main"]
     try:
         got = main_(argv)
@@ -106,6 +110,6 @@ def test_scripts_parse_options_as_the_cli_does(capsys, script, argv, code):
         got = exc.code
     assert got == code
     out, err = capsys.readouterr()
-    assert out == ""
+    assert (out == "") is (code != 0)
     if code == 4:
         assert json.loads(err)["code"] == 4

@@ -116,6 +116,32 @@ def local_package_imports(source: str) -> list:
                    if where is not None})
 
 
+def imports_re(source: str) -> bool:
+    """Whether source imports the standard `re` module, in any form."""
+    return any(
+        (isinstance(node, ast.Import)
+         and any(alias.name == "re" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "re"
+            and not node.level)
+        for node in ast.walk(ast.parse(source)))
+
+
+def test_scan_finds_an_re_import():
+    assert imports_re("import json, re as regex\n")
+    assert imports_re("def f():\n    from re import fullmatch\n")
+    assert not imports_re("import resource\nfrom .re import x\n"
+                          "from .scalars import parse_scalar\n")
+
+
+# scalars.parse_scalar holds the one grammar for typed values; a regex
+# anywhere else in the package or the scripts would be a second one
+def test_only_scalars_imports_re():
+    paths = (sorted((ROOT / "src" / "heunzeros").glob("*.py"))
+             + sorted((ROOT / "scripts").glob("*.py")))
+    assert [p.name for p in paths if imports_re(p.read_text())] \
+        == ["scalars.py"]
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import math\nimport json\njson.dumps(1)\n") \
         == [(1, "math")]

@@ -15,6 +15,7 @@ from heunzeros.scalars import (
     mpf_from_hex,
     mpf_to_hex,
     parse_gaussian_rational,
+    parse_scalar,
     scalar_from_json,
     scalar_to_json,
     to_mpc,
@@ -86,6 +87,73 @@ class TestParser:
     @given(gaussians)
     def test_str_round_trip(self, a):
         assert parse_gaussian_rational(str(a)) == a
+
+
+# each part as written, with its exact value; the last is in exponent
+# notation and so is read as a big float
+PARTS = [("7", Fraction(7)), ("-3/4", Fraction(-3, 4)),
+         ("0.3", Fraction(3, 10)), (".5", Fraction(1, 2)), ("1.", Fraction(1)),
+         ("-1e-1", Fraction(-1, 10))]
+
+
+def scalar_cases():
+    """(text, real part, imaginary part or None when none is written)."""
+    for a, x in PARTS:
+        b = a if a.startswith("-") else "+" + a
+        yield from [(a, x, None), (a + "i", 0, x), (a + "j", 0, x),
+                    (a + b + "i", x, x), (a + "+i", x, 1), (a + "-I", x, -1),
+                    (a + "+J", x, 1)]
+    yield from [("i", 0, 1), ("+i", 0, 1), ("-i", 0, -1), ("j", 0, 1),
+                (" 1 / 2 - 3 / 4 i ", Fraction(1, 2), Fraction(-3, 4))]
+
+
+def rounded(x: Fraction, bits: int) -> mp.mpf:
+    """x correctly rounded to bits (numerator and denominator are exact
+    at every precision used here, so the division rounds once)."""
+    with mp.workprec(bits):
+        return mp.mpf(x.numerator) / x.denominator
+
+
+class TestScalarReader:
+    @pytest.mark.parametrize("text,re_,im_", [
+        pytest.param(*case, id=case[0]) for case in scalar_cases()])
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_table(self, text, re_, im_, bits):
+        got = parse_scalar(text, bits)
+        if "e" not in text.lower():
+            assert type(got) is QQi
+            assert got == QQi(re_, im_ or 0)
+            assert parse_gaussian_rational(text) == got
+            return
+        with pytest.raises(ValueError, match="needs a precision"):
+            parse_gaussian_rational(text)
+        re_, im_ = Fraction(re_), im_ if im_ is None else Fraction(im_)
+        if im_ is None:
+            assert type(got) is mp.mpf
+            assert got == rounded(re_, bits)
+        else:
+            assert type(got) is mp.mpc
+            assert got.real == rounded(re_, bits)
+            assert got.imag == rounded(im_, bits)
+
+    def test_precision_reaches_every_part(self):
+        z64 = parse_scalar("1/3+1e-1i", 64)
+        z256 = parse_scalar("1/3+1e-1i", 256)
+        assert z64.real != z256.real and z64.imag != z256.imag
+        assert z256.real == rounded(Fraction(1, 3), 256)
+
+    @pytest.mark.parametrize("bad", [
+        "", "1_0", "1e3_0", "1_0+2i", "1/0", "1/00+i", "1e-3+", "2i+1",
+        "1/2e3", "1e", "e3", ".", "0x10", "infinity", "+nan", "1+-2i",
+    ])
+    def test_refuses(self, bad):
+        with pytest.raises(ValueError, match="cannot parse scalar"):
+            parse_scalar(bad, 256)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "+inf", "NaN"])
+    def test_refuses_non_finite(self, text):
+        with pytest.raises(ValueError, match="not a finite number"):
+            parse_scalar(text, 256)
 
 
 class TestExactnessBoundary:
