@@ -21,7 +21,7 @@ equations, the one that fixes B (d2 only, and not together with --B)
 Scalar arguments are read by scalars.parse_scalar: "a", "yi" or
 "x+yi" with integer, "p/q" or decimal parts stay exact; an exponent in
 any part ("1e-3", "1/2+1.5e-3i") makes a big float rounded to
---precision-bits.
+--precision-bits.  A part of magnitude 2^1024 or more is refused.
 
 Exit codes: 0 success, 2 argument parse error, 3 numerical
 non-convergence, 4 invalid parameters or an unwritable --output.

@@ -9,8 +9,7 @@ with c_{-1} = 0 and c_0 = 1.  One routine (`_recurrence`) runs it on
 coefficient lists in one variable: B for `build_family`, none (a fixed
 B) for `eval_sequence`, and s for `family_in_s`.  Everything here runs
 either in the exact Gaussian-rational field or in mpc big-floats, chosen
-by the exactness of spec and B, except the step rows of the d2 tail
-(`_scaled_step_table`), which are fixed-point Gaussian integers.
+by the exactness of spec and B.
 
 Useful consequences kept as helpers and exploited by the test-suite:
 the leading coefficient of c_m is 1/(m! (gamma)_m), and at s = 0 the
@@ -30,8 +29,6 @@ from .scalars import (
     EXACT_FIELD,
     FieldTag,
     QQi,
-    _fixed_div,
-    _to_fixed,
     as_exact,
     bigfloat_field,
     is_exact_scalar,
@@ -193,91 +190,6 @@ def _sp_mul(a: list, b: list) -> list:
     return out
 
 
-# (key, rows): the B-independent part of each step of the scaled
-# recurrence that `tracking.d2_sequence` runs, rows[k] = the real and
-# imaginary parts of A_k, G_k and H_k as ints with F fraction bits, for
-# the most recent spec, parameter types and F.  The key carries the
-# parameter types because specs compare equal across fields
-# (QQi(1/2) == mpf(0.5)).  The whole tuple is replaced at once, so a
-# caller keeps a consistent snapshot.
-_scaled_steps = (None, ())
-
-_ROW_GUARD = 32   # extra fraction bits of the row build
-
-
-def _scaled_step_table(spec: RecurrenceSpec, K: int, F: int) -> tuple:
-    """rows[k] = (Re A_k, Im A_k, Re G_k, Im G_k, Re H_k, Im H_k) for at
-    least k < K, each an int standing for its value times 2^F, with
-
-        A_k = D_k + s E_k,  G_k = N_k/(delta+k-2),  N_k = k s F_k,
-        H_k = 1/((k+gamma)(k+delta-1)),
-
-    the steps of a_{k+1} = ((B + A_k) a_k - G_k a_{k-1}) H_k, a_0 = 1,
-    which a_k = c_k k!/(delta-1)_k satisfies (docs/math_notes.md,
-    section 6).  In every family A_k has degree at most 2 in k and N_k
-    at most 3, so `recurrence_coeffs` runs only at k = 0..3, on an mpc
-    copy of the spec at F + _ROW_GUARD bits.  Their values, truncated to
-    W = F + _ROW_GUARD fraction bits, give exact forward differences, and
-    each row evaluates the Newton form with the integer binomials
-    C(k, 2) and C(k, 3) exactly.  A_k is then shifted down to F bits;
-    G_k and H_k each take one rounded division (`scalars._fixed_div`)."""
-    global _scaled_steps
-    key = (spec, spec.param_types, F)
-    cached, rows = _scaled_steps
-    if cached != key:
-        # drop the old rows first, so two tables are never held at once
-        _scaled_steps, rows = (None, ()), ()
-    if len(rows) < K:
-        rows = rows + _scaled_rows(spec, len(rows), K, F)
-    _scaled_steps = (key, rows)
-    return rows
-
-
-def _forward_differences(values: list) -> list:
-    """[v_0, (Delta v)_0, (Delta^2 v)_0, ...] of the ints values."""
-    out = []
-    while values:
-        out.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return out
-
-
-def _scaled_rows(spec: RecurrenceSpec, k0: int, K: int, F: int) -> tuple:
-    """Rows k0 <= k < K of `_scaled_step_table`."""
-    W = F + _ROW_GUARD
-    with working_precision(W):
-        big = RecurrenceSpec(spec.kind, *(
-            None if v is None else to_mpc(v)
-            for v in (spec.gamma, spec.delta, spec.s, spec.alpha, spec.beta)))
-        a_vals, n_vals = [], []
-        for k in range(4):
-            D, E, Fk = recurrence_coeffs(big, k)
-            a_vals.append(_to_fixed(D + big.s * E, W))
-            n_vals.append(_to_fixed(k * big.s * Fk, W))
-        gr, gi = _to_fixed(big.gamma, W)
-        dr, di = _to_fixed(big.delta, W)
-    a0r, a1r, a2r, _ = _forward_differences([x for x, _ in a_vals])
-    a0i, a1i, a2i, _ = _forward_differences([y for _, y in a_vals])
-    n0r, n1r, n2r, n3r = _forward_differences([x for x, _ in n_vals])
-    n0i, n1i, n2i, n3i = _forward_differences([y for _, y in n_vals])
-    one = 1 << W
-    num = 1 << (2 * W)           # 1 with 2W fraction bits
-    rows = []
-    for k in range(k0, K):
-        c2 = k * (k - 1) // 2
-        c3 = c2 * (k - 2) // 3
-        Ar = (a0r + k * a1r + c2 * a2r) >> _ROW_GUARD
-        Ai = (a0i + k * a1i + c2 * a2i) >> _ROW_GUARD
-        Nr = n0r + k * n1r + c2 * n2r + c3 * n3r
-        Ni = n0i + k * n1i + c2 * n2i + c3 * n3i
-        Gr, Gi = _fixed_div(Nr, Ni, dr + (k - 2) * one, di, F)
-        pr, pi = gr + k * one, gi                  # k + gamma
-        qr, qi = dr + (k - 1) * one, di            # k + delta - 1
-        Hr, Hi = _fixed_div(num, 0, pr * qr - pi * qi, pr * qi + pi * qr, F)
-        rows.append((Ar, Ai, Gr, Gi, Hr, Hi))
-    return tuple(rows)
-
-
 def eval_sequence(spec: RecurrenceSpec, B, K: int,
                   precision_bits: int | None = None) -> list:
     """c_0(B) ... c_K(B) by the scalar recurrence, O(K) work.
@@ -286,8 +198,7 @@ def eval_sequence(spec: RecurrenceSpec, B, K: int,
     forced; otherwise in mpc under precision_bits (or the caller's
     current mpmath context when omitted).  Each step is the polynomial
     step of `build_family` with B fixed, so its degree-0 lists round
-    exactly as the scalar loop does; `tracking.d2_sequence` runs its own
-    scaled recurrence instead (`_scaled_step_table`).
+    exactly as the scalar loop does.
     """
     if K < 0:
         raise InvalidSpecError("K must be nonnegative")

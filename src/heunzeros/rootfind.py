@@ -13,8 +13,8 @@ is deterministic: no starting point comes from a random generator.
 
 The polynomial is a `Continuant`, the rows of a three-term recurrence,
 and (p(z), p'(z)) comes from running that recurrence and its derivative
-in fixed-point Gaussian integers (`_continuant_pair`); the dense
-coefficients of c_m are never formed.
+in fixed-point Gaussian integers (`_continuant_kernel`, which also runs
+the d2 tail); the dense coefficients of c_m are never formed.
 
 Residuals are reported as |p(z)/p'(z)|, the Newton-step length, which
 estimates the absolute distance to the true root.  They come from the
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
-from functools import partial
+from itertools import islice
 from math import isqrt
 
 import mpmath as mp
@@ -140,52 +140,62 @@ class Continuant:
 
     def fixed_rows(self, F: int) -> tuple:
         """(Re A_k, Im A_k, Re N_k, Im N_k) per row, with F fraction
-        bits (`scalars._to_fixed`), for `_continuant_pair`."""
+        bits (`scalars._to_fixed`), for `_continuant_kernel`."""
         return tuple(_to_fixed(a, F) + _to_fixed(x, F)
                      for a, x in zip(self.A, self.N))
 
 
-_KERNEL_GUARD = 32    # fraction bits of `_continuant_pair` beyond the
-                      # working precision of `find_all_roots`
+_KERNEL_GUARD = 32    # fraction bits of `_continuant_kernel` beyond the
+                      # precision its callers work at
 _KERNEL_SPAN = 32     # width, in bits, of the window that holds the
                       # kernel's state, and its floor above 2^F
 
 
-def _continuant_pair(rows, F: int, z):
-    """(p_m(z), p_m'(z)), both times one power of two, for the
-    `Continuant` whose `fixed_rows(F)` are rows.
+def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False):
+    """The state (p_k, p_{k-1}, p'_k, e) at each k of the ascending stops
+    of p_{k+1} = (z + A_k) p_k - N_k p_{k-1}, p_0 = 1, on the iterable
+    rows of `Continuant.fixed_rows(F)`; each value is a pair (x, y) of
+    ints standing for (x + iy) 2^(e-F).
 
-    Runs p_{k+1} = (z + A_k) p_k - N_k p_{k-1} and its derivative
-    p'_{k+1} = (z + A_k) p'_k + p_k - N_k p'_{k-1} on Gaussian integers
-    with F fraction bits, z truncated to F bits once.  A product is
-    shifted back by F bits, rounding to the floor.  The eight state ints
-    (p_k, p_{k-1}, p'_k, p'_{k-1}) share one exponent, for p_m can reach
-    2^1300 at m = 100: when the larger of the new p_k and p'_k leaves
-    [2^(F+S), 2^(F+2S)), S = _KERNEL_SPAN, all eight are shifted together
-    back to 2^(F+S).  The two values come back as mpc at the working
-    precision without that exponent, which cancels in the Newton step
-    p/p' (docs/math_notes.md, section 8)."""
+    Runs on Gaussian integers, z truncated to F fraction bits once; a
+    product is shifted back by F bits, rounding to the floor.  With
+    derivative, p'_{k+1} = (z + A_k) p'_k + p_k - N_k p'_{k-1} runs
+    alongside; without it p' stays 0.  The state ints share the exponent
+    e, for p_m can reach 2^1300 at m = 100: when the larger of the new
+    p_k and p'_k leaves [2^(F+S), 2^(F+2S)), S = _KERNEL_SPAN, all are
+    shifted back to 2^(F+S) together (docs/math_notes.md, section 8)."""
     zr, zi = _to_fixed(z, F)
     pr, pi, qr, qi = 1 << F, 0, 0, 0     # p_k, p_{k-1}
     dr = di = er = ei = 0                # p'_k, p'_{k-1}
-    for Ar, Ai, Nr, Ni in rows:
-        ur, ui = zr + Ar, zi + Ai
-        tr = (ur * pr - ui * pi - Nr * qr + Ni * qi) >> F
-        ti = (ur * pi + ui * pr - Nr * qi - Ni * qr) >> F
-        sr = ((ur * dr - ui * di - Nr * er + Ni * ei) >> F) + pr
-        si = ((ur * di + ui * dr - Nr * ei - Ni * er) >> F) + pi
-        qr, qi, pr, pi = pr, pi, tr, ti
-        er, ei, dr, di = dr, di, sr, si
-        top = (abs(pr) | abs(pi) | abs(dr) | abs(di)).bit_length() - F - 1
-        if top >= 2 * _KERNEL_SPAN:
-            top -= _KERNEL_SPAN
-            pr, pi, qr, qi = pr >> top, pi >> top, qr >> top, qi >> top
-            dr, di, er, ei = dr >> top, di >> top, er >> top, ei >> top
-        elif top < _KERNEL_SPAN:
-            top = _KERNEL_SPAN - top
-            pr, pi, qr, qi = pr << top, pi << top, qr << top, qi << top
-            dr, di, er, ei = dr << top, di << top, er << top, ei << top
-    return _from_fixed(pr, pi, F), _from_fixed(dr, di, F)
+    e = k = 0
+    steps = iter(rows)
+    states = []
+    for stop in stops:
+        for Ar, Ai, Nr, Ni in islice(steps, stop - k):
+            ur, ui = zr + Ar, zi + Ai
+            if derivative:
+                sr = ((ur * dr - ui * di - Nr * er + Ni * ei) >> F) + pr
+                si = ((ur * di + ui * dr - Nr * ei - Ni * er) >> F) + pi
+                er, ei, dr, di = dr, di, sr, si
+            tr = (ur * pr - ui * pi - Nr * qr + Ni * qi) >> F
+            ti = (ur * pi + ui * pr - Nr * qi - Ni * qr) >> F
+            qr, qi, pr, pi = pr, pi, tr, ti
+            top = (abs(pr) | abs(pi) | abs(dr) | abs(di)).bit_length() - F - 1
+            if top >= 2 * _KERNEL_SPAN:
+                top -= _KERNEL_SPAN
+                e += top
+                pr, pi, qr, qi = pr >> top, pi >> top, qr >> top, qi >> top
+                if derivative:
+                    dr, di, er, ei = dr >> top, di >> top, er >> top, ei >> top
+            elif top < _KERNEL_SPAN:
+                top = _KERNEL_SPAN - top
+                e -= top
+                pr, pi, qr, qi = pr << top, pi << top, qr << top, qi << top
+                if derivative:
+                    dr, di, er, ei = dr << top, di << top, er << top, ei << top
+        k = stop
+        states.append(((pr, pi), (qr, qi), (dr, di), e))
+    return states
 
 
 def _upper_hull(points):
@@ -443,7 +453,7 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
     Each seed is polished alone by `_newton_polish` at precision_bits +
     24 bits, on (p(z), p'(z)) from the recurrence in fixed point with
     precision_bits + 24 + _KERNEL_GUARD fraction bits
-    (`_continuant_pair`).  The result stands when the disks
+    (`_continuant_kernel`).  The result stands when the disks
     D(z_i, max(n |p/p'|(z_i), tol (1 + |z_i|))) are pairwise disjoint,
     which leaves one root in each, and every residual |p/p'|(z_i) is
     below tol (1 + |z_i|).  For real rows the disks also show which
@@ -478,7 +488,12 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
             raise InvalidSpecError(
                 f"{len(seeds)} seeds for a degree-{n} polynomial")
         F = work_bits + _KERNEL_GUARD
-        evaluate = partial(_continuant_pair, poly.fixed_rows(F), F)
+        rows = poly.fixed_rows(F)
+
+        def evaluate(z):     # p and p' times one 2^-e, which cancels
+            [(p, _, dp, _)] = _continuant_kernel(rows, F, z, (n,), True)
+            return _from_fixed(*p, F), _from_fixed(*dp, F)
+
         polished = [_newton_polish(evaluate, to_mpc(s), tol) for s in seeds]
         z, rad = _disks(polished, n, tol)
         pairs = _real_extent_pairs(z, rad)

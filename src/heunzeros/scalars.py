@@ -196,13 +196,19 @@ _SCALAR_RE = re.compile(
 )
 
 
+# parts read by `parse_scalar` stay in the double range, so a
+# fixed-point kernel can hold them in ints of about 1024 + F bits
+MAGNITUDE_BITS = 1024
+
+
 def parse_scalar(text: str, precision_bits: int | None = None):
     """Read ``a``, ``bi`` or ``a+bi``; spaces are ignored, and ``i`` may
     be ``j``, in either case.  Integer, ``p/q`` and decimal parts give an
     exact QQi (``0.3`` is 3/10).  An exponent in any part gives a big
     float, an mpf without an imaginary part and an mpc with one, each
     part correctly rounded to precision_bits, which it then needs.
-    Anything else, ``nan`` and ``inf`` included, raises ValueError.
+    Anything else, ``nan`` and ``inf`` included, raises ValueError, as
+    does a part of magnitude 2^MAGNITUDE_BITS or more (after rounding).
     """
     s = text.strip().replace(" ", "")
     match = _SCALAR_RE.fullmatch(s)
@@ -214,13 +220,17 @@ def parse_scalar(text: str, precision_bits: int | None = None):
     if im in ("", "+", "-"):
         im += "1"
     parts = (match["re"] or "0", im or "0")
-    if "e" not in "".join(parts).lower():
-        return QQi(*map(Fraction, parts))
-    if precision_bits is None:
+    exact = "e" not in "".join(parts).lower()
+    if not exact and precision_bits is None:
         raise ValueError(f"cannot parse scalar {text!r} exactly: exponent "
                          "notation needs a precision")
-    with mp.workprec(precision_bits):
-        x, y = map(mp.mpf, parts)
+    with mp.workprec(precision_bits or mp.mp.prec):
+        x, y = map(Fraction if exact else mp.mpf, parts)
+        if max(abs(x), abs(y)) >= 2 ** MAGNITUDE_BITS:
+            raise ValueError(f"cannot parse scalar {text!r}: magnitude "
+                             f"2^{MAGNITUDE_BITS} or more")
+        if exact:
+            return QQi(x, y)
         return x if im is None else mp.mpc(x, y)
 
 
@@ -280,9 +290,10 @@ def working_precision(bits: int):
 #
 # A Gaussian integer pair (x, y) with F fraction bits stands for
 # (x + iy) / 2^F.  The fixed-point kernels (the escalated QL and the
-# continuant evaluation in `rootfind`, the d2 tail in `tracking`, the
-# Frobenius series of the midpoint oracle in `oracle`) run on
-# such pairs and use only these conversions and this division.
+# continuant kernel in `rootfind`, which evaluates the zeros'
+# polynomials and runs the d2 tail of `tracking`, and the Frobenius
+# series of the midpoint oracle in `oracle`) run on such pairs and use
+# only these conversions and this division.
 
 def _to_fixed(z, F: int) -> tuple:
     """The mpc or mpf z truncated toward zero to F fraction bits; an

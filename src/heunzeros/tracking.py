@@ -35,15 +35,22 @@ from .perturbation import (
     recurrence_row,
     zero_estimate,
 )
-from .recurrence import _scaled_step_table
+from . import rootfind
 from .rootfind import (
+    _KERNEL_GUARD,
     Continuant,
     NonConvergenceError,
     ZeroSet,
     find_all_roots,
     tridiagonal_eigenvalues,
 )
-from .scalars import _from_fixed, _to_fixed, to_mpc, working_precision
+from .scalars import (
+    _fixed_div,
+    _from_fixed,
+    _to_fixed,
+    to_mpc,
+    working_precision,
+)
 
 
 # -- solving one degree with labelled zeros -----------------------------------
@@ -408,7 +415,7 @@ def zero_table(spec: RecurrenceSpec, zero_sets: dict, k_max: int) -> list:
 class D2Estimate:
     """Estimate of the connection coefficient d2(B) from the scaled
     coefficient tail a_k = c_k(B) k!/(delta-1)_k, which `d2_sequence`
-    computes by the scaled recurrence without forming c_k."""
+    computes as a continuant over its normaliser, without forming c_k."""
 
     B: object
     K: int
@@ -429,7 +436,12 @@ def _check_d2_spec(spec: RecurrenceSpec, precision_bits: int):
                 )
 
 
-_D2_GUARD = 32        # fraction bits of the d2 kernel beyond precision_bits
+# (key, value) for the most recent key of `_d2_row_table` and of
+# `_d2_normaliser_states`, each replaced at once, so a caller keeps a
+# consistent snapshot.  A key carries the parameter types because specs
+# compare equal across fields (QQi(1/2) == mpf(0.5)).
+_d2_rows = (None, ())
+_d2_normaliser = (None, ())
 
 
 def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
@@ -437,25 +449,20 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
     """The limit of a_k = c_k(B) k!/(delta-1)_k extrapolated from the
     tail of a_1..a_K, with the raw tail a_K and |a_K - a_{K-1}|.
 
-    a_k is run directly by the recurrence
-    a_{k+1} = ((B + A_k) a_k - G_k a_{k-1}) H_k, a_0 = 1, in fixed
-    point: every value is a Gaussian integer pair standing for its value
-    times 2^F, F = precision_bits + _D2_GUARD, and a step is twelve
-    integer multiplications and four shifts, each shift rounding to the
-    floor.  The B-independent rows (A_k, G_k, H_k) come from a table
-    kept for the most recent spec, parameter types and F
-    (`recurrence._scaled_step_table`).  Since a_0 = 1 and the errors
-    reach the limit through the dominant solution, an absolute rounding
-    error of 2^-F per step costs no more than mpc's relative one
-    (docs/math_notes.md, section 6).  Only the extrapolation nodes and
-    the last two terms are kept, and they return to mpc at
-    precision_bits.  Heun members only converge for |s| < 1; outside
-    that disk a warning is emitted and the numbers are returned
-    as-is."""
+    a_k = p_k(B) / n_k, with p_k = k! (gamma)_k c_k the monic continuant
+    of `continuant` and n_k = (gamma)_k (delta-1)_k, both run by
+    `rootfind._continuant_kernel` with F = precision_bits + _KERNEL_GUARD
+    fraction bits (`_d2_row_table`, `_d2_normaliser_states`).  Each
+    Neville node and a_{K-1}, a_K is one rounded division of the two,
+    the extrapolation runs on those Gaussian integers, and only its
+    result, a_K and a_{K-1} return to mpc at precision_bits
+    (docs/math_notes.md, section 6).  Heun members only converge for
+    |s| < 1; outside that disk a warning is emitted and the numbers are
+    returned as-is."""
     _check_d2_spec(spec, precision_bits)
     if K < 2:
         raise InvalidSpecError("K >= 2 required")
-    F = precision_bits + _D2_GUARD
+    F = precision_bits + _KERNEL_GUARD
     with working_precision(precision_bits):
         if spec.kind == FamilyKind.HEUN and abs(to_mpc(spec.s)) >= 1:
             warnings.warn(
@@ -464,52 +471,104 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
                 RuntimeWarning,
                 stacklevel=2,
             )
-        br, bi = _to_fixed(to_mpc(B), F)
-    rows = _scaled_step_table(spec, K, F)
+        b = to_mpc(B)
     nodes = _tail_nodes(K)
-    at_nodes = {}
-    pr = pi = 0                    # a_{-1} (G_0 = 0)
-    cr, ci = 1 << F, 0             # a_0
-    for k in range(K):
-        Ar, Ai, Gr, Gi, Hr, Hi = rows[k]
-        ur, ui = br + Ar, bi + Ai
-        tr = (ur * cr - ui * ci - Gr * pr + Gi * pi) >> F
-        ti = (ur * ci + ui * cr - Gr * pi - Gi * pr) >> F
-        pr, pi = cr, ci
-        cr, ci = (tr * Hr - ti * Hi) >> F, (tr * Hi + ti * Hr) >> F
-        if k + 1 in nodes:
-            at_nodes[k + 1] = (cr, ci)
+    stops = nodes[::-1]
+    p = rootfind._continuant_kernel(_d2_row_table(spec, K, F), F, b, stops)
+    n = _d2_normaliser_states(spec, K, F, stops)
+    # k -> (a_k, a_{k-1}) with F fraction bits
+    a = {k: [_ratio(x, y, F + ps[3] - ns[3]) for x, y in zip(ps, ns[:2])]
+         for k, ps, ns in zip(stops, p, n)}
+    cur, prev = a[K]
+    estimate = _neville_at_zero(nodes, [a[k][0] for k in nodes])
     with working_precision(precision_bits):
-        cur, prev = _from_fixed(cr, ci, F), _from_fixed(pr, pi, F)
-        estimate = (_extrapolate_tail(
-            nodes, [_from_fixed(*at_nodes[k], F) for k in nodes])
-            if nodes else cur)
+        cur, prev = _from_fixed(*cur, F), _from_fixed(*prev, F)
+        estimate = _from_fixed(*estimate, F)
         indicator = abs(cur - prev)
     return D2Estimate(B=B, K=K, estimate=estimate, tail=cur,
                       error_indicator=indicator)
+
+
+def _ratio(p, n, shift: int) -> tuple:
+    """p / n times 2^shift, rounded to the floor, for Gaussian-integer
+    pairs p and n, n nonzero."""
+    if shift < 0:
+        p, shift = (p[0] >> -shift, p[1] >> -shift), 0
+    return _fixed_div(*p, *n, shift)
+
+
+def _d2_row_table(spec: RecurrenceSpec, K: int, F: int) -> tuple:
+    """At least K rows of `continuant(spec, K).fixed_rows(F)`, kept for
+    the last spec, parameter types and F: A_k has degree at most 2 in k
+    and N_k at most 4, so `continuant` runs only for k = 0..4."""
+    global _d2_rows
+    key = (spec, spec.param_types, F)
+    if _d2_rows[0] != key or len(_d2_rows[1]) < K:
+        _d2_rows = (None, ())      # so two tables are never held at once
+        with working_precision(F + _KERNEL_GUARD):
+            head = continuant(spec, 5).fixed_rows(F + _KERNEL_GUARD)
+        _d2_rows = (key, tuple(_summed_rows(head, (2, 2, 4, 4), K)))
+    return _d2_rows[1]
+
+
+def _d2_normaliser_states(spec: RecurrenceSpec, K: int, F: int, stops):
+    """The `rootfind._continuant_kernel` states at stops of
+    n_k = (gamma)_k (delta-1)_k, from z = 0 and the rows
+    ((k+gamma)(k+delta-1), 0), kept for the last spec, types, F and K."""
+    global _d2_normaliser
+    key = (spec, spec.param_types, F, K)
+    if _d2_normaliser[0] != key:
+        W = F + _KERNEL_GUARD
+        with working_precision(W):
+            head = [_to_fixed((k + spec.gamma) * (k + spec.delta - 1), W)
+                    + (0, 0) for k in range(3)]
+        _d2_normaliser = (key, rootfind._continuant_kernel(
+            _summed_rows(head, (2, 2, 0, 0), K), F, 0, stops))
+    return _d2_normaliser[1]
+
+
+def _summed_rows(head, degrees, n: int):
+    """Rows k < n of columns that are polynomials in k of the given
+    degrees, from head[k], their values as ints with W = F + _KERNEL_GUARD
+    fraction bits at k = 0..max(degrees): the forward differences of
+    those ints are advanced by additions, and each row is shifted down
+    to F bits (docs/math_notes.md, section 6)."""
+    diffs = []
+    for j, degree in enumerate(degrees):
+        column, diff = [row[j] for row in head[:degree + 1]], []
+        while column:
+            diff.append(column[0])
+            column = [y - x for x, y in zip(column, column[1:])]
+        diffs.append(diff)
+    for _ in range(n):
+        yield tuple(d[0] >> _KERNEL_GUARD for d in diffs)
+        for d in diffs:
+            for j in range(len(d) - 1):
+                d[j] += d[j + 1]
 
 
 _TAIL_NODES = 8       # Neville nodes of the tail extrapolation
 
 
 def _tail_nodes(K: int) -> tuple:
-    """The k, largest first, whose a_k the extrapolation reads: none
+    """The k, largest first, whose a_k the extrapolation reads: K alone
     below 5 * _TAIL_NODES terms, where the raw tail a_K stands."""
     if K < 5 * _TAIL_NODES:
-        return ()
+        return (K,)
     step = K // 16
     return tuple(K - i * step for i in range(_TAIL_NODES))
 
 
-def _extrapolate_tail(ks, values):
-    """Neville extrapolation of the a_k at the nodes ks against h = 1/k
-    to h = 0."""
-    xs = [mp.mpf(1) / k for k in ks]
+def _neville_at_zero(ks, values) -> tuple:
+    """Neville extrapolation against h = 1/k to h = 0 of the
+    Gaussian-integer pairs values at the distinct nodes ks, whose weights
+    (k_i t_i - k_j t_{i+1}) / (k_i - k_j) are integers."""
     t = list(values)
-    n = len(t)
-    for j in range(1, n):
-        for i in range(n - j):
-            t[i] = (xs[i + j] * t[i] - xs[i] * t[i + 1]) / (xs[i + j] - xs[i])
+    for j in range(1, len(t)):
+        for i in range(len(t) - j):
+            a, b = ks[i], ks[i + j]
+            t[i] = tuple((a * x - b * y) // (a - b)
+                         for x, y in zip(t[i], t[i + 1]))
     return t[0]
 
 

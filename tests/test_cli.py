@@ -376,13 +376,13 @@ class TestExitCodes:
         from heunzeros import rootfind
 
         calls = []
-        kernel = rootfind._continuant_pair
+        kernel = rootfind._continuant_kernel
 
-        def counting(rows, F, z):
+        def counting(rows, F, z, stops, derivative=False):
             calls.append(z)
-            return kernel(rows, F, z)
+            return kernel(rows, F, z, stops, derivative)
 
-        monkeypatch.setattr(rootfind, "_continuant_pair", counting)
+        monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
         code, out, err = run(capsys, "zeros", "--family", "cheun", "--gamma",
                              "1/2", "--delta", "1/2", "--alpha", "5",
                              "--s=-20", "--m", "89", "--precision-bits", "64")
@@ -620,6 +620,26 @@ class TestScalarParsing:
         assert code == 4
         assert out == ""
         assert "not a finite number" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["zeros", "--family", "mathieu", "--q", "1e999999999999", "--m", "4"],
+        ["d2", "--family", "mathieu", "--q", "2", "--B", "1e999999999999"],
+    ], ids=["zeros-q", "d2-B"])
+    def test_magnitudes_beyond_the_double_range_are_invalid(self, capsys,
+                                                            argv):
+        # refused as read, before a fixed-point kernel tries to hold the
+        # value in an int of about 3.3e12 bits
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert "magnitude 2^1024 or more" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("bits", ["1", "2"])
+    def test_d2_runs_at_one_and_two_bits(self, capsys, bits):
+        code, out, err = run(capsys, "d2", "--family", "mathieu", "--q", "2",
+                             "--B", "1.3", "--precision-bits", bits)
+        assert code == 0, err
+        assert out.startswith("d2 estimate")
 
     def test_garbage_is_invalid(self, capsys):
         code, _, err = run(capsys, "zeros", "--family", "mathieu", "--q",

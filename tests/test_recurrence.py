@@ -21,7 +21,8 @@ from heunzeros.families import (
     from_lame,
     recurrence_coeffs,
 )
-from heunzeros import recurrence
+from heunzeros import tracking
+from heunzeros.perturbation import recurrence_row
 from heunzeros.recurrence import (
     DensePolynomial,
     PolynomialFamily,
@@ -32,6 +33,7 @@ from heunzeros.recurrence import (
     leading_coefficient_law,
 )
 from heunzeros.scalars import EXACT_FIELD, QQi, to_mpc, working_precision
+from heunzeros.tracking import continuant
 
 
 def _sym(q):
@@ -291,8 +293,9 @@ class TestStepTable:
 
 
 class TestScaledStepTable:
-    """The d2 kernel's rows come from forward differences of A_k and
-    N_k = k s F_k at k = 0..3, which is exact only while the coefficient
+    """The d2 tail's rows, the continuant's (A_k, N_k) and the
+    normaliser's (k+gamma)(k+delta-1), are summed from forward
+    differences at k = 0..4, which is exact only while the coefficient
     laws keep their degrees in k."""
 
     GENERIC = {
@@ -310,19 +313,18 @@ class TestScaledStepTable:
     @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
     def test_coefficient_laws_keep_their_degrees_in_k(self, kind):
         spec = self.GENERIC[kind]
-        A, N = [], []
-        for k in range(7):
-            D, E, F = recurrence_coeffs(spec, k)
-            A.append(D + spec.s * E)
-            N.append(k * spec.s * F)
+        rows = continuant(spec, 8)
+        norm = [(k + spec.gamma) * (k + spec.delta - 1) for k in range(8)]
 
         def difference(v, order):
+            v = list(v)
             for _ in range(order):
                 v = [b - a for a, b in zip(v, v[1:])]
             return v
 
-        assert all(isinstance(x, QQi) and x == 0 for x in difference(A, 3))
-        assert all(isinstance(x, QQi) and x == 0 for x in difference(N, 4))
+        for v, order in ((rows.A, 3), (rows.N, 5), (norm, 3)):
+            assert all(isinstance(x, QQi) and x == 0
+                       for x in difference(v, order))
 
     with working_precision(256):
         LAME_MPF = RecurrenceSpec(kind=FamilyKind.HEUN, gamma=mp.mpf(0.5),
@@ -344,22 +346,18 @@ class TestScaledStepTable:
             "mpf-spec"])
     @pytest.mark.parametrize("F", [96, 288])
     def test_rows_match_a_per_k_build(self, spec, F):
+        # the rows of continuant(spec, K), each built at k itself
         K = 12800
-        rows = recurrence._scaled_step_table(spec, K, F)
+        rows = tracking._d2_row_table(spec, K, F)
         assert len(rows) == K
         ks = list(range(40)) + list(range(40, K, 797)) + list(range(K - 5, K))
         with working_precision(F + 64):
-            big = RecurrenceSpec(spec.kind, *(
-                None if v is None else to_mpc(v) for v in
-                (spec.gamma, spec.delta, spec.s, spec.alpha, spec.beta)))
-            gamma, delta, s = big.gamma, big.delta, big.s
             tol = mp.mpf(2) ** (8 - F)
             for k in ks:
-                D, E, Fk = recurrence_coeffs(big, k)
-                want = (D + s * E, k * s * Fk / (delta + k - 2),
-                        1 / ((k + gamma) * (delta + k - 1)))
+                D, E, G = recurrence_row(spec, k)
                 row = rows[k]
-                for j, w in enumerate(want):
+                for j, w in enumerate((D + spec.s * E, spec.s * G)):
+                    w = to_mpc(w)
                     got = mp.mpc(mp.ldexp(row[2 * j], -F),
                                  mp.ldexp(row[2 * j + 1], -F))
                     assert abs(got - w) <= tol * max(1, abs(w)), (k, j)

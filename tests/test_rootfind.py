@@ -251,13 +251,13 @@ class TestNewtonFirst:
         import heunzeros.rootfind as rootfind
 
         calls = []
-        kernel = rootfind._continuant_pair
+        kernel = rootfind._continuant_kernel
 
-        def counting(rows, F, z):
+        def counting(rows, F, z, stops, derivative=False):
             calls.append(z)
-            return kernel(rows, F, z)
+            return kernel(rows, F, z, stops, derivative)
 
-        monkeypatch.setattr(rootfind, "_continuant_pair", counting)
+        monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
         poly = poly_from_roots([QQi(1), QQi(2), QQi(-3)])
         for seeds in (["1.01", "1.98", "-3.02"], [1, 1, -3], [0, 0, 0]):
             calls.clear()
@@ -296,10 +296,10 @@ class TestRefinement:
 
         spec, _ = from_lame(LameParams(n=2, s="1/2"))
 
-        def no_sweeps(rows, F, z):
+        def no_sweeps(rows, F, z, stops, derivative=False):
             raise AssertionError("evaluated the polynomial")
 
-        monkeypatch.setattr(rootfind, "_continuant_pair", no_sweeps)
+        monkeypatch.setattr(rootfind, "_continuant_kernel", no_sweeps)
         with pytest.raises(NonConvergenceError,
                            match=r"tolerance 1\.0e-70 .*2\^-88.*88-bit"):
             find_all_roots(continuant(spec, 8), [0] * 8, precision_bits=64,
@@ -339,8 +339,9 @@ class TestZeroSet:
 
 
 class TestContinuantKernel:
-    """The fixed-point (p_m, p_m') against m! (gamma)_m times the exact
-    c_m and c_m' at rational points."""
+    """The fixed-point (p_m, p_m'), scaled by the kernel's window
+    exponent, against m! (gamma)_m times the exact c_m and c_m' at
+    rational points."""
 
     @pytest.mark.parametrize("spec,m,z", [
         (from_lame(LameParams(n=2, s="1/2"))[0], 12, QQi(F(-7, 3), F(1, 5))),
@@ -363,14 +364,30 @@ class TestContinuantKernel:
         Fb = bits + 24 + rootfind._KERNEL_GUARD
         rows = continuant(spec, m).fixed_rows(Fb)
         with working_precision(Fb + 64):
-            got_p, got_dp = rootfind._continuant_pair(rows, Fb, to_mpc(z))
+            [(p_m, _, dp_m, e)] = rootfind._continuant_kernel(
+                rows, Fb, to_mpc(z), (m,), derivative=True)
             want_p, want_dp = to_mpc(p), to_mpc(dp)
-            # both values carry one power of two
-            two_e = mp.mpf(2) ** mp.nint(mp.log(abs(want_p / got_p), 2))
             assert abs(want_p) > 1 and abs(want_dp) > 1
-            for got, want in ((got_p, want_p), (got_dp, want_dp)):
-                assert abs(got * two_e - want) <= \
+            # each pair (x, y) stands for (x + iy) 2^(e - F)
+            for got, want in ((p_m, want_p), (dp_m, want_dp)):
+                got = mp.mpc(*got) * mp.mpf(2) ** (e - Fb)
+                assert abs(got - want) <= \
                     mp.mpf(2) ** (8 - Fb) * abs(want)
+
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_states_at_stops_are_those_of_shorter_runs(self, derivative):
+        spec = from_lame(LameParams(n=2, s="1/2"))[0]
+        bits = 128
+        rows = continuant(spec, 12).fixed_rows(bits)
+        z = QQi(F(-7, 3), F(1, 5))
+        states = rootfind._continuant_kernel(rows, bits, z, (0, 3, 7, 12),
+                                             derivative)
+        assert states[0] == ((1 << bits, 0), (0, 0), (0, 0), 0)
+        for k, state in zip((3, 7, 12), states[1:]):
+            assert rootfind._continuant_kernel(
+                rows[:k], bits, z, (k,), derivative) == [state]
+            assert (state[2] != (0, 0)) == derivative
 
 
 def brute_overlapping(polished, n, tol):

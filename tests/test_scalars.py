@@ -150,6 +150,19 @@ class TestScalarReader:
         with pytest.raises(ValueError, match="cannot parse scalar"):
             parse_scalar(bad, 256)
 
+    @pytest.mark.parametrize("text", [
+        str(2 ** 1024), f"-{2 ** 1024}/1", f"1+{2 ** 1024}i", "2e308",
+        "-1.8e308i", "1e999999999999"])
+    @pytest.mark.parametrize("bits", [1, 256])
+    def test_refuses_magnitudes_beyond_the_double_range(self, text, bits):
+        with pytest.raises(ValueError, match=r"magnitude 2\^1024 or more"):
+            parse_scalar(text, bits)
+
+    def test_accepts_magnitudes_within_the_double_range(self):
+        assert parse_scalar(str(2 ** 1024 - 1)) == QQi(2 ** 1024 - 1)
+        assert 2 ** 1023 < parse_scalar("1.7e308", 256) < 2 ** 1024
+        assert parse_scalar("1e-999999999999", 1) > 0
+
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "+inf", "NaN"])
     def test_refuses_non_finite(self, text):
         with pytest.raises(ValueError, match="not a finite number"):

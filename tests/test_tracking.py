@@ -21,7 +21,7 @@ from heunzeros.families import (
     from_mathieu,
     recurrence_coeffs,
 )
-from heunzeros import recurrence, tracking
+from heunzeros import recurrence, rootfind, tracking
 from heunzeros.perturbation import perturbative_seeds, zero_estimate
 from heunzeros.recurrence import build_family, eval_sequence
 from heunzeros.rootfind import (
@@ -564,6 +564,16 @@ class TestD2Sequence:
         # the raw tail is only O(1/K); extrapolation must beat it
         assert abs(est.tail - exact) > abs(est.estimate - exact)
 
+    @pytest.mark.parametrize("K", [39, 400])
+    def test_exact_zero_of_the_tail_at_s0(self, K):
+        # at s = 0, c_k(-4) = 0 for k >= 3: p_k vanishes, the kernel's
+        # window exponent falls without bound, and a_k is exactly 0
+        spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
+                              delta="1/2", s=0)
+        est = d2_sequence(spec, -4, K=K)
+        assert (est.estimate, est.tail, est.error_indicator) == (0, 0, 0)
+        assert d2_closed_form_s0(spec, -4) == 0
+
     def test_full_family_outside_disk_warns(self):
         spec = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2",
                               delta="1/2", alpha="3/2", beta=-1, s=2)
@@ -613,9 +623,10 @@ def _bits(x):
 
 
 class TestScaledTail:
-    """d2_sequence runs a_k = c_k k!/(delta-1)_k by its own recurrence
-    from a table of scaled step rows; it must agree with the plain route
-    and not depend on what the table held before."""
+    """d2_sequence runs a_k = c_k k!/(delta-1)_k as the continuant over
+    its normaliser, from a kept table of continuant rows and a kept
+    normaliser; it must agree with the plain route and not depend on
+    what those held before."""
 
     HEUN_EDGE = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2",
                                delta="1/2", alpha="3/2", beta="-1",
@@ -674,7 +685,8 @@ class TestScaledTail:
         B = mp.mpc("-3.1", "0.25")
         cold = []
         for spec, bits, K in self.CASES:
-            monkeypatch.setattr(recurrence, "_scaled_steps", (None, ()))
+            monkeypatch.setattr(tracking, "_d2_rows", (None, ()))
+            monkeypatch.setattr(tracking, "_d2_normaliser", (None, ()))
             cold.append(d2_sequence(spec, B, K, bits))
         for (spec, bits, K), want in zip(self.CASES, cold):
             got = d2_sequence(spec, B, K, bits)
@@ -682,6 +694,26 @@ class TestScaledTail:
                                        got.error_indicator)] == \
                 [_bits(x) for x in (want.estimate, want.tail,
                                     want.error_indicator)], (spec, bits, K)
+
+    def test_d2_and_the_zeros_step_through_one_kernel(self, monkeypatch):
+        # the d2 tail, its normaliser and the Newton evaluations of the
+        # zeros all run rootfind's continuant loop
+        calls = []
+        kernel = rootfind._continuant_kernel
+
+        def counting(rows, F, z, stops, derivative=False):
+            calls.append((tuple(stops), derivative))
+            return kernel(rows, F, z, stops, derivative)
+
+        monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
+        monkeypatch.setattr(tracking, "_d2_normaliser", (None, ()))
+        spec = THREE_FAMILIES[1]
+        d2_sequence(spec, mp.mpf("1.3"), K=400)
+        stops = (225, 250, 275, 300, 325, 350, 375, 400)
+        assert calls == [(stops, False), (stops, False)]
+        calls.clear()
+        solve_zeros(spec, 6)
+        assert calls and set(calls) == {((6,), True)}
 
     def test_never_evaluates_the_plain_sequence(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -694,26 +726,31 @@ class TestScaledTail:
 
 
 class TestFixedPointTail:
-    """d2_sequence runs in fixed point with _D2_GUARD bits beyond the
-    requested precision; its results must hold that precision."""
+    """d2_sequence runs in fixed point with _KERNEL_GUARD bits beyond the
+    requested precision and extrapolates on the fixed-point values; its
+    results must hold that precision."""
 
-    @pytest.mark.parametrize("bits", [64, 256, 512])
+    # (spec, B, a dyadic B near it): below 64 bits B itself would round
+    # differently at the two precisions compared
+    CASES = [
+        (THREE_FAMILIES[0], "-31/10", "-25/8"),
+        (THREE_FAMILIES[1], "13/10", "5/4"),
+        (THREE_FAMILIES[2], "-1+1/3i", "-1+3/8i"),
+        (from_mathieu(MathieuParams(q="2i"))[0], "1/2", "1/2"),
+        (RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
+                        delta="1/2", s=0), "-11/5", "-9/4"),
+        (TestScaledTail.HEUN_EDGE, "-23/10", "-19/8"),
+        (RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/3",
+                        delta="2/3+1/5i", alpha="5/2", s="-1/2"),
+         "-1+1/2i", "-1+1/2i"),
+    ]
+
+    @pytest.mark.parametrize("bits", [8, 16, 32, 53, 64, 256, 512])
     def test_agrees_with_a_run_at_96_more_bits(self, bits):
-        cases = [
-            (THREE_FAMILIES[0], "-31/10"),
-            (THREE_FAMILIES[1], "13/10"),
-            (THREE_FAMILIES[2], "-1+1/3i"),
-            (from_mathieu(MathieuParams(q="2i"))[0], "1/2"),
-            (RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
-                            delta="1/2", s=0), "-11/5"),
-            (TestScaledTail.HEUN_EDGE, "-23/10"),
-            (RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/3",
-                            delta="2/3+1/5i", alpha="5/2", s="-1/2"),
-             "-1+1/2i"),
-        ]
-        tol = mp.mpf(2) ** (40 - bits)
-        for spec, B in cases:
-            for K in (40, 400):
+        tol = mp.mpf(2) ** (8 - bits)
+        for spec, B, dyadic in self.CASES:
+            B = dyadic if bits < 64 else B
+            for K in (40, 400, 1600):
                 got = d2_sequence(spec, B, K, bits)
                 ref = d2_sequence(spec, B, K, bits + 96)
                 with working_precision(bits + 96):
@@ -759,15 +796,18 @@ class TestD2ZeroSearch:
             d2_zero_search(spec, mp.mpf("1.4"))
 
     def test_search_builds_each_step_row_once(self, monkeypatch):
-        # seven d2 evaluations at K = 400 share one table of step rows
+        # seven d2 evaluations at K = 400 share one table of continuant
+        # rows, summed from the rows at k = 0..4
         calls = []
+        row = tracking.recurrence_row
 
         def counting(spec, m):
             calls.append(m)
-            return recurrence_coeffs(spec, m)
+            return row(spec, m)
 
-        monkeypatch.setattr(recurrence, "recurrence_coeffs", counting)
+        monkeypatch.setattr(tracking, "recurrence_row", counting)
+        monkeypatch.setattr(tracking, "_d2_rows", (None, ()))
         spec, _ = from_mathieu(MathieuParams(q=2))
         res = d2_zero_search(spec, mp.mpf("1.4"), K=400)
         assert res.K_used == 400
-        assert len(calls) <= 400
+        assert calls == [0, 1, 2, 3, 4]
