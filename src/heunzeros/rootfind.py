@@ -1,28 +1,19 @@
 """Polynomial root polishing at configurable precision, and the QL
 eigenvalue solver that supplies its seeds.
 
-`find_all_roots` takes caller-supplied seeds, one per root (the
-eigenvalues of a tridiagonal matrix from `tridiagonal_eigenvalues`, or
-perturbative zero estimates), and polishes each alone by Newton's
-method.  The result stands when disks around the polished points, each
-holding a root, are pairwise disjoint and every residual meets the
-tolerance; otherwise it raises, and the caller may bring better seeds
-(`tracking.solve_zeros` climbs a ladder of QL precisions).  Nothing
-iterates beyond a fixed number of Newton steps per seed, and everything
-is deterministic: no starting point comes from a random generator.
-
-The polynomial is a `Continuant`, the rows of a three-term recurrence,
-and (p(z), p'(z)) comes from running that recurrence and its derivative
-in fixed-point Gaussian integers (`_continuant_kernel`, which also runs
-the d2 tail); the dense coefficients of c_m are never formed.
-
-Residuals are reported as |p(z)/p'(z)|, the Newton-step length, which
-estimates the absolute distance to the true root.  They come from the
-same evaluation as the Newton steps, on the recurrence's own rows, so
-they describe the zeros of the polynomial the recurrence defines and
-not those of a rounded copy of it.  For real rows the disks also decide
-which zeros are real: those are placed exactly on the axis, and
-`ZeroSet.real_zeros` counts them.
+`find_all_roots` polishes caller-supplied seeds, one per root (such as
+the eigenvalues from `tridiagonal_eigenvalues`), each alone by Newton's
+method on a `Continuant`, the rows of a three-term recurrence: p and p'
+come from that recurrence run in fixed-point Gaussian integers
+(`_continuant_kernel`, which also runs the d2 tail), never from dense
+coefficients, at widths that rise with the bits already right and end
+at the full width (`_fixed_newton`).  The result stands when disks
+around the polished points, each holding a root, are pairwise disjoint
+and every residual, the last Newton step |p/p'|, meets the tolerance;
+for real rows the disks also place the real zeros on the axis.
+Otherwise it raises, and the caller may bring better seeds
+(`tracking.solve_zeros` climbs a ladder of QL precisions).  The steps
+per seed are bounded, and no start point comes from a random generator.
 """
 
 from __future__ import annotations
@@ -60,10 +51,10 @@ class ZeroSet:
     """All zeros of one polynomial, display-sorted.
 
     Display order is descending real part, ties by ascending imaginary
-    part.  residuals[i] is the Newton step |p/p'| at zeros[i], from the
-    evaluation `find_all_roots` used: the three-term recurrence in
-    fixed point, never rounded dense coefficients.  A zero is real
-    exactly when its imaginary part is 0, which for real rows
+    part.  residuals[i] is the full-width Newton step |p/p'| that
+    `find_all_roots` took to zeros[i], on the three-term recurrence in
+    fixed point: it bounds the error of zeros[i] from above.  A zero is
+    real exactly when its imaginary part is 0, which for real rows
     `find_all_roots` sets on the zeros whose disks show them real.
     labels[i] is the grid index k matched to zeros[i] (None when no
     labelling was requested).  seed_bits is the rung of the
@@ -154,17 +145,17 @@ _KERNEL_SPAN = 32     # width, in bits, of the window that holds the
 def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False):
     """The state (p_k, p_{k-1}, p'_k, e) at each k of the ascending stops
     of p_{k+1} = (z + A_k) p_k - N_k p_{k-1}, p_0 = 1, on the iterable
-    rows of `Continuant.fixed_rows(F)`; each value is a pair (x, y) of
-    ints standing for (x + iy) 2^(e-F).
+    rows of `Continuant.fixed_rows(F)`; the pair of ints z = (x, y)
+    stands for (x + iy) 2^-F, and each value (x, y) for (x + iy) 2^(e-F).
 
-    Runs on Gaussian integers, z truncated to F fraction bits once; a
-    product is shifted back by F bits, rounding to the floor.  With
-    derivative, p'_{k+1} = (z + A_k) p'_k + p_k - N_k p'_{k-1} runs
-    alongside; without it p' stays 0.  The state ints share the exponent
-    e, for p_m can reach 2^1300 at m = 100: when the larger of the new
-    p_k and p'_k leaves [2^(F+S), 2^(F+2S)), S = _KERNEL_SPAN, all are
-    shifted back to 2^(F+S) together (docs/math_notes.md, section 8)."""
-    zr, zi = _to_fixed(z, F)
+    Runs on Gaussian integers; a product is shifted back by F bits,
+    rounding to the floor.  With derivative, p'_{k+1} = (z + A_k) p'_k
+    + p_k - N_k p'_{k-1} runs alongside; without it p' stays 0.  The
+    state ints share the exponent e, for p_m can reach 2^1300 at
+    m = 100: when the larger of the new p_k and p'_k leaves
+    [2^(F+S), 2^(F+2S)), S = _KERNEL_SPAN, all are shifted back to
+    2^(F+S) together (docs/math_notes.md, section 8)."""
+    zr, zi = z
     pr, pi, qr, qi = 1 << F, 0, 0, 0     # p_k, p_{k-1}
     dr = di = er = ei = 0                # p'_k, p'_{k-1}
     e = k = 0
@@ -241,6 +232,8 @@ def newton_polygon_seeds(coeffs) -> list:
 
 _QL_MAX_STEPS = 50    # QL steps allowed per eigenvalue
 _POLISH_STEPS = 40    # Newton steps allowed per root
+_SEED_BITS = 53       # bits a seed is taken to be right to: a double
+_WIDTH_STEP = 64      # the narrow Newton steps' widths are multiples of it
 
 
 def tridiagonal_eigenvalues(diag, offdiag, precision_bits: int = 53):
@@ -450,20 +443,19 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
     `tracking.solve_zeros` passes them; anything else raises TypeError.
     seeds: the starting points, one per root (any other count raises
     InvalidSpecError), such as the eigenvalues of its Jacobi matrix.
-    Each seed is polished alone by `_newton_polish` at precision_bits +
-    24 bits, on (p(z), p'(z)) from the recurrence in fixed point with
-    precision_bits + 24 + _KERNEL_GUARD fraction bits
-    (`_continuant_kernel`).  The result stands when the disks
-    D(z_i, max(n |p/p'|(z_i), tol (1 + |z_i|))) are pairwise disjoint,
-    which leaves one root in each, and every residual |p/p'|(z_i) is
-    below tol (1 + |z_i|).  For real rows the disks also show which
-    roots are real and which are conjugate pairs, and `_mirrored` makes
-    the result exactly symmetric about the real axis, with the real
-    roots on it.  Otherwise NonConvergenceError is raised, with
-    `overlapping` naming the roots whose disks meet another one: those
-    seeds were not near distinct roots.  When it is empty, the disks are
-    disjoint and the residuals that missed tol are what the arithmetic
-    resolves, so no other seeds can help.  A tol below
+    Each seed is polished alone by `_fixed_newton`, at widths up to
+    F = precision_bits + 24 + _KERNEL_GUARD fraction bits; the zero z_i
+    has taken its last step, of length r_i (the residual) at width F.
+    The result stands when the disks D(z_i, max((n + 1) r_i,
+    tol (1 + |z_i|))) are pairwise disjoint, which leaves one root in
+    each, and every r_i is below tol (1 + |z_i|).  For real rows the
+    disks also show which roots are real and which are conjugate pairs,
+    and `_mirrored` makes the result exactly symmetric about the real
+    axis, with the real roots on it.  Otherwise NonConvergenceError is
+    raised, with `overlapping` naming the roots whose disks meet another
+    one: those seeds were not near distinct roots.  When it is empty,
+    the disks are disjoint and the residuals that missed tol are what
+    the arithmetic resolves, so no other seeds can help.  A tol below
     2^-(precision_bits + 24), which the working precision cannot
     resolve, raises the same way before any evaluation.  Every zero of
     the result has therefore converged.
@@ -488,14 +480,10 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
             raise InvalidSpecError(
                 f"{len(seeds)} seeds for a degree-{n} polynomial")
         F = work_bits + _KERNEL_GUARD
-        rows = poly.fixed_rows(F)
-
-        def evaluate(z):     # p and p' times one 2^-e, which cancels
-            [(p, _, dp, _)] = _continuant_kernel(rows, F, z, (n,), True)
-            return _from_fixed(*p, F), _from_fixed(*dp, F)
-
-        polished = [_newton_polish(evaluate, to_mpc(s), tol) for s in seeds]
-        z, rad = _disks(polished, n, tol)
+        tables = {F: poly.fixed_rows(F)}
+        polished = [_fixed_newton(tables, F, _to_fixed(to_mpc(s), F), tol)
+                    for s in seeds]
+        z, rad = _disks(polished, n + 1, tol)
         pairs = _real_extent_pairs(z, rad)
         overlap = _overlapping(z, rad, pairs)
         if overlap:
@@ -533,9 +521,10 @@ def _head(indices) -> str:
 
 def _disks(polished, n, tol) -> tuple:
     """(centres, radii) of the disks D(z_i, max(n res_i, tol (1 + |z_i|)))
-    around (root, residual, converged) triples.  res = |p/p'|(z) and
-    p'/p = sum_k 1/(z - r_k) give min_k |z - r_k| <= n res, so each
-    disk holds a root."""
+    around (root, residual, converged) triples.  A root z = z' - w after
+    a Newton step w = p/p'(z') has min_k |z' - r_k| <= deg |w|, from
+    p'/p = sum_k 1/(z' - r_k), so with n = deg + 1, res = |w| each disk
+    holds a root."""
     z = [r for r, _, _ in polished]
     return z, [max(n * res, tol * (1 + abs(r))) for r, res, _ in polished]
 
@@ -577,7 +566,7 @@ def _mirrored(polished, z, rad, pairs) -> list:
     and z_i moves onto the axis, which brings it no further from x_i.
     When it is one other disk D_j, the zero there is conj(x_i), and of
     z_i and z_j the one with the larger residual becomes the mirror
-    image of the other, whose residual |p/p'| it shares.  The mirror
+    image of the other, whose residual it shares.  The mirror
     image has the real extent of D_i, so only D_i and the disks paired
     with it in pairs can meet it."""
     near = [[i] for i in range(len(z))]
@@ -600,31 +589,42 @@ def _mirrored(polished, z, rad, pairs) -> list:
     return out
 
 
-def _newton_polish(evaluate, z, tol):
-    """Newton iteration on evaluate: z -> (p(z), p'(z)); returns
-    (root, |p/p'| residual, converged)."""
-    last = mp.inf
-    grew = 0
-    for _ in range(_POLISH_STEPS):
-        p, dp = evaluate(z)
-        if p == 0:
-            return z, mp.mpf(0), True
-        if dp == 0:
-            return z, abs(p), False
-        w = p / dp
-        step = abs(w)
-        z = z - w
-        if step < tol * (1 + abs(z)) / 8:
-            p2, dp2 = evaluate(z)
-            res = abs(p2 / dp2) if dp2 != 0 else abs(p2)
-            return z, res, res < tol * (1 + abs(z))
-        grew = grew + 1 if step > last else 0
-        if grew >= 3:
-            break
-        last = step
-    p, dp = evaluate(z)
-    res = abs(p / dp) if dp != 0 else abs(p)
-    return z, res, res < tol * (1 + abs(z))
+def _fixed_newton(tables, F: int, z, tol):
+    """Newton's method from z = (x, y), x + iy with F fraction bits, on
+    the continuant with `Continuant.fixed_rows(F)` tables[F], each step
+    w = p/p' by `_continuant_kernel` at a width W <= F of about
+    2b + _KERNEL_GUARD bits, b the bits of z already right: _SEED_BITS,
+    then 2t after a step of relative length 2^-t (docs/math_notes.md,
+    section 8).  W is rounded up to a multiple of _WIDTH_STEP, and tables
+    keeps the rows shifted to it.  The first full-width step with
+    |w| < tol (1 + |z - w|) / 8, or the one that ends _POLISH_STEPS steps
+    or three growing ones, gives (root, residual, converged): z - w, |w|
+    and whether |w| < tol (1 + |z - w|); at p' = 0 the residual is
+    infinite."""
+    zr, zi = z
+    right, last, grew = _SEED_BITS, None, 0
+    for k in range(_POLISH_STEPS):
+        final = grew >= 3 or k == _POLISH_STEPS - 1
+        W = -(-(2 * right + _KERNEL_GUARD) // _WIDTH_STEP) * _WIDTH_STEP
+        W = F if final else min(F, max(_WIDTH_STEP, W))
+        if W not in tables:
+            tables[W] = tuple(tuple(x >> (F - W) for x in row)
+                              for row in tables[F])
+        [(p, _, dp, _)] = _continuant_kernel(
+            tables[W], W, (zr >> (F - W), zi >> (F - W)),
+            (len(tables[F]),), True)
+        if dp == (0, 0):
+            return _from_fixed(zr, zi, F), mp.inf, False
+        wr, wi = _fixed_div(*p, *dp, F)     # the shared 2^e cancels
+        zr, zi = zr - wr, zi - wi
+        size = isqrt(wr * wr + wi * wi)              # |w| 2^F
+        scale = (1 << F) + isqrt(zr * zr + zi * zi)  # (1 + |z - w|) 2^F
+        if W == F and (final or 8 * size < tol * scale):
+            root, res = _from_fixed(zr, zi, F), mp.ldexp(size, -F)
+            return root, res, res < tol * (1 + abs(root))
+        grew = grew + 1 if last is not None and size > last else 0
+        last = size
+        right = 2 * (scale.bit_length() - size.bit_length())
 
 
 def real_zero_count(zeros) -> int:

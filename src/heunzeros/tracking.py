@@ -471,7 +471,7 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
                 RuntimeWarning,
                 stacklevel=2,
             )
-        b = to_mpc(B)
+        b = _to_fixed(to_mpc(B), F)
     nodes = _tail_nodes(K)
     stops = nodes[::-1]
     p = rootfind._continuant_kernel(_d2_row_table(spec, K, F), F, b, stops)
@@ -523,7 +523,7 @@ def _d2_normaliser_states(spec: RecurrenceSpec, K: int, F: int, stops):
             head = [_to_fixed((k + spec.gamma) * (k + spec.delta - 1), W)
                     + (0, 0) for k in range(3)]
         _d2_normaliser = (key, rootfind._continuant_kernel(
-            _summed_rows(head, (2, 2, 0, 0), K), F, 0, stops))
+            _summed_rows(head, (2, 2, 0, 0), K), F, (0, 0), stops))
     return _d2_normaliser[1]
 
 

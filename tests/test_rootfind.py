@@ -28,7 +28,7 @@ from heunzeros.rootfind import (
     real_zero_count,
     tridiagonal_eigenvalues,
 )
-from heunzeros.scalars import QQi, to_mpc, working_precision
+from heunzeros.scalars import QQi, _to_fixed, to_mpc, working_precision
 from heunzeros.tracking import continuant
 
 F = Fraction
@@ -245,27 +245,54 @@ class TestNewtonFirst:
         assert [mp.nstr(z.imag, 10) for z in zs.zeros[2:]] == ["-1.0", "1.0"]
 
     def test_one_polish_per_seed_bounds_the_work(self, monkeypatch):
-        # no iteration beyond the Newton polish: at most
-        # _POLISH_STEPS + 1 evaluations per seed, whether the seeds
-        # stand or not
+        # no iteration beyond the Newton polish: one `_fixed_newton` per
+        # seed, with at most _POLISH_STEPS evaluations, whether the
+        # seeds stand or not
         import heunzeros.rootfind as rootfind
 
-        calls = []
-        kernel = rootfind._continuant_kernel
+        calls, polishes = [], []
+        kernel, polish = rootfind._continuant_kernel, rootfind._fixed_newton
 
         def counting(rows, F, z, stops, derivative=False):
             calls.append(z)
             return kernel(rows, F, z, stops, derivative)
 
+        def polishing(*args):
+            before = len(calls)
+            result = polish(*args)
+            polishes.append(len(calls) - before)
+            return result
+
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
+        monkeypatch.setattr(rootfind, "_fixed_newton", polishing)
         poly = poly_from_roots([QQi(1), QQi(2), QQi(-3)])
         for seeds in (["1.01", "1.98", "-3.02"], [1, 1, -3], [0, 0, 0]):
             calls.clear()
+            polishes.clear()
             try:
                 find_all_roots(poly, seeds, precision_bits=128)
             except NonConvergenceError:
                 pass
-            assert 0 < len(calls) <= 3 * (rootfind._POLISH_STEPS + 1)
+            assert len(polishes) == 3 and sum(polishes) == len(calls)
+            assert all(0 < k <= rootfind._POLISH_STEPS for k in polishes)
+
+    def test_zero_derivative_gives_an_infinite_residual(self):
+        # p = z^2 - 10^-6 has p'(0) = 0: no Newton step, and no disk,
+        # can come from there, so the seed counts as overlapping
+        import heunzeros.rootfind as rootfind
+
+        poly = Continuant(A=(0, 0), N=(0, F(1, 10 ** 6)))
+        width = 128 + 24 + rootfind._KERNEL_GUARD
+        with working_precision(128 + 24):
+            root, res, ok = rootfind._fixed_newton(
+                {width: poly.fixed_rows(width)}, width, (0, 0),
+                default_tol(128))
+        assert (root, res, ok) == (0, mp.inf, False)
+        with pytest.raises(NonConvergenceError,
+                           match=r"disks of 2 of 2 polished seeds overlap"
+                           ) as exc:
+            find_all_roots(poly, [0, "0.001"], precision_bits=128)
+        assert exc.value.overlapping == (0, 1)
 
 
 class TestRefinement:
@@ -273,15 +300,15 @@ class TestRefinement:
         import heunzeros.rootfind as rootfind
 
         spec, _ = from_lame(LameParams(n=2, s="1/2"))
-        polish = rootfind._newton_polish
+        polish = rootfind._fixed_newton
         calls = []
 
-        def first_root_fails(coeffs, z, tol):
+        def first_root_fails(tables, F, z, tol):
             calls.append(z)
-            r, res, ok = polish(coeffs, z, tol)
+            r, res, ok = polish(tables, F, z, tol)
             return r, res, ok and len(calls) > 1
 
-        monkeypatch.setattr(rootfind, "_newton_polish", first_root_fails)
+        monkeypatch.setattr(rootfind, "_fixed_newton", first_root_fails)
         with pytest.raises(NonConvergenceError,
                            match=r"1 of 10 roots failed the tolerance check"
                                  r" \(indices \[0\]; relative residuals "
@@ -365,7 +392,7 @@ class TestContinuantKernel:
         rows = continuant(spec, m).fixed_rows(Fb)
         with working_precision(Fb + 64):
             [(p_m, _, dp_m, e)] = rootfind._continuant_kernel(
-                rows, Fb, to_mpc(z), (m,), derivative=True)
+                rows, Fb, _to_fixed(to_mpc(z), Fb), (m,), derivative=True)
             want_p, want_dp = to_mpc(p), to_mpc(dp)
             assert abs(want_p) > 1 and abs(want_dp) > 1
             # each pair (x, y) stands for (x + iy) 2^(e - F)
@@ -380,7 +407,7 @@ class TestContinuantKernel:
         spec = from_lame(LameParams(n=2, s="1/2"))[0]
         bits = 128
         rows = continuant(spec, 12).fixed_rows(bits)
-        z = QQi(F(-7, 3), F(1, 5))
+        z = _to_fixed(QQi(F(-7, 3), F(1, 5)), bits)
         states = rootfind._continuant_kernel(rows, bits, z, (0, 3, 7, 12),
                                              derivative)
         assert states[0] == ((1 << bits, 0), (0, 0), (0, 0), 0)

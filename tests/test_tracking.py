@@ -320,14 +320,14 @@ class TestJacobiSeeds:
             runs.append(bits)
             return real(diag, off, bits)
 
-        polish = rootfind._newton_polish
+        polish = rootfind._fixed_newton
 
-        def never_converged(coeffs, z, tol):
-            r, res, _ = polish(coeffs, z, tol)
+        def never_converged(tables, F, z, tol):
+            r, res, _ = polish(tables, F, z, tol)
             return r, res, False
 
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", recording)
-        monkeypatch.setattr(rootfind, "_newton_polish", never_converged)
+        monkeypatch.setattr(rootfind, "_fixed_newton", never_converged)
         with pytest.raises(NonConvergenceError,
                            match=r"53 bits: 6 of 6 roots failed the "
                                  r"tolerance check .* though their disks "
@@ -389,6 +389,55 @@ class TestJacobiSeeds:
         for spec in THREE_FAMILIES:
             assert solve_zeros(spec, 12).degree == 12
         assert solve_zeros(WHILL_STRONG, 50).degree == 50
+
+
+class TestFixedPointNewton:
+    """`rootfind._fixed_newton` steps at rising widths and evaluates at
+    the full width about once per zero."""
+
+    @pytest.mark.parametrize("spec,m,rung", [
+        (THREE_FAMILIES[1], 40, 53),
+        (WHILL_STRONG, 100, 106),
+    ], ids=["mathieu-2", "whill-m100"])
+    def test_about_one_full_width_evaluation_per_zero(self, monkeypatch,
+                                                      spec, m, rung):
+        widths = []
+        kernel = rootfind._continuant_kernel
+
+        def counting(rows, F, z, stops, derivative=False):
+            widths.append(F)
+            return kernel(rows, F, z, stops, derivative)
+
+        monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
+        assert solve_zeros(spec, m).seed_bits == rung
+        full = 256 + 24 + rootfind._KERNEL_GUARD
+        assert max(widths) == full
+        assert widths.count(full) <= 1.3 * m
+        # each zero starts below the full width
+        assert len(widths) - widths.count(full) >= m
+
+    @pytest.mark.parametrize("spec,m,worst", [
+        (WHILL_STRONG, 100, 7.3e-79),
+        (from_lame(LameParams(n=2, s="1/2"))[0], 40, 4.8e-85),
+    ], ids=["whill-m100", "lame-1/2"])
+    def test_zeros_against_a_768_bit_solve(self, spec, m, worst):
+        # each zero of the 768-bit solve lies in the disk of radius
+        # (m + 1) residual around its 256-bit counterpart, the relative
+        # error stays within 4 times the worst of the mpc polish this
+        # polish replaced, and a second solve gives the same bits
+        zs = solve_zeros(spec, m)
+        ref = solve_zeros(spec, m, precision_bits=768)
+        with working_precision(768):
+            errors = [min(abs(z - x) for x in ref.zeros) for z in zs.zeros]
+            assert all(e <= (m + 1) * r
+                       for e, r in zip(errors, zs.residuals))
+            assert max(e / abs(z) for e, z in zip(errors, zs.zeros)) \
+                < 4 * worst
+        again = solve_zeros(spec, m)
+        assert [(z.real._mpf_, z.imag._mpf_, r._mpf_)
+                for z, r in zip(zs.zeros, zs.residuals)] == \
+            [(z.real._mpf_, z.imag._mpf_, r._mpf_)
+             for z, r in zip(again.zeros, again.residuals)]
 
 
 class TestMatching:
@@ -696,24 +745,35 @@ class TestScaledTail:
                                     want.error_indicator)], (spec, bits, K)
 
     def test_d2_and_the_zeros_step_through_one_kernel(self, monkeypatch):
-        # the d2 tail, its normaliser and the Newton evaluations of the
-        # zeros all run rootfind's continuant loop
-        calls = []
-        kernel = rootfind._continuant_kernel
+        # the d2 tail, its normaliser and the Newton steps of the zeros
+        # all run rootfind's continuant loop
+        calls, polishes = [], []
+        kernel, polish = rootfind._continuant_kernel, rootfind._fixed_newton
 
         def counting(rows, F, z, stops, derivative=False):
             calls.append((tuple(stops), derivative))
             return kernel(rows, F, z, stops, derivative)
 
+        def polishing(*args):
+            before = len(calls)
+            result = polish(*args)
+            polishes.append(len(calls) - before)
+            return result
+
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
+        monkeypatch.setattr(rootfind, "_fixed_newton", polishing)
         monkeypatch.setattr(tracking, "_d2_normaliser", (None, ()))
         spec = THREE_FAMILIES[1]
         d2_sequence(spec, mp.mpf("1.3"), K=400)
         stops = (225, 250, 275, 300, 325, 350, 375, 400)
         assert calls == [(stops, False), (stops, False)]
+        assert polishes == []
         calls.clear()
         solve_zeros(spec, 6)
         assert calls and set(calls) == {((6,), True)}
+        # each kernel call of the solve is a Newton step of one zero
+        assert len(polishes) == 6 and all(polishes)
+        assert sum(polishes) == len(calls)
 
     def test_never_evaluates_the_plain_sequence(self, monkeypatch):
         def refuse(*args, **kwargs):
