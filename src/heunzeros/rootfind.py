@@ -7,10 +7,11 @@ method on a `Continuant`, the rows of a three-term recurrence: p and p'
 come from that recurrence run in fixed-point Gaussian integers
 (`_continuant_kernel`, which also runs the d2 tail), never from dense
 coefficients, at widths that rise with the bits already right and end
-at the full width (`_fixed_newton`).  The result stands when disks
-around the polished points, each holding a root, are pairwise disjoint
-and every residual, the last Newton step |p/p'|, meets the tolerance;
-for real rows the disks also place the real zeros on the axis.
+at the full width (`_fixed_newton`); for real rows, once per conjugate
+pair and on the real axis for every other seed.  The result stands when
+disks around the zeros, each holding a root, are pairwise disjoint and
+every residual, the last Newton step |p/p'|, meets the tolerance; for
+real rows the disks then also prove the zeros on the axis real.
 Otherwise it raises, and the caller may bring better seeds
 (`tracking.solve_zeros` climbs a ladder of QL precisions).  The steps
 per seed are bounded, and no start point comes from a random generator.
@@ -53,9 +54,12 @@ class ZeroSet:
     Display order is descending real part, ties by ascending imaginary
     part.  residuals[i] is the full-width Newton step |p/p'| that
     `find_all_roots` took to zeros[i], on the three-term recurrence in
-    fixed point: it bounds the error of zeros[i] from above.  A zero is
-    real exactly when its imaginary part is 0, which for real rows
-    `find_all_roots` sets on the zeros whose disks show them real.
+    fixed point: it bounds the error of zeros[i] from above.  For the
+    conjugate of a polished zero of a real polynomial it is its
+    partner's step.  It does not cover rounding the zero to mpc at
+    precision_bits + 24 bits; the disk floor tol (1 + |z|) of
+    `find_all_roots` does.  A zero is real exactly when its imaginary
+    part is 0: for real rows, when it was polished on the axis.
     labels[i] is the grid index k matched to zeros[i] (None when no
     labelling was requested).  seed_bits is the rung of the
     `tracking.solve_zeros` precision ladder whose Jacobi eigenvalues
@@ -254,12 +258,12 @@ def tridiagonal_eigenvalues(diag, offdiag, precision_bits: int = 53):
     matrix converges; either way, or when a double entry overflows, the
     result is None (`tracking.solve_zeros` then tries its next rung of
     precision).  At most _QL_MAX_STEPS QL steps per 53 bits of
-    precision are spent on each eigenvalue.  The eigenvalues come back in no particular order, as
-    mpc at precision_bits when that exceeds 53; they are accurate to
-    about the unit roundoff times the matrix norm only when the matrix
-    is close to normal, and far less when it is not, which is why
-    `tracking.jacobi_seeds` compares them with those of the reversed
-    matrix.
+    precision are spent on each eigenvalue.  The eigenvalues come back
+    in no particular order, as mpc at precision_bits when that exceeds
+    53; they are accurate to about the unit roundoff times the matrix
+    norm only when the matrix is close to normal, and far less when it
+    is not, which is why `tracking.jacobi_seeds` compares them with
+    those of the reversed matrix.
     """
     if len(offdiag) + 1 != len(diag):
         raise ValueError("offdiag needs one entry fewer than diag")
@@ -446,19 +450,21 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
     Each seed is polished alone by `_fixed_newton`, at widths up to
     F = precision_bits + 24 + _KERNEL_GUARD fraction bits; the zero z_i
     has taken its last step, of length r_i (the residual) at width F.
-    The result stands when the disks D(z_i, max((n + 1) r_i,
+    For real rows only the upper seed of each `_conjugate_pairs` pair
+    is polished, and the other zero is its conjugate, with the same r_i;
+    every other seed is polished from its real part, on the axis.  The
+    result stands when the disks D(z_i, max((n + 1) r_i,
     tol (1 + |z_i|))) are pairwise disjoint, which leaves one root in
     each, and every r_i is below tol (1 + |z_i|).  For real rows the
-    disks also show which roots are real and which are conjugate pairs,
-    and `_mirrored` makes the result exactly symmetric about the real
-    axis, with the real roots on it.  Otherwise NonConvergenceError is
-    raised, with `overlapping` naming the roots whose disks meet another
-    one: those seeds were not near distinct roots.  When it is empty,
-    the disks are disjoint and the residuals that missed tol are what
-    the arithmetic resolves, so no other seeds can help.  A tol below
-    2^-(precision_bits + 24), which the working precision cannot
-    resolve, raises the same way before any evaluation.  Every zero of
-    the result has therefore converged.
+    disks on the axis then hold real roots, the mirror pairs non-real
+    ones, and a wrong pairing shows as disks that meet.  Otherwise
+    NonConvergenceError is raised, with `overlapping` naming the roots
+    whose disks meet another one: those seeds were not near distinct
+    roots.  When it is empty, the disks are disjoint and the residuals
+    that missed tol are what the arithmetic resolves, so no other seeds
+    can help.  A tol below 2^-(precision_bits + 24), which the working
+    precision cannot resolve, raises the same way before any
+    evaluation.  Every zero of the result has therefore converged.
     """
     if not isinstance(poly, Continuant):
         raise TypeError(f"find_all_roots takes a Continuant, not "
@@ -481,11 +487,20 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
                 f"{len(seeds)} seeds for a degree-{n} polynomial")
         F = work_bits + _KERNEL_GUARD
         tables = {F: poly.fixed_rows(F)}
-        polished = [_fixed_newton(tables, F, _to_fixed(to_mpc(s), F), tol)
-                    for s in seeds]
+        points = [_to_fixed(to_mpc(s), F) for s in seeds]
+        mirror = {}
+        if poly.is_real():
+            mirror = _conjugate_pairs(points)
+            kept = set(mirror.values())
+            points = [(x, y if i in kept else 0)
+                      for i, (x, y) in enumerate(points)]
+        done = {i: _fixed_newton(tables, F, p, tol)
+                for i, p in enumerate(points) if i not in mirror}
+        for j, i in mirror.items():
+            done[j] = (done[i][0].conjugate(),) + done[i][1:]
+        polished = [done[i] for i in range(n)]
         z, rad = _disks(polished, n + 1, tol)
-        pairs = _real_extent_pairs(z, rad)
-        overlap = _overlapping(z, rad, pairs)
+        overlap = _overlapping(z, rad, _real_extent_pairs(z, rad))
         if overlap:
             raise NonConvergenceError(
                 f"the disks of {len(overlap)} of {n} polished seeds "
@@ -500,8 +515,6 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
                 f"{mp.nstr(worst, 3)} against tol {mp.nstr(tol, 3)}) "
                 "though their disks are disjoint, so no seeds can lower "
                 "them")
-        if poly.is_real():
-            polished = _mirrored(polished, z, rad, pairs)
 
     order = sorted(range(n), key=lambda j: (-polished[j][0].real,
                                             polished[j][0].imag))
@@ -557,36 +570,23 @@ def _overlapping(z, rad, pairs) -> list:
     return sorted(met)
 
 
-def _mirrored(polished, z, rad, pairs) -> list:
-    """Separated triples of a real polynomial, made symmetric about the
-    real axis as its zeros are; (z, rad) are their `_disks` and pairs
-    the `_real_extent_pairs` of those.  Each disjoint disk D_i holds one
-    zero x_i, and conj(x_i) is a zero too, held by a disk that the
-    mirror image of D_i meets.  When that is D_i alone, x_i is real,
-    and z_i moves onto the axis, which brings it no further from x_i.
-    When it is one other disk D_j, the zero there is conj(x_i), and of
-    z_i and z_j the one with the larger residual becomes the mirror
-    image of the other, whose residual it shares.  The mirror
-    image has the real extent of D_i, so only D_i and the disks paired
-    with it in pairs can meet it."""
-    near = [[i] for i in range(len(z))]
-    for i, j in pairs:
-        near[i].append(j)
-        near[j].append(i)
-    out = list(polished)
-    for i, (r, res, ok) in enumerate(polished):
-        if r.imag == 0:
-            continue
-        w = r.conjugate()
-        meets = sorted(j for j in near[i]
-                       if abs(w - z[j]) <= rad[i] + rad[j])
-        if meets == [i]:
-            out[i] = (mp.mpc(r.real, 0), res, ok)
-        elif len(meets) == 1:
-            j = meets[0]
-            if (res, i) < (polished[j][1], j):
-                out[j] = (w, res, ok)
-    return out
+def _conjugate_pairs(points) -> dict:
+    """{j: i} for the seeds (x, y), x + iy with F fraction bits, paired
+    as conjugates: Im s_i > 0 > Im s_j, each is the other's nearest
+    conjugate in the other half plane, and each is nearer to it than to
+    its own conjugate, |s_j - conj s_i| < 2 min(Im s_i, -Im s_j)."""
+    upper = [i for i, (_, y) in enumerate(points) if y > 0]
+    lower = [j for j, (_, y) in enumerate(points) if y < 0]
+    if not (upper and lower):
+        return {}
+    def gap(i, j):      # |s_j - conj s_i|^2, with 2F fraction bits
+        return (points[i][0] - points[j][0]) ** 2 \
+            + (points[i][1] + points[j][1]) ** 2
+
+    up = {i: min(lower, key=lambda j: gap(i, j)) for i in upper}
+    down = {j: min(upper, key=lambda i: gap(i, j)) for j in lower}
+    return {j: i for j, i in down.items() if up[i] == j
+            and gap(i, j) < 4 * min(points[i][1], -points[j][1]) ** 2}
 
 
 def _fixed_newton(tables, F: int, z, tol):

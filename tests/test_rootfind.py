@@ -235,8 +235,8 @@ class TestNewtonFirst:
         assert exc.value.overlapping == (0, 1)
 
     def test_zeros_proved_real_lie_on_the_axis(self):
-        # Newton from seeds off the axis leaves the real zeros of a real
-        # polynomial an imaginary part far above the rounding level
+        # the seeds near the axis are not conjugate pairs, so Newton
+        # starts from their real parts and ends exactly on the axis
         poly = poly_from_roots([QQi(1), QQi(2), QQi(0, 1)])
         seeds = [mp.mpc(2, 1e-3), mp.mpc(1, -1e-3), mp.mpc(1e-3, 1.001),
                  mp.mpc(-1e-3, -0.999)]
@@ -293,6 +293,104 @@ class TestNewtonFirst:
                            ) as exc:
             find_all_roots(poly, [0, "0.001"], precision_bits=128)
         assert exc.value.overlapping == (0, 1)
+
+
+def fixed_points(seeds, bits=128):
+    """The seeds as `find_all_roots` reads them, with its F."""
+    F = bits + 24 + rootfind._KERNEL_GUARD
+    with working_precision(bits + 24):
+        return [_to_fixed(to_mpc(s), F) for s in seeds]
+
+
+def recording_polish(monkeypatch):
+    """The start points `find_all_roots` hands to `_fixed_newton`, in
+    the order it polishes them."""
+    starts, polish = [], rootfind._fixed_newton
+
+    def recording(tables, F, z, tol):
+        starts.append(z)
+        return polish(tables, F, z, tol)
+
+    monkeypatch.setattr(rootfind, "_fixed_newton", recording)
+    return starts
+
+
+def mirror_symmetric(zs) -> bool:
+    """Whether the zeros equal their conjugates, as mpf tuples."""
+    return sorted((z.real._mpf_, z.imag._mpf_) for z in zs.zeros) == \
+        sorted((z.real._mpf_, mp.fneg(z.imag, exact=True)._mpf_)
+               for z in zs.zeros)
+
+
+class TestConjugatePairs:
+    """On real rows one seed of each conjugate pair is polished and the
+    other zero is its conjugate; every other seed is polished from its
+    real part, on the axis."""
+
+    def test_lower_member_may_come_first(self, monkeypatch):
+        poly = poly_from_roots([QQi(1), QQi(2), QQi(0, 3)])
+        seeds = ["0.1-2.9j", "1.1", "0.1+3.1j", "2.1"]
+        points = fixed_points(seeds)
+        assert rootfind._conjugate_pairs(points) == {0: 2}
+        starts = recording_polish(monkeypatch)
+        zs = find_all_roots(poly, seeds, precision_bits=128)
+        assert starts == [points[1], points[2], points[3]]
+        assert mirror_symmetric(zs) and real_zero_count(zs) == 2
+        assert (zs.zeros[2].real, zs.zeros[2].imag) == \
+            (zs.zeros[3].real, mp.fneg(zs.zeros[3].imag, exact=True))
+        assert zs.residuals[2] == zs.residuals[3]
+        assert [mp.nstr(z, 10) for z in zs.zeros] == \
+            ["(2.0 + 0.0j)", "(1.0 + 0.0j)", "(0.0 - 3.0j)", "(0.0 + 3.0j)"]
+
+    def test_real_seeds_are_polished_once_each(self, monkeypatch):
+        spec, _ = from_lame(LameParams(n=2, s="1/2"))
+        seeds = jacobi_eigenvalues(spec, 10)
+        assert all(s.imag == 0 for s in seeds)
+        points = fixed_points(seeds, 64)
+        assert rootfind._conjugate_pairs(points) == {}
+        starts = recording_polish(monkeypatch)
+        zs = find_all_roots(continuant(spec, 10), seeds, precision_bits=64)
+        assert starts == points
+        assert real_zero_count(zs) == 10
+
+    def test_near_real_seeds_nearer_their_own_conjugates_stay_unpaired(
+            self, monkeypatch):
+        # |s_1 - conj s_0| = 1/10 is more than 2 Im s_0 = 1/50
+        poly = poly_from_roots([QQi(1), QQi(F(11, 10)), QQi(5)])
+        seeds = ["1+0.01j", "1.1-0.01j", "5"]
+        points = fixed_points(seeds)
+        assert rootfind._conjugate_pairs(points) == {}
+        starts = recording_polish(monkeypatch)
+        zs = find_all_roots(poly, seeds, precision_bits=128)
+        assert starts == [(x, 0) for x, _ in points]
+        assert real_zero_count(zs) == 3
+
+    def test_only_mutual_nearest_seeds_nearer_than_their_own_pair(self):
+        # s_1 and s_2 both find conj s_0 nearest, and it finds s_1
+        assert rootfind._conjugate_pairs(
+            [(0, 10), (1, -10), (2, -10)]) == {1: 0}
+        # -i lies nearer its own conjugate i than conj(10i) = -10i
+        assert rootfind._conjugate_pairs([(0, 10), (0, -1)]) == {}
+        assert rootfind._conjugate_pairs([(0, 10), (0, -10)]) == {1: 0}
+
+    def test_a_pair_across_two_real_roots_overlaps(self):
+        # the seeds pair, |s_1 - conj s_0| = 1/100 < 2 Im s_0, but the
+        # roots near them are real: the polished seed and its mirror
+        # image hold one real root, so their disks meet
+        poly = poly_from_roots([QQi(1), QQi(F(101, 100)), QQi(5)])
+        seeds = ["1+0.01j", "1.01-0.01j", "5"]
+        assert rootfind._conjugate_pairs(fixed_points(seeds)) == {1: 0}
+        with pytest.raises(NonConvergenceError,
+                           match=r"polished seeds overlap") as exc:
+            find_all_roots(poly, seeds, precision_bits=128)
+        assert exc.value.overlapping == (0, 1)
+
+    def test_complex_rows_polish_every_seed_as_given(self, monkeypatch):
+        spec, _ = from_mathieu(MathieuParams(q="2i"))
+        seeds = jacobi_eigenvalues(spec, 12)
+        starts = recording_polish(monkeypatch)
+        find_all_roots(continuant(spec, 12), seeds, precision_bits=128)
+        assert starts == fixed_points(seeds)
 
 
 class TestRefinement:
@@ -423,23 +521,6 @@ def brute_overlapping(polished, n, tol):
                    if abs(z[i] - z[j]) <= rad[i] + rad[j] for k in (i, j)})
 
 
-def brute_mirrored(polished, n, tol):
-    z, rad = rootfind._disks(polished, n, tol)
-    out = list(polished)
-    for i, (r, res, ok) in enumerate(polished):
-        if r.imag == 0:
-            continue
-        w = r.conjugate()
-        meets = [j for j in range(n) if abs(w - z[j]) <= rad[i] + rad[j]]
-        if meets == [i]:
-            out[i] = (mp.mpc(r.real, 0), res, ok)
-        elif len(meets) == 1:
-            j = meets[0]
-            if (res, i) < (polished[j][1], j):
-                out[j] = (w, res, ok)
-    return out
-
-
 def seeded_disks(seed, n=32):
     """n (centre, residual, True) triples on a dyadic grid, so that
     many disks touch exactly, with conjugate pairs among them; the grid
@@ -458,17 +539,15 @@ def seeded_disks(seed, n=32):
 
 
 def swept(polished, n, tol):
-    """(`_overlapping`, `_mirrored`) of polished, on one set of disks
-    and real-extent pairs, as `find_all_roots` runs them."""
+    """`_overlapping` of polished, on its disks and their real-extent
+    pairs, as `find_all_roots` runs it."""
     z, rad = rootfind._disks(polished, n, tol)
-    pairs = rootfind._real_extent_pairs(z, rad)
-    return (rootfind._overlapping(z, rad, pairs),
-            rootfind._mirrored(polished, z, rad, pairs))
+    return rootfind._overlapping(z, rad, rootfind._real_extent_pairs(z, rad))
 
 
 class TestDiskSweep:
-    """`_overlapping` and `_mirrored` compare only disks whose real
-    extents meet; they must agree with the all-pairs tests."""
+    """`_overlapping` compares only disks whose real extents meet; it
+    must agree with the all-pairs test."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_all_pairs(self, seed):
@@ -477,17 +556,15 @@ class TestDiskSweep:
         with working_precision(128):
             polished = seeded_disks(seed, n)
             assert swept(polished, n, tol) == \
-                (brute_overlapping(polished, n, tol),
-                 brute_mirrored(polished, n, tol))
+                brute_overlapping(polished, n, tol)
 
     def test_touching_disks_meet(self):
         tol = mp.mpf(2) ** -100
         with working_precision(128):
             # radii 1/2: centres 1 apart touch, as do a conjugate pair
-            # at +-i/2, whose mirror images are each other
+            # at +-i/2
             half = mp.mpf(1) / 8
             polished = [(mp.mpc(0), half, True), (mp.mpc(1), half, True),
                         (mp.mpc(3, "0.5"), half, True),
                         (mp.mpc(3, "-0.5"), half, True)]
-            assert swept(polished, 4, tol) == \
-                ([0, 1, 2, 3], brute_mirrored(polished, 4, tol))
+            assert swept(polished, 4, tol) == [0, 1, 2, 3]

@@ -362,6 +362,10 @@ class TestJacobiSeeds:
             [(z.real._mpf_, z.imag._mpf_) for z in b.zeros]
         assert real_zero_count(a) == 26
         assert sum(z.imag == 0 for z in a.zeros) == 26
+        # the zeros of a real polynomial, exactly symmetric about the axis
+        assert sorted((z.real._mpf_, z.imag._mpf_) for z in a.zeros) == \
+            sorted((z.real._mpf_, mp.fneg(z.imag, exact=True)._mpf_)
+                   for z in a.zeros)
 
     def test_strong_coupling_solve_is_bit_identical(self):
         a = solve_zeros(WHILL_STRONG, 50)
@@ -371,6 +375,18 @@ class TestJacobiSeeds:
         assert all(a.converged)
         assert real_zero_count(a) == 0
 
+    def test_strong_coupling_real_counts_by_degree(self):
+        # the real zeros vanish and come back as m grows; the rung that
+        # stands and the real count, pinned across the 53 -> 106 switch
+        want = {20: (53, 2), 30: (53, 2), 40: (53, 2), 50: (53, 0),
+                55: (53, 1), 60: (106, 2), 65: (106, 3), 70: (106, 4),
+                75: (106, 5), 80: (106, 8), 85: (106, 13), 90: (106, 18),
+                95: (106, 23), 100: (106, 26)}
+        got = {}
+        for m in want:
+            zs = solve_zeros(WHILL_STRONG, m)
+            got[m] = (zs.seed_bits, real_zero_count(zs))
+        assert got == want
 
     def test_recurrence_resolves_degree_89_at_80_bits(self):
         # the dense c_89 rounded to 80 bits could not resolve these
@@ -393,28 +409,36 @@ class TestJacobiSeeds:
 
 class TestFixedPointNewton:
     """`rootfind._fixed_newton` steps at rising widths and evaluates at
-    the full width about once per zero."""
+    the full width about once per polished seed: one per real zero and
+    per conjugate pair of a real polynomial."""
 
-    @pytest.mark.parametrize("spec,m,rung", [
-        (THREE_FAMILIES[1], 40, 53),
-        (WHILL_STRONG, 100, 106),
+    @pytest.mark.parametrize("spec,m,rung,polished", [
+        (THREE_FAMILIES[1], 40, 53, 40),
+        (WHILL_STRONG, 100, 106, 26 + 37),
     ], ids=["mathieu-2", "whill-m100"])
     def test_about_one_full_width_evaluation_per_zero(self, monkeypatch,
-                                                      spec, m, rung):
-        widths = []
-        kernel = rootfind._continuant_kernel
+                                                      spec, m, rung,
+                                                      polished):
+        widths, starts = [], []
+        kernel, polish = rootfind._continuant_kernel, rootfind._fixed_newton
 
         def counting(rows, F, z, stops, derivative=False):
             widths.append(F)
             return kernel(rows, F, z, stops, derivative)
 
+        def polishing(*args):
+            starts.append(len(widths))
+            return polish(*args)
+
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
+        monkeypatch.setattr(rootfind, "_fixed_newton", polishing)
         assert solve_zeros(spec, m).seed_bits == rung
         full = 256 + 24 + rootfind._KERNEL_GUARD
         assert max(widths) == full
-        assert widths.count(full) <= 1.3 * m
-        # each zero starts below the full width
-        assert len(widths) - widths.count(full) >= m
+        assert widths.count(full) <= 1.3 * len(starts)
+        # each polished seed starts below the full width
+        assert len(starts) == polished
+        assert all(widths[k] < full for k in starts)
 
     @pytest.mark.parametrize("spec,m,worst", [
         (WHILL_STRONG, 100, 7.3e-79),
