@@ -218,7 +218,7 @@ def cmd_poly(args: argparse.Namespace) -> Result:
 def cmd_zeros(args: argparse.Namespace) -> Result:
     spec, _ = build_spec(args)
     zs = solve_zeros(spec, args.m, precision_bits=args.precision_bits,
-                     tol=_parse_tol(args, None), order=args.order)
+                     tol=_parse_tol(args, None))
     d = args.digits
     zeros, lines = [], [f"zeros of c_{args.m}(B)  [{spec.kind.value}]"]
     for z, r, lab in zip(zs.zeros, zs.residuals, zs.labels):
@@ -274,8 +274,7 @@ def cmd_table(args: argparse.Namespace) -> Result:
         raise InvalidSpecError("table needs --m (one or more degrees)")
     ms = tuple(sorted(set(args.m)))
     zero_sets = {
-        m: solve_zeros(spec, m, precision_bits=args.precision_bits,
-                       order=args.order)
+        m: solve_zeros(spec, m, precision_bits=args.precision_bits)
         for m in ms
     }
     rows = zero_table(spec, zero_sets, args.k_max)
@@ -470,7 +469,9 @@ def _suite_rootfind(spec, bits):
         zs_est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7),
                                 precision_bits=bits)
     except NonConvergenceError as exc:
-        # estimates far from the zeros (large |s|) polish to one zero twice
+        # estimates that polish to one zero twice: this happens already
+        # at moderate |s| (Lame n=2 at s = 1/2 and s = 9/10), and it is
+        # a fault of the estimates, not of the eigenvalue-seeded solve
         yield ("seeding strategies agree on c_8 zeros", False,
                f"estimate seeds: {exc}")
     else:
@@ -595,9 +596,6 @@ _SHARED = {
                 help="a positive real, read at --precision-bits; "
                      "zeros: root tolerance (default 2^(-precision/2)); "
                      "d2 --search: secant stop (default 1e-10)"),
-    "order": dict(type=int, default=2, choices=[0, 1, 2],
-                  help="order of the perturbative estimates that label "
-                       "the zeros"),
     "digits": dict(type=positive_int, default=10),
     "format": dict(dest="fmt", default="text",
                    choices=["text", "json", "csv"]),
@@ -651,11 +649,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_non_negative_int, default=4)
 
     p = command("zeros", "zeros of c_m")
-    _add_common(p, "tol", "order", "digits", "format")
+    _add_common(p, "tol", "digits", "format")
     p.add_argument("--m", type=positive_int, required=True)
 
     p = command("table", "approximation-vs-zero table")
-    _add_common(p, "order", "digits", "format")
+    _add_common(p, "digits", "format")
     p.add_argument("--m", type=_m_list, required=True,
                    help="degree or comma list, e.g. 30,40")
     p.add_argument("--k-max", type=_non_negative_int, default=6)

@@ -64,53 +64,53 @@ def _cached_row(spec: RecurrenceSpec, j: int, signature) -> tuple:
 
 def first_order_coeff(spec: RecurrenceSpec, k: int, m: int):
     """D1_k for the zero of c_{m+1} near -D_k; valid for 0 <= k <= m."""
-    _check(spec, k, m)
-    return _first_order(partial(recurrence_row, spec), k, m)
+    return -zero_expansion(spec, k, m, 1).c1
 
 
 def second_order_coeff(spec: RecurrenceSpec, k: int, m: int):
     """D2_k for the zero of c_{m+1} near -D_k; valid for 0 <= k <= m-2."""
-    _check(spec, k, m)
-    return _second_order(partial(recurrence_row, spec), k, m)
+    return -zero_expansion(spec, k, m, 2).c2
 
 
-def _first_order(row, k: int, m: int):
-    """D1_k from row(j) = (D_j, E_j, G_j)."""
-    dk, t, gk = row(k)            # t starts at E_k
-    if k >= 1:
-        t = t + gk / (dk - row(k - 1)[0])
-    if k <= m - 1:
-        dn, _, gn = row(k + 1)
-        t = t + gn / (dk - dn)
-    return t
+def _highest_order(k: int, m: int) -> int:
+    """The highest order with a formula at index k of c_{m+1}: second
+    order needs row k+2, so the edge indices k = m-1, m have first."""
+    return 2 if k <= m - 2 else 1
 
 
-def _second_order(row, k: int, m: int):
-    """D2_k from row(j) = (D_j, E_j, G_j)."""
-    if k > m - 2:
+def _expansion(row, k: int, m: int, order: int) -> tuple:
+    """(c0, ..., c_order) = (-D_k, -D1_k, -D2_k)[:order + 1] for the zero
+    of c_{m+1} near -D_k, from row(j) = (D_j, E_j, G_j) at j = k-2..k+2,
+    each read once (docs/math_notes.md, section 4)."""
+    if order > _highest_order(k, m):
         raise BoundaryOrderError(
             f"no second-order formula at k={k} for c_{m + 1} "
             "(edge indices k=m-1 and k=m stabilize only at larger m)"
         )
     dk, ek, gk = row(k)
-    dn, en, gn = row(k + 1)
-    v1 = gn / (dk - dn)
-    v2 = gn / (dk - dn) ** 2
+    if order == 0:
+        return (-dk,)
+    d1 = ek
     if k >= 1:
         dp, ep, gp = row(k - 1)
         u1 = gk / (dk - dp)
-        u2 = gk / (dk - dp) ** 2
-    else:
-        u1 = u2 = 0
-    total = -(u2 + v2) * (ek + u1 + v1)
+        d1 = d1 + u1
+    if k <= m - 1:
+        dn, en, gn = row(k + 1)
+        v1 = gn / (dk - dn)
+        d1 = d1 + v1
+    if order == 1:
+        return -dk, -d1
+    # the squared-gap weights u2 = G_k/(D_k - D_{k-1})^2 and
+    # v2 = G_{k+1}/(D_k - D_{k+1})^2, one division each from u1 and v1
+    v2 = v1 / (dk - dn)
+    u2 = down = 0
     if k >= 1:
-        inner = ep
-        if k >= 2:
-            inner = inner + gp / (dk - row(k - 2)[0])
-        total = total + u2 * inner
+        u2 = u1 / (dk - dp)
+        down = ep if k == 1 else ep + gp / (dk - row(k - 2)[0])
     dnn, _, gnn = row(k + 2)
-    total = total + v2 * (en + gnn / (dk - dnn))
-    return total
+    up = en + gnn / (dk - dnn)
+    return -dk, -d1, -(-(u2 + v2) * d1 + u2 * down + v2 * up)
 
 
 @dataclass(frozen=True)
@@ -143,19 +143,11 @@ class PerturbativeExpansion:
 def zero_expansion(spec: RecurrenceSpec, k: int, m: int,
                    order: int = 2) -> PerturbativeExpansion:
     """Expansion of the zero of c_{m+1}(B) labelled by grid index k."""
-    return _zero_expansion(spec, partial(recurrence_row, spec), k, m, order)
-
-
-def _zero_expansion(spec: RecurrenceSpec, row, k: int, m: int,
-                    order: int) -> PerturbativeExpansion:
-    """`zero_expansion` from row(j) = (D_j, E_j, G_j)."""
     if order not in (0, 1, 2):
         raise InvalidSpecError(f"order must be 0, 1 or 2, got {order}")
     _check(spec, k, m)
-    c0 = -row(k)[0]
-    c1 = -_first_order(row, k, m) if order >= 1 else None
-    c2 = -_second_order(row, k, m) if order >= 2 else None
-    return PerturbativeExpansion(k=k, order=order, c0=c0, c1=c1, c2=c2, m=m)
+    coeffs = _expansion(partial(recurrence_row, spec), k, m, order)
+    return PerturbativeExpansion(k, order, *coeffs, m=m)
 
 
 def zero_estimate(spec: RecurrenceSpec, k: int, m: int, order: int = 2):
@@ -221,16 +213,19 @@ def reduced_confluent_expansion(gamma, delta, k: int) -> PerturbativeExpansion:
                                  c2=QQi(c2), m=None)
 
 
-def perturbative_seeds(spec: RecurrenceSpec, m: int, order: int = 2) -> list:
-    """Zero estimates for all m+1 zeros of c_{m+1}, for seeding a solver.
+def perturbative_seeds(spec: RecurrenceSpec, m: int) -> list:
+    """Zero estimates for all m+1 zeros of c_{m+1}, for seeding a solver
+    and labelling its zeros.
 
-    Interior indices get the requested order; the two edge indices fall
-    back to first order (second order does not exist there).  Rows
+    Interior indices get second order; the two edge indices k = m-1, m
+    get first order, since second order does not exist there.  Rows
     0..m are looked up once, not once per formula term.
     """
+    _check(spec, 0, m)
     row = [recurrence_row(spec, j) for j in range(m + 1)].__getitem__
     seeds = []
     for k in range(m + 1):
-        o = order if (order <= 1 or k <= m - 2) else 1
-        seeds.append(_zero_expansion(spec, row, k, m, o)(spec.s))
+        order = _highest_order(k, m)
+        seeds.append(PerturbativeExpansion(
+            k, order, *_expansion(row, k, m, order))(spec.s))
     return seeds

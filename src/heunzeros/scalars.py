@@ -119,14 +119,16 @@ class QQi:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("QQi only supports nonnegative integer powers")
-        out = QQi(1)
-        base = self
+        # binary powering that starts from the first factor and squares
+        # only while bits remain: x**2 is one product, x**3 two
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return QQi(1) if out is None else out
 
     # -- predicates / structure -------------------------------------------
 

@@ -29,11 +29,10 @@ import mpmath as mp
 
 from .families import FamilyKind, InvalidSpecError, RecurrenceSpec
 from .perturbation import (
-    BoundaryOrderError,
-    DegenerateGridError,
+    _highest_order,
     perturbative_seeds,
     recurrence_row,
-    zero_estimate,
+    zero_expansion,
 )
 from . import rootfind
 from .rootfind import (
@@ -56,7 +55,7 @@ from .scalars import (
 # -- solving one degree with labelled zeros -----------------------------------
 
 def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
-                tol=None, order: int = 2) -> ZeroSet:
+                tol=None) -> ZeroSet:
     """Zeros of c_m(B), labelled by grid index where estimates exist.
 
     The seeds are the eigenvalues of the Jacobi matrix of the recurrence
@@ -74,8 +73,9 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
     tried, and how each failed, when the top rung fails too, or at once
     when a rung's disks are disjoint but residuals miss tol: no seeds
     can lower those, so precision_bits is too low.
-    Labels come from the order-`order` perturbative estimates whenever
-    they are defined and |s| <= 2 (they degrade as |s| grows);
+    Labels come from the `perturbative_seeds` estimates of c_m's zeros
+    (second order, first order at the edge indices k = m-2, m-1) when
+    the grid is nondegenerate and |s| <= 2 (they degrade as |s| grows);
     otherwise every label is None.
     """
     if m < 1:
@@ -86,7 +86,7 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
         diag, off = rows.jacobi_matrix()
     zs = _climb(rows, diag, off, precision_bits, tol)
     if labelled:
-        raw = perturbative_seeds(spec, m - 1, order)
+        raw = perturbative_seeds(spec, m - 1)
         with working_precision(precision_bits):
             estimates = [to_mpc(e) for e in raw]
         zs = zs.with_labels(_labels_by_proximity(zs.zeros, estimates))
@@ -384,8 +384,9 @@ def zero_table(spec: RecurrenceSpec, zero_sets: dict, k_max: int) -> list:
 
     Row k (k <= min(k_max, top - 1), top the highest degree) holds the
     0th/1st/2nd-order estimates of the zero of c_top near -D_k and the
-    zero each degree's own labels tie to k.  A missing estimate or
-    label is None.
+    zero each degree's own labels tie to k.  The estimates truncate one
+    expansion at the highest order the edge allows (second order, first
+    order at k = top-2, top-1).  A missing estimate or label is None.
     """
     top = max(zero_sets)
     columns = {
@@ -395,12 +396,12 @@ def zero_table(spec: RecurrenceSpec, zero_sets: dict, k_max: int) -> list:
     rows = []
     with working_precision(zero_sets[top].precision_bits):
         for k in range(min(k_max, top - 1) + 1):
-            orders = []
-            for order in (0, 1, 2):
-                try:
-                    orders.append(zero_estimate(spec, k, top - 1, order))
-                except (BoundaryOrderError, DegenerateGridError):
-                    orders.append(None)
+            orders = [None] * 3
+            if not spec.is_d_degenerate:
+                exp = zero_expansion(spec, k, top - 1,
+                                     _highest_order(k, top - 1))
+                for order in range(exp.order + 1):
+                    orders[order] = replace(exp, order=order)(spec.s)
             rows.append({
                 "k": k,
                 "orders": orders,

@@ -451,8 +451,13 @@ class TestExitCodes:
         ["verify", "--family", "whill", "--A0", "1", "--A1", "1", "--h", "1"],
         ["zeros", "--family", "mathieu", "--q", "2", "--m", "4", "--prec",
          "64"],
+        ["zeros", "--family", "mathieu", "--q", "2", "--m", "4", "--order",
+         "2"],
+        ["table", "--family", "mathieu", "--q", "2", "--m", "4", "--order",
+         "2"],
     ], ids=["deleted-seeding-option", "poly-tol", "track-order",
-            "verify-format", "zeros-a", "verify-A0", "abbreviated-option"])
+            "verify-format", "zeros-a", "verify-A0", "abbreviated-option",
+            "zeros-order", "table-order"])
     def test_unread_option_is_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -683,7 +688,7 @@ def test_option_surface():
         assert "--family" in flags[name]
         assert spec_flags <= flags[name], name
     settable = sum(len(names - {"-h", "--help"}) for names in flags.values())
-    assert settable == 98
+    assert settable == 96
 
 
 def _numpy_and_scipy_loaded_by(probe: str) -> str:

@@ -164,11 +164,19 @@ class TestBoundariesAndErrors:
 
     def test_seed_order_downgrades_at_top(self, reduced_spec):
         m = 5
-        seeds = perturbative_seeds(reduced_spec, m, order=2)
+        seeds = perturbative_seeds(reduced_spec, m)
         assert len(seeds) == m + 1
         # the top two grid labels only support first order
         top = zero_estimate(reduced_spec, m, m, order=1)
         assert seeds[m] == top
+
+    def test_seeds_are_second_order_except_at_the_two_edges(
+            self, generic_specs):
+        for spec in generic_specs:
+            for m in range(1, 13):
+                assert perturbative_seeds(spec, m) == [
+                    zero_estimate(spec, k, m, 2 if k <= m - 2 else 1)
+                    for k in range(m + 1)]
 
 
 class TestEvaluation:

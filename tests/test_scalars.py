@@ -57,6 +57,26 @@ class TestFieldAxioms:
             expected = expected * a
         assert a ** n == expected
 
+    def test_power_takes_the_fewest_products(self, monkeypatch):
+        calls = []
+        real = QQi.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(QQi, "__mul__", counted)
+        x = QQi(Fraction(2, 3), Fraction(-5, 7))
+        assert x ** 2 == real(x, x)
+        assert len(calls) == 1
+        expected = QQi(1)
+        for n in range(7):
+            assert x ** n == expected
+            expected = real(expected, x)
+        del calls[:]
+        x ** 3
+        assert len(calls) == 2
+
 
 class TestParser:
     @pytest.mark.parametrize("text,re_, im_", [

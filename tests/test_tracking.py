@@ -22,7 +22,11 @@ from heunzeros.families import (
     recurrence_coeffs,
 )
 from heunzeros import recurrence, rootfind, tracking
-from heunzeros.perturbation import perturbative_seeds, zero_estimate
+from heunzeros.perturbation import (
+    BoundaryOrderError,
+    perturbative_seeds,
+    zero_estimate,
+)
 from heunzeros.recurrence import build_family, eval_sequence
 from heunzeros.rootfind import (
     NonConvergenceError,
@@ -591,6 +595,28 @@ class TestConvergenceReport:
         with working_precision(256):
             assert abs(row["orders"][2] - mp.mpf(-1059) / 320) \
                 < mp.mpf(2) ** -250
+
+    @pytest.mark.parametrize("top", [4, 30])
+    @pytest.mark.parametrize("gamma", ["1/3", mp.mpf(1) / 3],
+                             ids=["exact", "bigfloat"])
+    def test_table_cells_are_the_estimates_of_each_order(self, top, gamma):
+        # one expansion per row; its partial sums are the estimates of
+        # orders 0, 1 and 2, or None where that order has no formula
+        with working_precision(256):
+            spec = RecurrenceSpec(kind=FamilyKind.HEUN, gamma=gamma,
+                                  delta="1/7", s="2/5", alpha="3/2", beta=-1)
+        rows = zero_table(spec, {top: solve_zeros(spec, top)}, k_max=top)
+        assert [row["k"] for row in rows] == list(range(top))
+        with working_precision(256):
+            for row in rows:
+                for order, cell in enumerate(row["orders"]):
+                    try:
+                        want = zero_estimate(spec, row["k"], top - 1, order)
+                    except BoundaryOrderError:
+                        want = None
+                    assert cell == want
+            assert [row["orders"][2] is None for row in rows[-3:]] \
+                == [False, True, True]
 
     def test_tracks_carry_their_top_degree_labels(self):
         # chained from degree 4, two tracks used to share k = 3 and k = 4
