@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -217,8 +218,7 @@ def cmd_poly(args: argparse.Namespace) -> Result:
 
 def cmd_zeros(args: argparse.Namespace) -> Result:
     spec, _ = build_spec(args)
-    zs = solve_zeros(spec, args.m, precision_bits=args.precision_bits,
-                     tol=_parse_tol(args, None))
+    zs = solve_zeros(spec, args.m, precision_bits=args.precision_bits)
     d = args.digits
     zeros, lines = [], [f"zeros of c_{args.m}(B)  [{spec.kind.value}]"]
     for z, r, lab in zip(zs.zeros, zs.residuals, zs.labels):
@@ -476,7 +476,7 @@ def _suite_rootfind(spec, bits):
                f"estimate seeds: {exc}")
     else:
         gap = max(d for _, _, d in match_zeros(zs_eig, zs_est).pairs)
-        # each solve meets its default tol 2^-(bits/2); the pass line
+        # each solve meets its tol 2^-(bits/2); the pass line
         # keeps 3/16 of the bits as slack and is 2^-80 at 256 bits
         yield ("seeding strategies agree on c_8 zeros",
                gap < mp.mpf(2) ** -(5 * bits // 16),
@@ -592,10 +592,6 @@ _tail_length = _int_at_least(2, "an integer K >= 2")
 
 # options that only some subcommands read
 _SHARED = {
-    "tol": dict(default=None,
-                help="a positive real, read at --precision-bits; "
-                     "zeros: root tolerance (default 2^(-precision/2)); "
-                     "d2 --search: secant stop (default 1e-10)"),
     "digits": dict(type=positive_int, default=10),
     "format": dict(dest="fmt", default="text",
                    choices=["text", "json", "csv"]),
@@ -632,7 +628,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     ap = argparse.ArgumentParser(
         prog="heunzeros",
         allow_abbrev=False,
@@ -649,7 +647,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_non_negative_int, default=4)
 
     p = command("zeros", "zeros of c_m")
-    _add_common(p, "tol", "digits", "format")
+    _add_common(p, "digits", "format")
     p.add_argument("--m", type=positive_int, required=True)
 
     p = command("table", "approximation-vs-zero table")
@@ -664,7 +662,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="comma list of degrees, e.g. 30,40")
 
     p = command("d2", "connection-coefficient estimate")
-    _add_common(p, "tol", "digits", "format")
+    _add_common(p, "digits", "format")
     p.add_argument("--B", default=None, help="accessory parameter value")
     for fam, (_, b_param, _) in _FAMILIES.items():
         if b_param:
@@ -674,6 +672,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=_tail_length, default=500)
     p.add_argument("--search", action="store_true",
                    help="secant search for the nearest d2 zero from --B")
+    p.add_argument("--tol", default=None,
+                   help="secant stop of --search, a positive real read at "
+                        "--precision-bits (default 1e-10)")
     p.add_argument("--midpoint", action="store_true",
                    help="also run the interior-matching cross-check")
 

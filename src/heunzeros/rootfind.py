@@ -37,7 +37,7 @@ from .scalars import (
 
 
 class NonConvergenceError(RuntimeError):
-    """The iteration did not reach the requested tolerance.
+    """The iteration did not reach its tolerance.
 
     overlapping lists the roots of a `find_all_roots` call whose disks
     met another one's, and is empty for every other failure."""
@@ -58,8 +58,9 @@ class ZeroSet:
     conjugate of a polished zero of a real polynomial it is its
     partner's step.  It does not cover rounding the zero to mpc at
     precision_bits + 24 bits; the disk floor tol (1 + |z|) of
-    `find_all_roots` does.  A zero is real exactly when its imaginary
-    part is 0: for real rows, when it was polished on the axis.
+    `find_all_roots` does, with tol = `default_tol(precision_bits)`,
+    the tolerance every residual met.  A zero is real exactly when its
+    imaginary part is 0: for real rows, when it was polished on the axis.
     labels[i] is the grid index k matched to zeros[i] (None when no
     labelling was requested).  seed_bits is the rung of the
     `tracking.solve_zeros` precision ladder whose Jacobi eigenvalues
@@ -96,6 +97,8 @@ class ZeroSet:
 
 
 def default_tol(precision_bits: int) -> mp.mpf:
+    """2^-(precision_bits // 2), the residual tolerance of
+    `find_all_roots` relative to 1 + |z|."""
     return mp.mpf(2) ** (-(precision_bits // 2))
 
 
@@ -439,8 +442,7 @@ def _fixed_point_ql(dr, di, er, ei, F: int) -> bool:
     return True
 
 
-def find_all_roots(poly, seeds, precision_bits: int = 256,
-                   tol=None) -> ZeroSet:
+def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
     """All roots of the polynomial, polished from one seed each.
 
     poly: a `Continuant`, the rows of a three-term recurrence, as
@@ -453,8 +455,8 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
     For real rows only the upper seed of each `_conjugate_pairs` pair
     is polished, and the other zero is its conjugate, with the same r_i;
     every other seed is polished from its real part, on the axis.  The
-    result stands when the disks D(z_i, max((n + 1) r_i,
-    tol (1 + |z_i|))) are pairwise disjoint, which leaves one root in
+    tolerance is tol = `default_tol(precision_bits)`.  The result
+    stands when no disks meet (`_overlapping`), which leaves one root in
     each, and every r_i is below tol (1 + |z_i|).  For real rows the
     disks on the axis then hold real roots, the mirror pairs non-real
     ones, and a wrong pairing shows as disks that meet.  Otherwise
@@ -462,9 +464,7 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
     whose disks meet another one: those seeds were not near distinct
     roots.  When it is empty, the disks are disjoint and the residuals
     that missed tol are what the arithmetic resolves, so no other seeds
-    can help.  A tol below 2^-(precision_bits + 24), which the working
-    precision cannot resolve, raises the same way before any
-    evaluation.  Every zero of the result has therefore converged.
+    can help.  Every zero of the result has therefore converged.
     """
     if not isinstance(poly, Continuant):
         raise TypeError(f"find_all_roots takes a Continuant, not "
@@ -474,14 +474,7 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
         raise InvalidSpecError("need degree >= 1 to find roots")
     work_bits = precision_bits + 24
     with working_precision(work_bits):
-        tol = mp.mpf(tol) if tol is not None else default_tol(precision_bits)
-        if tol < mp.mpf(2) ** -work_bits:
-            raise NonConvergenceError(
-                f"tolerance {mp.nstr(tol, 3)} is below 2^-{work_bits}, the "
-                f"resolution of the {work_bits}-bit working precision "
-                f"({precision_bits} bits plus 24 guard bits); raise "
-                "the precision or loosen the tolerance"
-            )
+        tol = default_tol(precision_bits)
         if len(seeds) != n:
             raise InvalidSpecError(
                 f"{len(seeds)} seeds for a degree-{n} polynomial")
@@ -499,8 +492,7 @@ def find_all_roots(poly, seeds, precision_bits: int = 256,
         for j, i in mirror.items():
             done[j] = (done[i][0].conjugate(),) + done[i][1:]
         polished = [done[i] for i in range(n)]
-        z, rad = _disks(polished, n + 1, tol)
-        overlap = _overlapping(z, rad, _real_extent_pairs(z, rad))
+        overlap = _overlapping(polished, tol)
         if overlap:
             raise NonConvergenceError(
                 f"the disks of {len(overlap)} of {n} polished seeds "
@@ -532,41 +524,31 @@ def _head(indices) -> str:
     return f"{indices[:8]}{'...' if len(indices) > 8 else ''}"
 
 
-def _disks(polished, n, tol) -> tuple:
-    """(centres, radii) of the disks D(z_i, max(n res_i, tol (1 + |z_i|)))
-    around (root, residual, converged) triples.  A root z = z' - w after
-    a Newton step w = p/p'(z') has min_k |z' - r_k| <= deg |w|, from
-    p'/p = sum_k 1/(z' - r_k), so with n = deg + 1, res = |w| each disk
-    holds a root."""
+def _overlapping(polished, tol) -> list:
+    """Indices, ascending, of the disks that meet another disk, around
+    the n = len(polished) (root, residual, converged) triples of a
+    degree-n polynomial.  The disk of z_i is
+    D(z_i, max((n + 1) r_i, tol (1 + |z_i|))), r_i its residual: a root
+    z = z' - w after a Newton step w = p/p'(z') has
+    min_k |z' - r_k| <= n |w|, from p'/p = sum_k 1/(z' - r_k), so each
+    disk holds a root, and when none meet, the n disks hold one each.
+    Only disks whose real extents, widened to [Re z - 2r, Re z + 2r],
+    meet are compared (|z_i - z_j| <= r_i + r_j bounds
+    |Re z_i - Re z_j|, and the doubled radius keeps the rounding of the
+    edges from dropping a pair): a sweep over the disks sorted by left
+    edge compares each only with the disks still open there."""
+    n = len(polished)
     z = [r for r, _, _ in polished]
-    return z, [max(n * res, tol * (1 + abs(r))) for r, res, _ in polished]
-
-
-def _real_extent_pairs(z, rad) -> list:
-    """Pairs (j, i) of disks whose real extents, widened to
-    [Re z - 2r, Re z + 2r], meet: a superset of the pairs whose disks
-    meet, since |z_i - z_j| <= r_i + r_j bounds |Re z_i - Re z_j|, and
-    the doubled radius keeps the rounding of the edges from dropping a
-    pair.  A sweep over the disks sorted by left edge compares each only
-    with the disks still open there."""
+    rad = [max((n + 1) * res, tol * (1 + abs(r))) for r, res, _ in polished]
     lo = [x.real - 2 * r for x, r in zip(z, rad)]
     hi = [x.real + 2 * r for x, r in zip(z, rad)]
-    pairs, open_ = [], []
-    for i in sorted(range(len(z)), key=lo.__getitem__):
+    met, open_ = set(), []
+    for i in sorted(range(n), key=lo.__getitem__):
         open_ = [j for j in open_ if hi[j] >= lo[i]]
-        pairs.extend((j, i) for j in open_)
+        for j in open_:
+            if abs(z[i] - z[j]) <= rad[i] + rad[j]:
+                met.update((i, j))
         open_.append(i)
-    return pairs
-
-
-def _overlapping(z, rad, pairs) -> list:
-    """Indices, ascending, of the disks (z, rad) that meet another
-    disk, given their `_real_extent_pairs`.  When there are none, n
-    disjoint disks, each holding a root, hold one each."""
-    met = set()
-    for i, j in pairs:
-        if abs(z[i] - z[j]) <= rad[i] + rad[j]:
-            met.update((i, j))
     return sorted(met)
 
 

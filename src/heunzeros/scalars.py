@@ -408,30 +408,14 @@ def scalar_from_json(pair):
 
 # -- display -----------------------------------------------------------------
 
-def format_real(x, digits: int = 10, pad: bool = False) -> str:
-    """Decimal string with the given number of significant digits.
-    pad=True keeps trailing zeros so exactly `digits` figures show."""
-    strip = not pad
-    if isinstance(x, QQi):
-        if not x.is_real:
-            raise ValueError("not a real value")
-        x = x.re
-    if isinstance(x, (Fraction, int)):
-        with mp.workprec(4 * digits + 16):
-            return mp.nstr(fraction_to_mpf(Fraction(x)), digits,
-                           strip_zeros=strip)
-    return mp.nstr(mp.mpf(x), digits, strip_zeros=strip)
-
-
 def format_scalar(x, digits: int = 10, pad: bool = False) -> str:
-    """Complex display: real part, or ``a + bi`` with both parts rounded."""
+    """Complex display: real part, or ``a + bi`` with both parts rounded;
+    an exact value is rounded to 4 * digits + 16 bits first.  pad=True
+    keeps trailing zeros so exactly `digits` figures show."""
     strip = not pad
     if isinstance(x, QQi):
-        if x.is_real:
-            return format_real(x.re, digits, pad)
         with mp.workprec(4 * digits + 16):
-            z = to_mpc(x)
-        return format_scalar(z, digits, pad)
+            return format_scalar(to_mpc(x), digits, pad)
     # mp.mpc(x) would round a big float to the ambient precision
     z = x if isinstance(x, (mp.mpf, mp.mpc)) else mp.mpc(x)
     if z.imag == 0:

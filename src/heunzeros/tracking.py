@@ -54,8 +54,8 @@ from .scalars import (
 
 # -- solving one degree with labelled zeros -----------------------------------
 
-def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
-                tol=None) -> ZeroSet:
+def solve_zeros(spec: RecurrenceSpec, m: int,
+                precision_bits: int = 256) -> ZeroSet:
     """Zeros of c_m(B), labelled by grid index where estimates exist.
 
     The seeds are the eigenvalues of the Jacobi matrix of the recurrence
@@ -66,13 +66,15 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
     recurrence itself (the `continuant` rows, evaluated in fixed point;
     the dense coefficients of c_m are never built) and keeps the results
     when disks around them, each holding a zero, are disjoint and every
-    residual meets tol; the ZeroSet records that rung as `seed_bits`.
+    residual meets the tolerance 2^-(precision_bits/2)
+    (`rootfind.default_tol`); the ZeroSet records that rung as
+    `seed_bits`.
     The Jacobi matrix and the Newton kernel read one row table.  A rung
     without seeds, or whose polished disks overlap, gives way to the
     next one.  NonConvergenceError names the degree and every rung
     tried, and how each failed, when the top rung fails too, or at once
-    when a rung's disks are disjoint but residuals miss tol: no seeds
-    can lower those, so precision_bits is too low.
+    when a rung's disks are disjoint but residuals miss the tolerance:
+    no seeds can lower those, so precision_bits is too low.
     Labels come from the `perturbative_seeds` estimates of c_m's zeros
     (second order, first order at the edge indices k = m-2, m-1) when
     the grid is nondegenerate and |s| <= 2 (they degrade as |s| grows);
@@ -84,7 +86,7 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
         labelled = not spec.is_d_degenerate and abs(to_mpc(spec.s)) <= 2
         rows = continuant(spec, m)
         diag, off = rows.jacobi_matrix()
-    zs = _climb(rows, diag, off, precision_bits, tol)
+    zs = _climb(rows, diag, off, precision_bits)
     if labelled:
         raw = perturbative_seeds(spec, m - 1)
         with working_precision(precision_bits):
@@ -93,7 +95,7 @@ def solve_zeros(spec: RecurrenceSpec, m: int, precision_bits: int = 256,
     return zs
 
 
-def _climb(poly, diag, off, precision_bits: int, tol) -> ZeroSet:
+def _climb(poly, diag, off, precision_bits: int) -> ZeroSet:
     """The `solve_zeros` precision ladder on poly, whose zeros are the
     eigenvalues of the Jacobi matrix (diag, off): the zeros from the
     first rung whose seeds stand, or NonConvergenceError."""
@@ -107,7 +109,7 @@ def _climb(poly, diag, off, precision_bits: int, tol) -> ZeroSet:
             tried.append(f"{bits} bits: {why}")
             continue
         try:
-            zs = find_all_roots(poly, seeds, precision_bits, tol)
+            zs = find_all_roots(poly, seeds, precision_bits)
         except NonConvergenceError as exc:
             tried.append(f"{bits} bits: {exc}")
             if not exc.overlapping:
@@ -342,8 +344,10 @@ def convergence_report(spec: RecurrenceSpec, m_list=(30, 40),
                        digits: int = 10,
                        precision_bits: int = 256) -> ConvergenceReport:
     """Solve each degree in m_list, chain-match the zero sets, and
-    count stabilized digits along every track.  Each track carries the
-    label its top-degree zero has in that degree's own ZeroSet."""
+    count stabilized digits along every track, at precision_bits
+    whatever the caller's working precision (the matching's costs stay
+    doubles).  Each track carries the label its top-degree zero has in
+    that degree's own ZeroSet."""
     m_list = tuple(sorted(set(int(m) for m in m_list)))
     if len(m_list) < 2:
         raise InvalidSpecError("m_list needs at least two degrees")
@@ -357,12 +361,13 @@ def convergence_report(spec: RecurrenceSpec, m_list=(30, 40),
         za, zb = zero_sets[ma], zero_sets[mb]
         res = match_zeros(za, zb)
         nxt = [None] * len(zb.zeros)
-        for ia, ib, _ in res.pairs:
-            t = chain[ia]
-            t.entries[mb] = zb.zeros[ib]
-            t.stabilized[(ma, mb)] = stabilized_digits(za.zeros[ia],
-                                                       zb.zeros[ib])
-            nxt[ib] = t
+        with working_precision(precision_bits):
+            for ia, ib, _ in res.pairs:
+                t = chain[ia]
+                t.entries[mb] = zb.zeros[ib]
+                t.stabilized[(ma, mb)] = stabilized_digits(za.zeros[ia],
+                                                           zb.zeros[ib])
+                nxt[ib] = t
         for ib in res.new_in_b:
             nxt[ib] = ZeroTrack(label_k=None, entries={mb: zb.zeros[ib]})
             tracks.append(nxt[ib])

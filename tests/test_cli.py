@@ -363,11 +363,15 @@ class TestExitCodes:
         assert radius in error
 
     def test_nonconvergence_is_3(self, capsys):
-        code, _, err = run(capsys, "zeros", "--family", "lame", "--n", "2",
-                           "--s", "1/2", "--m", "8", "--precision-bits", "64",
-                           "--tol", "1e-70")
-        assert code == 3
-        assert json.loads(err)["code"] == 3
+        # near the exceptional point q = 1.468768613785141992i two zeros
+        # of c_30 lie 6e-10 apart, inside the 2^-26 disk floor of 53 bits
+        code, out, err = run(capsys, "zeros", "--family", "mathieu", "--q",
+                             "1.468768613785141992i", "--m", "30",
+                             "--precision-bits", "53")
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == 3
+        assert "the disks of 2 of 30 polished seeds overlap" in doc["error"]
 
     def test_unresolvable_zeros_fail_fast_with_3(self, capsys, monkeypatch):
         # at 64 bits the 89 zeros cannot be resolved to the default
@@ -409,34 +413,29 @@ class TestExitCodes:
 
     def test_tol_below_the_double_range_is_read_at_the_precision(self,
                                                                  capsys):
-        # 1e-400 underflows a double; 2048 bits resolve it
-        code, out, err = run(capsys, "zeros", "--family", "mathieu", "--q",
-                             "2", "--m", "4", "--precision-bits", "2048",
-                             "--tol", "1e-400", "--format", "json")
-        assert code == 0, err
-        doc = json.loads(out)
-        assert doc["converged"]
-        assert doc["tol"] == "1.0e-400"
-
-    def test_exact_tol_is_accepted(self, capsys):
-        code, out, err = run(capsys, "zeros", "--family", "mathieu", "--q",
-                             "2", "--m", "4", "--tol", "1/1000",
+        # 1e-400 underflows a double; 2048 bits resolve it, and the
+        # secant goes on until d2 is far below the double range too
+        code, out, err = run(capsys, "d2", "--family", "mathieu", "--q", "2",
+                             "--B", "1.4", "--K", "100", "--search",
+                             "--precision-bits", "2048", "--tol", "1e-400",
                              "--format", "json")
         assert code == 0, err
-        assert json.loads(out)["tol"] == "0.001"
+        search = json.loads(out)["zero_search"]
+        assert search["B"] == "1.378489221"
+        assert abs(mp.mpf(search["d2"])) < mp.mpf("1e-400")
+
+    def test_exact_tol_is_accepted(self, capsys):
         code, out, err = run(capsys, "d2", "--family", "mathieu", "--q", "2",
                              "--B", "1.4", "--K", "400", "--search",
                              "--tol", "1/10000000000")
         assert code == 0, err
         assert "B = 1.378489221" in out
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-5", "1+2i"])
-    @pytest.mark.parametrize("command", ["zeros", "d2"])
-    def test_tol_must_be_positive_and_real(self, capsys, command, tol):
-        extra = (["--m", "4"] if command == "zeros"
-                 else ["--B", "1.4", "--search"])
-        code, out, err = run(capsys, command, "--family", "mathieu", "--q",
-                             "2", *extra, f"--tol={tol}")
+    @pytest.mark.parametrize("tol", ["0", "-1e-5", "1+2i"],
+                             ids=lambda tol: f"d2-{tol}")
+    def test_tol_must_be_positive_and_real(self, capsys, tol):
+        code, out, err = run(capsys, "d2", "--family", "mathieu", "--q", "2",
+                             "--B", "1.4", "--search", f"--tol={tol}")
         assert code == 4
         assert out == ""
         assert "--tol" in json.loads(err)["error"]
@@ -455,9 +454,11 @@ class TestExitCodes:
          "2"],
         ["table", "--family", "mathieu", "--q", "2", "--m", "4", "--order",
          "2"],
+        ["zeros", "--family", "mathieu", "--q", "2", "--m", "4", "--tol",
+         "1e-5"],
     ], ids=["deleted-seeding-option", "poly-tol", "track-order",
             "verify-format", "zeros-a", "verify-A0", "abbreviated-option",
-            "zeros-order", "table-order"])
+            "zeros-order", "table-order", "zeros-tol"])
     def test_unread_option_is_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -688,7 +689,23 @@ def test_option_surface():
         assert "--family" in flags[name]
         assert spec_flags <= flags[name], name
     settable = sum(len(names - {"-h", "--help"}) for names in flags.values())
-    assert settable == 96
+    assert settable == 95
+
+
+def test_two_calls_build_one_parser(capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    make_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        code, out, _ = run(capsys, "poly", "--family", "mathieu", "--q", "2",
+                           "--m", "1")
+        assert code == 0 and out.startswith("c_0(B): [1]")
+    assert built.count("heunzeros") == 1
 
 
 def _numpy_and_scipy_loaded_by(probe: str) -> str:

@@ -416,27 +416,6 @@ class TestRefinement:
         # the disks are disjoint: no other seeds could help
         assert exc.value.overlapping == ()
 
-    def test_unreachable_tolerance_fails_before_any_sweep(self, monkeypatch):
-        import heunzeros.rootfind as rootfind
-
-        spec, _ = from_lame(LameParams(n=2, s="1/2"))
-
-        def no_sweeps(rows, F, z, stops, derivative=False):
-            raise AssertionError("evaluated the polynomial")
-
-        monkeypatch.setattr(rootfind, "_continuant_kernel", no_sweeps)
-        with pytest.raises(NonConvergenceError,
-                           match=r"tolerance 1\.0e-70 .*2\^-88.*88-bit"):
-            find_all_roots(continuant(spec, 8), [0] * 8, precision_bits=64,
-                           tol=1e-70)
-
-    def test_tolerance_within_guard_bits_is_accepted(self):
-        # below 2^-64 but above 2^-88, the resolution the sweeps run at
-        spec, _ = from_lame(LameParams(n=2, s="1/2"))
-        zs = find_all_roots(continuant(spec, 8), jacobi_eigenvalues(spec, 8),
-                            precision_bits=64, tol=1e-20)
-        assert all(zs.converged) and zs.degree == 8
-
 
 class TestZeroSet:
     def test_real_zero_count(self):
@@ -515,34 +494,32 @@ class TestContinuantKernel:
             assert (state[2] != (0, 0)) == derivative
 
 
-def brute_overlapping(polished, n, tol):
-    z, rad = rootfind._disks(polished, n, tol)
+def brute_overlapping(polished, tol):
+    """The disks of `rootfind._overlapping` that meet another, by
+    comparing every pair."""
+    n = len(polished)
+    z = [r for r, _, _ in polished]
+    rad = [max((n + 1) * res, tol * (1 + abs(r))) for r, res, _ in polished]
     return sorted({k for i in range(n) for j in range(i)
                    if abs(z[i] - z[j]) <= rad[i] + rad[j] for k in (i, j)})
 
 
-def seeded_disks(seed, n=32):
+def seeded_disks(seed, n=31):
     """n (centre, residual, True) triples on a dyadic grid, so that
-    many disks touch exactly, with conjugate pairs among them; the grid
-    widens with the seed, so fewer disks meet."""
+    many disks touch exactly (n + 1 is a power of 2, so the radii are
+    exact), with conjugate pairs among them; the grid widens with the
+    seed, so fewer disks meet."""
     rng = random.Random(seed)
     width = 8 << (seed % 3)
     grid = [mp.mpf(k) / 4 for k in range(-width, width + 1)]
     out = []
     while len(out) < n:
         z = mp.mpc(rng.choice(grid), rng.choice(grid))
-        res = mp.mpf(rng.choice((1, 2, 4))) / 8 / n    # radius 1/8 .. 1/2
+        res = mp.mpf(rng.choice((1, 2, 4))) / 8 / (n + 1)  # radius 1/8 .. 1/2
         out.append((z, res, True))
         if z.imag and len(out) < n and rng.random() < 0.5:
             out.append((z.conjugate(), res, True))
     return out
-
-
-def swept(polished, n, tol):
-    """`_overlapping` of polished, on its disks and their real-extent
-    pairs, as `find_all_roots` runs it."""
-    z, rad = rootfind._disks(polished, n, tol)
-    return rootfind._overlapping(z, rad, rootfind._real_extent_pairs(z, rad))
 
 
 class TestDiskSweep:
@@ -551,20 +528,20 @@ class TestDiskSweep:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_all_pairs(self, seed):
-        n = 32
         tol = mp.mpf(2) ** -100
         with working_precision(128):
-            polished = seeded_disks(seed, n)
-            assert swept(polished, n, tol) == \
-                brute_overlapping(polished, n, tol)
+            polished = seeded_disks(seed)
+            assert rootfind._overlapping(polished, tol) == \
+                brute_overlapping(polished, tol)
 
     def test_touching_disks_meet(self):
         tol = mp.mpf(2) ** -100
         with working_precision(128):
-            # radii 1/2: centres 1 apart touch, as do a conjugate pair
-            # at +-i/2
-            half = mp.mpf(1) / 8
-            polished = [(mp.mpc(0), half, True), (mp.mpc(1), half, True),
-                        (mp.mpc(3, "0.5"), half, True),
-                        (mp.mpc(3, "-0.5"), half, True)]
-            assert swept(polished, 4, tol) == [0, 1, 2, 3]
+            # four roots: radii 5/8, so centres 5/4 apart touch, as do a
+            # conjugate pair at +-5i/8
+            res = mp.mpf(1) / 8
+            polished = [(mp.mpc(0), res, True), (mp.mpc("1.25"), res, True),
+                        (mp.mpc(3, "0.625"), res, True),
+                        (mp.mpc(3, "-0.625"), res, True)]
+            assert rootfind._overlapping(polished, tol) == [0, 1, 2, 3]
+            assert brute_overlapping(polished, tol) == [0, 1, 2, 3]

@@ -297,9 +297,9 @@ class TestJacobiSeeds:
         polished = []
         solve = tracking.find_all_roots
 
-        def counting(poly, seeds, precision_bits, tol):
+        def counting(poly, seeds, precision_bits):
             polished.append(len(seeds))
-            return solve(poly, seeds, precision_bits, tol)
+            return solve(poly, seeds, precision_bits)
 
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", disagreeing)
         monkeypatch.setattr(tracking, "find_all_roots", counting)
@@ -629,6 +629,24 @@ class TestConvergenceReport:
             assert t.value_at(40) == top[t.label_k]
         assert abs(top[3] - mp.mpf("-6.869999689")) < mp.mpf("1e-9")
         assert abs(top[5] - mp.mpf("-18.35252588")) < mp.mpf("1e-8")
+
+    @pytest.mark.parametrize("ambient", [53, 512])
+    def test_digits_are_counted_at_the_report_precision(self, lame_small,
+                                                        ambient):
+        # the zeros k = 2..17 of c_30 and c_40 agree to 15-54 digits;
+        # at the 53 bits of a double each pair rounds to one value, and
+        # read that way they would count as identical
+        with working_precision(ambient):
+            rep = convergence_report(lame_small, m_list=(30, 40), digits=20)
+        assert rep.n_stable(20) == 16
+        digits = {t.label_k: t.stabilized[(30, 40)] for t in rep.tracks
+                  if (30, 40) in t.stabilized}
+        assert (digits[1], digits[2], digits[17]) == (60, 54, 15)
+        with working_precision(256):
+            for t in rep.tracks:
+                if (30, 40) in t.stabilized:
+                    assert t.stabilized[(30, 40)] == stabilized_digits(
+                        t.value_at(30), t.value_at(40))
 
     def test_needs_two_degrees(self, lame_small):
         with pytest.raises(InvalidSpecError):
