@@ -60,9 +60,8 @@ def main(argv=None):
                      + [f"{name}={getattr(args, name)}" for name in params])
     try:
         tol = _parse_tol(args, None)
-        with working_precision(bits):
-            spec, _ = to_spec({name: parse_scalar(getattr(args, name), bits)
-                               for name in params})
+        spec, _ = to_spec({name: parse_scalar(getattr(args, name), bits)
+                           for name in params})
         report = convergence_report(spec, m_list=m_list, digits=args.digits,
                                     precision_bits=args.precision_bits)
     except ValueError as exc:      # InvalidSpecError among them, as in the CLI

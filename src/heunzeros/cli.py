@@ -18,10 +18,12 @@ equations, the one that fixes B (d2 only, and not together with --B)
     mathieu  --q            [--a]       (reduced family, s = q)
     whill    --A1 --h       [--A0]      (confluent member, s = -2h)
 
-Scalar arguments are read by scalars.parse_scalar: "a", "yi" or
-"x+yi" with integer, "p/q" or decimal parts stay exact; an exponent in
-any part ("1e-3", "1/2+1.5e-3i") makes a big float rounded to
---precision-bits.  A part of magnitude 2^1024 or more is refused.
+Scalar arguments are read by scalars.parse_scalar as exact Gaussian
+rationals: "a", "yi" or "x+yi" with integer, "p/q" or decimal parts
+are read as written; an exponent in any part ("1e-3", "1/2+1.5e-3i")
+rounds every part to --precision-bits, and each is read as that binary
+float's exact value.  A part of magnitude 2^1024 or more is refused,
+and so is a nonzero rounded part below 2^-(1024 + precision-bits).
 
 Exit codes: 0 success, 2 argument parse error, 3 numerical
 non-convergence, 4 invalid parameters or an unwritable --output.
@@ -103,13 +105,12 @@ def _parse_tol(args: argparse.Namespace, default):
     if args.tol is None:
         return default
     x = parse_scalar(args.tol, args.precision_bits)
-    with working_precision(args.precision_bits):
-        x = to_mpc(x)
-    if x.imag != 0 or not x.real > 0:
+    if not x.is_real or x.re <= 0:
         raise InvalidSpecError(
             f"--tol must be a positive real number, got {args.tol!r}"
         )
-    return x.real
+    with working_precision(args.precision_bits):
+        return to_mpc(x).real
 
 
 def _generic(kind: FamilyKind):
@@ -138,8 +139,8 @@ _B_PARAMS = tuple(b for _, b, _ in _FAMILIES.values() if b)
 
 def build_spec(args: argparse.Namespace):
     """(spec, B_or_None) from --family, its parameters and, on d2, --B or
-    the family's own B parameter.  Inexact parameters are parsed, and
-    mapped into the family's own, at --precision-bits."""
+    the family's own B parameter, all exact; a value with an exponent is
+    rounded to --precision-bits as it is read."""
     bits = args.precision_bits
     fam = args.family
     params, b_param, to_spec = _FAMILIES[fam]
@@ -158,9 +159,7 @@ def build_spec(args: argparse.Namespace):
         raise InvalidSpecError(f"family {fam!r} needs --{' --'.join(missing)}")
     if B is not None and b_param in p:
         raise InvalidSpecError(f"give --B or --{b_param}, not both")
-
-    with working_precision(bits):
-        spec, b = to_spec(p)
+    spec, b = to_spec(p)
     return spec, b if B is None else B
 
 
@@ -206,7 +205,7 @@ def render(result: Result, fmt: str) -> str:
 
 def cmd_poly(args: argparse.Namespace) -> Result:
     spec, _ = build_spec(args)
-    fam = build_family(spec, args.m, args.precision_bits)
+    fam = build_family(spec, args.m)
     coeffs = [[str(c) for c in fam[m].coeffs] for m in range(args.m + 1)]
     return Result(
         fam.to_json(),
@@ -359,9 +358,7 @@ def cmd_d2(args: argparse.Namespace) -> Result:
     lines = [f"d2 estimate  = {out['estimate']}   (K = {args.K})",
              f"raw tail     = {out['tail']}",
              f"indicator    = {out['error_indicator']}"]
-    with working_precision(args.precision_bits):
-        s_is_zero = to_mpc(spec.s) == 0
-    if s_is_zero:
+    if not spec.s:
         out["closed_form"] = _fmt(
             d2_closed_form_s0(spec, B, args.precision_bits), d
         )
@@ -397,61 +394,34 @@ def _default_specs():
     return [lame, math, whc]
 
 
-# An identity check compares with == on an exact spec; on a big-float
-# spec, to 2^(16 - bits) relative, the pass line of the ode_residual
-# check.  A check that needs exact arithmetic yields ok = None (SKIP).
-
-def _tol(spec, bits):
-    return None if spec.is_exact else mp.mpf(2) ** (16 - bits)
-
-
-def _same(x, y, tol) -> bool:
-    if tol is None:
-        return x == y
-    return abs(x - y) <= tol * max(abs(x), abs(y))
-
-
-def _vanishes(poly, x, tol) -> bool:
-    """poly(x) == 0, or within tol of the largest term of the sum."""
-    if tol is None:
-        return poly(x) == 0
-    return abs(poly(x)) <= tol * max(abs(c * x ** j)
-                                     for j, c in enumerate(poly.coeffs))
-
-
 def _suite_recurrence(spec, bits):
-    B, tol = "-7/3", _tol(spec, bits)
+    # every check compares exact values with ==
+    B = "-7/3"
     sol = series_solution(*family_ode_polys(spec, B), 0, 16)
     prod = eval_sequence(spec, B, 16)
     yield ("series matches the defining equation",
-           all(_same(sol.coeffs[k], prod[k], tol) for k in range(17)), "")
-    fam = build_family(spec.with_s(0), 6, bits)
+           all(sol.coeffs[k] == prod[k] for k in range(17)), "")
+    fam = build_family(spec.with_s(0), 6)
     yield ("s=0 zeros sit on the -D_k grid",
-           all(_vanishes(fam[m + 1], -(recurrence_coeffs(spec, k)[0]), tol)
+           all(fam[m + 1](-(recurrence_coeffs(spec, k)[0])) == 0
                for m in range(6) for k in range(m + 1)), "")
-    fam = build_family(spec, 8, bits)
+    fam = build_family(spec, 8)
     yield ("leading coefficient law",
-           all(_same(fam[m].leading_coefficient,
-                     leading_coefficient_law(spec, m), tol)
+           all(fam[m].leading_coefficient == leading_coefficient_law(spec, m)
                for m in range(1, 9)), "")
 
 
 def _suite_perturbation(spec, bits):
-    # on an exact spec nothing here depends on bits
-    tol = _tol(spec, bits)
+    # exact throughout: nothing here depends on bits
     refs = {k: (first_order_coeff(spec, k, k + 1),
                 second_order_coeff(spec, k, k + 2)) for k in range(5)}
     stable = all(
-        _same(x, y, tol)
+        x == y
         for k in range(5) for m in range(k + 2, 9)
         for x, y in zip((first_order_coeff(spec, k, m),
                          second_order_coeff(spec, k, m)), refs[k])
     )
     yield ("expansion coefficients settle for m >= k+order", stable, "")
-    if not spec.is_exact:
-        yield ("substituted expansions vanish to their order", None,
-               "s-indeterminate evaluation is exact-only")
-        return
     k, m = 2, 5
     vanish = True
     for order in (1, 2):
@@ -462,8 +432,7 @@ def _suite_perturbation(spec, bits):
 
 
 def _suite_rootfind(spec, bits):
-    with working_precision(bits):
-        c8 = continuant(spec, 8)
+    c8 = continuant(spec, 8)
     zs_eig = solve_zeros(spec, 8, precision_bits=bits)
     try:
         zs_est = find_all_roots(c8, seeds=perturbative_seeds(spec, 7),
@@ -512,9 +481,8 @@ def _suite_oracle(spec, bits):
            f"residual {mp.nstr(res, 3)}")
     u0, _ = local_solutions_at_1(spec, "-7/3", 12)
     prod = eval_sequence(*z1_swapped_spec(spec, "-7/3"), 12)
-    tol = _tol(spec, bits)
     yield ("point-exchange parameter map exact",
-           all(_same(u0.coeffs[k], prod[k], tol) for k in range(13)), "")
+           all(u0.coeffs[k] == prod[k] for k in range(13)), "")
 
 
 def _check_d2_routes(bits):
@@ -550,7 +518,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
         specs = _default_specs()
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     bits = args.precision_bits
-    lines, failures, skipped = [], 0, 0
+    lines, failures = [], 0
     with working_precision(bits):
         for name in names:
             per_spec, spec_free = _SUITES[name]
@@ -559,14 +527,12 @@ def cmd_verify(args: argparse.Namespace) -> Result:
                       for label, ok, detail in per_spec(spec, bits)]
             checks += [check(bits) for check in spec_free]
             for label, ok, detail in checks:
-                mark = "SKIP" if ok is None else "PASS" if ok else "FAIL"
-                failures += ok is False
-                skipped += ok is None
+                mark = "PASS" if ok else "FAIL"
+                failures += not ok
                 suffix = f"  ({detail})" if detail and not ok else ""
                 lines.append(f"{mark}  [{name}] {label}{suffix}")
-    lines.append(("all checks passed" if failures == 0
-                  else f"{failures} check(s) failed")
-                 + (f", {skipped} skipped" if skipped else ""))
+    lines.append("all checks passed" if failures == 0
+                 else f"{failures} check(s) failed")
     return Result(None, None, lines, 0 if failures == 0 else 1)
 
 

@@ -29,16 +29,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
-from .scalars import (
-    QQi,
-    as_exact,
-    is_exact_scalar,
-    scalar_from_json,
-    scalar_to_json,
-    to_mpc,
-)
+from .scalars import QQi, exact_value, scalar_from_json, scalar_to_json
 
 HALF = Fraction(1, 2)
 
@@ -54,32 +45,21 @@ class FamilyKind(enum.Enum):
 
 
 def _normalize(x):
-    """Exact inputs become QQi.  A Python float or complex becomes an
-    mpf or mpc holding its exact binary value, so that everything formed
-    from it runs at the working precision rather than in doubles; mpmath
-    scalars pass through untouched."""
-    if x is None:
-        return None
-    if is_exact_scalar(x) or isinstance(x, str):
-        return as_exact(x)
-    if isinstance(x, float):
-        return mp.mpf(x)
-    if isinstance(x, complex):
-        return mp.mpc(x)
-    return x
+    """Every parameter becomes a QQi: a float, complex, mpf or mpc as its
+    exact binary value (`scalars.exact_value`), so that everything formed
+    from it is exact."""
+    return None if x is None else exact_value(x)
 
 
-def _nonpositive_integer(x) -> bool:
-    if isinstance(x, QQi):
-        n = x.as_integer()
-        return n is not None and n <= 0
-    z = complex(to_mpc(x))
-    return z.imag == 0 and z.real == round(z.real) and z.real <= 0
+def _nonpositive_integer(x: QQi) -> bool:
+    n = x.as_integer()
+    return n is not None and n <= 0
 
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    """One member of one family, with s fixed (B stays free)."""
+    """One member of one family, with s fixed (B stays free); every
+    parameter is a QQi."""
 
     kind: FamilyKind
     gamma: object
@@ -111,21 +91,6 @@ class RecurrenceSpec:
     # -- structure ---------------------------------------------------------
 
     @property
-    def is_exact(self) -> bool:
-        return all(
-            p is None or isinstance(p, QQi)
-            for p in (self.gamma, self.delta, self.s, self.alpha, self.beta)
-        )
-
-    @property
-    def param_types(self) -> tuple:
-        """Types of gamma, delta, s, alpha and beta.  Specs compare equal
-        across fields (QQi(1/2) == mpf(0.5)), so a cache keyed on a spec
-        also keys on these."""
-        return tuple(type(getattr(self, name)) for name in
-                     ("gamma", "delta", "s", "alpha", "beta"))
-
-    @property
     def epsilon(self):
         """Derived third local exponent parameter (full family only)."""
         if self.kind != FamilyKind.HEUN:
@@ -148,8 +113,7 @@ class RecurrenceSpec:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind.value,
-               "field": "exact" if self.is_exact else "bigfloat"}
+        out = {"kind": self.kind.value, "field": "exact"}
         for name in ("gamma", "delta", "s", "alpha", "beta"):
             v = getattr(self, name)
             if v is not None:
@@ -180,11 +144,10 @@ def recurrence_coeffs(spec: RecurrenceSpec, m: int):
         E = (m - 1 + spec.gamma + spec.epsilon) * m
         F = (spec.alpha + (m - 1)) * (spec.beta + (m - 1))
     elif spec.kind == FamilyKind.CONFLUENT:
-        E = spec.gamma * 0 + m          # in the spec's field
+        E = QQi(m)
         F = spec.alpha + (m - 1)
     else:
-        E = spec.gamma * 0
-        F = spec.gamma * 0 + 1
+        E, F = QQi(0), QQi(1)
     return D, E, F
 
 
@@ -203,9 +166,8 @@ class LameParams:
 def from_lame(p: LameParams):
     """Lame -> full family: gamma = delta = 1/2, alpha = (n+1)/2,
     beta = -n/2 (whence epsilon = 1/2), accessory parameter
-    B = -eta*s/4 (None when eta is not given).  Inexact inputs are
-    combined at the caller's working precision (see
-    `scalars.working_precision`)."""
+    B = -eta*s/4 (None when eta is not given).  Inputs are read as
+    QQi, as spec parameters are, so B is exact too."""
     n = _normalize(p.n)
     s = _normalize(p.s)
     if p.eta is not None and not s:
@@ -232,8 +194,8 @@ class MathieuParams:
 def from_mathieu(p: MathieuParams):
     """Mathieu -> reduced confluent family: gamma = delta = 1/2, s = q,
     accessory parameter B = q/2 - a/4 (None when a is not given).
-    Inexact inputs are combined at the caller's working precision (see
-    `scalars.working_precision`)."""
+    Inputs are read as QQi, as spec parameters are, so B is exact
+    too."""
     q = _normalize(p.q)
     spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=HALF, delta=HALF, s=q)
     b = None if p.a is None else q / 2 - _normalize(p.a) / 4
@@ -260,8 +222,8 @@ def from_whittaker_hill(p: WhittakerHillParams):
     """Whittaker-Hill -> confluent family: gamma = delta = 1/2,
     s = -2h, alpha = 1/2 + A1/(4h), accessory parameter
     B = -(2 A0 + 2 A1 + 4h + h^2)/8 (None when A0 is not given).
-    Inexact inputs are combined at the caller's working precision (see
-    `scalars.working_precision`)."""
+    Inputs are read as QQi, as spec parameters are, so B is exact
+    too."""
     h = _normalize(p.h)
     if not h:
         raise InvalidSpecError("Whittaker-Hill reduction needs h != 0")

@@ -18,7 +18,6 @@ import mpmath as mp
 
 from .families import FamilyKind, InvalidSpecError, RecurrenceSpec
 from .scalars import (
-    QQi,
     _fixed_div,
     _from_fixed,
     _to_fixed,
@@ -40,10 +39,10 @@ def family_ode_polys(spec: RecurrenceSpec, B):
     """Ascending coefficient lists (p, q, r) with
     p(z) y'' + q(z) y' + r(z) y = 0 the defining equation of the family.
 
-    Exact scalars in, exact lists out.
+    Exact B in, exact lists out; an inexact B makes every entry mpc at
+    the working precision.
     """
-    exact = spec.is_exact and is_exact_scalar(B)
-    conv = as_exact if exact else to_mpc
+    conv = as_exact if is_exact_scalar(B) else to_mpc
     g, d, s, b = (conv(spec.gamma), conv(spec.delta), conv(spec.s), conv(B))
     one = g * 0 + 1
     if spec.kind == FamilyKind.HEUN:
@@ -314,8 +313,7 @@ def z1_swapped_spec(spec: RecurrenceSpec, B):
     w = 1 - z maps the equation onto the same family with gamma and
     delta exchanged, a rescaled singularity parameter, and a shifted
     accessory parameter.  Returns (new_spec, new_B)."""
-    exact = spec.is_exact and is_exact_scalar(B)
-    conv = as_exact if exact else to_mpc
+    conv = as_exact if is_exact_scalar(B) else to_mpc
     g, d, s, b = conv(spec.gamma), conv(spec.delta), conv(spec.s), conv(B)
     if spec.kind == FamilyKind.HEUN:
         if s == 1:
@@ -400,19 +398,14 @@ def _check_midpoint_disks(spec: RecurrenceSpec):
     full family has the singular point z = 1/s."""
     if spec.kind != FamilyKind.HEUN:
         return
-    s = as_exact(spec.s) if spec.is_exact else to_mpc(spec.s)
+    s = spec.s
     if s == 0:
         return
-    if _abs2(s) >= 4:
+    if s.abs2() >= 4:
         raise InvalidSpecError(
             "midpoint z = 1/2 lies outside the disk of the z = 0 series "
             f"(radius 1/|s| = {mp.nstr(1 / abs(to_mpc(s)), 3)})")
-    if 4 * _abs2(s - 1) <= _abs2(s):
+    if 4 * (s - 1).abs2() <= s.abs2():
         raise InvalidSpecError(
             "midpoint z = 1/2 lies outside the disk of the z = 1 series "
             f"(radius |1 - 1/s| = {mp.nstr(abs(1 - 1 / to_mpc(s)), 3)})")
-
-
-def _abs2(x):
-    """|x|^2, exact for a QQi."""
-    return x.abs2() if isinstance(x, QQi) else abs(x) ** 2

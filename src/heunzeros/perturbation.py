@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-import mpmath as mp
-
 from .families import InvalidSpecError, RecurrenceSpec, recurrence_coeffs
 from .scalars import QQi, as_exact
 
@@ -46,18 +44,11 @@ def _check(spec: RecurrenceSpec, k: int, m: int):
         raise InvalidSpecError(f"index k={k} outside 0..m={m}")
 
 
+@lru_cache(maxsize=4096)
 def recurrence_row(spec: RecurrenceSpec, j: int) -> tuple:
     """(D_j, E_j, G_j) with G_j = j(j-1+gamma) F_j, the weight that
     accompanies every F_j in the perturbation formulas and the
     off-diagonal of the Jacobi matrix.  Cached per (spec, j)."""
-    # Inexact specs compute at the ambient precision, so their cache key
-    # also carries that precision; exact rows do not depend on it.
-    prec = None if spec.is_exact else mp.mp.prec
-    return _cached_row(spec, j, (spec.param_types, prec))
-
-
-@lru_cache(maxsize=4096)
-def _cached_row(spec: RecurrenceSpec, j: int, signature) -> tuple:
     D, E, F = recurrence_coeffs(spec, j)
     return D, E, j * (j - 1 + spec.gamma) * F
 

@@ -7,9 +7,10 @@ at z = 0, as a degree-m polynomial in the accessory parameter B:
 
 with c_{-1} = 0 and c_0 = 1.  One routine (`_recurrence`) runs it on
 coefficient lists in one variable: B for `build_family`, none (a fixed
-B) for `eval_sequence`, and s for `family_in_s`.  Everything here runs
-either in the exact Gaussian-rational field or in mpc big-floats, chosen
-by the exactness of spec and B.
+B) for `eval_sequence`, and s for `family_in_s`.  Specs are exact, so
+polynomials run in the exact Gaussian-rational field; only
+`eval_sequence` at an inexact B, or at a forced precision, runs in mpc
+big floats.
 
 Useful consequences kept as helpers and exploited by the test-suite:
 the leading coefficient of c_m is 1/(m! (gamma)_m), and at s = 0 the
@@ -21,16 +22,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import mpmath as mp
 
 from .families import InvalidSpecError, RecurrenceSpec, recurrence_coeffs
 from .scalars import (
-    EXACT_FIELD,
-    FieldTag,
     QQi,
     as_exact,
-    bigfloat_field,
     is_exact_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -43,14 +42,10 @@ SCHEMA_FAMILY = "heunzeros-family/1"
 
 @dataclass(frozen=True)
 class DensePolynomial:
-    """Dense univariate polynomial, coefficients in ascending degree."""
+    """Dense univariate polynomial, exact coefficients in ascending
+    degree."""
 
     coeffs: tuple
-    field: FieldTag
-
-    def __post_init__(self):
-        if not self.coeffs:
-            object.__setattr__(self, "coeffs", (_zero_like(self.field),))
 
     @property
     def degree(self) -> int:
@@ -63,30 +58,27 @@ class DensePolynomial:
         return acc
 
     def derivative(self) -> "DensePolynomial":
-        if self.degree == 0:
-            return DensePolynomial((_zero_like(self.field),), self.field)
         return DensePolynomial(
-            tuple(c * k for k, c in enumerate(self.coeffs) if k >= 1),
-            self.field,
-        )
+            tuple(c * k for k, c in enumerate(self.coeffs) if k >= 1)
+            or (QQi(0),))
 
     @property
     def leading_coefficient(self):
         return self.coeffs[-1]
 
 
-def _zero_like(field: FieldTag):
-    return QQi(0) if field.kind == "exact" else mp.mpc(0)
-
-
 @dataclass(frozen=True)
 class PolynomialFamily:
-    """c_0 ... c_{m_max} for one spec, in one coefficient field."""
+    """c_0 ... c_{m_max} for one spec, exact."""
 
     spec: RecurrenceSpec
     m_max: int
     polys: tuple
-    field: FieldTag
+
+    # every family is exact; the attribute stays because readers outside
+    # the package name a build by it (perfbench/tracer.py reads
+    # field.kind)
+    field = SimpleNamespace(kind="exact")
 
     def __getitem__(self, m: int) -> DensePolynomial:
         return self.polys[m]
@@ -98,7 +90,7 @@ class PolynomialFamily:
         return {
             "schema": SCHEMA_FAMILY,
             "spec": self.spec.to_json(),
-            "field": self.field.to_json(),
+            "field": {"kind": "exact"},
             "m_max": self.m_max,
             "coeffs": [
                 [scalar_to_json(c) for c in p.coeffs]
@@ -113,36 +105,27 @@ class PolynomialFamily:
     def from_json(obj: dict) -> "PolynomialFamily":
         if obj.get("schema") != SCHEMA_FAMILY:
             raise ValueError(f"unknown schema {obj.get('schema')!r}")
-        spec = RecurrenceSpec.from_json(obj["spec"])
-        field = FieldTag.from_json(obj["field"])
         polys = tuple(
-            DensePolynomial(
-                tuple(scalar_from_json(p) for p in row), field
-            )
+            DensePolynomial(tuple(scalar_from_json(p) for p in row))
             for row in obj["coeffs"]
         )
-        return PolynomialFamily(spec=spec, m_max=obj["m_max"], polys=polys,
-                                field=field)
+        return PolynomialFamily(spec=RecurrenceSpec.from_json(obj["spec"]),
+                                m_max=obj["m_max"], polys=polys)
 
     @staticmethod
     def loads(text: str) -> "PolynomialFamily":
         return PolynomialFamily.from_json(json.loads(text))
 
 
-def build_family(spec: RecurrenceSpec, m_max: int,
-                 precision_bits: int = 256) -> PolynomialFamily:
-    """Run the recurrence in polynomial space up to c_{m_max}: exactly
-    when the spec is exact, else in big floats at precision_bits."""
+def build_family(spec: RecurrenceSpec, m_max: int) -> PolynomialFamily:
+    """Run the recurrence in polynomial space up to c_{m_max}, exactly."""
     if m_max < 0:
         raise InvalidSpecError("m_max must be nonnegative")
-    conv = as_exact if spec.is_exact else to_mpc
-    with working_precision(precision_bits):
-        s = conv(spec.s)
-        rows = _recurrence(spec, m_max, conv,
-                           lambda D, E, F: ([D + s * E, 1], [-(s * F)]))
-    field = EXACT_FIELD if spec.is_exact else bigfloat_field(precision_bits)
-    polys = tuple(DensePolynomial(tuple(r), field) for r in rows)
-    return PolynomialFamily(spec=spec, m_max=m_max, polys=polys, field=field)
+    s = spec.s
+    rows = _recurrence(spec, m_max, as_exact,
+                       lambda D, E, F: ([D + s * E, 1], [-(s * F)]))
+    polys = tuple(DensePolynomial(tuple(r)) for r in rows)
+    return PolynomialFamily(spec=spec, m_max=m_max, polys=polys)
 
 
 def _recurrence(spec: RecurrenceSpec, m_max: int, conv, step) -> list:
@@ -152,7 +135,7 @@ def _recurrence(spec: RecurrenceSpec, m_max: int, conv, step) -> list:
 
     where (L_m, -M_m) = step(D_m, E_m, F_m) are coefficient lists in X
     built from the step data after conv (`as_exact`, or `to_mpc` at the
-    working precision).  The step negates M_m, one scalar or two, so
+    working precision for `eval_sequence` in big floats).  The step negates M_m, one scalar or two, so
     that no product list is negated term by term."""
     gamma = conv(spec.gamma)
     rows = [[conv(1)]]
@@ -194,16 +177,16 @@ def eval_sequence(spec: RecurrenceSpec, B, K: int,
                   precision_bits: int | None = None) -> list:
     """c_0(B) ... c_K(B) by the scalar recurrence, O(K) work.
 
-    Runs exactly when both spec and B are exact and no precision was
-    forced; otherwise in mpc under precision_bits (or the caller's
-    current mpmath context when omitted).  Each step is the polynomial
-    step of `build_family` with B fixed, so its degree-0 lists round
-    exactly as the scalar loop does.
+    Runs exactly when B is exact and no precision was forced; otherwise
+    in mpc under precision_bits (or the caller's current mpmath context
+    when omitted).  Each step is the polynomial step of `build_family`
+    with B fixed, so its degree-0 lists round exactly as the scalar loop
+    does.
     """
     if K < 0:
         raise InvalidSpecError("K must be nonnegative")
-    exact = (spec.is_exact and precision_bits is None
-             and (is_exact_scalar(B) or isinstance(B, str)))
+    exact = precision_bits is None and (is_exact_scalar(B)
+                                        or isinstance(B, str))
     conv = as_exact if exact else to_mpc
     with working_precision(precision_bits or mp.mp.prec):
         B, s = conv(B), conv(spec.s)
@@ -214,7 +197,7 @@ def eval_sequence(spec: RecurrenceSpec, B, K: int,
 
 def leading_coefficient_law(spec: RecurrenceSpec, m: int):
     """1/(m! (gamma)_m), the forced leading coefficient of c_m."""
-    acc = as_exact(1) if spec.is_exact else to_mpc(1)
+    acc = QQi(1)
     for j in range(m):
         acc = acc * (j + 1) * (spec.gamma + j)
     return 1 / acc
@@ -229,8 +212,6 @@ def family_in_s(spec: RecurrenceSpec, b_of_s, m_max: int) -> list[list[list]]:
     Returns, for each m <= m_max, the coefficient list (in powers of s)
     of c_m(b_of_s(s)).  Exact arithmetic only.
     """
-    if not spec.is_exact:
-        raise InvalidSpecError("s-indeterminate evaluation is exact-only")
     bpoly = [as_exact(c) for c in b_of_s]
     # L_m = B(s) + D_m + s E_m and M_m = s F_m as polynomials in s
     return _recurrence(spec, m_max, as_exact,
@@ -252,4 +233,4 @@ def eval_s_polynomial(spec: RecurrenceSpec, B, m: int) -> DensePolynomial:
     else:
         b_of_s = [B]
     rows = family_in_s(spec, b_of_s, m + 1)
-    return DensePolynomial(tuple(rows[m + 1]), EXACT_FIELD)
+    return DensePolynomial(tuple(rows[m + 1]))

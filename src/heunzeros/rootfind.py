@@ -109,7 +109,8 @@ class Continuant:
         p_{k+1}(z) = (z + A_k) p_k(z) - N_k p_{k-1}(z),  p_0 = 1,
 
     given by its rows A = (A_0, ..., A_{m-1}) and N = (N_0, ..., N_{m-1}),
-    exact scalars or mpc (N_0 multiplies p_{-1} = 0 and is never read).
+    exact scalars, as `tracking.continuant` builds them, or mpc (N_0
+    multiplies p_{-1} = 0 and is never read).
     Its zeros are the eigenvalues of the complex-symmetric tridiagonal
     matrix with diagonal -A_k and off-diagonal sqrt(N_k), k >= 1
     (`jacobi_matrix`; docs/math_notes.md, section 8)."""

@@ -1,26 +1,24 @@
-"""Scalar fields used throughout the package.
+"""Scalars used throughout the package.
 
-Two coefficient fields are supported:
-
-* ``exact``: Gaussian rationals, i.e. complex numbers whose real and
-  imaginary parts are :class:`fractions.Fraction`.  All recurrence algebra
-  stays in this field when the inputs allow it, so polynomial coefficients
-  and substitution identities can be checked with no rounding at all.
-* ``bigfloat``: arbitrary-precision binary floats via mpmath, tagged with
-  an explicit mantissa size in bits.
+Every parameter of a spec is a Gaussian rational, i.e. a complex number
+whose real and imaginary parts are :class:`fractions.Fraction`, so all
+recurrence algebra runs with no rounding at all and polynomial
+coefficients and substitution identities can be checked exactly.  A
+binary float given as a parameter (a float, complex, mpf or mpc) counts
+as its exact dyadic value (`exact_value`).  mpc big floats appear only
+for runtime values: a value of B, a zero, a d2 estimate.
 
 The helpers here also own the one reader of typed scalars,
-``parse_scalar`` (``"a+bi"``: exact when every part is an integer,
-fraction or decimal, a big float when any part has an exponent), and the
-serialization forms used by the JSON interchange format: exact values as
-decimal-free ``"num/den"`` strings, big-floats as hex-significand strings
-that round-trip bit for bit.
+``parse_scalar`` (``"a+bi"``: integer, fraction and decimal parts are
+read exactly; an exponent in any part rounds every part to the
+requested precision, each read as that binary float's exact value),
+and the serialization form used by the JSON interchange format:
+decimal-free ``"num/den"`` strings.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -203,14 +201,16 @@ _SCALAR_RE = re.compile(
 MAGNITUDE_BITS = 1024
 
 
-def parse_scalar(text: str, precision_bits: int | None = None):
-    """Read ``a``, ``bi`` or ``a+bi``; spaces are ignored, and ``i`` may
-    be ``j``, in either case.  Integer, ``p/q`` and decimal parts give an
-    exact QQi (``0.3`` is 3/10).  An exponent in any part gives a big
-    float, an mpf without an imaginary part and an mpc with one, each
-    part correctly rounded to precision_bits, which it then needs.
+def parse_scalar(text: str, precision_bits: int | None = None) -> QQi:
+    """Read ``a``, ``bi`` or ``a+bi`` as a QQi; spaces are ignored, and
+    ``i`` may be ``j``, in either case.  Integer, ``p/q`` and decimal
+    parts are exact (``0.3`` is 3/10).  An exponent in any part
+    correctly rounds every part to precision_bits, which it then needs,
+    and each is read as that binary float's exact value, as
+    `exact_value` reads one at the working precision precision_bits.
     Anything else, ``nan`` and ``inf`` included, raises ValueError, as
-    does a part of magnitude 2^MAGNITUDE_BITS or more (after rounding).
+    does a part of magnitude 2^MAGNITUDE_BITS or more (after rounding)
+    and a rounded part that `exact_value` refuses.
     """
     s = text.strip().replace(" ", "")
     match = _SCALAR_RE.fullmatch(s)
@@ -226,14 +226,15 @@ def parse_scalar(text: str, precision_bits: int | None = None):
     if not exact and precision_bits is None:
         raise ValueError(f"cannot parse scalar {text!r} exactly: exponent "
                          "notation needs a precision")
-    with mp.workprec(precision_bits or mp.mp.prec):
-        x, y = map(Fraction if exact else mp.mpf, parts)
+    try:
+        with mp.workprec(precision_bits or mp.mp.prec):
+            x, y = (Fraction(p) if exact else _dyadic(mp.mpf(p))
+                    for p in parts)
         if max(abs(x), abs(y)) >= 2 ** MAGNITUDE_BITS:
-            raise ValueError(f"cannot parse scalar {text!r}: magnitude "
-                             f"2^{MAGNITUDE_BITS} or more")
-        if exact:
-            return QQi(x, y)
-        return x if im is None else mp.mpc(x, y)
+            raise ValueError(f"magnitude 2^{MAGNITUDE_BITS} or more")
+    except ValueError as exc:
+        raise ValueError(f"cannot parse scalar {text!r}: {exc}") from None
+    return QQi(x, y)
 
 
 def parse_gaussian_rational(text: str) -> QQi:
@@ -249,6 +250,38 @@ def as_exact(x) -> QQi:
     int, QQi or a rational string.
     """
     return QQi.coerce(x)
+
+
+def exact_value(x) -> QQi:
+    """x as a QQi: an exact scalar as `as_exact` reads it, and a binary
+    float (a float, complex, mpf or mpc) as its exact dyadic value, each
+    part refused as `_dyadic` refuses it."""
+    if not isinstance(x, _INEXACT_TYPES):
+        return as_exact(x)
+    if isinstance(x, (complex, mp.mpc)):
+        return QQi(_dyadic(x.real), _dyadic(x.imag))
+    return QQi(_dyadic(x))
+
+
+def _dyadic(x) -> Fraction:
+    """The exact value of the float or mpf x.  ValueError when x is not
+    finite, when |x| >= 2^MAGNITUDE_BITS, or when x is nonzero and
+    |x| < 2^-(MAGNITUDE_BITS + the working precision): the value's
+    numerator or denominator has as many bits as its binary exponent, so
+    1e-1000000000 alone would be an integer of 415 MB."""
+    if isinstance(x, float):
+        # exact whatever the working precision
+        x = mp.make_mpf(mp.libmp.from_float(x))
+    if not mp.isfinite(x):
+        raise ValueError("not a finite number")
+    _, man, exp, bc = x._mpf_
+    # a nonzero x lies in [2^(exp + bc - 1), 2^(exp + bc))
+    if man and exp + bc > MAGNITUDE_BITS:
+        raise ValueError(f"magnitude 2^{MAGNITUDE_BITS} or more")
+    if man and exp + bc <= -(MAGNITUDE_BITS + mp.mp.prec):
+        raise ValueError("nonzero magnitude below "
+                         f"2^-{MAGNITUDE_BITS + mp.mp.prec}")
+    return Fraction(*mp.libmp.to_rational(x._mpf_))
 
 
 def is_exact_scalar(x) -> bool:
@@ -319,91 +352,19 @@ def _fixed_div(ar, ai, br, bi, F):
     return ((ar * br + ai * bi) << F) // n2, ((ai * br - ar * bi) << F) // n2
 
 
-# -- field tags -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldTag:
-    """Identifies the coefficient field of a polynomial or family."""
-
-    kind: str                      # "exact" | "bigfloat"
-    precision_bits: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "bigfloat"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "bigfloat" and not self.precision_bits:
-            raise ValueError("bigfloat field needs precision_bits")
-        if self.kind == "exact" and self.precision_bits is not None:
-            raise ValueError("exact field takes no precision_bits")
-
-    def to_json(self):
-        if self.kind == "exact":
-            return {"kind": "exact"}
-        return {"kind": "bigfloat", "precision_bits": self.precision_bits}
-
-    @staticmethod
-    def from_json(obj) -> "FieldTag":
-        return FieldTag(obj["kind"], obj.get("precision_bits"))
-
-
-EXACT_FIELD = FieldTag("exact")
-
-
-def bigfloat_field(bits: int) -> FieldTag:
-    return FieldTag("bigfloat", bits)
-
-
 # -- serialization -----------------------------------------------------------
 
-_HEX_RE = re.compile(r"^(-?)0x([0-9a-f]+)p([+-]\d+)$")
-
-
-def mpf_to_hex(x: mp.mpf) -> str:
-    """Bit-exact hex-significand form, e.g. ``-0x19ap-8``."""
-    if not isinstance(x, mp.mpf):
-        x = mp.mpf(x)
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if x == 0:
-            return "0x0p+0"
-        raise ValueError(f"cannot serialize non-finite value {x}")
-    return f"{'-' if sign else ''}0x{man:x}p{exp:+d}"
-
-
-def mpf_from_hex(text: str) -> mp.mpf:
-    m = _HEX_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"bad hex float {text!r}")
-    man = int(m.group(2), 16)
-    exp = int(m.group(3))
-    # negate inside the widened block: arithmetic rounds at ambient
-    # precision, so even a sign flip outside would truncate
-    with mp.workprec(max(man.bit_length(), 1) + 8):
-        val = mp.ldexp(mp.mpf(man), exp)
-        if m.group(1):
-            val = -val
-    return val
-
-
 def scalar_to_json(x) -> list[str]:
-    """A complex scalar as a ``[re, im]`` pair of strings: fraction
-    strings for exact values, hex significands for big floats."""
-    if isinstance(x, mp.mpc):
-        return [mpf_to_hex(x.real), mpf_to_hex(x.imag)]
-    if isinstance(x, mp.mpf):
-        return [mpf_to_hex(x), "0x0p+0"]
+    """An exact complex scalar as a ``[re, im]`` pair of fraction
+    strings."""
     q = as_exact(x)
     return [str(q.re), str(q.im)]
 
 
-def scalar_from_json(pair):
-    """Inverse of scalar_to_json: a hex pair becomes an mpc holding its
-    exact bits, a fraction pair a QQi."""
-    if not pair[0].lstrip("-").startswith("0x"):
-        return QQi(Fraction(pair[0]), Fraction(pair[1]))
-    re, im = mpf_from_hex(pair[0]), mpf_from_hex(pair[1])
-    # assemble without rounding at the ambient precision
-    return mp.make_mpc((re._mpf_, im._mpf_))
+def scalar_from_json(pair) -> QQi:
+    """Inverse of scalar_to_json; anything but a fraction pair, such as
+    a hex significand, raises ValueError."""
+    return QQi(Fraction(pair[0]), Fraction(pair[1]))
 
 
 # -- display -----------------------------------------------------------------

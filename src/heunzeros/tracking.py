@@ -82,12 +82,11 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
     """
     if m < 1:
         raise InvalidSpecError("need m >= 1 for a nontrivial polynomial")
+    rows = continuant(spec, m)
     with working_precision(precision_bits):
-        labelled = not spec.is_d_degenerate and abs(to_mpc(spec.s)) <= 2
-        rows = continuant(spec, m)
         diag, off = rows.jacobi_matrix()
     zs = _climb(rows, diag, off, precision_bits)
-    if labelled:
+    if not spec.is_d_degenerate and spec.s.abs2() <= 4:
         raw = perturbative_seeds(spec, m - 1)
         with working_precision(precision_bits):
             estimates = [to_mpc(e) for e in raw]
@@ -127,8 +126,7 @@ def continuant(spec: RecurrenceSpec, m: int) -> Continuant:
     """The rows of p_m = m! (gamma)_m c_m, the monic polynomial with the
     zeros of c_m: p_{k+1} = (B + A_k) p_k - N_k p_{k-1} with
     A_k = D_k + s E_k and N_k = s G_k, G_k = k (k-1+gamma) F_k, for
-    k = 0..m-1 (docs/math_notes.md, section 8).  Exact for an exact
-    spec, else mpc at the working precision."""
+    k = 0..m-1 (docs/math_notes.md, section 8), exact."""
     rows = [recurrence_row(spec, k) for k in range(m)]
     return Continuant(A=tuple(D + spec.s * E for D, E, _ in rows),
                       N=tuple(spec.s * G for _, _, G in rows))
@@ -399,19 +397,17 @@ def zero_table(spec: RecurrenceSpec, zero_sets: dict, k_max: int) -> list:
         for m, zs in sorted(zero_sets.items())
     }
     rows = []
-    with working_precision(zero_sets[top].precision_bits):
-        for k in range(min(k_max, top - 1) + 1):
-            orders = [None] * 3
-            if not spec.is_d_degenerate:
-                exp = zero_expansion(spec, k, top - 1,
-                                     _highest_order(k, top - 1))
-                for order in range(exp.order + 1):
-                    orders[order] = replace(exp, order=order)(spec.s)
-            rows.append({
-                "k": k,
-                "orders": orders,
-                "zeros": {m: col.get(k) for m, col in columns.items()},
-            })
+    for k in range(min(k_max, top - 1) + 1):
+        orders = [None] * 3
+        if not spec.is_d_degenerate:
+            exp = zero_expansion(spec, k, top - 1, _highest_order(k, top - 1))
+            for order in range(exp.order + 1):
+                orders[order] = replace(exp, order=order)(spec.s)
+        rows.append({
+            "k": k,
+            "orders": orders,
+            "zeros": {m: col.get(k) for m, col in columns.items()},
+        })
     return rows
 
 
@@ -444,8 +440,7 @@ def _check_d2_spec(spec: RecurrenceSpec, precision_bits: int):
 
 # (key, value) for the most recent key of `_d2_row_table` and of
 # `_d2_normaliser_states`, each replaced at once, so a caller keeps a
-# consistent snapshot.  A key carries the parameter types because specs
-# compare equal across fields (QQi(1/2) == mpf(0.5)).
+# consistent snapshot.
 _d2_rows = (None, ())
 _d2_normaliser = (None, ())
 
@@ -469,14 +464,14 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
     if K < 2:
         raise InvalidSpecError("K >= 2 required")
     F = precision_bits + _KERNEL_GUARD
+    if spec.kind == FamilyKind.HEUN and spec.s.abs2() >= 1:
+        warnings.warn(
+            "the d2 limit for the full family is only proven for "
+            "|s| < 1; the scaled sequence may diverge",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     with working_precision(precision_bits):
-        if spec.kind == FamilyKind.HEUN and abs(to_mpc(spec.s)) >= 1:
-            warnings.warn(
-                "the d2 limit for the full family is only proven for "
-                "|s| < 1; the scaled sequence may diverge",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         b = _to_fixed(to_mpc(B), F)
     nodes = _tail_nodes(K)
     stops = nodes[::-1]
@@ -505,14 +500,13 @@ def _ratio(p, n, shift: int) -> tuple:
 
 def _d2_row_table(spec: RecurrenceSpec, K: int, F: int) -> tuple:
     """At least K rows of `continuant(spec, K).fixed_rows(F)`, kept for
-    the last spec, parameter types and F: A_k has degree at most 2 in k
-    and N_k at most 4, so `continuant` runs only for k = 0..4."""
+    the last spec and F: A_k has degree at most 2 in k and N_k at most
+    4, so `continuant` runs only for k = 0..4."""
     global _d2_rows
-    key = (spec, spec.param_types, F)
+    key = (spec, F)
     if _d2_rows[0] != key or len(_d2_rows[1]) < K:
         _d2_rows = (None, ())      # so two tables are never held at once
-        with working_precision(F + _KERNEL_GUARD):
-            head = continuant(spec, 5).fixed_rows(F + _KERNEL_GUARD)
+        head = continuant(spec, 5).fixed_rows(F + _KERNEL_GUARD)
         _d2_rows = (key, tuple(_summed_rows(head, (2, 2, 4, 4), K)))
     return _d2_rows[1]
 
@@ -520,14 +514,13 @@ def _d2_row_table(spec: RecurrenceSpec, K: int, F: int) -> tuple:
 def _d2_normaliser_states(spec: RecurrenceSpec, K: int, F: int, stops):
     """The `rootfind._continuant_kernel` states at stops of
     n_k = (gamma)_k (delta-1)_k, from z = 0 and the rows
-    ((k+gamma)(k+delta-1), 0), kept for the last spec, types, F and K."""
+    ((k+gamma)(k+delta-1), 0), kept for the last spec, F and K."""
     global _d2_normaliser
-    key = (spec, spec.param_types, F, K)
+    key = (spec, F, K)
     if _d2_normaliser[0] != key:
         W = F + _KERNEL_GUARD
-        with working_precision(W):
-            head = [_to_fixed((k + spec.gamma) * (k + spec.delta - 1), W)
-                    + (0, 0) for k in range(3)]
+        head = [_to_fixed((k + spec.gamma) * (k + spec.delta - 1), W)
+                + (0, 0) for k in range(3)]
         _d2_normaliser = (key, rootfind._continuant_kernel(
             _summed_rows(head, (2, 2, 0, 0), K), F, (0, 0), stops))
     return _d2_normaliser[1]

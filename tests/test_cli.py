@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +16,7 @@ import pytest
 
 from heunzeros import cli
 from heunzeros.cli import build_spec, main, make_parser
-from heunzeros.scalars import QQi, parse_scalar, scalar_to_json
+from heunzeros.scalars import QQi, exact_value, parse_scalar, scalar_to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -224,38 +226,35 @@ class TestVerify:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
-    BIG_FLOAT_SPEC = ("--family", "cheun", "--gamma", "1/3", "--delta",
-                      "1e-1", "--alpha", "2", "--s", "1/5")
+    DECIMAL_EXPONENT_SPEC = ("--family", "cheun", "--gamma", "1/3",
+                             "--delta", "1e-1", "--alpha", "2", "--s", "1/5")
 
-    def test_every_suite_runs_on_a_big_float_spec(self, capsys):
-        # identities hold to 2^(16 - bits) relative; the s-indeterminate
-        # check is skipped, which is neither a pass nor a failure.  The
-        # label check fails here as it does at the exact delta = 1/10:
-        # match_zeros pairs the top zero of c_12 (label 11) with the
-        # label-12 zero of c_16, the nearer one
-        code, out, _ = run(capsys, "verify", *self.BIG_FLOAT_SPEC)
+    def test_every_suite_runs_on_a_decimal_exponent_spec(self, capsys):
+        # delta = 1e-1 is the exact value of its 256-bit float, so every
+        # check runs and compares with ==.  The label check fails here as
+        # it does at the exact delta = 1/10: match_zeros pairs the top
+        # zero of c_12 (label 11) with the label-12 zero of c_16, the
+        # nearer one
+        code, out, _ = run(capsys, "verify", *self.DECIMAL_EXPONENT_SPEC)
         assert code == 1, out
         lines = out.splitlines()
         assert [line for line in lines if not line.startswith("PASS")] == [
-            "SKIP  [perturbation] substituted expansions vanish to their "
-            "order [ConfluentHeun]  (s-indeterminate evaluation is "
-            "exact-only)",
             "FAIL  [tracking] cross-degree matching preserves labels "
             "[ConfluentHeun]",
-            "1 check(s) failed, 1 skipped",
+            "1 check(s) failed",
         ]
         assert len(lines) == 14
 
-    def test_big_float_tolerance_still_catches_a_bad_coefficient(
+    def test_decimal_exponent_spec_catches_a_2_to_the_minus_200_nudge(
             self, capsys, monkeypatch):
         real = cli.eval_sequence
 
         def nudged(*args, **kwargs):
             seq = real(*args, **kwargs)
-            seq[5] *= 1 + mp.mpf(2) ** -200
+            seq[5] *= 1 + QQi(Fraction(1, 2 ** 200))
             return seq
         monkeypatch.setattr(cli, "eval_sequence", nudged)
-        code, out, _ = run(capsys, "verify", *self.BIG_FLOAT_SPEC,
+        code, out, _ = run(capsys, "verify", *self.DECIMAL_EXPONENT_SPEC,
                            "--suite", "recurrence")
         assert code == 1
         assert ("FAIL  [recurrence] series matches the defining equation "
@@ -594,14 +593,15 @@ class TestScalarParsing:
     @pytest.mark.parametrize("bits", [256, 512])
     def test_derived_parameters_keep_the_requested_precision(self, argv,
                                                              names, bits):
-        # each value the family map derives from an inexact input has a
-        # mantissa as wide as the input's, not a double's 53 bits
+        # each value the family map derives from an input with an
+        # exponent is exact, with a denominator as wide as the input's
+        # rounded to bits, not a double's 53
         spec, B = build_spec(make_parser().parse_args(
             ["d2", *argv, "--precision-bits", str(bits)]))
         for name in names:
             x = B if name == "B" else getattr(spec, name)
-            mantissa = x.real._mpf_[1]
-            assert mantissa.bit_length() > bits - 8, name
+            assert isinstance(x, QQi), name
+            assert x.re.denominator.bit_length() > bits - 8, name
 
     def test_complex_exponent_input(self):
         z = parse_scalar("1.5e-3+2i", 256)
@@ -613,8 +613,12 @@ class TestScalarParsing:
     def test_decimals_stay_exact_and_exponents_do_not(self):
         assert parse_scalar("0.3") == QQi("3/10")
         assert isinstance(parse_scalar("0.3"), QQi)
-        half = parse_scalar("5e-1", 256)
-        assert isinstance(half, mp.mpf) and half == mp.mpf("0.5")
+        # an exponent rounds to the precision: 3e-1 is the 256-bit float
+        # nearest 3/10, read exactly
+        near = parse_scalar("3e-1", 256)
+        assert isinstance(near, QQi) and near != QQi("3/10")
+        assert abs(near.re - Fraction(3, 10)) < Fraction(1, 2 ** 257)
+        assert parse_scalar("5e-1", 256) == QQi("1/2")
 
     @pytest.mark.parametrize("argv", [
         ["zeros", "--family", "mathieu", "--q", "nan", "--m", "4"],
@@ -662,14 +666,57 @@ class TestScalarParsing:
         assert "cannot parse scalar" in json.loads(err)["error"]
 
     def test_an_exponent_in_any_part_makes_a_big_float(self, capsys):
+        # every part is rounded to a 64-bit float, and the spec holds
+        # that float's exact value
         code, out, _ = run(capsys, "poly", "--family", "mathieu", "--q",
-                           "1/2+1e-3i", "--m", "1", "--format", "json",
+                           "1/3+1e-3i", "--m", "1", "--format", "json",
                            "--precision-bits", "64")
         assert code == 0
         spec = json.loads(out)["spec"]
-        assert spec["field"] == "bigfloat"
+        assert spec["field"] == "exact"
         with mp.workprec(64):
-            assert spec["s"] == scalar_to_json(mp.mpc(0.5, mp.mpf(1) / 1000))
+            want = mp.mpc(mp.mpf(1) / 3, mp.mpf(1) / 1000)
+        assert spec["s"] == scalar_to_json(exact_value(want))
+
+    def test_a_tiny_exponent_is_invalid_at_once(self, capsys):
+        # as an exact value, 1e-1000000000 has a denominator of 415 MB
+        start = time.monotonic()
+        code, out, err = run(capsys, "zeros", "--family", "mathieu",
+                             "--q", "1e-1000000000", "--m", "4")
+        assert time.monotonic() - start < 1
+        assert code == 4
+        assert out == ""
+        assert "nonzero magnitude below 2^-1280" in json.loads(err)["error"]
+
+    def test_a_small_exponent_still_solves(self, capsys):
+        code, out, err = run(capsys, "zeros", "--family", "mathieu", "--q",
+                             "1e-300", "--m", "4")
+        assert code == 0, err
+        assert out.startswith("zeros of c_4(B)")
+
+
+class TestOneField:
+    """A decimal with an exponent and the fraction it rounds to exactly
+    make one spec, so every output is the same."""
+
+    LAME = ("--family", "lame", "--n", "2")
+    ARGV = [
+        ("zeros", "--m", "8"),
+        ("table", "--m", "8,12", "--k-max", "3"),
+        ("track", "--m", "8,12"),
+        ("d2", "--B=-3.1", "--K", "100", "--midpoint"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", ARGV, ids=[a[0] for a in ARGV])
+    def test_exponent_and_fraction_print_the_same(self, capsys, argv, fmt):
+        outs = []
+        for s in ("5e-1", "1/2"):
+            code, out, err = run(capsys, argv[0], *self.LAME, "--s", s,
+                                 *argv[1:], "--format", fmt)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 def test_option_surface():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from heunzeros.families import (
     FamilyKind,
+    _normalize,
     InvalidSpecError,
     LameParams,
     MathieuParams,
@@ -20,7 +21,7 @@ from heunzeros.families import (
     recurrence_coeffs,
 )
 from heunzeros.recurrence import build_family
-from heunzeros.scalars import QQi, to_mpc, working_precision
+from heunzeros.scalars import QQi, exact_value, working_precision
 
 
 class TestValidation:
@@ -157,15 +158,16 @@ class TestSpecPlumbing:
             assert again == spec
 
     def test_json_round_trip_bigfloat(self):
+        # a big-float parameter is held, and written, as its exact value
         spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
                               delta="1/2", s=mp.mpc(0, 2))
-        again = RecurrenceSpec.from_json(spec.to_json())
-        assert again.kind == spec.kind
-        assert mp.mpc(again.s) == mp.mpc(spec.s)
+        doc = spec.to_json()
+        assert doc["field"] == "exact" and doc["s"] == ["0", "2"]
+        assert RecurrenceSpec.from_json(doc) == spec
 
     def test_json_round_trip_keeps_exact_parameters_of_a_mixed_spec(self):
-        # exact gamma beside a 512-bit s: gamma must come back exact, not
-        # rounded to a fixed float width
+        # exact gamma beside a 512-bit s: both come back exact, s with
+        # every bit of the float it was given as
         with working_precision(512):
             s = mp.mpf(1) / 3
         spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/3",
@@ -174,23 +176,53 @@ class TestSpecPlumbing:
         assert isinstance(again.gamma, QQi)
         assert again.gamma == QQi(Fraction(1, 3))
         assert again.delta == QQi(Fraction(1, 2))
-        assert again.s.real._mpf_ == s._mpf_
+        assert again.s == exact_value(s)
+        assert again.s.re.denominator.bit_length() > 512
+
+    @pytest.mark.parametrize("pair", [["0x1p-1", "0x0p+0"],
+                                      ["0x0p+0", "-0x3p+2"]])
+    def test_json_refuses_a_hex_pair(self, pair):
+        doc = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
+                             delta="1/2", s=2).to_json()
+        doc["s"] = pair
+        with pytest.raises(ValueError):
+            RecurrenceSpec.from_json(doc)
 
     def test_float_parameters_build_at_the_working_precision(self):
         # a Python float stands for its exact binary value; the family
-        # built from it must agree with the exact build of those values
-        # to the working precision, not to double rounding
+        # built from it is the exact build of those values, whatever the
+        # working precision
         floats = dict(gamma=0.5, delta=0.5, alpha=0.1, beta=-1.0, s=0.3)
-        inexact = RecurrenceSpec(kind=FamilyKind.HEUN, **floats)
         exact = RecurrenceSpec(kind=FamilyKind.HEUN, **{
             name: Fraction(x) for name, x in floats.items()})
-        got = build_family(inexact, 30, 256)[30].coeffs
         want = build_family(exact, 30)[30].coeffs
-        with mp.workprec(256):
-            worst = max(abs(to_mpc(g) - to_mpc(w)) / abs(to_mpc(w))
-                        for g, w in zip(got, want))
-        assert worst < mp.mpf(2) ** -240
+        for bits in (2, 256):
+            with working_precision(bits):
+                inexact = RecurrenceSpec(kind=FamilyKind.HEUN, **floats)
+                assert inexact == exact
+                assert build_family(inexact, 30)[30].coeffs == want
 
     def test_is_exact(self, reduced_spec):
-        assert reduced_spec.is_exact
-        assert not reduced_spec.with_s(0.5 + 0j).is_exact
+        # every parameter is a QQi, whatever it was given as
+        for s in (0.5 + 0j, mp.mpf(0.5), mp.mpc(0.5, 0), Fraction(1, 2),
+                  "1/2", QQi(Fraction(1, 2))):
+            spec = reduced_spec.with_s(s)
+            assert all(isinstance(getattr(spec, name), QQi)
+                       for name in ("gamma", "delta", "s"))
+            assert spec.s == QQi(Fraction(1, 2))
+
+    def test_one_value_is_one_spec(self):
+        # 0.1 as a float, an mpf and a Fraction: one spec, one hash
+        specs = [RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
+                                delta="1/2", s=s)
+                 for s in (0.1, mp.mpf(0.1), Fraction(0.1))]
+        assert specs[0] == specs[1] == specs[2]
+        assert len({hash(spec) for spec in specs}) == 1
+
+    def test_a_tiny_big_float_is_refused(self):
+        # its exact value would have a denominator of 415 MB
+        with pytest.raises(ValueError, match="nonzero magnitude below"):
+            _normalize(mp.mpf("1e-1000000000"))
+        with pytest.raises((InvalidSpecError, ValueError)):
+            RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
+                           delta="1/2", s=mp.mpf("1e-1000000000"))

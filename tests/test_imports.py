@@ -7,11 +7,16 @@ tracer wraps or reads still exists."""
 
 import ast
 import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from heunzeros.families import FamilyKind, RecurrenceSpec
+from heunzeros.recurrence import build_family
+from heunzeros.tracking import solve_zeros
 
 ROOT = Path(__file__).resolve().parent.parent
 # the package __init__ imports names only to re-export them
@@ -315,3 +320,22 @@ def test_benchmark_tracer_names_resolve():
     names = layer_functions((ROOT / "perfbench" / "tracer.py").read_text())
     assert len(names) >= 10
     assert unresolved(names + (("rootfind", "ZeroSet.converged"),)) == []
+
+
+# what the benchmark reads from results: tracer.py names a build's layer
+# by PolynomialFamily.field.kind, and worker.py checks ZeroSet.converged
+def test_benchmark_reads_the_result_attributes_it_expects():
+    loader = importlib.util.spec_from_file_location(
+        "benchmark_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    build = tracer.wrap("recurrence.build_family", build_family)
+    spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2", delta="1/2",
+                          s=2)
+    for s in (2, 0.1):
+        assert build(spec.with_s(s), 3).field.kind == "exact"
+    assert tracer.summary()["functions"][
+        "recurrence.build_family.exact"]["calls"] == 2
+    zs = solve_zeros(spec, 4)
+    assert list(zs.converged) == [True] * 4

@@ -15,7 +15,6 @@ from heunzeros.families import (
     from_mathieu,
     MathieuParams,
 )
-from heunzeros import perturbation
 from heunzeros.perturbation import (
     BoundaryOrderError,
     DegenerateGridError,
@@ -196,20 +195,24 @@ class TestRowCache:
         # gamma = 29/31 keeps this spec out of every other test's rows
         spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="29/31",
                               delta="1/2", s="1/3")
-        before = perturbation._cached_row.cache_info().misses
+        before = recurrence_row.cache_info().misses
         with working_precision(53):
             low = recurrence_row(spec, 5)
         with working_precision(300):
             high = recurrence_row(spec, 5)
-        assert perturbation._cached_row.cache_info().misses == before + 1
+        assert recurrence_row.cache_info().misses == before + 1
         assert high is low
 
-    def test_inexact_rows_are_kept_per_precision(self):
-        spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=mp.mpf(0.25),
-                              delta=mp.mpf(0.5), s=mp.mpf(3))
-        before = perturbation._cached_row.cache_info().misses
-        with working_precision(53):
-            recurrence_row(spec, 5)
-        with working_precision(300):
-            recurrence_row(spec, 5)
-        assert perturbation._cached_row.cache_info().misses == before + 2
+    def test_one_value_given_three_ways_makes_one_row_per_j(self):
+        # s = 0.1 as a float, an mpf and a Fraction is one spec; gamma =
+        # 27/31 keeps it out of every other test's rows
+        specs = [RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="27/31",
+                                delta="1/2", s=s)
+                 for s in (0.1, mp.mpf(0.1), Fraction(0.1))]
+        before = recurrence_row.cache_info().misses
+        for bits in (53, 300):
+            with working_precision(bits):
+                rows = {j: {recurrence_row(spec, j) for spec in specs}
+                        for j in range(4)}
+        assert recurrence_row.cache_info().misses == before + 4
+        assert all(len(row) == 1 for row in rows.values())

@@ -32,7 +32,7 @@ from heunzeros.recurrence import (
     family_in_s,
     leading_coefficient_law,
 )
-from heunzeros.scalars import EXACT_FIELD, QQi, to_mpc, working_precision
+from heunzeros.scalars import QQi, to_mpc, working_precision
 from heunzeros.tracking import continuant
 
 
@@ -225,19 +225,18 @@ class TestStepTable:
     """eval_sequence and build_family run the shared list recurrence,
     with a fixed B as a degree-0 list or with B as the variable; each
     must equal its plain loop exactly, bit for bit, across specs,
-    fields and precisions."""
+    inputs and precisions."""
 
     LAME = from_lame(LameParams(n=2, s="1/2"))[0]
     CHEUN = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
                            delta="3/2", alpha="5/2", s="-3/2")
     RCHEUN = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
                             delta="1/2", s=2)
-    # equal to RCHEUN (QQi(1/2) == mpf(0.5)), but a big-float spec
+    # given as mpf parameters: the same exact spec as RCHEUN
     RCHEUN_MPF = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=mp.mpf(0.5),
                                 delta=mp.mpf(0.5), s=mp.mpf(2))
-    # gamma = delta = 1/2 + 3 * 2^-64, exact and as a 256-bit float: equal
-    # specs whose 64-bit steps differ, since the float spec rounds after
-    # every operation and the exact one once
+    # gamma = delta = 1/2 + 3 * 2^-64, as a Fraction and as a 256-bit
+    # float: one exact spec, whose 64-bit steps differ from its exact ones
     FINE = RecurrenceSpec(kind=FamilyKind.REDUCED,
                           gamma=QQi(Fraction(2**63 + 3, 2**64)),
                           delta=QQi(Fraction(2**63 + 3, 2**64)), s=2)
@@ -246,14 +245,15 @@ class TestStepTable:
                                   gamma=mp.mpf(2**63 + 3) / 2**64,
                                   delta=mp.mpf(2**63 + 3) / 2**64,
                                   s=mp.mpf(2))
-    # inexact at every precision: its steps depend on the precision
+    # the exact values of the doubles 0.5, 1.5, -1 and 0.3: its 64- and
+    # 256-bit steps differ
     LAME_DECIMAL = RecurrenceSpec(kind=FamilyKind.HEUN, gamma=mp.mpf(0.5),
                                   delta=mp.mpf(0.5), alpha=mp.mpf(1.5),
                                   beta=mp.mpf(-1), s=mp.mpf("0.3"))
 
     # (spec, precision or None for exact, K): the order switches specs,
-    # fields, precisions and lengths, and puts equal exact and big-float
-    # specs next to each other, so no state may leak between calls
+    # precisions and lengths, and puts the same spec given as Fractions
+    # and as mpf next to each other, so no state may leak between calls
     CASES = [
         (RCHEUN, None, 20), (RCHEUN_MPF, 64, 20), (RCHEUN, 64, 30),
         (RCHEUN_MPF, 256, 30), (RCHEUN, None, 40), (RCHEUN, None, 10),
@@ -278,15 +278,11 @@ class TestStepTable:
                 (spec, bits, K)
 
     def test_build_family_matches_the_plain_loop(self):
+        # build_family is exact, whatever precision a case names
         for spec, bits, m_max in self.CASES:
-            if (bits is None) != spec.is_exact:
-                continue
-            fam = build_family(spec, m_max, precision_bits=bits or 256)
-            if bits is None:
-                want = reference_rows(spec, m_max, exact=True)
-            else:
-                with working_precision(bits):
-                    want = reference_rows(spec, m_max, exact=False)
+            with working_precision(bits or 256):
+                fam = build_family(spec, m_max)
+            want = reference_rows(spec, m_max, exact=True)
             got = [[_bits(c) for c in p.coeffs] for p in fam.polys]
             assert got == [[_bits(c) for c in r] for r in want], \
                 (spec, bits, m_max)
@@ -412,13 +408,18 @@ class TestSerialization:
             assert again[m].coeffs == fam[m].coeffs
 
     def test_bigfloat_family_round_trip_bit_exact(self, reduced_spec):
-        spec = reduced_spec.with_s(mp.mpc("0.31", "-1.7"))
+        # s given as a 200-bit mpc: the family is exact and comes back
+        # with the exact values of s and of every coefficient
         with working_precision(200):
-            fam = build_family(spec, 5)
-        again = PolynomialFamily.loads(fam.dumps())
+            s = mp.mpc("0.31", "-1.7")
+        fam = build_family(reduced_spec.with_s(s), 5)
+        text = fam.dumps()
+        assert '"field": {"kind": "exact"}' in text
+        again = PolynomialFamily.loads(text)
+        with working_precision(200):
+            assert to_mpc(again.spec.s)._mpc_ == s._mpc_
         for m in range(6):
-            for a, b in zip(again[m].coeffs, fam[m].coeffs):
-                assert a._mpc_ == b._mpc_
+            assert again[m].coeffs == fam[m].coeffs
 
 
 class TestDensePolynomial:
@@ -428,9 +429,7 @@ class TestDensePolynomial:
     @given(st.lists(small_rationals, min_size=1, max_size=7),
            small_rationals)
     def test_horner_matches_naive(self, coeffs, x):
-        poly = DensePolynomial(
-            coeffs=tuple(QQi(c) for c in coeffs), field=EXACT_FIELD
-        )
+        poly = DensePolynomial(coeffs=tuple(QQi(c) for c in coeffs))
         xq = QQi(x)
         naive = QQi(0)
         for k, c in enumerate(coeffs):
@@ -439,9 +438,7 @@ class TestDensePolynomial:
 
     @given(st.lists(small_rationals, min_size=2, max_size=7))
     def test_derivative_reduces_degree(self, coeffs):
-        poly = DensePolynomial(
-            coeffs=tuple(QQi(c) for c in coeffs), field=EXACT_FIELD
-        )
+        poly = DensePolynomial(coeffs=tuple(QQi(c) for c in coeffs))
         dpoly = poly.derivative()
         assert len(dpoly.coeffs) == max(len(coeffs) - 1, 1)
         for k, c in enumerate(dpoly.coeffs):

@@ -11,9 +11,8 @@ from heunzeros.scalars import (
     QQi,
     as_exact,
     format_scalar,
+    exact_value,
     is_exact_scalar,
-    mpf_from_hex,
-    mpf_to_hex,
     parse_gaussian_rational,
     parse_scalar,
     scalar_from_json,
@@ -110,7 +109,7 @@ class TestParser:
 
 
 # each part as written, with its exact value; the last is in exponent
-# notation and so is read as a big float
+# notation and so is rounded to the precision, then read exactly
 PARTS = [("7", Fraction(7)), ("-3/4", Fraction(-3, 4)),
          ("0.3", Fraction(3, 10)), (".5", Fraction(1, 2)), ("1.", Fraction(1)),
          ("-1e-1", Fraction(-1, 10))]
@@ -127,11 +126,13 @@ def scalar_cases():
                 (" 1 / 2 - 3 / 4 i ", Fraction(1, 2), Fraction(-3, 4))]
 
 
-def rounded(x: Fraction, bits: int) -> mp.mpf:
+def rounded(x: Fraction, bits: int) -> Fraction:
     """x correctly rounded to bits (numerator and denominator are exact
-    at every precision used here, so the division rounds once)."""
+    at every precision used here, so the division rounds once), as the
+    exact value of that binary float."""
     with mp.workprec(bits):
-        return mp.mpf(x.numerator) / x.denominator
+        y = mp.mpf(x.numerator) / x.denominator
+    return Fraction(*mp.libmp.to_rational(y._mpf_))
 
 
 class TestScalarReader:
@@ -140,27 +141,21 @@ class TestScalarReader:
     @pytest.mark.parametrize("bits", [64, 256])
     def test_table(self, text, re_, im_, bits):
         got = parse_scalar(text, bits)
+        assert type(got) is QQi
         if "e" not in text.lower():
-            assert type(got) is QQi
             assert got == QQi(re_, im_ or 0)
             assert parse_gaussian_rational(text) == got
             return
         with pytest.raises(ValueError, match="needs a precision"):
             parse_gaussian_rational(text)
-        re_, im_ = Fraction(re_), im_ if im_ is None else Fraction(im_)
-        if im_ is None:
-            assert type(got) is mp.mpf
-            assert got == rounded(re_, bits)
-        else:
-            assert type(got) is mp.mpc
-            assert got.real == rounded(re_, bits)
-            assert got.imag == rounded(im_, bits)
+        assert got.re == rounded(Fraction(re_), bits)
+        assert got.im == rounded(Fraction(im_ or 0), bits)
 
     def test_precision_reaches_every_part(self):
         z64 = parse_scalar("1/3+1e-1i", 64)
         z256 = parse_scalar("1/3+1e-1i", 256)
-        assert z64.real != z256.real and z64.imag != z256.imag
-        assert z256.real == rounded(Fraction(1, 3), 256)
+        assert z64.re != z256.re and z64.im != z256.im
+        assert z256.re == rounded(Fraction(1, 3), 256)
 
     @pytest.mark.parametrize("bad", [
         "", "1_0", "1e3_0", "1_0+2i", "1/0", "1/00+i", "1e-3+", "2i+1",
@@ -180,8 +175,22 @@ class TestScalarReader:
 
     def test_accepts_magnitudes_within_the_double_range(self):
         assert parse_scalar(str(2 ** 1024 - 1)) == QQi(2 ** 1024 - 1)
-        assert 2 ** 1023 < parse_scalar("1.7e308", 256) < 2 ** 1024
-        assert parse_scalar("1e-999999999999", 1) > 0
+        assert 2 ** 1023 < parse_scalar("1.7e308", 256).re < 2 ** 1024
+        assert parse_scalar("1e-300", 1).re > 0
+        # below the double range, down to 2^-(1024 + bits)
+        assert parse_scalar("1e-400", 2048).re > 0
+        assert parse_scalar(f"{Fraction(1, 2 ** 1100)}") != 0
+
+    @pytest.mark.parametrize("text,bits", [
+        ("1e-999999999999", 1), ("1e-1000000000", 256), ("1e-386", 256),
+        ("1+1e-400i", 256), ("1e-1000", 2048)])
+    def test_refuses_nonzero_parts_that_make_huge_denominators(self, text,
+                                                               bits):
+        # the exact value of 1e-1000000000 has a denominator of 415 MB
+        bound = rf"nonzero magnitude below 2\^-{1024 + bits}"
+        with pytest.raises(ValueError, match=bound):
+            parse_scalar(text, bits)
+        assert parse_scalar("0e-999999999999", bits) == 0
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "+inf", "NaN"])
     def test_refuses_non_finite(self, text):
@@ -216,23 +225,53 @@ class TestSerialization:
         assert scalar_from_json(blob) == v
 
     def test_bigfloat_round_trip_is_bit_exact(self):
+        # a big float is serialized by its exact value, which converts
+        # back to the same bits at its precision
         with working_precision(237):
             x = mp.mpf(2) ** mp.mpf("0.123456789")
             z = mp.mpc(x, -x / 3)
-        blob = scalar_to_json(z)
-        back = scalar_from_json(blob)
-        assert back._mpc_ == z._mpc_
+        back = scalar_from_json(scalar_to_json(exact_value(z)))
+        assert back == exact_value(z)
+        with working_precision(237):
+            assert to_mpc(back)._mpc_ == z._mpc_
 
-    def test_hex_handles_specials(self):
-        assert mpf_from_hex(mpf_to_hex(mp.mpf(0))) == 0
-        v = mp.mpf("-1.5e-300")
-        assert mpf_from_hex(mpf_to_hex(v)) == v
 
-    @given(st.integers(min_value=-10**9, max_value=10**9),
-           st.integers(min_value=-60, max_value=60))
-    def test_hex_round_trip(self, mantissa, exp):
-        v = mp.ldexp(mp.mpf(mantissa), exp)
-        assert mpf_from_hex(mpf_to_hex(v)) == v
+class TestExactValue:
+    @pytest.mark.parametrize("x", [0.1, -2.5e-300, 1 + 0.3j, -1.5e300])
+    def test_a_float_is_its_exact_binary_value(self, x):
+        z = complex(x)
+        want = QQi(Fraction(z.real), Fraction(z.imag))
+        assert exact_value(x) == want
+        # at any working precision, even one below a double's
+        with working_precision(2):
+            assert exact_value(x) == want
+        assert exact_value(mp.mpf(z.real)) == want.re
+
+    def test_every_double_is_accepted_at_53_bits(self):
+        with working_precision(53):
+            assert exact_value(5e-324) == QQi(Fraction(1, 2 ** 1074))
+
+    def test_an_mpc_keeps_every_bit(self):
+        with working_precision(300):
+            z = mp.mpc(1, -3) / 7
+        q = exact_value(z)
+        assert q.re.denominator == 2 ** -z.real._mpf_[2]
+        with working_precision(300):
+            assert to_mpc(q)._mpc_ == z._mpc_
+
+    def test_exact_scalars_pass_through(self):
+        assert exact_value(Fraction(1, 3)) == QQi(Fraction(1, 3))
+        assert exact_value("1/2-i") == QQi(Fraction(1, 2), -1)
+        assert exact_value(QQi(2, 3)) == QQi(2, 3)
+
+    @pytest.mark.parametrize("x,match", [
+        (mp.mpf("1e-1000000000"), "nonzero magnitude below 2\\^-1077"),
+        (mp.mpf("1e400"), "magnitude 2\\^1024 or more"),
+        (float("nan"), "not a finite number"),
+        (mp.mpc(mp.inf, 0), "not a finite number")])
+    def test_refuses_values_without_a_small_exact_form(self, x, match):
+        with pytest.raises(ValueError, match=match):
+            exact_value(x)
 
 
 class TestConversion:

@@ -122,17 +122,15 @@ class TestSolveZeros:
             solve_zeros(lame_small, 0)
 
     def test_inexact_parameters_solve_at_the_requested_precision(self):
-        # q = 2 read as a 512-bit float: a 256-bit build left the zeros
-        # 1e-74 away from the exact-build ones, above the 2^-256 tolerance
-        exact = solve_zeros(from_mathieu(MathieuParams(q=2))[0], 8,
-                            precision_bits=512)
+        # q = 2 given as a 512-bit float is the exact spec of q = 2 and
+        # solves to the same zeros, bit for bit
+        exact_spec = from_mathieu(MathieuParams(q=2))[0]
+        exact = solve_zeros(exact_spec, 8, precision_bits=512)
         with working_precision(512):
             spec = from_mathieu(MathieuParams(q=mp.mpf(2)))[0]
-        assert not spec.is_exact
+        assert spec == exact_spec
         inexact = solve_zeros(spec, 8, precision_bits=512)
-        worst = max(abs(x - y) for x, y in zip(sorted_zeros(exact),
-                                               sorted_zeros(inexact)))
-        assert worst < exact.tol
+        assert inexact.zeros == exact.zeros
 
 
 class TestJacobiSeeds:
@@ -587,8 +585,8 @@ class TestConvergenceReport:
         assert len(table.splitlines()) == 5
 
     def test_table_estimates_at_the_solve_precision(self):
-        # s = 1/2 read as a float: the estimates must not drop to the
-        # ambient 53 bits
+        # s = 1/2 given as a float is exact, and so are the estimates: they
+        # must not drop to the ambient 53 bits
         with working_precision(256):
             spec, _ = from_lame(LameParams(n=2, s=mp.mpf("0.5")))
         row = zero_table(spec, {8: solve_zeros(spec, 8)}, k_max=2)[2]
@@ -772,7 +770,8 @@ class TestScaledTail:
                 for x, y in zip(got, reference_d2(spec, b, K)):
                     assert abs(x - y) <= mp.mpf("1e-60") * abs(y), (K, x, y)
 
-    # gamma = delta = 1/2 + 3 * 2^-64, exact and as a 256-bit float
+    # gamma = delta = 1/2 + 3 * 2^-64, as a Fraction and as a 256-bit
+    # float: one exact spec
     FINE = RecurrenceSpec(kind=FamilyKind.REDUCED,
                           gamma=QQi(Fraction(2**63 + 3, 2**64)),
                           delta=QQi(Fraction(2**63 + 3, 2**64)), s=2)
@@ -787,9 +786,9 @@ class TestScaledTail:
                                     s=mp.mpf(1) / 64)
     LAME_64 = from_lame(LameParams(n=2, s="1/64"))[0]
 
-    # (spec, precision, K): switches specs, fields and precisions, grows
-    # and reuses one table, and puts equal exact and big-float specs next
-    # to each other
+    # (spec, precision, K): switches specs and precisions, grows and
+    # reuses one table, and puts the same spec given as Fractions and as
+    # mpf next to each other
     CASES = [
         (LAME_64, 256, 40), (LAME_EQUAL_MPF, 256, 40), (LAME_64, 64, 80),
         (LAME_EQUAL_MPF, 64, 80), (LAME_EQUAL_MPF, 64, 20),
