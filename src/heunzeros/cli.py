@@ -75,9 +75,8 @@ from .recurrence import (
 )
 from .rootfind import NonConvergenceError, find_all_roots
 from .scalars import (
-    as_exact,
+    QQi,
     format_scalar,
-    is_exact_scalar,
     parse_scalar,
     to_mpc,
     working_precision,
@@ -170,10 +169,8 @@ def _fmt(x, digits: int) -> str:
     full digit count."""
     if x is None:
         return "-"
-    if is_exact_scalar(x) and not isinstance(x, str):
-        q = as_exact(x)
-        if q.is_real and q.re.denominator == 1:
-            return str(q.re.numerator)
+    if isinstance(x, QQi) and x.as_integer() is not None:
+        return str(x.as_integer())
     return format_scalar(x, digits, pad=True)
 
 

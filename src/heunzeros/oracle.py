@@ -8,21 +8,27 @@ interior point.  None of it calls the production recurrence in
 `recurrence.py`, so agreement between the two paths is evidence, not
 tautology.  Keep it that way: do not "simplify" this module by
 delegating to the production code.
+
+Every polynomial and series here is exact: a float input counts as its
+exact value (`scalars.exact_value`).  Only the midpoint match leaves the
+field, at the fixed-point stepper `_fixed_steps`, the (1/2)^rho factors
+and its 2x2 solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
 
 from .families import FamilyKind, InvalidSpecError, RecurrenceSpec
 from .scalars import (
+    QQi,
     _fixed_div,
     _from_fixed,
     _to_fixed,
-    as_exact,
-    is_exact_scalar,
+    exact_value,
     to_mpc,
     working_precision,
 )
@@ -37,27 +43,24 @@ class ResonantExponentError(InvalidSpecError):
 
 def family_ode_polys(spec: RecurrenceSpec, B):
     """Ascending coefficient lists (p, q, r) with
-    p(z) y'' + q(z) y' + r(z) y = 0 the defining equation of the family.
-
-    Exact B in, exact lists out; an inexact B makes every entry mpc at
-    the working precision.
+    p(z) y'' + q(z) y' + r(z) y = 0 the defining equation of the family,
+    exact: a binary-float B counts as its exact value (`exact_value`).
     """
-    conv = as_exact if is_exact_scalar(B) else to_mpc
-    g, d, s, b = (conv(spec.gamma), conv(spec.delta), conv(spec.s), conv(B))
-    one = g * 0 + 1
+    g, d, s, b = spec.gamma, spec.delta, spec.s, exact_value(B)
+    zero, one = QQi(0), QQi(1)
     if spec.kind == FamilyKind.HEUN:
-        a, bt = conv(spec.alpha), conv(spec.beta)
+        a, bt = spec.alpha, spec.beta
         e = a + bt + 1 - g - d
-        p = [one * 0, -one, one + s, -s]
+        p = [zero, -one, one + s, -s]
         q = [-g, g * (1 + s) + d + s * e, -s * (g + d + e)]
         r = [b, -s * a * bt]
     elif spec.kind == FamilyKind.CONFLUENT:
-        a = conv(spec.alpha)
-        p = [one * 0, -one, one]
+        a = spec.alpha
+        p = [zero, -one, one]
         q = [-g, g + d + s, -s]
         r = [b, -s * a]
     else:
-        p = [one * 0, -one, one]
+        p = [zero, -one, one]
         q = [-g, g + d]
         r = [b, -s]
     return p, q, r
@@ -93,35 +96,24 @@ class SeriesSolution:
 def series_solution(p, q, r, exponent=0, N: int = 40) -> SeriesSolution:
     """Power-series solution of p y'' + q y' + r y = 0 about the regular
     singular point z = 0, by direct convolution of the coefficient
-    polynomials.  Needs p(0) = 0.  Exact inputs give exact coefficients;
-    inexact ones run the fixed-point stepper `_fixed_steps` with
-    _GUARD bits beyond the working precision and come back as mpc.
+    polynomials.  Needs p(0) = 0.  The coefficients are exact: each
+    input is read by `exact_value`, so a binary float counts as its
+    exact value.
     """
-    flat = list(p) + list(q) + list(r) + [exponent]
-    exact = all(is_exact_scalar(v) for v in flat)
-    conv = as_exact if exact else to_mpc
-    P = [conv(x) for x in p]
-    Q = [conv(x) for x in q]
-    R = [conv(x) for x in r]
-    rho = conv(exponent)
+    P, Q, R = ([exact_value(x) for x in xs] for xs in (p, q, r))
+    rho = exact_value(exponent)
     if not P or P[0] != 0:
         raise InvalidSpecError("z = 0 must be a singular point: p(0) = 0")
     if len(P) < 2:
         raise InvalidSpecError("p must have degree >= 1")
-    if not exact:
-        F = mp.mp.prec + _GUARD
-        a, _ = _fixed_steps(_fixed_polys(P, Q, R, F), rho, N, F)
-        return SeriesSolution(exponent=rho,
-                              coeffs=tuple(_from_fixed(x, y, F) for x, y in a))
     p1 = P[1]
-    q0 = Q[0] if Q else p1 * 0
-    one = p1 * 0 + 1
-    a = [one]
+    q0 = Q[0] if Q else QQi(0)
+    a = [QQi(1)]
     for m in range(1, N + 1):
         den = (m + rho) * ((m + rho - 1) * p1 + q0)
         if den == 0:
             raise _resonance(m)
-        acc = one * 0
+        acc = QQi(0)
         for i in range(2, min(len(P), m + 2)):
             n = m + 1 - i
             acc = acc + P[i] * a[n] * (n + rho) * (n + rho - 1)
@@ -221,16 +213,17 @@ def ode_residual(spec: RecurrenceSpec, B, N: int = 40, z_samples=None,
     """Largest relative residual of the truncated series in the family
     ODE across the sample points.
 
-    `coeffs` defaults to the production series from `eval_sequence`, so
-    this is an end-to-end check of the recurrence path against the
-    differential equation itself.  Passing degraded coefficients should
-    make the residual blow up; tests rely on that.
+    `coeffs` defaults to the production series from `eval_sequence` at
+    the exact value of B, so this is an end-to-end check of the
+    recurrence path against the differential equation itself.  Passing
+    degraded coefficients should make the residual blow up; tests rely
+    on that.
     """
     from .recurrence import eval_sequence
 
     with working_precision(precision_bits):
         if coeffs is None:
-            coeffs = eval_sequence(spec, B, N, precision_bits=precision_bits)
+            coeffs = eval_sequence(spec, exact_value(B), N)
         cs = [to_mpc(c) for c in coeffs]
         p, q, r = family_ode_polys(spec, B)
         if z_samples is None:
@@ -256,10 +249,9 @@ def _compose_one_minus(poly):
     """Coefficients of poly(1 - w) as a polynomial in w."""
     if not poly:
         return []
-    zero = poly[0] * 0
-    one = zero + 1
+    zero = QQi(0)
     out = [zero] * len(poly)
-    basis = [one]                      # (1 - w)^i, ascending
+    basis = [QQi(1)]                   # (1 - w)^i, ascending
     for coef in poly:
         for j, bj in enumerate(basis):
             out[j] = out[j] + coef * bj
@@ -278,14 +270,8 @@ def ode_polys_at_1(spec: RecurrenceSpec, B):
     z = 1 point): p(1-w) Y'' - q(1-w) Y' + r(1-w) Y = 0."""
     p, q, r = family_ode_polys(spec, B)
     ph = _compose_one_minus(p)
-    # p(1) = 0 identically; in big-float arithmetic the composition
-    # leaves roundoff in the constant term, which must be cleared for
-    # the stepper to see the singular point.
-    if ph and ph[0] != 0:
-        scale = max(abs(to_mpc(c)) for c in ph)
-        if abs(to_mpc(ph[0])) > scale * mp.mpf(2) ** (40 - mp.mp.prec):
-            raise InvalidSpecError("z = 1 is not singular for this equation")
-        ph[0] = ph[0] * 0
+    if ph[0] != 0:
+        raise InvalidSpecError("z = 1 is not singular for this equation")
     return (
         ph,
         [-x for x in _compose_one_minus(q)],
@@ -312,20 +298,19 @@ def z1_swapped_spec(spec: RecurrenceSpec, B):
     """Parameters of the family seen from z = 1: the substitution
     w = 1 - z maps the equation onto the same family with gamma and
     delta exchanged, a rescaled singularity parameter, and a shifted
-    accessory parameter.  Returns (new_spec, new_B)."""
-    conv = as_exact if is_exact_scalar(B) else to_mpc
-    g, d, s, b = conv(spec.gamma), conv(spec.delta), conv(spec.s), conv(B)
+    accessory parameter.  Returns (new_spec, new_B), new_B exact."""
+    s, b = spec.s, exact_value(B)
     if spec.kind == FamilyKind.HEUN:
         if s == 1:
             raise InvalidSpecError("s = 1 merges the z = 1 and z = 1/s points")
-        a, bt = conv(spec.alpha), conv(spec.beta)
+        a, bt = spec.alpha, spec.beta
         new_s = s / (s - 1)
         new_b = (b - s * a * bt) / (1 - s)
         new = RecurrenceSpec(kind=spec.kind, gamma=spec.delta,
                              delta=spec.gamma, s=new_s,
                              alpha=spec.alpha, beta=spec.beta)
     elif spec.kind == FamilyKind.CONFLUENT:
-        new_b = b - s * conv(spec.alpha)
+        new_b = b - s * spec.alpha
         new = RecurrenceSpec(kind=spec.kind, gamma=spec.delta,
                              delta=spec.gamma, s=-s, alpha=spec.alpha)
     else:
@@ -354,19 +339,20 @@ def d2_by_midpoint_matching(spec: RecurrenceSpec, B, N: int = 80,
     for the two connection weights.  Entirely oracle-side arithmetic:
     the three series run in `_fixed_steps` at precision_bits + _GUARD
     fraction bits and are summed at 1/2 exactly (`_at_half`); only the
-    (1/2)^rho factors and the 2x2 solve are mpc.  InvalidSpecError when
-    z = 1/2 lies outside the disk of either series.
+    (1/2)^rho factors and the 2x2 solve are mpc.  B, read as its exact
+    value, enters only as the constant term of r in both equations.
+    InvalidSpecError when z = 1/2 lies outside the disk of either
+    series.
     """
     F = precision_bits + _GUARD
+    at_0, at_1, rho = _midpoint_polys(spec, F)
+    br, bi = _to_fixed(exact_value(B), F)
+    at_0, at_1 = ((P, Q, [(R[0][0] + br, R[0][1] + bi)] + R[1:])
+                  for P, Q, R in (at_0, at_1))
     with working_precision(precision_bits):
-        _check_midpoint_disks(spec)
-        b = to_mpc(B)
-        y0, dy0 = _at_half(_fixed_polys(*family_ode_polys(spec, b), F),
-                           0, N, F)
-        ph, qh, rh = ode_polys_at_1(spec, b)
-        at_1 = _fixed_polys(ph, qh, rh, F)
+        y0, dy0 = _at_half(at_0, 0, N, F)
         u0, du0 = _at_half(at_1, 0, N, F)
-        u1, du1 = _at_half(at_1, _singular_exponent(ph, qh), N, F)
+        u1, du1 = _at_half(at_1, rho, N, F)
         # d/dz = -d/dw on the w-side series
         m00, m01, m10, m11 = u0, u1, -du0, -du1
         det = m00 * m11 - m01 * m10
@@ -376,6 +362,18 @@ def d2_by_midpoint_matching(spec: RecurrenceSpec, B, N: int = 80,
         d2 = (m00 * dy0 - y0 * m10) / det
         fro2 = abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2
         return MidpointMatch(d1=d1, d2=d2, condition=fro2 / abs(det))
+
+
+@lru_cache(maxsize=64)
+def _midpoint_polys(spec: RecurrenceSpec, F: int) -> tuple:
+    """(at_0, at_1, rho): `_fixed_polys` of the family equation and of
+    `ode_polys_at_1`, both at B = 0, and the singular exponent at z = 1.
+    B sits only in r[0], which is B at z = 0 and r(1) = B + r_1 at
+    z = 1.  Cached per (spec, F)."""
+    _check_midpoint_disks(spec)
+    ph, qh, rh = ode_polys_at_1(spec, 0)
+    return (_fixed_polys(*family_ode_polys(spec, 0), F),
+            _fixed_polys(ph, qh, rh, F), _singular_exponent(ph, qh))
 
 
 def _at_half(polys, exponent, N: int, F: int) -> tuple:
@@ -388,7 +386,7 @@ def _at_half(polys, exponent, N: int, F: int) -> tuple:
     sums = [_from_fixed(sum(x << (N - n) for n, (x, _) in enumerate(t)),
                         sum(y << (N - n) for n, (_, y) in enumerate(t)),
                         F + N) for t in (a, b)]
-    scale = mp.mpf(2) ** -exponent if exponent != 0 else mp.mpf(1)
+    scale = mp.mpf(2) ** -to_mpc(exponent) if exponent != 0 else mp.mpf(1)
     return scale * sums[0], 2 * scale * sums[1]
 
 

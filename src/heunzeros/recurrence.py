@@ -7,10 +7,10 @@ at z = 0, as a degree-m polynomial in the accessory parameter B:
 
 with c_{-1} = 0 and c_0 = 1.  One routine (`_recurrence`) runs it on
 coefficient lists in one variable: B for `build_family`, none (a fixed
-B) for `eval_sequence`, and s for `family_in_s`.  Specs are exact, so
-polynomials run in the exact Gaussian-rational field; only
-`eval_sequence` at an inexact B, or at a forced precision, runs in mpc
-big floats.
+B) for `eval_sequence`, and s for `family_in_s`.  Specs and B are
+exact, so everything here runs in the Gaussian-rational field, with no
+rounding; a caller holding a binary-float B passes its exact value
+(`scalars.exact_value`).
 
 Useful consequences kept as helpers and exploited by the test-suite:
 the leading coefficient of c_m is 1/(m! (gamma)_m), and at s = 0 the
@@ -24,18 +24,8 @@ import json
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-import mpmath as mp
-
 from .families import InvalidSpecError, RecurrenceSpec, recurrence_coeffs
-from .scalars import (
-    QQi,
-    as_exact,
-    is_exact_scalar,
-    scalar_from_json,
-    scalar_to_json,
-    to_mpc,
-    working_precision,
-)
+from .scalars import QQi, as_exact, scalar_from_json, scalar_to_json
 
 SCHEMA_FAMILY = "heunzeros-family/1"
 
@@ -122,26 +112,25 @@ def build_family(spec: RecurrenceSpec, m_max: int) -> PolynomialFamily:
     if m_max < 0:
         raise InvalidSpecError("m_max must be nonnegative")
     s = spec.s
-    rows = _recurrence(spec, m_max, as_exact,
+    rows = _recurrence(spec, m_max,
                        lambda D, E, F: ([D + s * E, 1], [-(s * F)]))
     polys = tuple(DensePolynomial(tuple(r)) for r in rows)
     return PolynomialFamily(spec=spec, m_max=m_max, polys=polys)
 
 
-def _recurrence(spec: RecurrenceSpec, m_max: int, conv, step) -> list:
+def _recurrence(spec: RecurrenceSpec, m_max: int, step) -> list:
     """Coefficient lists, in one variable X, of c_0 ... c_{m_max} by
 
         (m+1)(m+gamma) c_{m+1} = L_m c_m - M_m c_{m-1},  c_0 = 1,
 
-    where (L_m, -M_m) = step(D_m, E_m, F_m) are coefficient lists in X
-    built from the step data after conv (`as_exact`, or `to_mpc` at the
-    working precision for `eval_sequence` in big floats).  The step negates M_m, one scalar or two, so
-    that no product list is negated term by term."""
-    gamma = conv(spec.gamma)
-    rows = [[conv(1)]]
+    where (L_m, -M_m) = step(D_m, E_m, F_m) are exact coefficient lists
+    in X.  The step negates M_m, one scalar or two, so that no product
+    list is negated term by term."""
+    gamma = spec.gamma
+    rows = [[QQi(1)]]
     prev = None
     for m in range(m_max):
-        L, neg_M = step(*map(conv, recurrence_coeffs(spec, m)))
+        L, neg_M = step(*recurrence_coeffs(spec, m))
         cur = rows[-1]
         val = _sp_mul(L, cur)
         if prev is not None:
@@ -173,25 +162,15 @@ def _sp_mul(a: list, b: list) -> list:
     return out
 
 
-def eval_sequence(spec: RecurrenceSpec, B, K: int,
-                  precision_bits: int | None = None) -> list:
-    """c_0(B) ... c_K(B) by the scalar recurrence, O(K) work.
-
-    Runs exactly when B is exact and no precision was forced; otherwise
-    in mpc under precision_bits (or the caller's current mpmath context
-    when omitted).  Each step is the polynomial step of `build_family`
-    with B fixed, so its degree-0 lists round exactly as the scalar loop
-    does.
-    """
+def eval_sequence(spec: RecurrenceSpec, B, K: int) -> list:
+    """c_0(B) ... c_K(B) for an exact B by the scalar recurrence, O(K)
+    work, exactly.  Each step is the polynomial step of `build_family`
+    with B fixed."""
     if K < 0:
         raise InvalidSpecError("K must be nonnegative")
-    exact = precision_bits is None and (is_exact_scalar(B)
-                                        or isinstance(B, str))
-    conv = as_exact if exact else to_mpc
-    with working_precision(precision_bits or mp.mp.prec):
-        B, s = conv(B), conv(spec.s)
-        rows = _recurrence(spec, K, conv,
-                           lambda D, E, F: ([B + D + s * E], [-(s * F)]))
+    B, s = as_exact(B), spec.s
+    rows = _recurrence(spec, K,
+                       lambda D, E, F: ([B + D + s * E], [-(s * F)]))
     return [r[0] for r in rows]
 
 
@@ -214,7 +193,7 @@ def family_in_s(spec: RecurrenceSpec, b_of_s, m_max: int) -> list[list[list]]:
     """
     bpoly = [as_exact(c) for c in b_of_s]
     # L_m = B(s) + D_m + s E_m and M_m = s F_m as polynomials in s
-    return _recurrence(spec, m_max, as_exact,
+    return _recurrence(spec, m_max,
                        lambda D, E, F: (_sp_add(bpoly, [D, E]), [0, -F]))
 
 

@@ -109,8 +109,8 @@ class Continuant:
         p_{k+1}(z) = (z + A_k) p_k(z) - N_k p_{k-1}(z),  p_0 = 1,
 
     given by its rows A = (A_0, ..., A_{m-1}) and N = (N_0, ..., N_{m-1}),
-    exact scalars, as `tracking.continuant` builds them, or mpc (N_0
-    multiplies p_{-1} = 0 and is never read).
+    QQi, as `tracking.continuant` builds them (N_0 multiplies p_{-1} = 0
+    and is never read).
     Its zeros are the eigenvalues of the complex-symmetric tridiagonal
     matrix with diagonal -A_k and off-diagonal sqrt(N_k), k >= 1
     (`jacobi_matrix`; docs/math_notes.md, section 8)."""
@@ -130,7 +130,7 @@ class Continuant:
 
     def is_real(self) -> bool:
         """Whether every row is real, and so p_m has real coefficients."""
-        return all(to_mpc(x).imag == 0 for x in self.A + self.N[1:])
+        return all(x.im == 0 for x in self.A + self.N[1:])
 
     def jacobi_matrix(self) -> tuple:
         """(diagonal, off-diagonal) as mpc at the working precision."""

@@ -4,9 +4,13 @@ Every parameter of a spec is a Gaussian rational, i.e. a complex number
 whose real and imaginary parts are :class:`fractions.Fraction`, so all
 recurrence algebra runs with no rounding at all and polynomial
 coefficients and substitution identities can be checked exactly.  A
-binary float given as a parameter (a float, complex, mpf or mpc) counts
-as its exact dyadic value (`exact_value`).  mpc big floats appear only
-for runtime values: a value of B, a zero, a d2 estimate.
+binary float (a float, complex, mpf or mpc) given as a parameter, or
+as B to the recurrence or the oracle, counts as its exact dyadic value
+(`exact_value`); QQi
+arithmetic with one raises ExactnessError, and a QQi equals one only
+when that exact value is the same number.  mpc big floats appear only
+as outputs of the numeric kernels (a zero, a d2 estimate) and at the
+fixed-point boundary (`_to_fixed`).
 
 The helpers here also own the one reader of typed scalars,
 ``parse_scalar`` (``"a+bi"``: integer, fraction and decimal parts are
@@ -19,6 +23,7 @@ decimal-free ``"num/den"`` strings.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -57,36 +62,23 @@ class QQi:
             "pass int, Fraction, QQi, or a rational string"
         )
 
-    # Mixing with an inexact scalar silently leaves the exact field and
-    # yields an mpc at the caller's current working precision.
-    def _inexact(self, other, op):
-        return op(to_mpc(self), to_mpc(other))
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _INEXACT_TYPES):
-            return self._inexact(other, lambda a, b: a + b)
         o = QQi.coerce(other)
         return QQi(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, _INEXACT_TYPES):
-            return self._inexact(other, lambda a, b: a - b)
         o = QQi.coerce(other)
         return QQi(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        if isinstance(other, _INEXACT_TYPES):
-            return self._inexact(other, lambda a, b: b - a)
         o = QQi.coerce(other)
         return QQi(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
-        if isinstance(other, _INEXACT_TYPES):
-            return self._inexact(other, lambda a, b: a * b)
         o = QQi.coerce(other)
         return QQi(self.re * o.re - self.im * o.im,
                    self.re * o.im + self.im * o.re)
@@ -94,8 +86,6 @@ class QQi:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _INEXACT_TYPES):
-            return self._inexact(other, lambda a, b: a / b)
         o = QQi.coerce(other)
         d = o.re * o.re + o.im * o.im
         if d == 0:
@@ -104,8 +94,6 @@ class QQi:
                    (self.im * o.re - self.re * o.im) / d)
 
     def __rtruediv__(self, other):
-        if isinstance(other, _INEXACT_TYPES):
-            return self._inexact(other, lambda a, b: b / a)
         return QQi.coerce(other) / self
 
     def __neg__(self):
@@ -131,18 +119,22 @@ class QQi:
     # -- predicates / structure -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, _INEXACT_TYPES):
-            return to_mpc(self) == to_mpc(other)
-        try:
-            o = QQi.coerce(other)
-        except (ExactnessError, ValueError):
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        # a binary float compares by its exact value, as it hashes; one
+        # that exact_value refuses (nan, inf, out of range) is unequal
+        if not isinstance(other, QQi):
+            try:
+                other = exact_value(other)
+            except (ExactnessError, ValueError):
+                return NotImplemented
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # the hash of an equal Fraction, float, mpf or mpc (mpmath's
+        # rule, which differs from a Python complex's for some values)
         if self.im == 0:
             return hash(self.re)
-        return hash((self.re, self.im))
+        return ((hash(self.re) + sys.hash_info.imag * hash(self.im))
+                % 2 ** sys.hash_info.width)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -179,9 +171,6 @@ class QQi:
 
     def __complex__(self):
         return complex(self.re) + 1j * complex(self.im)
-
-
-_INEXACT_TYPES = (float, complex, mp.mpf, mp.mpc)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -256,11 +245,11 @@ def exact_value(x) -> QQi:
     """x as a QQi: an exact scalar as `as_exact` reads it, and a binary
     float (a float, complex, mpf or mpc) as its exact dyadic value, each
     part refused as `_dyadic` refuses it."""
-    if not isinstance(x, _INEXACT_TYPES):
-        return as_exact(x)
     if isinstance(x, (complex, mp.mpc)):
         return QQi(_dyadic(x.real), _dyadic(x.imag))
-    return QQi(_dyadic(x))
+    if isinstance(x, (float, mp.mpf)):
+        return QQi(_dyadic(x))
+    return as_exact(x)
 
 
 def _dyadic(x) -> Fraction:
@@ -282,18 +271,6 @@ def _dyadic(x) -> Fraction:
         raise ValueError("nonzero magnitude below "
                          f"2^-{MAGNITUDE_BITS + mp.mp.prec}")
     return Fraction(*mp.libmp.to_rational(x._mpf_))
-
-
-def is_exact_scalar(x) -> bool:
-    if isinstance(x, (QQi, int, Fraction)):
-        return True
-    if isinstance(x, str):
-        try:
-            parse_gaussian_rational(x)
-        except ValueError:
-            return False
-        return True
-    return False
 
 
 # -- big-float conversion ---------------------------------------------------

@@ -2,8 +2,8 @@
 there, every private helper of the package is used by the package or a
 script, library modules import each other at module level, the package
 imports no third-party module it does not declare, the CLI decides
-output formats in one place, and every package name the benchmark
-tracer wraps or reads still exists."""
+output formats in one place, the recurrence holds no big float, and
+every package name the benchmark tracer wraps or reads still exists."""
 
 import ast
 import importlib
@@ -224,6 +224,14 @@ def test_oracle_shares_no_stepping_code():
         <= {"families", "scalars"}
     assert {entry[:3] for entry in found if entry[0] is not None} \
         == {("ode_residual", "recurrence", "eval_sequence")}
+
+
+# the recurrence runs in the exact field only: recurrence.py imports
+# no big-float module and no conversion to one
+def test_recurrence_imports_no_big_floats():
+    source = (ROOT / "src" / "heunzeros" / "recurrence.py").read_text()
+    assert "mpmath" not in third_party_imports(source)
+    assert "to_mpc" not in {name for _, _, name, _ in package_imports(source)}
 
 
 # the one local import of oracle.py is checked above

@@ -5,6 +5,7 @@ which shares no code with the production recurrence; agreement between
 the two is the point of the tests.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -19,6 +20,7 @@ from heunzeros.families import (
     from_lame,
     from_mathieu,
 )
+from heunzeros import oracle
 from heunzeros.oracle import (
     MidpointMatch,
     ResonantExponentError,
@@ -30,7 +32,13 @@ from heunzeros.oracle import (
     z1_swapped_spec,
 )
 from heunzeros.recurrence import eval_sequence
-from heunzeros.scalars import QQi, to_mpc, working_precision
+from heunzeros.scalars import (
+    QQi,
+    _from_fixed,
+    exact_value,
+    to_mpc,
+    working_precision,
+)
 from heunzeros.tracking import d2_closed_form_s0, d2_sequence
 
 
@@ -42,10 +50,15 @@ class TestFamilyOdePolys:
         assert r == [QQi("-7/3"), QQi(-2)]
         assert all(isinstance(c, QQi) for c in p + q + r)
 
-    def test_inexact_b_gives_bigfloat_polys(self, reduced_spec):
+    def test_inexact_b_gives_exact_polys(self, reduced_spec):
+        # a big-float B is read as its exact value: it is r[0], and p and
+        # q do not depend on it
         with working_precision(128):
-            p, q, r = family_ode_polys(reduced_spec, mp.mpf("0.25"))
-        assert all(isinstance(c, mp.mpc) for c in p + q + r)
+            b = mp.mpf(1) / 3
+            p, q, r = family_ode_polys(reduced_spec, b)
+        assert all(isinstance(c, QQi) for c in p + q + r)
+        assert r == [exact_value(b), QQi(-2)]
+        assert (p, q) == family_ode_polys(reduced_spec, QQi("-7/3"))[:2]
 
 
 class TestSeriesSolution:
@@ -77,16 +90,33 @@ class TestSeriesSolution:
                 num = mp.diff(sol, z)
                 assert abs(sol.derivative(z) - num) < mp.mpf("1e-30")
 
-    def test_inexact_inputs_give_mpc_coefficients(self, heun_spec):
-        # the fixed-point stepper works at 53 + 32 fraction bits
+    def test_inexact_inputs_give_exact_coefficients(self, heun_spec):
+        # binary floats are read as their exact values: the Kummer case
+        # given in floats is the exact polynomial, and the Heun equation
+        # rounded to 53 bits has an exact series near the exact one
+        sol = series_solution([0.0, 1.0], [1.0, -1.0], [3.0], mp.mpf(0), N=8)
+        assert sol.coeffs[:4] == (QQi(1), QQi(-3), QQi("3/2"), QQi("-1/6"))
+        assert all(c == 0 for c in sol.coeffs[4:])
         p, q, r = family_ode_polys(heun_spec, QQi("-7/3"))
         exact = series_solution(p, q, r, 0, N=30)
         with working_precision(53):
-            sol = series_solution(p, q, r, mp.mpf(0), N=30)
-        assert all(isinstance(c, mp.mpc) for c in sol.coeffs)
+            rounded = [[to_mpc(c) for c in xs] for xs in (p, q, r)]
+            got = series_solution(*rounded, mp.mpf(0), N=30)
+        assert all(isinstance(c, QQi) for c in got.coeffs)
         with working_precision(300):
-            gap = max(abs(c - to_mpc(e)) / abs(to_mpc(e))
-                      for c, e in zip(sol.coeffs, exact.coeffs))
+            gap = max(abs(to_mpc(c - e)) / abs(to_mpc(e))
+                      for c, e in zip(got.coeffs, exact.coeffs))
+        assert 0 < gap < mp.mpf(2) ** -45
+
+    def test_fixed_point_stepper_matches_the_exact_series(self, heun_spec):
+        # the midpoint oracle's stepper at 53 + 32 fraction bits
+        p, q, r = family_ode_polys(heun_spec, QQi("-7/3"))
+        exact = series_solution(p, q, r, 0, N=30)
+        F = 53 + oracle._GUARD
+        a, _ = oracle._fixed_steps(oracle._fixed_polys(p, q, r, F), 0, 30, F)
+        with working_precision(300):
+            gap = max(abs(_from_fixed(x, y, F) - to_mpc(e)) / abs(to_mpc(e))
+                      for (x, y), e in zip(a, exact.coeffs))
         assert gap < mp.mpf(2) ** -50
 
     def test_requires_singular_origin(self):
@@ -112,7 +142,8 @@ class TestOdeResidual:
     def test_detects_corrupted_coefficient(self, reduced_spec):
         with working_precision(256):
             b = mp.mpf(-7) / 3
-            cs = [mp.mpc(c) for c in eval_sequence(reduced_spec, b, 60)]
+            cs = [to_mpc(c)
+                  for c in eval_sequence(reduced_spec, exact_value(b), 60)]
             cs[5] += mp.mpf("1e-6")
             res = ode_residual(reduced_spec, b, N=60, coeffs=cs)
         assert res > mp.mpf("1e-10")
@@ -154,6 +185,12 @@ class TestSwapMap:
         twice, b2 = z1_swapped_spec(once, b1)
         assert twice == spec
         assert b2 == b
+
+    def test_an_inexact_b_maps_exactly(self, reduced_spec):
+        with working_precision(128):
+            b = mp.mpf(-7) / 3
+        new, nb = z1_swapped_spec(reduced_spec, b)
+        assert isinstance(nb, QQi) and nb == exact_value(b) - 2
 
     def test_full_family_s_equal_1_rejected(self):
         spec = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2", delta="1/2",
@@ -203,6 +240,35 @@ class TestMidpointMatching:
         with pytest.raises(InvalidSpecError, match=f"of the {series} series"):
             d2_by_midpoint_matching(spec, mp.mpf(-2))
 
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_a_dyadic_b_gives_the_same_bits_as_qqi_and_as_mpc(
+            self, bits, confluent_spec):
+        # B is read as its exact value, whichever type carries it, even
+        # with parts 4 bits finer than the precision
+        specs = [confluent_spec, from_mathieu(MathieuParams(q="2i"))[0],
+                 RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/3",
+                                delta="1/2", alpha="3/2", beta=-1,
+                                s="1/3+1/4i")]
+        tiny = Fraction(1, 2 ** (bits + 4))
+        b = QQi(Fraction(-13, 8) - tiny, Fraction(3, 4) + tiny)
+        with working_precision(bits + 8):
+            as_mpc = to_mpc(b)
+        assert exact_value(as_mpc) == b
+        for spec in specs:
+            d2s = [d2_by_midpoint_matching(spec, x, precision_bits=bits).d2
+                   for x in (b, as_mpc)]
+            assert d2s[0]._mpc_ == d2s[1]._mpc_
+
+    def test_cached_polys_do_not_depend_on_call_order(self, heun_spec):
+        b = mp.mpf("-2.5")
+        calls = [(heun_spec, 64), (heun_spec, 256), (heun_spec, 64)]
+        first = [d2_by_midpoint_matching(s, b, precision_bits=p).d2._mpc_
+                 for s, p in calls]
+        oracle._midpoint_polys.cache_clear()
+        fresh = [d2_by_midpoint_matching(s, b, precision_bits=p).d2._mpc_
+                 for s, p in reversed(calls)]
+        assert first == fresh[::-1] and first[0] == first[2]
+
     def test_coincident_exponents_rejected(self):
         spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2", delta=1,
                               s="1/10")
@@ -229,7 +295,7 @@ def _midpoint_d2_700(name, b):
 @pytest.mark.parametrize("name", sorted(PRECISION_SPECS))
 def test_midpoint_holds_its_precision(name, b, bits):
     # B is the double nearest b, the same number at every precision; the
-    # spec parameters round at bits like any other input
+    # exact equations are floored to bits + 32 fraction bits
     d2 = d2_by_midpoint_matching(PRECISION_SPECS[name], mp.mpf(float(b)),
                                  precision_bits=bits).d2
     ref = _midpoint_d2_700(name, b)

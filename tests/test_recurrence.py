@@ -32,7 +32,13 @@ from heunzeros.recurrence import (
     family_in_s,
     leading_coefficient_law,
 )
-from heunzeros.scalars import QQi, to_mpc, working_precision
+from heunzeros.scalars import (
+    ExactnessError,
+    QQi,
+    exact_value,
+    to_mpc,
+    working_precision,
+)
 from heunzeros.tracking import continuant
 
 
@@ -160,17 +166,21 @@ class TestEvalSequence:
         assert isinstance(seq[3], QQi)
 
     def test_bigfloat_matches_exact(self, heun_spec):
-        b = QQi(Fraction(-7, 2))
-        exact = eval_sequence(heun_spec, b, 30)
+        # a big-float B is read as its exact value; the plain mpc loop at
+        # 256 bits agrees with the exact sequence
+        exact = eval_sequence(heun_spec, exact_value(mp.mpf("-3.5")), 30)
+        assert exact == eval_sequence(heun_spec, QQi(Fraction(-7, 2)), 30)
         with working_precision(256):
-            approx = eval_sequence(heun_spec, mp.mpf("-3.5"), 30,
-                                   precision_bits=256)
+            approx = reference_sequence(heun_spec, mp.mpc(-3.5), 30,
+                                        exact=False)
             for m in range(31):
-                want = complex(exact[m])
-                err = abs(approx[m] - mp.mpc(exact[m].re.numerator)
-                          / exact[m].re.denominator) if exact[m].is_real \
-                    else abs(approx[m] - complex(exact[m]))
+                err = abs(approx[m] - to_mpc(exact[m]))
                 assert err < mp.mpf(2) ** -200 * (1 + abs(approx[m]))
+
+    def test_an_inexact_b_is_refused(self, heun_spec):
+        for b in (-3.5, mp.mpf("-3.5"), mp.mpc(-3.5, 1)):
+            with pytest.raises(ExactnessError):
+                eval_sequence(heun_spec, b, 3)
 
 
 def reference_sequence(spec, B, K, exact):
@@ -191,21 +201,20 @@ def reference_sequence(spec, B, K, exact):
     return out
 
 
-def reference_rows(spec, m_max, exact):
-    """Coefficient lists of c_0..c_{m_max} by the same plain loop."""
-    conv = (lambda x: x) if exact else to_mpc
-    gamma, s = conv(spec.gamma), conv(spec.s)
-    rows = [[QQi(1) if exact else mp.mpc(1)]]
+def reference_rows(spec, m_max):
+    """Exact coefficient lists of c_0..c_{m_max} by the same plain loop."""
+    gamma, s = spec.gamma, spec.s
+    rows = [[QQi(1)]]
     prev, cur = None, rows[0]
     for m in range(m_max):
         D, E, F = recurrence_coeffs(spec, m)
-        a = conv(D) + s * conv(E)
+        a = D + s * E
         nxt = [a * c for c in cur] + [cur[-1]]
         for i in range(1, len(cur)):
             nxt[i] = nxt[i] + cur[i - 1]
         if prev is not None:
             for i, c in enumerate(prev):
-                nxt[i] = nxt[i] - s * conv(F) * c
+                nxt[i] = nxt[i] - s * F * c
         q = (m + 1) * (m + gamma)
         nxt = [c / q for c in nxt]
         rows.append(nxt)
@@ -214,11 +223,8 @@ def reference_rows(spec, m_max, exact):
 
 
 def _bits(x):
-    """A scalar as its type and exact content: fractions for QQi, the
-    mantissa/exponent tuples for mpc."""
-    if isinstance(x, QQi):
-        return "QQi", x.re, x.im
-    return type(x).__name__, x.real._mpf_, x.imag._mpf_
+    """A QQi as its type and exact content, its fractions."""
+    return type(x).__name__, x.re, x.im
 
 
 class TestStepTable:
@@ -251,9 +257,10 @@ class TestStepTable:
                                   delta=mp.mpf(0.5), alpha=mp.mpf(1.5),
                                   beta=mp.mpf(-1), s=mp.mpf("0.3"))
 
-    # (spec, precision or None for exact, K): the order switches specs,
-    # precisions and lengths, and puts the same spec given as Fractions
-    # and as mpf next to each other, so no state may leak between calls
+    # (spec, working precision or None for 256 bits, K): the order
+    # switches specs, precisions and lengths, and puts the same spec given
+    # as Fractions and as mpf next to each other, so no state may leak
+    # between calls
     CASES = [
         (RCHEUN, None, 20), (RCHEUN_MPF, 64, 20), (RCHEUN, 64, 30),
         (RCHEUN_MPF, 256, 30), (RCHEUN, None, 40), (RCHEUN, None, 10),
@@ -265,15 +272,12 @@ class TestStepTable:
     ]
 
     def test_eval_sequence_matches_the_plain_loop(self):
+        # eval_sequence is exact, whatever precision a case names
         B = QQi(Fraction(-7, 5), Fraction(1, 3))
         for spec, bits, K in self.CASES:
-            if bits is None:
+            with working_precision(bits or 256):
                 got = eval_sequence(spec, B, K)
-                want = reference_sequence(spec, B, K, exact=True)
-            else:
-                got = eval_sequence(spec, B, K, precision_bits=bits)
-                with working_precision(bits):
-                    want = reference_sequence(spec, to_mpc(B), K, exact=False)
+            want = reference_sequence(spec, B, K, exact=True)
             assert [_bits(x) for x in got] == [_bits(x) for x in want], \
                 (spec, bits, K)
 
@@ -282,7 +286,7 @@ class TestStepTable:
         for spec, bits, m_max in self.CASES:
             with working_precision(bits or 256):
                 fam = build_family(spec, m_max)
-            want = reference_rows(spec, m_max, exact=True)
+            want = reference_rows(spec, m_max)
             got = [[_bits(c) for c in p.coeffs] for p in fam.polys]
             assert got == [[_bits(c) for c in r] for r in want], \
                 (spec, bits, m_max)

@@ -28,7 +28,13 @@ from heunzeros.rootfind import (
     real_zero_count,
     tridiagonal_eigenvalues,
 )
-from heunzeros.scalars import QQi, _to_fixed, to_mpc, working_precision
+from heunzeros.scalars import (
+    QQi,
+    _to_fixed,
+    exact_value,
+    to_mpc,
+    working_precision,
+)
 from heunzeros.tracking import continuant
 
 F = Fraction
@@ -162,9 +168,10 @@ class TestTridiagonalEigenvalues:
     def test_eigenvalues_are_characteristic_roots(self):
         diag = [1 + 1j, -2, 0.5j, 3]
         off = [1j, 2 - 1j, 0.25]
-        # det(B - J) as the Continuant with A = -diag, N = (0,) + off^2
-        p = Continuant(A=tuple(-mp.mpc(a) for a in diag),
-                       N=(mp.mpc(0),) + tuple(mp.mpc(b) ** 2 for b in off))
+        # det(B - J) as the Continuant with A = -diag, N = (0,) + off^2,
+        # its rows the exact values of the doubles
+        p = Continuant(A=tuple(-exact_value(a) for a in diag),
+                       N=(QQi(0),) + tuple(exact_value(b) ** 2 for b in off))
         eig = tridiagonal_eigenvalues(diag, off)
         roots = find_all_roots(p, eig, precision_bits=128).zeros
         assert len(eig) == 4
@@ -281,7 +288,7 @@ class TestNewtonFirst:
         # can come from there, so the seed counts as overlapping
         import heunzeros.rootfind as rootfind
 
-        poly = Continuant(A=(0, 0), N=(0, F(1, 10 ** 6)))
+        poly = Continuant(A=(QQi(0), QQi(0)), N=(QQi(0), QQi(F(1, 10 ** 6))))
         width = 128 + 24 + rootfind._KERNEL_GUARD
         with working_precision(128 + 24):
             root, res, ok = rootfind._fixed_newton(

@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heunzeros.scalars import (
+    ExactnessError,
     QQi,
     as_exact,
     format_scalar,
     exact_value,
-    is_exact_scalar,
     parse_gaussian_rational,
     parse_scalar,
     scalar_from_json,
@@ -203,18 +203,44 @@ class TestExactnessBoundary:
         v = as_exact("1/3") + as_exact("1/6")
         assert isinstance(v, QQi) and v == QQi(Fraction(1, 2))
 
-    def test_mixing_with_float_degrades(self):
-        v = as_exact("1/3") * 0.5
-        assert isinstance(v, mp.mpc)
+    def test_mixing_with_a_float_raises(self):
+        q = as_exact("1/3")
+        for x in (0.5, 0.5j, mp.mpf(1) / 3, mp.mpc(1, 2)):
+            for op in (lambda: q + x, lambda: x + q, lambda: q - x,
+                       lambda: x - q, lambda: q * x, lambda: x * q,
+                       lambda: q / x, lambda: x / q):
+                with pytest.raises(ExactnessError):
+                    op()
 
-    def test_is_exact_scalar(self):
-        assert is_exact_scalar(3)
-        assert is_exact_scalar(Fraction(1, 3))
-        assert is_exact_scalar(QQi(1, 2))
-        assert is_exact_scalar("2/7")
-        assert not is_exact_scalar("zz")
-        assert not is_exact_scalar(0.5)
-        assert not is_exact_scalar(mp.mpf(1))
+    def test_only_exact_scalars_coerce(self):
+        assert as_exact(3) == QQi(3)
+        assert as_exact(Fraction(1, 3)) == QQi(Fraction(1, 3))
+        assert as_exact(QQi(1, 2)) == QQi(1, 2)
+        assert as_exact("2/7") == QQi(Fraction(2, 7))
+        with pytest.raises(ValueError):
+            as_exact("zz")
+        for x in (0.5, mp.mpf(1)):
+            with pytest.raises(ExactnessError):
+                as_exact(x)
+
+    def test_a_float_equals_its_exact_value_only(self):
+        # 1/3 is no binary float: equal values hash equal, so a set of a
+        # QQi and a float has one member exactly when they are equal
+        third = QQi(Fraction(1, 3))
+        with working_precision(256):
+            f = mp.mpf(1) / 3
+            z = mp.mpc(f, -f / 7)
+        for x in (f, z, 1 / 3):
+            q = exact_value(x)
+            assert q == x and x == q and len({q, x}) == 1
+            assert q != third and third != x and len({third, x}) == 2
+        # a Python complex hashes unlike an equal mpc when a part is
+        # negative; a QQi hashes as the mpc does
+        c = complex(-1 / 3, -0.25)
+        assert exact_value(c) == c and hash(exact_value(c)) == hash(mp.mpc(c))
+        assert QQi(Fraction(1, 2)) == 0.5 == QQi(Fraction(1, 2))
+        for x in (float("nan"), mp.mpf("inf"), mp.mpc(0, mp.nan)):
+            assert third != x and x != third
 
 
 class TestSerialization:
