@@ -5,7 +5,8 @@ eigenvalue solver that supplies its seeds.
 the eigenvalues from `tridiagonal_eigenvalues`), each alone by Newton's
 method on a `Continuant`, the rows of a three-term recurrence: p and p'
 come from that recurrence run in fixed-point Gaussian integers
-(`_continuant_kernel`, which also runs the d2 tail), never from dense
+(`_continuant_kernel`, which also runs the d2 tail, and which runs real
+rows at a real point on the real parts alone), never from dense
 coefficients, at widths that rise with the bits already right and end
 at the full width (`_fixed_newton`); for real rows, once per conjugate
 pair and on the real axis for every other seed.  The result stands when
@@ -150,7 +151,8 @@ _KERNEL_SPAN = 32     # width, in bits, of the window that holds the
                       # kernel's state, and its floor above 2^F
 
 
-def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False):
+def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False,
+                       real: bool = False):
     """The state (p_k, p_{k-1}, p'_k, e) at each k of the ascending stops
     of p_{k+1} = (z + A_k) p_k - N_k p_{k-1}, p_0 = 1, on the iterable
     rows of `Continuant.fixed_rows(F)`; the pair of ints z = (x, y)
@@ -162,13 +164,40 @@ def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False):
     state ints share the exponent e, for p_m can reach 2^1300 at
     m = 100: when the larger of the new p_k and p'_k leaves
     [2^(F+S), 2^(F+2S)), S = _KERNEL_SPAN, all are shifted back to
-    2^(F+S) together (docs/math_notes.md, section 8)."""
-    zr, zi = z
-    pr, pi, qr, qi = 1 << F, 0, 0, 0     # p_k, p_{k-1}
-    dr = di = er = ei = 0                # p'_k, p'_{k-1}
+    2^(F+S) together (docs/math_notes.md, section 8).
+    The caller sets real when every row's imaginary ints are 0; with
+    z = (x, 0) as well, every imaginary part of the state stays 0, and
+    the real arm runs the same products, floors and window on the real
+    parts alone, so its states are the complex arm's, bit for bit."""
     e = k = 0
     steps = iter(rows)
     states = []
+    if real and not z[1]:
+        x = z[0]
+        p, q, d, dq = 1 << F, 0, 0, 0    # p_k, p_{k-1}, p'_k, p'_{k-1}
+        for stop in stops:
+            for A, _, N, _ in islice(steps, stop - k):
+                u = x + A
+                if derivative:
+                    dq, d = d, ((u * d - N * dq) >> F) + p
+                q, p = p, (u * p - N * q) >> F
+                # without p', d = 0, and p's bit length is |p|'s
+                top = (abs(p) | abs(d) if derivative else p).bit_length() \
+                    - F - 1
+                if top >= 2 * _KERNEL_SPAN:
+                    top -= _KERNEL_SPAN
+                    e += top
+                    p, q, d, dq = p >> top, q >> top, d >> top, dq >> top
+                elif top < _KERNEL_SPAN:
+                    top = _KERNEL_SPAN - top
+                    e -= top
+                    p, q, d, dq = p << top, q << top, d << top, dq << top
+            k = stop
+            states.append(((p, 0), (q, 0), (d, 0), e))
+        return states
+    zr, zi = z
+    pr, pi, qr, qi = 1 << F, 0, 0, 0     # p_k, p_{k-1}
+    dr = di = er = ei = 0                # p'_k, p'_{k-1}
     for stop in stops:
         for Ar, Ai, Nr, Ni in islice(steps, stop - k):
             ur, ui = zr + Ar, zi + Ai
@@ -483,12 +512,13 @@ def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
         tables = {F: poly.fixed_rows(F)}
         points = [_to_fixed(to_mpc(s), F) for s in seeds]
         mirror = {}
-        if poly.is_real():
+        real = poly.is_real()
+        if real:
             mirror = _conjugate_pairs(points)
             kept = set(mirror.values())
             points = [(x, y if i in kept else 0)
                       for i, (x, y) in enumerate(points)]
-        done = {i: _fixed_newton(tables, F, p, tol)
+        done = {i: _fixed_newton(tables, F, p, tol, real)
                 for i, p in enumerate(points) if i not in mirror}
         for j, i in mirror.items():
             done[j] = (done[i][0].conjugate(),) + done[i][1:]
@@ -572,9 +602,10 @@ def _conjugate_pairs(points) -> dict:
             and gap(i, j) < 4 * min(points[i][1], -points[j][1]) ** 2}
 
 
-def _fixed_newton(tables, F: int, z, tol):
+def _fixed_newton(tables, F: int, z, tol, real: bool = False):
     """Newton's method from z = (x, y), x + iy with F fraction bits, on
-    the continuant with `Continuant.fixed_rows(F)` tables[F], each step
+    the continuant with `Continuant.fixed_rows(F)` tables[F] (real rows
+    when real, which a seed on the axis then never leaves), each step
     w = p/p' by `_continuant_kernel` at a width W <= F of about
     2b + _KERNEL_GUARD bits, b the bits of z already right: _SEED_BITS,
     then 2t after a step of relative length 2^-t (docs/math_notes.md,
@@ -595,7 +626,7 @@ def _fixed_newton(tables, F: int, z, tol):
                               for row in tables[F])
         [(p, _, dp, _)] = _continuant_kernel(
             tables[W], W, (zr >> (F - W), zi >> (F - W)),
-            (len(tables[F]),), True)
+            (len(tables[F]),), True, real)
         if dp == (0, 0):
             return _from_fixed(zr, zi, F), mp.inf, False
         wr, wi = _fixed_div(*p, *dp, F)     # the shared 2^e cancels

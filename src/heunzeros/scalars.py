@@ -120,11 +120,20 @@ class QQi:
 
     def __eq__(self, other):
         # a binary float compares by its exact value, as it hashes; one
-        # that exact_value refuses (nan, inf, out of range) is unequal
+        # too large or too small for exact_value compares its mantissa
+        # and exponent with the parts (`_is_binary`); nan and inf are
+        # unequal
         if not isinstance(other, QQi):
             try:
                 other = exact_value(other)
-            except (ExactnessError, ValueError):
+            except ExactnessError:
+                return NotImplemented
+            except ValueError:
+                if isinstance(other, (complex, mp.mpc)):
+                    return (_is_binary(self.re, other.real)
+                            and _is_binary(self.im, other.imag))
+                if isinstance(other, (float, mp.mpf)):
+                    return self.im == 0 and _is_binary(self.re, other)
                 return NotImplemented
         return self.re == other.re and self.im == other.im
 
@@ -250,6 +259,22 @@ def exact_value(x) -> QQi:
     if isinstance(x, (float, mp.mpf)):
         return QQi(_dyadic(x))
     return as_exact(x)
+
+
+def _is_binary(q: Fraction, x) -> bool:
+    """Whether q is the float or mpf x, from x's sign, odd mantissa and
+    exponent: the bit lengths of q's numerator and denominator are
+    checked first, so no int longer than they are is built."""
+    if isinstance(x, float):
+        x = mp.make_mpf(mp.libmp.from_float(x))
+    sign, man, exp, bc = x._mpf_
+    if not man:             # 0, or bc marks inf and nan
+        return not bc and q == 0
+    n, d = q.numerator, q.denominator
+    man = -man if sign else man
+    if exp >= 0:
+        return d == 1 and n.bit_length() == bc + exp and n == man << exp
+    return n == man and d.bit_length() == 1 - exp and d == 1 << -exp
 
 
 def _dyadic(x) -> Fraction:

@@ -438,11 +438,13 @@ def _check_d2_spec(spec: RecurrenceSpec, precision_bits: int):
                 )
 
 
-# (key, value) for the most recent key of `_d2_row_table` and of
-# `_d2_normaliser_states`, each replaced at once, so a caller keeps a
-# consistent snapshot.
+# (key, value) for the most recent key of `_d2_row_table`, of
+# `_d2_normaliser_states` and of the fixed-point results of
+# `d2_sequence`, each replaced at once, so a caller keeps a consistent
+# snapshot.
 _d2_rows = (None, ())
 _d2_normaliser = (None, ())
+_d2_tail = (None, ())
 
 
 def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
@@ -453,13 +455,17 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
     a_k = p_k(B) / n_k, with p_k = k! (gamma)_k c_k the monic continuant
     of `continuant` and n_k = (gamma)_k (delta-1)_k, both run by
     `rootfind._continuant_kernel` with F = precision_bits + _KERNEL_GUARD
-    fraction bits (`_d2_row_table`, `_d2_normaliser_states`).  Each
-    Neville node and a_{K-1}, a_K is one rounded division of the two,
-    the extrapolation runs on those Gaussian integers, and only its
-    result, a_K and a_{K-1} return to mpc at precision_bits
-    (docs/math_notes.md, section 6).  Heun members only converge for
-    |s| < 1; outside that disk a warning is emitted and the numbers are
-    returned as-is."""
+    fraction bits (`_d2_row_table`, `_d2_normaliser_states`), in its
+    real arm when the rows and B are real.  Each Neville node and
+    a_{K-1}, a_K is one rounded division of the two, the extrapolation
+    runs on those Gaussian integers, and only its result, a_K and
+    a_{K-1} return to mpc at precision_bits (docs/math_notes.md,
+    section 6).  Those three fixed-point results are kept for the last
+    spec, F, K and fixed-point B, so asking again for the same tail, as
+    `d2_zero_search` does at its start point, runs no kernel.  Heun
+    members only converge for |s| < 1; outside that disk a warning is
+    emitted and the numbers are returned as-is."""
+    global _d2_tail
     _check_d2_spec(spec, precision_bits)
     if K < 2:
         raise InvalidSpecError("K >= 2 required")
@@ -473,15 +479,20 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
         )
     with working_precision(precision_bits):
         b = _to_fixed(to_mpc(B), F)
-    nodes = _tail_nodes(K)
-    stops = nodes[::-1]
-    p = rootfind._continuant_kernel(_d2_row_table(spec, K, F), F, b, stops)
-    n = _d2_normaliser_states(spec, K, F, stops)
-    # k -> (a_k, a_{k-1}) with F fraction bits
-    a = {k: [_ratio(x, y, F + ps[3] - ns[3]) for x, y in zip(ps, ns[:2])]
-         for k, ps, ns in zip(stops, p, n)}
-    cur, prev = a[K]
-    estimate = _neville_at_zero(nodes, [a[k][0] for k in nodes])
+    key = (spec, F, K, b)
+    if _d2_tail[0] != key:
+        nodes = _tail_nodes(K)
+        stops = nodes[::-1]
+        rows, real = _d2_row_table(spec, K, F)
+        p = rootfind._continuant_kernel(rows, F, b, stops, real=real)
+        n = _d2_normaliser_states(spec, K, F, stops)
+        # k -> (a_k, a_{k-1}) with F fraction bits
+        a = {k: [_ratio(x, y, F + ps[3] - ns[3])
+                 for x, y in zip(ps, ns[:2])]
+             for k, ps, ns in zip(stops, p, n)}
+        estimate = _neville_at_zero(nodes, [a[k][0] for k in nodes])
+        _d2_tail = (key, (*a[K], estimate))
+    cur, prev, estimate = _d2_tail[1]
     with working_precision(precision_bits):
         cur, prev = _from_fixed(*cur, F), _from_fixed(*prev, F)
         estimate = _from_fixed(*estimate, F)
@@ -499,22 +510,26 @@ def _ratio(p, n, shift: int) -> tuple:
 
 
 def _d2_row_table(spec: RecurrenceSpec, K: int, F: int) -> tuple:
-    """At least K rows of `continuant(spec, K).fixed_rows(F)`, kept for
-    the last spec and F: A_k has degree at most 2 in k and N_k at most
-    4, so `continuant` runs only for k = 0..4."""
+    """(rows, real): at least K rows of
+    `continuant(spec, K).fixed_rows(F)`, kept for the last spec and F,
+    and whether their imaginary ints are all 0.  A_k has degree at most
+    2 in k and N_k at most 4, so `continuant` runs only for k = 0..4,
+    and the rows are real exactly when those five are."""
     global _d2_rows
     key = (spec, F)
-    if _d2_rows[0] != key or len(_d2_rows[1]) < K:
+    if _d2_rows[0] != key or len(_d2_rows[1][0]) < K:
         _d2_rows = (None, ())      # so two tables are never held at once
         head = continuant(spec, 5).fixed_rows(F + _KERNEL_GUARD)
-        _d2_rows = (key, tuple(_summed_rows(head, (2, 2, 4, 4), K)))
+        _d2_rows = (key, (tuple(_summed_rows(head, (2, 2, 4, 4), K)),
+                          not any(r[1] or r[3] for r in head)))
     return _d2_rows[1]
 
 
 def _d2_normaliser_states(spec: RecurrenceSpec, K: int, F: int, stops):
     """The `rootfind._continuant_kernel` states at stops of
     n_k = (gamma)_k (delta-1)_k, from z = 0 and the rows
-    ((k+gamma)(k+delta-1), 0), kept for the last spec, F and K."""
+    ((k+gamma)(k+delta-1), 0), kept for the last spec, F and K; the
+    rows are real exactly when their three head rows are."""
     global _d2_normaliser
     key = (spec, F, K)
     if _d2_normaliser[0] != key:
@@ -522,28 +537,34 @@ def _d2_normaliser_states(spec: RecurrenceSpec, K: int, F: int, stops):
         head = [_to_fixed((k + spec.gamma) * (k + spec.delta - 1), W)
                 + (0, 0) for k in range(3)]
         _d2_normaliser = (key, rootfind._continuant_kernel(
-            _summed_rows(head, (2, 2, 0, 0), K), F, (0, 0), stops))
+            _summed_rows(head, (2, 2, 0, 0), K), F, (0, 0), stops,
+            real=not any(r[1] for r in head)))
     return _d2_normaliser[1]
 
 
 def _summed_rows(head, degrees, n: int):
-    """Rows k < n of columns that are polynomials in k of the given
-    degrees, from head[k], their values as ints with W = F + _KERNEL_GUARD
-    fraction bits at k = 0..max(degrees): the forward differences of
-    those ints are advanced by additions, and each row is shifted down
-    to F bits (docs/math_notes.md, section 6)."""
+    """Rows k < n of four columns that are polynomials in k of the given
+    degrees, at most 4, from head[k], their values as ints with
+    W = F + _KERNEL_GUARD fraction bits at k = 0..max(degrees): the
+    forward differences of those ints, five locals per column (zero
+    above its degree), are advanced by additions, and each row is
+    shifted down to F bits (docs/math_notes.md, section 6)."""
     diffs = []
     for j, degree in enumerate(degrees):
         column, diff = [row[j] for row in head[:degree + 1]], []
         while column:
             diff.append(column[0])
             column = [y - x for x, y in zip(column, column[1:])]
-        diffs.append(diff)
+        diffs.append(diff + [0] * (5 - len(diff)))
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), \
+        (d0, d1, d2, d3, d4) = diffs
+    g = _KERNEL_GUARD
     for _ in range(n):
-        yield tuple(d[0] >> _KERNEL_GUARD for d in diffs)
-        for d in diffs:
-            for j in range(len(d) - 1):
-                d[j] += d[j + 1]
+        yield a0 >> g, b0 >> g, c0 >> g, d0 >> g
+        a0, a1, a2, a3 = a0 + a1, a1 + a2, a2 + a3, a3 + a4
+        b0, b1, b2, b3 = b0 + b1, b1 + b2, b2 + b3, b3 + b4
+        c0, c1, c2, c3 = c0 + c1, c1 + c2, c2 + c3, c3 + c4
+        d0, d1, d2, d3 = d0 + d1, d1 + d2, d2 + d3, d3 + d4
 
 
 _TAIL_NODES = 8       # Neville nodes of the tail extrapolation
@@ -609,7 +630,9 @@ def d2_zero_search(spec: RecurrenceSpec, B0, tol=1e-10, K: int = 400,
     it produced.
     Otherwise the search could stop on a zero of the coarser estimate.
     A search that has not settled after _D2_MAX_STEPS secant steps
-    raises NonConvergenceError.
+    raises NonConvergenceError.  The first point is `d2_sequence` at B0
+    and K, which runs no kernel when the caller has just asked for that
+    tail at the same precision, as `heunzeros d2 --search` does.
     """
     with working_precision(precision_bits):
         tol = mp.mpf(tol)

@@ -201,6 +201,31 @@ class TestD2:
             assert cells[f"search_{key}"] == str(value)
         assert cells["search_B"] == "1.378489221"
 
+    def test_search_runs_the_tail_at_the_start_once(self, capsys,
+                                                    monkeypatch):
+        # the printed tail at B0 is the search's first point: one kernel
+        # run at B0's fixed-point z, the other at the normaliser's z = 0
+        from heunzeros import rootfind, tracking
+        from heunzeros.scalars import _to_fixed, to_mpc, working_precision
+
+        zs, kernel = [], rootfind._continuant_kernel
+
+        def counting(rows, F, z, stops, derivative=False, real=False):
+            zs.append(z)
+            return kernel(rows, F, z, stops, derivative, real)
+
+        monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
+        monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
+        monkeypatch.setattr(tracking, "_d2_normaliser", (None, ()))
+        code, out, _ = run(capsys, "d2", "--family", "mathieu", "--q", "2",
+                           "--B", "1.4", "--search")
+        assert code == 0 and "zero search  : B = 1.378489221" in out
+        with working_precision(256):
+            b0 = _to_fixed(to_mpc(QQi(Fraction(7, 5))),
+                           256 + rootfind._KERNEL_GUARD)
+        assert zs[:2] == [b0, (0, 0)]
+        assert zs.count(b0) == 1
+
     def test_midpoint_route_included(self, capsys):
         code, out, _ = run(capsys, "d2", "--family", "mathieu", "--q", "1/2",
                            "--B", "1", "--midpoint", "--format", "json")
@@ -381,9 +406,10 @@ class TestExitCodes:
         calls = []
         kernel = rootfind._continuant_kernel
 
-        def counting(rows, F, z, stops, derivative=False):
+        def counting(rows, F, z, stops, derivative=False,
+                     real=False):
             calls.append(z)
-            return kernel(rows, F, z, stops, derivative)
+            return kernel(rows, F, z, stops, derivative, real)
 
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
         code, out, err = run(capsys, "zeros", "--family", "cheun", "--gamma",

@@ -7,11 +7,12 @@ nor algebraic shape with the production recurrence.
 """
 
 from fractions import Fraction
+from math import comb
 
 import mpmath as mp
 import pytest
 import sympy as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heunzeros.families import (
@@ -331,6 +332,25 @@ class TestScaledStepTable:
                                   delta=mp.mpf(0.5), alpha=mp.mpf(1.5),
                                   beta=mp.mpf(-1), s=mp.mpf(1) / 3)
 
+    @pytest.mark.parametrize("degrees", [(2, 2, 4, 4), (2, 2, 0, 0)])
+    @settings(max_examples=15)
+    @given(st.lists(st.integers(-2 ** 320, 2 ** 320), min_size=20,
+                    max_size=20))
+    def test_summed_rows_are_the_newton_form(self, degrees, ints):
+        # row k, column j is sum_i C(k, i) Delta^i v_0 of the column's
+        # head ints v_0..v_degree, shifted down _KERNEL_GUARD bits
+        head = [tuple(ints[4 * k:4 * k + 4]) for k in range(5)]
+        K = 12800
+        rows = list(tracking._summed_rows(head, degrees, K))
+        assert len(rows) == K
+        deltas = [[sum((-1) ** (i - l) * comb(i, l) * head[l][j]
+                       for l in range(i + 1)) for i in range(degree + 1)]
+                  for j, degree in enumerate(degrees)]
+        for k in list(range(8)) + list(range(8, K, 1597)) + [K - 1]:
+            assert rows[k] == tuple(
+                sum(comb(k, i) * d for i, d in enumerate(column))
+                >> tracking._KERNEL_GUARD for column in deltas), k
+
     @pytest.mark.parametrize("spec", [
         RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2", delta="1/2",
                        alpha="3/2", beta="-1", s="9/10"),
@@ -348,8 +368,9 @@ class TestScaledStepTable:
     def test_rows_match_a_per_k_build(self, spec, F):
         # the rows of continuant(spec, K), each built at k itself
         K = 12800
-        rows = tracking._d2_row_table(spec, K, F)
+        rows, real = tracking._d2_row_table(spec, K, F)
         assert len(rows) == K
+        assert real == continuant(spec, 5).is_real()
         ks = list(range(40)) + list(range(40, K, 797)) + list(range(K - 5, K))
         with working_precision(F + 64):
             tol = mp.mpf(2) ** (8 - F)

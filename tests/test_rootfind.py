@@ -260,9 +260,10 @@ class TestNewtonFirst:
         calls, polishes = [], []
         kernel, polish = rootfind._continuant_kernel, rootfind._fixed_newton
 
-        def counting(rows, F, z, stops, derivative=False):
+        def counting(rows, F, z, stops, derivative=False,
+                     real=False):
             calls.append(z)
-            return kernel(rows, F, z, stops, derivative)
+            return kernel(rows, F, z, stops, derivative, real)
 
         def polishing(*args):
             before = len(calls)
@@ -314,9 +315,9 @@ def recording_polish(monkeypatch):
     the order it polishes them."""
     starts, polish = [], rootfind._fixed_newton
 
-    def recording(tables, F, z, tol):
+    def recording(tables, F, z, tol, real=False):
         starts.append(z)
-        return polish(tables, F, z, tol)
+        return polish(tables, F, z, tol, real)
 
     monkeypatch.setattr(rootfind, "_fixed_newton", recording)
     return starts
@@ -408,9 +409,9 @@ class TestRefinement:
         polish = rootfind._fixed_newton
         calls = []
 
-        def first_root_fails(tables, F, z, tol):
+        def first_root_fails(tables, F, z, tol, real=False):
             calls.append(z)
-            r, res, ok = polish(tables, F, z, tol)
+            r, res, ok = polish(tables, F, z, tol, real)
             return r, res, ok and len(calls) > 1
 
         monkeypatch.setattr(rootfind, "_fixed_newton", first_root_fails)
@@ -499,6 +500,104 @@ class TestContinuantKernel:
             assert rootfind._continuant_kernel(
                 rows[:k], bits, z, (k,), derivative) == [state]
             assert (state[2] != (0, 0)) == derivative
+
+
+def fixed_ints(bits):
+    """Ints standing for values with that many fraction bits: 0, values
+    of modulus at most 1, which pull the kernel's state down through its
+    window, and values up to 2^70, which push it up through it."""
+    unit = st.integers(-(1 << bits), 1 << bits)
+    return st.one_of(st.just(0), unit,
+                     st.builds(lambda x, e: x << e, unit,
+                               st.integers(0, 70)))
+
+
+@st.composite
+def real_kernel_runs(draw):
+    """(rows, F, x, stops) of a kernel run on real rows at z = (x, 0):
+    ascending stops, with 0 and repeats among them."""
+    bits = draw(st.integers(1, 80))
+    rows = draw(st.lists(st.tuples(fixed_ints(bits), fixed_ints(bits)),
+                         max_size=30))
+    stops = sorted(draw(st.lists(st.integers(0, len(rows)), min_size=1,
+                                 max_size=6)))
+    return ([(A, 0, N, 0) for A, N in rows], bits, draw(fixed_ints(bits)),
+            stops)
+
+
+class TestRealArm:
+    """On real rows at a real z the kernel runs the real parts alone;
+    its states must be the complex arm's, bit for bit, and every other
+    call must take the complex arm."""
+
+    @given(real_kernel_runs(), st.booleans())
+    def test_matches_the_complex_arm(self, run, derivative):
+        rows, bits, x, stops = run
+        assert rootfind._continuant_kernel(
+            rows, bits, (x, 0), stops, derivative, real=True) == \
+            rootfind._continuant_kernel(rows, bits, (x, 0), stops,
+                                        derivative)
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_both_window_shifts_run(self, derivative):
+        # at z = 0, A = 2^40 lifts the state past 2^(F+64), then
+        # A = 2^-20 with N = 0 lowers it below 2^(F+32): the exponent
+        # rises and falls
+        bits = 48
+        rows = [(1 << (bits + 40), 0, 1 << (bits + 30), 0)] * 4 \
+            + [(1 << (bits - 20), 0, 0, 0)] * 8
+        stops = range(len(rows) + 1)
+        states = rootfind._continuant_kernel(rows, bits, (0, 0), stops,
+                                             derivative, real=True)
+        assert states == rootfind._continuant_kernel(
+            rows, bits, (0, 0), stops, derivative)
+        e = [state[3] for state in states]
+        assert any(b > a for a, b in zip(e, e[1:]))
+        assert any(b < a for a, b in zip(e, e[1:]))
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_a_complex_z_on_real_rows_runs_the_complex_arm(self, derivative):
+        spec = from_lame(LameParams(n=2, s="1/2"))[0]
+        bits = 128
+        rows = continuant(spec, 12).fixed_rows(bits)
+        z = _to_fixed(QQi(F(-7, 3), F(1, 5)), bits)
+        states = rootfind._continuant_kernel(rows, bits, z, (5, 12),
+                                             derivative, real=True)
+        assert states == rootfind._continuant_kernel(rows, bits, z, (5, 12),
+                                                     derivative)
+        assert all(p[1] != 0 for p, _, _, _ in states)
+
+    @staticmethod
+    def kernel_flags(monkeypatch):
+        """(real, z real) of each kernel call, recorded."""
+        flags, kernel = [], rootfind._continuant_kernel
+
+        def recording(rows, F, z, stops, derivative=False, real=False):
+            flags.append((real, z[1] == 0))
+            return kernel(rows, F, z, stops, derivative, real)
+
+        monkeypatch.setattr(rootfind, "_continuant_kernel", recording)
+        return flags
+
+    def test_the_polish_of_real_rows_runs_the_real_arm_on_the_axis(
+            self, monkeypatch):
+        flags = self.kernel_flags(monkeypatch)
+        poly = poly_from_roots([QQi(1), QQi(2), QQi(0, 3)])
+        find_all_roots(poly, ["1.1", "2.1", "0.1+3.1j", "0.1-2.9j"],
+                       precision_bits=128)
+        assert {real for real, _ in flags} == {True}
+        assert (True, True) in flags and (True, False) in flags
+
+    def test_a_real_z_with_one_complex_row_runs_the_complex_arm(
+            self, monkeypatch):
+        flags = self.kernel_flags(monkeypatch)
+        poly = poly_from_roots([QQi(1), QQi(2), QQi(-3)])
+        poly = Continuant(A=poly.A[:2] + (QQi(3, F(1, 1024)),), N=poly.N)
+        zs = find_all_roots(poly, ["1.01", "1.98", "-3.02"],
+                            precision_bits=128)
+        assert mp.nstr(zs.zeros[2], 10) == "(-3.0 - 0.0009765625j)"
+        assert (False, True) in flags
+        assert {real for real, _ in flags} == {False}
 
 
 def brute_overlapping(polished, tol):

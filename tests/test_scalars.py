@@ -242,6 +242,41 @@ class TestExactnessBoundary:
         for x in (float("nan"), mp.mpf("inf"), mp.mpc(0, mp.nan)):
             assert third != x and x != third
 
+    def test_a_float_beyond_exact_value_compares_by_its_parts(self):
+        # exact_value refuses 2^1100 and 2^-1100, yet each is equal to the
+        # QQi of its value and to nothing else
+        big = mp.ldexp(3, 1100)
+        tiny = mp.ldexp(-5, -1100)
+        for q, x in ((QQi(3 * 2 ** 1100), big),
+                     (QQi(Fraction(-5, 2 ** 1100)), tiny),
+                     (QQi(3 * 2 ** 1100, Fraction(-5, 2 ** 1100)),
+                      mp.mpc(big, tiny))):
+            with pytest.raises(ValueError):
+                exact_value(x)
+            assert q == x and x == q and hash(q) == hash(x)
+        for q, x in ((QQi(3 * 2 ** 1100 + 1), big), (QQi(2 ** 1101), big),
+                     (QQi(3 * 2 ** 1100, 1), big),
+                     (QQi(Fraction(-5, 2 ** 1101)), tiny),
+                     (QQi(Fraction(-5, 3 * 2 ** 1100)), tiny),
+                     (QQi(Fraction(5, 2 ** 1100)), tiny),
+                     (QQi(3 * 2 ** 1100), mp.mpc(big, tiny)),
+                     (QQi(0), big), (QQi(0), mp.mpc(0, tiny))):
+            assert q != x and x != q
+
+    def test_a_huge_float_builds_no_huge_int(self):
+        # 3 * 2^(10^6) against 3: the bit lengths differ, so the int of
+        # 10^6 bits is never built
+        import tracemalloc
+
+        x = mp.ldexp(3, 10 ** 6)
+        tracemalloc.start()
+        try:
+            assert QQi(3) != x and QQi(Fraction(3, 2 ** 10)) != 1 / x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 4
+
 
 class TestSerialization:
     @given(rationals, rationals)

@@ -324,8 +324,8 @@ class TestJacobiSeeds:
 
         polish = rootfind._fixed_newton
 
-        def never_converged(tables, F, z, tol):
-            r, res, _ = polish(tables, F, z, tol)
+        def never_converged(tables, F, z, tol, real=False):
+            r, res, _ = polish(tables, F, z, tol, real)
             return r, res, False
 
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", recording)
@@ -424,9 +424,10 @@ class TestFixedPointNewton:
         widths, starts = [], []
         kernel, polish = rootfind._continuant_kernel, rootfind._fixed_newton
 
-        def counting(rows, F, z, stops, derivative=False):
+        def counting(rows, F, z, stops, derivative=False,
+                     real=False):
             widths.append(F)
-            return kernel(rows, F, z, stops, derivative)
+            return kernel(rows, F, z, stops, derivative, real)
 
         def polishing(*args):
             starts.append(len(widths))
@@ -810,8 +811,11 @@ class TestScaledTail:
         for spec, bits, K in self.CASES:
             monkeypatch.setattr(tracking, "_d2_rows", (None, ()))
             monkeypatch.setattr(tracking, "_d2_normaliser", (None, ()))
+            monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
             cold.append(d2_sequence(spec, B, K, bits))
         for (spec, bits, K), want in zip(self.CASES, cold):
+            # the kept rows and normaliser run again, not the kept tail
+            monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
             got = d2_sequence(spec, B, K, bits)
             assert [_bits(x) for x in (got.estimate, got.tail,
                                        got.error_indicator)] == \
@@ -824,9 +828,10 @@ class TestScaledTail:
         calls, polishes = [], []
         kernel, polish = rootfind._continuant_kernel, rootfind._fixed_newton
 
-        def counting(rows, F, z, stops, derivative=False):
+        def counting(rows, F, z, stops, derivative=False,
+                     real=False):
             calls.append((tuple(stops), derivative))
-            return kernel(rows, F, z, stops, derivative)
+            return kernel(rows, F, z, stops, derivative, real)
 
         def polishing(*args):
             before = len(calls)
@@ -837,6 +842,7 @@ class TestScaledTail:
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
         monkeypatch.setattr(rootfind, "_fixed_newton", polishing)
         monkeypatch.setattr(tracking, "_d2_normaliser", (None, ()))
+        monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
         spec = THREE_FAMILIES[1]
         d2_sequence(spec, mp.mpf("1.3"), K=400)
         stops = (225, 250, 275, 300, 325, 350, 375, 400)
@@ -848,6 +854,60 @@ class TestScaledTail:
         # each kernel call of the solve is a Newton step of one zero
         assert len(polishes) == 6 and all(polishes)
         assert sum(polishes) == len(calls)
+
+    @pytest.mark.parametrize("spec,B,arms", [
+        (THREE_FAMILIES[1], "13/10", [True, True]),
+        (THREE_FAMILIES[1], "13/10+1/4i", [False, True]),
+        (from_mathieu(MathieuParams(q="2i"))[0], "1/2", [False, True]),
+        (RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/3",
+                        delta="2/3+1/5i", alpha="5/2", s="-1/2"), "-1",
+         [False, False]),
+    ], ids=["real", "complex-B", "complex-rows", "complex-normaliser"])
+    def test_real_rows_and_a_real_b_run_the_real_arm(self, monkeypatch,
+                                                     spec, B, arms):
+        # the tail, then its normaliser: the real arm runs where the
+        # rows and z are real, and each run gives the complex arm's bits
+        taken, kernel = [], rootfind._continuant_kernel
+
+        def both_arms(rows, F, z, stops, derivative=False, real=False):
+            rows = tuple(rows)
+            taken.append(real and z[1] == 0)
+            states = kernel(rows, F, z, stops, derivative, real)
+            assert states == kernel(rows, F, z, stops, derivative)
+            return states
+
+        monkeypatch.setattr(rootfind, "_continuant_kernel", both_arms)
+        monkeypatch.setattr(tracking, "_d2_normaliser", (None, ()))
+        monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
+        d2_sequence(spec, B, K=400)
+        assert taken == arms
+
+    def test_the_last_tail_is_kept(self, monkeypatch):
+        # the same spec, precision, K and fixed-point B again run no
+        # kernel and give the same bits; any other runs one
+        calls, kernel = [], rootfind._continuant_kernel
+
+        def counting(rows, F, z, stops, derivative=False, real=False):
+            calls.append(z)
+            return kernel(rows, F, z, stops, derivative, real)
+
+        monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
+        monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
+        spec = THREE_FAMILIES[1]
+        first = d2_sequence(spec, "13/10", K=400)
+        assert len(calls) == 2
+        with working_precision(256):
+            again = d2_sequence(spec, mp.mpf(13) / 10, K=400)
+        assert len(calls) == 2
+        assert [_bits(x) for x in (again.estimate, again.tail,
+                                   again.error_indicator)] == \
+            [_bits(x) for x in (first.estimate, first.tail,
+                                first.error_indicator)]
+        for args in (("7/5", 400, 256), ("13/10", 800, 256),
+                     ("13/10", 400, 128)):
+            before = len(calls)
+            d2_sequence(spec, args[0], *args[1:])
+            assert len(calls) > before, args
 
     def test_never_evaluates_the_plain_sequence(self, monkeypatch):
         def refuse(*args, **kwargs):
