@@ -1,9 +1,13 @@
-"""Pinned output bits of the fixed-point kernel's callers.
+"""Pinned output bits of the fixed-point kernel's callers and of the
+exact routes.
 
 Each case reduces one result to the exact rational values of its
 numbers and compares the sha256 of that text with a stored digest, so
 any change to the kernel, the d2 row sums or the Newton polish that
-moves a single output bit fails here.  A change meant to move bits
+moves a single output bit fails here, as does any change to the exact
+arithmetic (`scalars.QQi`) that moves a single rational of the
+recurrence rows, the perturbative seeds and closed forms, or a built
+family.  A change meant to move bits
 regenerates the digests with
 
     PYTHONPATH=src python tests/test_bit_pins.py
@@ -24,8 +28,14 @@ from heunzeros.families import (
     from_lame,
     from_mathieu,
 )
-from heunzeros.scalars import QQi, exact_value
-from heunzeros.tracking import d2_sequence, solve_zeros
+from heunzeros.perturbation import (
+    lame_expansion,
+    perturbative_seeds,
+    reduced_confluent_expansion,
+)
+from heunzeros.recurrence import build_family, eval_sequence, family_in_s
+from heunzeros.scalars import QQi, exact_value, scalar_to_json
+from heunzeros.tracking import continuant, d2_sequence, solve_zeros
 
 
 def _exact(x) -> str:
@@ -46,6 +56,22 @@ def _zeros(spec, m):
             + [_exact(r) for r in zs.residuals] + list(zs.labels))
 
 
+def _json(xs) -> list:
+    """Each exact scalar of xs as its `scalar_to_json` pair."""
+    return [scalar_to_json(x) for x in xs]
+
+
+def _continuant(spec, m):
+    c = continuant(spec, m)
+    return [_json(c.A), _json(c.N)]
+
+
+HEUN = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/3", delta="1/7",
+                      s="2/5", alpha="3/2", beta=-1)
+HEUN_COMPLEX = HEUN.with_s("2/5+1/3i")
+MATHIEU_2I = from_mathieu(MathieuParams(q="2i"))[0]
+
+
 CASES = {
     "d2-lame-1/100": lambda: _d2(from_lame(LameParams(n=2, s="1/100"))[0],
                                  QQi(F(-31, 10)), 400),
@@ -60,6 +86,25 @@ CASES = {
     "zeros-whill-m50": lambda: _zeros(
         RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2", delta="1/2",
                        s=-20, alpha=5), 50),
+    "seeds-lame-1/2-m39": lambda: _json(perturbative_seeds(
+        from_lame(LameParams(n=2, s="1/2"))[0], 39)),
+    "seeds-mathieu-2i-m29": lambda: _json(perturbative_seeds(MATHIEU_2I, 29)),
+    "seeds-heun-m29": lambda: _json(perturbative_seeds(HEUN, 29)),
+    "family-heun-m12": lambda: [_json(p.coeffs) for p in
+                                build_family(HEUN_COMPLEX, 12).polys],
+    "continuant-heun-m40": lambda: _continuant(HEUN_COMPLEX, 40),
+    "eval-heun-K60": lambda: _json(eval_sequence(
+        HEUN, QQi(F(-23, 10), F(1, 4)), 60)),
+    "family-in-s-heun-m10": lambda: [_json(row) for row in family_in_s(
+        HEUN, [QQi(-1), F(1, 2), QQi(0, F(1, 3))], 10)],
+    "lame-expansion-k10": lambda: [
+        _json(lame_expansion(n, k).coefficients())
+        for n in (2, F(7, 3), QQi(F(1, 2), 1)) for k in range(11)],
+    "reduced-confluent-expansion-k10": lambda: [
+        _json(reduced_confluent_expansion(g, d, k).coefficients())
+        for g, d in ((F(1, 2), F(1, 2)), (F(1, 3), F(1, 7)),
+                     (QQi(F(1, 2), F(1, 3)), F(3, 4)))
+        for k in range(2, 11)],
 }
 
 PINS = {
@@ -73,6 +118,24 @@ PINS = {
         "fc8515974513c2188d4dd6f13fd18dd7aed0fd6069be47d31f7432a3e396ece0",
     "zeros-whill-m50":
         "a05c08a14c9216c7bd0e0fcc807c32977cd346f71c77a0efc6ba3943846449dd",
+    "seeds-lame-1/2-m39":
+        "c1f6146782b94e3227dd980e7654d50d9c4eb5ad71d38740bced3ee6c23147cc",
+    "seeds-mathieu-2i-m29":
+        "b8901010c9ed85fd64da507c01e1a6d17b61ca0cdbf55bfca46f958e1a0576b2",
+    "seeds-heun-m29":
+        "3990e93643ab31a6c8e5678ccf3dbfba2a7bb18bce7b8a22b5a1713207a5f490",
+    "family-heun-m12":
+        "2fabc99e9643f2f05d427c91222449378209bf5ed416a605c4877466721036f3",
+    "continuant-heun-m40":
+        "6bae34cf6e6f3c4d6cd8d4c1aeda1ab71409f6f4a9b805648253adaaa98c634b",
+    "eval-heun-K60":
+        "5137aa9d74244fc2ff0eb825998262d50847d59bd7e953216c5f948fe5689085",
+    "family-in-s-heun-m10":
+        "3fa605eeb3ade58bd2723b25a5b4959a0ef798c534c1183b635a2536b52c1c60",
+    "lame-expansion-k10":
+        "57aae216964522e36b353b447be702a6f348480b44dbc82274c6f6c995557ac9",
+    "reduced-confluent-expansion-k10":
+        "790e39484f8598e36febce08f06992e27674dd9e6b2f1dd1626d1f45b81f3730",
 }
 
 
