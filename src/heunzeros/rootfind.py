@@ -131,7 +131,7 @@ class Continuant:
 
     def is_real(self) -> bool:
         """Whether every row is real, and so p_m has real coefficients."""
-        return all(x.im == 0 for x in self.A + self.N[1:])
+        return all(x.is_real for x in self.A + self.N[1:])
 
     def jacobi_matrix(self) -> tuple:
         """(diagonal, off-diagonal) as mpc at the working precision."""

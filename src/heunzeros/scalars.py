@@ -1,16 +1,16 @@
 """Scalars used throughout the package.
 
-Every parameter of a spec is a Gaussian rational, i.e. a complex number
-whose real and imaginary parts are :class:`fractions.Fraction`, so all
+Every parameter of a spec is a Gaussian rational (`QQi`), a complex
+number (a + bi)/d held as three ints with one shared denominator, whose
+parts ``re`` and ``im`` read as :class:`fractions.Fraction`; so all
 recurrence algebra runs with no rounding at all and polynomial
 coefficients and substitution identities can be checked exactly.  A
 binary float (a float, complex, mpf or mpc) given as a parameter, or
 as B to the recurrence or the oracle, counts as its exact dyadic value
-(`exact_value`); QQi
-arithmetic with one raises ExactnessError, and a QQi equals one only
-when that exact value is the same number.  mpc big floats appear only
-as outputs of the numeric kernels (a zero, a d2 estimate) and at the
-fixed-point boundary (`_to_fixed`).
+(`exact_value`); QQi arithmetic with one raises ExactnessError, and a
+QQi equals one only when that exact value is the same number.  mpc big
+floats appear only as outputs of the numeric kernels (a zero, a d2
+estimate) and at the fixed-point boundary (`_to_fixed`).
 
 The helpers here also own the one reader of typed scalars,
 ``parse_scalar`` (``"a+bi"``: integer, fraction and decimal parts are
@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 import mpmath as mp
 
@@ -34,18 +35,27 @@ class ExactnessError(TypeError):
 
 
 class QQi:
-    """A Gaussian rational: exact complex number with Fraction parts."""
+    """A Gaussian rational (a + bi)/d held as three ints in canonical
+    form, d > 0 and gcd(a, b, d) = 1, so equal values have equal
+    triples.  The parts ``re`` and ``im`` are the reduced Fractions a/d
+    and b/d, computed when read."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, QQi):
             if im:
                 raise ValueError("cannot combine QQi real part with imag part")
-            self.re, self.im = re.re, re.im
-            return
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+            re, im = re.re, re.im
+        # over the lcm of the denominators, a prime of which divides one
+        # of them as often, and so not that part's numerator
+        x, y = Fraction(re), Fraction(im)
+        self.d = d = lcm(x.denominator, y.denominator)
+        self.a = x.numerator * d // x.denominator
+        self.b = y.numerator * d // y.denominator
+
+    re = property(lambda self: Fraction(self.a, self.d), doc="a/d")
+    im = property(lambda self: Fraction(self.b, self.d), doc="b/d")
 
     # -- coercion ---------------------------------------------------------
 
@@ -54,7 +64,7 @@ class QQi:
         if isinstance(x, QQi):
             return x
         if isinstance(x, (int, Fraction)):
-            return QQi(x)
+            return _qqi(x.numerator, 0, x.denominator)
         if isinstance(x, str):
             return parse_gaussian_rational(x)
         raise ExactnessError(
@@ -63,41 +73,77 @@ class QQi:
         )
 
     # -- arithmetic -------------------------------------------------------
+    #
+    # on the triples, with the gcd reductions of Knuth (TAOCP vol. 2,
+    # 4.5.1) that Fraction has; gcd takes the denominator first, so it
+    # stops at 1 before it reads a second numerator
 
     def __add__(self, other):
+        a1, b1, d1 = self.a, self.b, self.d
+        if type(other) is int:      # canonical, as at g = 1 below
+            return _qqi(a1 + other * d1, b1, d1)
         o = QQi.coerce(other)
-        return QQi(self.re + o.re, self.im + o.im)
+        a2, b2, d2 = o.a, o.b, o.d
+        # a prime of the new numerator and of d1 d2 / g divides g as often
+        g = gcd(d1, d2)
+        if g == 1:
+            return _qqi(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+        s, t = d1 // g, d2 // g
+        a, b = a1 * t + a2 * s, b1 * t + b2 * s
+        g = gcd(g, a, b)
+        return _qqi(a // g, b // g, s * (d2 // g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = QQi.coerce(other)
-        return QQi(self.re - o.re, self.im - o.im)
+        return self + -QQi.coerce(other)
 
     def __rsub__(self, other):
-        o = QQi.coerce(other)
-        return QQi(o.re - self.re, o.im - self.im)
+        return -self + other
 
     def __mul__(self, other):
+        a1, b1, d1 = self.a, self.b, self.d
+        if type(other) is int:      # canonical, as when b2 = 0 below
+            g = gcd(d1, other)
+            return _qqi(a1 * (other // g), b1 * (other // g), d1 // g)
         o = QQi.coerce(other)
-        return QQi(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
+        a2, b2, d2 = o.a, o.b, o.d
+        # each numerator cancelled against the other denominator leaves
+        # the product canonical when a factor is real; of two non-real
+        # factors a common factor can remain, as (1+i)^2 = 2i
+        g = gcd(d2, a1, b1)
+        if g != 1:
+            a1, b1, d2 = a1 // g, b1 // g, d2 // g
+        g = gcd(d1, a2, b2)
+        if g != 1:
+            a2, b2, d1 = a2 // g, b2 // g, d1 // g
+        if not b1 or not b2:
+            return _qqi(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+        g = gcd(d, a, b)
+        return _qqi(a // g, b // g, d // g)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = QQi.coerce(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero in exact field")
-        return QQi((self.re * o.re + self.im * o.im) / d,
-                   (self.im * o.re - self.re * o.im) / d)
+        return self * QQi.coerce(other)._inverse()
 
     def __rtruediv__(self, other):
         return QQi.coerce(other) / self
 
+    def _inverse(self):
+        """d (a - bi)/(a^2 + b^2)."""
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            if not a:
+                raise ZeroDivisionError("division by zero in exact field")
+            return _qqi(d, 0, a) if a > 0 else _qqi(-d, 0, -a)
+        n = a * a + b * b
+        g = gcd(n, gcd(a, b) * d)
+        return _qqi(a * d // g, -b * d // g, n // g)
+
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _qqi(-self.a, -self.b, self.d)
 
     def __pos__(self):
         return self
@@ -119,67 +165,73 @@ class QQi:
     # -- predicates / structure -------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is QQi:
+            return (self.a, self.b, self.d) == (other.a, other.b, other.d)
         # a binary float compares by its exact value, as it hashes; one
         # too large or too small for exact_value compares its mantissa
         # and exponent with the parts (`_is_binary`); nan and inf are
         # unequal
-        if not isinstance(other, QQi):
-            try:
-                other = exact_value(other)
-            except ExactnessError:
-                return NotImplemented
-            except ValueError:
-                if isinstance(other, (complex, mp.mpc)):
-                    return (_is_binary(self.re, other.real)
-                            and _is_binary(self.im, other.imag))
-                if isinstance(other, (float, mp.mpf)):
-                    return self.im == 0 and _is_binary(self.re, other)
-                return NotImplemented
-        return self.re == other.re and self.im == other.im
+        try:
+            other = exact_value(other)
+        except ExactnessError:
+            return NotImplemented
+        except ValueError:
+            if isinstance(other, (complex, mp.mpc)):
+                return (_is_binary(self.re, other.real)
+                        and _is_binary(self.im, other.imag))
+            if isinstance(other, (float, mp.mpf)):
+                return not self.b and _is_binary(self.re, other)
+            return NotImplemented
+        return self == other
 
     def __hash__(self):
         # the hash of an equal Fraction, float, mpf or mpc (mpmath's
         # rule, which differs from a Python complex's for some values)
-        if self.im == 0:
+        if not self.b:
             return hash(self.re)
         return ((hash(self.re) + sys.hash_info.imag * hash(self.im))
                 % 2 ** sys.hash_info.width)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
+        return _qqi(self.a, -self.b, self.d)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.b
 
     def abs2(self) -> Fraction:
         """|z|^2, exact."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def as_integer(self) -> int | None:
         """The value as a Python int if it is one, else None."""
-        if self.im == 0 and self.re.denominator == 1:
-            return self.re.numerator
-        return None
+        return self.a if not self.b and self.d == 1 else None
 
     def __repr__(self):
         return f"QQi({self})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        imag = f"{self.im}i" if abs(self.im) != 1 else ("i" if self.im > 0 else "-i")
-        if self.re == 0:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        imag = f"{im}i" if abs(im) != 1 else ("i" if im > 0 else "-i")
+        if re == 0:
             return imag
-        sign = "+" if self.im > 0 and not imag.startswith("-") else ""
-        return f"{self.re}{sign}{imag}"
-
+        sign = "+" if im > 0 and not imag.startswith("-") else ""
+        return f"{re}{sign}{imag}"
 
     def __complex__(self):
         return complex(self.re) + 1j * complex(self.im)
+
+
+def _qqi(a: int, b: int, d: int) -> QQi:
+    """The QQi of a canonical triple."""
+    z = object.__new__(QQi)
+    z.a, z.b, z.d = a, b, d
+    return z
 
 
 # -- parsing ---------------------------------------------------------------
@@ -300,17 +352,14 @@ def _dyadic(x) -> Fraction:
 
 # -- big-float conversion ---------------------------------------------------
 
-def fraction_to_mpf(fr: Fraction) -> mp.mpf:
-    """Convert under the caller's current mpmath precision."""
-    return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
-
-
 def to_mpc(x) -> mp.mpc:
-    """Convert any supported scalar to mpc at the current precision."""
-    if isinstance(x, QQi):
-        return mp.mpc(fraction_to_mpf(x.re), fraction_to_mpf(x.im))
-    if isinstance(x, Fraction):
-        return mp.mpc(fraction_to_mpf(x))
+    """Convert any supported scalar to mpc at the current precision; an
+    exact part's reduced numerator and denominator are each rounded to
+    it, and then their quotient."""
+    if isinstance(x, (QQi, Fraction)):
+        x = QQi.coerce(x)
+        return mp.mpc(*(mp.mpf(p.numerator) / mp.mpf(p.denominator)
+                        for p in (x.re, x.im)))
     if isinstance(x, (int, float, complex, mp.mpf, mp.mpc)):
         return mp.mpc(x)
     if isinstance(x, str):
@@ -338,8 +387,7 @@ def _to_fixed(z, F: int) -> tuple:
     if isinstance(z, (mp.mpc, mp.mpf)):
         return int(mp.ldexp(z.real, F)), int(mp.ldexp(z.imag, F))
     z = QQi.coerce(z)
-    return ((z.re.numerator << F) // z.re.denominator,
-            (z.im.numerator << F) // z.im.denominator)
+    return (z.a << F) // z.d, (z.b << F) // z.d
 
 
 def _from_fixed(x: int, y: int, F: int) -> mp.mpc:

@@ -426,8 +426,17 @@ class D2Estimate:
     error_indicator: object    # |a_K - a_{K-1}|
 
 
+# the last (spec, precision_bits) that `_check_d2_spec` passed
+_d2_checked = None
+
+
 def _check_d2_spec(spec: RecurrenceSpec, precision_bits: int):
-    """Refuse gamma or delta that is an integer at precision_bits."""
+    """Refuse gamma or delta that is an integer at precision_bits.  The
+    last pair that passed is kept and not checked again; a refused one
+    is checked, and raises, on every call."""
+    global _d2_checked
+    if _d2_checked == (spec, precision_bits):
+        return
     with working_precision(precision_bits):
         for name in ("gamma", "delta"):
             v = to_mpc(getattr(spec, name))
@@ -436,6 +445,7 @@ def _check_d2_spec(spec: RecurrenceSpec, precision_bits: int):
                     f"d2 limit needs non-integer gamma and delta; "
                     f"{name} = {v}"
                 )
+    _d2_checked = (spec, precision_bits)
 
 
 # (key, value) for the most recent key of `_d2_row_table`, of

@@ -1,6 +1,8 @@
 """Exact Gaussian-rational arithmetic, parsing, and serialization."""
 
+import operator
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
@@ -75,6 +77,141 @@ class TestFieldAxioms:
         del calls[:]
         x ** 3
         assert len(calls) == 2
+
+
+# parts with denominators up to 2^80 and 10^30, and smooth ones, which
+# share factors and so run every gcd reduction of the int triple
+numerators = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(-2 ** 90, 2 ** 90))
+denominators = st.one_of(
+    st.integers(1, 2 ** 80), st.integers(1, 10 ** 30),
+    st.builds(lambda i, j, k: 2 ** i * 3 ** j * 5 ** k, st.integers(0, 80),
+              st.integers(0, 20), st.integers(0, 30)))
+parts = st.builds(Fraction, numerators, denominators)
+zero = st.just(Fraction(0))
+small = st.integers(-4, 4).map(Fraction)
+# (re, im) Fraction pairs: zero, pure real, pure imaginary, Gaussian
+# integers such as 1 + i, whose square 2i cancels, and any pair
+pairs = st.one_of(st.tuples(parts, parts), st.tuples(parts, zero),
+                  st.tuples(zero, parts), st.tuples(zero, zero),
+                  st.tuples(small, small),
+                  st.tuples(parts, parts).map(
+                      lambda p: (p[0], p[0] * p[1].denominator)))
+wide = pairs.map(lambda p: QQi(*p))
+operands = st.one_of(wide, st.integers(-2 ** 70, 2 ** 70), denominators,
+                     denominators.map(operator.neg), parts)
+
+
+def reference(x) -> tuple:
+    """The (re, im) Fraction pair of an int, Fraction or QQi."""
+    return (x.re, x.im) if isinstance(x, QQi) else (Fraction(x), Fraction(0))
+
+
+def ref_op(op, x, y) -> tuple:
+    """op on Fraction pairs, the reference of the int triple."""
+    (a, b), (c, d) = x, y
+    if op is operator.add:
+        return a + c, b + d
+    if op is operator.sub:
+        return a - c, b - d
+    if op is operator.mul:
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def check(z, want):
+    """z is the canonical QQi of the Fraction pair want."""
+    assert type(z) is QQi
+    assert all(type(v) is int for v in (z.a, z.b, z.d))
+    assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+    assert (z.re, z.im) == want
+    assert z == QQi(*want) and hash(z) == hash(QQi(*want))
+
+
+class TestIntTriple:
+    """QQi holds (a + bi)/d as three ints, d > 0 and gcd(a, b, d) = 1;
+    every operation must agree with Fraction-pair arithmetic and leave
+    that canonical triple."""
+
+    @given(pairs)
+    def test_construction_is_canonical(self, p):
+        check(QQi(*p), p)
+        check(QQi(QQi(*p)), p)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul, operator.truediv],
+                             ids=lambda op: op.__name__)
+    @given(x=wide, y=operands)
+    def test_binary_operators_on_both_sides(self, op, x, y):
+        for left, right in ((x, y), (y, x)):
+            want_zero = op is operator.truediv and not any(reference(right))
+            if want_zero:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            check(op(left, right), ref_op(op, reference(left),
+                                          reference(right)))
+
+    @pytest.mark.parametrize("value,triple", [
+        (lambda: QQi(Fraction(1, 6)) * 4, (2, 0, 3)),
+        (lambda: 4 * QQi(Fraction(1, 6), Fraction(1, 2)), (2, 6, 3)),
+        (lambda: QQi(Fraction(1, 6)) + QQi(Fraction(1, 3)), (1, 0, 2)),
+        (lambda: QQi(Fraction(1, 2)) + Fraction(1, 3), (5, 0, 6)),
+        (lambda: QQi(Fraction(5, 6), 1) - QQi(Fraction(1, 3), 1), (1, 0, 2)),
+        (lambda: QQi(Fraction(2, 3)) * QQi(Fraction(3, 4)), (1, 0, 2)),
+        (lambda: QQi(Fraction(2, 3), 2) * QQi(Fraction(3, 4)), (1, 3, 2)),
+        (lambda: QQi(1, 1) ** 2, (0, 2, 1)),
+        (lambda: QQi(Fraction(1, 2), Fraction(1, 2)) * QQi(1, 1), (0, 1, 1)),
+        (lambda: 1 / QQi(1, 1), (1, -1, 2)),
+        (lambda: QQi(2) / QQi(1, 1), (1, -1, 1)),
+        (lambda: QQi(0, 3) / QQi(-6), (0, -1, 2)),
+        (lambda: QQi(0, 3) / -6, (0, -1, 2)),
+        (lambda: 5 - QQi(5), (0, 0, 1)),
+    ], ids=range(14))
+    def test_each_reduction_leaves_the_canonical_triple(self, value, triple):
+        z = value()
+        assert (z.a, z.b, z.d) == triple
+
+    @given(wide, st.integers(0, 6))
+    def test_power(self, x, n):
+        want = (Fraction(1), Fraction(0))
+        for _ in range(n):
+            want = ref_op(operator.mul, want, reference(x))
+        check(x ** n, want)
+
+    @given(wide)
+    def test_unary_and_structure(self, x):
+        re_, im_ = reference(x)
+        check(-x, (-re_, -im_))
+        check(+x, (re_, im_))
+        check(x.conjugate(), (re_, -im_))
+        assert x.abs2() == re_ * re_ + im_ * im_
+        assert type(x.abs2()) is Fraction
+        integer = im_ == 0 and re_.denominator == 1
+        assert x.as_integer() == (re_.numerator if integer else None)
+        assert x.is_real == (im_ == 0) and bool(x) == bool(re_ or im_)
+
+    @given(st.integers(-2 ** 52, 2 ** 52), st.integers(-2 ** 52, 2 ** 52),
+           st.integers(0, 60))
+    def test_hash_and_eq_agree_with_equal_values(self, n, m, k):
+        re_, im_ = Fraction(n, 2 ** k), Fraction(m, 2 ** k)
+        q = QQi(re_, im_)
+        z = mp.mpc(mp.ldexp(n, -k), mp.ldexp(m, -k))
+        # (x, the value whose hash q shares): a QQi hashes as an equal
+        # Fraction when real and as an equal mpc otherwise; mpmath hashes
+        # a negative real mpc unlike the equal mpf, and Python a complex
+        # with a negative part unlike the equal mpc
+        twin = re_ if not im_ else z
+        equal = [(complex(float(re_), float(im_)), twin), (z, twin)]
+        if not im_:
+            equal += [(x, x) for x in (re_, float(re_), z.real)]
+            if re_.denominator == 1:
+                equal.append((int(re_), int(re_)))
+        other = q + QQi(0, Fraction(1, 3))
+        for x, twin in equal:
+            assert q == x and x == q and hash(q) == hash(twin), x
+            assert other != x and x != other, x
 
 
 class TestParser:

@@ -702,6 +702,34 @@ class TestD2Sequence:
         with pytest.raises(InvalidSpecError):
             d2_sequence(spec, mp.mpf(1), K=50)
 
+    def test_the_spec_is_checked_once_per_precision(self, monkeypatch):
+        # the last (spec, precision_bits) that passed is not checked
+        # again; a refused spec raises on every call
+        reads, convert = [], tracking.to_mpc
+
+        def counting(x):
+            reads.append(x)
+            return convert(x)
+
+        monkeypatch.setattr(tracking, "to_mpc", counting)
+        monkeypatch.setattr(tracking, "_d2_checked", None)
+        spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/3",
+                              delta="1/7", s="1/10")
+
+        def checks():
+            return sum(x is spec.gamma or x is spec.delta for x in reads)
+
+        for B, bits, want in (("13/10", 256, 2), ("7/5", 256, 2),
+                              ("7/5", 128, 4), ("7/5", 256, 6)):
+            d2_sequence(spec, B, K=50, precision_bits=bits)
+            assert checks() == want, (B, bits)
+        refused = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/3",
+                                 delta=2, s="1/10")
+        for _ in range(2):
+            with pytest.raises(InvalidSpecError):
+                d2_sequence(refused, 1, K=50)
+        assert tracking._d2_checked == (spec, 256)
+
     def test_needs_two_terms(self):
         spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
                               delta="1/2", s=0)
