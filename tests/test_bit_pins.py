@@ -7,7 +7,8 @@ any change to the kernel, the d2 row sums or the Newton polish that
 moves a single output bit fails here, as does any change to the exact
 arithmetic (`scalars.QQi`) that moves a single rational of the
 recurrence rows, the perturbative seeds and closed forms, or a built
-family.  A change meant to move bits
+family, or any label, pairing, matching cost or digit count of the zero
+bookkeeping.  A change meant to move bits
 regenerates the digests with
 
     PYTHONPATH=src python tests/test_bit_pins.py
@@ -33,9 +34,18 @@ from heunzeros.perturbation import (
     perturbative_seeds,
     reduced_confluent_expansion,
 )
+from heunzeros import tracking
 from heunzeros.recurrence import build_family, eval_sequence, family_in_s
-from heunzeros.scalars import QQi, exact_value, scalar_to_json
-from heunzeros.tracking import continuant, d2_sequence, solve_zeros
+from heunzeros.scalars import QQi, exact_value, scalar_to_json, \
+    working_precision
+from heunzeros.tracking import (
+    continuant,
+    convergence_report,
+    d2_sequence,
+    match_zeros,
+    solve_zeros,
+    zero_table,
+)
 
 
 def _exact(x) -> str:
@@ -54,6 +64,40 @@ def _zeros(spec, m):
     zs = solve_zeros(spec, m)
     return ([zs.seed_bits] + [_exact(z) for z in zs.zeros]
             + [_exact(r) for r in zs.residuals] + list(zs.labels))
+
+
+def _matched(za, zb):
+    """match_zeros(za, zb) and the cost matrix its assignment ran on."""
+    seen = []
+    run = tracking._assignment
+    tracking._assignment = lambda cost: seen.append(cost) or run(cost)
+    try:
+        res = match_zeros(za, zb)
+    finally:
+        tracking._assignment = run
+    return res, seen[0]
+
+
+def _report(spec):
+    # at the report's 256 bits each cost is the correctly rounded
+    # distance; at 53 bits a complex difference rounds twice
+    with working_precision(256):
+        rep = convergence_report(spec, (30, 40))
+        za, zb = rep.zero_sets[30], rep.zero_sets[40]
+        res, cost = _matched(za, zb)
+    return ([list(za.labels), list(zb.labels)]
+            + [(i, j, _exact(d)) for i, j, d in res.pairs]
+            + [[x.hex() for x in row] for row in cost]
+            + [(t.label_k, sorted(t.stabilized.items()))
+               for t in rep.tracks])
+
+
+def _table_labels(spec, ms):
+    sets = {m: solve_zeros(spec, m) for m in ms}
+    return ([list(sets[m].labels) for m in ms]
+            + [(row["k"], [(m, _exact(z)) for m, z in row["zeros"].items()
+                           if z is not None])
+               for row in zero_table(spec, sets, max(ms))])
 
 
 def _json(xs) -> list:
@@ -86,6 +130,11 @@ CASES = {
     "zeros-whill-m50": lambda: _zeros(
         RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2", delta="1/2",
                        s=-20, alpha=5), 50),
+    "report-mathieu-2i-30-40": lambda: _report(MATHIEU_2I),
+    "report-lame-1/2-30-40": lambda: _report(
+        from_lame(LameParams(n=2, s="1/2"))[0]),
+    "table-lame-9/10-m8-12": lambda: _table_labels(
+        from_lame(LameParams(n=2, s="9/10"))[0], (8, 12)),
     "seeds-lame-1/2-m39": lambda: _json(perturbative_seeds(
         from_lame(LameParams(n=2, s="1/2"))[0], 39)),
     "seeds-mathieu-2i-m29": lambda: _json(perturbative_seeds(MATHIEU_2I, 29)),
@@ -118,6 +167,12 @@ PINS = {
         "fc8515974513c2188d4dd6f13fd18dd7aed0fd6069be47d31f7432a3e396ece0",
     "zeros-whill-m50":
         "a05c08a14c9216c7bd0e0fcc807c32977cd346f71c77a0efc6ba3943846449dd",
+    "report-mathieu-2i-30-40":
+        "a4f8917a70a690dc11c68a949e9910e79d9e1beae541a5fe6fece07176bd5e5b",
+    "report-lame-1/2-30-40":
+        "9307ed20ff0c1bb64e6de2bf3fe2edd708a81aaa4967dc7165a41cfa0b1f92af",
+    "table-lame-9/10-m8-12":
+        "20737e5f6a9fe8bde134ecd2fa93c860977a31509e3336a95d46a40a8b5a2914",
     "seeds-lame-1/2-m39":
         "c1f6146782b94e3227dd980e7654d50d9c4eb5ad71d38740bced3ee6c23147cc",
     "seeds-mathieu-2i-m29":
