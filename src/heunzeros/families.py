@@ -87,6 +87,20 @@ class RecurrenceSpec:
                 "gamma must not be a nonpositive integer: the recurrence "
                 "divides by (m+1)(m+gamma)"
             )
+        # the hash of the fields, taken once: the cached recurrence rows
+        # (`perturbation.recurrence_row`) look a spec up on every row
+        object.__setattr__(self, "_hash", hash((
+            self.kind, self.gamma, self.delta, self.s, self.alpha,
+            self.beta)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt on unpickling, so the hash is taken in the process
+        # that loads it: str and None hash differently in another one
+        return RecurrenceSpec, (self.kind, self.gamma, self.delta, self.s,
+                                self.alpha, self.beta)
 
     # -- structure ---------------------------------------------------------
 

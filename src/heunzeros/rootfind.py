@@ -453,8 +453,12 @@ def _fixed_point_ql(dr, di, er, ei, F: int) -> bool:
                 er[i + 1], ei[i + 1] = rr, ri
                 if not (rr or ri):
                     return False
-                sr, si = _fixed_div(fr, fi, rr, ri, F)
-                cr, ci = _fixed_div(gr, gi, rr, ri, F)
+                # s = f/r and c = g/r, each as `_fixed_div` floors it
+                n2 = rr * rr + ri * ri
+                sr = ((fr * rr + fi * ri) << F) // n2
+                si = ((fi * rr - fr * ri) << F) // n2
+                cr = ((gr * rr + gi * ri) << F) // n2
+                ci = ((gi * rr - gr * ri) << F) // n2
                 gr, gi = dr[i + 1] - pr, di[i + 1] - pi
                 ur, ui = dr[i] - gr, di[i] - gi
                 rr = (ur * sr - ui * si + 2 * (cr * br - ci * bi)) >> F
@@ -502,15 +506,17 @@ def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
     n = poly.degree
     if n < 1:
         raise InvalidSpecError("need degree >= 1 to find roots")
-    work_bits = precision_bits + 24
-    with working_precision(work_bits):
+    F = _newton_bits(precision_bits)
+    with working_precision(F - _KERNEL_GUARD):
         tol = default_tol(precision_bits)
         if len(seeds) != n:
             raise InvalidSpecError(
                 f"{len(seeds)} seeds for a degree-{n} polynomial")
-        F = work_bits + _KERNEL_GUARD
         tables = {F: poly.fixed_rows(F)}
-        points = [_to_fixed(to_mpc(s), F) for s in seeds]
+        # a complex double is read exactly; other seeds are rounded to
+        # the working precision first
+        points = [_to_fixed(s if isinstance(s, complex) else to_mpc(s), F)
+                  for s in seeds]
         mirror = {}
         real = poly.is_real()
         if real:
@@ -548,6 +554,14 @@ def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
         precision_bits=precision_bits,
         tol=tol,
     )
+
+
+def _newton_bits(precision_bits: int) -> int:
+    """F = precision_bits + 24 + _KERNEL_GUARD, the fraction bits of the
+    full-width Newton steps of `find_all_roots`, which works at
+    F - _KERNEL_GUARD bits.  Every zero it returns is a multiple of
+    2^-F, so `scalars._to_fixed` reads it exactly at F."""
+    return precision_bits + 24 + _KERNEL_GUARD
 
 
 def _head(indices) -> str:

@@ -185,8 +185,11 @@ class QQi:
         return self == other
 
     def __hash__(self):
-        # the hash of an equal Fraction, float, mpf or mpc (mpmath's
-        # rule, which differs from a Python complex's for some values)
+        # a real value hashes as the equal Fraction, float and mpf, but
+        # not always as the equal real mpc: mpmath reduces that hash
+        # modulo 2^sys.hash_info.width, so a negative one differs; a
+        # non-real value hashes as the equal mpc (mpmath's rule, which
+        # differs from a Python complex's for some values)
         if not self.b:
             return hash(self.re)
         return ((hash(self.re) + sys.hash_info.imag * hash(self.im))
@@ -382,8 +385,15 @@ def working_precision(bits: int):
 # only these conversions and this division.
 
 def _to_fixed(z, F: int) -> tuple:
-    """The mpc or mpf z truncated toward zero to F fraction bits; an
-    exact scalar (QQi, Fraction or int) rounded to the floor."""
+    """The complex, mpc or mpf z truncated toward zero to F fraction
+    bits; an exact scalar (QQi, Fraction or int) rounded to the floor."""
+    if isinstance(z, complex):
+        parts = []
+        for x in (z.real, z.imag):
+            n, d = x.as_integer_ratio()      # d is a power of two
+            q = (abs(n) << F) // d
+            parts.append(-q if n < 0 else q)
+        return tuple(parts)
     if isinstance(z, (mp.mpc, mp.mpf)):
         return int(mp.ldexp(z.real, F)), int(mp.ldexp(z.imag, F))
     z = QQi.coerce(z)

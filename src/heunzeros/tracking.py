@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from math import isqrt, lcm
 
 import mpmath as mp
 
@@ -40,6 +41,7 @@ from .rootfind import (
     Continuant,
     NonConvergenceError,
     ZeroSet,
+    _newton_bits,
     find_all_roots,
     tridiagonal_eigenvalues,
 )
@@ -47,6 +49,7 @@ from .scalars import (
     _fixed_div,
     _from_fixed,
     _to_fixed,
+    exact_value,
     to_mpc,
     working_precision,
 )
@@ -87,10 +90,8 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
         diag, off = rows.jacobi_matrix()
     zs = _climb(rows, diag, off, precision_bits)
     if not spec.is_d_degenerate and spec.s.abs2() <= 4:
-        raw = perturbative_seeds(spec, m - 1)
-        with working_precision(precision_bits):
-            estimates = [to_mpc(e) for e in raw]
-        zs = zs.with_labels(_labels_by_proximity(zs.zeros, estimates))
+        zs = zs.with_labels(_labels_by_proximity(
+            zs, perturbative_seeds(spec, m - 1)))
     return zs
 
 
@@ -168,21 +169,41 @@ def _nearest_gap(xs, ys) -> float:
     return max(one_way(xs, ys), one_way(ys, xs))
 
 
-def _labels_by_proximity(zeros, estimates) -> list:
-    """Scan zeros in display order; each takes its nearest unused
-    estimate's index.  Deterministic, injective."""
+def _labels_by_proximity(zs, estimates) -> list:
+    """Scan the zeros of the ZeroSet zs in display order; each takes its
+    nearest unused estimate's index, the lowest among equally near ones.
+    The zeros are read exactly with F fraction bits (`_points`), the
+    exact estimates rounded to the floor at the same F
+    (`scalars._to_fixed`), and the squared distances of those Gaussian
+    integers compared exactly.  Deterministic, injective."""
+    F = _newton_bits(zs.precision_bits)
+    estimates = [_to_fixed(e, F) for e in estimates]
     free = list(range(len(estimates)))
     labels = []
-    for z in zeros:
-        best, best_d = None, None
-        for k in free:
-            d = abs(z - estimates[k])
-            if best_d is None or d < best_d:
-                best, best_d = k, d
+    for x, y in _points(zs)[0]:
+        best = min(free, default=None,
+                   key=lambda k: (x - estimates[k][0]) ** 2
+                   + (y - estimates[k][1]) ** 2)
         labels.append(best)
         if best is not None:
             free.remove(best)
     return labels
+
+
+def _points(zs) -> tuple:
+    """(points, L): the zeros of the ZeroSet zs, or the scalars zs, each
+    read exactly as a Gaussian-integer pair (x, y) over one denominator
+    L, standing for (x + iy) / L.  A ZeroSet's zeros are read with the
+    F fraction bits of the Newton kernel that found them
+    (`rootfind._newton_bits`), L = 2^F; scalars as their exact values
+    (`exact_value`: a binary float is its dyadic value), L the lcm of
+    their denominators."""
+    if isinstance(zs, ZeroSet):
+        F = _newton_bits(zs.precision_bits)
+        return [_to_fixed(z, F) for z in zs.zeros], 1 << F
+    qs = [exact_value(z) for z in zs]
+    L = lcm(*(q.d for q in qs))
+    return [(q.a * (L // q.d), q.b * (L // q.d)) for q in qs], L
 
 
 # -- matching zero sets --------------------------------------------------------
@@ -200,26 +221,58 @@ class MatchResult:
 
 
 def match_zeros(za, zb) -> MatchResult:
-    """Optimal assignment of za into zb: the injective pairing that
-    minimizes the summed distance, each distance rounded to a double.
+    """Optimal assignment of za into zb (ZeroSets, or sequences of
+    scalars): the injective pairing that minimizes the summed distance,
+    each distance the exact one, correctly rounded to a double.
 
+    Both sets are read exactly over one denominator (`_points`), so the
+    costs, and the pairing, do not depend on the working precision.
     The assignment is Crouse's shortest augmenting path method, run
     step for step as SciPy's `linear_sum_assignment` runs it, so among
     tied optimal assignments this one picks the same pairing as
-    SciPy does (`_assignment`).
+    SciPy does (`_assignment`).  The distance of each pair is given as
+    an mpf at the working precision.
 
     If every za zero also appears in zb the pairing is the identity on
     values.
     """
-    a = list(za.zeros) if isinstance(za, ZeroSet) else [to_mpc(z) for z in za]
-    b = list(zb.zeros) if isinstance(zb, ZeroSet) else [to_mpc(z) for z in zb]
-    if len(a) > len(b):
+    (pa, La), (pb, Lb) = _points(za), _points(zb)
+    if len(pa) > len(pb):
         raise InvalidSpecError("match_zeros expects len(a) <= len(b)")
-    cols = _assignment([[float(abs(x - y)) for y in b] for x in a])
+    L = lcm(La, Lb)
+    pa = [(x * (L // La), y * (L // La)) for x, y in pa]
+    pb = [(u * (L // Lb), v * (L // Lb)) for u, v in pb]
+    cols = _assignment(_costs(pa, pb, L))
+    a = za.zeros if isinstance(za, ZeroSet) else [to_mpc(z) for z in za]
+    b = zb.zeros if isinstance(zb, ZeroSet) else [to_mpc(z) for z in zb]
     pairs = tuple((i, j, abs(a[i] - b[j])) for i, j in enumerate(cols))
     matched_b = set(cols)
     new_b = tuple(j for j in range(len(b)) if j not in matched_b)
     return MatchResult(pairs=pairs, new_in_b=new_b)
+
+
+def _costs(a, b, L: int) -> list:
+    """The cost matrix of `match_zeros`: |p - q| / L for p in a (rows)
+    and q in b, Gaussian-integer pairs over the denominator L, each
+    correctly rounded to a double.  r = floor(sqrt(|p - q|^2 4^k / L^2))
+    has at least 55 bits, its last bit is set when the root is inexact
+    (a sticky bit, which cannot cross a rounding boundary of a 53-bit
+    mantissa), and r / 2^k is one correctly rounded int/int division."""
+    L2, top = L * L, 110 + 2 * L.bit_length()
+    rows = []
+    for x, y in a:
+        row = []
+        for u, v in b:
+            dx, dy = x - u, y - v
+            n = dx * dx + dy * dy
+            k = max(0, (top - n.bit_length()) // 2)
+            q, rem = divmod(n << 2 * k, L2)
+            r = isqrt(q)
+            if rem or r * r != q:
+                r |= 1
+            row.append(r / (1 << k))
+        rows.append(row)
+    return rows
 
 
 def _assignment(cost) -> list:
@@ -288,18 +341,31 @@ _DIGIT_CAP = 60       # digits reported for identical values
 
 
 def stabilized_digits(za, zb) -> int:
-    """Shared significant digits: the largest d with
-    |za-zb| < 0.5 * 10^-d * max(|za|, |zb|), at most _DIGIT_CAP."""
-    za, zb = to_mpc(za), to_mpc(zb)
-    scale = max(abs(za), abs(zb))
-    if scale == 0:
+    """Shared significant digits: the largest d >= 0 with
+    |za-zb| < 0.5 * 10^-d * max(|za|, |zb|), at most _DIGIT_CAP, and
+    _DIGIT_CAP for equal values; 0 when even d = 0 fails.  Decided
+    exactly on the exact values of za and zb (`_points`), whatever the
+    working precision."""
+    (p, q), _ = _points((za, zb))
+    return _shared_digits(p, q)
+
+
+def _shared_digits(p, q) -> int:
+    """`stabilized_digits` of the Gaussian-integer pairs p and q over
+    one denominator, which cancels: the largest d with
+    4 |p - q|^2 100^d < max(|p|, |q|)^2, by exact integer comparison
+    from a lower bound read off the bit lengths."""
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    lhs = 4 * (dx * dx + dy * dy)
+    if not lhs:
         return _DIGIT_CAP
-    diff = abs(za - zb)
-    if diff == 0:
-        return _DIGIT_CAP
-    rel = diff / scale
-    d = int(mp.floor(-mp.log10(2 * rel)))
-    return max(min(d, _DIGIT_CAP), 0)
+    rhs = max(p[0] * p[0] + p[1] * p[1], q[0] * q[0] + q[1] * q[1])
+    # lhs 100^d < 2^(bits(lhs) + d log2(100)) <= rhs for these d, as
+    # 3/20 < 1/log2(100)
+    d = max(0, (rhs.bit_length() - lhs.bit_length() - 1) * 3 // 20)
+    while d < _DIGIT_CAP and lhs * 100 ** (d + 1) < rhs:
+        d += 1
+    return min(d, _DIGIT_CAP)
 
 
 # -- convergence report --------------------------------------------------------
@@ -342,15 +408,16 @@ def convergence_report(spec: RecurrenceSpec, m_list=(30, 40),
                        digits: int = 10,
                        precision_bits: int = 256) -> ConvergenceReport:
     """Solve each degree in m_list, chain-match the zero sets, and
-    count stabilized digits along every track, at precision_bits
-    whatever the caller's working precision (the matching's costs stay
-    doubles).  Each track carries the label its top-degree zero has in
-    that degree's own ZeroSet."""
+    count stabilized digits along every track, each decided exactly on
+    the zeros, whatever the caller's working precision (the matching's
+    costs are doubles).  Each track carries the label its top-degree
+    zero has in that degree's own ZeroSet."""
     m_list = tuple(sorted(set(int(m) for m in m_list)))
     if len(m_list) < 2:
         raise InvalidSpecError("m_list needs at least two degrees")
     zero_sets = {m: solve_zeros(spec, m, precision_bits=precision_bits)
                  for m in m_list}
+    points = {m: _points(zs)[0] for m, zs in zero_sets.items()}
     m0 = m_list[0]
     tracks = [ZeroTrack(label_k=None, entries={m0: z})
               for z in zero_sets[m0].zeros]
@@ -359,13 +426,12 @@ def convergence_report(spec: RecurrenceSpec, m_list=(30, 40),
         za, zb = zero_sets[ma], zero_sets[mb]
         res = match_zeros(za, zb)
         nxt = [None] * len(zb.zeros)
-        with working_precision(precision_bits):
-            for ia, ib, _ in res.pairs:
-                t = chain[ia]
-                t.entries[mb] = zb.zeros[ib]
-                t.stabilized[(ma, mb)] = stabilized_digits(za.zeros[ia],
-                                                           zb.zeros[ib])
-                nxt[ib] = t
+        for ia, ib, _ in res.pairs:
+            t = chain[ia]
+            t.entries[mb] = zb.zeros[ib]
+            t.stabilized[(ma, mb)] = _shared_digits(points[ma][ia],
+                                                    points[mb][ib])
+            nxt[ib] = t
         for ib in res.new_in_b:
             nxt[ib] = ZeroTrack(label_k=None, entries={mb: zb.zeros[ib]})
             tracks.append(nxt[ib])

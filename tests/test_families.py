@@ -1,5 +1,9 @@
 """Family specs, parameter validation, and the named reductions."""
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -147,6 +151,25 @@ class TestWhittakerHill:
 
 
 class TestSpecPlumbing:
+    def test_an_unpickled_spec_hashes_as_a_new_one_in_its_process(self):
+        # a spec's hash is taken once; str and None hash differently in a
+        # process with another hash seed, where the spec is rebuilt
+        spec = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
+                              delta="1/2", s="-1/100", alpha=5)
+        code = (
+            "import pickle, sys\n"
+            "from heunzeros.families import FamilyKind, RecurrenceSpec\n"
+            "spec = pickle.loads(sys.stdin.buffer.read())\n"
+            "new = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma='1/2',"
+            " delta='1/2', s='-1/100', alpha=5)\n"
+            "print(spec == new, {new: 1}.get(spec))\n")
+        for seed in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", code], input=pickle.dumps(spec),
+                capture_output=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed})
+            assert out.stdout.split() == [b"True", b"1"]
+
     def test_with_s(self, reduced_spec):
         moved = reduced_spec.with_s("1/7")
         assert moved.s == QQi(Fraction(1, 7))

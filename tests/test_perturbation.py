@@ -1,5 +1,6 @@
 """Perturbative zero expansions: exact anchors, stability, closed forms."""
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath as mp
@@ -191,6 +192,24 @@ class TestEvaluation:
 
 
 class TestRowCache:
+    def test_a_spec_hashes_once_as_its_fields_do(self):
+        # gamma = 25/31 keeps this spec out of every other test's rows
+        spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="25/31",
+                              delta="1/2", s="1/3")
+        twin = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=F(25, 31),
+                              delta=0.5, s=QQi(F(1, 3)))
+        assert twin == spec and hash(twin) == hash(spec)
+        # replace runs __post_init__, so the copy hashes its own fields
+        moved = dataclasses.replace(spec, s=F(1, 4))
+        assert moved == spec.with_s("1/4") != spec
+        assert hash(moved) == hash(spec.with_s("1/4")) != hash(spec)
+        before = recurrence_row.cache_info()
+        row = recurrence_row(spec, 3)
+        assert recurrence_row(twin, 3) is row
+        after = recurrence_row.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1,
+                                              before.hits + 1)
+
     def test_exact_rows_ignore_the_working_precision(self):
         # gamma = 29/31 keeps this spec out of every other test's rows
         spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="29/31",

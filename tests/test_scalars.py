@@ -360,6 +360,18 @@ class TestExactnessBoundary:
             with pytest.raises(ExactnessError):
                 as_exact(x)
 
+    def test_a_real_value_hashes_as_a_fraction_float_and_mpf(self):
+        # and a non-real one as the equal mpc; a real mpc hashes modulo
+        # 2^64 in mpmath, so a negative real QQi hashes unlike it
+        for x in (Fraction(-1), Fraction(-3, 8), Fraction(5, 4)):
+            assert hash(QQi(x)) == hash(x) == hash(float(x)) \
+                == hash(mp.mpf(float(x)))
+        assert hash(QQi(Fraction(5, 4))) == hash(mp.mpc(1.25))
+        assert QQi(-1) == mp.mpc(-1) and hash(QQi(-1)) != hash(mp.mpc(-1))
+        for re_, im_ in ((Fraction(-3, 8), 2), (5, Fraction(-1, 4))):
+            assert hash(QQi(re_, im_)) == \
+                hash(mp.mpc(float(re_), float(im_)))
+
     def test_a_float_equals_its_exact_value_only(self):
         # 1/3 is no binary float: equal values hash equal, so a set of a
         # QQi and a float has one member exactly when they are equal

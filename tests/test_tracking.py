@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from heunzeros.perturbation import (
 from heunzeros.recurrence import build_family, eval_sequence
 from heunzeros.rootfind import (
     NonConvergenceError,
+    ZeroSet,
+    _newton_bits,
     find_all_roots,
     real_zero_count,
     tridiagonal_eigenvalues,
@@ -542,6 +545,113 @@ class TestMatching:
                 cost = [[abs(x - y) for y in b] for x in a]
             _, cols = optimize.linear_sum_assignment(cost)
             assert tracking._assignment(cost) == cols.tolist(), cost
+
+
+def _zero_set(values, precision_bits):
+    """A ZeroSet of the exact dyadic (re, im) Fraction pairs values, each
+    a multiple of 2^-F with F = _newton_bits(precision_bits), as
+    `find_all_roots` leaves its zeros."""
+    with working_precision(4096):
+        zeros = tuple(mp.mpc(mp.mpf(x.numerator) / x.denominator,
+                             mp.mpf(y.numerator) / y.denominator)
+                      for x, y in values)
+    return ZeroSet(zeros=zeros, residuals=(0,) * len(zeros),
+                   degree=len(zeros), precision_bits=precision_bits, tol=0)
+
+
+def _matched_costs(za, zb):
+    """match_zeros(za, zb) and the cost matrix its assignment ran on."""
+    seen = []
+    run = tracking._assignment
+    tracking._assignment = lambda cost: seen.append(cost) or run(cost)
+    try:
+        res = match_zeros(za, zb)
+    finally:
+        tracking._assignment = run
+    return res, seen[0]
+
+
+# quarter-integer lattice points, so that zeros and estimates tie often
+_QUARTER = st.builds(lambda x, y: (Fraction(x, 4), Fraction(y, 4)),
+                     st.integers(-8, 8), st.integers(-8, 8))
+
+
+class TestIntegerBookkeeping:
+    """Labels, matching costs and shared digits against references in
+    Fractions and 4F-bit mpmath, at two working precisions that must not
+    matter."""
+
+    @given(st.lists(_QUARTER, min_size=1, max_size=7),
+           st.lists(st.builds(lambda x, y, d: QQi(Fraction(x, d),
+                                                  Fraction(y, d)),
+                              st.integers(-24, 24), st.integers(-24, 24),
+                              st.sampled_from([1, 2, 3, 4, 6, 12])),
+                    min_size=1, max_size=7))
+    def test_labels_are_the_greedy_rule_in_fractions(self, zeros, ests):
+        bits = 8
+        scale = 2 ** _newton_bits(bits)
+        floored = [(Fraction(math.floor(e.re * scale), scale),
+                    Fraction(math.floor(e.im * scale), scale))
+                   for e in ests]
+        want, free = [], list(range(len(ests)))
+        for zr, zi in zeros:
+            best = best_d = None
+            for k in free:
+                d = (zr - floored[k][0]) ** 2 + (zi - floored[k][1]) ** 2
+                if best is None or d < best_d:
+                    best, best_d = k, d
+            want.append(best)
+            if best is not None:
+                free.remove(best)
+        zs = _zero_set(zeros, bits)
+        for ambient in (8, 1024):
+            with mp.workprec(ambient):
+                assert tracking._labels_by_proximity(zs, ests) == want
+
+    @given(st.data())
+    def test_every_cost_is_the_correctly_rounded_distance(self, data):
+        bits = data.draw(st.sampled_from([8, 53, 256]))
+        F = _newton_bits(bits)
+        part = st.integers(-2 ** (F + 8), 2 ** (F + 8))
+        a = data.draw(st.lists(st.tuples(part, part), min_size=1,
+                               max_size=4))
+        # an exact distance 5t, drawn points, and a distance far below 1
+        t = data.draw(st.integers(1, 2 ** 40))
+        b = ([(a[0][0] + 3 * t, a[0][1] - 4 * t)]
+             + data.draw(st.lists(st.tuples(part, part),
+                                  min_size=len(a) - 1, max_size=4))
+             + [(a[-1][0] + data.draw(st.integers(-3, 3)), a[-1][1] + 1)])
+        za = _zero_set([(Fraction(x, 2 ** F), Fraction(y, 2 ** F))
+                        for x, y in a], bits)
+        with working_precision(F + 64):
+            zb = [mp.mpc(mp.ldexp(x, -F), mp.ldexp(y, -F)) for x, y in b]
+        with mp.workprec(4 * F):
+            want = [[float(mp.ldexp(mp.sqrt((x - u) ** 2 + (y - v) ** 2),
+                                    -F)) for u, v in b] for x, y in a]
+        pairings = []
+        for ambient in (8, 1024):
+            with mp.workprec(ambient):
+                res, cost = _matched_costs(za, zb)
+            assert cost == want
+            pairings.append([(i, j) for i, j, _ in res.pairs])
+        assert cost[0][0] == 5 * t / 2 ** F
+        assert pairings[0] == pairings[1]
+
+    @given(st.integers(1, 59), st.integers(-10 ** 6, 10 ** 6),
+           st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+    def test_shared_digits_are_exact_at_the_boundary(self, d, x, y, den):
+        za = QQi(Fraction(x, den), Fraction(y, den))
+        if not za:
+            za = QQi(1)
+        # |za - on| = 0.5 10^-d |za| exactly, and |on| < |za|
+        half = Fraction(1, 2 * 10 ** d)
+        on = za * QQi(1 - half)
+        inside = za * QQi(1 - half + Fraction(1, 10 ** 80))
+        for ambient in (8, 1024):
+            with mp.workprec(ambient):
+                assert stabilized_digits(za, on) == d - 1
+                assert stabilized_digits(on, za) == d - 1
+                assert stabilized_digits(za, inside) == d
 
 
 class TestStabilizedDigits:
