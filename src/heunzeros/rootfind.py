@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 from math import isqrt
 
@@ -52,24 +53,22 @@ class NonConvergenceError(RuntimeError):
 class ZeroSet:
     """All zeros of one polynomial, display-sorted.
 
-    Display order is descending real part, ties by ascending imaginary
-    part.  residuals[i] is the full-width Newton step |p/p'| that
-    `find_all_roots` took to zeros[i], on the three-term recurrence in
-    fixed point: it bounds the error of zeros[i] from above.  For the
-    conjugate of a polished zero of a real polynomial it is its
-    partner's step.  It does not cover rounding the zero to mpc at
-    precision_bits + 24 bits; the disk floor tol (1 + |z|) of
-    `find_all_roots` does, with tol = `default_tol(precision_bits)`,
-    the tolerance every residual met.  A zero is real exactly when its
-    imaginary part is 0: for real rows, when it was polished on the axis.
-    labels[i] is the grid index k matched to zeros[i] (None when no
-    labelling was requested).  seed_bits is the rung of the
+    points[i] is zero i as `find_all_roots` polished it: ints (x, y) for
+    z_i = (x + iy) 2^-F, F = `ZeroSet.F`, in descending x, ties by
+    ascending y.  zeros[i] is its mpc view, each part rounded to
+    F - _KERNEL_GUARD bits: |zeros[i] - z_i| <= 2^-(F - _KERNEL_GUARD) |z_i|.
+    residuals[i], the full-width Newton step |p/p'| to z_i on the
+    three-term recurrence in fixed point, bounds the error of z_i, not
+    of the view; a mirrored zero of a real polynomial has its partner's.
+    Every residual met tol = `default_tol(precision_bits)`.  A zero is
+    real exactly when y is 0: for real rows, when it was polished on the
+    axis.  labels[i] is the grid index k matched to zeros[i] (None when
+    no labelling was requested).  seed_bits is the rung of the
     `tracking.solve_zeros` precision ladder whose Jacobi eigenvalues
     seeded the zeros that stood (53 or more; None for seeds given to
-    `find_all_roots` directly).
-    """
+    `find_all_roots` directly)."""
 
-    zeros: tuple
+    points: tuple
     residuals: tuple
     degree: int
     precision_bits: int
@@ -79,22 +78,33 @@ class ZeroSet:
 
     def __post_init__(self):
         if self.labels is None:
-            object.__setattr__(self, "labels", (None,) * len(self.zeros))
+            object.__setattr__(self, "labels", (None,) * len(self.points))
+
+    @property
+    def F(self) -> int:
+        """The fraction bits of the points (`_newton_bits`)."""
+        return _newton_bits(self.precision_bits)
+
+    @cached_property
+    def zeros(self) -> tuple:
+        """The points as mpc, each part rounded to F - _KERNEL_GUARD bits."""
+        with working_precision(self.F - _KERNEL_GUARD):
+            return tuple(_from_fixed(x, y, self.F) for x, y in self.points)
 
     @property
     def converged(self) -> tuple:
         """One True per zero: `find_all_roots` raises on any root that
         misses its check, so every zero of a ZeroSet has converged."""
-        return (True,) * len(self.zeros)
+        return (True,) * len(self.points)
 
     def with_labels(self, labels) -> "ZeroSet":
-        if len(labels) != len(self.zeros):
+        if len(labels) != len(self.points):
             raise ValueError("one label per zero required")
         return replace(self, labels=tuple(labels))
 
     def real_zeros(self) -> list:
-        """The zeros with imaginary part exactly 0."""
-        return [z for z in self.zeros if z.imag == 0]
+        """The zeros whose imaginary part, y, is exactly 0."""
+        return [z for z, (_, y) in zip(self.zeros, self.points) if not y]
 
 
 def default_tol(precision_bits: int) -> mp.mpf:
@@ -404,12 +414,13 @@ def _fixed_point_ql(dr, di, er, ei, F: int) -> bool:
     2^(6-F) max_j ||row_j||_1: rounding leaves an absolute error of a
     few units of 2^-F times the matrix scale in every entry, so near a
     small eigenvalue of a non-normal matrix the relative test alone may
-    never pass.  And e_l deflates after a step whose last rotation had
-    f = s e_l floor to zero, if it is below 2^(-F/2) max_j ||row_j||_1:
-    that rotation has s = 0, so the step could not shrink e_l, and
-    without this the block stalls until the step limit (the Lame s = 1/2
-    matrix at m = 40 and 106 bits does).  False on rotation breakdown or
-    when an eigenvalue needs more than _QL_MAX_STEPS * F // 53 steps."""
+    never pass.  And e_l deflates after a step that leaves it below
+    2^(-F/2) max_j ||row_j||_1 and did not shrink it, or whose last
+    rotation had f = s e_l floor to 0 (s = 0, so it could not): else at
+    rounding level e_l drifts up about a bit a step until the step limit
+    (Lame s = 1/2 at m = 40 and 106 bits, Mathieu q = 2 at m = 10 and
+    424).  False on a breakdown or when an eigenvalue needs more than
+    _QL_MAX_STEPS * F // 53 steps."""
     n = len(dr)
     max_steps = _QL_MAX_STEPS * F // 53
     scale = max(abs(dr[j]) + abs(di[j]) + abs(er[j]) + abs(ei[j])
@@ -431,6 +442,7 @@ def _fixed_point_ql(dr, di, er, ei, F: int) -> bool:
                 break
             if it == max_steps:
                 return False
+            before = abs(er[l]) + abs(ei[l])
             # Wilkinson shift from the leading 2x2 block
             gr, gi = _fixed_div(dr[l + 1] - dr[l], di[l + 1] - di[l],
                                 2 * er[l], 2 * ei[l], F)
@@ -470,7 +482,8 @@ def _fixed_point_ql(dr, di, er, ei, F: int) -> bool:
             dr[l] -= pr
             di[l] -= pi
             er[l], ei[l] = gr, gi
-            if not (fr or fi) and abs(gr) + abs(gi) <= stalled:
+            if abs(gr) + abs(gi) <= stalled and (
+                    not (fr or fi) or abs(gr) + abs(gi) >= before):
                 er[l] = ei[l] = 0
             er[m] = ei[m] = 0
     return True
@@ -483,22 +496,21 @@ def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
     `tracking.solve_zeros` passes them; anything else raises TypeError.
     seeds: the starting points, one per root (any other count raises
     InvalidSpecError), such as the eigenvalues of its Jacobi matrix.
-    Each seed is polished alone by `_fixed_newton`, at widths up to
-    F = precision_bits + 24 + _KERNEL_GUARD fraction bits; the zero z_i
-    has taken its last step, of length r_i (the residual) at width F.
-    For real rows only the upper seed of each `_conjugate_pairs` pair
-    is polished, and the other zero is its conjugate, with the same r_i;
-    every other seed is polished from its real part, on the axis.  The
-    tolerance is tol = `default_tol(precision_bits)`.  The result
+    Each seed is polished alone by `_fixed_newton` to a pair of ints z_i
+    with F = `_newton_bits(precision_bits)` fraction bits, whose last
+    step, at width F, has length r_i (the residual).  For real rows only
+    the upper seed of each `_conjugate_pairs` pair is polished, and the
+    other zero is its mirror image (x, -y), with the same r_i; every
+    other seed is polished from its real part, on the axis.  The result
     stands when no disks meet (`_overlapping`), which leaves one root in
-    each, and every r_i is below tol (1 + |z_i|).  For real rows the
-    disks on the axis then hold real roots, the mirror pairs non-real
-    ones, and a wrong pairing shows as disks that meet.  Otherwise
-    NonConvergenceError is raised, with `overlapping` naming the roots
-    whose disks meet another one: those seeds were not near distinct
-    roots.  When it is empty, the disks are disjoint and the residuals
-    that missed tol are what the arithmetic resolves, so no other seeds
-    can help.  Every zero of the result has therefore converged.
+    each, and every r_i is below tol (1 + |z_i|), tol =
+    `default_tol(precision_bits)`; both are decided exactly on the ints.
+    For real rows the disks on the axis then hold real roots, the mirror
+    pairs non-real ones, and a wrong pairing shows as disks that meet.
+    Otherwise NonConvergenceError is raised; its `overlapping` names the
+    roots whose disks meet another: their seeds were not near distinct
+    roots.  When it is empty, the residuals that missed tol are what the
+    arithmetic resolves, so no other seeds can help.
     """
     if not isinstance(poly, Continuant):
         raise TypeError(f"find_all_roots takes a Continuant, not "
@@ -506,61 +518,59 @@ def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
     n = poly.degree
     if n < 1:
         raise InvalidSpecError("need degree >= 1 to find roots")
-    F = _newton_bits(precision_bits)
+    if len(seeds) != n:
+        raise InvalidSpecError(
+            f"{len(seeds)} seeds for a degree-{n} polynomial")
+    F, t = _newton_bits(precision_bits), precision_bits // 2
+    tables = {F: poly.fixed_rows(F)}
     with working_precision(F - _KERNEL_GUARD):
-        tol = default_tol(precision_bits)
-        if len(seeds) != n:
-            raise InvalidSpecError(
-                f"{len(seeds)} seeds for a degree-{n} polynomial")
-        tables = {F: poly.fixed_rows(F)}
         # a complex double is read exactly; other seeds are rounded to
         # the working precision first
         points = [_to_fixed(s if isinstance(s, complex) else to_mpc(s), F)
                   for s in seeds]
-        mirror = {}
-        real = poly.is_real()
-        if real:
-            mirror = _conjugate_pairs(points)
-            kept = set(mirror.values())
-            points = [(x, y if i in kept else 0)
-                      for i, (x, y) in enumerate(points)]
-        done = {i: _fixed_newton(tables, F, p, tol, real)
-                for i, p in enumerate(points) if i not in mirror}
-        for j, i in mirror.items():
-            done[j] = (done[i][0].conjugate(),) + done[i][1:]
-        polished = [done[i] for i in range(n)]
-        overlap = _overlapping(polished, tol)
-        if overlap:
-            raise NonConvergenceError(
-                f"the disks of {len(overlap)} of {n} polished seeds "
-                f"overlap (indices {_head(overlap)})", overlapping=overlap)
-        bad = [j for j, (_, _, ok) in enumerate(polished) if not ok]
+    real = poly.is_real()
+    mirror = _conjugate_pairs(points) if real else {}
+    if real:
+        kept = set(mirror.values())
+        points = [(x, y if i in kept else 0)
+                  for i, (x, y) in enumerate(points)]
+    done = {i: _fixed_newton(tables, F, p, t, real)
+            for i, p in enumerate(points) if i not in mirror}
+    for j, i in mirror.items():
+        (x, y), w = done[i]
+        done[j] = (x, -y), w
+    polished = [done[i] for i in range(n)]
+    overlap = _overlapping(polished, F, t)
+    if overlap:
+        raise NonConvergenceError(
+            f"the disks of {len(overlap)} of {n} polished seeds "
+            f"overlap (indices {_head(overlap)})", overlapping=overlap)
+    # r < 2^-t (1 + |z|) is a < |z| 2^F, with a = r 2^(F + t) - 2^F
+    bad = [j for j, ((x, y), w) in enumerate(polished) if w is None
+           or (a := (w << t) - (1 << F)) >= 0 and a * a >= x * x + y * y]
+    tol = default_tol(precision_bits)
+    with working_precision(F - _KERNEL_GUARD):
+        residuals = [mp.inf if w is None else mp.ldexp(w, -F)
+                     for _, w in polished]
         if bad:
-            worst = max(polished[j][1] / (1 + abs(polished[j][0]))
-                        for j in bad)
+            worst = max(residuals[j] / (1 + abs(_from_fixed(
+                *polished[j][0], F))) for j in bad)
             raise NonConvergenceError(
                 f"{len(bad)} of {n} roots failed the tolerance check "
                 f"(indices {_head(bad)}; relative residuals up to "
                 f"{mp.nstr(worst, 3)} against tol {mp.nstr(tol, 3)}) "
                 "though their disks are disjoint, so no seeds can lower "
                 "them")
-
-    order = sorted(range(n), key=lambda j: (-polished[j][0].real,
-                                            polished[j][0].imag))
-    return ZeroSet(
-        zeros=tuple(polished[j][0] for j in order),
-        residuals=tuple(polished[j][1] for j in order),
-        degree=n,
-        precision_bits=precision_bits,
-        tol=tol,
-    )
+    order = sorted(range(n), key=lambda j: (-polished[j][0][0],
+                                            polished[j][0][1]))
+    return ZeroSet(points=tuple(polished[j][0] for j in order),
+                   residuals=tuple(residuals[j] for j in order), degree=n,
+                   precision_bits=precision_bits, tol=tol)
 
 
 def _newton_bits(precision_bits: int) -> int:
     """F = precision_bits + 24 + _KERNEL_GUARD, the fraction bits of the
-    full-width Newton steps of `find_all_roots`, which works at
-    F - _KERNEL_GUARD bits.  Every zero it returns is a multiple of
-    2^-F, so `scalars._to_fixed` reads it exactly at F."""
+    full-width Newton steps of `find_all_roots` and of its zeros."""
     return precision_bits + 24 + _KERNEL_GUARD
 
 
@@ -569,29 +579,29 @@ def _head(indices) -> str:
     return f"{indices[:8]}{'...' if len(indices) > 8 else ''}"
 
 
-def _overlapping(polished, tol) -> list:
-    """Indices, ascending, of the disks that meet another disk, around
-    the n = len(polished) (root, residual, converged) triples of a
-    degree-n polynomial.  The disk of z_i is
-    D(z_i, max((n + 1) r_i, tol (1 + |z_i|))), r_i its residual: a root
-    z = z' - w after a Newton step w = p/p'(z') has
+def _overlapping(polished, F: int, t: int) -> list:
+    """Indices, ascending, of the disks that meet another, around the
+    n zeros ((x, y), w) of a degree-n polynomial as `_fixed_newton` leaves
+    them: z_i = (x + iy) 2^-F, last step r_i = w 2^-F (w None: infinite).
+    The disk of z_i is D(z_i, max((n + 1) r_i, 2^-t (1 + |z_i|))): a
+    root z = z' - w after a Newton step w = p/p'(z') has
     min_k |z' - r_k| <= n |w|, from p'/p = sum_k 1/(z' - r_k), so each
     disk holds a root, and when none meet, the n disks hold one each.
-    Only disks whose real extents, widened to [Re z - 2r, Re z + 2r],
-    meet are compared (|z_i - z_j| <= r_i + r_j bounds
-    |Re z_i - Re z_j|, and the doubled radius keeps the rounding of the
-    edges from dropping a pair): a sweep over the disks sorted by left
-    edge compares each only with the disks still open there."""
+    With the radii rounded up to ints R_i, disks meet when
+    |z_i - z_j|^2 4^F <= (R_i + R_j)^2, exactly; a sweep over the disks
+    by left edge x - R compares each only with the disks open there."""
     n = len(polished)
-    z = [r for r, _, _ in polished]
-    rad = [max((n + 1) * res, tol * (1 + abs(r))) for r, res, _ in polished]
-    lo = [x.real - 2 * r for x, r in zip(z, rad)]
-    hi = [x.real + 2 * r for x, r in zip(z, rad)]
+    z = [p for p, _ in polished]
+    rad = [mp.inf if w is None else max(
+        (n + 1) * w, ((1 << F) + isqrt(x * x + y * y) >> t) + 1)
+        for (x, y), w in polished]
+    lo = [x - r for (x, _), r in zip(z, rad)]
     met, open_ = set(), []
     for i in sorted(range(n), key=lo.__getitem__):
-        open_ = [j for j in open_ if hi[j] >= lo[i]]
+        open_ = [j for j in open_ if z[j][0] + rad[j] >= lo[i]]
         for j in open_:
-            if abs(z[i] - z[j]) <= rad[i] + rad[j]:
+            if (z[i][0] - z[j][0]) ** 2 + (z[i][1] - z[j][1]) ** 2 <= \
+                    (rad[i] + rad[j]) ** 2:
                 met.update((i, j))
         open_.append(i)
     return sorted(met)
@@ -616,19 +626,18 @@ def _conjugate_pairs(points) -> dict:
             and gap(i, j) < 4 * min(points[i][1], -points[j][1]) ** 2}
 
 
-def _fixed_newton(tables, F: int, z, tol, real: bool = False):
+def _fixed_newton(tables, F: int, z, t: int, real: bool = False):
     """Newton's method from z = (x, y), x + iy with F fraction bits, on
     the continuant with `Continuant.fixed_rows(F)` tables[F] (real rows
     when real, which a seed on the axis then never leaves), each step
     w = p/p' by `_continuant_kernel` at a width W <= F of about
     2b + _KERNEL_GUARD bits, b the bits of z already right: _SEED_BITS,
-    then 2t after a step of relative length 2^-t (docs/math_notes.md,
+    then 2v after a step of relative length 2^-v (docs/math_notes.md,
     section 8).  W is rounded up to a multiple of _WIDTH_STEP, and tables
     keeps the rows shifted to it.  The first full-width step with
-    |w| < tol (1 + |z - w|) / 8, or the one that ends _POLISH_STEPS steps
-    or three growing ones, gives (root, residual, converged): z - w, |w|
-    and whether |w| < tol (1 + |z - w|); at p' = 0 the residual is
-    infinite."""
+    |w| < 2^-t (1 + |z - w|) / 8, or the one that ends _POLISH_STEPS
+    steps or three growing ones, gives (z - w, floor(|w| 2^F)), both
+    with F fraction bits; at p' = 0 the step is None, infinite."""
     zr, zi = z
     right, last, grew = _SEED_BITS, None, 0
     for k in range(_POLISH_STEPS):
@@ -642,14 +651,13 @@ def _fixed_newton(tables, F: int, z, tol, real: bool = False):
             tables[W], W, (zr >> (F - W), zi >> (F - W)),
             (len(tables[F]),), True, real)
         if dp == (0, 0):
-            return _from_fixed(zr, zi, F), mp.inf, False
+            return (zr, zi), None
         wr, wi = _fixed_div(*p, *dp, F)     # the shared 2^e cancels
         zr, zi = zr - wr, zi - wi
         size = isqrt(wr * wr + wi * wi)              # |w| 2^F
         scale = (1 << F) + isqrt(zr * zr + zi * zi)  # (1 + |z - w|) 2^F
-        if W == F and (final or 8 * size < tol * scale):
-            root, res = _from_fixed(zr, zi, F), mp.ldexp(size, -F)
-            return root, res, res < tol * (1 + abs(root))
+        if W == F and (final or (8 * size) << t < scale):
+            return (zr, zi), size
         grew = grew + 1 if last is not None and size > last else 0
         last = size
         right = 2 * (scale.bit_length() - size.bit_length())
@@ -660,5 +668,5 @@ def real_zero_count(zeros) -> int:
     `ZeroSet.real_zeros` counts them.  The zeros may be a ZeroSet or any
     scalars `to_mpc` reads, exact ones included."""
     if isinstance(zeros, ZeroSet):
-        zeros = zeros.zeros
+        return sum(1 for _, y in zeros.points if not y)
     return sum(1 for z in zeros if to_mpc(z).imag == 0)

@@ -41,7 +41,6 @@ from .rootfind import (
     Continuant,
     NonConvergenceError,
     ZeroSet,
-    _newton_bits,
     find_all_roots,
     tridiagonal_eigenvalues,
 )
@@ -170,17 +169,14 @@ def _nearest_gap(xs, ys) -> float:
 
 
 def _labels_by_proximity(zs, estimates) -> list:
-    """Scan the zeros of the ZeroSet zs in display order; each takes its
-    nearest unused estimate's index, the lowest among equally near ones.
-    The zeros are read exactly with F fraction bits (`_points`), the
-    exact estimates rounded to the floor at the same F
-    (`scalars._to_fixed`), and the squared distances of those Gaussian
-    integers compared exactly.  Deterministic, injective."""
-    F = _newton_bits(zs.precision_bits)
-    estimates = [_to_fixed(e, F) for e in estimates]
+    """Scan the points of the ZeroSet zs in display order; each takes
+    its nearest unused estimate's index, the lowest among equally near
+    ones, comparing exact squared distances to the estimates floored to
+    the same F (`scalars._to_fixed`).  Deterministic, injective."""
+    estimates = [_to_fixed(e, zs.F) for e in estimates]
     free = list(range(len(estimates)))
     labels = []
-    for x, y in _points(zs)[0]:
+    for x, y in zs.points:
         best = min(free, default=None,
                    key=lambda k: (x - estimates[k][0]) ** 2
                    + (y - estimates[k][1]) ** 2)
@@ -192,15 +188,12 @@ def _labels_by_proximity(zs, estimates) -> list:
 
 def _points(zs) -> tuple:
     """(points, L): the zeros of the ZeroSet zs, or the scalars zs, each
-    read exactly as a Gaussian-integer pair (x, y) over one denominator
-    L, standing for (x + iy) / L.  A ZeroSet's zeros are read with the
-    F fraction bits of the Newton kernel that found them
-    (`rootfind._newton_bits`), L = 2^F; scalars as their exact values
-    (`exact_value`: a binary float is its dyadic value), L the lcm of
-    their denominators."""
+    an exact Gaussian-integer pair (x, y) over one denominator L,
+    standing for (x + iy) / L: a ZeroSet's `points`, L = 2^F; scalars
+    as their exact values (`exact_value`: a binary float is its dyadic
+    value), L the lcm of their denominators."""
     if isinstance(zs, ZeroSet):
-        F = _newton_bits(zs.precision_bits)
-        return [_to_fixed(z, F) for z in zs.zeros], 1 << F
+        return zs.points, 1 << zs.F
     qs = [exact_value(z) for z in zs]
     L = lcm(*(q.d for q in qs))
     return [(q.a * (L // q.d), q.b * (L // q.d)) for q in qs], L
@@ -417,7 +410,6 @@ def convergence_report(spec: RecurrenceSpec, m_list=(30, 40),
         raise InvalidSpecError("m_list needs at least two degrees")
     zero_sets = {m: solve_zeros(spec, m, precision_bits=precision_bits)
                  for m in m_list}
-    points = {m: _points(zs)[0] for m, zs in zero_sets.items()}
     m0 = m_list[0]
     tracks = [ZeroTrack(label_k=None, entries={m0: z})
               for z in zero_sets[m0].zeros]
@@ -429,8 +421,8 @@ def convergence_report(spec: RecurrenceSpec, m_list=(30, 40),
         for ia, ib, _ in res.pairs:
             t = chain[ia]
             t.entries[mb] = zb.zeros[ib]
-            t.stabilized[(ma, mb)] = _shared_digits(points[ma][ia],
-                                                    points[mb][ib])
+            t.stabilized[(ma, mb)] = _shared_digits(za.points[ia],
+                                                    zb.points[ib])
             nxt[ib] = t
         for ib in res.new_in_b:
             nxt[ib] = ZeroTrack(label_k=None, entries={mb: zb.zeros[ib]})

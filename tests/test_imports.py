@@ -2,8 +2,9 @@
 there, every private helper of the package is used by the package or a
 script, library modules import each other at module level, the package
 imports no third-party module it does not declare, the CLI decides
-output formats in one place, the recurrence holds no big float, and
-every package name the benchmark tracer wraps or reads still exists."""
+output formats in one place, the recurrence holds no big float, only
+rootfind knows the fraction bits of the zeros, and every package name
+the benchmark tracer wraps or reads still exists."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import re
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from heunzeros.families import FamilyKind, RecurrenceSpec
@@ -332,6 +334,18 @@ def test_benchmark_tracer_names_resolve():
 
 # what the benchmark reads from results: tracer.py names a build's layer
 # by PolynomialFamily.field.kind, and worker.py checks ZeroSet.converged
+def test_only_rootfind_knows_the_fraction_bits_of_the_zeros():
+    # the bookkeeping reads ZeroSet.points and ZeroSet.F, so one module
+    # owns the fixed-point format of a zero
+    tree = ast.parse((ROOT / "src" / "heunzeros" / "tracking.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_newton_bits" not in names
+
+
 def test_benchmark_reads_the_result_attributes_it_expects():
     loader = importlib.util.spec_from_file_location(
         "benchmark_tracer", ROOT / "perfbench" / "tracer.py")
@@ -347,3 +361,8 @@ def test_benchmark_reads_the_result_attributes_it_expects():
         "recurrence.build_family.exact"]["calls"] == 2
     zs = solve_zeros(spec, 4)
     assert list(zs.converged) == [True] * 4
+    # worker.py's run_solve counts unconverged zeros, and reads each
+    # zero's parts as mpf tuples
+    assert zs.converged.count(False) == 0
+    assert all(isinstance(z, mpmath.mpc) and isinstance(z.real._mpf_, tuple)
+               and isinstance(z.imag._mpf_, tuple) for z in zs.zeros)

@@ -1,7 +1,9 @@
 """Simultaneous root finding at controlled precision."""
 
+import hashlib
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
 import pytest
@@ -35,7 +37,7 @@ from heunzeros.scalars import (
     to_mpc,
     working_precision,
 )
-from heunzeros.tracking import continuant
+from heunzeros.tracking import continuant, solve_zeros
 
 F = Fraction
 
@@ -222,6 +224,56 @@ class TestTridiagonalEigenvalues:
                                            precision_bits=106)) == 3
 
 
+def fixed_ql_eigenvalues(spec, m, bits):
+    """The fixed-point QL eigenvalues of the Jacobi matrix of c_m, its
+    entries rounded to bits."""
+    with working_precision(bits):
+        return tridiagonal_eigenvalues(*continuant(spec, m).jacobi_matrix(),
+                                       precision_bits=bits)
+
+
+QL_SPECS = {"lame": from_lame(LameParams(n=2, s="1/2"))[0],
+            "mathieu": from_mathieu(MathieuParams(q=2))[0]}
+
+
+class TestFixedPointQL:
+    """Each QL rung is as good as its width: an off-diagonal entry that
+    stops shrinking at rounding level deflates, rather than drifting up
+    until the step limit."""
+
+    @pytest.mark.parametrize("m", [10, 30, 40, 80])
+    @pytest.mark.parametrize("family", sorted(QL_SPECS))
+    def test_every_rung_against_a_600_bit_solve(self, family, m):
+        spec = QL_SPECS[family]
+        ref = solve_zeros(spec, m, precision_bits=600).zeros
+        for bits in (212, 424):
+            eig = fixed_ql_eigenvalues(spec, m, bits)
+            assert eig is not None, (family, m, bits)
+            with working_precision(700):
+                worst = max(min(abs(x - y) for y in ref) / abs(x)
+                            for x in eig)
+            assert worst < mp.mpf(2) ** (16 - bits), (family, m, bits)
+
+    def test_an_entry_that_stops_shrinking_deflates(self):
+        # e_5 falls to 2^-411 in three steps, just above both other
+        # deflation tests, and no rotation's f floors to 0: without the
+        # rule it grew a bit a step until the step limit, and the QL
+        # returned None
+        eig = fixed_ql_eigenvalues(QL_SPECS["mathieu"], 10, 424)
+        assert len(eig) == 10
+
+    @pytest.mark.parametrize("m,digest", [(89, "c6535b541e17e794"),
+                                          (100, "a273d0b6eb8e7984")])
+    def test_whittaker_hill_106_bit_seeds_keep_their_bits(self, m, digest):
+        spec = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
+                              delta="1/2", alpha=5, s=-20)
+        with working_precision(256):
+            eig = tridiagonal_eigenvalues(*continuant(spec, m).jacobi_matrix(),
+                                          precision_bits=106)
+        text = repr([z._mpc_ for z in eig])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 class TestNewtonFirst:
     def test_good_seeds_need_no_sweep(self):
         poly = poly_from_roots([QQi(1), QQi(2), QQi(-3)])
@@ -291,11 +343,8 @@ class TestNewtonFirst:
 
         poly = Continuant(A=(QQi(0), QQi(0)), N=(QQi(0), QQi(F(1, 10 ** 6))))
         width = 128 + 24 + rootfind._KERNEL_GUARD
-        with working_precision(128 + 24):
-            root, res, ok = rootfind._fixed_newton(
-                {width: poly.fixed_rows(width)}, width, (0, 0),
-                default_tol(128))
-        assert (root, res, ok) == (0, mp.inf, False)
+        assert rootfind._fixed_newton({width: poly.fixed_rows(width)}, width,
+                                      (0, 0), 64) == ((0, 0), None)
         with pytest.raises(NonConvergenceError,
                            match=r"disks of 2 of 2 polished seeds overlap"
                            ) as exc:
@@ -315,9 +364,9 @@ def recording_polish(monkeypatch):
     the order it polishes them."""
     starts, polish = [], rootfind._fixed_newton
 
-    def recording(tables, F, z, tol, real=False):
+    def recording(tables, F, z, t, real=False):
         starts.append(z)
-        return polish(tables, F, z, tol, real)
+        return polish(tables, F, z, t, real)
 
     monkeypatch.setattr(rootfind, "_fixed_newton", recording)
     return starts
@@ -409,10 +458,13 @@ class TestRefinement:
         polish = rootfind._fixed_newton
         calls = []
 
-        def first_root_fails(tables, F, z, tol, real=False):
+        def first_root_fails(tables, F, z, t, real=False):
             calls.append(z)
-            r, res, ok = polish(tables, F, z, tol, real)
-            return r, res, ok and len(calls) > 1
+            (x, y), w = polish(tables, F, z, t, real)
+            if len(calls) > 1:
+                return (x, y), w
+            # a step twice the tolerance 2^-t (1 + |z|): a small disk
+            return (x, y), ((1 << F) + isqrt(x * x + y * y)) >> (t - 1)
 
         monkeypatch.setattr(rootfind, "_fixed_newton", first_root_fails)
         with pytest.raises(NonConvergenceError,
@@ -600,31 +652,36 @@ class TestRealArm:
         assert {real for real, _ in flags} == {False}
 
 
-def brute_overlapping(polished, tol):
+def brute_overlapping(polished, F, t):
     """The disks of `rootfind._overlapping` that meet another, by
     comparing every pair."""
     n = len(polished)
-    z = [r for r, _, _ in polished]
-    rad = [max((n + 1) * res, tol * (1 + abs(r))) for r, res, _ in polished]
+    rad = [max((n + 1) * w, ((1 << F) + isqrt(x * x + y * y) >> t) + 1)
+           for (x, y), w in polished]
     return sorted({k for i in range(n) for j in range(i)
-                   if abs(z[i] - z[j]) <= rad[i] + rad[j] for k in (i, j)})
+                   if (polished[i][0][0] - polished[j][0][0]) ** 2
+                   + (polished[i][0][1] - polished[j][0][1]) ** 2
+                   <= (rad[i] + rad[j]) ** 2 for k in (i, j)})
+
+
+DISK_F = 16     # fraction bits of the disks below
 
 
 def seeded_disks(seed, n=31):
-    """n (centre, residual, True) triples on a dyadic grid, so that
-    many disks touch exactly (n + 1 is a power of 2, so the radii are
-    exact), with conjugate pairs among them; the grid widens with the
-    seed, so fewer disks meet."""
+    """n ((x, y), step) pairs, with DISK_F fraction bits, on a grid of
+    quarters, so that many disks touch exactly (n + 1 is a power of 2,
+    so the radii are exact), with conjugate pairs among them; the grid
+    widens with the seed, so fewer disks meet."""
     rng = random.Random(seed)
     width = 8 << (seed % 3)
-    grid = [mp.mpf(k) / 4 for k in range(-width, width + 1)]
+    grid = [k << (DISK_F - 2) for k in range(-width, width + 1)]
     out = []
     while len(out) < n:
-        z = mp.mpc(rng.choice(grid), rng.choice(grid))
-        res = mp.mpf(rng.choice((1, 2, 4))) / 8 / (n + 1)  # radius 1/8 .. 1/2
-        out.append((z, res, True))
-        if z.imag and len(out) < n and rng.random() < 0.5:
-            out.append((z.conjugate(), res, True))
+        x, y = rng.choice(grid), rng.choice(grid)
+        step = (rng.choice((1, 2, 4)) << DISK_F) // 8 // (n + 1)  # 1/8 .. 1/2
+        out.append(((x, y), step))
+        if y and len(out) < n and rng.random() < 0.5:
+            out.append(((x, -y), step))
     return out
 
 
@@ -634,20 +691,28 @@ class TestDiskSweep:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_all_pairs(self, seed):
-        tol = mp.mpf(2) ** -100
-        with working_precision(128):
-            polished = seeded_disks(seed)
-            assert rootfind._overlapping(polished, tol) == \
-                brute_overlapping(polished, tol)
+        polished = seeded_disks(seed)
+        assert rootfind._overlapping(polished, DISK_F, 100) == \
+            brute_overlapping(polished, DISK_F, 100)
 
     def test_touching_disks_meet(self):
-        tol = mp.mpf(2) ** -100
-        with working_precision(128):
-            # four roots: radii 5/8, so centres 5/4 apart touch, as do a
-            # conjugate pair at +-5i/8
-            res = mp.mpf(1) / 8
-            polished = [(mp.mpc(0), res, True), (mp.mpc("1.25"), res, True),
-                        (mp.mpc(3, "0.625"), res, True),
-                        (mp.mpc(3, "-0.625"), res, True)]
-            assert rootfind._overlapping(polished, tol) == [0, 1, 2, 3]
-            assert brute_overlapping(polished, tol) == [0, 1, 2, 3]
+        # four roots: radii 5/8, so centres 5/4 apart touch, as do a
+        # conjugate pair at +-5i/8
+        step, one = 1 << (DISK_F - 3), 1 << DISK_F
+        polished = [((0, 0), step), ((5 * one // 4, 0), step),
+                    ((3 * one, 5 * one // 8), step),
+                    ((3 * one, -5 * one // 8), step)]
+        assert rootfind._overlapping(polished, DISK_F, 100) == [0, 1, 2, 3]
+        assert brute_overlapping(polished, DISK_F, 100) == [0, 1, 2, 3]
+        # a unit further apart, none meet
+        polished[1] = ((5 * one // 4 + 1, 0), step)
+        polished[2] = ((3 * one, 5 * one // 8 + 1), step)
+        assert rootfind._overlapping(polished, DISK_F, 100) == []
+
+    def test_the_tolerance_floor_is_rounded_up(self):
+        # zero steps leave the floor 2^-t (1 + |z|), here 1 + |z| units,
+        # which is 4 + 1 after rounding up at |z| just above 3
+        one = 1 << DISK_F
+        for gap, met in ((10, [0, 1]), (11, [])):
+            polished = [((3 * one, 0), 0), ((3 * one + gap, 0), 0)]
+            assert rootfind._overlapping(polished, DISK_F, DISK_F) == met

@@ -32,7 +32,6 @@ from heunzeros.recurrence import build_family, eval_sequence
 from heunzeros.rootfind import (
     NonConvergenceError,
     ZeroSet,
-    _newton_bits,
     find_all_roots,
     real_zero_count,
     tridiagonal_eigenvalues,
@@ -327,9 +326,10 @@ class TestJacobiSeeds:
 
         polish = rootfind._fixed_newton
 
-        def never_converged(tables, F, z, tol, real=False):
-            r, res, _ = polish(tables, F, z, tol, real)
-            return r, res, False
+        def never_converged(tables, F, z, t, real=False):
+            # a step twice the tolerance 2^-t (1 + |z|): small disks
+            (x, y), _ = polish(tables, F, z, t, real)
+            return (x, y), ((1 << F) + math.isqrt(x * x + y * y)) >> (t - 1)
 
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", recording)
         monkeypatch.setattr(rootfind, "_fixed_newton", never_converged)
@@ -547,16 +547,11 @@ class TestMatching:
             assert tracking._assignment(cost) == cols.tolist(), cost
 
 
-def _zero_set(values, precision_bits):
-    """A ZeroSet of the exact dyadic (re, im) Fraction pairs values, each
-    a multiple of 2^-F with F = _newton_bits(precision_bits), as
-    `find_all_roots` leaves its zeros."""
-    with working_precision(4096):
-        zeros = tuple(mp.mpc(mp.mpf(x.numerator) / x.denominator,
-                             mp.mpf(y.numerator) / y.denominator)
-                      for x, y in values)
-    return ZeroSet(zeros=zeros, residuals=(0,) * len(zeros),
-                   degree=len(zeros), precision_bits=precision_bits, tol=0)
+def _zero_set(points, precision_bits):
+    """A ZeroSet of the Gaussian-integer points, read with the F
+    fraction bits of a `find_all_roots` result at precision_bits."""
+    return ZeroSet(points=tuple(points), residuals=(0,) * len(points),
+                   degree=len(points), precision_bits=precision_bits, tol=0)
 
 
 def _matched_costs(za, zb):
@@ -589,7 +584,7 @@ class TestIntegerBookkeeping:
                     min_size=1, max_size=7))
     def test_labels_are_the_greedy_rule_in_fractions(self, zeros, ests):
         bits = 8
-        scale = 2 ** _newton_bits(bits)
+        scale = 2 ** _zero_set((), bits).F
         floored = [(Fraction(math.floor(e.re * scale), scale),
                     Fraction(math.floor(e.im * scale), scale))
                    for e in ests]
@@ -603,7 +598,8 @@ class TestIntegerBookkeeping:
             want.append(best)
             if best is not None:
                 free.remove(best)
-        zs = _zero_set(zeros, bits)
+        zs = _zero_set([(int(x * scale), int(y * scale)) for x, y in zeros],
+                       bits)
         for ambient in (8, 1024):
             with mp.workprec(ambient):
                 assert tracking._labels_by_proximity(zs, ests) == want
@@ -611,7 +607,7 @@ class TestIntegerBookkeeping:
     @given(st.data())
     def test_every_cost_is_the_correctly_rounded_distance(self, data):
         bits = data.draw(st.sampled_from([8, 53, 256]))
-        F = _newton_bits(bits)
+        F = _zero_set((), bits).F
         part = st.integers(-2 ** (F + 8), 2 ** (F + 8))
         a = data.draw(st.lists(st.tuples(part, part), min_size=1,
                                max_size=4))
@@ -621,8 +617,7 @@ class TestIntegerBookkeeping:
              + data.draw(st.lists(st.tuples(part, part),
                                   min_size=len(a) - 1, max_size=4))
              + [(a[-1][0] + data.draw(st.integers(-3, 3)), a[-1][1] + 1)])
-        za = _zero_set([(Fraction(x, 2 ** F), Fraction(y, 2 ** F))
-                        for x, y in a], bits)
+        za = _zero_set(a, bits)
         with working_precision(F + 64):
             zb = [mp.mpc(mp.ldexp(x, -F), mp.ldexp(y, -F)) for x, y in b]
         with mp.workprec(4 * F):
@@ -760,6 +755,56 @@ class TestConvergenceReport:
     def test_needs_two_degrees(self, lame_small):
         with pytest.raises(InvalidSpecError):
             convergence_report(lame_small, m_list=(12,))
+
+
+def _public_results(spec, m_list, B):
+    """What solve_zeros, convergence_report, match_zeros, zero_table,
+    d2_sequence and d2_zero_search return on spec, as exact values and
+    bits; match distances, mpf at the working precision, are left out."""
+    sets = [solve_zeros(spec, m) for m in m_list]
+    rep = convergence_report(spec, m_list)
+    res = match_zeros(*sets)
+    est = d2_sequence(spec, B, K=400)
+    found = d2_zero_search(spec, B)
+    return {
+        "zero sets": [(zs.points, zs.labels, zs.seed_bits,
+                       [_bits(r) for r in zs.residuals],
+                       [_bits(z) for z in zs.zeros])
+                      for zs in sets + [rep.zero_sets[m] for m in m_list]],
+        "pairs": ([(i, j) for i, j, _ in res.pairs], res.new_in_b),
+        "tracks": [(t.label_k, sorted(t.stabilized.items()),
+                    sorted((m, _bits(z)) for m, z in t.entries.items()))
+                   for t in rep.tracks],
+        "table": [(row["k"], row["orders"],
+                   [(m, z and _bits(z)) for m, z in row["zeros"].items()])
+                  for row in zero_table(spec, rep.zero_sets, k_max=5)],
+        "d2": [_bits(x) for x in (est.estimate, est.tail,
+                                  est.error_indicator)],
+        "search": (_bits(found.B), _bits(found.d2), found.iterations,
+                   found.K_used),
+    }
+
+
+class TestPrecisionIndependence:
+    """The public results do not depend on the caller's mpmath
+    precision.  On Mathieu q = 2i, c_30 has two zeros with real part
+    -0.5406395812..., equal to 53 bits but not to 280: a sort on mpc at
+    the caller's precision put them in one order at 20 and 53 bits and
+    the other at 300, and the labels followed."""
+
+    @pytest.mark.parametrize("ambient", [20, 53, 300])
+    @pytest.mark.parametrize("spec,m_list,B", [
+        (from_mathieu(MathieuParams(q="2i"))[0], (24, 30), "1/2"),
+        (from_lame(LameParams(n=2, s="1/2"))[0], (24, 30), "-4"),
+    ], ids=["mathieu-2i", "lame-1/2"])
+    def test_results_at_any_working_precision(self, spec, m_list, B,
+                                              ambient):
+        with mp.workprec(300):
+            want = _public_results(spec, m_list, B)
+        with mp.workprec(ambient):
+            got = _public_results(spec, m_list, B)
+        for part in want:
+            assert got[part] == want[part], part
 
 
 class TestD2Sequence:
