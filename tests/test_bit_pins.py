@@ -8,7 +8,8 @@ moves a single output bit fails here, as does any change to the exact
 arithmetic (`scalars.QQi`) that moves a single rational of the
 recurrence rows, the perturbative seeds and closed forms, or a built
 family, or any label, pairing, matching cost or digit count of the zero
-bookkeeping.  A change meant to move bits
+bookkeeping, or any entry of the 53-bit Jacobi matrices that the double
+QL of the seed ladder reads.  A change meant to move bits
 regenerates the digests with
 
     PYTHONPATH=src python tests/test_bit_pins.py
@@ -110,6 +111,19 @@ def _continuant(spec, m):
     return [_json(c.A), _json(c.N)]
 
 
+def _double_matrices(spec, ms):
+    """float.hex of both parts of every entry of the 53-bit Jacobi
+    matrix (diagonal, off-diagonal) of c_m for each m, as the double QL
+    of `solve_zeros` reads it."""
+    out = []
+    for m in ms:
+        with working_precision(256):
+            diag, off = continuant(spec, m).jacobi_matrix()
+        out += [[(x.real.hex(), x.imag.hex()) for x in map(complex, part)]
+                for part in (diag, off)]
+    return out
+
+
 HEUN = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/3", delta="1/7",
                       s="2/5", alpha="3/2", beta=-1)
 HEUN_COMPLEX = HEUN.with_s("2/5+1/3i")
@@ -142,6 +156,22 @@ CASES = {
     "family-heun-m12": lambda: [_json(p.coeffs) for p in
                                 build_family(HEUN_COMPLEX, 12).polys],
     "continuant-heun-m40": lambda: _continuant(HEUN_COMPLEX, 40),
+    "doubles-lame-1/100": lambda: _double_matrices(
+        from_lame(LameParams(n=2, s="1/100"))[0], (4, 8, 30, 40)),
+    "doubles-lame-1/2": lambda: _double_matrices(
+        from_lame(LameParams(n=2, s="1/2"))[0], (4, 8, 30, 40)),
+    "doubles-mathieu-2": lambda: _double_matrices(
+        from_mathieu(MathieuParams(q=2))[0], (8, 30, 40)),
+    "doubles-mathieu-2i": lambda: _double_matrices(MATHIEU_2I, (8, 30, 40)),
+    "doubles-mathieu-i": lambda: _double_matrices(
+        from_mathieu(MathieuParams(q="i"))[0], (8, 30)),
+    "doubles-whill--1/100": lambda: _double_matrices(
+        RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2", delta="1/2",
+                       s="-1/100", alpha=5), (8, 30)),
+    "doubles-whill-strong": lambda: _double_matrices(
+        RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2", delta="1/2",
+                       s=-20, alpha=5), (16, 19, 50, 89, 100)),
+    "doubles-heun-complex-m40": lambda: _double_matrices(HEUN_COMPLEX, (40,)),
     "eval-heun-K60": lambda: _json(eval_sequence(
         HEUN, QQi(F(-23, 10), F(1, 4)), 60)),
     "family-in-s-heun-m10": lambda: [_json(row) for row in family_in_s(
@@ -183,6 +213,22 @@ PINS = {
         "2fabc99e9643f2f05d427c91222449378209bf5ed416a605c4877466721036f3",
     "continuant-heun-m40":
         "6bae34cf6e6f3c4d6cd8d4c1aeda1ab71409f6f4a9b805648253adaaa98c634b",
+    "doubles-lame-1/100":
+        "f59516011d922d01274bf416d21cf3498a8f18873ee3eef156a9960c4397169f",
+    "doubles-lame-1/2":
+        "f00551f2494ee1b57dc9a5115417c43efa8bca63ad2f85b27bec371520759c87",
+    "doubles-mathieu-2":
+        "2b33dfe0b3ce53d274a05fd2d8300732655cbf057a9018a19f5d5196373d92d4",
+    "doubles-mathieu-2i":
+        "09cb9b6f618022c8e6c82832d8adb85e9f7fcbcbec4507c3b274a88be810e54c",
+    "doubles-mathieu-i":
+        "615cfa44d4916f1047975d28ea2eff0d2c14008e0e9d01285e2f90cd8f3004a0",
+    "doubles-whill--1/100":
+        "6ec0d6b3ec02bb96259c39c54cb29c01576ad3272050286d751b718bbb7e0006",
+    "doubles-whill-strong":
+        "b0a4af4a1a6a3de8f592d3af555cab9b7ddc350477bf9f7eee15e2961cb77540",
+    "doubles-heun-complex-m40":
+        "8bebab26a30e347b2c9763d59013c8075617d854b6719091cddecba40eabc6a9",
     "eval-heun-K60":
         "5137aa9d74244fc2ff0eb825998262d50847d59bd7e953216c5f948fe5689085",
     "family-in-s-heun-m10":
