@@ -42,7 +42,8 @@ class NonConvergenceError(RuntimeError):
     """The iteration did not reach its tolerance.
 
     overlapping lists the roots of a `find_all_roots` call whose disks
-    met another one's, and is empty for every other failure."""
+    met another one's, or the seed that failed the first-step test of
+    `_fixed_newton`: other seeds may help.  Otherwise it is empty."""
 
     def __init__(self, message, overlapping=()):
         super().__init__(message)
@@ -124,7 +125,7 @@ class Continuant:
     and is never read).
     Its zeros are the eigenvalues of the complex-symmetric tridiagonal
     matrix with diagonal -A_k and off-diagonal sqrt(N_k), k >= 1
-    (`jacobi_matrix`; docs/math_notes.md, section 8)."""
+    (`jacobi_matrix`, `double_matrix`; docs/math_notes.md, section 8)."""
 
     A: tuple
     N: tuple
@@ -147,6 +148,11 @@ class Continuant:
         """(diagonal, off-diagonal) as mpc at the working precision."""
         return ([-to_mpc(a) for a in self.A],
                 [mp.sqrt(to_mpc(x)) for x in self.N[1:]])
+
+    def double_matrix(self) -> tuple:
+        """(diagonal, off-diagonal) as correctly rounded complex doubles."""
+        return ([complex(_double(-a.a, a.d), _double(-a.b, a.d))
+                 for a in self.A], [_double_sqrt(x) for x in self.N[1:]])
 
     def fixed_rows(self, F: int) -> tuple:
         """(Re A_k, Im A_k, Re N_k, Im N_k) per row, with F fraction
@@ -280,6 +286,7 @@ def newton_polygon_seeds(coeffs) -> list:
 _QL_MAX_STEPS = 50    # QL steps allowed per eigenvalue
 _POLISH_STEPS = 40    # Newton steps allowed per root
 _SEED_BITS = 53       # bits a seed is taken to be right to: a double
+_JUDGE_BITS = 20      # a double seed's first step is below 2^-20 relative
 _WIDTH_STEP = 64      # the narrow Newton steps' widths are multiples of it
 
 
@@ -305,8 +312,8 @@ def tridiagonal_eigenvalues(diag, offdiag, precision_bits: int = 53):
     in no particular order, as mpc at precision_bits when that exceeds
     53; they are accurate to about the unit roundoff times the matrix
     norm only when the matrix is close to normal, and far less when it
-    is not, which is why `tracking.jacobi_seeds` compares them with
-    those of the reversed matrix.
+    is not, which is why `find_all_roots` judges double seeds by their
+    first Newton step when a higher rung could follow.
     """
     if len(offdiag) + 1 != len(diag):
         raise ValueError("offdiag needs one entry fewer than diag")
@@ -400,6 +407,30 @@ def _fixed_sqrt(x, y):
     if y < 0:
         im = -im
     return y // (2 * im), im
+
+
+def _double(n: int, d: int) -> float:
+    """n/d correctly rounded, or its signed infinity beyond the range."""
+    try:
+        return n / d
+    except OverflowError:
+        return cmath.inf if n > 0 else -cmath.inf
+
+
+def _double_sqrt(z) -> complex:
+    """sqrt(z), principal, for the QQi z = (a + ib)/d: the parts
+    sqrt((G + X)/2)/d and sign(Y) sqrt((G - X)/2)/d, X + iY = (a + ib) d,
+    G = |X + iY|, floored exactly by isqrt and // to 56 or more bits, and
+    a sticky bit for a nonzero remainder, round once, correctly."""
+    X, Y, d = z.a * z.d, z.b * z.d, z.d
+    k = 60 + max(abs(X), abs(Y)).bit_length() // 2 + d.bit_length()
+    g = isqrt(S := (X * X + Y * Y) << 4 * k)
+    parts = []
+    for u in (g + (X << 2 * k), g - (X << 2 * k)):
+        q, rest = divmod(r := isqrt(u >> 1), d)
+        inexact = g * g != S or u & 1 or r * r != u >> 1 or rest
+        parts.append(_double(2 * q + bool(inexact), 1 << k + 1))
+    return complex(parts[0], -parts[1] if Y < 0 else parts[1])
 
 
 def _fixed_point_ql(dr, di, er, ei, F: int) -> bool:
@@ -510,7 +541,8 @@ def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
     Otherwise NonConvergenceError is raised; its `overlapping` names the
     roots whose disks meet another: their seeds were not near distinct
     roots.  When it is empty, the residuals that missed tol are what the
-    arithmetic resolves, so no other seeds can help.
+    arithmetic resolves, so no other seeds can help.  Above 53 bits, a
+    complex double seed must pass the first-step test of `_fixed_newton`.
     """
     if not isinstance(poly, Continuant):
         raise TypeError(f"find_all_roots takes a Continuant, not "
@@ -534,7 +566,8 @@ def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
         kept = set(mirror.values())
         points = [(x, y if i in kept else 0)
                   for i, (x, y) in enumerate(points)]
-    done = {i: _fixed_newton(tables, F, p, t, real)
+    done = {i: _fixed_newton(tables, F, p, t, real, i if isinstance(
+                seeds[i], complex) and precision_bits > _SEED_BITS else None)
             for i, p in enumerate(points) if i not in mirror}
     for j, i in mirror.items():
         (x, y), w = done[i]
@@ -626,7 +659,7 @@ def _conjugate_pairs(points) -> dict:
             and gap(i, j) < 4 * min(points[i][1], -points[j][1]) ** 2}
 
 
-def _fixed_newton(tables, F: int, z, t: int, real: bool = False):
+def _fixed_newton(tables, F: int, z, t: int, real: bool = False, seed=None):
     """Newton's method from z = (x, y), x + iy with F fraction bits, on
     the continuant with `Continuant.fixed_rows(F)` tables[F] (real rows
     when real, which a seed on the axis then never leaves), each step
@@ -637,7 +670,9 @@ def _fixed_newton(tables, F: int, z, t: int, real: bool = False):
     keeps the rows shifted to it.  The first full-width step with
     |w| < 2^-t (1 + |z - w|) / 8, or the one that ends _POLISH_STEPS
     steps or three growing ones, gives (z - w, floor(|w| 2^F)), both
-    with F fraction bits; at p' = 0 the step is None, infinite."""
+    with F fraction bits; at p' = 0 the step is None, infinite.  Given
+    the index seed, a first step |w| > 2^-_JUDGE_BITS (1 + |z - w|) raises
+    NonConvergenceError, with that seed in `overlapping`."""
     zr, zi = z
     right, last, grew = _SEED_BITS, None, 0
     for k in range(_POLISH_STEPS):
@@ -656,6 +691,11 @@ def _fixed_newton(tables, F: int, z, t: int, real: bool = False):
         zr, zi = zr - wr, zi - wi
         size = isqrt(wr * wr + wi * wi)              # |w| 2^F
         scale = (1 << F) + isqrt(zr * zr + zi * zi)  # (1 + |z - w|) 2^F
+        if seed is not None and k == 0 and size << _JUDGE_BITS > scale:
+            raise NonConvergenceError(
+                f"double seed {seed}: its first Newton step is "
+                f"{_double(size, scale):.2g} (1 + |z - w|), above "
+                f"2^-{_JUDGE_BITS}", overlapping=(seed,))
         if W == F and (final or (8 * size) << t < scale):
             return (zr, zi), size
         grew = grew + 1 if last is not None and size > last else 0

@@ -60,23 +60,23 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
                 precision_bits: int = 256) -> ZeroSet:
     """Zeros of c_m(B), labelled by grid index where estimates exist.
 
-    The seeds are the eigenvalues of the Jacobi matrix of the recurrence
-    (`Continuant.jacobi_matrix`), taken from a ladder of QL precisions
-    that double from 53 bits and stop at precision_bits: 53, 106, 212,
-    ..., precision_bits.  A rung that gives seeds (`jacobi_seeds`) hands them
-    to `find_all_roots`, which polishes each by Newton's method on the
-    recurrence itself (the `continuant` rows, evaluated in fixed point;
-    the dense coefficients of c_m are never built) and keeps the results
-    when disks around them, each holding a zero, are disjoint and every
-    residual meets the tolerance 2^-(precision_bits/2)
-    (`rootfind.default_tol`); the ZeroSet records that rung as
-    `seed_bits`.
-    The Jacobi matrix and the Newton kernel read one row table.  A rung
-    without seeds, or whose polished disks overlap, gives way to the
-    next one.  NonConvergenceError names the degree and every rung
-    tried, and how each failed, when the top rung fails too, or at once
-    when a rung's disks are disjoint but residuals miss the tolerance:
-    no seeds can lower those, so precision_bits is too low.
+    The seeds are the eigenvalues of the Jacobi matrix of the recurrence,
+    taken from a ladder of QL precisions that double from 53 bits and stop
+    at precision_bits: 53, 106, 212, ..., precision_bits (the QL reads
+    `Continuant.double_matrix` at 53, `jacobi_matrix` above).  A rung that
+    gives seeds hands them to `find_all_roots`, which polishes each by
+    Newton's method on the recurrence itself (the `continuant` rows,
+    evaluated in fixed point; the dense coefficients of c_m are never built)
+    and keeps the results when disks around them, each holding a zero, are
+    disjoint and every residual meets the tolerance 2^-(precision_bits/2)
+    (`rootfind.default_tol`); the ZeroSet records that rung as `seed_bits`.
+    The Jacobi matrices and the Newton kernel read one row table.  A rung
+    without seeds, whose polished disks overlap, or whose double seeds fail
+    their first Newton step, gives way to the next one.  NonConvergenceError
+    names the degree and every rung tried, and how each failed, when the top
+    rung fails too, or at once when a rung's disks are disjoint but
+    residuals miss the tolerance: no seeds can lower those, so
+    precision_bits is too low.
     Labels come from the `perturbative_seeds` estimates of c_m's zeros
     (second order, first order at the edge indices k = m-2, m-1) when
     the grid is nondegenerate and |s| <= 2 (they degrade as |s| grows);
@@ -85,40 +85,36 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
     if m < 1:
         raise InvalidSpecError("need m >= 1 for a nontrivial polynomial")
     rows = continuant(spec, m)
-    with working_precision(precision_bits):
-        diag, off = rows.jacobi_matrix()
-    zs = _climb(rows, diag, off, precision_bits)
-    if not spec.is_d_degenerate and spec.s.abs2() <= 4:
-        zs = zs.with_labels(_labels_by_proximity(
-            zs, perturbative_seeds(spec, m - 1)))
-    return zs
-
-
-def _climb(poly, diag, off, precision_bits: int) -> ZeroSet:
-    """The `solve_zeros` precision ladder on poly, whose zeros are the
-    eigenvalues of the Jacobi matrix (diag, off): the zeros from the
-    first rung whose seeds stand, or NonConvergenceError."""
     rungs = [53]
     while rungs[-1] < precision_bits:
         rungs.append(min(2 * rungs[-1], precision_bits))
     tried = []
     for bits in rungs:
-        seeds, why = jacobi_seeds(diag, off, bits, precision_bits)
+        if bits == 53:
+            matrix = rows.double_matrix()
+        elif bits == rungs[1]:           # the first rung above 53 bits
+            with working_precision(precision_bits):
+                matrix = rows.jacobi_matrix()
+        seeds = tridiagonal_eigenvalues(*matrix, bits)
         if seeds is None:
-            tried.append(f"{bits} bits: {why}")
+            tried.append(f"{bits} bits: the QL failed")
             continue
         try:
-            zs = find_all_roots(poly, seeds, precision_bits)
+            zs = replace(find_all_roots(rows, seeds, precision_bits),
+                         seed_bits=bits)
         except NonConvergenceError as exc:
             tried.append(f"{bits} bits: {exc}")
             if not exc.overlapping:
                 # disjoint disks: higher-rung seeds polish to the same points
                 break
             continue
-        return replace(zs, seed_bits=bits)
+        if not spec.is_d_degenerate and spec.s.abs2() <= 4:
+            zs = zs.with_labels(_labels_by_proximity(
+                zs, perturbative_seeds(spec, m - 1)))
+        return zs
     raise NonConvergenceError(
-        f"no rung of the seed ladder gave the zeros of the degree-"
-        f"{len(diag)} polynomial: {'; '.join(tried)}. precision_bits = "
+        f"no rung of the seed ladder gave the zeros of the degree-{m} "
+        f"polynomial: {'; '.join(tried)}. precision_bits = "
         f"{precision_bits} is too low; raise it")
 
 
@@ -130,42 +126,6 @@ def continuant(spec: RecurrenceSpec, m: int) -> Continuant:
     rows = [recurrence_row(spec, k) for k in range(m)]
     return Continuant(A=tuple(D + spec.s * E for D, E, _ in rows),
                       N=tuple(spec.s * G for _, _, G in rows))
-
-
-_SEED_AGREEMENT = 2.0 ** -20   # forward/reversed QL gap that trusts doubles
-
-
-def jacobi_seeds(diag, off, bits: int, precision_bits: int) -> tuple:
-    """(eigenvalues, None) of the Jacobi matrix at one rung of the
-    `solve_zeros` ladder, or (None, why there are none).
-
-    Above 53 bits the QL runs in fixed point at bits.  Rung 53 is the
-    double QL; below a higher rung (bits < precision_bits) it also runs
-    on the reversed matrix (the same eigenvalues, reached along another
-    rounding path), and the doubles stand only when every eigenvalue of
-    either run lies within 2^-20 (1 + |lambda|) of one of the other.  A
-    failed QL run, forward or reversed, gives no seeds.
-    """
-    eig = tridiagonal_eigenvalues(diag, off, bits)
-    if eig is None:
-        return None, "the QL failed"
-    if bits == 53 < precision_bits:
-        rev = tridiagonal_eigenvalues(diag[::-1], off[::-1], bits)
-        if rev is None:
-            return None, "the QL of the reversed matrix failed"
-        gap = _nearest_gap(eig, rev)
-        if gap > _SEED_AGREEMENT:
-            return None, (f"the QL of the matrix and of its reversal "
-                          f"differ by {gap:.2g}")
-    return eig, None
-
-
-def _nearest_gap(xs, ys) -> float:
-    """Largest distance, relative to 1 + |x|, from a point of either
-    list to the nearest point of the other."""
-    def one_way(a, b):
-        return max(min(abs(x - y) for y in b) / (1 + abs(x)) for x in a)
-    return max(one_way(xs, ys), one_way(ys, xs))
 
 
 def _labels_by_proximity(zs, estimates) -> list:

@@ -115,13 +115,8 @@ def _double_matrices(spec, ms):
     """float.hex of both parts of every entry of the 53-bit Jacobi
     matrix (diagonal, off-diagonal) of c_m for each m, as the double QL
     of `solve_zeros` reads it."""
-    out = []
-    for m in ms:
-        with working_precision(256):
-            diag, off = continuant(spec, m).jacobi_matrix()
-        out += [[(x.real.hex(), x.imag.hex()) for x in map(complex, part)]
-                for part in (diag, off)]
-    return out
+    return [[(x.real.hex(), x.imag.hex()) for x in part]
+            for m in ms for part in continuant(spec, m).double_matrix()]
 
 
 HEUN = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/3", delta="1/7",

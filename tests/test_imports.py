@@ -3,8 +3,9 @@ there, every private helper of the package is used by the package or a
 script, library modules import each other at module level, the package
 imports no third-party module it does not declare, the CLI decides
 output formats in one place, the recurrence holds no big float, only
-rootfind knows the fraction bits of the zeros, and every package name
-the benchmark tracer wraps or reads still exists."""
+rootfind knows the fraction bits of the zeros, the seed ladder runs one
+double QL per solve, and every package name the benchmark tracer wraps
+or reads still exists."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from heunzeros import tracking
 from heunzeros.families import FamilyKind, RecurrenceSpec
 from heunzeros.recurrence import build_family
 from heunzeros.tracking import solve_zeros
@@ -344,6 +346,26 @@ def test_only_rootfind_knows_the_fraction_bits_of_the_zeros():
     names |= {alias.name for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "_newton_bits" not in names
+
+
+def test_one_double_ql_per_solve(monkeypatch):
+    # the double seeds are judged by their first Newton step, not by a
+    # second QL run on the reversed matrix
+    source = "\n".join(p.read_text() for p in
+                       (ROOT / "src" / "heunzeros").glob("*.py"))
+    for name in ("_nearest_gap", "_SEED_AGREEMENT", "jacobi_seeds"):
+        assert name not in source
+    runs, ql = [], tracking.tridiagonal_eigenvalues
+
+    def counting(*args):
+        runs.append(args[2:])
+        return ql(*args)
+
+    monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", counting)
+    spec = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
+                          delta="1/2", s="-1/100", alpha=5)
+    assert solve_zeros(spec, 30).seed_bits == 53
+    assert runs == [(53,)]
 
 
 def test_benchmark_reads_the_result_attributes_it_expects():

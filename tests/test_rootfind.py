@@ -224,6 +224,61 @@ class TestTridiagonalEigenvalues:
                                            precision_bits=106)) == 3
 
 
+def parts_hex(z) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+RATIONALS = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+                      st.integers(1, 10 ** 30))
+
+
+class TestDoubleMatrix:
+    """`Continuant.double_matrix`, the 53-bit rung's Jacobi matrix built
+    from the exact rows: each part correctly rounded."""
+
+    @given(re=RATIONALS, im=RATIONALS,
+           kind=st.sampled_from(["complex", "real", "negative", "square"]))
+    def test_entries_are_correctly_rounded(self, re, im, kind):
+        z = {"complex": QQi(re, im), "real": QQi(re),
+             "negative": QQi(-abs(re) - 1),
+             "square": QQi(re, im) * QQi(re, im)}[kind]
+        diag, off = Continuant(A=(z, z), N=(QQi(0), z)).double_matrix()
+        with working_precision(600):
+            want_diag = complex(-to_mpc(z))
+            want_off = complex(mp.sqrt(to_mpc(z)))
+        assert [parts_hex(x) for x in diag] == [parts_hex(want_diag)] * 2
+        assert [parts_hex(x) for x in off] == [parts_hex(want_off)]
+        if kind == "negative":
+            # the principal branch: +i sqrt|N|
+            assert off[0].real == 0 and off[0].imag > 0
+
+    def test_exact_roots_on_a_rounding_midpoint(self):
+        # 1 + 2^-53 lies halfway between two doubles: an exact root that
+        # is a midpoint rounds to even, and a root just above it rounds up
+        x = 1 + Fraction(1, 2 ** 53)
+        for z, want in [(QQi(x * x), 1.0),
+                        (QQi(x * x + Fraction(1, 2 ** 200)),
+                         1 + 2.0 ** -52)]:
+            [root] = Continuant(A=(QQi(0), QQi(0)),
+                                N=(QQi(0), z)).double_matrix()[1]
+            assert root == want
+
+    def test_an_entry_beyond_the_double_range_gives_no_seeds(self):
+        # complex(mpc) of such an entry is inf; so is its double here,
+        # the double QL then fails, and the solve stands on a fixed rung
+        spec = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
+                              delta="1/2", s=-2 ** 1030, alpha=5)
+        rows = continuant(spec, 6)
+        diag, off = rows.double_matrix()
+        with working_precision(256):
+            big = rows.jacobi_matrix()
+        assert [parts_hex(x) for x in diag + off] == \
+            [parts_hex(complex(x)) for x in big[0] + big[1]]
+        assert mp.isinf(diag[-1].real)
+        assert tridiagonal_eigenvalues(diag, off) is None
+        assert solve_zeros(spec, 6).seed_bits == 106
+
+
 def fixed_ql_eigenvalues(spec, m, bits):
     """The fixed-point QL eigenvalues of the Jacobi matrix of c_m, its
     entries rounded to bits."""
@@ -364,9 +419,9 @@ def recording_polish(monkeypatch):
     the order it polishes them."""
     starts, polish = [], rootfind._fixed_newton
 
-    def recording(tables, F, z, t, real=False):
+    def recording(tables, F, z, t, real=False, seed=None):
         starts.append(z)
-        return polish(tables, F, z, t, real)
+        return polish(tables, F, z, t, real, seed)
 
     monkeypatch.setattr(rootfind, "_fixed_newton", recording)
     return starts
@@ -458,9 +513,9 @@ class TestRefinement:
         polish = rootfind._fixed_newton
         calls = []
 
-        def first_root_fails(tables, F, z, t, real=False):
+        def first_root_fails(tables, F, z, t, real=False, seed=None):
             calls.append(z)
-            (x, y), w = polish(tables, F, z, t, real)
+            (x, y), w = polish(tables, F, z, t, real, seed)
             if len(calls) > 1:
                 return (x, y), w
             # a step twice the tolerance 2^-t (1 + |z|): a small disk

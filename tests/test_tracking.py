@@ -30,6 +30,7 @@ from heunzeros.perturbation import (
 )
 from heunzeros.recurrence import build_family, eval_sequence
 from heunzeros.rootfind import (
+    Continuant,
     NonConvergenceError,
     ZeroSet,
     find_all_roots,
@@ -43,7 +44,6 @@ from heunzeros.tracking import (
     d2_closed_form_s0,
     d2_sequence,
     d2_zero_search,
-    jacobi_seeds,
     match_zeros,
     solve_zeros,
     stabilized_digits,
@@ -176,16 +176,25 @@ class TestJacobiSeeds:
         for h in high:
             assert min(abs(h - e) for e in low) < 1e-13 * (1 + abs(h))
 
-    @pytest.mark.parametrize("m", [89, 100])
-    def test_non_normal_matrix_escalates_to_106_bits(self, m):
-        # the double seeds are about 0.4 off at m = 89 and 100
+    @pytest.mark.parametrize("m,seed,step", [(89, 1, "1e-06"),
+                                             (100, 2, "0.00022")],
+                             ids=["89", "100"])
+    def test_non_normal_matrix_escalates_to_106_bits(self, m, seed, step):
+        # the polish of the double seeds stops at the first one whose
+        # first Newton step is above 2^-20 relative; the 106-bit seeds
+        # stand
+        rows = continuant(WHILL_STRONG, m)
+        with pytest.raises(NonConvergenceError,
+                           match=rf"^double seed {seed}: its first "
+                                 rf"Newton step is {step} \(1 \+ \|z - w\|\)"
+                                 rf", above 2\^-20$") as exc:
+            find_all_roots(rows, tridiagonal_eigenvalues(
+                *rows.double_matrix()))
+        assert exc.value.overlapping == (seed,)
         with working_precision(256):
-            diag, off = continuant(WHILL_STRONG, m).jacobi_matrix()
-        seeds, why = jacobi_seeds(diag, off, 53, 256)
-        assert seeds is None and "reversal differ by 0.4" in why
-        seeds, why = jacobi_seeds(diag, off, 106, 256)
-        assert why is None
-        zs = find_all_roots(continuant(WHILL_STRONG, m), seeds=seeds)
+            diag, off = rows.jacobi_matrix()
+        seeds = tridiagonal_eigenvalues(diag, off, 106)
+        zs = find_all_roots(rows, seeds=seeds)
         for e in seeds:
             assert min(abs(z - e) for z in zs.zeros) < 1e-10 * (1 + abs(e))
 
@@ -244,7 +253,7 @@ class TestJacobiSeeds:
             return [mp.mpc(0)] * len(diag)
 
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", one_seed)
-        for bits, want in [(256, [53, 53, 106, 212, 256]), (80, [53, 53, 80]),
+        for bits, want in [(256, [53, 106, 212, 256]), (80, [53, 80]),
                            (53, [53])]:
             runs.clear()
             with pytest.raises(NonConvergenceError) as exc:
@@ -270,7 +279,7 @@ class TestJacobiSeeds:
 
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", none_at_106)
         zs = solve_zeros(spec, 4)
-        assert (runs, zs.seed_bits) == ([53, 53, 106, 212], 212)
+        assert (runs, zs.seed_bits) == ([53, 106, 212], 212)
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
                             lambda diag, off, bits=53: None)
         with pytest.raises(NonConvergenceError,
@@ -279,37 +288,36 @@ class TestJacobiSeeds:
                                  r"bits: the QL failed\. precision_bits"):
             solve_zeros(spec, 4)
 
-    def test_reversed_disagreement_skips_rung_53(self, monkeypatch):
-        # the doubles are not polished at all: the first polish is at 106
+    @pytest.mark.parametrize("off,rung", [(2.0 ** -15, 106),
+                                          (2.0 ** -30, 53)],
+                             ids=["off-2^-15", "off-2^-30"])
+    def test_first_steps_judge_the_double_seeds(self, monkeypatch, off,
+                                                rung):
+        # double seeds off by 2^-15 relative give way at their first
+        # Newton step; off by 2^-30 they stand, and with no higher rung
+        # they are not judged at all
         spec = THREE_FAMILIES[1]
         real = tracking.tridiagonal_eigenvalues
-        reversed_run = []
 
-        def disagreeing(diag, off, bits=53):
-            eig = real(diag, off, bits)
-            if bits == 53 and diag[0] != spec_diag[0]:
-                reversed_run.append(bits)
-                eig = [e + 1e-3 for e in eig]
+        def shifted(diag, off_diag, bits=53):
+            eig = real(diag, off_diag, bits)
+            if bits == 53:
+                eig = [e + off * (1 + abs(e)) for e in eig]
             return eig
 
-        with working_precision(256):
-            spec_diag, _ = continuant(spec, 6).jacobi_matrix()
-        polished = []
-        solve = tracking.find_all_roots
-
-        def counting(poly, seeds, precision_bits):
-            polished.append(len(seeds))
-            return solve(poly, seeds, precision_bits)
-
-        monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", disagreeing)
-        monkeypatch.setattr(tracking, "find_all_roots", counting)
-        zs = solve_zeros(spec, 6)
-        assert (reversed_run, polished, zs.seed_bits) == ([53], [6], 106)
-        # with no higher rung the reversed run is skipped, and so is
-        # the agreement test
-        reversed_run.clear()
+        monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", shifted)
+        assert solve_zeros(spec, 6).seed_bits == rung
         assert solve_zeros(spec, 6, precision_bits=53).seed_bits == 53
-        assert reversed_run == []
+        monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
+                            lambda diag, off_diag, bits=53:
+                            shifted(diag, off_diag) if bits == 53 else None)
+        if rung == 106:
+            with pytest.raises(NonConvergenceError,
+                               match=r"53 bits: double seed 0: its "
+                                     r"first Newton step is [0-9.e-]+ "
+                                     r"\(1 \+ \|z - w\|\), above 2\^-20; "
+                                     r"106 bits: the QL failed"):
+                solve_zeros(spec, 6)
 
     def test_residual_failure_stops_the_ladder(self, monkeypatch):
         # disjoint disks whose residuals miss tol: seeds from a higher
@@ -326,9 +334,9 @@ class TestJacobiSeeds:
 
         polish = rootfind._fixed_newton
 
-        def never_converged(tables, F, z, t, real=False):
+        def never_converged(tables, F, z, t, real=False, seed=None):
             # a step twice the tolerance 2^-t (1 + |z|): small disks
-            (x, y), _ = polish(tables, F, z, t, real)
+            (x, y), _ = polish(tables, F, z, t, real, seed)
             return (x, y), ((1 << F) + math.isqrt(x * x + y * y)) >> (t - 1)
 
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", recording)
@@ -339,7 +347,7 @@ class TestJacobiSeeds:
                                  r"are disjoint.*\. precision_bits = 256 "
                                  r"is too low; raise it$"):
             solve_zeros(spec, 6)
-        assert runs == [53, 53]
+        assert runs == [53]
 
     @pytest.mark.parametrize("spec,m", [
         (from_mathieu(MathieuParams(q=2))[0], 40),
@@ -384,7 +392,7 @@ class TestJacobiSeeds:
         # the real zeros vanish and come back as m grows; the rung that
         # stands and the real count, pinned across the 53 -> 106 switch
         want = {20: (53, 2), 30: (53, 2), 40: (53, 2), 50: (53, 0),
-                55: (53, 1), 60: (106, 2), 65: (106, 3), 70: (106, 4),
+                55: (53, 1), 60: (53, 2), 65: (106, 3), 70: (106, 4),
                 75: (106, 5), 80: (106, 8), 85: (106, 13), 90: (106, 18),
                 95: (106, 23), 100: (106, 26)}
         got = {}
@@ -392,6 +400,17 @@ class TestJacobiSeeds:
             zs = solve_zeros(WHILL_STRONG, m)
             got[m] = (zs.seed_bits, real_zero_count(zs))
         assert got == want
+
+    def test_degree_60_stands_on_the_double_rung(self):
+        # the first steps of the double seeds pass, so c_60 stands at 53
+        # bits; each zero of a 512-bit solve lies in the disk of radius
+        # (m + 1) residual around its counterpart
+        zs = solve_zeros(WHILL_STRONG, 60)
+        ref = solve_zeros(WHILL_STRONG, 60, precision_bits=512)
+        assert (zs.seed_bits, real_zero_count(zs)) == (53, 2)
+        with working_precision(512):
+            for z, r in zip(zs.zeros, zs.residuals):
+                assert min(abs(z - x) for x in ref.zeros) <= 61 * r
 
     def test_recurrence_resolves_degree_89_at_80_bits(self):
         # the dense c_89 rounded to 80 bits could not resolve these
@@ -412,18 +431,31 @@ class TestJacobiSeeds:
         assert solve_zeros(WHILL_STRONG, 50).degree == 50
 
 
+    def test_double_rung_builds_no_big_floats(self, monkeypatch):
+        # the 53-bit matrix comes from the exact rows; the mpc matrix is
+        # built only when a higher rung runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("big floats on the double seed path")
+
+        monkeypatch.setattr(Continuant, "jacobi_matrix", forbidden)
+        monkeypatch.setattr(mp, "sqrt", forbidden)
+        for spec in THREE_FAMILIES:
+            assert solve_zeros(spec, 12).seed_bits == 53
+        assert solve_zeros(WHILL_STRONG, 50).seed_bits == 53
+
+
 class TestFixedPointNewton:
     """`rootfind._fixed_newton` steps at rising widths and evaluates at
     the full width about once per polished seed: one per real zero and
     per conjugate pair of a real polynomial."""
 
-    @pytest.mark.parametrize("spec,m,rung,polished", [
-        (THREE_FAMILIES[1], 40, 53, 40),
-        (WHILL_STRONG, 100, 106, 26 + 37),
+    @pytest.mark.parametrize("spec,m,rung,polished,aborted", [
+        (THREE_FAMILIES[1], 40, 53, 40, 0),
+        (WHILL_STRONG, 100, 106, 26 + 37, 3),
     ], ids=["mathieu-2", "whill-m100"])
     def test_about_one_full_width_evaluation_per_zero(self, monkeypatch,
                                                       spec, m, rung,
-                                                      polished):
+                                                      polished, aborted):
         widths, starts = [], []
         kernel, polish = rootfind._continuant_kernel, rootfind._fixed_newton
 
@@ -433,18 +465,24 @@ class TestFixedPointNewton:
             return kernel(rows, F, z, stops, derivative, real)
 
         def polishing(*args):
-            starts.append(len(widths))
+            # (judged, start): only the double seeds below a higher rung
+            # are judged by their first step, and carry their index
+            starts.append((args[5] is not None, len(widths)))
             return polish(*args)
 
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
         monkeypatch.setattr(rootfind, "_fixed_newton", polishing)
         assert solve_zeros(spec, m).seed_bits == rung
         full = 256 + 24 + rootfind._KERNEL_GUARD
+        # the seeds of the rung that stands, and of the double rung that
+        # gave way to it, counted apart
+        stood = [k for judged, k in starts if judged == (rung == 53)]
+        gave_way = [k for judged, k in starts if judged != (rung == 53)]
         assert max(widths) == full
-        assert widths.count(full) <= 1.3 * len(starts)
+        assert widths.count(full) <= 1.3 * len(stood)
         # each polished seed starts below the full width
-        assert len(starts) == polished
-        assert all(widths[k] < full for k in starts)
+        assert (len(stood), len(gave_way)) == (polished, aborted)
+        assert all(widths[k] < full for _, k in starts)
 
     @pytest.mark.parametrize("spec,m,worst", [
         (WHILL_STRONG, 100, 7.3e-79),
