@@ -30,6 +30,7 @@ import mpmath as mp
 
 from .families import InvalidSpecError
 from .scalars import (
+    QQi,
     _fixed_div,
     _from_fixed,
     _to_fixed,
@@ -125,7 +126,8 @@ class Continuant:
     and is never read).
     Its zeros are the eigenvalues of the complex-symmetric tridiagonal
     matrix with diagonal -A_k and off-diagonal sqrt(N_k), k >= 1
-    (`jacobi_matrix`, `double_matrix`; docs/math_notes.md, section 8)."""
+    (`double_matrix`, `tridiagonal_eigenvalues`; docs/math_notes.md,
+    section 8)."""
 
     A: tuple
     N: tuple
@@ -143,11 +145,6 @@ class Continuant:
     def is_real(self) -> bool:
         """Whether every row is real, and so p_m has real coefficients."""
         return all(x.is_real for x in self.A + self.N[1:])
-
-    def jacobi_matrix(self) -> tuple:
-        """(diagonal, off-diagonal) as mpc at the working precision."""
-        return ([-to_mpc(a) for a in self.A],
-                [mp.sqrt(to_mpc(x)) for x in self.N[1:]])
 
     def double_matrix(self) -> tuple:
         """(diagonal, off-diagonal) as correctly rounded complex doubles."""
@@ -288,41 +285,53 @@ _POLISH_STEPS = 40    # Newton steps allowed per root
 _SEED_BITS = 53       # bits a seed is taken to be right to: a double
 _JUDGE_BITS = 20      # a double seed's first step is below 2^-20 relative
 _WIDTH_STEP = 64      # the narrow Newton steps' widths are multiples of it
+_QL_GUARD = 32        # fraction bits of the rational QL's c and s beyond F
 
 
-def tridiagonal_eigenvalues(diag, offdiag, precision_bits: int = 53):
-    """Eigenvalues of a complex-symmetric tridiagonal matrix, or None.
+def tridiagonal_eigenvalues(rows: Continuant, precision_bits: int = 53):
+    """Eigenvalues of the Jacobi matrix of the Continuant rows, or None.
 
-    diag holds the n diagonal entries, offdiag the n-1 entries coupling
-    rows j and j+1.  Implicit QL with Wilkinson shifts (the tqli
-    scheme), in complex doubles at precision_bits <= 53 (`_implicit_ql`)
-    and otherwise in fixed point with F = precision_bits fraction bits
-    (`_fixed_point_ql`): each entry is a Gaussian integer x + iy
-    standing for (x + iy) / 2^F, each operation is exact integer
-    arithmetic followed by at most one floor rounding, and so the
-    eigenvalues are the same bits on every machine and every run.  The
+    The matrix is complex-symmetric and tridiagonal, with diagonal -A_k
+    and squared off-diagonal N_k, k >= 1.  At precision_bits <= 53,
+    implicit QL with Wilkinson shifts (the tqli scheme) runs on
+    `Continuant.double_matrix` in complex doubles (`_implicit_ql`); its
     plane rotations have c^2 + s^2 = 1 and act by transposes, not
     conjugate transposes, so every step keeps the matrix
-    complex-symmetric.  Such a rotation breaks down when its pivot pair
-    (f, g) has f^2 + g^2 = 0, and nothing bounds how fast a non-normal
-    matrix converges; either way, or when a double entry overflows, the
-    result is None (`tracking.solve_zeros` then tries its next rung of
-    precision).  At most _QL_MAX_STEPS QL steps per 53 bits of
-    precision are spent on each eigenvalue.  The eigenvalues come back
-    in no particular order, as mpc at precision_bits when that exceeds
-    53; they are accurate to about the unit roundoff times the matrix
-    norm only when the matrix is close to normal, and far less when it
-    is not, which is why `find_all_roots` judges double seeds by their
-    first Newton step when a higher rung could follow.
+    complex-symmetric.  Above 53 bits, a rational QL (`_rational_ql`)
+    takes the same steps on the squared off-diagonal, with no square
+    root but the shift's, in fixed point on the exact rows: -A_k with
+    F = precision_bits fraction bits and N_k with 2F
+    (`Continuant.fixed_rows`), each a Gaussian integer, each operation
+    exact integer arithmetic followed by at most one floor rounding, so
+    the eigenvalues are the same bits on every machine and every run.
+    Either breaks down when a rotation's pivot pair (f, g) has
+    f^2 + g^2 = 0, and nothing bounds how fast a non-normal matrix
+    converges; on a breakdown, after _QL_MAX_STEPS QL steps per 53 bits
+    of precision on one eigenvalue, or when a double entry overflows,
+    the result is None (`tracking.solve_zeros` then tries its next rung
+    of precision).  The eigenvalues come back in no particular order:
+    complex doubles at 53 bits, and above it exact QQi over 2^F.  They
+    are accurate to about the unit roundoff times the matrix norm only
+    when the matrix is close to normal, and far less when it is not,
+    which is why `find_all_roots` judges double seeds by their first
+    Newton step when a higher rung could follow.
     """
-    if len(offdiag) + 1 != len(diag):
-        raise ValueError("offdiag needs one entry fewer than diag")
     if precision_bits > 53:
-        return _fixed_point_eigenvalues(diag, offdiag, precision_bits)
-    d = [complex(x) for x in diag]
-    e = [complex(x) for x in offdiag] + [0j]
+        F = precision_bits
+        fixed = rows.fixed_rows(2 * F)
+        dr = [-(a >> F) for a, _, _, _ in fixed]
+        di = [-(b >> F) for _, b, _, _ in fixed]
+        er = [x for _, _, x, _ in fixed[1:]] + [0]
+        ei = [y for _, _, _, y in fixed[1:]] + [0]
+        try:
+            if not _rational_ql(dr, di, er, ei, F):
+                return None
+        except ZeroDivisionError:       # a breakdown: r = 0
+            return None
+        return [QQi(x, y) / (1 << F) for x, y in zip(dr, di)]
+    d, e = rows.double_matrix()
     try:
-        converged = _implicit_ql(d, e)
+        converged = _implicit_ql(d, e + [0j])
     except (OverflowError, ZeroDivisionError):
         # abs() of a complex with finite parts raises once the modulus
         # exceeds the double range
@@ -375,25 +384,6 @@ def _implicit_ql(d, e) -> bool:
     return True
 
 
-def _fixed_point_eigenvalues(diag, offdiag, bits: int):
-    """`tridiagonal_eigenvalues` at bits > 53: the entries, rounded to
-    bits and truncated to F = bits fraction bits, go through
-    `_fixed_point_ql`, and the eigenvalues come back as mpc at bits."""
-    with working_precision(bits):
-        d = [to_mpc(x) for x in diag]
-        e = [to_mpc(x) for x in offdiag] + [mp.mpc(0)]
-
-    def fixed(xs):
-        re, im = zip(*(_to_fixed(x, bits) for x in xs))
-        return list(re), list(im)
-
-    dr, di = fixed(d)
-    if not _fixed_point_ql(dr, di, *fixed(e), bits):
-        return None
-    with working_precision(bits):
-        return [_from_fixed(x, y, bits) for x, y in zip(dr, di)]
-
-
 def _fixed_sqrt(x, y):
     """Principal square root of the Gaussian integer x + iy read with
     2F fraction bits, as a pair (re, im) with F fraction bits.  Taking
@@ -433,90 +423,86 @@ def _double_sqrt(z) -> complex:
     return complex(parts[0], -parts[1] if Y < 0 else parts[1])
 
 
-def _fixed_point_ql(dr, di, er, ei, F: int) -> bool:
-    """The steps of `_implicit_ql` on Gaussian integers with F fraction
-    bits: d = dr + i di and e = er + i ei (padded with a trailing zero)
-    change in place.  A product of two values is shifted back by F bits
-    (rounding to the floor), a quotient is shifted up by F bits before
-    the integer division, and the pivots sqrt(g^2 + 1) and
-    sqrt(f^2 + g^2) come from `_fixed_sqrt` of the unshifted products.
-    Moduli are |x| + |y|.  Besides the relative test
-    |e_m| <= 2^(1-F) (|d_m| + |d_m+1|), e_m deflates below the floor
-    2^(6-F) max_j ||row_j||_1: rounding leaves an absolute error of a
-    few units of 2^-F times the matrix scale in every entry, so near a
+def _rational_ql(dr, di, er, ei, F: int) -> bool:
+    """Root-free QL (Pal, Walker and Kahan's form of Reinsch's rational
+    QL, as LAPACK's dsterf runs it; docs/math_notes.md, section 8) on
+    Gaussian integers, in place: the diagonal d = dr + i di, with F
+    fraction bits, ends as the eigenvalues; e^2 = er + i ei, the squared
+    off-diagonal with 2F fraction bits, is padded with a trailing zero.
+    A step on the block l..m shifts by the eigenvalue of its leading 2x2
+    block nearest d_l, t = d_l - 2 e_l^2 / (u + v), u = d_l+1 - d_l,
+    v = +-sqrt(u^2 + 4 e_l^2) (`_fixed_sqrt`, its one root) with
+    Re(u conj v) >= 0.  Then, from c = 1, s = 0, g = d_m - t and
+    p = g^2, for i = m-1 down to l: r = p + e_i^2, e_i+1^2 = s r,
+    c = p / r, s = 1 - c, g' = g, g = c (d_i - t) - s g',
+    d_i+1 = g' + d_i - g, and p = g^2 / c, or c_old e_i^2 when c = 0;
+    last, e_l^2 = s p and d_l = g + t.  c and s carry K = F + _QL_GUARD
+    fraction bits, so that g keeps F bits for |d_i - t| up to
+    2^_QL_GUARD; p and r carry 2F.  A product is shifted back and a
+    quotient's numerator shifted up to the scale it keeps, each rounding
+    to the floor.  Moduli are |x| + |y|.  e_m^2 deflates when
+    |e_m^2| <= 2^-2F (|d_m| + |d_m+1|)^2, or below the squared floor
+    (2^(6-F) max_j ||row_j||_1)^2: rounding leaves an absolute error of
+    a few units of 2^-F times the matrix scale in every entry, so near a
     small eigenvalue of a non-normal matrix the relative test alone may
-    never pass.  And e_l deflates after a step that leaves it below
-    2^(-F/2) max_j ||row_j||_1 and did not shrink it, or whose last
-    rotation had f = s e_l floor to 0 (s = 0, so it could not): else at
-    rounding level e_l drifts up about a bit a step until the step limit
-    (Lame s = 1/2 at m = 40 and 106 bits, Mathieu q = 2 at m = 10 and
-    424).  False on a breakdown or when an eigenvalue needs more than
-    _QL_MAX_STEPS * F // 53 steps."""
+    never pass.  False when an eigenvalue needs more than
+    _QL_MAX_STEPS * F // 53 steps; r = 0, a breakdown, raises
+    ZeroDivisionError."""
     n = len(dr)
     max_steps = _QL_MAX_STEPS * F // 53
-    scale = max(abs(dr[j]) + abs(di[j]) + abs(er[j]) + abs(ei[j])
-                + abs(er[j - 1]) + abs(ei[j - 1]) for j in range(n))
-    floor = scale >> (F - 6)       # er[-1] is the zero padding
-    stalled = scale >> (F // 2)
-    one = 1 << F
+    scale = max(abs(dr[j]) + abs(di[j]) + isqrt(abs(er[j]) + abs(ei[j]))
+                + isqrt(abs(er[j - 1]) + abs(ei[j - 1])) for j in range(n))
+    floor = (scale >> (F - 6)) ** 2    # er[-1] is the zero padding
+    K = F + _QL_GUARD
+    one = 1 << K
     for l in range(n):
         for it in range(max_steps + 1):
             m = l
             while m < n - 1:
                 size = abs(er[m]) + abs(ei[m])
-                if size <= floor or size << (F - 1) <= \
-                        abs(dr[m]) + abs(di[m]) + abs(dr[m + 1]) + \
-                        abs(di[m + 1]):
+                if size <= floor or size << 2 * F <= (
+                        abs(dr[m]) + abs(di[m]) + abs(dr[m + 1])
+                        + abs(di[m + 1])) ** 2:
                     break
                 m += 1
             if m == l:
                 break
             if it == max_steps:
                 return False
-            before = abs(er[l]) + abs(ei[l])
-            # Wilkinson shift from the leading 2x2 block
-            gr, gi = _fixed_div(dr[l + 1] - dr[l], di[l + 1] - di[l],
-                                2 * er[l], 2 * ei[l], F)
-            rr, ri = _fixed_sqrt(gr * gr - gi * gi + one * one,
-                                 2 * gr * gi)
-            ur, ui = gr + rr, gi + ri
-            vr, vi = gr - rr, gi - ri
-            if ur * ur + ui * ui < vr * vr + vi * vi:
-                ur, ui = vr, vi
-            ur, ui = _fixed_div(er[l], ei[l], ur, ui, F)
-            gr, gi = dr[m] - dr[l] + ur, di[m] - di[l] + ui
-            sr, si, cr, ci = one, 0, one, 0
-            pr = pi = 0
+            ur, ui = dr[l + 1] - dr[l], di[l + 1] - di[l]
+            xr, xi = er[l], ei[l]
+            vr, vi = _fixed_sqrt(ur * ur - ui * ui + 4 * xr,
+                                 2 * ur * ui + 4 * xi)
+            if ur * vr + ui * vi < 0:
+                vr, vi = -vr, -vi
+            ur, ui = _fixed_div(2 * xr, 2 * xi, ur + vr, ui + vi, 0)
+            tr, ti = dr[l] - ur, di[l] - ui          # the shift
+            cr, ci, sr, si = one, 0, 0, 0
+            gr, gi = dr[m] - tr, di[m] - ti
+            pr, pi = gr * gr - gi * gi, 2 * gr * gi
             for i in range(m - 1, l - 1, -1):
                 xr, xi = er[i], ei[i]
-                fr, fi = (sr * xr - si * xi) >> F, (sr * xi + si * xr) >> F
-                br, bi = (cr * xr - ci * xi) >> F, (cr * xi + ci * xr) >> F
-                rr, ri = _fixed_sqrt(fr * fr - fi * fi + gr * gr - gi * gi,
-                                     2 * (fr * fi + gr * gi))
-                er[i + 1], ei[i + 1] = rr, ri
-                if not (rr or ri):
-                    return False
-                # s = f/r and c = g/r, each as `_fixed_div` floors it
-                n2 = rr * rr + ri * ri
-                sr = ((fr * rr + fi * ri) << F) // n2
-                si = ((fi * rr - fr * ri) << F) // n2
-                cr = ((gr * rr + gi * ri) << F) // n2
-                ci = ((gi * rr - gr * ri) << F) // n2
-                gr, gi = dr[i + 1] - pr, di[i + 1] - pi
-                ur, ui = dr[i] - gr, di[i] - gi
-                rr = (ur * sr - ui * si + 2 * (cr * br - ci * bi)) >> F
-                ri = (ur * si + ui * sr + 2 * (cr * bi + ci * br)) >> F
-                pr, pi = (sr * rr - si * ri) >> F, (sr * ri + si * rr) >> F
-                dr[i + 1], di[i + 1] = gr + pr, gi + pi
-                gr = ((cr * rr - ci * ri) >> F) - br
-                gi = ((cr * ri + ci * rr) >> F) - bi
-            dr[l] -= pr
-            di[l] -= pi
-            er[l], ei[l] = gr, gi
-            if abs(gr) + abs(gi) <= stalled and (
-                    not (fr or fi) or abs(gr) + abs(gi) >= before):
-                er[l] = ei[l] = 0
-            er[m] = ei[m] = 0
+                rr, ri = pr + xr, pi + xi
+                er[i + 1] = (sr * rr - si * ri) >> K
+                ei[i + 1] = (sr * ri + si * rr) >> K
+                br, bi = cr, ci
+                cr, ci = _fixed_div(pr, pi, rr, ri, K)
+                sr, si = one - cr, -ci
+                ur, ui = dr[i] - tr, di[i] - ti
+                hr, hi = gr, gi
+                gr = (cr * ur - ci * ui - sr * hr + si * hi) >> K
+                gi = (cr * ui + ci * ur - sr * hi - si * hr) >> K
+                dr[i + 1] = hr + dr[i] - gr
+                di[i + 1] = hi + di[i] - gi
+                if cr or ci:
+                    pr, pi = _fixed_div(gr * gr - gi * gi, 2 * gr * gi,
+                                        cr, ci, K)
+                else:
+                    pr = (br * xr - bi * xi) >> K
+                    pi = (br * xi + bi * xr) >> K
+            er[l] = (sr * pr - si * pi) >> K
+            ei[l] = (sr * pi + si * pr) >> K
+            dr[l], di[l] = gr + tr, gi + ti
     return True
 
 
@@ -556,10 +542,10 @@ def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
     F, t = _newton_bits(precision_bits), precision_bits // 2
     tables = {F: poly.fixed_rows(F)}
     with working_precision(F - _KERNEL_GUARD):
-        # a complex double is read exactly; other seeds are rounded to
-        # the working precision first
-        points = [_to_fixed(s if isinstance(s, complex) else to_mpc(s), F)
-                  for s in seeds]
+        # a complex double or a QQi is read exactly; other seeds are
+        # rounded to the working precision first
+        points = [_to_fixed(s if isinstance(s, (complex, QQi))
+                            else to_mpc(s), F) for s in seeds]
     real = poly.is_real()
     mirror = _conjugate_pairs(points) if real else {}
     if real:

@@ -62,15 +62,17 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
 
     The seeds are the eigenvalues of the Jacobi matrix of the recurrence,
     taken from a ladder of QL precisions that double from 53 bits and stop
-    at precision_bits: 53, 106, 212, ..., precision_bits (the QL reads
-    `Continuant.double_matrix` at 53, `jacobi_matrix` above).  A rung that
-    gives seeds hands them to `find_all_roots`, which polishes each by
-    Newton's method on the recurrence itself (the `continuant` rows,
-    evaluated in fixed point; the dense coefficients of c_m are never built)
-    and keeps the results when disks around them, each holding a zero, are
-    disjoint and every residual meets the tolerance 2^-(precision_bits/2)
+    at precision_bits: 53, 106, 212, ..., precision_bits
+    (`tridiagonal_eigenvalues`: the double QL on `Continuant.double_matrix`
+    at 53, and above it the rational QL on the exact rows in fixed point,
+    so no rung builds a big float).  A rung that gives seeds hands them
+    to `find_all_roots`, which polishes each by Newton's method on the
+    recurrence itself (the `continuant` rows, evaluated in fixed point;
+    the dense coefficients of c_m are never built) and keeps the results
+    when disks around them, each holding a zero, are disjoint and every
+    residual meets the tolerance 2^-(precision_bits/2)
     (`rootfind.default_tol`); the ZeroSet records that rung as `seed_bits`.
-    The Jacobi matrices and the Newton kernel read one row table.  A rung
+    Every rung and the Newton kernel read one set of exact rows.  A rung
     without seeds, whose polished disks overlap, or whose double seeds fail
     their first Newton step, gives way to the next one.  NonConvergenceError
     names the degree and every rung tried, and how each failed, when the top
@@ -90,12 +92,7 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
         rungs.append(min(2 * rungs[-1], precision_bits))
     tried = []
     for bits in rungs:
-        if bits == 53:
-            matrix = rows.double_matrix()
-        elif bits == rungs[1]:           # the first rung above 53 bits
-            with working_precision(precision_bits):
-                matrix = rows.jacobi_matrix()
-        seeds = tridiagonal_eigenvalues(*matrix, bits)
+        seeds = tridiagonal_eigenvalues(rows, bits)
         if seeds is None:
             tried.append(f"{bits} bits: the QL failed")
             continue

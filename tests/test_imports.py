@@ -358,7 +358,7 @@ def test_one_double_ql_per_solve(monkeypatch):
     runs, ql = [], tracking.tridiagonal_eigenvalues
 
     def counting(*args):
-        runs.append(args[2:])
+        runs.append(args[1:])
         return ql(*args)
 
     monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", counting)

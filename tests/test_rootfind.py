@@ -44,8 +44,15 @@ F = Fraction
 
 def jacobi_eigenvalues(spec, m):
     """The double QL eigenvalues of the Jacobi matrix of c_m."""
-    with working_precision(256):
-        return tridiagonal_eigenvalues(*continuant(spec, m).jacobi_matrix())
+    return tridiagonal_eigenvalues(continuant(spec, m))
+
+
+def jacobi_rows(diag, off):
+    """The Continuant whose Jacobi matrix has the given diagonal and
+    off-diagonal, A = -diag and N = (0,) + off^2, from the exact values
+    of the entries."""
+    return Continuant(A=tuple(-exact_value(a) for a in diag),
+                      N=(QQi(0),) + tuple(exact_value(b) ** 2 for b in off))
 
 
 def poly_from_roots(roots):
@@ -162,7 +169,7 @@ class TestInputForm:
 class TestTridiagonalEigenvalues:
     def test_complex_symmetric_two_by_two(self):
         # [[1, 2i], [2i, 3]] has eigenvalues 2 +- i sqrt(3)
-        eig = tridiagonal_eigenvalues([1, 3], [2j])
+        eig = tridiagonal_eigenvalues(jacobi_rows([1, 3], [2j]))
         want = [complex(2, 3 ** 0.5), complex(2, -(3 ** 0.5))]
         for w in want:
             assert min(abs(e - w) for e in eig) < 1e-14
@@ -172,9 +179,8 @@ class TestTridiagonalEigenvalues:
         off = [1j, 2 - 1j, 0.25]
         # det(B - J) as the Continuant with A = -diag, N = (0,) + off^2,
         # its rows the exact values of the doubles
-        p = Continuant(A=tuple(-exact_value(a) for a in diag),
-                       N=(QQi(0),) + tuple(exact_value(b) ** 2 for b in off))
-        eig = tridiagonal_eigenvalues(diag, off)
+        p = jacobi_rows(diag, off)
+        eig = tridiagonal_eigenvalues(p)
         roots = find_all_roots(p, eig, precision_bits=128).zeros
         assert len(eig) == 4
         for z in roots:
@@ -183,32 +189,38 @@ class TestTridiagonalEigenvalues:
     def test_rotation_breakdown_reports_failure(self):
         # [[1, i], [i, -1]] is a nonzero nilpotent matrix; its first
         # rotation pivot (f, g) = (i, -1) has f^2 + g^2 = 0
-        assert tridiagonal_eigenvalues([1, -1], [1j]) is None
+        assert tridiagonal_eigenvalues(jacobi_rows([1, -1], [1j])) is None
 
     def test_iteration_bound_reports_failure(self, monkeypatch):
         import heunzeros.rootfind as rootfind
 
         monkeypatch.setattr(rootfind, "_QL_MAX_STEPS", 0)
         for bits in (53, 106):
-            assert tridiagonal_eigenvalues([1, 3], [2j], bits) is None
-            assert tridiagonal_eigenvalues([1, 3], [0j], bits) == [1, 3]
+            assert tridiagonal_eigenvalues(jacobi_rows([1, 3], [2j]),
+                                           bits) is None
+            assert tridiagonal_eigenvalues(jacobi_rows([1, 3], [0j]),
+                                           bits) == [1, 3]
 
     def test_overflow_reports_failure(self):
         # finite parts, but the modulus is beyond the double range
         huge = complex(1.5e308, 1.5e308)
-        assert tridiagonal_eigenvalues([1, 2], [huge]) is None
-        assert tridiagonal_eigenvalues([huge, -huge], [1]) is None
+        assert tridiagonal_eigenvalues(jacobi_rows([1, 2], [huge])) is None
+        assert tridiagonal_eigenvalues(jacobi_rows([huge, -huge],
+                                                   [1])) is None
 
     def test_offdiag_length_checked(self):
+        # the rows refuse a second off-diagonal entry for two diagonal ones
         with pytest.raises(ValueError):
-            tridiagonal_eigenvalues([1, 2], [1, 1])
+            tridiagonal_eigenvalues(jacobi_rows([1, 2], [1, 1]))
 
     def test_extended_precision_two_by_two(self):
-        eig = tridiagonal_eigenvalues([1, 3], [2j], precision_bits=106)
+        eig = tridiagonal_eigenvalues(jacobi_rows([1, 3], [2j]),
+                                      precision_bits=106)
         with working_precision(106):
             for w in (mp.mpc(2, mp.sqrt(3)), mp.mpc(2, -mp.sqrt(3))):
-                assert min(abs(e - w) for e in eig) < mp.mpf(2) ** -100
-        assert tridiagonal_eigenvalues([1, -1], [1j],
+                assert min(abs(to_mpc(e) - w) for e in eig) < \
+                    mp.mpf(2) ** -100
+        assert tridiagonal_eigenvalues(jacobi_rows([1, -1], [1j]),
                                        precision_bits=106) is None
 
     def test_step_limit_grows_with_precision(self, monkeypatch):
@@ -218,10 +230,9 @@ class TestTridiagonalEigenvalues:
         import heunzeros.rootfind as rootfind
 
         monkeypatch.setattr(rootfind, "_QL_MAX_STEPS", 2)
-        diag, off = [1, 2, 4], [1, 1]
-        assert tridiagonal_eigenvalues(diag, off) is None
-        assert len(tridiagonal_eigenvalues(diag, off,
-                                           precision_bits=106)) == 3
+        rows = jacobi_rows([1, 2, 4], [1, 1])
+        assert tridiagonal_eigenvalues(rows) is None
+        assert len(tridiagonal_eigenvalues(rows, precision_bits=106)) == 3
 
 
 def parts_hex(z) -> tuple:
@@ -271,20 +282,21 @@ class TestDoubleMatrix:
         rows = continuant(spec, 6)
         diag, off = rows.double_matrix()
         with working_precision(256):
-            big = rows.jacobi_matrix()
+            big = [-to_mpc(a) for a in rows.A] + \
+                [mp.sqrt(to_mpc(x)) for x in rows.N[1:]]
         assert [parts_hex(x) for x in diag + off] == \
-            [parts_hex(complex(x)) for x in big[0] + big[1]]
+            [parts_hex(complex(x)) for x in big]
         assert mp.isinf(diag[-1].real)
-        assert tridiagonal_eigenvalues(diag, off) is None
+        assert tridiagonal_eigenvalues(rows) is None
         assert solve_zeros(spec, 6).seed_bits == 106
 
 
 def fixed_ql_eigenvalues(spec, m, bits):
-    """The fixed-point QL eigenvalues of the Jacobi matrix of c_m, its
-    entries rounded to bits."""
-    with working_precision(bits):
-        return tridiagonal_eigenvalues(*continuant(spec, m).jacobi_matrix(),
-                                       precision_bits=bits)
+    """The fixed-point QL eigenvalues of the Jacobi matrix of c_m, read
+    from its exact rows, as mpc that hold them exactly."""
+    eig = tridiagonal_eigenvalues(continuant(spec, m), precision_bits=bits)
+    with working_precision(2 * bits):
+        return None if eig is None else [to_mpc(e) for e in eig]
 
 
 QL_SPECS = {"lame": from_lame(LameParams(n=2, s="1/2"))[0],
@@ -292,9 +304,9 @@ QL_SPECS = {"lame": from_lame(LameParams(n=2, s="1/2"))[0],
 
 
 class TestFixedPointQL:
-    """Each QL rung is as good as its width: an off-diagonal entry that
-    stops shrinking at rounding level deflates, rather than drifting up
-    until the step limit."""
+    """Each QL rung above 53 bits, the rational QL on the exact rows, is
+    as good as its width, and none drifts at rounding level until the
+    step limit."""
 
     @pytest.mark.parametrize("m", [10, 30, 40, 80])
     @pytest.mark.parametrize("family", sorted(QL_SPECS))
@@ -310,22 +322,57 @@ class TestFixedPointQL:
             assert worst < mp.mpf(2) ** (16 - bits), (family, m, bits)
 
     def test_an_entry_that_stops_shrinking_deflates(self):
-        # e_5 falls to 2^-411 in three steps, just above both other
-        # deflation tests, and no rotation's f floors to 0: without the
-        # rule it grew a bit a step until the step limit, and the QL
-        # returned None
+        # in the rotation QL on sqrt(N_k), e_5 fell to 2^-411 in three
+        # steps here and then grew a bit a step until the step limit,
+        # unless a stall rule deflated it; on e^2 = N_k no rule is needed
         eig = fixed_ql_eigenvalues(QL_SPECS["mathieu"], 10, 424)
         assert len(eig) == 10
 
-    @pytest.mark.parametrize("m,digest", [(89, "c6535b541e17e794"),
-                                          (100, "a273d0b6eb8e7984")])
+    def test_degree_one_is_its_diagonal(self):
+        # no coupling: the eigenvalue is -A_0, A_0 floored to F bits
+        a = QQi(F(1, 3), F(-2, 7))
+        x, y = _to_fixed(a, 106)
+        assert tridiagonal_eigenvalues(Continuant(A=(a,), N=(QQi(0),)),
+                                       106) == [QQi(F(-x, 2 ** 106),
+                                                    F(-y, 2 ** 106))]
+
+    def test_degree_two_gives_the_roots_of_its_quadratic(self):
+        # p_2 = (z + A_0)(z + A_1) - N_1
+        A = (QQi(F(1, 3)), QQi(-2, F(1, 5)))
+        N = (QQi(0), QQi(F(-7, 4), F(1, 2)))
+        rows = Continuant(A=A, N=N)
+        eig = tridiagonal_eigenvalues(rows, 106)
+        with working_precision(300):
+            b, c = to_mpc(A[0] + A[1]), to_mpc(A[0] * A[1] - N[1])
+            root = mp.sqrt(b * b - 4 * c)
+            want = [(-b + root) / 2, (-b - root) / 2]
+            for w in want:
+                assert min(abs(to_mpc(e) - w) for e in eig) < \
+                    mp.mpf(2) ** -100
+        assert len(find_all_roots(rows, eig).zeros) == 2
+
+    def test_a_run_without_a_step_stands(self, monkeypatch):
+        # at s = -2^1030 every e_k^2 is below the squared floor, which the
+        # diagonal sets: each deflates before any QL step (each step takes
+        # one `_fixed_sqrt`), and the eigenvalues are the diagonal
+        spec = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
+                              delta="1/2", s=-2 ** 1030, alpha=5)
+        rows = continuant(spec, 6)
+        monkeypatch.setattr(rootfind, "_fixed_sqrt", None)
+        eig = tridiagonal_eigenvalues(rows, 106)
+        assert eig == [QQi(F(-x, 2 ** 106), F(-y, 2 ** 106))
+                       for x, y in (_to_fixed(a, 106) for a in rows.A)]
+
+    @pytest.mark.parametrize("m,digest", [(89, "48d3b886b503c792"),
+                                          (100, "4d886c7c720d4645")],
+                             ids=["89", "100"])
     def test_whittaker_hill_106_bit_seeds_keep_their_bits(self, m, digest):
+        # the sha256 of the exact eigenvalues, each (a + ib)/d in lowest
+        # terms
         spec = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
                               delta="1/2", alpha=5, s=-20)
-        with working_precision(256):
-            eig = tridiagonal_eigenvalues(*continuant(spec, m).jacobi_matrix(),
-                                          precision_bits=106)
-        text = repr([z._mpc_ for z in eig])
+        eig = tridiagonal_eigenvalues(continuant(spec, m), precision_bits=106)
+        text = repr([(z.a, z.b, z.d) for z in eig])
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 

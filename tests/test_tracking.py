@@ -30,7 +30,6 @@ from heunzeros.perturbation import (
 )
 from heunzeros.recurrence import build_family, eval_sequence
 from heunzeros.rootfind import (
-    Continuant,
     NonConvergenceError,
     ZeroSet,
     find_all_roots,
@@ -65,10 +64,10 @@ def failing_below(bits):
     """tridiagonal_eigenvalues, but None below the given precision."""
     real = tracking.tridiagonal_eigenvalues
 
-    def ql(diag, off, precision_bits=53):
+    def ql(rows, precision_bits=53):
         if precision_bits < bits:
             return None
-        return real(diag, off, precision_bits)
+        return real(rows, precision_bits)
     return ql
 
 
@@ -138,7 +137,7 @@ class TestSolveZeros:
 class TestJacobiSeeds:
     def test_s0_eigenvalues_are_the_grid(self):
         spec = THREE_FAMILIES[0].with_s(0)
-        eig = tridiagonal_eigenvalues(*continuant(spec, 12).jacobi_matrix())
+        eig = tridiagonal_eigenvalues(continuant(spec, 12))
         grid = [-complex(recurrence_coeffs(spec, k)[0]) for k in range(12)]
         assert sorted(eig, key=abs) == sorted(grid, key=abs)
 
@@ -146,8 +145,7 @@ class TestJacobiSeeds:
                              ids=lambda spec: spec.kind.value)
     def test_eigenvalues_are_close_to_the_zeros(self, spec):
         zs = solve_zeros(spec, 12)
-        diag, off = continuant(spec, 12).jacobi_matrix()
-        eig = sorted(tridiagonal_eigenvalues(diag, off),
+        eig = sorted(tridiagonal_eigenvalues(continuant(spec, 12)),
                      key=lambda z: (z.real, z.imag))
         for z, e in zip(sorted_zeros(zs), eig):
             assert abs(complex(z) - e) < 1e-10 * (1 + abs(e))
@@ -168,10 +166,9 @@ class TestJacobiSeeds:
 
     def test_extended_ql_agrees_with_doubles(self):
         spec = THREE_FAMILIES[1]
-        with working_precision(256):
-            diag, off = continuant(spec, 12).jacobi_matrix()
-        low = tridiagonal_eigenvalues(diag, off)
-        high = tridiagonal_eigenvalues(diag, off, precision_bits=106)
+        rows = continuant(spec, 12)
+        low = tridiagonal_eigenvalues(rows)
+        high = [complex(h) for h in tridiagonal_eigenvalues(rows, 106)]
         assert len(high) == 12
         for h in high:
             assert min(abs(h - e) for e in low) < 1e-13 * (1 + abs(h))
@@ -188,44 +185,43 @@ class TestJacobiSeeds:
                            match=rf"^double seed {seed}: its first "
                                  rf"Newton step is {step} \(1 \+ \|z - w\|\)"
                                  rf", above 2\^-20$") as exc:
-            find_all_roots(rows, tridiagonal_eigenvalues(
-                *rows.double_matrix()))
+            find_all_roots(rows, tridiagonal_eigenvalues(rows))
         assert exc.value.overlapping == (seed,)
-        with working_precision(256):
-            diag, off = rows.jacobi_matrix()
-        seeds = tridiagonal_eigenvalues(diag, off, 106)
+        seeds = tridiagonal_eigenvalues(rows, 106)
         zs = find_all_roots(rows, seeds=seeds)
-        for e in seeds:
+        for e in map(to_mpc, seeds):
             assert min(abs(z - e) for z in zs.zeros) < 1e-10 * (1 + abs(e))
 
     def test_deflation_floor_lets_higher_precision_converge(self):
-        # near a small eigenvalue of this non-normal matrix the relative
-        # deflation test alone never passes; the floor tied to the
-        # matrix scale ends the QL, and more bits give better seeds
-        with working_precision(256):
-            diag, off = continuant(WHILL_STRONG, 89).jacobi_matrix()
+        # near a small eigenvalue of this non-normal matrix rounding
+        # leaves the off-diagonal entries at a floor tied to the matrix
+        # scale, where they deflate; more bits give better seeds (the
+        # rotation QL on sqrt(N_k) needed that floor to end at all)
+        rows = continuant(WHILL_STRONG, 89)
         zeros = solve_zeros(WHILL_STRONG, 89).zeros
 
         def error(bits):
-            eig = tridiagonal_eigenvalues(diag, off, precision_bits=bits)
+            eig = tridiagonal_eigenvalues(rows, precision_bits=bits)
             with working_precision(256):
+                eig = [to_mpc(e) for e in eig]
                 return max(min(abs(z - e) for e in eig) / abs(z)
                            for z in zeros)
 
         assert error(160) < min(1e-25, error(106))
 
     def test_stalled_top_entry_deflates(self):
-        # in the Lame s = 1/2 matrix at m = 40 the top off-diagonal entry
-        # of a block stops shrinking once s e_l floors to zero; without
-        # deflating it the 106-bit QL ran into its step limit
+        # in the Lame s = 1/2 matrix at m = 40 the rotation QL's top
+        # off-diagonal entry of a block stopped shrinking once s e_l
+        # floored to zero, and the 106-bit run hit its step limit unless
+        # a stall rule deflated it; the rational QL needs no such rule
         spec = from_lame(LameParams(n=2, s="1/2"))[0]
-        with working_precision(256):
-            diag, off = continuant(spec, 40).jacobi_matrix()
+        rows = continuant(spec, 40)
         zeros = solve_zeros(spec, 40).zeros
 
         def error(bits):
-            eig = tridiagonal_eigenvalues(diag, off, precision_bits=bits)
+            eig = tridiagonal_eigenvalues(rows, precision_bits=bits)
             with working_precision(256):
+                eig = [to_mpc(e) for e in eig]
                 return max(min(abs(z - e) for e in eig) / abs(z)
                            for z in zeros)
 
@@ -234,13 +230,12 @@ class TestJacobiSeeds:
     def test_escalated_eigenvalues_are_bit_identical(self):
         # integer arithmetic: the same bits on every call, whatever the
         # caller's working precision
+        rows = continuant(WHILL_STRONG, 89)
         with working_precision(256):
-            diag, off = continuant(WHILL_STRONG, 89).jacobi_matrix()
-        a = tridiagonal_eigenvalues(diag, off, precision_bits=106)
+            a = tridiagonal_eigenvalues(rows, precision_bits=106)
         with working_precision(512):
-            b = tridiagonal_eigenvalues(diag, off, precision_bits=106)
-        assert [(x.real._mpf_, x.imag._mpf_) for x in a] == \
-            [(x.real._mpf_, x.imag._mpf_) for x in b]
+            b = tridiagonal_eigenvalues(rows, precision_bits=106)
+        assert [(x.a, x.b, x.d) for x in a] == [(x.a, x.b, x.d) for x in b]
 
     def test_seed_rungs(self, monkeypatch):
         # every rung gives seeds that Newton takes to one zero, so the
@@ -248,9 +243,9 @@ class TestJacobiSeeds:
         spec = THREE_FAMILIES[1]
         runs = []
 
-        def one_seed(diag, off, bits=53):
+        def one_seed(rows, bits=53):
             runs.append(bits)
-            return [mp.mpc(0)] * len(diag)
+            return [mp.mpc(0)] * rows.degree
 
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", one_seed)
         for bits, want in [(256, [53, 106, 212, 256]), (80, [53, 80]),
@@ -271,17 +266,17 @@ class TestJacobiSeeds:
         real = tracking.tridiagonal_eigenvalues
         runs = []
 
-        def none_at_106(diag, off, bits=53):
+        def none_at_106(rows, bits=53):
             runs.append(bits)
             if bits == 53:
-                return [mp.mpc(0)] * len(diag)
-            return None if bits == 106 else real(diag, off, bits)
+                return [mp.mpc(0)] * rows.degree
+            return None if bits == 106 else real(rows, bits)
 
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues", none_at_106)
         zs = solve_zeros(spec, 4)
         assert (runs, zs.seed_bits) == ([53, 106, 212], 212)
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
-                            lambda diag, off, bits=53: None)
+                            lambda rows, bits=53: None)
         with pytest.raises(NonConvergenceError,
                            match=r"53 bits: the QL failed; 106 bits: the QL "
                                  r"failed; 212 bits: the QL failed; 256 "
@@ -299,8 +294,8 @@ class TestJacobiSeeds:
         spec = THREE_FAMILIES[1]
         real = tracking.tridiagonal_eigenvalues
 
-        def shifted(diag, off_diag, bits=53):
-            eig = real(diag, off_diag, bits)
+        def shifted(rows, bits=53):
+            eig = real(rows, bits)
             if bits == 53:
                 eig = [e + off * (1 + abs(e)) for e in eig]
             return eig
@@ -309,8 +304,8 @@ class TestJacobiSeeds:
         assert solve_zeros(spec, 6).seed_bits == rung
         assert solve_zeros(spec, 6, precision_bits=53).seed_bits == 53
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
-                            lambda diag, off_diag, bits=53:
-                            shifted(diag, off_diag) if bits == 53 else None)
+                            lambda rows, bits=53:
+                            shifted(rows) if bits == 53 else None)
         if rung == 106:
             with pytest.raises(NonConvergenceError,
                                match=r"53 bits: double seed 0: its "
@@ -328,9 +323,9 @@ class TestJacobiSeeds:
         runs = []
         real = tracking.tridiagonal_eigenvalues
 
-        def recording(diag, off, bits=53):
+        def recording(rows, bits=53):
             runs.append(bits)
-            return real(diag, off, bits)
+            return real(rows, bits)
 
         polish = rootfind._fixed_newton
 
@@ -421,6 +416,15 @@ class TestJacobiSeeds:
         for x, y in zip(zs.zeros, ref.zeros):
             assert abs(x - y) < zs.tol * (1 + abs(y))
 
+    def test_degree_89_stands_at_64_bits(self):
+        # the rational QL's 64-bit seeds resolve c_89 to tol = 2^-32;
+        # each zero is within tol (1 + |z|) of a 256-bit solve's
+        zs = solve_zeros(WHILL_STRONG, 89, precision_bits=64)
+        ref = solve_zeros(WHILL_STRONG, 89)
+        assert (zs.seed_bits, real_zero_count(zs)) == (64, 17)
+        for x, y in zip(zs.zeros, ref.zeros):
+            assert abs(x - y) < zs.tol * (1 + abs(y))
+
     def test_solve_builds_no_dense_coefficients(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("dense coefficients on the solve path")
@@ -430,18 +434,80 @@ class TestJacobiSeeds:
             assert solve_zeros(spec, 12).degree == 12
         assert solve_zeros(WHILL_STRONG, 50).degree == 50
 
-
     def test_double_rung_builds_no_big_floats(self, monkeypatch):
-        # the 53-bit matrix comes from the exact rows; the mpc matrix is
-        # built only when a higher rung runs
+        # the 53-bit matrix comes from the exact rows, and its complex
+        # double seeds are read exactly
         def forbidden(*args, **kwargs):
             raise AssertionError("big floats on the double seed path")
 
-        monkeypatch.setattr(Continuant, "jacobi_matrix", forbidden)
+        monkeypatch.setattr(rootfind, "to_mpc", forbidden)
         monkeypatch.setattr(mp, "sqrt", forbidden)
         for spec in THREE_FAMILIES:
             assert solve_zeros(spec, 12).seed_bits == 53
         assert solve_zeros(WHILL_STRONG, 50).seed_bits == 53
+
+    def test_fixed_rung_builds_no_big_floats(self, monkeypatch):
+        # the 106-bit rung reads the exact rows in fixed point, takes no
+        # square root of N_k, and hands its seeds over as exact QQi
+        def forbidden(*args, **kwargs):
+            raise AssertionError("big floats on the fixed seed path")
+
+        for name in ("to_mpc", "_from_fixed"):
+            monkeypatch.setattr(rootfind, name, forbidden)
+        monkeypatch.setattr(mp, "sqrt", forbidden)
+        assert solve_zeros(WHILL_STRONG, 89).seed_bits == 106
+
+
+def random_specs(count, seed):
+    """count pairs (spec, m) drawn by a seeded generator: an exact
+    Heun, confluent or reduced spec whose parameters are rationals over
+    1, 2, 3, 4, 5, 7 or 10, with |s| <= 3, s nonzero and sometimes
+    complex, and a degree m in 2..25.  At s = 0 a grid with coinciding
+    points has multiple zeros, which no seeds resolve."""
+    rng = random.Random(seed)
+
+    def rational(bound):
+        d = rng.choice((1, 2, 3, 4, 5, 7, 10))
+        return Fraction(rng.randint(-bound * d, bound * d), d)
+
+    specs = []
+    while len(specs) < count:
+        kind = rng.choice(list(FamilyKind))
+        s = rational(3) if rng.random() < 0.6 else \
+            QQi(rational(2), rational(2))
+        try:
+            spec = RecurrenceSpec(
+                kind=kind, gamma=rational(3), delta=rational(3), s=s,
+                alpha=None if kind is FamilyKind.REDUCED else rational(3),
+                beta=rational(3) if kind is FamilyKind.HEUN else None)
+        except InvalidSpecError:        # gamma a nonpositive integer
+            continue
+        if s:
+            specs.append((spec, rng.randint(2, 25)))
+    return specs
+
+
+RANDOM_SPECS = random_specs(20, 2026)
+
+
+class TestRandomSpecs:
+    """A seeded sweep of random specs: the fixed-point rung's seeds stand
+    at 256 bits, and no zero depends on the caller's mpmath precision."""
+
+    @pytest.mark.parametrize("spec,m", RANDOM_SPECS, ids=[
+        f"{i}-{spec.kind.value}-m{m}" for i, (spec, m) in
+        enumerate(RANDOM_SPECS)])
+    def test_fixed_rung_seeds_stand(self, spec, m):
+        rows = continuant(spec, m)
+        seeds = tridiagonal_eigenvalues(rows, 106)
+        assert seeds is not None
+        assert find_all_roots(rows, seeds).degree == m
+        with mp.workprec(53):
+            low = solve_zeros(spec, m)
+        with mp.workprec(300):
+            high = solve_zeros(spec, m)
+        assert (low.points, low.labels, low.seed_bits) == \
+            (high.points, high.labels, high.seed_bits)
 
 
 class TestFixedPointNewton:
