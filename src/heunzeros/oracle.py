@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import mpmath as mp
 
@@ -140,7 +141,7 @@ def _fixed_polys(p, q, r, F: int) -> tuple:
     return tuple([_to_fixed(x, F) for x in xs] for xs in (p, q, r))
 
 
-def _fixed_steps(polys, rho, N: int, F: int) -> tuple:
+def _fixed_steps(polys, rho, N: int, F: int, real: bool = False) -> tuple:
     """(a, b): a_n and a_n (n + rho), n = 0..N, of the `series_solution`
     recurrence, on Gaussian-integer pairs with F fraction bits.
 
@@ -152,6 +153,11 @@ def _fixed_steps(polys, rho, N: int, F: int) -> tuple:
     (`scalars._fixed_div`) and two products for the new weights.  Every
     rounding is an absolute 2^-F in units of a_0 = 1
     (docs/math_notes.md, section 6).
+    The caller sets real when every coefficient's imaginary int is 0;
+    with rho's 0 as well, every imaginary part stays 0, and the real arm
+    runs one product per term and a single floor division,
+    floor(-s / d), which is the complex arm's floor(-s d / d^2): its
+    pairs are the complex arm's, bit for bit.
     """
     P, Q, R = polys
     rr, ri = _to_fixed(rho, F)
@@ -159,6 +165,24 @@ def _fixed_steps(polys, rho, N: int, F: int) -> tuple:
     p1r, p1i = P[1]
     q0r, q0i = Q[0] if Q else (0, 0)
     P2, Q1 = P[2:], Q[1:]
+    if real and not ri:
+        R, Q1, P2 = ([x for x, _ in terms] for terms in (R, Q1, P2))
+        a, b, c = [one], [rr], [(rr * (rr - one)) >> F]
+        for m in range(1, N + 1):
+            s = sum(map(mul, R, reversed(a))) \
+                + sum(map(mul, Q1, reversed(b))) \
+                + sum(map(mul, P2, reversed(c)))
+            ur = (m << F) + rr                   # m + rho
+            vr = ur - one                        # m + rho - 1
+            d = (ur * (((vr * p1r) >> F) + q0r)) >> F
+            if not d:
+                raise _resonance(m)
+            x = -s // d
+            w = (x * ur) >> F
+            a.append(x)
+            b.append(w)
+            c.append((w * vr) >> F)
+        return [(x, 0) for x in a], [(w, 0) for w in b]
     a = [(one, 0)]
     b = [(rr, ri)]
     c = [((rr * (rr - one) - ri * ri) >> F, (ri * (2 * rr - one)) >> F)]
@@ -382,7 +406,8 @@ def _at_half(polys, exponent, N: int, F: int) -> tuple:
     a_n (n + rho) 2^-n are exact integers at F + N fraction bits; the
     slope is
     (1/2)^(rho - 1) sum a_n (n + rho) 2^-n."""
-    a, b = _fixed_steps(polys, exponent, N, F)
+    a, b = _fixed_steps(polys, exponent, N, F, real=not any(
+        y for terms in polys for _, y in terms))
     sums = [_from_fixed(sum(x << (N - n) for n, (x, _) in enumerate(t)),
                         sum(y << (N - n) for n, (_, y) in enumerate(t)),
                         F + N) for t in (a, b)]

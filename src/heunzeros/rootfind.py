@@ -44,11 +44,15 @@ class NonConvergenceError(RuntimeError):
 
     overlapping lists the roots of a `find_all_roots` call whose disks
     met another one's, or the seed that failed the first-step test of
-    `_fixed_newton`: other seeds may help.  Otherwise it is empty."""
+    `_fixed_newton`: other seeds may help.  Otherwise it is empty.
+    stationary lists those of the roots whose Newton step ended where
+    p' = 0, with an infinite disk: at a multiple zero no precision
+    separates them."""
 
-    def __init__(self, message, overlapping=()):
+    def __init__(self, message, overlapping=(), stationary=()):
         super().__init__(message)
         self.overlapping = tuple(overlapping)
+        self.stationary = tuple(stationary)
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ _KERNEL_SPAN = 32     # width, in bits, of the window that holds the
 
 
 def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False,
-                       real: bool = False):
+                       real: bool = False, start=None):
     """The state (p_k, p_{k-1}, p'_k, e) at each k of the ascending stops
     of p_{k+1} = (z + A_k) p_k - N_k p_{k-1}, p_0 = 1, on the iterable
     rows of `Continuant.fixed_rows(F)`; the pair of ints z = (x, y)
@@ -181,13 +185,19 @@ def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False,
     The caller sets real when every row's imaginary ints are 0; with
     z = (x, 0) as well, every imaginary part of the state stays 0, and
     the real arm runs the same products, floors and window on the real
-    parts alone, so its states are the complex arm's, bit for bit."""
-    e = k = 0
+    parts alone, so its states are the complex arm's, bit for bit.
+    Given start = (k, state), a state this kernel returned at k for the
+    same rows, F and z without derivative, the run goes on from it, as
+    the run from 0 would: rows then begins at row k, and no stop is
+    below k.  Without derivative p'_{k-1} is 0, so the state holds all
+    the run carries."""
+    k, ((pr, pi), (qr, qi), (dr, di), e) = start or (
+        0, ((1 << F, 0), (0, 0), (0, 0), 0))
     steps = iter(rows)
     states = []
     if real and not z[1]:
         x = z[0]
-        p, q, d, dq = 1 << F, 0, 0, 0    # p_k, p_{k-1}, p'_k, p'_{k-1}
+        p, q, d, dq = pr, qr, dr, 0      # p_k, p_{k-1}, p'_k, p'_{k-1}
         for stop in stops:
             for A, _, N, _ in islice(steps, stop - k):
                 u = x + A
@@ -209,8 +219,7 @@ def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False,
             states.append(((p, 0), (q, 0), (d, 0), e))
         return states
     zr, zi = z
-    pr, pi, qr, qi = 1 << F, 0, 0, 0     # p_k, p_{k-1}
-    dr = di = er = ei = 0                # p'_k, p'_{k-1}
+    er = ei = 0                          # p'_{k-1}
     for stop in stops:
         for Ar, Ai, Nr, Ni in islice(steps, stop - k):
             ur, ui = zr + Ar, zi + Ai
@@ -563,7 +572,8 @@ def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
     if overlap:
         raise NonConvergenceError(
             f"the disks of {len(overlap)} of {n} polished seeds "
-            f"overlap (indices {_head(overlap)})", overlapping=overlap)
+            f"overlap (indices {_head(overlap)})", overlapping=overlap,
+            stationary=[j for j in overlap if polished[j][1] is None])
     # r < 2^-t (1 + |z|) is a < |z| 2^F, with a = r 2^(F + t) - 2^F
     bad = [j for j, ((x, y), w) in enumerate(polished) if w is None
            or (a := (w << t) - (1 << F)) >= 0 and a * a >= x * x + y * y]
@@ -629,20 +639,28 @@ def _overlapping(polished, F: int, t: int) -> list:
 def _conjugate_pairs(points) -> dict:
     """{j: i} for the seeds (x, y), x + iy with F fraction bits, paired
     as conjugates: Im s_i > 0 > Im s_j, each is the other's nearest
-    conjugate in the other half plane, and each is nearer to it than to
-    its own conjugate, |s_j - conj s_i| < 2 min(Im s_i, -Im s_j)."""
+    conjugate in the other half plane, the lowest index on a tie, and
+    each is nearer to it than to its own conjugate,
+    |s_j - conj s_i| < 2 min(Im s_i, -Im s_j).  Each
+    |s_j - conj s_i|^2, with 2F fraction bits, is computed once, in the
+    row of s_i, which gives the nearest lower seed of s_i and updates
+    the nearest upper seed of each s_j; no table of them is held."""
     upper = [i for i, (_, y) in enumerate(points) if y > 0]
     lower = [j for j, (_, y) in enumerate(points) if y < 0]
     if not (upper and lower):
         return {}
-    def gap(i, j):      # |s_j - conj s_i|^2, with 2F fraction bits
-        return (points[i][0] - points[j][0]) ** 2 \
-            + (points[i][1] + points[j][1]) ** 2
-
-    up = {i: min(lower, key=lambda j: gap(i, j)) for i in upper}
-    down = {j: min(upper, key=lambda i: gap(i, j)) for j in lower}
-    return {j: i for j, i in down.items() if up[i] == j
-            and gap(i, j) < 4 * min(points[i][1], -points[j][1]) ** 2}
+    low = [points[j] for j in lower]
+    up, best, down = [], [None] * len(lower), [0] * len(lower)
+    for a, i in enumerate(upper):
+        x, y = points[i]
+        row = [(x - u) ** 2 + (y + v) ** 2 for u, v in low]
+        up.append(min(range(len(row)), key=row.__getitem__))
+        for b, gap in enumerate(row):
+            if best[b] is None or gap < best[b]:
+                best[b], down[b] = gap, a
+    return {lower[b]: upper[a] for b, a in enumerate(down) if up[a] == b
+            and best[b] < 4 * min(points[upper[a]][1],
+                                  -points[lower[b]][1]) ** 2}
 
 
 def _fixed_newton(tables, F: int, z, t: int, real: bool = False, seed=None):

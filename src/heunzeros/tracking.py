@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, islice, repeat
 from math import isqrt, lcm
+from operator import rshift
 
 import mpmath as mp
 
@@ -38,6 +40,7 @@ from .perturbation import (
 from . import rootfind
 from .rootfind import (
     _KERNEL_GUARD,
+    _head,
     Continuant,
     NonConvergenceError,
     ZeroSet,
@@ -78,7 +81,10 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
     names the degree and every rung tried, and how each failed, when the top
     rung fails too, or at once when a rung's disks are disjoint but
     residuals miss the tolerance: no seeds can lower those, so
-    precision_bits is too low.
+    precision_bits is too low.  When the top rung's disks meet because
+    Newton steps ended where p' = 0, the error names those seeds (its
+    `stationary`) and says that more precision does not separate zeros
+    there, as at a multiple zero.
     Labels come from the `perturbative_seeds` estimates of c_m's zeros
     (second order, first order at the edge indices k = m-2, m-1) when
     the grid is nondegenerate and |s| <= 2 (they degrade as |s| grows);
@@ -92,6 +98,7 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
         rungs.append(min(2 * rungs[-1], precision_bits))
     tried = []
     for bits in rungs:
+        stationary = ()
         seeds = tridiagonal_eigenvalues(rows, bits)
         if seeds is None:
             tried.append(f"{bits} bits: the QL failed")
@@ -101,6 +108,7 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
                          seed_bits=bits)
         except NonConvergenceError as exc:
             tried.append(f"{bits} bits: {exc}")
+            stationary = exc.stationary
             if not exc.overlapping:
                 # disjoint disks: higher-rung seeds polish to the same points
                 break
@@ -109,10 +117,17 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
             zs = zs.with_labels(_labels_by_proximity(
                 zs, perturbative_seeds(spec, m - 1)))
         return zs
+    if stationary:
+        advice = (
+            f"At {bits} bits the Newton steps of {len(stationary)} seeds "
+            f"(indices {_head(list(stationary))}) ended where p' = 0, as "
+            "at a multiple zero; more precision does not separate zeros "
+            "where p' vanishes")
+    else:
+        advice = f"precision_bits = {precision_bits} is too low; raise it"
     raise NonConvergenceError(
         f"no rung of the seed ladder gave the zeros of the degree-{m} "
-        f"polynomial: {'; '.join(tried)}. precision_bits = "
-        f"{precision_bits} is too low; raise it")
+        f"polynomial: {'; '.join(tried)}. {advice}", stationary=stationary)
 
 
 def continuant(spec: RecurrenceSpec, m: int) -> Continuant:
@@ -463,10 +478,10 @@ def _check_d2_spec(spec: RecurrenceSpec, precision_bits: int):
     _d2_checked = (spec, precision_bits)
 
 
-# (key, value) for the most recent key of `_d2_row_table`, of
-# `_d2_normaliser_states` and of the fixed-point results of
-# `d2_sequence`, each replaced at once, so a caller keeps a consistent
-# snapshot.
+# (key, value) for the most recent (spec, F) of `_d2_row_table`, of
+# `_d2_normaliser_states` and of the tails `d2_sequence` keeps, each
+# replaced at once, so a caller keeps a consistent snapshot; the row
+# list only grows, by rows that follow those it holds.
 _d2_rows = (None, ())
 _d2_normaliser = (None, ())
 _d2_tail = (None, ())
@@ -482,14 +497,17 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
     `rootfind._continuant_kernel` with F = precision_bits + _KERNEL_GUARD
     fraction bits (`_d2_row_table`, `_d2_normaliser_states`), in its
     real arm when the rows and B are real.  Each Neville node and
-    a_{K-1}, a_K is one rounded division of the two, the extrapolation
-    runs on those Gaussian integers, and only its result, a_K and
-    a_{K-1} return to mpc at precision_bits (docs/math_notes.md,
-    section 6).  Those three fixed-point results are kept for the last
-    spec, F, K and fixed-point B, so asking again for the same tail, as
-    `d2_zero_search` does at its start point, runs no kernel.  Heun
-    members only converge for |s| < 1; outside that disk a warning is
-    emitted and the numbers are returned as-is."""
+    a_{K-1} is one rounded division of the two, nine at most, the
+    extrapolation runs on those Gaussian integers, and only its result,
+    a_K and a_{K-1} return to mpc at precision_bits (docs/math_notes.md,
+    section 6).  For the last spec and F the two most recent fixed-point
+    B are kept, each with its K, its kernel state at K and its three
+    fixed-point results: asking again for the same tail, as
+    `d2_zero_search` does at its start point, runs no kernel, and a
+    larger K whose nodes all lie at or beyond the kept K, as when the
+    search doubles K, runs the tail on from that state, rows K.. only.
+    Heun members only converge for |s| < 1; outside that disk a warning
+    is emitted and the numbers are returned as-is."""
     global _d2_tail
     _check_d2_spec(spec, precision_bits)
     if K < 2:
@@ -504,23 +522,30 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
         )
     with working_precision(precision_bits):
         b = _to_fixed(to_mpc(B), F)
-    key = (spec, F, K, b)
-    if _d2_tail[0] != key:
+    key = (spec, F)
+    kept = _d2_tail[1] if _d2_tail[0] == key else ()
+    # (b, K, kernel state at K, (a_K, a_{K-1}, estimate))
+    old = next((t for t in kept if t[0] == b), None)
+    if old and old[1] == K:
+        results = old[3]
+    else:
         nodes = _tail_nodes(K)
         stops = nodes[::-1]
+        start = old[1:3] if old and old[1] <= stops[0] else None
         rows, real = _d2_row_table(spec, K, F)
-        p = rootfind._continuant_kernel(rows, F, b, stops, real=real)
+        p = rootfind._continuant_kernel(
+            islice(rows, start[0] if start else 0, K), F, b, stops,
+            real=real, start=start)
         n = _d2_normaliser_states(spec, K, F, stops)
-        # k -> (a_k, a_{k-1}) with F fraction bits
-        a = {k: [_ratio(x, y, F + ps[3] - ns[3])
-                 for x, y in zip(ps, ns[:2])]
-             for k, ps, ns in zip(stops, p, n)}
-        estimate = _neville_at_zero(nodes, [a[k][0] for k in nodes])
-        _d2_tail = (key, (*a[K], estimate))
-    cur, prev, estimate = _d2_tail[1]
+        # a_k at the nodes, ascending, and a_{K-1}, with F fraction bits
+        a = [_ratio(x[0], y[0], F + x[3] - y[3]) for x, y in zip(p, n)]
+        x, y = p[-1], n[-1]
+        results = (a[-1], _ratio(x[1], y[1], F + x[3] - y[3]),
+                   _neville_at_zero(nodes, a[::-1]))
+        _d2_tail = (key, ((b, K, p[-1], results),)
+                    + tuple(t for t in kept if t[0] != b)[:1])
     with working_precision(precision_bits):
-        cur, prev = _from_fixed(*cur, F), _from_fixed(*prev, F)
-        estimate = _from_fixed(*estimate, F)
+        cur, prev, estimate = (_from_fixed(*x, F) for x in results)
         indicator = abs(cur - prev)
     return D2Estimate(B=B, K=K, estimate=estimate, tail=cur,
                       error_indicator=indicator)
@@ -535,61 +560,78 @@ def _ratio(p, n, shift: int) -> tuple:
 
 
 def _d2_row_table(spec: RecurrenceSpec, K: int, F: int) -> tuple:
-    """(rows, real): at least K rows of
-    `continuant(spec, K).fixed_rows(F)`, kept for the last spec and F,
-    and whether their imaginary ints are all 0.  A_k has degree at most
-    2 in k and N_k at most 4, so `continuant` runs only for k = 0..4,
-    and the rows are real exactly when those five are."""
+    """(rows, real): the list of at least K rows of
+    `continuant(spec, K).fixed_rows(F)`, kept for the last spec and F
+    with the iterator of `_summed_rows` that extends it when a larger K
+    is asked for, and whether their imaginary ints are all 0.  A_k has
+    degree at most 2 in k and N_k at most 4, so `continuant` runs only
+    for k = 0..4, and the rows are real exactly when those five are."""
     global _d2_rows
     key = (spec, F)
-    if _d2_rows[0] != key or len(_d2_rows[1][0]) < K:
+    if _d2_rows[0] != key:
         _d2_rows = (None, ())      # so two tables are never held at once
         head = continuant(spec, 5).fixed_rows(F + _KERNEL_GUARD)
-        _d2_rows = (key, (tuple(_summed_rows(head, (2, 2, 4, 4), K)),
-                          not any(r[1] or r[3] for r in head)))
-    return _d2_rows[1]
+        _d2_rows = (key, ([], not any(r[1] or r[3] for r in head),
+                          _summed_rows(head, (2, 2, 4, 4))))
+    rows, real, more = _d2_rows[1]
+    if len(rows) < K:
+        rows.extend(islice(more, K - len(rows)))
+    return rows, real
 
 
 def _d2_normaliser_states(spec: RecurrenceSpec, K: int, F: int, stops):
-    """The `rootfind._continuant_kernel` states at stops of
-    n_k = (gamma)_k (delta-1)_k, from z = 0 and the rows
-    ((k+gamma)(k+delta-1), 0), kept for the last spec, F and K; the
-    rows are real exactly when their three head rows are."""
+    """The `rootfind._continuant_kernel` states at stops, the nodes of
+    K, of n_k = (gamma)_k (delta-1)_k, from z = 0 and the rows
+    ((k+gamma)(k+delta-1), 0), which are real exactly when their three
+    head rows are.  For the last spec and F the states of every K are
+    kept, and so are the state at the largest K run and the iterator of
+    `_summed_rows` that stands at its row: a new K whose stops all lie
+    at or beyond that K goes on from there, and any other runs from 0."""
     global _d2_normaliser
-    key = (spec, F, K)
+    key = (spec, F)
     if _d2_normaliser[0] != key:
         W = F + _KERNEL_GUARD
         head = [_to_fixed((k + spec.gamma) * (k + spec.delta - 1), W)
                 + (0, 0) for k in range(3)]
-        _d2_normaliser = (key, rootfind._continuant_kernel(
-            _summed_rows(head, (2, 2, 0, 0), K), F, (0, 0), stops,
-            real=not any(r[1] for r in head)))
-    return _d2_normaliser[1]
+        _d2_normaliser = (key, (head, {}, None))
+    head, known, end = _d2_normaliser[1]
+    if K not in known:
+        if end and end[0] <= stops[0]:
+            start, rows = end[:2], end[2]
+        else:
+            start, rows = None, _summed_rows(head, (2, 2, 0, 0))
+        states = rootfind._continuant_kernel(
+            islice(rows, K - (start[0] if start else 0)), F, (0, 0), stops,
+            real=not any(r[1] for r in head), start=start)
+        if not end or K > end[0]:
+            end = (K, states[-1], rows)
+        known = {**known, K: states}
+        _d2_normaliser = (key, (head, known, end))
+    return known[K]
 
 
-def _summed_rows(head, degrees, n: int):
-    """Rows k < n of four columns that are polynomials in k of the given
-    degrees, at most 4, from head[k], their values as ints with
-    W = F + _KERNEL_GUARD fraction bits at k = 0..max(degrees): the
-    forward differences of those ints, five locals per column (zero
-    above its degree), are advanced by additions, and each row is
-    shifted down to F bits (docs/math_notes.md, section 6)."""
-    diffs = []
+def _summed_rows(head, degrees):
+    """The iterator of rows k = 0, 1, ... of four columns that are
+    polynomials in k of the given degrees, at most 4, from head[k],
+    their values as ints with W = F + _KERNEL_GUARD fraction bits at
+    k = 0..max(degrees): each column's forward differences of those
+    ints, up to its last nonzero one, are summed by a chain of
+    `itertools.accumulate`, one addition per difference and row, and
+    each row is shifted down to F bits (docs/math_notes.md, section 6).
+    """
+    columns = []
     for j, degree in enumerate(degrees):
         column, diff = [row[j] for row in head[:degree + 1]], []
         while column:
             diff.append(column[0])
             column = [y - x for x, y in zip(column, column[1:])]
-        diffs.append(diff + [0] * (5 - len(diff)))
-    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), \
-        (d0, d1, d2, d3, d4) = diffs
-    g = _KERNEL_GUARD
-    for _ in range(n):
-        yield a0 >> g, b0 >> g, c0 >> g, d0 >> g
-        a0, a1, a2, a3 = a0 + a1, a1 + a2, a2 + a3, a3 + a4
-        b0, b1, b2, b3 = b0 + b1, b1 + b2, b2 + b3, b3 + b4
-        c0, c1, c2, c3 = c0 + c1, c1 + c2, c2 + c3, c3 + c4
-        d0, d1, d2, d3 = d0 + d1, d1 + d2, d2 + d3, d3 + d4
+        while len(diff) > 1 and not diff[-1]:
+            diff.pop()
+        values = repeat(diff.pop())
+        while diff:
+            values = accumulate(values, initial=diff.pop())
+        columns.append(map(rshift, values, repeat(_KERNEL_GUARD)))
+    return zip(*columns)
 
 
 _TAIL_NODES = 8       # Neville nodes of the tail extrapolation
@@ -607,14 +649,18 @@ def _tail_nodes(K: int) -> tuple:
 def _neville_at_zero(ks, values) -> tuple:
     """Neville extrapolation against h = 1/k to h = 0 of the
     Gaussian-integer pairs values at the distinct nodes ks, whose weights
-    (k_i t_i - k_j t_{i+1}) / (k_i - k_j) are integers."""
-    t = list(values)
-    for j in range(1, len(t)):
-        for i in range(len(t) - j):
-            a, b = ks[i], ks[i + j]
-            t[i] = tuple((a * x - b * y) // (a - b)
-                         for x, y in zip(t[i], t[i + 1]))
-    return t[0]
+    (k_i t_i - k_j t_{i+1}) / (k_i - k_j) are integers.  The weights are
+    real, so each part runs on its own, and a part that is 0 at every
+    node is 0 throughout, (k_i 0 - k_j 0) // (k_i - k_j), and not run."""
+    result = []
+    for t in map(list, zip(*values)):
+        if any(t):
+            for j in range(1, len(t)):
+                for i in range(len(t) - j):
+                    a, b = ks[i], ks[i + j]
+                    t[i] = (a * t[i] - b * t[i + 1]) // (a - b)
+        result.append(t[0])
+    return tuple(result)
 
 
 def d2_closed_form_s0(spec: RecurrenceSpec, B, precision_bits: int = 256):
@@ -657,7 +703,10 @@ def d2_zero_search(spec: RecurrenceSpec, B0, tol=1e-10, K: int = 400,
     A search that has not settled after _D2_MAX_STEPS secant steps
     raises NonConvergenceError.  The first point is `d2_sequence` at B0
     and K, which runs no kernel when the caller has just asked for that
-    tail at the same precision, as `heunzeros d2 --search` does.
+    tail at the same precision, as `heunzeros d2 --search` does.  Both
+    points of a step are the two `d2_sequence` keeps, so a doubled K at
+    either runs the tail and its normaliser on from the old K, rows
+    K..2K only.
     """
     with working_precision(precision_bits):
         tol = mp.mpf(tol)

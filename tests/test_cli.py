@@ -210,9 +210,10 @@ class TestD2:
 
         zs, kernel = [], rootfind._continuant_kernel
 
-        def counting(rows, F, z, stops, derivative=False, real=False):
+        def counting(rows, F, z, stops, derivative=False, real=False,
+                     start=None):
             zs.append(z)
-            return kernel(rows, F, z, stops, derivative, real)
+            return kernel(rows, F, z, stops, derivative, real, start)
 
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
         monkeypatch.setattr(tracking, "_d2_tail", (None, ()))

@@ -10,6 +10,8 @@ from functools import lru_cache
 
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heunzeros.families import (
     FamilyKind,
@@ -118,6 +120,31 @@ class TestSeriesSolution:
             gap = max(abs(_from_fixed(x, y, F) - to_mpc(e)) / abs(to_mpc(e))
                       for (x, y), e in zip(a, exact.coeffs))
         assert gap < mp.mpf(2) ** -50
+
+    @given(st.data())
+    def test_the_real_arm_of_the_fixed_stepper_is_the_complex_arm(self,
+                                                                   data):
+        # a random real equation p y'' + q y' + r y = 0 with p(0) = 0, B
+        # added to the fixed-point r_0 as the midpoint match adds it, and
+        # a random real exponent: the same pairs, or the same resonance
+        frac = st.fractions(-20, 20, max_denominator=64)
+        p = [0, data.draw(frac.filter(bool))] \
+            + data.draw(st.lists(frac, max_size=3))
+        q, r = (data.draw(st.lists(frac, min_size=1, max_size=3))
+                for _ in range(2))
+        F = data.draw(st.integers(8, 120))
+        P, Q, R = oracle._fixed_polys(p, q, r, F)
+        br = data.draw(st.integers(-(40 << F), 40 << F))
+        polys = P, Q, [(R[0][0] + br, 0)] + R[1:]
+        rho, N = data.draw(frac), data.draw(st.integers(0, 40))
+
+        def steps(real):
+            try:
+                return oracle._fixed_steps(polys, rho, N, F, real=real)
+            except ResonantExponentError as exc:
+                return str(exc)
+
+        assert steps(True) == steps(False)
 
     def test_requires_singular_origin(self):
         with pytest.raises(InvalidSpecError):

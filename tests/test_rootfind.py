@@ -532,6 +532,27 @@ class TestConjugatePairs:
         assert rootfind._conjugate_pairs([(0, 10), (0, -1)]) == {}
         assert rootfind._conjugate_pairs([(0, 10), (0, -10)]) == {1: 0}
 
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                    max_size=16))
+    def test_matches_the_nearest_by_min_on_small_grids(self, points):
+        # the definition read plainly, min over each side with a key;
+        # small grids give ties, which go to the lowest index
+        def gap(i, j):
+            return (points[i][0] - points[j][0]) ** 2 \
+                + (points[i][1] + points[j][1]) ** 2
+
+        upper = [i for i, (_, y) in enumerate(points) if y > 0]
+        lower = [j for j, (_, y) in enumerate(points) if y < 0]
+        want = {}
+        if upper and lower:
+            up = {i: min(lower, key=lambda j: gap(i, j)) for i in upper}
+            for j in lower:
+                i = min(upper, key=lambda i: gap(i, j))
+                if up[i] == j and gap(i, j) < 4 * min(points[i][1],
+                                                      -points[j][1]) ** 2:
+                    want[j] = i
+        assert rootfind._conjugate_pairs(points) == want
+
     def test_a_pair_across_two_real_roots_overlaps(self):
         # the seeds pair, |s_1 - conj s_0| = 1/100 < 2 Im s_0, but the
         # roots near them are real: the polished seed and its mirror
@@ -677,6 +698,35 @@ def real_kernel_runs(draw):
                                  max_size=6)))
     return ([(A, 0, N, 0) for A, N in rows], bits, draw(fixed_ints(bits)),
             stops)
+
+
+@st.composite
+def resumed_kernel_runs(draw):
+    """(rows, F, z, real, k, stops): a kernel run, on real rows at a real
+    z when real, a point k to resume at and ascending stops from k on."""
+    real = draw(st.booleans())
+    bits = draw(st.integers(1, 80))
+    part = fixed_ints(bits)
+    imag = st.just(0) if real else part
+    rows = draw(st.lists(st.tuples(part, imag, part, imag), max_size=30))
+    k = draw(st.integers(0, len(rows)))
+    stops = sorted(draw(st.lists(st.integers(k, len(rows)), min_size=1,
+                                 max_size=5)))
+    return rows, bits, (draw(part), draw(imag)), real, k, stops
+
+
+class TestResume:
+    """A run given its own state at k, and the rows from k, goes on as
+    the run from 0 does, in either arm."""
+
+    @given(resumed_kernel_runs())
+    def test_a_resumed_run_gives_the_states_from_0(self, run):
+        rows, bits, z, real, k, stops = run
+        states = rootfind._continuant_kernel(rows, bits, z, [k] + stops,
+                                             real=real)
+        assert rootfind._continuant_kernel(
+            rows[k:], bits, z, stops, real=real,
+            start=(k, states[0])) == states[1:]
 
 
 class TestRealArm:

@@ -344,6 +344,25 @@ class TestJacobiSeeds:
             solve_zeros(spec, 6)
         assert runs == [53]
 
+    def test_a_double_zero_is_not_blamed_on_precision(self):
+        # reduced gamma = -3/2, delta = -5/2 at s = 0: the grid points
+        # -D_j and -D_k coincide for j + k = 5, so c_33 has double
+        # zeros.  Newton steps that end on them, where p' = 0, give
+        # infinite disks at every rung, which no precision separates
+        spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="-3/2",
+                              delta="-5/2", s=0)
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_zeros(spec, 33)
+        msg = str(exc.value)
+        assert "256 bits: the disks of 33 of 33 polished seeds overlap" \
+            in msg
+        assert msg.endswith(
+            "At 256 bits the Newton steps of 6 seeds (indices [0, 1, 2, 3, "
+            "4, 5]) ended where p' = 0, as at a multiple zero; more "
+            "precision does not separate zeros where p' vanishes")
+        assert "raise it" not in msg
+        assert exc.value.stationary == (0, 1, 2, 3, 4, 5)
+
     @pytest.mark.parametrize("spec,m", [
         (from_mathieu(MathieuParams(q=2))[0], 40),
         (from_lame(LameParams(n=2, s="1/2"))[0], 40),
@@ -1116,9 +1135,9 @@ class TestScaledTail:
         kernel, polish = rootfind._continuant_kernel, rootfind._fixed_newton
 
         def counting(rows, F, z, stops, derivative=False,
-                     real=False):
+                     real=False, start=None):
             calls.append((tuple(stops), derivative))
-            return kernel(rows, F, z, stops, derivative, real)
+            return kernel(rows, F, z, stops, derivative, real, start)
 
         def polishing(*args):
             before = len(calls)
@@ -1156,11 +1175,13 @@ class TestScaledTail:
         # rows and z are real, and each run gives the complex arm's bits
         taken, kernel = [], rootfind._continuant_kernel
 
-        def both_arms(rows, F, z, stops, derivative=False, real=False):
+        def both_arms(rows, F, z, stops, derivative=False, real=False,
+                      start=None):
             rows = tuple(rows)
             taken.append(real and z[1] == 0)
-            states = kernel(rows, F, z, stops, derivative, real)
-            assert states == kernel(rows, F, z, stops, derivative)
+            states = kernel(rows, F, z, stops, derivative, real, start)
+            assert states == kernel(rows, F, z, stops, derivative,
+                                    start=start)
             return states
 
         monkeypatch.setattr(rootfind, "_continuant_kernel", both_arms)
@@ -1174,9 +1195,10 @@ class TestScaledTail:
         # kernel and give the same bits; any other runs one
         calls, kernel = [], rootfind._continuant_kernel
 
-        def counting(rows, F, z, stops, derivative=False, real=False):
+        def counting(rows, F, z, stops, derivative=False, real=False,
+                     start=None):
             calls.append(z)
-            return kernel(rows, F, z, stops, derivative, real)
+            return kernel(rows, F, z, stops, derivative, real, start)
 
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
         monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
@@ -1195,6 +1217,46 @@ class TestScaledTail:
             before = len(calls)
             d2_sequence(spec, args[0], *args[1:])
             assert len(calls) > before, args
+
+    def test_kept_states_give_the_bits_of_runs_with_nothing_kept(
+            self, monkeypatch):
+        # K grows at a kept B with its nodes beyond the kept K (the tail
+        # and the normaliser go on from their states), or with nodes
+        # below it, or shrinks, or B is new (each runs from 0); each
+        # result is that of a run with nothing kept
+        spec = THREE_FAMILIES[1]
+        calls = [("13/10", 100), ("13/10", 200), ("7/5", 100),
+                 ("13/10", 110), ("7/5", 200), ("13/10", 30),
+                 ("7/5", 400), ("3/2", 60), ("13/10", 400)]
+
+        def run(B, K):
+            est = d2_sequence(spec, B, K, 64)
+            return [_bits(x) for x in (est.estimate, est.tail,
+                                       est.error_indicator)]
+
+        def forget():
+            for name in ("_d2_rows", "_d2_normaliser", "_d2_tail"):
+                monkeypatch.setattr(tracking, name, (None, ()))
+
+        cold = []
+        for B, K in calls:
+            forget()
+            cold.append(run(B, K))
+        forget()
+        assert [run(B, K) for B, K in calls] == cold
+
+    def test_a_fresh_tail_rounds_nine_quotients(self, monkeypatch):
+        # a_k at the eight Neville nodes and a_{K-1}
+        quotients, ratio = [], tracking._ratio
+
+        def counting(*args):
+            quotients.append(args)
+            return ratio(*args)
+
+        monkeypatch.setattr(tracking, "_ratio", counting)
+        monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
+        d2_sequence(THREE_FAMILIES[1], "13/10", K=400)
+        assert len(quotients) == 9
 
     def test_never_evaluates_the_plain_sequence(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1275,6 +1337,35 @@ class TestD2ZeroSearch:
                            match=r"did not settle in 1 iterations from "
                                  r"B0 = \(?1\.4\b"):
             d2_zero_search(spec, mp.mpf("1.4"))
+
+    def test_doubling_k_steps_each_tail_row_once(self, monkeypatch):
+        # the d2-edge-19/20-k2 search of the d2-hunt benchmark doubles K
+        # from 400 to 1600 at its current point, then at the older one;
+        # each goes on from the state it kept at the old K, as does the
+        # normaliser: 10 000 tail rows and 1 600 normaliser rows, where
+        # runs from 0 step 12 400 and 2 800
+        stepped = {"tail": 0, "normaliser": 0}
+        kernel = rootfind._continuant_kernel
+
+        def counting(rows, F, z, stops, derivative=False, real=False,
+                     start=None):
+            rows = list(rows)
+            stepped["normaliser" if z == (0, 0) else "tail"] += len(rows)
+            return kernel(rows, F, z, stops, derivative, real, start)
+
+        monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
+        for name in ("_d2_rows", "_d2_normaliser", "_d2_tail"):
+            monkeypatch.setattr(tracking, name, (None, ()))
+        spec = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2",
+                              delta="1/2", alpha="3/2", beta="-1",
+                              s="19/20")
+        b0 = QQi(Fraction("-2.57559375"))
+        d2_sequence(spec, b0, K=400)      # as `heunzeros d2 --search`
+        res = d2_zero_search(spec, b0, K=400)
+        assert stepped == {"tail": 10000, "normaliser": 1600}
+        assert (res.iterations, res.K_used) == (9, 1600)
+        assert mp.nstr(res.B, 15) == "(-2.16802736466249 + 0.0j)"
+        assert mp.nstr(res.d2, 15) == "(-2.40245924700235e-22 + 0.0j)"
 
     def test_search_builds_each_step_row_once(self, monkeypatch):
         # seven d2 evaluations at K = 400 share one table of continuant
