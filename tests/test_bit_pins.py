@@ -9,8 +9,8 @@ arithmetic (`scalars.QQi`) that moves a single rational of the
 recurrence rows, the perturbative seeds and closed forms, or a built
 family, or any label, pairing, matching cost or digit count of the zero
 bookkeeping, or any entry of the 53-bit Jacobi matrices that the double
-QL of the seed ladder reads.  A change meant to move bits
-regenerates the digests with
+QL of the seed ladder reads, or any eigenvalue or rounding of its
+rational QL.  A change meant to move bits regenerates the digests with
 
     PYTHONPATH=src python tests/test_bit_pins.py
 
@@ -18,6 +18,7 @@ and says in its description why the numbers moved.
 """
 
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -35,8 +36,9 @@ from heunzeros.perturbation import (
     perturbative_seeds,
     reduced_confluent_expansion,
 )
-from heunzeros import tracking
+from heunzeros import rootfind, tracking
 from heunzeros.recurrence import build_family, eval_sequence, family_in_s
+from heunzeros.rootfind import tridiagonal_eigenvalues
 from heunzeros.scalars import QQi, exact_value, scalar_to_json, \
     working_precision
 from heunzeros.tracking import (
@@ -119,6 +121,37 @@ def _double_matrices(spec, ms):
             for m in ms for part in continuant(spec, m).double_matrix()]
 
 
+def _rational_ql(spec, m):
+    """The exact eigenvalues (a, b, d), (a + ib)/d, of the rational QL
+    of the Jacobi matrix of c_m at 106 and 212 bits, in the order it
+    leaves them."""
+    return [[(z.a, z.b, z.d) for z in tridiagonal_eigenvalues(
+        continuant(spec, m), precision_bits=bits)] for bits in (106, 212)]
+
+
+def _rational_ql_small(seed=2026, runs=300):
+    """The return value (None for a breakdown) and the whole state the
+    rational QL leaves in place, on seeded random Gaussian-integer
+    matrices of order 2 to 7 at F = 6 to 24 fraction bits, half of them
+    real: at so few bits one unit of a rotation's rounding of e^2 shows
+    in the result, as it does not at 106 bits."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(runs):
+        frac, n = rng.randint(6, 24), rng.randint(2, 7)
+        imag = rng.random() < 0.5
+        parts = [[rng.randint(-1 << bits, 1 << bits) if real or imag else 0
+                  for _ in range(n - off)] + [0] * off
+                 for bits, off in ((frac + 3, 0), (2 * frac + 4, 1))
+                 for real in (True, False)]
+        try:
+            result = rootfind._rational_ql(*parts, frac)
+        except ZeroDivisionError:
+            result = None
+        out.append((result, parts))
+    return out
+
+
 HEUN = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/3", delta="1/7",
                       s="2/5", alpha="3/2", beta=-1)
 HEUN_COMPLEX = HEUN.with_s("2/5+1/3i")
@@ -167,6 +200,15 @@ CASES = {
         RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2", delta="1/2",
                        s=-20, alpha=5), (16, 19, 50, 89, 100)),
     "doubles-heun-complex-m40": lambda: _double_matrices(HEUN_COMPLEX, (40,)),
+    "ql-mathieu-2i-m40": lambda: _rational_ql(MATHIEU_2I, 40),
+    "ql-heun-complex-m40": lambda: _rational_ql(HEUN_COMPLEX, 40),
+    "ql-lame-1/2-m40": lambda: _rational_ql(
+        from_lame(LameParams(n=2, s="1/2"))[0], 40),
+    "ql-random-small-F": _rational_ql_small,
+    # the first shift, -2, is an eigenvalue of J_5 and of its trailing
+    # 2x2 block, so one pivot is exactly 0: the sweep's c = 0 branch
+    "ql-reduced-m5": lambda: _rational_ql(
+        RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=2, delta=-2, s=2), 5),
     "eval-heun-K60": lambda: _json(eval_sequence(
         HEUN, QQi(F(-23, 10), F(1, 4)), 60)),
     "family-in-s-heun-m10": lambda: [_json(row) for row in family_in_s(
@@ -224,6 +266,16 @@ PINS = {
         "b0a4af4a1a6a3de8f592d3af555cab9b7ddc350477bf9f7eee15e2961cb77540",
     "doubles-heun-complex-m40":
         "8bebab26a30e347b2c9763d59013c8075617d854b6719091cddecba40eabc6a9",
+    "ql-mathieu-2i-m40":
+        "4df9bdf8151f7b36ecc317a8f0707c5f79196c528856cc986cf47e2d07d542f3",
+    "ql-heun-complex-m40":
+        "c617ecd52924468d9082f06c7911ed091821eb31dd9051694cdeece7d740fac4",
+    "ql-lame-1/2-m40":
+        "226bac05074876e87bd5e56cb0427c2aade9e1303ba368213ee931eb869bd879",
+    "ql-random-small-F":
+        "b5002abf51021091b5ddf218d91c0b073dc460fb70b4f504136e4aedbaa4b910",
+    "ql-reduced-m5":
+        "d6c5d6a7f879f25a2ea83d63b7d3e0757c85ef5cd81f2540b0cadda780df7c56",
     "eval-heun-K60":
         "5137aa9d74244fc2ff0eb825998262d50847d59bd7e953216c5f948fe5689085",
     "family-in-s-heun-m10":
