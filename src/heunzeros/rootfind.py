@@ -185,7 +185,11 @@ def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False,
     The caller sets real when every row's imaginary ints are 0; with
     z = (x, 0) as well, every imaginary part of the state stays 0, and
     the real arm runs the same products, floors and window on the real
-    parts alone, so its states are the complex arm's, bit for bit.
+    parts alone, so its states are the complex arm's, bit for bit.  At
+    a z off the axis, real rows take a branch of the complex loop that
+    drops the products with the rows' zero imaginary parts, 12 a row
+    with p' against 16, and keeps the same floors and window, so its
+    states are the complex arm's too.
     Given start = (k, state), a state this kernel returned at k for the
     same rows, F and z without derivative, the run goes on from it, as
     the run from 0 would: rows then begins at row k, and no stop is
@@ -222,13 +226,22 @@ def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False,
     er = ei = 0                          # p'_{k-1}
     for stop in stops:
         for Ar, Ai, Nr, Ni in islice(steps, stop - k):
-            ur, ui = zr + Ar, zi + Ai
-            if derivative:
-                sr = ((ur * dr - ui * di - Nr * er + Ni * ei) >> F) + pr
-                si = ((ur * di + ui * dr - Nr * ei - Ni * er) >> F) + pi
-                er, ei, dr, di = dr, di, sr, si
-            tr = (ur * pr - ui * pi - Nr * qr + Ni * qi) >> F
-            ti = (ur * pi + ui * pr - Nr * qi - Ni * qr) >> F
+            if real:                     # Ai = Ni = 0, so Im(z + A) = zi
+                ur = zr + Ar
+                if derivative:
+                    sr = ((ur * dr - zi * di - Nr * er) >> F) + pr
+                    si = ((ur * di + zi * dr - Nr * ei) >> F) + pi
+                    er, ei, dr, di = dr, di, sr, si
+                tr = (ur * pr - zi * pi - Nr * qr) >> F
+                ti = (ur * pi + zi * pr - Nr * qi) >> F
+            else:
+                ur, ui = zr + Ar, zi + Ai
+                if derivative:
+                    sr = ((ur * dr - ui * di - Nr * er + Ni * ei) >> F) + pr
+                    si = ((ur * di + ui * dr - Nr * ei - Ni * er) >> F) + pi
+                    er, ei, dr, di = dr, di, sr, si
+                tr = (ur * pr - ui * pi - Nr * qr + Ni * qi) >> F
+                ti = (ur * pi + ui * pr - Nr * qi - Ni * qr) >> F
             qr, qi, pr, pi = pr, pi, tr, ti
             top = (abs(pr) | abs(pi) | abs(dr) | abs(di)).bit_length() - F - 1
             if top >= 2 * _KERNEL_SPAN:
@@ -294,7 +307,7 @@ _POLISH_STEPS = 40    # Newton steps allowed per root
 _SEED_BITS = 53       # bits a seed is taken to be right to: a double
 _JUDGE_BITS = 20      # a double seed's first step is below 2^-20 relative
 _WIDTH_STEP = 64      # the narrow Newton steps' widths are multiples of it
-_QL_GUARD = 32        # fraction bits of the rational QL's c and s beyond F
+_QL_GUARD = 32        # fraction bits of the rational QL's c beyond F
 
 
 def tridiagonal_eigenvalues(rows: Continuant, precision_bits: int = 53):
@@ -441,21 +454,23 @@ def _rational_ql(dr, di, er, ei, F: int) -> bool:
     A step on the block l..m shifts by the eigenvalue of its leading 2x2
     block nearest d_l, t = d_l - 2 e_l^2 / (u + v), u = d_l+1 - d_l,
     v = +-sqrt(u^2 + 4 e_l^2) (`_fixed_sqrt`, its one root) with
-    Re(u conj v) >= 0.  Then, from c = 1, s = 0, g = d_m - t and
-    p = g^2, for i = m-1 down to l: r = p + e_i^2, e_i+1^2 = s r,
-    c = p / r, s = 1 - c, g' = g, g = c (d_i - t) - s g',
-    d_i+1 = g' + d_i - g, and p = g^2 / c, or c_old e_i^2 when c = 0;
-    last, e_l^2 = s p and d_l = g + t.  c and s carry K = F + _QL_GUARD
-    fraction bits, so that g keeps F bits for |d_i - t| up to
-    2^_QL_GUARD; p and r carry 2F.  A product is shifted back and a
+    Re(u conj v) >= 0.  Then, from c = 1, g = d_m - t and p = g^2, for
+    i = m-1 down to l: r = p + e_i^2, e_i+1^2 = s r, c = p / r, g' = g,
+    g = c (d_i - t) - s g', d_i+1 = g' + d_i - g, and p = g^2 / c, or
+    c_old e_i^2 when c = 0; last, e_l^2 = s p and d_l = g + t; here
+    s = 1 - c is never formed: s r = r - c r, and
+    c (d_i - t) - s g' = c (d_i - t + g') - g'.  c carries K =
+    F + _QL_GUARD fraction bits, so that g keeps F bits for |d_i - t| up
+    to 2^_QL_GUARD; p and r carry 2F.  A product is shifted back and a
     quotient's numerator shifted up to the scale it keeps, each rounding
-    to the floor.  Moduli are |x| + |y|.  e_m^2 deflates when
-    |e_m^2| <= 2^-2F (|d_m| + |d_m+1|)^2, or below the squared floor
-    (2^(6-F) max_j ||row_j||_1)^2: rounding leaves an absolute error of
-    a few units of 2^-F times the matrix scale in every entry, so near a
-    small eigenvalue of a non-normal matrix the relative test alone may
-    never pass.  False when an eigenvalue needs more than
-    _QL_MAX_STEPS * F // 53 steps; r = 0, a breakdown, raises
+    to the floor, and the floor of X - h 2^K is the floor of X less h,
+    so folding s in moves no bit.  Moduli are |x| + |y|.  e_m^2
+    deflates when |e_m^2| <= 2^-2F (|d_m| + |d_m+1|)^2, or below the
+    squared floor (2^(6-F) max_j ||row_j||_1)^2: rounding leaves an
+    absolute error of a few units of 2^-F times the matrix scale in
+    every entry, so near a small eigenvalue of a non-normal matrix the
+    relative test alone may never pass.  False when an eigenvalue needs
+    more than _QL_MAX_STEPS * F // 53 steps; r = 0, a breakdown, raises
     ZeroDivisionError."""
     n = len(dr)
     max_steps = _QL_MAX_STEPS * F // 53
@@ -463,7 +478,6 @@ def _rational_ql(dr, di, er, ei, F: int) -> bool:
                 + isqrt(abs(er[j - 1]) + abs(ei[j - 1])) for j in range(n))
     floor = (scale >> (F - 6)) ** 2    # er[-1] is the zero padding
     K = F + _QL_GUARD
-    one = 1 << K
     for l in range(n):
         for it in range(max_steps + 1):
             m = l
@@ -486,31 +500,36 @@ def _rational_ql(dr, di, er, ei, F: int) -> bool:
                 vr, vi = -vr, -vi
             ur, ui = _fixed_div(2 * xr, 2 * xi, ur + vr, ui + vi, 0)
             tr, ti = dr[l] - ur, di[l] - ui          # the shift
-            cr, ci, sr, si = one, 0, 0, 0
+            cr, ci = 1 << K, 0
             gr, gi = dr[m] - tr, di[m] - ti
             pr, pi = gr * gr - gi * gi, 2 * gr * gi
             for i in range(m - 1, l - 1, -1):
                 xr, xi = er[i], ei[i]
                 rr, ri = pr + xr, pi + xi
-                er[i + 1] = (sr * rr - si * ri) >> K
-                ei[i + 1] = (sr * ri + si * rr) >> K
+                # s r = r - c r, floored: r minus the ceiling of c r
+                er[i + 1] = rr + ((ci * ri - cr * rr) >> K)
+                ei[i + 1] = ri + ((-cr * ri - ci * rr) >> K)
                 br, bi = cr, ci
-                cr, ci = _fixed_div(pr, pi, rr, ri, K)
-                sr, si = one - cr, -ci
-                ur, ui = dr[i] - tr, di[i] - ti
+                n2 = rr * rr + ri * ri               # c = p / r
+                cr = ((pr * rr + pi * ri) << K) // n2
+                ci = ((pi * rr - pr * ri) << K) // n2
+                # c u - s g' = c (u + g') - g', u = d_i - t, floored
+                ur, ui = dr[i] - tr + gr, di[i] - ti + gi
                 hr, hi = gr, gi
-                gr = (cr * ur - ci * ui - sr * hr + si * hi) >> K
-                gi = (cr * ui + ci * ur - sr * hi - si * hr) >> K
+                gr = ((cr * ur - ci * ui) >> K) - hr
+                gi = ((cr * ui + ci * ur) >> K) - hi
                 dr[i + 1] = hr + dr[i] - gr
                 di[i + 1] = hi + di[i] - gi
-                if cr or ci:
-                    pr, pi = _fixed_div(gr * gr - gi * gi, 2 * gr * gi,
-                                        cr, ci, K)
+                if cr or ci:                         # p = g^2 / c
+                    ar, ai = gr * gr - gi * gi, 2 * gr * gi
+                    n2 = cr * cr + ci * ci
+                    pr = ((ar * cr + ai * ci) << K) // n2
+                    pi = ((ai * cr - ar * ci) << K) // n2
                 else:
                     pr = (br * xr - bi * xi) >> K
                     pi = (br * xi + bi * xr) >> K
-            er[l] = (sr * pr - si * pi) >> K
-            ei[l] = (sr * pi + si * pr) >> K
+            er[l] = pr + ((ci * pi - cr * pr) >> K)
+            ei[l] = pi + ((-cr * pi - ci * pr) >> K)
             dr[l], di[l] = gr + tr, gi + ti
     return True
 

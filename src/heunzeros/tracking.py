@@ -377,9 +377,12 @@ def convergence_report(spec: RecurrenceSpec, m_list=(30, 40),
     the zeros, whatever the caller's working precision (the matching's
     costs are doubles).  Each track carries the label its top-degree
     zero has in that degree's own ZeroSet."""
-    m_list = tuple(sorted(set(int(m) for m in m_list)))
+    given = tuple(int(m) for m in m_list)
+    m_list = tuple(sorted(set(given)))
     if len(m_list) < 2:
-        raise InvalidSpecError("m_list needs at least two degrees")
+        raise InvalidSpecError(
+            "m_list needs at least two distinct degrees, got "
+            + (", ".join(map(str, given)) or "none"))
     zero_sets = {m: solve_zeros(spec, m, precision_bits=precision_bits)
                  for m in m_list}
     m0 = m_list[0]

@@ -354,6 +354,14 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["code"] == 4
 
+    def test_a_repeated_degree_is_4_and_named(self, capsys):
+        code, out, err = run(capsys, "track", "--family", "mathieu", "--q",
+                             "2", "--m", "30,30")
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "m_list needs at least two distinct degrees, got "
+                     "30, 30", "code": 4}
+
     # delta - 1 = 2^-60: delta is an integer at 53 bits, but not at 256
     @pytest.mark.parametrize("extra,want", [
         ([], 0), (["--precision-bits", "53"], 4),

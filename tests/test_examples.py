@@ -113,3 +113,13 @@ def test_scripts_parse_options_as_the_cli_does(capsys, script, argv, code):
     assert (out == "") is (code != 0)
     if code == 4:
         assert json.loads(err)["code"] == 4
+
+
+def test_hunt_names_a_repeated_degree(capsys):
+    # the report drops the repeat, so the message names what was given
+    main_ = runpy.run_path(str(ROOT / "scripts" / "d2_zero_hunt.py"))["main"]
+    assert main_(["--m", "30,30"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == \
+        "m_list needs at least two distinct degrees, got 30, 30"

@@ -729,10 +729,29 @@ class TestResume:
             start=(k, states[0])) == states[1:]
 
 
+WHILL_STRONG = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
+                              delta="1/2", alpha=5, s=-20)
+
+
+def kernel_states(rows, F, z, derivative, real):
+    """The kernel's states at a third, two thirds and the end of the
+    rows, and without derivative those of the run resumed halfway."""
+    m = len(rows)
+    stops, k = (m // 3, 2 * m // 3, m), m // 2
+    kernel = rootfind._continuant_kernel
+    states = kernel(rows, F, z, stops, derivative, real)
+    if derivative:
+        return states, None
+    [mid] = kernel(rows, F, z, (k,), real=real)
+    return states, kernel(rows[k:], F, z, stops[1:], real=real,
+                          start=(k, mid))
+
+
 class TestRealArm:
-    """On real rows at a real z the kernel runs the real parts alone;
-    its states must be the complex arm's, bit for bit, and every other
-    call must take the complex arm."""
+    """On real rows at a real z the kernel runs the real parts alone, and
+    on real rows at a complex z it drops the rows' imaginary parts; its
+    states must be the complex arm's, bit for bit, and a call with a
+    complex row must take the complex arm."""
 
     @given(real_kernel_runs(), st.booleans())
     def test_matches_the_complex_arm(self, run, derivative):
@@ -760,16 +779,43 @@ class TestRealArm:
         assert any(b < a for a, b in zip(e, e[1:]))
 
     @pytest.mark.parametrize("derivative", [False, True])
-    def test_a_complex_z_on_real_rows_runs_the_complex_arm(self, derivative):
-        spec = from_lame(LameParams(n=2, s="1/2"))[0]
+    def test_a_complex_z_on_real_rows_matches_the_complex_arm(
+            self, derivative):
+        # Lame s = 1/2 rows at 2 + 3i, from 0 and, without p', resumed
+        # from the state at row 20
         bits = 128
-        rows = continuant(spec, 12).fixed_rows(bits)
-        z = _to_fixed(QQi(F(-7, 3), F(1, 5)), bits)
-        states = rootfind._continuant_kernel(rows, bits, z, (5, 12),
-                                             derivative, real=True)
-        assert states == rootfind._continuant_kernel(rows, bits, z, (5, 12),
-                                                     derivative)
-        assert all(p[1] != 0 for p, _, _, _ in states)
+        rows = continuant(from_lame(LameParams(n=2, s="1/2"))[0],
+                          40).fixed_rows(bits)
+        z = _to_fixed(QQi(2, 3), bits)
+        got = kernel_states(rows, bits, z, derivative, True)
+        assert got == kernel_states(rows, bits, z, derivative, False)
+        assert all(p[1] and (dp[1] != 0) == derivative
+                   for p, _, dp, _ in got[0])
+
+    @given(real_kernel_runs(), fixed_ints(80), st.booleans())
+    def test_real_rows_off_the_axis_match_the_complex_arm(
+            self, run, y, derivative):
+        rows, bits, x, stops = run
+        assert rootfind._continuant_kernel(
+            rows, bits, (x, y), stops, derivative, real=True) == \
+            rootfind._continuant_kernel(rows, bits, (x, y), stops,
+                                        derivative)
+
+    @pytest.mark.parametrize("bits", [128, 312])
+    def test_whittaker_hill_rows_at_the_complex_106_bit_seeds(self, bits):
+        # the upper seeds of the 36 conjugate pairs at m = 89, which the
+        # polish starts from; the other 17 start on the axis
+        rows = continuant(WHILL_STRONG, 89)
+        points = [_to_fixed(z, bits) for z in
+                  tridiagonal_eigenvalues(rows, precision_bits=106)]
+        upper = set(rootfind._conjugate_pairs(points).values())
+        assert len(upper) == 36
+        table = rows.fixed_rows(bits)
+        for i in upper:
+            for derivative in (False, True):
+                assert kernel_states(table, bits, points[i], derivative,
+                                     True) == \
+                    kernel_states(table, bits, points[i], derivative, False)
 
     @staticmethod
     def kernel_flags(monkeypatch):
@@ -802,6 +848,33 @@ class TestRealArm:
         assert mp.nstr(zs.zeros[2], 10) == "(-3.0 - 0.0009765625j)"
         assert (False, True) in flags
         assert {real for real, _ in flags} == {False}
+
+    def test_each_upper_conjugate_is_polished_on_real_rows_off_the_axis(
+            self, monkeypatch):
+        # whittaker-hill m = 50 stands on its double seeds, with no real
+        # zero: each of the 25 upper seeds is polished off the axis on
+        # its real rows, and each lower zero is its mirror image
+        calls, kernel = [], rootfind._continuant_kernel
+        polish = rootfind._fixed_newton
+
+        def recording_polish(tables, F, z, t, real=False, seed=None):
+            calls.append((z, []))
+            return polish(tables, F, z, t, real, seed)
+
+        def recording(rows, F, z, stops, derivative=False, real=False,
+                      start=None):
+            calls[-1][1].append((real, z[1]))
+            return kernel(rows, F, z, stops, derivative, real, start)
+
+        monkeypatch.setattr(rootfind, "_fixed_newton", recording_polish)
+        monkeypatch.setattr(rootfind, "_continuant_kernel", recording)
+        rows = continuant(WHILL_STRONG, 50)
+        zs = find_all_roots(rows, tridiagonal_eigenvalues(rows), 256)
+        assert real_zero_count(zs) == 0
+        assert len(calls) == sum(1 for _, y in zs.points if y > 0) == 25
+        assert all(z[1] > 0 and steps and all(real and y > 0
+                                              for real, y in steps)
+                   for z, steps in calls)
 
 
 def brute_overlapping(polished, F, t):

@@ -879,6 +879,12 @@ class TestConvergenceReport:
         with pytest.raises(InvalidSpecError):
             convergence_report(lame_small, m_list=(12,))
 
+    def test_a_repeated_degree_is_named(self, lame_small):
+        with pytest.raises(InvalidSpecError,
+                           match=r"at least two distinct degrees, got 12, "
+                                 r"12$"):
+            convergence_report(lame_small, m_list=(12, 12))
+
 
 def _public_results(spec, m_list, B):
     """What solve_zeros, convergence_report, match_zeros, zero_table,
