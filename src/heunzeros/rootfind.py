@@ -76,9 +76,7 @@ class ZeroSet:
 
     points: tuple
     residuals: tuple
-    degree: int
     precision_bits: int
-    tol: object
     labels: tuple = None
     seed_bits: int | None = None
 
@@ -90,6 +88,16 @@ class ZeroSet:
     def F(self) -> int:
         """The fraction bits of the points (`_newton_bits`)."""
         return _newton_bits(self.precision_bits)
+
+    @property
+    def degree(self) -> int:
+        """The number of zeros."""
+        return len(self.points)
+
+    @property
+    def tol(self) -> mp.mpf:
+        """The residual tolerance every zero met (`default_tol`)."""
+        return default_tol(self.precision_bits)
 
     @cached_property
     def zeros(self) -> tuple:
@@ -612,8 +620,8 @@ def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
     order = sorted(range(n), key=lambda j: (-polished[j][0][0],
                                             polished[j][0][1]))
     return ZeroSet(points=tuple(polished[j][0] for j in order),
-                   residuals=tuple(residuals[j] for j in order), degree=n,
-                   precision_bits=precision_bits, tol=tol)
+                   residuals=tuple(residuals[j] for j in order),
+                   precision_bits=precision_bits)
 
 
 def _newton_bits(precision_bits: int) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import isqrt, lcm
 from operator import rshift
@@ -459,17 +460,8 @@ class D2Estimate:
     error_indicator: object    # |a_K - a_{K-1}|
 
 
-# the last (spec, precision_bits) that `_check_d2_spec` passed
-_d2_checked = None
-
-
 def _check_d2_spec(spec: RecurrenceSpec, precision_bits: int):
-    """Refuse gamma or delta that is an integer at precision_bits.  The
-    last pair that passed is kept and not checked again; a refused one
-    is checked, and raises, on every call."""
-    global _d2_checked
-    if _d2_checked == (spec, precision_bits):
-        return
+    """Refuse gamma or delta that is an integer at precision_bits."""
     with working_precision(precision_bits):
         for name in ("gamma", "delta"):
             v = to_mpc(getattr(spec, name))
@@ -478,16 +470,70 @@ def _check_d2_spec(spec: RecurrenceSpec, precision_bits: int):
                     f"d2 limit needs non-integer gamma and delta; "
                     f"{name} = {v}"
                 )
-    _d2_checked = (spec, precision_bits)
 
 
-# (key, value) for the most recent (spec, F) of `_d2_row_table`, of
-# `_d2_normaliser_states` and of the tails `d2_sequence` keeps, each
-# replaced at once, so a caller keeps a consistent snapshot; the row
-# list only grows, by rows that follow those it holds.
-_d2_rows = (None, ())
-_d2_normaliser = (None, ())
-_d2_tail = (None, ())
+@lru_cache(maxsize=1)
+def _d2_setup(spec: RecurrenceSpec, F: int) -> _D2Setup:
+    """The set-up of `d2_sequence` for spec and F, built once
+    `_check_d2_spec` passes at F - _KERNEL_GUARD bits.  Only the last
+    is kept: a spec that passed is not checked again while it stays, and
+    a refused one is checked, and raises, on every call and leaves the
+    kept set-up in place.  A new set-up holds no rows yet, so the one it
+    replaces is dropped before its table grows."""
+    _check_d2_spec(spec, F - _KERNEL_GUARD)
+    return _D2Setup(spec, F)
+
+
+class _D2Setup:
+    """What `d2_sequence` keeps for one spec and F: the rows of
+    `continuant(spec, K).fixed_rows(F)` and whether they are `real`, the
+    kernel states of the normaliser n_k = (gamma)_k (delta-1)_k, and
+    `tails`: for the two most recent fixed-point B, the most recent
+    first, (b, K, kernel state at K, (a_K, a_{K-1}, estimate))."""
+
+    def __init__(self, spec: RecurrenceSpec, F: int):
+        # A_k has degree at most 2 in k and N_k at most 4, so `continuant`
+        # runs only for k = 0..4, and the rows are real exactly when
+        # those five are; the normaliser's rows ((k+gamma)(k+delta-1), 0)
+        # are real exactly when their three head rows are
+        W = F + _KERNEL_GUARD
+        head = continuant(spec, 5).fixed_rows(W)
+        self.F, self.real = F, not any(r[1] or r[3] for r in head)
+        self.rows, self._more = [], _summed_rows(head, (2, 2, 4, 4))
+        self._norm_head = [
+            _to_fixed((k + spec.gamma) * (k + spec.delta - 1), W) + (0, 0)
+            for k in range(3)]
+        self._norm_states = {}     # K -> its states at the nodes of K
+        self._norm_end = None      # (K, state at K, row iterator at K)
+        self.tails = ()
+
+    def rows_to(self, K: int) -> list:
+        """The row list, extended to at least K rows."""
+        if len(self.rows) < K:
+            self.rows.extend(islice(self._more, K - len(self.rows)))
+        return self.rows
+
+    def normaliser(self, K: int, stops) -> list:
+        """The `rootfind._continuant_kernel` states of n_k at stops, the
+        nodes of K, from z = 0.  The states of every K are kept, and so
+        are the state at the largest K run and the iterator of
+        `_summed_rows` that stands at its row: a new K whose stops all
+        lie at or beyond that K goes on from there, and any other runs
+        from 0."""
+        if K not in self._norm_states:
+            end, head = self._norm_end, self._norm_head
+            if end and end[0] <= stops[0]:
+                start, rows = end[:2], end[2]
+            else:
+                start, rows = None, _summed_rows(head, (2, 2, 0, 0))
+            states = rootfind._continuant_kernel(
+                islice(rows, K - (start[0] if start else 0)), self.F,
+                (0, 0), stops, real=not any(r[1] for r in head),
+                start=start)
+            if not end or K > end[0]:
+                self._norm_end = (K, states[-1], rows)
+            self._norm_states[K] = states
+        return self._norm_states[K]
 
 
 def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
@@ -498,24 +544,23 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
     a_k = p_k(B) / n_k, with p_k = k! (gamma)_k c_k the monic continuant
     of `continuant` and n_k = (gamma)_k (delta-1)_k, both run by
     `rootfind._continuant_kernel` with F = precision_bits + _KERNEL_GUARD
-    fraction bits (`_d2_row_table`, `_d2_normaliser_states`), in its
-    real arm when the rows and B are real.  Each Neville node and
-    a_{K-1} is one rounded division of the two, nine at most, the
-    extrapolation runs on those Gaussian integers, and only its result,
-    a_K and a_{K-1} return to mpc at precision_bits (docs/math_notes.md,
-    section 6).  For the last spec and F the two most recent fixed-point
-    B are kept, each with its K, its kernel state at K and its three
-    fixed-point results: asking again for the same tail, as
+    fraction bits on the rows of the set-up kept for the last spec and F
+    (`_d2_setup`), in its real arm when the rows and B are real.  Each
+    Neville node and a_{K-1} is one rounded division of the two, nine at
+    most, the extrapolation runs on those Gaussian integers, and only its
+    result, a_K and a_{K-1} return to mpc at precision_bits
+    (docs/math_notes.md, section 6).  The set-up keeps the two most
+    recent fixed-point B, each with its K, its kernel state at K and its
+    three fixed-point results: asking again for the same tail, as
     `d2_zero_search` does at its start point, runs no kernel, and a
     larger K whose nodes all lie at or beyond the kept K, as when the
     search doubles K, runs the tail on from that state, rows K.. only.
     Heun members only converge for |s| < 1; outside that disk a warning
     is emitted and the numbers are returned as-is."""
-    global _d2_tail
-    _check_d2_spec(spec, precision_bits)
+    F = precision_bits + _KERNEL_GUARD
+    setup = _d2_setup(spec, F)
     if K < 2:
         raise InvalidSpecError("K >= 2 required")
-    F = precision_bits + _KERNEL_GUARD
     if spec.kind == FamilyKind.HEUN and spec.s.abs2() >= 1:
         warnings.warn(
             "the d2 limit for the full family is only proven for "
@@ -525,28 +570,24 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
         )
     with working_precision(precision_bits):
         b = _to_fixed(to_mpc(B), F)
-    key = (spec, F)
-    kept = _d2_tail[1] if _d2_tail[0] == key else ()
-    # (b, K, kernel state at K, (a_K, a_{K-1}, estimate))
-    old = next((t for t in kept if t[0] == b), None)
+    old = next((t for t in setup.tails if t[0] == b), None)
     if old and old[1] == K:
         results = old[3]
     else:
         nodes = _tail_nodes(K)
         stops = nodes[::-1]
         start = old[1:3] if old and old[1] <= stops[0] else None
-        rows, real = _d2_row_table(spec, K, F)
         p = rootfind._continuant_kernel(
-            islice(rows, start[0] if start else 0, K), F, b, stops,
-            real=real, start=start)
-        n = _d2_normaliser_states(spec, K, F, stops)
+            islice(setup.rows_to(K), start[0] if start else 0, K), F, b,
+            stops, real=setup.real, start=start)
+        n = setup.normaliser(K, stops)
         # a_k at the nodes, ascending, and a_{K-1}, with F fraction bits
         a = [_ratio(x[0], y[0], F + x[3] - y[3]) for x, y in zip(p, n)]
         x, y = p[-1], n[-1]
         results = (a[-1], _ratio(x[1], y[1], F + x[3] - y[3]),
                    _neville_at_zero(nodes, a[::-1]))
-        _d2_tail = (key, ((b, K, p[-1], results),)
-                    + tuple(t for t in kept if t[0] != b)[:1])
+        setup.tails = ((b, K, p[-1], results),) + tuple(
+            t for t in setup.tails if t[0] != b)[:1]
     with working_precision(precision_bits):
         cur, prev, estimate = (_from_fixed(*x, F) for x in results)
         indicator = abs(cur - prev)
@@ -560,57 +601,6 @@ def _ratio(p, n, shift: int) -> tuple:
     if shift < 0:
         p, shift = (p[0] >> -shift, p[1] >> -shift), 0
     return _fixed_div(*p, *n, shift)
-
-
-def _d2_row_table(spec: RecurrenceSpec, K: int, F: int) -> tuple:
-    """(rows, real): the list of at least K rows of
-    `continuant(spec, K).fixed_rows(F)`, kept for the last spec and F
-    with the iterator of `_summed_rows` that extends it when a larger K
-    is asked for, and whether their imaginary ints are all 0.  A_k has
-    degree at most 2 in k and N_k at most 4, so `continuant` runs only
-    for k = 0..4, and the rows are real exactly when those five are."""
-    global _d2_rows
-    key = (spec, F)
-    if _d2_rows[0] != key:
-        _d2_rows = (None, ())      # so two tables are never held at once
-        head = continuant(spec, 5).fixed_rows(F + _KERNEL_GUARD)
-        _d2_rows = (key, ([], not any(r[1] or r[3] for r in head),
-                          _summed_rows(head, (2, 2, 4, 4))))
-    rows, real, more = _d2_rows[1]
-    if len(rows) < K:
-        rows.extend(islice(more, K - len(rows)))
-    return rows, real
-
-
-def _d2_normaliser_states(spec: RecurrenceSpec, K: int, F: int, stops):
-    """The `rootfind._continuant_kernel` states at stops, the nodes of
-    K, of n_k = (gamma)_k (delta-1)_k, from z = 0 and the rows
-    ((k+gamma)(k+delta-1), 0), which are real exactly when their three
-    head rows are.  For the last spec and F the states of every K are
-    kept, and so are the state at the largest K run and the iterator of
-    `_summed_rows` that stands at its row: a new K whose stops all lie
-    at or beyond that K goes on from there, and any other runs from 0."""
-    global _d2_normaliser
-    key = (spec, F)
-    if _d2_normaliser[0] != key:
-        W = F + _KERNEL_GUARD
-        head = [_to_fixed((k + spec.gamma) * (k + spec.delta - 1), W)
-                + (0, 0) for k in range(3)]
-        _d2_normaliser = (key, (head, {}, None))
-    head, known, end = _d2_normaliser[1]
-    if K not in known:
-        if end and end[0] <= stops[0]:
-            start, rows = end[:2], end[2]
-        else:
-            start, rows = None, _summed_rows(head, (2, 2, 0, 0))
-        states = rootfind._continuant_kernel(
-            islice(rows, K - (start[0] if start else 0)), F, (0, 0), stops,
-            real=not any(r[1] for r in head), start=start)
-        if not end or K > end[0]:
-            end = (K, states[-1], rows)
-        known = {**known, K: states}
-        _d2_normaliser = (key, (head, known, end))
-    return known[K]
 
 
 def _summed_rows(head, degrees):
@@ -707,9 +697,9 @@ def d2_zero_search(spec: RecurrenceSpec, B0, tol=1e-10, K: int = 400,
     raises NonConvergenceError.  The first point is `d2_sequence` at B0
     and K, which runs no kernel when the caller has just asked for that
     tail at the same precision, as `heunzeros d2 --search` does.  Both
-    points of a step are the two `d2_sequence` keeps, so a doubled K at
-    either runs the tail and its normaliser on from the old K, rows
-    K..2K only.
+    points of a step are the two tails the set-up of `d2_sequence`
+    keeps (`_d2_setup`), so a doubled K at either runs the tail and its
+    normaliser on from the old K, rows K..2K only.
     """
     with working_precision(precision_bits):
         tol = mp.mpf(tol)

@@ -216,8 +216,7 @@ class TestD2:
             return kernel(rows, F, z, stops, derivative, real, start)
 
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
-        monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
-        monkeypatch.setattr(tracking, "_d2_normaliser", (None, ()))
+        tracking._d2_setup.cache_clear()
         code, out, _ = run(capsys, "d2", "--family", "mathieu", "--q", "2",
                            "--B", "1.4", "--search")
         assert code == 0 and "zero search  : B = 1.378489221" in out
@@ -251,6 +250,13 @@ class TestVerify:
         assert code == 0
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    def test_digit_counter_check_passes_below_24_bits(self, capsys):
+        # its inputs are exact, so no working precision rounds them
+        code, out, _ = run(capsys, "verify", "--suite", "tracking",
+                           "--precision-bits", "20")
+        assert code == 0, out
+        assert "PASS  [tracking] stabilized-digit counter calibrated" in out
 
     DECIMAL_EXPONENT_SPEC = ("--family", "cheun", "--gamma", "1/3",
                              "--delta", "1e-1", "--alpha", "2", "--s", "1/5")

@@ -2,10 +2,10 @@
 there, every private helper of the package is used by the package or a
 script, library modules import each other at module level, the package
 imports no third-party module it does not declare, the CLI decides
-output formats in one place, the recurrence holds no big float, only
-rootfind knows the fraction bits of the zeros, the seed ladder runs one
-double QL per solve, and every package name the benchmark tracer wraps
-or reads still exists."""
+output formats in one place, no package module rebinds a global, the
+recurrence holds no big float, only rootfind knows the fraction bits of
+the zeros, the seed ladder runs one double QL per solve, and every
+package name the benchmark tracer wraps or reads still exists."""
 
 import ast
 import importlib
@@ -280,6 +280,26 @@ def test_output_formats_are_decided_in_render():
                 for node in ast.walk(stmt) if _is_json_dumps(node)]
 
 
+def global_statements(source: str) -> list:
+    """The line of each `global` statement in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global)]
+
+
+def test_scan_finds_a_global_statement():
+    assert global_statements("x = None\ndef f():\n    global x\n"
+                             "    x = 1\n") == [3]
+
+
+# state kept between calls lives in functools caches, which tests can
+# clear, not in module globals that code rebinds
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "heunzeros").glob("*.py")),
+    ids=lambda p: p.name)
+def test_no_global_statements(path):
+    assert global_statements(path.read_text()) == []
+
+
 def test_tracking_builds_no_output_records():
     tree = ast.parse((ROOT / "src" / "heunzeros" / "tracking.py").read_text())
     imported = {alias.name for node in ast.walk(tree)
@@ -388,3 +408,8 @@ def test_benchmark_reads_the_result_attributes_it_expects():
     assert zs.converged.count(False) == 0
     assert all(isinstance(z, mpmath.mpc) and isinstance(z.real._mpf_, tuple)
                and isinstance(z.imag._mpf_, tuple) for z in zs.zeros)
+    # tracer.py's find_all_roots hook reads the degree and the flags
+    tracer_module._after_find_all_roots(tracer, None, (), {}, zs)
+    assert (tracer.counts["rootfind.find_all_roots.degree_sum"],
+            tracer.counts["rootfind.find_all_roots.converged"]) == (4, 4)
+

@@ -369,9 +369,10 @@ class TestScaledStepTable:
     def test_rows_match_a_per_k_build(self, spec, F):
         # the rows of continuant(spec, K), each built at k itself
         K = 12800
-        rows, real = tracking._d2_row_table(spec, K, F)
+        setup = tracking._d2_setup(spec, F)
+        rows = setup.rows_to(K)
         assert len(rows) == K
-        assert real == continuant(spec, 5).is_real()
+        assert setup.real == continuant(spec, 5).is_real()
         ks = list(range(40)) + list(range(40, K, 797)) + list(range(K - 5, K))
         with working_precision(F + 64):
             tol = mp.mpf(2) ** (8 - F)

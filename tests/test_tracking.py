@@ -674,7 +674,7 @@ def _zero_set(points, precision_bits):
     """A ZeroSet of the Gaussian-integer points, read with the F
     fraction bits of a `find_all_roots` result at precision_bits."""
     return ZeroSet(points=tuple(points), residuals=(0,) * len(points),
-                   degree=len(points), precision_bits=precision_bits, tol=0)
+                   precision_bits=precision_bits)
 
 
 def _matched_costs(za, zb):
@@ -987,8 +987,8 @@ class TestD2Sequence:
             d2_sequence(spec, mp.mpf(1), K=50)
 
     def test_the_spec_is_checked_once_per_precision(self, monkeypatch):
-        # the last (spec, precision_bits) that passed is not checked
-        # again; a refused spec raises on every call
+        # the kept set-up's spec and precision are not checked again; a
+        # refused spec raises on every call and leaves it in place
         reads, convert = [], tracking.to_mpc
 
         def counting(x):
@@ -996,7 +996,7 @@ class TestD2Sequence:
             return convert(x)
 
         monkeypatch.setattr(tracking, "to_mpc", counting)
-        monkeypatch.setattr(tracking, "_d2_checked", None)
+        tracking._d2_setup.cache_clear()
         spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/3",
                               delta="1/7", s="1/10")
 
@@ -1012,7 +1012,10 @@ class TestD2Sequence:
         for _ in range(2):
             with pytest.raises(InvalidSpecError):
                 d2_sequence(refused, 1, K=50)
-        assert tracking._d2_checked == (spec, 256)
+        assert checks() == 6
+        assert tracking._d2_setup.cache_info().currsize == 1
+        d2_sequence(spec, "7/5", K=50)
+        assert checks() == 6
 
     def test_needs_two_terms(self):
         spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/2",
@@ -1117,17 +1120,16 @@ class TestScaledTail:
         (FINE, 64, 30), (LAME_MPF, 64, 45), (LAME_MPF, 256, 45),
     ]
 
-    def test_table_reuse_is_bit_identical(self, monkeypatch):
+    def test_table_reuse_is_bit_identical(self):
         B = mp.mpc("-3.1", "0.25")
         cold = []
         for spec, bits, K in self.CASES:
-            monkeypatch.setattr(tracking, "_d2_rows", (None, ()))
-            monkeypatch.setattr(tracking, "_d2_normaliser", (None, ()))
-            monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
+            tracking._d2_setup.cache_clear()
             cold.append(d2_sequence(spec, B, K, bits))
         for (spec, bits, K), want in zip(self.CASES, cold):
             # the kept rows and normaliser run again, not the kept tail
-            monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
+            F = bits + tracking._KERNEL_GUARD
+            tracking._d2_setup(spec, F).tails = ()
             got = d2_sequence(spec, B, K, bits)
             assert [_bits(x) for x in (got.estimate, got.tail,
                                        got.error_indicator)] == \
@@ -1153,8 +1155,7 @@ class TestScaledTail:
 
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
         monkeypatch.setattr(rootfind, "_fixed_newton", polishing)
-        monkeypatch.setattr(tracking, "_d2_normaliser", (None, ()))
-        monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
+        tracking._d2_setup.cache_clear()
         spec = THREE_FAMILIES[1]
         d2_sequence(spec, mp.mpf("1.3"), K=400)
         stops = (225, 250, 275, 300, 325, 350, 375, 400)
@@ -1191,8 +1192,7 @@ class TestScaledTail:
             return states
 
         monkeypatch.setattr(rootfind, "_continuant_kernel", both_arms)
-        monkeypatch.setattr(tracking, "_d2_normaliser", (None, ()))
-        monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
+        tracking._d2_setup.cache_clear()
         d2_sequence(spec, B, K=400)
         assert taken == arms
 
@@ -1207,7 +1207,7 @@ class TestScaledTail:
             return kernel(rows, F, z, stops, derivative, real, start)
 
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
-        monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
+        tracking._d2_setup.cache_clear()
         spec = THREE_FAMILIES[1]
         first = d2_sequence(spec, "13/10", K=400)
         assert len(calls) == 2
@@ -1224,8 +1224,39 @@ class TestScaledTail:
             d2_sequence(spec, args[0], *args[1:])
             assert len(calls) > before, args
 
-    def test_kept_states_give_the_bits_of_runs_with_nothing_kept(
-            self, monkeypatch):
+    def test_a_refused_spec_leaves_the_set_up_in_place(self, monkeypatch):
+        # the kept spec, B and K run no kernel after a refused spec
+        calls, kernel = [], rootfind._continuant_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        spec = THREE_FAMILIES[1]
+        d2_sequence(spec, "13/10", K=400)
+        monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
+        refused = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma="1/3",
+                                 delta=2, s="1/10")
+        with pytest.raises(InvalidSpecError):
+            d2_sequence(refused, "13/10", K=400)
+        d2_sequence(spec, "13/10", K=400)
+        assert calls == []
+
+    def test_a_new_spec_or_precision_replaces_the_set_up(self):
+        # the cache never holds two set-ups, and the one it dropped is
+        # built again, with no tail kept, when it is asked for again
+        spec = THREE_FAMILIES[1]
+        F = 256 + tracking._KERNEL_GUARD
+        d2_sequence(spec, "13/10", K=400)
+        first = tracking._d2_setup(spec, F)
+        assert first.tails
+        for other, bits in ((THREE_FAMILIES[0], 256), (spec, 128)):
+            d2_sequence(other, "13/10", K=400, precision_bits=bits)
+            assert tracking._d2_setup.cache_info().currsize == 1
+        again = tracking._d2_setup(spec, F)
+        assert again is not first and again.tails == ()
+
+    def test_kept_states_give_the_bits_of_runs_with_nothing_kept(self):
         # K grows at a kept B with its nodes beyond the kept K (the tail
         # and the normaliser go on from their states), or with nodes
         # below it, or shrinks, or B is new (each runs from 0); each
@@ -1240,15 +1271,11 @@ class TestScaledTail:
             return [_bits(x) for x in (est.estimate, est.tail,
                                        est.error_indicator)]
 
-        def forget():
-            for name in ("_d2_rows", "_d2_normaliser", "_d2_tail"):
-                monkeypatch.setattr(tracking, name, (None, ()))
-
         cold = []
         for B, K in calls:
-            forget()
+            tracking._d2_setup.cache_clear()
             cold.append(run(B, K))
-        forget()
+        tracking._d2_setup.cache_clear()
         assert [run(B, K) for B, K in calls] == cold
 
     def test_a_fresh_tail_rounds_nine_quotients(self, monkeypatch):
@@ -1260,7 +1287,7 @@ class TestScaledTail:
             return ratio(*args)
 
         monkeypatch.setattr(tracking, "_ratio", counting)
-        monkeypatch.setattr(tracking, "_d2_tail", (None, ()))
+        tracking._d2_setup.cache_clear()
         d2_sequence(THREE_FAMILIES[1], "13/10", K=400)
         assert len(quotients) == 9
 
@@ -1360,8 +1387,7 @@ class TestD2ZeroSearch:
             return kernel(rows, F, z, stops, derivative, real, start)
 
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
-        for name in ("_d2_rows", "_d2_normaliser", "_d2_tail"):
-            monkeypatch.setattr(tracking, name, (None, ()))
+        tracking._d2_setup.cache_clear()
         spec = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2",
                               delta="1/2", alpha="3/2", beta="-1",
                               s="19/20")
@@ -1384,7 +1410,7 @@ class TestD2ZeroSearch:
             return row(spec, m)
 
         monkeypatch.setattr(tracking, "recurrence_row", counting)
-        monkeypatch.setattr(tracking, "_d2_rows", (None, ()))
+        tracking._d2_setup.cache_clear()
         spec, _ = from_mathieu(MathieuParams(q=2))
         res = d2_zero_search(spec, mp.mpf("1.4"), K=400)
         assert res.K_used == 400
