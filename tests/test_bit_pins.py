@@ -152,6 +152,59 @@ def _rational_ql_small(seed=2026, runs=300):
     return out
 
 
+def _kernel_random_rows(seed=2038, runs=90):
+    """The kernel's states on seeded random rows, each N part a short
+    dyadic (an odd mantissa of at most 24 bits, shifted), a full-width
+    int or 0, of either sign: in turn real rows at a real z, real rows
+    at a complex z and complex rows, at F = 48, 128 or 312, with and
+    without p', at up to four stops; each run without p' also goes on
+    from its state at the first stop."""
+    rng = random.Random(seed)
+
+    def wide(bits):
+        return rng.randint(-1 << bits, 1 << bits)
+
+    def coupling(bits):
+        kind = rng.randrange(3)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            odd = rng.getrandbits(rng.randint(1, 24)) | 1
+            return rng.choice((-1, 1)) * odd << rng.randint(0, bits + 6)
+        return wide(bits + rng.randint(-8, 8))
+
+    out = []
+    for run in range(runs):
+        F = rng.choice((48, 128, 312))
+        arm, m = run % 3, rng.randint(1, 40)
+        rows = [(wide(F + rng.randint(-20, 10)),
+                 wide(F) if arm == 2 else 0, coupling(F),
+                 coupling(F) if arm == 2 else 0) for _ in range(m)]
+        z = (wide(F + 4), wide(F + 4) if arm else 0)
+        derivative = rng.random() < 0.5
+        stops = sorted(rng.choice(range(m + 1))
+                       for _ in range(rng.randint(1, 4)))
+        states = rootfind._continuant_kernel(rows, F, z, stops, derivative,
+                                             arm < 2)
+        out.append(states)
+        if not derivative:
+            k = stops[0]
+            out.append(rootfind._continuant_kernel(
+                rows[k:], F, z, stops, real=arm < 2,
+                start=(k, states[0])))
+    return out
+
+
+def _d2_resumed(spec, B, Ks):
+    """_d2 at each K in turn, each doubling going on from the kept tail
+    and normaliser, and the normaliser's states at the nodes of each
+    K."""
+    out = [_d2(spec, B, K) for K in Ks]
+    setup = tracking._d2_setup(spec, 256 + rootfind._KERNEL_GUARD)
+    return out + [setup.normaliser(K, tracking._tail_nodes(K)[::-1])
+                  for K in Ks]
+
+
 HEUN = RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/3", delta="1/7",
                       s="2/5", alpha="3/2", beta=-1)
 HEUN_COMPLEX = HEUN.with_s("2/5+1/3i")
@@ -163,6 +216,8 @@ CASES = {
                                  QQi(F(-31, 10)), 400),
     "d2-mathieu-2i": lambda: _d2(from_mathieu(MathieuParams(q="2i"))[0],
                                  QQi(F(-31, 10), F(1, 4)), 400),
+    "d2-mathieu-2": lambda: _d2_resumed(
+        from_mathieu(MathieuParams(q=2))[0], QQi(F(13, 10)), (400, 800)),
     "d2-heun-9/10": lambda: _d2(
         RecurrenceSpec(kind=FamilyKind.HEUN, gamma="1/2", delta="1/2",
                        s="9/10", alpha="3/2", beta=-1),
@@ -207,6 +262,7 @@ CASES = {
     "ql-random-small-F": _rational_ql_small,
     # the first shift, -2, is an eigenvalue of J_5 and of its trailing
     # 2x2 block, so one pivot is exactly 0: the sweep's c = 0 branch
+    "kernel-random-rows": _kernel_random_rows,
     "ql-reduced-m5": lambda: _rational_ql(
         RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=2, delta=-2, s=2), 5),
     "eval-heun-K60": lambda: _json(eval_sequence(
@@ -228,6 +284,8 @@ PINS = {
         "f9a65b5c05c4753e89b5e50b07ec3daf6f1723b84a97cb96b1c1c8a0c27a6d4b",
     "d2-mathieu-2i":
         "60fa6275f1db488b2d327b5757e74ba787724a78e0a085989d60d9f34b09cf96",
+    "d2-mathieu-2":
+        "2564ba2074acfe8ce7c399db0a70024fb8c936d1d9a5c9fbe4989182017987f8",
     "d2-heun-9/10":
         "a29c804383e71951a76e1dd62742234661974de0b0b82d4ff2da0213cd640143",
     "zeros-lame-1/2-m30":
@@ -274,6 +332,8 @@ PINS = {
         "226bac05074876e87bd5e56cb0427c2aade9e1303ba368213ee931eb869bd879",
     "ql-random-small-F":
         "b5002abf51021091b5ddf218d91c0b073dc460fb70b4f504136e4aedbaa4b910",
+    "kernel-random-rows":
+        "92e8c764fc8c48f550f18e4eabe2384bf1d07afa09a8a7274e14cad4ee888f74",
     "ql-reduced-m5":
         "d6c5d6a7f879f25a2ea83d63b7d3e0757c85ef5cd81f2540b0cadda780df7c56",
     "eval-heun-K60":
