@@ -165,7 +165,9 @@ class Continuant:
 
     def fixed_rows(self, F: int) -> tuple:
         """(Re A_k, Im A_k, Re N_k, Im N_k) per row, with F fraction
-        bits (`scalars._to_fixed`), for `_continuant_kernel`."""
+        bits (`scalars._to_fixed`), for the rational QL, and for
+        `_continuant_kernel` once `_short_rows` has split each N_k into
+        a mantissa and a power of two."""
         return tuple(_to_fixed(a, F) + _to_fixed(x, F)
                      for a, x in zip(self.A, self.N))
 
@@ -176,28 +178,54 @@ _KERNEL_SPAN = 32     # width, in bits, of the window that holds the
                       # kernel's state, and its floor above 2^F
 
 
+def _short_rows(rows):
+    """The rows (Re A_k, Im A_k, Re N_k, Im N_k) of `Continuant.fixed_rows`
+    in the form `_continuant_kernel` reads, (Re A_k, Im A_k, n_r, n_i, t)
+    with N_k = (n_r + i n_i) 2^t: t is the number of trailing zero bits
+    of both parts (0 when both are 0), so n_r or n_i is odd, or both are
+    0.  Where N_k has a small power of two as denominator, as for
+    Mathieu, Whittaker-Hill s = -20 or Lame s = 1/2, the mantissas have a
+    few dozen bits at most, however wide F; a full-width N_k has t near
+    0.  An iterator over rows in, an iterator out.  A row with t = 0
+    keeps its own ints, and all rows share one int per value of t, so
+    the form copies no int it need not."""
+    shifts = {}
+    for a, b, x, y in rows:
+        v = x | y
+        if v & 1 or not v:
+            yield a, b, x, y, 0
+        else:
+            t = (v & -v).bit_length() - 1
+            t = shifts.setdefault(t, t)
+            yield a, b, x >> t, y >> t, t
+
+
 def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False,
                        real: bool = False, start=None):
     """The state (p_k, p_{k-1}, p'_k, e) at each k of the ascending stops
     of p_{k+1} = (z + A_k) p_k - N_k p_{k-1}, p_0 = 1, on the iterable
-    rows of `Continuant.fixed_rows(F)`; the pair of ints z = (x, y)
-    stands for (x + iy) 2^-F, and each value (x, y) for (x + iy) 2^(e-F).
+    rows of `Continuant.fixed_rows(F)` in `_short_rows` form; the pair of
+    ints z = (x, y) stands for (x + iy) 2^-F, and each value (x, y) for
+    (x + iy) 2^(e-F).
 
     Runs on Gaussian integers; a product is shifted back by F bits,
-    rounding to the floor.  With derivative, p'_{k+1} = (z + A_k) p'_k
-    + p_k - N_k p'_{k-1} runs alongside; without it p' stays 0.  The
-    state ints share the exponent e, for p_m can reach 2^1300 at
-    m = 100: when the larger of the new p_k and p'_k leaves
-    [2^(F+S), 2^(F+2S)), S = _KERNEL_SPAN, all are shifted back to
-    2^(F+S) together (docs/math_notes.md, section 8).
+    rounding to the floor.  N_k q is formed as (n q) << t, the same int
+    as N_k q, so a row with short mantissas multiplies at their width
+    and every floor is that of the full-width product.  With derivative,
+    p'_{k+1} = (z + A_k) p'_k + p_k - N_k p'_{k-1} runs alongside;
+    without it p' stays 0.  The state ints share the exponent e, for p_m
+    can reach 2^1300 at m = 100: when the larger of the new p_k and p'_k
+    leaves [2^(F+S), 2^(F+2S)), S = _KERNEL_SPAN, that is, when its bit
+    length leaves [F+1+S, F+1+2S), all are shifted back to 2^(F+S)
+    together (docs/math_notes.md, section 8).
     The caller sets real when every row's imaginary ints are 0; with
     z = (x, 0) as well, every imaginary part of the state stays 0, and
     the real arm runs the same products, floors and window on the real
-    parts alone, so its states are the complex arm's, bit for bit.  At
-    a z off the axis, real rows take a branch of the complex loop that
-    drops the products with the rows' zero imaginary parts, 12 a row
-    with p' against 16, and keeps the same floors and window, so its
-    states are the complex arm's too.
+    parts alone, in one loop with p' and one without, so its states are
+    the complex arm's, bit for bit.  At a z off the axis, real rows take
+    a branch of the complex loop that drops the products with the rows'
+    zero imaginary parts, 12 a row with p' against 16, and keeps the same
+    floors and window, so its states are the complex arm's too.
     Given start = (k, state), a state this kernel returned at k for the
     same rows, F and z without derivative, the run goes on from it, as
     the run from 0 would: rows then begins at row k, and no stop is
@@ -205,65 +233,79 @@ def _continuant_kernel(rows, F: int, z, stops, derivative: bool = False,
     the run carries."""
     k, ((pr, pi), (qr, qi), (dr, di), e) = start or (
         0, ((1 << F, 0), (0, 0), (0, 0), 0))
+    low, high = F + 1 + _KERNEL_SPAN, F + 1 + 2 * _KERNEL_SPAN
     steps = iter(rows)
     states = []
     if real and not z[1]:
         x = z[0]
         p, q, d, dq = pr, qr, dr, 0      # p_k, p_{k-1}, p'_k, p'_{k-1}
         for stop in stops:
-            for A, _, N, _ in islice(steps, stop - k):
-                u = x + A
-                if derivative:
-                    dq, d = d, ((u * d - N * dq) >> F) + p
-                q, p = p, (u * p - N * q) >> F
-                # without p', d = 0, and p's bit length is |p|'s
-                top = (abs(p) | abs(d) if derivative else p).bit_length() \
-                    - F - 1
-                if top >= 2 * _KERNEL_SPAN:
-                    top -= _KERNEL_SPAN
-                    e += top
-                    p, q, d, dq = p >> top, q >> top, d >> top, dq >> top
-                elif top < _KERNEL_SPAN:
-                    top = _KERNEL_SPAN - top
-                    e -= top
-                    p, q, d, dq = p << top, q << top, d << top, dq << top
+            if derivative:
+                for A, _, n, _, t in islice(steps, stop - k):
+                    u = x + A
+                    dq, d = d, ((u * d - (n * dq << t)) >> F) + p
+                    q, p = p, (u * p - (n * q << t)) >> F
+                    b = (abs(p) | abs(d)).bit_length()
+                    if b >= high:
+                        b -= low
+                        e += b
+                        p, q, d, dq = p >> b, q >> b, d >> b, dq >> b
+                    elif b < low:
+                        b = low - b
+                        e -= b
+                        p, q, d, dq = p << b, q << b, d << b, dq << b
+            else:
+                # p' = 0, and p's bit length is |p|'s
+                for A, _, n, _, t in islice(steps, stop - k):
+                    q, p = p, ((x + A) * p - (n * q << t)) >> F
+                    b = p.bit_length()
+                    if b >= high:
+                        b -= low
+                        e += b
+                        p, q = p >> b, q >> b
+                    elif b < low:
+                        b = low - b
+                        e -= b
+                        p, q = p << b, q << b
             k = stop
             states.append(((p, 0), (q, 0), (d, 0), e))
         return states
     zr, zi = z
     er = ei = 0                          # p'_{k-1}
     for stop in stops:
-        for Ar, Ai, Nr, Ni in islice(steps, stop - k):
-            if real:                     # Ai = Ni = 0, so Im(z + A) = zi
+        for Ar, Ai, nr, ni, t in islice(steps, stop - k):
+            if real:                     # Ai = ni = 0, so Im(z + A) = zi
                 ur = zr + Ar
                 if derivative:
-                    sr = ((ur * dr - zi * di - Nr * er) >> F) + pr
-                    si = ((ur * di + zi * dr - Nr * ei) >> F) + pi
+                    sr = ((ur * dr - zi * di - (nr * er << t)) >> F) + pr
+                    si = ((ur * di + zi * dr - (nr * ei << t)) >> F) + pi
                     er, ei, dr, di = dr, di, sr, si
-                tr = (ur * pr - zi * pi - Nr * qr) >> F
-                ti = (ur * pi + zi * pr - Nr * qi) >> F
+                tr = (ur * pr - zi * pi - (nr * qr << t)) >> F
+                ti = (ur * pi + zi * pr - (nr * qi << t)) >> F
             else:
                 ur, ui = zr + Ar, zi + Ai
                 if derivative:
-                    sr = ((ur * dr - ui * di - Nr * er + Ni * ei) >> F) + pr
-                    si = ((ur * di + ui * dr - Nr * ei - Ni * er) >> F) + pi
+                    sr = ((ur * dr - ui * di
+                           - ((nr * er - ni * ei) << t)) >> F) + pr
+                    si = ((ur * di + ui * dr
+                           - ((nr * ei + ni * er) << t)) >> F) + pi
                     er, ei, dr, di = dr, di, sr, si
-                tr = (ur * pr - ui * pi - Nr * qr + Ni * qi) >> F
-                ti = (ur * pi + ui * pr - Nr * qi - Ni * qr) >> F
+                tr = (ur * pr - ui * pi - ((nr * qr - ni * qi) << t)) >> F
+                ti = (ur * pi + ui * pr - ((nr * qi + ni * qr) << t)) >> F
             qr, qi, pr, pi = pr, pi, tr, ti
-            top = (abs(pr) | abs(pi) | abs(dr) | abs(di)).bit_length() - F - 1
-            if top >= 2 * _KERNEL_SPAN:
-                top -= _KERNEL_SPAN
-                e += top
-                pr, pi, qr, qi = pr >> top, pi >> top, qr >> top, qi >> top
+            b = (abs(pr) | abs(pi) | abs(dr) | abs(di)).bit_length()
+            if b >= high:
+                b -= low
+                e += b
+                pr, pi, qr, qi = pr >> b, pi >> b, qr >> b, qi >> b
                 if derivative:
-                    dr, di, er, ei = dr >> top, di >> top, er >> top, ei >> top
-            elif top < _KERNEL_SPAN:
-                top = _KERNEL_SPAN - top
-                e -= top
-                pr, pi, qr, qi = pr << top, pi << top, qr << top, qi << top
+                    dr, di, er, ei = dr >> b, di >> b, er >> b, ei >> b
+            elif b < low:
+                b = low - b
+                e -= b
+                pr, pi, qr, qi = pr << b, pi << b, qr << b, qi << b
                 if derivative:
-                    dr, di, er, ei = dr << top, di << top, er << top, ei << top
+                    dr, di, er, ei = dr << b, di << b, er << b, ei << b
         k = stop
         states.append(((pr, pi), (qr, qi), (dr, di), e))
     return states
@@ -576,7 +618,7 @@ def find_all_roots(poly, seeds, precision_bits: int = 256) -> ZeroSet:
         raise InvalidSpecError(
             f"{len(seeds)} seeds for a degree-{n} polynomial")
     F, t = _newton_bits(precision_bits), precision_bits // 2
-    tables = {F: poly.fixed_rows(F)}
+    tables = {F: tuple(_short_rows(poly.fixed_rows(F)))}
     with working_precision(F - _KERNEL_GUARD):
         # a complex double or a QQi is read exactly; other seeds are
         # rounded to the working precision first
@@ -692,13 +734,14 @@ def _conjugate_pairs(points) -> dict:
 
 def _fixed_newton(tables, F: int, z, t: int, real: bool = False, seed=None):
     """Newton's method from z = (x, y), x + iy with F fraction bits, on
-    the continuant with `Continuant.fixed_rows(F)` tables[F] (real rows
-    when real, which a seed on the axis then never leaves), each step
+    the continuant whose `Continuant.fixed_rows(F)` tables[F] holds in
+    `_short_rows` form (real rows when real, which a seed on the axis
+    then never leaves), each step
     w = p/p' by `_continuant_kernel` at a width W <= F of about
     2b + _KERNEL_GUARD bits, b the bits of z already right: _SEED_BITS,
     then 2v after a step of relative length 2^-v (docs/math_notes.md,
     section 8).  W is rounded up to a multiple of _WIDTH_STEP, and tables
-    keeps the rows shifted to it.  The first full-width step with
+    keeps the rows shifted to it, in the same form.  The first full-width step with
     |w| < 2^-t (1 + |z - w|) / 8, or the one that ends _POLISH_STEPS
     steps or three growing ones, gives (z - w, floor(|w| 2^F)), both
     with F fraction bits; at p' = 0 the step is None, infinite.  Given
@@ -710,11 +753,13 @@ def _fixed_newton(tables, F: int, z, t: int, real: bool = False, seed=None):
         final = grew >= 3 or k == _POLISH_STEPS - 1
         W = -(-(2 * right + _KERNEL_GUARD) // _WIDTH_STEP) * _WIDTH_STEP
         W = F if final else min(F, max(_WIDTH_STEP, W))
+        drop = F - W
         if W not in tables:
-            tables[W] = tuple(tuple(x >> (F - W) for x in row)
-                              for row in tables[F])
+            tables[W] = tuple(_short_rows(
+                (a >> drop, b >> drop, (x << t) >> drop, (y << t) >> drop)
+                for a, b, x, y, t in tables[F]))
         [(p, _, dp, _)] = _continuant_kernel(
-            tables[W], W, (zr >> (F - W), zi >> (F - W)),
+            tables[W], W, (zr >> drop, zi >> drop),
             (len(tables[F]),), True, real)
         if dp == (0, 0):
             return (zr, zi), None

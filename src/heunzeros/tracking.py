@@ -486,10 +486,11 @@ def _d2_setup(spec: RecurrenceSpec, F: int) -> _D2Setup:
 
 class _D2Setup:
     """What `d2_sequence` keeps for one spec and F: the rows of
-    `continuant(spec, K).fixed_rows(F)` and whether they are `real`, the
-    kernel states of the normaliser n_k = (gamma)_k (delta-1)_k, and
-    `tails`: for the two most recent fixed-point B, the most recent
-    first, (b, K, kernel state at K, (a_K, a_{K-1}, estimate))."""
+    `continuant(spec, K).fixed_rows(F)`, in `rootfind._short_rows` form,
+    and whether they are `real`, the kernel states of the normaliser
+    n_k = (gamma)_k (delta-1)_k, and `tails`: for the two most recent
+    fixed-point B, the most recent first, (b, K, kernel state at K,
+    (a_K, a_{K-1}, estimate))."""
 
     def __init__(self, spec: RecurrenceSpec, F: int):
         # A_k has degree at most 2 in k and N_k at most 4, so `continuant`
@@ -499,7 +500,8 @@ class _D2Setup:
         W = F + _KERNEL_GUARD
         head = continuant(spec, 5).fixed_rows(W)
         self.F, self.real = F, not any(r[1] or r[3] for r in head)
-        self.rows, self._more = [], _summed_rows(head, (2, 2, 4, 4))
+        self.rows = []
+        self._more = rootfind._short_rows(_summed_rows(head, (2, 2, 4, 4)))
         self._norm_head = [
             _to_fixed((k + spec.gamma) * (k + spec.delta - 1), W) + (0, 0)
             for k in range(3)]
@@ -516,8 +518,8 @@ class _D2Setup:
     def normaliser(self, K: int, stops) -> list:
         """The `rootfind._continuant_kernel` states of n_k at stops, the
         nodes of K, from z = 0.  The states of every K are kept, and so
-        are the state at the largest K run and the iterator of
-        `_summed_rows` that stands at its row: a new K whose stops all
+        are the state at the largest K run and the iterator of its
+        short rows that stands at its row: a new K whose stops all
         lie at or beyond that K goes on from there, and any other runs
         from 0."""
         if K not in self._norm_states:
@@ -525,7 +527,8 @@ class _D2Setup:
             if end and end[0] <= stops[0]:
                 start, rows = end[:2], end[2]
             else:
-                start, rows = None, _summed_rows(head, (2, 2, 0, 0))
+                start, rows = None, rootfind._short_rows(
+                    _summed_rows(head, (2, 2, 0, 0)))
             states = rootfind._continuant_kernel(
                 islice(rows, K - (start[0] if start else 0)), self.F,
                 (0, 0), stops, real=not any(r[1] for r in head),
@@ -557,10 +560,10 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
     search doubles K, runs the tail on from that state, rows K.. only.
     Heun members only converge for |s| < 1; outside that disk a warning
     is emitted and the numbers are returned as-is."""
-    F = precision_bits + _KERNEL_GUARD
-    setup = _d2_setup(spec, F)
     if K < 2:
         raise InvalidSpecError("K >= 2 required")
+    F = precision_bits + _KERNEL_GUARD
+    setup = _d2_setup(spec, F)
     if spec.kind == FamilyKind.HEUN and spec.s.abs2() >= 1:
         warnings.warn(
             "the d2 limit for the full family is only proven for "

@@ -177,9 +177,10 @@ def _kernel_random_rows(seed=2038, runs=90):
     for run in range(runs):
         F = rng.choice((48, 128, 312))
         arm, m = run % 3, rng.randint(1, 40)
-        rows = [(wide(F + rng.randint(-20, 10)),
-                 wide(F) if arm == 2 else 0, coupling(F),
-                 coupling(F) if arm == 2 else 0) for _ in range(m)]
+        rows = tuple(rootfind._short_rows(
+            (wide(F + rng.randint(-20, 10)), wide(F) if arm == 2 else 0,
+             coupling(F), coupling(F) if arm == 2 else 0)
+            for _ in range(m)))
         z = (wide(F + 4), wide(F + 4) if arm else 0)
         derivative = rng.random() < 0.5
         stops = sorted(rng.choice(range(m + 1))

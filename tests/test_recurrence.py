@@ -378,7 +378,8 @@ class TestScaledStepTable:
             tol = mp.mpf(2) ** (8 - F)
             for k in ks:
                 D, E, G = recurrence_row(spec, k)
-                row = rows[k]
+                Ar, Ai, nr, ni, t = rows[k]
+                row = Ar, Ai, nr << t, ni << t
                 for j, w in enumerate((D + spec.s * E, spec.s * G)):
                     w = to_mpc(w)
                     got = mp.mpc(mp.ldexp(row[2 * j], -F),

@@ -445,8 +445,8 @@ class TestNewtonFirst:
 
         poly = Continuant(A=(QQi(0), QQi(0)), N=(QQi(0), QQi(F(1, 10 ** 6))))
         width = 128 + 24 + rootfind._KERNEL_GUARD
-        assert rootfind._fixed_newton({width: poly.fixed_rows(width)}, width,
-                                      (0, 0), 64) == ((0, 0), None)
+        assert rootfind._fixed_newton({width: short(poly.fixed_rows(width))},
+                                      width, (0, 0), 64) == ((0, 0), None)
         with pytest.raises(NonConvergenceError,
                            match=r"disks of 2 of 2 polished seeds overlap"
                            ) as exc:
@@ -649,7 +649,7 @@ class TestContinuantKernel:
         p, dp = c(z) * scale, c.derivative()(z) * scale
         bits = 256
         Fb = bits + 24 + rootfind._KERNEL_GUARD
-        rows = continuant(spec, m).fixed_rows(Fb)
+        rows = short(continuant(spec, m).fixed_rows(Fb))
         with working_precision(Fb + 64):
             [(p_m, _, dp_m, e)] = rootfind._continuant_kernel(
                 rows, Fb, _to_fixed(to_mpc(z), Fb), (m,), derivative=True)
@@ -666,7 +666,7 @@ class TestContinuantKernel:
     def test_states_at_stops_are_those_of_shorter_runs(self, derivative):
         spec = from_lame(LameParams(n=2, s="1/2"))[0]
         bits = 128
-        rows = continuant(spec, 12).fixed_rows(bits)
+        rows = short(continuant(spec, 12).fixed_rows(bits))
         z = _to_fixed(QQi(F(-7, 3), F(1, 5)), bits)
         states = rootfind._continuant_kernel(rows, bits, z, (0, 3, 7, 12),
                                              derivative)
@@ -675,6 +675,11 @@ class TestContinuantKernel:
             assert rootfind._continuant_kernel(
                 rows[:k], bits, z, (k,), derivative) == [state]
             assert (state[2] != (0, 0)) == derivative
+
+
+def short(rows):
+    """The rows as the kernel reads them (`rootfind._short_rows`)."""
+    return tuple(rootfind._short_rows(rows))
 
 
 def fixed_ints(bits):
@@ -696,8 +701,8 @@ def real_kernel_runs(draw):
                          max_size=30))
     stops = sorted(draw(st.lists(st.integers(0, len(rows)), min_size=1,
                                  max_size=6)))
-    return ([(A, 0, N, 0) for A, N in rows], bits, draw(fixed_ints(bits)),
-            stops)
+    return (short((A, 0, N, 0) for A, N in rows), bits,
+            draw(fixed_ints(bits)), stops)
 
 
 @st.composite
@@ -712,7 +717,7 @@ def resumed_kernel_runs(draw):
     k = draw(st.integers(0, len(rows)))
     stops = sorted(draw(st.lists(st.integers(k, len(rows)), min_size=1,
                                  max_size=5)))
-    return rows, bits, (draw(part), draw(imag)), real, k, stops
+    return short(rows), bits, (draw(part), draw(imag)), real, k, stops
 
 
 class TestResume:
@@ -767,8 +772,8 @@ class TestRealArm:
         # A = 2^-20 with N = 0 lowers it below 2^(F+32): the exponent
         # rises and falls
         bits = 48
-        rows = [(1 << (bits + 40), 0, 1 << (bits + 30), 0)] * 4 \
-            + [(1 << (bits - 20), 0, 0, 0)] * 8
+        rows = short([(1 << (bits + 40), 0, 1 << (bits + 30), 0)] * 4
+                     + [(1 << (bits - 20), 0, 0, 0)] * 8)
         stops = range(len(rows) + 1)
         states = rootfind._continuant_kernel(rows, bits, (0, 0), stops,
                                              derivative, real=True)
@@ -784,8 +789,8 @@ class TestRealArm:
         # Lame s = 1/2 rows at 2 + 3i, from 0 and, without p', resumed
         # from the state at row 20
         bits = 128
-        rows = continuant(from_lame(LameParams(n=2, s="1/2"))[0],
-                          40).fixed_rows(bits)
+        rows = short(continuant(from_lame(LameParams(n=2, s="1/2"))[0],
+                                40).fixed_rows(bits))
         z = _to_fixed(QQi(2, 3), bits)
         got = kernel_states(rows, bits, z, derivative, True)
         assert got == kernel_states(rows, bits, z, derivative, False)
@@ -810,7 +815,7 @@ class TestRealArm:
                   tridiagonal_eigenvalues(rows, precision_bits=106)]
         upper = set(rootfind._conjugate_pairs(points).values())
         assert len(upper) == 36
-        table = rows.fixed_rows(bits)
+        table = short(rows.fixed_rows(bits))
         for i in upper:
             for derivative in (False, True):
                 assert kernel_states(table, bits, points[i], derivative,
@@ -875,6 +880,42 @@ class TestRealArm:
         assert all(z[1] > 0 and steps and all(real and y > 0
                                               for real, y in steps)
                    for z, steps in calls)
+
+
+class TestShortRows:
+    """The kernel multiplies by each N_k's mantissa and shifts by its
+    trailing zero bits: the split must give back N_k exactly, and the
+    mantissas must be short where N_k is a short dyadic."""
+
+    @pytest.mark.parametrize("spec,widest", [
+        (WHILL_STRONG, (1, 24)),
+        (from_lame(LameParams(n=2, s="1/100"))[0], (300, 340)),
+    ], ids=["whill-strong", "lame-1/100"])
+    def test_the_split_is_exact(self, spec, widest):
+        # Whittaker-Hill s = -20 has integer couplings of up to 25 bits,
+        # 24 once the trailing zeros go; at s = 1/100 they stay full width
+        full = continuant(spec, 100).fixed_rows(312)
+        rows = short(full)
+        for (a, b, x, y), (a2, b2, nr, ni, t) in zip(full, rows):
+            assert (a2, b2, nr << t, ni << t) == (a, b, x, y)
+            assert t >= 0 and ((nr | ni) & 1 or nr == ni == 0)
+        lo, hi = widest
+        assert lo <= max(max(abs(nr).bit_length(), abs(ni).bit_length())
+                         for _, _, nr, ni, _ in rows) <= hi
+
+    def test_the_polish_reads_the_short_rows(self, monkeypatch):
+        # the full-width Newton steps of a solve at 256 bits run at
+        # F = 312 on the short form of the continuant's own rows
+        seen, kernel = {}, rootfind._continuant_kernel
+
+        def recording(rows, F, *args, **kwargs):
+            seen[F] = rows
+            return kernel(rows, F, *args, **kwargs)
+
+        monkeypatch.setattr(rootfind, "_continuant_kernel", recording)
+        solve_zeros(WHILL_STRONG, 100)
+        assert seen[312] == short(continuant(WHILL_STRONG, 100)
+                                  .fixed_rows(312))
 
 
 def brute_overlapping(polished, F, t):

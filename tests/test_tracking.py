@@ -1242,6 +1242,20 @@ class TestScaledTail:
         d2_sequence(spec, "13/10", K=400)
         assert calls == []
 
+    def test_a_refused_k_leaves_the_set_up_in_place(self):
+        # K < 2 is refused before any set-up is looked up, so a call for
+        # another spec keeps the set-up, its rows and its normaliser
+        spec, other = THREE_FAMILIES[1], THREE_FAMILIES[0]
+        F = 256 + tracking._KERNEL_GUARD
+        tracking._d2_setup.cache_clear()
+        d2_sequence(spec, "13/10", K=400)
+        kept = tracking._d2_setup(spec, F)
+        assert len(kept.rows) == 400 and list(kept._norm_states) == [400]
+        with pytest.raises(InvalidSpecError, match="K >= 2"):
+            d2_sequence(other, "13/10", K=1)
+        assert tracking._d2_setup(spec, F) is kept
+        assert len(kept.rows) == 400 and list(kept._norm_states) == [400]
+
     def test_a_new_spec_or_precision_replaces_the_set_up(self):
         # the cache never holds two set-ups, and the one it dropped is
         # built again, with no tail kept, when it is asked for again
