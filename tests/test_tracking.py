@@ -1377,6 +1377,35 @@ class TestD2ZeroSearch:
         assert res.K_used > 400
         assert abs(res.B - mp.mpf("-2.37862735853")) < mp.mpf("1e-10")
 
+    @pytest.mark.parametrize("bad,K_used,iterations", [
+        # the newer point needs 800; the older one, good at 400, is bad
+        # at 800 and takes K to 1600, where the newer one runs again
+        ({("root", 400), ("b1", 800)}, 1600, 3),
+        ({("b0", 400)}, 800, 2),
+        (None, 12800, 2),
+    ], ids=["older-point-doubles-again", "b0-bad-at-first-k", "k-max"])
+    def test_k_rule_on_scripted_indicators(self, monkeypatch, bad, K_used,
+                                           iterations):
+        # d2(B) = B - 3/2 - 1/K, so the zero the search returns tells
+        # the K both points of its last steps stood at; the indicator is
+        # bad at the (point, K) in bad, or at every K when bad is None,
+        # the points named b0 (B0 = 1), b1 (1.002, its neighbour) and
+        # root (within 1/100 of 3/2)
+        def scripted(spec, B, K, precision_bits):
+            name = ("root" if abs(B - 1.5) < 0.01 else
+                    "b0" if B == 1 else "b1")
+            worse = bad is None or (name, K) in bad
+            return tracking.D2Estimate(
+                B=B, K=K, estimate=B - mp.mpf(3) / 2 - mp.mpf(1) / K,
+                tail=None, error_indicator=mp.mpf(1 if worse else 0))
+
+        monkeypatch.setattr(tracking, "d2_sequence", scripted)
+        res = d2_zero_search(THREE_FAMILIES[1], mp.mpf(1), K=400)
+        assert (res.K_used, res.iterations) == (K_used, iterations)
+        with working_precision(256):
+            assert abs(res.B - mp.mpf(3) / 2 - mp.mpf(1) / K_used) < 1e-60
+            assert abs(res.d2) < 1e-60
+
     def test_secant_iteration_cap_names_the_start(self, monkeypatch):
         monkeypatch.setattr(tracking, "_D2_MAX_STEPS", 1)
         spec, _ = from_mathieu(MathieuParams(q=2))
