@@ -740,8 +740,11 @@ def _fixed_newton(tables, F: int, z, t: int, real: bool = False, seed=None):
     w = p/p' by `_continuant_kernel` at a width W <= F of about
     2b + _KERNEL_GUARD bits, b the bits of z already right: _SEED_BITS,
     then 2v after a step of relative length 2^-v (docs/math_notes.md,
-    section 8).  W is rounded up to a multiple of _WIDTH_STEP, and tables
-    keeps the rows shifted to it, in the same form.  The first full-width step with
+    section 8).  Where |z| exceeds 2^_KERNEL_SPAN, p_{k-1} and p' sit
+    about |z| below p_k in the kernel's window, so W grows by the bits
+    of the starting |z| beyond _KERNEL_SPAN.  W is rounded up to a
+    multiple of _WIDTH_STEP, and tables keeps the rows shifted to it, in
+    the same form.  The first full-width step with
     |w| < 2^-t (1 + |z - w|) / 8, or the one that ends _POLISH_STEPS
     steps or three growing ones, gives (z - w, floor(|w| 2^F)), both
     with F fraction bits; at p' = 0 the step is None, infinite.  Given
@@ -749,9 +752,10 @@ def _fixed_newton(tables, F: int, z, t: int, real: bool = False, seed=None):
     NonConvergenceError, with that seed in `overlapping`."""
     zr, zi = z
     right, last, grew = _SEED_BITS, None, 0
+    big = max(0, (abs(zr) | abs(zi)).bit_length() - F - _KERNEL_SPAN)
     for k in range(_POLISH_STEPS):
         final = grew >= 3 or k == _POLISH_STEPS - 1
-        W = -(-(2 * right + _KERNEL_GUARD) // _WIDTH_STEP) * _WIDTH_STEP
+        W = -(-(2 * right + _KERNEL_GUARD + big) // _WIDTH_STEP) * _WIDTH_STEP
         W = F if final else min(F, max(_WIDTH_STEP, W))
         drop = F - W
         if W not in tables:

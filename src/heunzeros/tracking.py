@@ -487,26 +487,27 @@ def _d2_setup(spec: RecurrenceSpec, F: int) -> _D2Setup:
 class _D2Setup:
     """What `d2_sequence` keeps for one spec and F: the rows of
     `continuant(spec, K).fixed_rows(F)`, in `rootfind._short_rows` form,
-    and whether they are `real`, the kernel states of the normaliser
-    n_k = (gamma)_k (delta-1)_k, and `tails`: for the two most recent
-    fixed-point B, the most recent first, (b, K, kernel state at K,
-    (a_K, a_{K-1}, estimate))."""
+    and whether they are `real`; `norm`, the record (K, states) of the
+    last normaliser n_k = (gamma)_k (delta-1)_k run; and `tails`: for the
+    two most recent fixed-point B, the most recent first, (b, record,
+    (a_K, a_{K-1}, estimate)).  A record is (K, the kernel states at the
+    nodes of K), as `_run` resumes it."""
 
     def __init__(self, spec: RecurrenceSpec, F: int):
         # A_k has degree at most 2 in k and N_k at most 4, so `continuant`
         # runs only for k = 0..4, and the rows are real exactly when
-        # those five are; the normaliser's rows ((k+gamma)(k+delta-1), 0)
-        # are real exactly when their three head rows are
+        # those five are; the normaliser's rows, (k+gamma)(k+delta-1) with
+        # coupling 0 and shift 0, are real exactly when their three head
+        # rows are
         W = F + _KERNEL_GUARD
         head = continuant(spec, 5).fixed_rows(W)
         self.F, self.real = F, not any(r[1] or r[3] for r in head)
         self.rows = []
         self._more = rootfind._short_rows(_summed_rows(head, (2, 2, 4, 4)))
         self._norm_head = [
-            _to_fixed((k + spec.gamma) * (k + spec.delta - 1), W) + (0, 0)
+            _to_fixed((k + spec.gamma) * (k + spec.delta - 1), W) + (0, 0, 0)
             for k in range(3)]
-        self._norm_states = {}     # K -> its states at the nodes of K
-        self._norm_end = None      # (K, state at K, row iterator at K)
+        self.norm = None
         self.tails = ()
 
     def rows_to(self, K: int) -> list:
@@ -517,26 +518,28 @@ class _D2Setup:
 
     def normaliser(self, K: int, stops) -> list:
         """The `rootfind._continuant_kernel` states of n_k at stops, the
-        nodes of K, from z = 0.  The states of every K are kept, and so
-        are the state at the largest K run and the iterator of its
-        short rows that stands at its row: a new K whose stops all
-        lie at or beyond that K goes on from there, and any other runs
-        from 0."""
-        if K not in self._norm_states:
-            end, head = self._norm_end, self._norm_head
-            if end and end[0] <= stops[0]:
-                start, rows = end[:2], end[2]
-            else:
-                start, rows = None, rootfind._short_rows(
-                    _summed_rows(head, (2, 2, 0, 0)))
-            states = rootfind._continuant_kernel(
-                islice(rows, K - (start[0] if start else 0)), self.F,
-                (0, 0), stops, real=not any(r[1] for r in head),
-                start=start)
-            if not end or K > end[0]:
-                self._norm_end = (K, states[-1], rows)
-            self._norm_states[K] = states
-        return self._norm_states[K]
+        nodes of K, from z = 0, kept as the record `norm` of the last K
+        asked for.  Its rows are summed afresh from the head rows, their
+        coupling and its shift 0, and `_run` resumes the record."""
+        if not self.norm or self.norm[0] != K:
+            head = self._norm_head
+            self.norm = _run(_summed_rows(head, (2, 2, 0, 0, 0)), self.F,
+                             (0, 0), stops, not any(r[1] for r in head),
+                             self.norm)
+        return self.norm[1]
+
+
+def _run(rows, F: int, z, stops, real: bool, kept) -> tuple:
+    """The record (K, states) of a `rootfind._continuant_kernel` run
+    without p' on the rows from row 0 on: its states at the ascending
+    stops, the last of them K.  Given the record kept of a run on the
+    same rows, F and z, and every stop at or beyond its K, the run goes
+    on from its state at that K and steps rows K.. only; otherwise it
+    runs from 0."""
+    start = (kept[0], kept[1][-1]) if kept and kept[0] <= stops[0] else None
+    return stops[-1], rootfind._continuant_kernel(
+        islice(rows, start[0] if start else 0, stops[-1]), F, z, stops,
+        real=real, start=start)
 
 
 def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
@@ -553,11 +556,12 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
     most, the extrapolation runs on those Gaussian integers, and only its
     result, a_K and a_{K-1} return to mpc at precision_bits
     (docs/math_notes.md, section 6).  The set-up keeps the two most
-    recent fixed-point B, each with its K, its kernel state at K and its
-    three fixed-point results: asking again for the same tail, as
+    recent fixed-point B, each with the record of its tail and its three
+    fixed-point results: asking again for the same tail, as
     `d2_zero_search` does at its start point, runs no kernel, and a
     larger K whose nodes all lie at or beyond the kept K, as when the
-    search doubles K, runs the tail on from that state, rows K.. only.
+    search doubles K, runs the tail on from the kept state (`_run`),
+    rows K.. only.
     Heun members only converge for |s| < 1; outside that disk a warning
     is emitted and the numbers are returned as-is."""
     if K < 2:
@@ -574,22 +578,20 @@ def d2_sequence(spec: RecurrenceSpec, B, K: int = 500,
     with working_precision(precision_bits):
         b = _to_fixed(to_mpc(B), F)
     old = next((t for t in setup.tails if t[0] == b), None)
-    if old and old[1] == K:
-        results = old[3]
+    if old and old[1][0] == K:
+        results = old[2]
     else:
         nodes = _tail_nodes(K)
         stops = nodes[::-1]
-        start = old[1:3] if old and old[1] <= stops[0] else None
-        p = rootfind._continuant_kernel(
-            islice(setup.rows_to(K), start[0] if start else 0, K), F, b,
-            stops, real=setup.real, start=start)
-        n = setup.normaliser(K, stops)
+        tail = _run(setup.rows_to(K), F, b, stops, setup.real,
+                    old and old[1])
+        p, n = tail[1], setup.normaliser(K, stops)
         # a_k at the nodes, ascending, and a_{K-1}, with F fraction bits
         a = [_ratio(x[0], y[0], F + x[3] - y[3]) for x, y in zip(p, n)]
         x, y = p[-1], n[-1]
         results = (a[-1], _ratio(x[1], y[1], F + x[3] - y[3]),
                    _neville_at_zero(nodes, a[::-1]))
-        setup.tails = ((b, K, p[-1], results),) + tuple(
+        setup.tails = ((b, tail, results),) + tuple(
             t for t in setup.tails if t[0] != b)[:1]
     with working_precision(precision_bits):
         cur, prev, estimate = (_from_fixed(*x, F) for x in results)
@@ -607,7 +609,7 @@ def _ratio(p, n, shift: int) -> tuple:
 
 
 def _summed_rows(head, degrees):
-    """The iterator of rows k = 0, 1, ... of four columns that are
+    """The iterator of rows k = 0, 1, ... of columns that are
     polynomials in k of the given degrees, at most 4, from head[k],
     their values as ints with W = F + _KERNEL_GUARD fraction bits at
     k = 0..max(degrees): each column's forward differences of those
@@ -688,66 +690,61 @@ def d2_zero_search(spec: RecurrenceSpec, B0, tol=1e-10, K: int = 400,
                    precision_bits: int = 256) -> D2ZeroResult:
     """Secant iteration on B -> d2(B) from the scaled-tail estimate.
 
-    K doubles, up to _D2_K_MAX, whenever the plain tail indicator is not
-    at least an order of magnitude below max(|estimate|, tol), so
-    accuracy escalates exactly where the zero is being pinned down.
-    Both points of a secant step are evaluated at the same K: when K
-    doubles, the older point is evaluated again at the new K, and
-    convergence is declared only on a step taken at the K of the point
-    it produced.
-    Otherwise the search could stop on a zero of the coarser estimate.
-    A search that has not settled after _D2_MAX_STEPS secant steps
-    raises NonConvergenceError.  The first point is `d2_sequence` at B0
-    and K, which runs no kernel when the caller has just asked for that
-    tail at the same precision, as `heunzeros d2 --search` does.  Both
-    points of a step are the two tails the set-up of `d2_sequence`
-    keeps (`_d2_setup`), so a doubled K at either runs the tail and its
+    Both points of a secant step stand at one K (`_at_one_k`): K
+    doubles, up to _D2_K_MAX, whenever the plain tail indicator of a
+    point is not at least an order of magnitude below
+    max(|estimate|, tol), so accuracy escalates exactly where the zero
+    is being pinned down, and then both points are evaluated again at
+    the new K.  Convergence is declared only on a step after which K
+    stayed as it was; otherwise the search could stop on a zero of the
+    coarser estimate.  A search that has not settled after
+    _D2_MAX_STEPS secant steps raises NonConvergenceError.  The first
+    points are B0 + 10^-3 (1 + |B0|) and B0, each at K, and `d2_sequence`
+    at B0 runs no kernel when the caller has just asked for that tail at
+    the same precision, as `heunzeros d2 --search` does.  Both points of
+    a step are the two tails the set-up of `d2_sequence` keeps
+    (`_d2_setup`), so a doubled K at either runs the tail and its
     normaliser on from the old K, rows K..2K only.
     """
     with working_precision(precision_bits):
         tol = mp.mpf(tol)
-        K_cur = K
-
-        def f(b):
-            """(estimate, K) at b, doubling K_cur until the indicator is
-            good or _D2_K_MAX is reached."""
-            nonlocal K_cur
-            while True:
-                est = d2_sequence(spec, b, K_cur, precision_bits)
-                if (est.error_indicator < max(abs(est.estimate), tol) / 10
-                        or K_cur >= _D2_K_MAX):
-                    return est.estimate, K_cur
-                K_cur = min(2 * K_cur, _D2_K_MAX)
-
-        def at_current_k(b_a, f_a, b_b, f_b):
-            """Re-evaluate either point until both are at K_cur."""
-            while f_a[1] != K_cur or f_b[1] != K_cur:
-                if f_a[1] != K_cur:
-                    f_a = f(b_a)
-                else:
-                    f_b = f(b_b)
-            return f_a, f_b
-
-        b_prev = to_mpc(B0)
-        f_prev = f(b_prev)
-        step0 = mp.mpf("1e-3") * (1 + abs(b_prev))
-        b_cur = b_prev + step0
-        f_prev, f_cur = at_current_k(b_prev, f_prev, b_cur, f(b_cur))
+        b = to_mpc(B0)
+        points = [(b + mp.mpf("1e-3") * (1 + abs(b)), None, None),
+                  (b, None, None)]
+        K = _at_one_k(spec, points, K, tol, precision_bits)
         for it in range(1, _D2_MAX_STEPS + 1):
-            den = f_cur[0] - f_prev[0]
+            (b1, f1, _), (b0, f0, _) = points
+            den = f1 - f0
             if den == 0:
                 raise NonConvergenceError("flat d2 sequence in secant step")
-            b_next = b_cur - f_cur[0] * (b_cur - b_prev) / den
-            K_step = K_cur
-            b_prev, f_prev = b_cur, f_cur
-            b_cur = b_next
-            f_cur = f(b_cur)
-            if K_cur != K_step:
-                f_prev, f_cur = at_current_k(b_prev, f_prev, b_cur, f_cur)
-            elif abs(b_cur - b_prev) < tol * (1 + abs(b_cur)):
-                return D2ZeroResult(B=b_cur, d2=f_cur[0], iterations=it,
-                                    K_used=K_cur)
+            b = b1 - f1 * (b1 - b0) / den
+            points = [(b, None, None), points[0]]
+            K_step, K = K, _at_one_k(spec, points, K, tol, precision_bits)
+            if K == K_step and abs(b - b1) < tol * (1 + abs(b)):
+                return D2ZeroResult(B=b, d2=points[0][1], iterations=it,
+                                    K_used=K)
     raise NonConvergenceError(
         f"d2-zero secant did not settle in {_D2_MAX_STEPS} iterations from "
         f"B0 = {mp.nstr(to_mpc(B0), 8)}"
     )
+
+
+def _at_one_k(spec: RecurrenceSpec, points: list, K: int, tol,
+              precision_bits: int) -> int:
+    """Bring the secant points (b, d2 estimate, its K), newest first, to
+    one K, in place, and return that K: each point without a value at K
+    gets one from `d2_sequence`, and where its indicator is not at least
+    an order of magnitude below max(|estimate|, tol), K doubles, up to
+    _D2_K_MAX, and the round starts again from the newest point."""
+    while True:
+        for i, (b, _, k) in enumerate(points):
+            if k == K:
+                continue
+            est = d2_sequence(spec, b, K, precision_bits)
+            points[i] = b, est.estimate, K
+            if K < _D2_K_MAX and not (
+                    est.error_indicator < max(abs(est.estimate), tol) / 10):
+                K = min(2 * K, _D2_K_MAX)
+                break
+        else:
+            return K

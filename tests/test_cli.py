@@ -368,6 +368,22 @@ class TestExitCodes:
             "error": "m_list needs at least two distinct degrees, got "
                      "30, 30", "code": 4}
 
+    def test_a_table_without_degrees_is_4(self, capsys):
+        code, out, err = run(capsys, "table", "--family", "mathieu", "--q",
+                             "2", "--m", ",")
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "table needs --m (one or more degrees)", "code": 4}
+
+    def test_a_flat_secant_step_is_3(self, capsys):
+        # at 4 bits B0 + 10^-3 (1 + |B0|) rounds to B0: two equal points
+        code, out, err = run(capsys, "d2", "--family", "mathieu", "--q", "2",
+                             "--B", "1.3", "--precision-bits", "4",
+                             "--search")
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "flat d2 sequence in secant step", "code": 3}
+
     # delta - 1 = 2^-60: delta is an integer at 53 bits, but not at 256
     @pytest.mark.parametrize("extra,want", [
         ([], 0), (["--precision-bits", "53"], 4),

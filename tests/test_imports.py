@@ -4,8 +4,9 @@ script, library modules import each other at module level, the package
 imports no third-party module it does not declare, the CLI decides
 output formats in one place, no package module rebinds a global, the
 recurrence holds no big float, only rootfind knows the fraction bits of
-the zeros, the seed ladder runs one double QL per solve, and every
-package name the benchmark tracer wraps or reads still exists."""
+the zeros, the seed ladder runs one double QL per solve, tracking runs
+the continuant kernel from one function, and every package name the
+benchmark tracer wraps or reads still exists."""
 
 import ast
 import importlib
@@ -366,6 +367,38 @@ def test_only_rootfind_knows_the_fraction_bits_of_the_zeros():
     names |= {alias.name for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "_newton_bits" not in names
+
+
+def kernel_callers(source: str) -> list:
+    """The function, by its innermost def, of every call to
+    `_continuant_kernel` in source, as a name or an attribute."""
+    callers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and "_continuant_kernel" in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None)):
+            callers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return callers
+
+
+def test_scan_finds_each_kernel_caller():
+    source = ("def a(rows):\n    return rootfind._continuant_kernel(rows)\n"
+              "class S:\n    def b(self):\n"
+              "        return _continuant_kernel(self.rows)\n")
+    assert kernel_callers(source) == ["a", "b"]
+
+
+def test_tracking_calls_the_kernel_from_one_place():
+    # the d2 tail and its normaliser resume their runs through one helper
+    source = (ROOT / "src" / "heunzeros" / "tracking.py").read_text()
+    assert len(kernel_callers(source)) == 1
 
 
 def test_one_double_ql_per_solve(monkeypatch):

@@ -569,6 +569,32 @@ class TestFixedPointNewton:
         assert (len(stood), len(gave_way)) == (polished, aborted)
         assert all(widths[k] < full for _, k in starts)
 
+    @pytest.mark.parametrize("exponent,m,bits", [
+        (100, 4, 256), (100, 8, 256), (150, 4, 512), (150, 4, 1024),
+    ])
+    def test_zeros_beyond_the_window_against_mpmath_eig(self, exponent, m,
+                                                        bits):
+        # Mathieu q = 10^exponent has zeros near 10^(exponent/2), where
+        # p_{k-1} and p' sit that far below p_k in the kernel's window;
+        # each zero lies within the solve's tolerance, relative, and in
+        # its disk, of an eigenvalue of the unsymmetric Jacobi matrix
+        # (diagonal -A_k, couplings N_k above and 1 below) by mpmath's
+        # eig at 3000 bits
+        spec = from_mathieu(MathieuParams(q=10 ** exponent))[0]
+        zs = solve_zeros(spec, m, precision_bits=bits)
+        rows = continuant(spec, m)
+        with working_precision(3000):
+            T = mp.zeros(m)
+            for k in range(m):
+                T[k, k] = -to_mpc(rows.A[k])
+                if k:
+                    T[k - 1, k], T[k, k - 1] = to_mpc(rows.N[k]), 1
+            ref = mp.eig(T, left=False, right=False)
+            for z, r in zip(zs.zeros, zs.residuals):
+                error = min(abs(z - x) for x in ref)
+                assert error <= (m + 1) * r
+                assert error < zs.tol * abs(z)
+
     @pytest.mark.parametrize("spec,m,worst", [
         (WHILL_STRONG, 100, 7.3e-79),
         (from_lame(LameParams(n=2, s="1/2"))[0], 40, 4.8e-85),
@@ -1250,11 +1276,11 @@ class TestScaledTail:
         tracking._d2_setup.cache_clear()
         d2_sequence(spec, "13/10", K=400)
         kept = tracking._d2_setup(spec, F)
-        assert len(kept.rows) == 400 and list(kept._norm_states) == [400]
+        assert len(kept.rows) == 400 and kept.norm[0] == 400
         with pytest.raises(InvalidSpecError, match="K >= 2"):
             d2_sequence(other, "13/10", K=1)
         assert tracking._d2_setup(spec, F) is kept
-        assert len(kept.rows) == 400 and list(kept._norm_states) == [400]
+        assert len(kept.rows) == 400 and kept.norm[0] == 400
 
     def test_a_new_spec_or_precision_replaces_the_set_up(self):
         # the cache never holds two set-ups, and the one it dropped is
