@@ -1,5 +1,5 @@
-"""Polynomial root polishing at configurable precision, and the QL
-eigenvalue solver that supplies its seeds.
+"""Polynomial root polishing at configurable precision, and the
+eigenvalue solvers that supply its seeds.
 
 `find_all_roots` polishes caller-supplied seeds, one per root (such as
 the eigenvalues from `tridiagonal_eigenvalues`), each alone by Newton's
@@ -14,7 +14,7 @@ disks around the zeros, each holding a root, are pairwise disjoint and
 every residual, the last Newton step |p/p'|, meets the tolerance; for
 real rows the disks then also prove the zeros on the axis real.
 Otherwise it raises, and the caller may bring better seeds
-(`tracking.solve_zeros` climbs a ladder of QL precisions).  The steps
+(`tracking.solve_zeros` climbs a ladder of seed precisions).  The steps
 per seed are bounded, and no start point comes from a random generator.
 """
 
@@ -136,10 +136,10 @@ class Continuant:
     given by its rows A = (A_0, ..., A_{m-1}) and N = (N_0, ..., N_{m-1}),
     QQi, as `tracking.continuant` builds them (N_0 multiplies p_{-1} = 0
     and is never read).
-    Its zeros are the eigenvalues of the complex-symmetric tridiagonal
-    matrix with diagonal -A_k and off-diagonal sqrt(N_k), k >= 1
-    (`double_matrix`, `tridiagonal_eigenvalues`; docs/math_notes.md,
-    section 8)."""
+    Its zeros are the eigenvalues of the tridiagonal matrix with
+    diagonal -A_k and off-diagonal sqrt(N_k), k >= 1 (`double_matrix`),
+    or unit superdiagonal and subdiagonal N_k (`fixed_rows`; see
+    `tridiagonal_eigenvalues` and docs/math_notes.md, section 8)."""
 
     A: tuple
     N: tuple
@@ -165,7 +165,7 @@ class Continuant:
 
     def fixed_rows(self, F: int) -> tuple:
         """(Re A_k, Im A_k, Re N_k, Im N_k) per row, with F fraction
-        bits (`scalars._to_fixed`), for the rational QL, and for
+        bits (`scalars._to_fixed`), for the qd, and for
         `_continuant_kernel` once `_short_rows` has split each N_k into
         a mantissa and a power of two."""
         return tuple(_to_fixed(a, F) + _to_fixed(x, F)
@@ -352,55 +352,52 @@ def newton_polygon_seeds(coeffs) -> list:
     return seeds
 
 
-_QL_MAX_STEPS = 50    # QL steps allowed per eigenvalue
+_QL_MAX_STEPS = 50    # QL or qd steps allowed per eigenvalue per 53 bits
 _POLISH_STEPS = 40    # Newton steps allowed per root
 _SEED_BITS = 53       # bits a seed is taken to be right to: a double
 _JUDGE_BITS = 20      # a double seed's first step is below 2^-20 relative
 _WIDTH_STEP = 64      # the narrow Newton steps' widths are multiples of it
-_QL_GUARD = 32        # fraction bits of the rational QL's c beyond F
+_QD_GUARD = 16        # fraction bits of the qd's diagonal beyond F, and
+                      # twice as many in its subdiagonal beyond 2F
 
 
 def tridiagonal_eigenvalues(rows: Continuant, precision_bits: int = 53):
     """Eigenvalues of the Jacobi matrix of the Continuant rows, or None.
 
-    The matrix is complex-symmetric and tridiagonal, with diagonal -A_k
-    and squared off-diagonal N_k, k >= 1.  At precision_bits <= 53,
-    implicit QL with Wilkinson shifts (the tqli scheme) runs on
-    `Continuant.double_matrix` in complex doubles (`_implicit_ql`); its
-    plane rotations have c^2 + s^2 = 1 and act by transposes, not
-    conjugate transposes, so every step keeps the matrix
-    complex-symmetric.  Above 53 bits, a rational QL (`_rational_ql`)
-    takes the same steps on the squared off-diagonal, with no square
-    root but the shift's, in fixed point on the exact rows: -A_k with
-    F = precision_bits fraction bits and N_k with 2F
-    (`Continuant.fixed_rows`), each a Gaussian integer, each operation
-    exact integer arithmetic followed by at most one floor rounding, so
-    the eigenvalues are the same bits on every machine and every run.
-    Either breaks down when a rotation's pivot pair (f, g) has
-    f^2 + g^2 = 0, and nothing bounds how fast a non-normal matrix
-    converges; on a breakdown, after _QL_MAX_STEPS QL steps per 53 bits
-    of precision on one eigenvalue, or when a double entry overflows,
-    the result is None (`tracking.solve_zeros` then tries its next rung
-    of precision).  The eigenvalues come back in no particular order:
-    complex doubles at 53 bits, and above it exact QQi over 2^F.  They
-    are accurate to about the unit roundoff times the matrix norm only
-    when the matrix is close to normal, and far less when it is not,
-    which is why `find_all_roots` judges double seeds by their first
-    Newton step when a higher rung could follow.
+    At precision_bits <= 53, implicit QL with Wilkinson shifts (the tqli
+    scheme, `_implicit_ql`) runs in complex doubles on
+    `Continuant.double_matrix`, the complex-symmetric form with
+    off-diagonal sqrt(N_k); its plane rotations have c^2 + s^2 = 1 and
+    act by transposes, so every step keeps the matrix complex-symmetric.
+    Above 53 bits, shifted qd steps (`_qd`) run on the rows themselves,
+    diagonal -A_k, unit superdiagonal and subdiagonal N_k, in fixed
+    point: -A_k floored to F = precision_bits fraction bits and N_k to
+    2F (`Continuant.fixed_rows(2F)`), carried with _QD_GUARD more bits,
+    each operation exact integer arithmetic followed by at most one floor
+    rounding, so the eigenvalues are the same bits on every machine and
+    every run.  On a breakdown, after _QL_MAX_STEPS steps per 53 bits of
+    precision on one eigenvalue, or when a double entry overflows, the
+    result is None (`tracking.solve_zeros` then tries its next rung).
+    The eigenvalues come back in no particular order: complex doubles at
+    53 bits, and above it exact QQi over 2^F.  They are accurate to about
+    the unit roundoff times the matrix norm only when the matrix is close
+    to normal, and far less when it is not, which is why `find_all_roots`
+    judges double seeds by their first Newton step when a higher rung
+    could follow.
     """
     if precision_bits > 53:
-        F = precision_bits
+        F, G = precision_bits, _QD_GUARD
         fixed = rows.fixed_rows(2 * F)
-        dr = [-(a >> F) for a, _, _, _ in fixed]
-        di = [-(b >> F) for _, b, _, _ in fixed]
-        er = [x for _, _, x, _ in fixed[1:]] + [0]
-        ei = [y for _, _, _, y in fixed[1:]] + [0]
+        dr = [-(a >> F) << G for a, _, _, _ in fixed]
+        di = [-(b >> F) << G for _, b, _, _ in fixed]
+        er = [x << 2 * G for _, _, x, _ in fixed[1:]] + [0]
+        ei = [y << 2 * G for _, _, _, y in fixed[1:]] + [0]
         try:
-            if not _rational_ql(dr, di, er, ei, F):
+            if not _qd(dr, di, er, ei, F):
                 return None
-        except ZeroDivisionError:       # a breakdown: r = 0
+        except ZeroDivisionError:       # a breakdown
             return None
-        return [QQi(x, y) / (1 << F) for x, y in zip(dr, di)]
+        return [QQi(x >> G, y >> G) / (1 << F) for x, y in zip(dr, di)]
     d, e = rows.double_matrix()
     try:
         converged = _implicit_ql(d, e + [0j])
@@ -495,39 +492,37 @@ def _double_sqrt(z) -> complex:
     return complex(parts[0], -parts[1] if Y < 0 else parts[1])
 
 
-def _rational_ql(dr, di, er, ei, F: int) -> bool:
-    """Root-free QL (Pal, Walker and Kahan's form of Reinsch's rational
-    QL, as LAPACK's dsterf runs it; docs/math_notes.md, section 8) on
-    Gaussian integers, in place: the diagonal d = dr + i di, with F
-    fraction bits, ends as the eigenvalues; e^2 = er + i ei, the squared
-    off-diagonal with 2F fraction bits, is padded with a trailing zero.
-    A step on the block l..m shifts by the eigenvalue of its leading 2x2
-    block nearest d_l, t = d_l - 2 e_l^2 / (u + v), u = d_l+1 - d_l,
-    v = +-sqrt(u^2 + 4 e_l^2) (`_fixed_sqrt`, its one root) with
-    Re(u conj v) >= 0.  Then, from c = 1, g = d_m - t and p = g^2, for
-    i = m-1 down to l: r = p + e_i^2, e_i+1^2 = s r, c = p / r, g' = g,
-    g = c (d_i - t) - s g', d_i+1 = g' + d_i - g, and p = g^2 / c, or
-    c_old e_i^2 when c = 0; last, e_l^2 = s p and d_l = g + t; here
-    s = 1 - c is never formed: s r = r - c r, and
-    c (d_i - t) - s g' = c (d_i - t + g') - g'.  c carries K =
-    F + _QL_GUARD fraction bits, so that g keeps F bits for |d_i - t| up
-    to 2^_QL_GUARD; p and r carry 2F.  A product is shifted back and a
-    quotient's numerator shifted up to the scale it keeps, each rounding
-    to the floor, and the floor of X - h 2^K is the floor of X less h,
-    so folding s in moves no bit.  Moduli are |x| + |y|.  e_m^2
-    deflates when |e_m^2| <= 2^-2F (|d_m| + |d_m+1|)^2, or below the
-    squared floor (2^(6-F) max_j ||row_j||_1)^2: rounding leaves an
-    absolute error of a few units of 2^-F times the matrix scale in
-    every entry, so near a small eigenvalue of a non-normal matrix the
-    relative test alone may never pass.  False when an eigenvalue needs
-    more than _QL_MAX_STEPS * F // 53 steps; r = 0, a breakdown, raises
-    ZeroDivisionError."""
+def _qd(dr, di, er, ei, F: int) -> bool:
+    """Shifted qd (LR) steps in their UL form (Rutishauser; Parlett,
+    "The new qd algorithms", Acta Numerica 1995; docs/math_notes.md,
+    section 8) in place on Gaussian integers: the tridiagonal with
+    diagonal d = dr + i di, unit superdiagonal and subdiagonal
+    e = er + i ei, e_k = N_k+1, padded with a trailing zero; d carries
+    H = F + _QD_GUARD fraction bits and ends as the eigenvalues, e
+    carries 2H.  A step on the block l..m shifts by the eigenvalue of
+    [[d_l, 1], [e_l, d_l+1]] nearest d_l, t = d_l - 2 e_l / (u + v),
+    u = d_l+1 - d_l, v = +-sqrt(u^2 + 4 e_l) (`_fixed_sqrt`) with
+    Re(u conj v) >= 0, and forms L U + t from the block less t = U L:
+    from p = d_m - t, for k = m-1 down to l, g = e_k / p (floored),
+    d_k+1 = p + g + t, p = d_k - t - g and e_k = p g (exact); last
+    d_l = p + t.  The floored g makes the step exact for a block whose
+    e_k moved by less than |p| 2^(1/2 - H), so the guard bits hold while
+    no |p| exceeds 2^_QD_GUARD times the matrix scale: a step that meets
+    a zero pivot, or leaves a diagonal part above that, is undone and
+    run from the other eigenvalue, d_l + d_l+1 - t; if that breaks down
+    too, False.  Moduli are |x| + |y|.  e_m deflates when
+    |e_m| <= 2^-2F (|d_m| + |d_m+1|)^2, or below the squared floor
+    (2^(6-F) max_j ||row_j||_1)^2: rounding leaves an absolute error of
+    a few units of 2^-F times the matrix scale in every entry, so near a
+    small eigenvalue of a non-normal matrix the relative test alone may
+    never pass.  False too when an eigenvalue needs more than
+    _QL_MAX_STEPS * F // 53 steps; u + v = 0 raises ZeroDivisionError."""
     n = len(dr)
     max_steps = _QL_MAX_STEPS * F // 53
     scale = max(abs(dr[j]) + abs(di[j]) + isqrt(abs(er[j]) + abs(ei[j]))
                 + isqrt(abs(er[j - 1]) + abs(ei[j - 1])) for j in range(n))
     floor = (scale >> (F - 6)) ** 2    # er[-1] is the zero padding
-    K = F + _QL_GUARD
+    bound = scale << _QD_GUARD
     for l in range(n):
         for it in range(max_steps + 1):
             m = l
@@ -550,37 +545,28 @@ def _rational_ql(dr, di, er, ei, F: int) -> bool:
                 vr, vi = -vr, -vi
             ur, ui = _fixed_div(2 * xr, 2 * xi, ur + vr, ui + vi, 0)
             tr, ti = dr[l] - ur, di[l] - ui          # the shift
-            cr, ci = 1 << K, 0
-            gr, gi = dr[m] - tr, di[m] - ti
-            pr, pi = gr * gr - gi * gi, 2 * gr * gi
-            for i in range(m - 1, l - 1, -1):
-                xr, xi = er[i], ei[i]
-                rr, ri = pr + xr, pi + xi
-                # s r = r - c r, floored: r minus the ceiling of c r
-                er[i + 1] = rr + ((ci * ri - cr * rr) >> K)
-                ei[i + 1] = ri + ((-cr * ri - ci * rr) >> K)
-                br, bi = cr, ci
-                n2 = rr * rr + ri * ri               # c = p / r
-                cr = ((pr * rr + pi * ri) << K) // n2
-                ci = ((pi * rr - pr * ri) << K) // n2
-                # c u - s g' = c (u + g') - g', u = d_i - t, floored
-                ur, ui = dr[i] - tr + gr, di[i] - ti + gi
-                hr, hi = gr, gi
-                gr = ((cr * ur - ci * ui) >> K) - hr
-                gi = ((cr * ui + ci * ur) >> K) - hi
-                dr[i + 1] = hr + dr[i] - gr
-                di[i + 1] = hi + di[i] - gi
-                if cr or ci:                         # p = g^2 / c
-                    ar, ai = gr * gr - gi * gi, 2 * gr * gi
-                    n2 = cr * cr + ci * ci
-                    pr = ((ar * cr + ai * ci) << K) // n2
-                    pi = ((ai * cr - ar * ci) << K) // n2
+            saved = dr[l:m + 1], di[l:m + 1], er[l:m], ei[l:m]
+            for tr, ti in (tr, ti), (dr[l + 1] + ur, di[l + 1] + ui):
+                try:
+                    pr, pi = dr[m] - tr, di[m] - ti
+                    for k in range(m - 1, l - 1, -1):
+                        xr, xi = er[k], ei[k]
+                        n2 = pr * pr + pi * pi       # g = e_k / p
+                        gr = (xr * pr + xi * pi) // n2
+                        gi = (xi * pr - xr * pi) // n2
+                        dr[k + 1], di[k + 1] = pr + gr + tr, pi + gi + ti
+                        pr, pi = dr[k] - tr - gr, di[k] - ti - gi
+                        er[k], ei[k] = pr * gr - pi * gi, pr * gi + pi * gr
+                    dr[l], di[l] = pr + tr, pi + ti
+                except ZeroDivisionError:            # a zero pivot
+                    pass
                 else:
-                    pr = (br * xr - bi * xi) >> K
-                    pi = (br * xi + bi * xr) >> K
-            er[l] = pr + ((ci * pi - cr * pr) >> K)
-            ei[l] = pi + ((-cr * pi - ci * pr) >> K)
-            dr[l], di[l] = gr + tr, gi + ti
+                    # the guard bits held: no pivot grew past the bound
+                    if max(map(abs, dr[l:m + 1] + di[l:m + 1])) <= bound:
+                        break
+                dr[l:m + 1], di[l:m + 1], er[l:m], ei[l:m] = saved
+            else:
+                return False
     return True
 
 
@@ -744,19 +730,22 @@ def _fixed_newton(tables, F: int, z, t: int, real: bool = False, seed=None):
     about |z| below p_k in the kernel's window, so W grows by the bits
     of the starting |z| beyond _KERNEL_SPAN.  W is rounded up to a
     multiple of _WIDTH_STEP, and tables keeps the rows shifted to it, in
-    the same form.  The first full-width step with
+    the same form.  Where the rows cancel more than |z| shows (Mathieu
+    q = 10^200, N_k near 80 |z|^2), W is still too narrow: after a step
+    longer than the one before it, every step is at the full width.
+    The first full-width step with
     |w| < 2^-t (1 + |z - w|) / 8, or the one that ends _POLISH_STEPS
     steps or three growing ones, gives (z - w, floor(|w| 2^F)), both
     with F fraction bits; at p' = 0 the step is None, infinite.  Given
     the index seed, a first step |w| > 2^-_JUDGE_BITS (1 + |z - w|) raises
     NonConvergenceError, with that seed in `overlapping`."""
     zr, zi = z
-    right, last, grew = _SEED_BITS, None, 0
+    right, last, grew, full = _SEED_BITS, None, 0, False
     big = max(0, (abs(zr) | abs(zi)).bit_length() - F - _KERNEL_SPAN)
     for k in range(_POLISH_STEPS):
         final = grew >= 3 or k == _POLISH_STEPS - 1
         W = -(-(2 * right + _KERNEL_GUARD + big) // _WIDTH_STEP) * _WIDTH_STEP
-        W = F if final else min(F, max(_WIDTH_STEP, W))
+        W = F if final or full else min(F, max(_WIDTH_STEP, W))
         drop = F - W
         if W not in tables:
             tables[W] = tuple(_short_rows(
@@ -779,6 +768,7 @@ def _fixed_newton(tables, F: int, z, t: int, real: bool = False, seed=None):
         if W == F and (final or (8 * size) << t < scale):
             return (zr, zi), size
         grew = grew + 1 if last is not None and size > last else 0
+        full = full or grew > 0
         last = size
         right = 2 * (scale.bit_length() - size.bit_length())
 

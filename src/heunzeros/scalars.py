@@ -378,11 +378,11 @@ def working_precision(bits: int):
 # -- fixed point ------------------------------------------------------------
 #
 # A Gaussian integer pair (x, y) with F fraction bits stands for
-# (x + iy) / 2^F.  The fixed-point kernels (the escalated QL and the
-# continuant kernel in `rootfind`, which evaluates the zeros'
-# polynomials and runs the d2 tail of `tracking`, and the Frobenius
-# series of the midpoint oracle in `oracle`) run on such pairs and use
-# only these conversions and this division.
+# (x + iy) / 2^F.  The fixed-point kernels (the qd of the seed rungs
+# above 53 bits and the continuant kernel in `rootfind`, which
+# evaluates the zeros' polynomials and runs the d2 tail of `tracking`,
+# and the Frobenius series of the midpoint oracle in `oracle`) run on
+# such pairs and use only these conversions and this division.
 
 def _to_fixed(z, F: int) -> tuple:
     """The complex, mpc or mpf z truncated toward zero to F fraction

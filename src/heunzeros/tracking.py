@@ -65,17 +65,18 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
     """Zeros of c_m(B), labelled by grid index where estimates exist.
 
     The seeds are the eigenvalues of the Jacobi matrix of the recurrence,
-    taken from a ladder of QL precisions that double from 53 bits and stop
-    at precision_bits: 53, 106, 212, ..., precision_bits
+    taken from a ladder of seed precisions that double from 53 bits and
+    stop at precision_bits: 53, 106, 212, ..., precision_bits
     (`tridiagonal_eigenvalues`: the double QL on `Continuant.double_matrix`
-    at 53, and above it the rational QL on the exact rows in fixed point,
-    so no rung builds a big float).  A rung that gives seeds hands them
-    to `find_all_roots`, which polishes each by Newton's method on the
-    recurrence itself (the `continuant` rows, evaluated in fixed point;
-    the dense coefficients of c_m are never built) and keeps the results
-    when disks around them, each holding a zero, are disjoint and every
-    residual meets the tolerance 2^-(precision_bits/2)
-    (`rootfind.default_tol`); the ZeroSet records that rung as `seed_bits`.
+    at 53, and above it shifted qd steps on the exact rows in fixed point,
+    with no square root of N_k, so no rung builds a big float).  A rung
+    that gives seeds hands them to `find_all_roots`, which polishes each
+    by Newton's method on the recurrence itself (the `continuant` rows,
+    evaluated in fixed point; the dense coefficients of c_m are never
+    built) and keeps the results when disks around them, each holding a
+    zero, are disjoint and every residual meets the tolerance
+    2^-(precision_bits/2) (`rootfind.default_tol`); the ZeroSet records
+    that rung as `seed_bits`.
     Every rung and the Newton kernel read one set of exact rows.  A rung
     without seeds, whose polished disks overlap, or whose double seeds fail
     their first Newton step, gives way to the next one.  NonConvergenceError

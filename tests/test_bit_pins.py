@@ -9,8 +9,8 @@ arithmetic (`scalars.QQi`) that moves a single rational of the
 recurrence rows, the perturbative seeds and closed forms, or a built
 family, or any label, pairing, matching cost or digit count of the zero
 bookkeeping, or any entry of the 53-bit Jacobi matrices that the double
-QL of the seed ladder reads, or any eigenvalue or rounding of its
-rational QL.  A change meant to move bits regenerates the digests with
+QL of the seed ladder reads, or any eigenvalue or rounding of the qd
+above 53 bits.  A change meant to move bits regenerates the digests with
 
     PYTHONPATH=src python tests/test_bit_pins.py
 
@@ -121,31 +121,35 @@ def _double_matrices(spec, ms):
             for m in ms for part in continuant(spec, m).double_matrix()]
 
 
-def _rational_ql(spec, m):
-    """The exact eigenvalues (a, b, d), (a + ib)/d, of the rational QL
-    of the Jacobi matrix of c_m at 106 and 212 bits, in the order it
-    leaves them."""
+def _fixed_eigenvalues(spec, m):
+    """The exact eigenvalues (a, b, d), (a + ib)/d, that the qd leaves
+    for the Jacobi matrix of c_m at 106 and 212 bits, in its order."""
     return [[(z.a, z.b, z.d) for z in tridiagonal_eigenvalues(
         continuant(spec, m), precision_bits=bits)] for bits in (106, 212)]
 
 
-def _rational_ql_small(seed=2026, runs=300):
-    """The return value (None for a breakdown) and the whole state the
-    rational QL leaves in place, on seeded random Gaussian-integer
-    matrices of order 2 to 7 at F = 6 to 24 fraction bits, half of them
-    real: at so few bits one unit of a rotation's rounding of e^2 shows
-    in the result, as it does not at 106 bits."""
+def _qd_small(seed=2026, runs=300):
+    """The return value (None when the shift's division breaks down) and
+    the whole state the qd leaves in place, on seeded random
+    Gaussian-integer matrices of order 2 to 7 at F = 6 to 24 fraction
+    bits, half of them real, each shifted to the qd's guard bits as
+    `tridiagonal_eigenvalues` shifts its rows: at so few bits one unit
+    of the rounding of g shows in the result, as it does not at 106
+    bits."""
     rng = random.Random(seed)
+    guard = rootfind._QD_GUARD
     out = []
     for _ in range(runs):
         frac, n = rng.randint(6, 24), rng.randint(2, 7)
         imag = rng.random() < 0.5
-        parts = [[rng.randint(-1 << bits, 1 << bits) if real or imag else 0
+        parts = [[rng.randint(-1 << bits, 1 << bits) << shift
+                  if real or imag else 0
                   for _ in range(n - off)] + [0] * off
-                 for bits, off in ((frac + 3, 0), (2 * frac + 4, 1))
+                 for bits, off, shift in ((frac + 3, 0, guard),
+                                          (2 * frac + 4, 1, 2 * guard))
                  for real in (True, False)]
         try:
-            result = rootfind._rational_ql(*parts, frac)
+            result = rootfind._qd(*parts, frac)
         except ZeroDivisionError:
             result = None
         out.append((result, parts))
@@ -256,15 +260,16 @@ CASES = {
         RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2", delta="1/2",
                        s=-20, alpha=5), (16, 19, 50, 89, 100)),
     "doubles-heun-complex-m40": lambda: _double_matrices(HEUN_COMPLEX, (40,)),
-    "ql-mathieu-2i-m40": lambda: _rational_ql(MATHIEU_2I, 40),
-    "ql-heun-complex-m40": lambda: _rational_ql(HEUN_COMPLEX, 40),
-    "ql-lame-1/2-m40": lambda: _rational_ql(
+    "ql-mathieu-2i-m40": lambda: _fixed_eigenvalues(MATHIEU_2I, 40),
+    "ql-heun-complex-m40": lambda: _fixed_eigenvalues(HEUN_COMPLEX, 40),
+    "ql-lame-1/2-m40": lambda: _fixed_eigenvalues(
         from_lame(LameParams(n=2, s="1/2"))[0], 40),
-    "ql-random-small-F": _rational_ql_small,
-    # the first shift, -2, is an eigenvalue of J_5 and of its trailing
-    # 2x2 block, so one pivot is exactly 0: the sweep's c = 0 branch
+    "ql-random-small-F": _qd_small,
     "kernel-random-rows": _kernel_random_rows,
-    "ql-reduced-m5": lambda: _rational_ql(
+    # the first shift, -2, is an eigenvalue of J_5 and of its trailing
+    # 2x2 block, so at 106 and at 212 bits one pivot is exactly 0 and
+    # the step reruns from the other eigenvalue of the leading block
+    "ql-reduced-m5": lambda: _fixed_eigenvalues(
         RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=2, delta=-2, s=2), 5),
     "eval-heun-K60": lambda: _json(eval_sequence(
         HEUN, QQi(F(-23, 10), F(1, 4)), 60)),
@@ -326,17 +331,17 @@ PINS = {
     "doubles-heun-complex-m40":
         "8bebab26a30e347b2c9763d59013c8075617d854b6719091cddecba40eabc6a9",
     "ql-mathieu-2i-m40":
-        "4df9bdf8151f7b36ecc317a8f0707c5f79196c528856cc986cf47e2d07d542f3",
+        "8967c0ac6289a274e1ab4bffeefc35f5bf3d04fd2e08f746939e528ed2067d1f",
     "ql-heun-complex-m40":
-        "c617ecd52924468d9082f06c7911ed091821eb31dd9051694cdeece7d740fac4",
+        "cc791233fdc0c0d491bf94d1fe975f6d952552461425c7d54a0ae6ba1e067cc3",
     "ql-lame-1/2-m40":
-        "226bac05074876e87bd5e56cb0427c2aade9e1303ba368213ee931eb869bd879",
+        "91899d93bf4e17506aa3c9eaab7b5dd9c447ddd9b1f96706a0d1d3c50b4f7f60",
     "ql-random-small-F":
-        "b5002abf51021091b5ddf218d91c0b073dc460fb70b4f504136e4aedbaa4b910",
+        "ca342a0d5d4621a90e26bbd30adbd993916a84945fd096f9777b230c1d1cbf11",
     "kernel-random-rows":
         "92e8c764fc8c48f550f18e4eabe2384bf1d07afa09a8a7274e14cad4ee888f74",
     "ql-reduced-m5":
-        "d6c5d6a7f879f25a2ea83d63b7d3e0757c85ef5cd81f2540b0cadda780df7c56",
+        "2ec0d704d789ecccf33d7933c7803c30cd9e6b32f93591c21b6e0eb15d15e811",
     "eval-heun-K60":
         "5137aa9d74244fc2ff0eb825998262d50847d59bd7e953216c5f948fe5689085",
     "family-in-s-heun-m10":

@@ -429,7 +429,7 @@ class TestExitCodes:
         assert "the disks of 2 of 30 polished seeds overlap" in doc["error"]
 
     def test_unresolvable_zeros_fail_fast_with_3(self, capsys, monkeypatch):
-        # at 64 bits the 100 zeros cannot be resolved to the default
+        # at 64 bits the 130 zeros cannot be resolved to the default
         # tolerance: both rungs of the seed ladder fail and are named,
         # after a bounded number of polynomial evaluations
         from heunzeros import rootfind
@@ -445,17 +445,17 @@ class TestExitCodes:
         monkeypatch.setattr(rootfind, "_continuant_kernel", counting)
         code, out, err = run(capsys, "zeros", "--family", "cheun", "--gamma",
                              "1/2", "--delta", "1/2", "--alpha", "5",
-                             "--s=-20", "--m", "100", "--precision-bits",
+                             "--s=-20", "--m", "130", "--precision-bits",
                              "64")
         assert code == 3 and out == ""
         doc = json.loads(err)
         assert doc["code"] == 3
-        assert "degree-100 polynomial: 53 bits: " in doc["error"]
+        assert "degree-130 polynomial: 53 bits: " in doc["error"]
         assert "; 64 bits: " in doc["error"]
         assert doc["error"].endswith("precision_bits = 64 is too low; "
                                      "raise it")
         rungs = 2
-        assert len(calls) <= rungs * 100 * (rootfind._POLISH_STEPS + 2)
+        assert len(calls) <= rungs * 130 * (rootfind._POLISH_STEPS + 2)
 
     def test_secant_iteration_cap_is_3(self, capsys, monkeypatch):
         from heunzeros import tracking

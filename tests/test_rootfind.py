@@ -220,19 +220,24 @@ class TestTridiagonalEigenvalues:
             for w in (mp.mpc(2, mp.sqrt(3)), mp.mpc(2, -mp.sqrt(3))):
                 assert min(abs(to_mpc(e) - w) for e in eig) < \
                     mp.mpf(2) ** -100
+        # the nilpotent [[1, i], [i, -1]] breaks the double QL down; the
+        # qd's shift is its double eigenvalue 0, and one step ends there
         assert tridiagonal_eigenvalues(jacobi_rows([1, -1], [1j]),
-                                       precision_bits=106) is None
+                                       precision_bits=106) == [0, 0]
 
     def test_step_limit_grows_with_precision(self, monkeypatch):
-        # one eigenvalue of this block takes three QL steps in doubles
-        # and more than two at 106 bits: two steps per 53 bits are too
-        # few for the doubles, and the four they allow at 106 bits do
+        # one eigenvalue of this block takes five QL steps in doubles
+        # and seven or eight qd steps at 106 bits: four steps per 53
+        # bits are too few for the doubles, and the eight they allow at
+        # 106 bits do, where four would not
         import heunzeros.rootfind as rootfind
 
-        monkeypatch.setattr(rootfind, "_QL_MAX_STEPS", 2)
-        rows = jacobi_rows([1, 2, 4], [1, 1])
+        monkeypatch.setattr(rootfind, "_QL_MAX_STEPS", 4)
+        rows = jacobi_rows([0, 0, -1], [1, 1])
         assert tridiagonal_eigenvalues(rows) is None
         assert len(tridiagonal_eigenvalues(rows, precision_bits=106)) == 3
+        monkeypatch.setattr(rootfind, "_QL_MAX_STEPS", 2)
+        assert tridiagonal_eigenvalues(rows, precision_bits=106) is None
 
 
 def parts_hex(z) -> tuple:
@@ -292,8 +297,8 @@ class TestDoubleMatrix:
 
 
 def fixed_ql_eigenvalues(spec, m, bits):
-    """The fixed-point QL eigenvalues of the Jacobi matrix of c_m, read
-    from its exact rows, as mpc that hold them exactly."""
+    """The fixed-point (qd) eigenvalues of the Jacobi matrix of c_m,
+    read from its exact rows, as mpc that hold them exactly."""
     eig = tridiagonal_eigenvalues(continuant(spec, m), precision_bits=bits)
     with working_precision(2 * bits):
         return None if eig is None else [to_mpc(e) for e in eig]
@@ -304,9 +309,9 @@ QL_SPECS = {"lame": from_lame(LameParams(n=2, s="1/2"))[0],
 
 
 class TestFixedPointQL:
-    """Each QL rung above 53 bits, the rational QL on the exact rows, is
-    as good as its width, and none drifts at rounding level until the
-    step limit."""
+    """Each rung above 53 bits, the qd on the exact rows, is as good as
+    its width, and none drifts at rounding level until the step
+    limit."""
 
     @pytest.mark.parametrize("m", [10, 30, 40, 80])
     @pytest.mark.parametrize("family", sorted(QL_SPECS))
@@ -353,7 +358,7 @@ class TestFixedPointQL:
 
     def test_a_run_without_a_step_stands(self, monkeypatch):
         # at s = -2^1030 every e_k^2 is below the squared floor, which the
-        # diagonal sets: each deflates before any QL step (each step takes
+        # diagonal sets: each deflates before any qd step (each step takes
         # one `_fixed_sqrt`), and the eigenvalues are the diagonal
         spec = RecurrenceSpec(kind=FamilyKind.CONFLUENT, gamma="1/2",
                               delta="1/2", s=-2 ** 1030, alpha=5)
@@ -363,8 +368,8 @@ class TestFixedPointQL:
         assert eig == [QQi(F(-x, 2 ** 106), F(-y, 2 ** 106))
                        for x, y in (_to_fixed(a, 106) for a in rows.A)]
 
-    @pytest.mark.parametrize("m,digest", [(89, "48d3b886b503c792"),
-                                          (100, "4d886c7c720d4645")],
+    @pytest.mark.parametrize("m,digest", [(89, "3312aa69f911a5f2"),
+                                          (100, "18400f80386baa75")],
                              ids=["89", "100"])
     def test_whittaker_hill_106_bit_seeds_keep_their_bits(self, m, digest):
         # the sha256 of the exact eigenvalues, each (a + ib)/d in lowest
@@ -374,6 +379,103 @@ class TestFixedPointQL:
         eig = tridiagonal_eigenvalues(continuant(spec, m), precision_bits=106)
         text = repr([(z.a, z.b, z.d) for z in eig])
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def random_rows(rng, n):
+    """Rows of order n with complex Gaussian-rational entries, some with
+    denominators that are not powers of two, so that their fixed-point
+    forms are full width."""
+    def entry():
+        return QQi(F(rng.randint(-999, 999), rng.choice((1, 3, 8, 7, 64))),
+                   F(rng.randint(-999, 999), rng.choice((1, 5, 16, 9))))
+    return Continuant(A=tuple(entry() for _ in range(n)),
+                      N=(QQi(0),) + tuple(entry() for _ in range(n - 1)))
+
+
+def random_specs(seed=40, count=40):
+    """Seeded exact specs, (spec, m): full, confluent and reduced in
+    turn, |s| <= 25 with half of them complex, m = 5 to 45."""
+    rng = random.Random(seed)
+
+    def frac(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice((1, 2, 3, 4, 5, 7)))
+
+    kinds = (FamilyKind.HEUN, FamilyKind.CONFLUENT, FamilyKind.REDUCED)
+    out = []
+    for i in range(count):
+        kind = kinds[i % 3]
+        s = QQi(0)
+        while s == 0 or s.abs2() > 625:
+            s = QQi(frac(-25, 25), frac(-25, 25) if rng.random() < 0.5
+                    else 0)
+        extra = {}
+        if kind != FamilyKind.REDUCED:
+            extra["alpha"] = frac(-6, 6)
+        if kind == FamilyKind.HEUN:
+            extra["beta"] = frac(-6, 6)
+        spec = RecurrenceSpec(kind=kind, gamma=F(rng.randint(1, 12),
+                                                 rng.choice((2, 3, 4))),
+                              delta=frac(-6, 6), s=s, **extra)
+        out.append((spec, rng.randint(5, 45)))
+    return out
+
+
+class TestQd:
+    """`rootfind._qd`, the seeds of every rung above 53 bits: shifted qd
+    steps on the continuant's own rows."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_rows_polish_to_mpmath_eig(self, seed):
+        # the seeds polish to the eigenvalues of the unsymmetric Jacobi
+        # matrix (diagonal -A_k, couplings N_k above and 1 below) by
+        # mpmath's eig at 4F bits, one zero within the solve's tolerance
+        # of each
+        rng = random.Random(seed)
+        n, bits = rng.randint(2, 12), rng.randint(54, 212)
+        rows = random_rows(rng, n)
+        eig = tridiagonal_eigenvalues(rows, bits)
+        assert eig is not None and len(eig) == n
+        zs = find_all_roots(rows, eig, bits)
+        with working_precision(4 * bits):
+            T = mp.zeros(n)
+            for k in range(n):
+                T[k, k] = -to_mpc(rows.A[k])
+                if k:
+                    T[k - 1, k], T[k, k - 1] = to_mpc(rows.N[k]), 1
+            ref = mp.eig(T, left=False, right=False)
+            for z in zs.zeros:
+                assert min(abs(z - x) for x in ref) < zs.tol * (1 + abs(z))
+            for x in ref:
+                assert min(abs(z - x) for z in zs.zeros) < \
+                    zs.tol * (1 + abs(x))
+
+    @pytest.mark.parametrize("bits", [106, 212])
+    def test_zero_pivot_reruns_from_the_other_shift(self, bits):
+        # the first shift, -2, is an eigenvalue of J_5 and of its
+        # trailing 2x2 block, so one pivot is exactly 0; rerun from the
+        # other eigenvalue of the leading block, the step gives seeds
+        # that polish
+        spec = RecurrenceSpec(kind=FamilyKind.REDUCED, gamma=2, delta=-2,
+                              s=2)
+        rows = continuant(spec, 5)
+        eig = tridiagonal_eigenvalues(rows, bits)
+        assert eig is not None
+        assert len(find_all_roots(rows, eig, bits).zeros) == 5
+
+    def test_pivot_growth_is_a_breakdown(self):
+        # on [[1, i, 0], [i, 4, i], [0, i, 1]] (eigenvalues 1, 2 and 3)
+        # both eigenvalues of the leading 2x2 block meet a pivot of a few
+        # units of 2^-122, and the entries grew to 10^36 where the step
+        # went on; no seeds, rather than seeds off by about 1
+        assert tridiagonal_eigenvalues(jacobi_rows([1, 4, 1], [1j, 1j]),
+                                       106) is None
+        assert len(tridiagonal_eigenvalues(jacobi_rows([1, 4, 1],
+                                                       [1j, 1j]))) == 3
+
+    def test_seeded_specs_all_get_106_bit_seeds(self):
+        for spec, m in random_specs():
+            eig = tridiagonal_eigenvalues(continuant(spec, m), 106)
+            assert eig is not None and len(eig) == m, (spec, m)
 
 
 class TestNewtonFirst:

@@ -213,7 +213,7 @@ class TestJacobiSeeds:
         # in the Lame s = 1/2 matrix at m = 40 the rotation QL's top
         # off-diagonal entry of a block stopped shrinking once s e_l
         # floored to zero, and the 106-bit run hit its step limit unless
-        # a stall rule deflated it; the rational QL needs no such rule
+        # a stall rule deflated it; the qd needs no such rule
         spec = from_lame(LameParams(n=2, s="1/2"))[0]
         rows = continuant(spec, 40)
         zeros = solve_zeros(spec, 40).zeros
@@ -436,7 +436,7 @@ class TestJacobiSeeds:
             assert abs(x - y) < zs.tol * (1 + abs(y))
 
     def test_degree_89_stands_at_64_bits(self):
-        # the rational QL's 64-bit seeds resolve c_89 to tol = 2^-32;
+        # the qd's 64-bit seeds resolve c_89 to tol = 2^-32;
         # each zero is within tol (1 + |z|) of a 256-bit solve's
         zs = solve_zeros(WHILL_STRONG, 89, precision_bits=64)
         ref = solve_zeros(WHILL_STRONG, 89)
@@ -571,6 +571,7 @@ class TestFixedPointNewton:
 
     @pytest.mark.parametrize("exponent,m,bits", [
         (100, 4, 256), (100, 8, 256), (150, 4, 512), (150, 4, 1024),
+        (200, 6, 768),
     ])
     def test_zeros_beyond_the_window_against_mpmath_eig(self, exponent, m,
                                                         bits):
