@@ -6,11 +6,13 @@ s = -20, m = 16, 19, 50, 89, 100) this times, interleaved round by
 round: `tridiagonal_eigenvalues` at 53 bits (the double QL) and at 106
 bits (the fixed-point rung), and `find_all_roots` at 256 bits from the
 seeds of the rung `solve_zeros` stands on.  It prints the median and
-quartiles of each beside the exact number of steps and sweep positions
-each eigenvalue solver took, counted in one traced run apart from the
-timed ones, and writes them all to a JSON file.  The counts need no
-change to the solvers: a step is the first statement after a solver's
-step cap, a position the first statement of its sweep.
+quartiles of each beside the exact number of steps, sweep positions
+and off-diagonals tested each eigenvalue solver took, counted in one
+traced run apart from the timed ones, and writes them all to a JSON
+file.  The counts need no change to the solvers: a step is the first
+statement after a solver's step cap, a position the first statement of
+its sweep, and a test the first line of its step loop that reads an
+off-diagonal's size, abs(e...).
 
 Run from the root of a source checkout:
 
@@ -45,10 +47,12 @@ def _next_statement(text, i):
 
 
 def solver_marks() -> dict:
-    """{code: (step line, position line)} for each eigenvalue solver of
-    `rootfind`, a function whose sweep runs over range(m - 1, l - 1, -1):
-    its steps start after the `return False` of its step cap, and its
-    positions with the first statement of the sweep."""
+    """{code: (step line, position line, test line)} for each eigenvalue
+    solver of `rootfind`, a function whose sweep runs over
+    range(m - 1, l - 1, -1): its steps start after the `return False` of
+    its step cap, its positions with the first statement of the sweep,
+    and its tests with the first line after the head of its step loop,
+    `for it in range(...)`, that reads abs(e...)."""
     marks = {}
     for fn in vars(rootfind).values():
         if not inspect.isfunction(fn) or fn.__module__ != rootfind.__name__:
@@ -58,24 +62,27 @@ def solver_marks() -> dict:
         sweep = [i for i, line in enumerate(text)
                  if line.startswith("for ") and line.endswith(SWEEP)]
         cap = [i for i, line in enumerate(text) if line.startswith("if it ==")]
-        if sweep and cap:
+        loop = [i for i, line in enumerate(text)
+                if line.startswith("for it in range(")]
+        if sweep and cap and loop:
             step = _next_statement(text, _next_statement(text, cap[0]))
+            test = next(i for i in range(loop[0] + 1, len(text))
+                        if "abs(e" in text[i])
             marks[fn.__code__] = (first + step,
-                                  first + _next_statement(text, sweep[0]))
+                                  first + _next_statement(text, sweep[0]),
+                                  first + test)
     return marks
 
 
 def counted(call, marks):
-    """(result, steps, positions) of call() under a line tracer."""
-    counts = [0, 0]
+    """(result, steps, positions, tests) of call() under a line tracer."""
+    counts = [0, 0, 0]
 
     def local(frame, event, arg):
         if event == "line":
-            step, position = marks[frame.f_code]
-            if frame.f_lineno == step:
-                counts[0] += 1
-            elif frame.f_lineno == position:
-                counts[1] += 1
+            lines = marks[frame.f_code]
+            if frame.f_lineno in lines:
+                counts[lines.index(frame.f_lineno)] += 1
         return local
 
     def tracer(frame, event, arg):
@@ -86,7 +93,7 @@ def counted(call, marks):
         result = call()
     finally:
         sys.settrace(None)
-    return result, counts[0], counts[1]
+    return result, *counts
 
 
 def quartiles(times) -> dict:
@@ -111,11 +118,12 @@ def main(argv=None) -> int:
         seeds = tridiagonal_eigenvalues(rows, rung)
         layers[m] = {"seed_bits": rung}
         for bits in (53, 106):
-            eig, steps, positions = counted(
+            eig, steps, positions, tests = counted(
                 lambda: tridiagonal_eigenvalues(rows, bits), marks)
             layers[m][f"eig{bits}"] = {"seeds": eig is not None,
                                        "steps": steps,
-                                       "positions": positions}
+                                       "positions": positions,
+                                       "tests": tests}
             calls[m, f"eig{bits}"] = (
                 lambda rows=rows, bits=bits: tridiagonal_eigenvalues(rows,
                                                                      bits))
@@ -128,13 +136,14 @@ def main(argv=None) -> int:
             call()
             times.setdefault(key, []).append(time.perf_counter() - start)
     print(f"{'m':>4} {'layer':<15} {'median s':>9} {'q1':>9} {'q3':>9} "
-          f"{'steps':>6} {'positions':>9}")
+          f"{'steps':>6} {'positions':>9} {'tests':>6}")
     for (m, layer), ts in times.items():
         entry = layers[m][layer]
         entry.update(quartiles(ts))
         print(f"{m:>4} {layer:<15} {entry['median_s']:>9.5f} "
               f"{entry['q1_s']:>9.5f} {entry['q3_s']:>9.5f} "
-              f"{entry.get('steps', ''):>6} {entry.get('positions', ''):>9}")
+              f"{entry.get('steps', ''):>6} {entry.get('positions', ''):>9} "
+              f"{entry.get('tests', ''):>6}")
     result = {"spec": "Whittaker-Hill alpha = 5, s = -20",
               "rounds": args.rounds, "python": platform.python_version(),
               "machine": platform.machine(),

@@ -63,9 +63,11 @@ class ZeroSet:
     z_i = (x + iy) 2^-F, F = `ZeroSet.F`, in descending x, ties by
     ascending y.  zeros[i] is its mpc view, each part rounded to
     F - _KERNEL_GUARD bits: |zeros[i] - z_i| <= 2^-(F - _KERNEL_GUARD) |z_i|.
-    residuals[i], the full-width Newton step |p/p'| to z_i on the
-    three-term recurrence in fixed point, bounds the error of z_i, not
-    of the view; a mirrored zero of a real polynomial has its partner's.
+    residuals[i] is the length |p/p'| of the last full-width Newton step
+    to z_i on the three-term recurrence in fixed point: a size of the
+    error of z_i, not of the view, and not a bound on it, since the
+    fixed-point evaluation of p can cancel (ROADMAP item 1); a mirrored
+    zero of a real polynomial has its partner's.
     Every residual met tol = `default_tol(precision_bits)`.  A zero is
     real exactly when y is 0: for real rows, when it was polished on the
     axis.  labels[i] is the grid index k matched to zeros[i] (None when
@@ -375,9 +377,11 @@ def tridiagonal_eigenvalues(rows: Continuant, precision_bits: int = 53):
     2F (`Continuant.fixed_rows(2F)`), carried with _QD_GUARD more bits,
     each operation exact integer arithmetic followed by at most one floor
     rounding, so the eigenvalues are the same bits on every machine and
-    every run.  On a breakdown, after _QL_MAX_STEPS steps per 53 bits of
-    precision on one eigenvalue, or when a double entry overflows, the
-    result is None (`tracking.solve_zeros` then tries its next rung).
+    every run.  Both split the matrix only where a coupling is exactly 0,
+    and deflate each block at its top.  On a breakdown, after
+    _QL_MAX_STEPS steps per 53 bits of precision on one eigenvalue, or
+    when a double entry overflows, the result is None
+    (`tracking.solve_zeros` then tries its next rung).
     The eigenvalues come back in no particular order: complex doubles at
     53 bits, and above it exact QQi over 2^F.  They are accurate to about
     the unit roundoff times the matrix norm only when the matrix is close
@@ -414,16 +418,20 @@ def _implicit_ql(d, e) -> bool:
     """Run QL on d (diagonal) and e (off-diagonal, padded with a
     trailing zero) in place, in complex doubles; False on rotation
     breakdown or when an eigenvalue needs more than _QL_MAX_STEPS
-    steps."""
+    steps.  The block l..m ends at the next coupling that is exactly 0,
+    found once, when l enters it; a rotation never leaves a zero inside
+    it, as one with r = 0 is a breakdown.  Each step tests only the top
+    coupling, where the shift converges: d_l deflates when
+    |e_l| <= 2^-52 (|d_l| + |d_l+1|)."""
     eps = 2.0 ** -52
-    n = len(d)
-    for l in range(n):
-        for it in range(_QL_MAX_STEPS + 1):
+    m = 0
+    for l in range(len(d) - 1):
+        if m <= l:                  # l starts a block: find its end
             m = l
-            while m < n - 1 and \
-                    abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+            while e[m]:
                 m += 1
-            if m == l:
+        for it in range(_QL_MAX_STEPS + 1):
+            if not abs(e[l]) > eps * (abs(d[l]) + abs(d[l + 1])):
                 break
             if it == _QL_MAX_STEPS:
                 return False
@@ -510,8 +518,12 @@ def _qd(dr, di, er, ei, F: int) -> bool:
     no |p| exceeds 2^_QD_GUARD times the matrix scale: a step that meets
     a zero pivot, or leaves a diagonal part above that, is undone and
     run from the other eigenvalue, d_l + d_l+1 - t; if that breaks down
-    too, False.  Moduli are |x| + |y|.  e_m deflates when
-    |e_m| <= 2^-2F (|d_m| + |d_m+1|)^2, or below the squared floor
+    too, False.  Moduli are |x| + |y|.  The block ends at the next
+    coupling that is exactly 0, or at the last row: found once, when l
+    enters it, and lowered to any e_k a step leaves exactly 0, as
+    g = 0 / p keeps it 0 and a sweep on past it could meet a zero pivot.
+    A step converges at the top, so only e_l is tested: d_l deflates when
+    |e_l| <= 2^-2F (|d_l| + |d_l+1|)^2, or below the squared floor
     (2^(6-F) max_j ||row_j||_1)^2: rounding leaves an absolute error of
     a few units of 2^-F times the matrix scale in every entry, so near a
     small eigenvalue of a non-normal matrix the relative test alone may
@@ -523,17 +535,17 @@ def _qd(dr, di, er, ei, F: int) -> bool:
                 + isqrt(abs(er[j - 1]) + abs(ei[j - 1])) for j in range(n))
     floor = (scale >> (F - 6)) ** 2    # er[-1] is the zero padding
     bound = scale << _QD_GUARD
-    for l in range(n):
-        for it in range(max_steps + 1):
+    m = 0
+    for l in range(n - 1):
+        if m <= l:                  # l starts a block: find its end
             m = l
-            while m < n - 1:
-                size = abs(er[m]) + abs(ei[m])
-                if size <= floor or size << 2 * F <= (
-                        abs(dr[m]) + abs(di[m]) + abs(dr[m + 1])
-                        + abs(di[m + 1])) ** 2:
-                    break
+            while er[m] or ei[m]:
                 m += 1
-            if m == l:
+        for it in range(max_steps + 1):
+            size = abs(er[l]) + abs(ei[l])
+            if size <= floor or size << 2 * F <= (
+                    abs(dr[l]) + abs(di[l]) + abs(dr[l + 1])
+                    + abs(di[l + 1])) ** 2:
                 break
             if it == max_steps:
                 return False
@@ -547,6 +559,7 @@ def _qd(dr, di, er, ei, F: int) -> bool:
             tr, ti = dr[l] - ur, di[l] - ui          # the shift
             saved = dr[l:m + 1], di[l:m + 1], er[l:m], ei[l:m]
             for tr, ti in (tr, ti), (dr[l + 1] + ur, di[l + 1] + ui):
+                end = m
                 try:
                     pr, pi = dr[m] - tr, di[m] - ti
                     for k in range(m - 1, l - 1, -1):
@@ -557,6 +570,8 @@ def _qd(dr, di, er, ei, F: int) -> bool:
                         dr[k + 1], di[k + 1] = pr + gr + tr, pi + gi + ti
                         pr, pi = dr[k] - tr - gr, di[k] - ti - gi
                         er[k], ei[k] = pr * gr - pi * gi, pr * gi + pi * gr
+                        if not (er[k] or ei[k]):
+                            end = k          # g = 0 / p keeps it 0: a split
                     dr[l], di[l] = pr + tr, pi + ti
                 except ZeroDivisionError:            # a zero pivot
                     pass
@@ -567,6 +582,7 @@ def _qd(dr, di, er, ei, F: int) -> bool:
                 dr[l:m + 1], di[l:m + 1], er[l:m], ei[l:m] = saved
             else:
                 return False
+            m = end
     return True
 
 

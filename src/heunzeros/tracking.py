@@ -103,7 +103,8 @@ def solve_zeros(spec: RecurrenceSpec, m: int,
         stationary = ()
         seeds = tridiagonal_eigenvalues(rows, bits)
         if seeds is None:
-            tried.append(f"{bits} bits: the QL failed")
+            solver = "the double QL" if bits == 53 else "the qd"
+            tried.append(f"{bits} bits: {solver} failed")
             continue
         try:
             zs = replace(find_all_roots(rows, seeds, precision_bits),

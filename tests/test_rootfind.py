@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import isqrt
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -225,6 +226,30 @@ class TestTridiagonalEigenvalues:
         assert tridiagonal_eigenvalues(jacobi_rows([1, -1], [1j]),
                                        precision_bits=106) == [0, 0]
 
+    @pytest.mark.parametrize("bits,tol", [(53, 1e-13), (106, 2.0 ** -100)])
+    def test_zero_coupling_splits_into_two_blocks(self, bits, tol):
+        # N_3 = 0: the blocks k = 0..2 and 3..4 are solved apart, and
+        # their eigenvalues, by mpmath's eig at 4 bits per bit, are the
+        # matrix's
+        diag, off = [1 + 1j, -2, 0.5j, 3, 2 - 1j], [1j, 2 - 1j, 0, 0.25]
+        eig = tridiagonal_eigenvalues(jacobi_rows(diag, off), bits)
+        assert eig is not None and len(eig) == 5
+        with working_precision(4 * bits):
+            ref = []
+            for lo, hi in (0, 3), (3, 5):
+                T = mp.matrix(hi - lo)
+                for k in range(lo, hi):
+                    T[k - lo, k - lo] = mp.mpc(diag[k])
+                    if k + 1 < hi:
+                        T[k - lo, k + 1 - lo] = T[k + 1 - lo, k - lo] = \
+                            mp.mpc(off[k])
+                ref += mp.eig(T, left=False, right=False)
+            got = [to_mpc(e) for e in eig]
+            for w in ref:
+                assert min(abs(z - w) for z in got) < tol * (1 + abs(w))
+            for z in got:
+                assert min(abs(z - w) for w in ref) < tol * (1 + abs(z))
+
     def test_step_limit_grows_with_precision(self, monkeypatch):
         # one eigenvalue of this block takes five QL steps in doubles
         # and seven or eight qd steps at 106 bits: four steps per 53
@@ -392,6 +417,19 @@ def random_rows(rng, n):
                       N=(QQi(0),) + tuple(entry() for _ in range(n - 1)))
 
 
+def qd_matrix(parts, H):
+    """The matrix of `rootfind._qd`'s state parts = (dr, di, er, ei),
+    d with H fraction bits and e with 2H, as an mpmath matrix."""
+    dr, di, er, ei = parts
+    n = len(dr)
+    T = mp.matrix(n)
+    for k in range(n):
+        T[k, k] = mp.mpc(dr[k], di[k]) / 2 ** H
+        if k + 1 < n:
+            T[k, k + 1], T[k + 1, k] = 1, mp.mpc(er[k], ei[k]) / 2 ** (2 * H)
+    return T
+
+
 def random_specs(seed=40, count=40):
     """Seeded exact specs, (spec, m): full, confluent and reduced in
     turn, |s| <= 25 with half of them complex, m = 5 to 45."""
@@ -466,11 +504,74 @@ class TestQd:
         # on [[1, i, 0], [i, 4, i], [0, i, 1]] (eigenvalues 1, 2 and 3)
         # both eigenvalues of the leading 2x2 block meet a pivot of a few
         # units of 2^-122, and the entries grew to 10^36 where the step
-        # went on; no seeds, rather than seeds off by about 1
-        assert tridiagonal_eigenvalues(jacobi_rows([1, 4, 1], [1j, 1j]),
-                                       106) is None
-        assert len(tridiagonal_eigenvalues(jacobi_rows([1, 4, 1],
-                                                       [1j, 1j]))) == 3
+        # went on; no seeds, rather than seeds off by about 1.  The double
+        # QL seeds the rung below
+        rows = jacobi_rows([1, 4, 1], [1j, 1j])
+        assert tridiagonal_eigenvalues(rows, 106) is None
+        eig = tridiagonal_eigenvalues(rows)
+        assert len(eig) == 3
+        for w in (1, 2, 3):
+            assert min(abs(e - w) for e in eig) < 1e-12
+
+    def test_a_coupling_left_zero_ends_the_block(self, monkeypatch):
+        # the coupling below row 2 is one unit of 2^-2F, so the first
+        # step floors its g to 0 and leaves it exactly 0, the top
+        # coupling not yet deflated; the run then ends bit for bit as a
+        # run restarted from that state, which finds the split on entry,
+        # so no later sweep runs on past it into rows 3 and 4
+        F, G = 53, rootfind._QD_GUARD
+        H = F + G
+        start = [[x << H for x in (-5, -1, 3, 2, 1)], [0] * 5,
+                 [2 << 2 * H, 2 << 2 * H, 1 << 2 * G, 3 << 2 * H, 0],
+                 [0] * 5]
+        after = [list(part) for part in start]
+        monkeypatch.setattr(rootfind, "_QL_MAX_STEPS", 1)   # one step
+        assert rootfind._qd(*after, F) is False
+        assert after[2][0] and not after[2][2]
+        monkeypatch.undo()
+        whole = [list(part) for part in start]
+        assert rootfind._qd(*whole, F) and rootfind._qd(*after, F)
+        assert whole == after
+        with working_precision(4 * F):
+            T = qd_matrix(start, H)
+            for w in mp.eig(T, left=False, right=False):
+                assert min(abs(mp.mpf(x) / 2 ** H - w)
+                           for x in whole[0]) < 2.0 ** -F * mp.mnorm(T, 1)
+
+    def test_random_matrices_meet_the_error_bound(self):
+        # every eigenvalue x the qd returns on 10 000 seeded matrices of
+        # order 2 to 7 at F = 6 to 30, drawn as `_qd_small` in
+        # tests/test_bit_pins.py draws them, lies within
+        # 1024 kappa 2^-F s of the nearest eigenvalue w of the matrix by
+        # numpy's eig, kappa the condition number of w and s the largest
+        # row sum |d_j| + |e_j|^(1/2) + |e_j-1|^(1/2)
+        rng = random.Random(4)
+        G = rootfind._QD_GUARD
+        worst = 0
+        for _ in range(10_000):
+            F, n = rng.randint(6, 30), rng.randint(2, 7)
+            imag = rng.random() < 0.5
+            parts = [[rng.randint(-1 << bits, 1 << bits) << shift
+                      if real or imag else 0
+                      for _ in range(n - off)] + [0] * off
+                     for bits, off, shift in ((F + 3, 0, G),
+                                              (2 * F + 4, 1, 2 * G))
+                     for real in (True, False)]
+            H = F + G
+            d = np.array([complex(x, y) for x, y in zip(*parts[:2])]) / 2.0 ** H
+            e = np.array([complex(x, y) for x, y in zip(*parts[2:])]) / \
+                2.0 ** (2 * H)
+            w, V = np.linalg.eig(np.diag(d) + np.diag(np.ones(n - 1), 1)
+                                 + np.diag(e[:-1], -1))
+            kappa = np.linalg.norm(V, axis=0) * \
+                np.linalg.norm(np.linalg.inv(V), axis=1)
+            s = max(abs(d) + abs(e) ** 0.5 + np.roll(abs(e), 1) ** 0.5)
+            assert rootfind._qd(*parts, F) is True
+            for x, y in zip(*parts[:2]):
+                j = np.argmin(abs(w - complex(x, y) / 2.0 ** H))
+                worst = max(worst, abs(w[j] - complex(x, y) / 2.0 ** H)
+                            * 2.0 ** F / (kappa[j] * s))
+        assert worst < 1024
 
     def test_seeded_specs_all_get_106_bit_seeds(self):
         for spec, m in random_specs():

@@ -278,9 +278,9 @@ class TestJacobiSeeds:
         monkeypatch.setattr(tracking, "tridiagonal_eigenvalues",
                             lambda rows, bits=53: None)
         with pytest.raises(NonConvergenceError,
-                           match=r"53 bits: the QL failed; 106 bits: the QL "
-                                 r"failed; 212 bits: the QL failed; 256 "
-                                 r"bits: the QL failed\. precision_bits"):
+                           match=r"53 bits: the double QL failed; 106 bits: "
+                                 r"the qd failed; 212 bits: the qd failed; "
+                                 r"256 bits: the qd failed\. precision_bits"):
             solve_zeros(spec, 4)
 
     @pytest.mark.parametrize("off,rung", [(2.0 ** -15, 106),
@@ -311,7 +311,7 @@ class TestJacobiSeeds:
                                match=r"53 bits: double seed 0: its "
                                      r"first Newton step is [0-9.e-]+ "
                                      r"\(1 \+ \|z - w\|\), above 2\^-20; "
-                                     r"106 bits: the QL failed"):
+                                     r"106 bits: the qd failed"):
                 solve_zeros(spec, 6)
 
     def test_residual_failure_stops_the_ladder(self, monkeypatch):
