@@ -337,7 +337,7 @@ PINS = {
     "ql-lame-1/2-m40":
         "91899d93bf4e17506aa3c9eaab7b5dd9c447ddd9b1f96706a0d1d3c50b4f7f60",
     "ql-random-small-F":
-        "ca342a0d5d4621a90e26bbd30adbd993916a84945fd096f9777b230c1d1cbf11",
+        "4f8974642180b86c282c481c08603599bca340931b4edbc4661cf545df06b428",
     "kernel-random-rows":
         "92e8c764fc8c48f550f18e4eabe2384bf1d07afa09a8a7274e14cad4ee888f74",
     "ql-reduced-m5":
